@@ -3,7 +3,8 @@
 Core objects: MetricGraph (dart-based multigraph with positive edge
 lengths), the weighted non-backtracking transfer matrix B(t) whose
 spectral radius crossing rho(B(h)) = 1 defines the entropy h, path
-generating functions evaluated by resolvent solves, incremental
+generating functions evaluated by Cholesky solves of the symmetric
+vertex matrix M(t) (weighted Ihara-Bass), incremental
 edge/vertex-addition solvers, a brute-force enumeration oracle with the
 counting identities, and the persistent entropy curve over the
 edge-length filtration.
@@ -42,6 +43,7 @@ from .persistence import (CurveStep, EntropyCurve, StepStrategy,
                           curve_from_json, export_curve, filter_at,
                           persistent_entropy, thresholds)
 from .spectral import (PerronData, TransferMatrix, TransferMode,
-                       build_transfer, solve_resolvent, spectral_radius)
+                       build_transfer, solve_resolvent, spectral_radius,
+                       vertex_matrix)
 
 __version__ = "0.1.0"

@@ -229,10 +229,11 @@ def cmd_verify(args) -> int:
             x0 = sorted(core0.vertex_set)[0]
             prof = counting.enumerate_paths(core0, EnumerationSpec(
                 PathKind.PATHS_FROM, 0.8 * r_cap, x=x0, cap=cfg.cap))
+            h_core = volume_entropy(core0).h
             ok = True
             worst = 0.0
             for tt in (h + 0.2, h + 0.6, h + 1.0, h + 1.4, h + 2.0):
-                rep_l = laplace_check(prof, core0, tt)
+                rep_l = laplace_check(prof, core0, tt, h=h_core)
                 ok = ok and rep_l.passed
                 worst = max(worst, abs(rep_l.f_value - rep_l.truncated))
             record("laplace", "PASS" if ok else "FAIL",
@@ -249,8 +250,7 @@ def cmd_verify(args) -> int:
         inc = entropy_after_edge(graph, x, y, 1.0, tol=cfg.tol)
         direct = volume_entropy(add_edge(graph, x, y, 1.0), tol=cfg.tol)
         comp = next(c for c, _ in components(graph) if x in c.vertex_set)
-        others = [hh for cid, hh in
-                  volume_entropy(graph, tol=cfg.tol).per_component
+        others = [hh for cid, hh in res.per_component
                   if cid not in comp.vertex_set]
         combined = max([inc.h_prime] + others)
         diff = abs(combined - direct.h)

@@ -618,7 +618,9 @@ def _primitive_cycle_genfun(comp: MetricGraph, v: str, t: float,
                             margin: float = 1e-9) -> float:
     """g(t) for primitive cycles at v: a resolvent solve on the transfer
     matrix with v split into source/sink copies (rows of darts arriving
-    at v are masked, so no sequence continues through v)."""
+    at v are masked, so no sequence continues through v).  The radius
+    check inside solve_resolvent raises DivergentSeries where the series
+    diverges."""
     tm = build_transfer(comp, t, mode)
     masked = tm.matrix.copy()
     tau = np.zeros(len(comp.darts))
@@ -626,8 +628,6 @@ def _primitive_cycle_genfun(comp: MetricGraph, v: str, t: float,
         if d.head == v:
             masked[d.id, :] = 0.0
             tau[d.id] = 1.0
-    if spectral_radius(masked).rho >= 1.0 - margin:
-        raise DivergentSeries(f"primitive-cycle series diverges at t={t}")
     u = solve_resolvent(masked, tau, margin=margin)
     s = np.zeros(len(comp.darts))
     for d in comp.out_darts(v):

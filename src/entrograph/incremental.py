@@ -143,9 +143,11 @@ def entropy_after_edge(graph: MetricGraph, x: str, y: str, l0: float,
 
     Requires x != y, non-adjacent (the defining equation assumes the new
     edge is not parallel to an existing one) and co-located in one
-    component.  The root is bracketed from h_base upward: the lower end
-    starts at a relative offset and grows on divergence, shrinks while
-    Phi is already positive; then bisection and secant polish.
+    component.  A tree component (first Betti number 0) gives h' = 0
+    exactly, the rule volume_entropy applies to a single cycle.  Otherwise
+    the root is bracketed from h_base upward: the lower end starts at a
+    relative offset and grows on divergence, shrinks while Phi is
+    already positive; then bisection and secant polish.
     """
     if x == y:
         raise AdjacentVertices("x and y must be distinct vertices")
@@ -154,6 +156,10 @@ def entropy_after_edge(graph: MetricGraph, x: str, y: str, l0: float,
     comp = _shared_component(graph, (x, y))
     if any(d.head == y for d in comp.darts if d.tail == x):
         raise AdjacentVertices(f"{x!r} and {y!r} are already adjacent")
+    if comp.edge_count - len(comp.vertices) + 1 == 0:
+        # A tree plus one edge has a single cycle: entropy 0 exactly, and
+        # Phi(0) = 1 - f_xy(0) - 0 = 0 with the unique tree path x..y.
+        return EdgeAdditionResult(0.0, 0.0, float(l0), 0.0, 0)
     if h_base is None:
         h_base = volume_entropy(comp, tol=tol).h
     evals = 0

@@ -6,6 +6,11 @@ resolvent formulas for path generating functions are unambiguous).  The
 spectral radius is computed per strongly connected component of the
 support digraph with power iteration on (I + M), which neutralizes
 periodic supports such as the dart graph of an even cycle.
+
+The symmetric V x V vertex matrix of the weighted Ihara-Bass identity,
+det(I - B(t)) = det M(t) * prod_e (1 - z_e^2) with z_e = e^{-t l_e},
+carries the same information for the path generating functions: M(t)
+is positive definite exactly when t lies above the entropy.
 """
 
 from __future__ import annotations
@@ -71,6 +76,82 @@ def build_transfer(graph: MetricGraph, t: float,
                 continue
             mat[d.id, d2] = weights[d2]
     return TransferMatrix(mat, lengths, float(t), mode)
+
+
+@dataclass(frozen=True)
+class VertexForm:
+    """The vertex matrix as diag(shift) + sum_e weight_e L_e, the sum
+    over the non-loop edges e = uw with L_e = (e_u - e_w)(e_u - e_w)^T.
+
+    Applying the matrix in this form (``apply``) keeps the large weights
+    1/(2 t l) of short edges on differences x_u - x_w, so its residuals
+    stay accurate where the assembled matrix has lost digits.
+    """
+
+    shift: np.ndarray
+    tails: np.ndarray
+    heads: np.ndarray
+    weights: np.ndarray
+
+    def matrix(self) -> np.ndarray:
+        mat = np.diag(self.shift)
+        u, w, c = self.tails, self.heads, self.weights
+        np.add.at(mat, (u, u), c)
+        np.add.at(mat, (w, w), c)
+        np.add.at(mat, (u, w), -c)
+        np.add.at(mat, (w, u), -c)
+        return mat
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        flow = self.weights * (x[self.tails] - x[self.heads])
+        out = self.shift * x
+        np.add.at(out, self.tails, flow)
+        np.subtract.at(out, self.heads, flow)
+        return out
+
+
+def vertex_form(graph: MetricGraph, t: float,
+                mode: TransferMode = TransferMode.NON_BACKTRACKING
+                ) -> VertexForm:
+    """Vertex matrix at parameter t > 0, indexed in ``graph.vertices``
+    order (see ``vertex_matrix``)."""
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    edges = graph.edge_darts()
+    u = np.array([index[d.tail] for d in edges], dtype=np.intp)
+    w = np.array([index[d.head] for d in edges], dtype=np.intp)
+    lengths = np.array([d.length for d in edges], dtype=float)
+    z = np.exp(-t * lengths)
+    loop = u == w
+    if mode is TransferMode.BACKTRACKING:
+        weights, drop = z[~loop], z
+    else:
+        # z/(1-z^2) on L_e leaves z/(1+z) to remove from each endpoint;
+        # a loop's net diagonal term is -2z/(1+z).
+        weights = z[~loop] / -np.expm1(-2.0 * t * lengths[~loop])
+        drop = z / (1.0 + z)
+    shift = np.ones(len(index))
+    np.subtract.at(shift, u, drop)
+    np.subtract.at(shift, w, drop)
+    return VertexForm(shift, u[~loop], w[~loop], weights)
+
+
+def vertex_matrix(graph: MetricGraph, t: float,
+                  mode: TransferMode = TransferMode.NON_BACKTRACKING
+                  ) -> np.ndarray:
+    """Symmetric V x V vertex matrix at parameter t > 0, rows and columns
+    in ``graph.vertices`` order.
+
+    Non-backtracking: M(t) = I + D - A with A_uv = sum_{e=uv} z/(1-z^2)
+    and D_vv = sum_{e at v} z^2/(1-z^2), z = e^{-t l_e} (weighted
+    Ihara-Bass; Watanabe & Fukumizu, NeurIPS 2009).  A loop at v enters
+    as its net diagonal term -2z/(1+z), which avoids the cancellation of
+    2z^2/(1-z^2) - 2z/(1-z^2) for short loops; 1 - z^2 is computed as
+    -expm1(-2tl).  Backtracking: I - W(t) with W_uv = sum_{e=uv} z, so a
+    loop contributes 2z.  In both modes the matrix is positive definite
+    exactly when t exceeds the entropy of the mode, and
+    f_xy(t) = (M^{-1})_xy - delta_xy.
+    """
+    return vertex_form(graph, t, mode).matrix()
 
 
 def _as_array(matrix) -> np.ndarray:

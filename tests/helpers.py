@@ -117,3 +117,34 @@ def nonadjacent_pair(graph):
                 if b not in nbrs:
                     return a, b
     return None
+
+
+def eig_entropy(graph, rel_tol=1e-12):
+    """Entropy by bisection on the dense-eigenvalue radius of the dart
+    matrix B(t) (independent of the power iteration and of the vertex
+    matrix); for graphs with first Betti number >= 2."""
+    from entrograph import build_transfer
+
+    def above(t):
+        return eig_rho(build_transfer(graph, t).matrix) >= 1.0
+
+    lo, hi = 0.0, 1.0
+    while above(hi):
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > rel_tol * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if above(mid) else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def dart_lu_path(graph, x, y, t):
+    """f_xy(t) = s_x (I - B(t))^{-1} tau_y by a dense LU of the dart
+    matrix: s_x weights the darts leaving x by e^{-t l}, tau_y flags the
+    darts arriving at y.  No radius check, so it also runs where the
+    power iteration does not converge."""
+    from entrograph import build_transfer
+    mat = build_transfer(graph, t).matrix
+    s = np.array([math.exp(-t * d.length) if d.tail == x else 0.0
+                  for d in graph.darts])
+    tau = np.array([1.0 if d.head == y else 0.0 for d in graph.darts])
+    return float(s @ np.linalg.solve(np.eye(len(tau)) - mat, tau))

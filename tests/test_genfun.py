@@ -1,15 +1,19 @@
 """Path generating functions against closed forms and enumeration."""
 
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entrograph import (EnumerationSpec, InvalidDartIndex, MetricGraph,
                         PathKind, attachment_darts, check_symmetry,
                         enumerate_paths, f_from, f_path, g_primitive,
                         generate_graph, primitive_matrix, volume_entropy)
-from helpers import c4, complete4, dumbbell, rose, segment, theta
+from entrograph.genfun import _Resolvent
+from helpers import (c4, complete4, dart_lu_path, dumbbell, eig_entropy,
+                     rose, segment, theta)
 
 
 def test_segment_single_path():
@@ -194,3 +198,67 @@ def test_primitive_matrix_matches_scalar_and_enumeration():
         assert partial <= mat[i - 1, j - 1] + 1e-12
         assert mat[i - 1, j - 1] - partial <= 10.0 * math.exp(
             (volume_entropy(g).h - t) * 12.0)
+
+
+# -- vertex-matrix resolvent against the dart-matrix LU -------------------
+
+@st.composite
+def multigraphs(draw):
+    """Connected multigraphs with loops and parallel edges, first Betti
+    number 2..4, and lengths 10^U(-3, 3)."""
+    n = draw(st.integers(1, 5))
+    names = [f"v{i}" for i in range(n)]
+    ends = [(names[i], names[draw(st.integers(0, i - 1))])
+            for i in range(1, n)]
+    ends += [(names[draw(st.integers(0, n - 1))],
+              names[draw(st.integers(0, n - 1))])
+             for _ in range(draw(st.integers(2, 4)))]
+    exps = draw(st.lists(st.floats(-3.0, 3.0), min_size=len(ends),
+                         max_size=len(ends)))
+    return MetricGraph.from_edges(
+        names, [(u, v, 10.0 ** e) for (u, v), e in zip(ends, exps)])
+
+
+def _assert_matches_dart_lu(g, t):
+    ctx = _Resolvent(g, t)
+    assert ctx.ok
+    for x in g.vertices:
+        for y in g.vertices:
+            want = dart_lu_path(g, x, y, t)
+            assert abs(ctx.path_value(x, y) - want) <= \
+                1e-9 * max(1.0, abs(want)), (x, y, t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(multigraphs())
+def test_path_value_matches_dart_lu_on_random_multigraphs(g):
+    # No floor on t * l_min: the refined solve keeps short edges accurate.
+    h = eig_entropy(g)
+    for factor in (1.01, 1.5, 3.0):
+        _assert_matches_dart_lu(g, factor * h)
+    assert not _Resolvent(g, 0.99 * h).ok
+
+
+def test_rose_with_short_loop_matches_dart_lu():
+    # The short loop enters M(t) as -2z/(1+z).  Formed as the difference
+    # 2z^2/(1-z^2) - 2z/(1-z^2) of two terms of size 1/(2tl) = 2.5e4, it
+    # would leave f_vv off by 3e-7 relative here.
+    g = MetricGraph.from_edges(["v"], [("v", "v", 1.0), ("v", "v", 1.0),
+                                       ("v", "v", 1e-6)])
+    _assert_matches_dart_lu(g, 1.5 * eig_entropy(g))
+
+
+def test_f_path_on_wide_length_spread():
+    # generate_graph(2, 10, 18) with lengths 10^U(-3, 3) from Random(0):
+    # the power iteration on B(t) does not converge on this graph.
+    base = generate_graph(2, 10, 18)
+    rng = random.Random(0)
+    g = MetricGraph.from_edges(base.vertices, [
+        (u, v, 10 ** rng.uniform(-3, 3)) for u, v, _ in base.edge_list()])
+    h = 0.218982142992
+    x, y = sorted(g.vertex_set)[:2]
+    val = f_path(g, x, y, h + 1.0)
+    assert val.converged
+    assert val.value == pytest.approx(dart_lu_path(g, x, y, h + 1.0),
+                                      rel=1e-9)
+    assert not f_path(g, x, y, 0.99 * h).converged

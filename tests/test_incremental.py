@@ -68,7 +68,7 @@ def test_edge_addition_strictly_increases_hyperbolic_base():
 
 def test_edge_addition_tree_base_gives_zero():
     res = entropy_after_edge(path3(), "x", "z", 1.0)
-    assert res.h_prime == pytest.approx(0.0, abs=1e-9)
+    assert res.h_prime == 0.0 and res.iterations == 0
 
 
 def test_vertex_addition_matches_direct():

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from entrograph import (DivergentSeries, TransferMode, build_transfer,
-                        solve_resolvent, spectral_radius)
+from entrograph import (DivergentSeries, MetricGraph, TransferMode,
+                        build_transfer, solve_resolvent, spectral_radius,
+                        vertex_matrix)
 from helpers import c4, complete4, dumbbell, eig_rho, rose, segment, theta
 
 NB = TransferMode.NON_BACKTRACKING
@@ -154,3 +155,31 @@ def test_resolvent_matches_truncated_neumann_series():
             term = mat @ term
         bound = rho ** (k + 1) / (1.0 - rho) * np.max(np.abs(rhs))
         assert np.max(np.abs(u - partial)) <= bound + 1e-12
+
+
+def _loops_and_parallels():
+    return MetricGraph.from_edges(
+        ["a", "b", "c"],
+        [("a", "b", 1.0), ("a", "b", 0.5), ("b", "c", 2.0), ("c", "c", 0.3),
+         ("a", "a", 1e-3), ("a", "c", 1.7)])
+
+
+def test_vertex_matrix_ihara_bass_determinant():
+    # det(I - B(t)) = det M(t) * prod_e (1 - z_e^2), loops included.
+    for g in (_loops_and_parallels(), complete4(), dumbbell(), rose(3)):
+        for t in (0.2, 0.9, 2.5):
+            z = np.array([math.exp(-t * d.length) for d in g.edge_darts()])
+            lhs = np.linalg.det(np.eye(len(g.darts))
+                                - build_transfer(g, t, NB).matrix)
+            rhs = np.linalg.det(vertex_matrix(g, t, NB)) * np.prod(1 - z * z)
+            assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
+
+
+def test_vertex_matrix_backtracking_radius():
+    # I - W(t): the largest eigenvalue of W(t) is rho(B_bt(t)).
+    for g in (_loops_and_parallels(), theta(), dumbbell()):
+        for t in (0.3, 1.1):
+            w = np.eye(len(g.vertices)) - vertex_matrix(g, t, BT)
+            assert np.allclose(w, w.T)
+            assert np.max(np.linalg.eigvalsh(w)) == pytest.approx(
+                eig_rho(build_transfer(g, t, BT).matrix), rel=1e-10)
