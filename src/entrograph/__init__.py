@@ -34,11 +34,11 @@ from .graphio import (ParseError, generate_graph, load_graph, parse_graph,
                       parse_graph_edgelist, parse_graph_json,
                       serialize_edgelist, serialize_json)
 from .incremental import (AsymptoticFit, ConstantEstimate,
-                          EdgeAdditionResult, FactorizationReport, VertexAdditionResult,
-                          VertexPrediction, VertexVariant, check_factorization,
-                          entropy_after_edge, entropy_after_vertex,
-                          estimate_constant_C, fit_edge_asymptotic,
-                          predict_edge_asymptotic, predict_vertex_asymptotic)
+                          EdgeAdditionResult, VertexAdditionResult,
+                          VertexPrediction, entropy_after_edge,
+                          entropy_after_vertex, estimate_constant_C,
+                          fit_edge_asymptotic, predict_edge_asymptotic,
+                          predict_vertex_asymptotic)
 from .persistence import (CurveStep, EntropyCurve, StepStrategy,
                           curve_from_json, export_curve, filter_at,
                           persistent_entropy, thresholds)

@@ -1,10 +1,14 @@
 """Bracketed scalar root finding: bisection to a coarse width, then
-secant polish with bracket projection.  Used for the monotone defining
-equations of the incremental formulas and the primitive-cycle roots."""
+secant polish with bracket projection (``bracketed_root``), and the
+search for a bracket above a base point where the equation may diverge
+(``root_above``).  Used for the monotone defining equations of the
+incremental formulas and the primitive-cycle roots."""
 
 from __future__ import annotations
 
 from typing import Callable
+
+from .errors import DivergentSeries, NonConvergence
 
 
 def bracketed_root(fn: Callable[[float], float], lo: float, hi: float,
@@ -72,3 +76,62 @@ def bracketed_root(fn: Callable[[float], float], lo: float, hi: float,
                 or hi - lo <= xtol_rel * max(1.0, abs(x_next)):
             break
     return best[0], best[1], evals
+
+
+def root_above(fn: Callable[[float], float], base: float,
+               rel_margin: float = 1e-6) -> tuple[float, float, int]:
+    """Root above ``base`` of a function that is negative between
+    ``base`` and the root and positive above the root, such as an
+    increasing defining equation whose series converge only above
+    ``base``; ``fn`` may raise DivergentSeries close to ``base``.
+
+    The lower end
+    starts at ``base + rel_margin * max(base, 1)``, grows on divergence
+    and shrinks while fn >= 0; once both a divergent and a non-negative
+    offset are known it bisects between them.  When the non-negative end
+    comes within 1e-16 * max(base, 1) of ``base`` or of the divergent
+    end, the root is pinched and that end is returned.  The upper end
+    doubles its gap until fn > 0, then ``bracketed_root`` finishes.
+    Returns (x, fn(x), evaluations), counting every call of ``fn``.
+    """
+    evals = 0
+    scale = max(base, 1.0)
+    floor = 1e-16 * scale
+    off = rel_margin * scale
+    divergent, nonneg = 0.0, None  # largest divergent, smallest fn >= 0
+    t_lo = f_lo = None
+    for _ in range(240):
+        evals += 1
+        try:
+            f_try = fn(base + off)
+        except DivergentSeries:
+            divergent = off
+        else:
+            if f_try < 0.0:
+                t_lo, f_lo = base + off, f_try
+                break
+            nonneg, f_nonneg = off, f_try
+            if nonneg - divergent <= floor:
+                return base + nonneg, f_nonneg, evals
+        if nonneg is None:
+            off *= 2.0
+        elif divergent == 0.0:
+            off /= 8.0
+        else:
+            off = 0.5 * (divergent + nonneg)
+    if t_lo is None:
+        raise NonConvergence(f"failed to bracket the root above {base!r}")
+
+    gap = max(4.0 * (t_lo - base), 0.25)
+    for _ in range(200):
+        evals += 1
+        t_hi = base + gap
+        f_hi = fn(t_hi)
+        if f_hi > 0.0:
+            break
+        gap *= 2.0
+    else:  # pragma: no cover
+        raise NonConvergence(f"failed to bracket the root above {base!r} "
+                             f"from above")
+    root, f_root, evals_root = bracketed_root(fn, t_lo, t_hi, f_lo, f_hi)
+    return root, f_root, evals + evals_root

@@ -22,10 +22,10 @@ from .errors import (AdjacentVertices, DisconnectedPair, DivergentSeries,
                      TooFewAttachments, UnknownFormat, UnknownVertex,
                      ValidationFailed)
 from .genfun import check_symmetry
-from .graph import MetricGraph, add_edge, add_vertex, components, reduce, validate
+from .graph import (MetricGraph, add_edge, add_vertex, component_of,
+                    components, reduce, validate)
 from .graphio import ParseError, generate_graph, load_graph, serialize_json
-from .incremental import (VertexVariant, check_factorization, entropy_after_edge,
-                          entropy_after_vertex)
+from .incremental import entropy_after_edge, entropy_after_vertex
 from .spectral import TransferMode
 
 EXIT_OK = 0
@@ -47,7 +47,6 @@ class RunConfig:
     max_iter: int = 10_000
     cap: int = 10_000_000
     margin: float = 1e-6
-    seed: int = 0
     fmt: str = "csv"
     threads: int = 1
 
@@ -55,8 +54,8 @@ class RunConfig:
 def _config(args) -> RunConfig:
     threads = max(int(os.environ.get("ENTROGRAPH_THREADS", "1")), 1)
     return RunConfig(tol=args.tol, max_iter=args.max_iter, cap=int(args.cap),
-                     margin=args.margin, seed=getattr(args, "seed", 0),
-                     fmt=getattr(args, "format", "csv"), threads=threads)
+                     margin=args.margin, fmt=getattr(args, "format", "csv"),
+                     threads=threads)
 
 
 def _emit(text: str, out_path: str | None):
@@ -90,13 +89,15 @@ def cmd_entropy(args) -> int:
 def cmd_add_edge(args) -> int:
     cfg = _config(args)
     graph = _load(args.file)
+    base = volume_entropy(graph, tol=cfg.tol)
+    comp_x = component_of(graph, args.x)
+    h_comp = dict(base.per_component)
     inc = entropy_after_edge(graph, args.x, args.y, args.length, tol=cfg.tol,
-                             rel_margin=cfg.margin)
+                             rel_margin=cfg.margin,
+                             h_base=h_comp[min(comp_x.vertices)])
     edited = add_edge(graph, args.x, args.y, args.length)
     direct = volume_entropy(edited, tol=cfg.tol)
-    comp_x = next(c for c, _ in components(graph)
-                  if args.x in c.vertex_set)
-    others = [h for cid, h in volume_entropy(graph, tol=cfg.tol).per_component
+    others = [h for cid, h in h_comp.items()
               if cid not in comp_x.vertex_set]
     combined = max([inc.h_prime] + others)
     print(f"h_base = {inc.h_base:.12g}")
@@ -111,22 +112,16 @@ def cmd_add_vertex(args) -> int:
     cfg = _config(args)
     graph = _load(args.file)
     attachments = _parse_attachments(args.attach)
-    res_da = entropy_after_vertex(graph, attachments,
-                                  VertexVariant.TRANSFER_DA, tol=cfg.tol)
-    res_pf = entropy_after_vertex(graph, attachments,
-                                  VertexVariant.OFF_DIAGONAL, tol=cfg.tol)
+    inc = entropy_after_vertex(graph, attachments, tol=cfg.tol,
+                               rel_margin=cfg.margin)
     edited = add_vertex(graph, attachments)
     direct = volume_entropy(edited, tol=cfg.tol)
-    print(f"h_base = {res_da.h_base:.12g}")
-    print(f"transfer-da h' = {res_da.h_prime:.12g}  "
-          f"(residual {res_da.spectral_residual:.3e})")
-    print(f"off-diagonal h' = {res_pf.h_prime:.12g}  "
-          f"(residual {res_pf.spectral_residual:.3e})")
+    print(f"h_base = {inc.h_base:.12g}")
+    print(f"incremental h' = {inc.h_prime:.12g}  "
+          f"(residual {inc.spectral_residual:.3e}, {inc.iterations} "
+          f"evaluations)")
     print(f"direct h' = {direct.h:.12g}")
-    print(f"|transfer-da - direct| = {abs(res_da.h_prime - direct.h):.3e}")
-    print(f"|off-diagonal - direct| = {abs(res_pf.h_prime - direct.h):.3e}")
-    print(f"|transfer-da - off-diagonal| = "
-          f"{abs(res_da.h_prime - res_pf.h_prime):.3e}")
+    print(f"|incremental - direct| = {abs(inc.h_prime - direct.h):.3e}")
     return EXIT_OK
 
 
@@ -247,10 +242,12 @@ def cmd_verify(args) -> int:
     pair = _first_nonadjacent_pair(graph)
     if pair:
         x, y = pair
-        inc = entropy_after_edge(graph, x, y, 1.0, tol=cfg.tol)
+        comp = component_of(graph, x)
+        h_comp = dict(res.per_component)
+        inc = entropy_after_edge(graph, x, y, 1.0, tol=cfg.tol,
+                                 h_base=h_comp[min(comp.vertices)])
         direct = volume_entropy(add_edge(graph, x, y, 1.0), tol=cfg.tol)
-        comp = next(c for c, _ in components(graph) if x in c.vertex_set)
-        others = [hh for cid, hh in res.per_component
+        others = [hh for cid, hh in h_comp.items()
                   if cid not in comp.vertex_set]
         combined = max([inc.h_prime] + others)
         diff = abs(combined - direct.h)
@@ -258,16 +255,6 @@ def cmd_verify(args) -> int:
                f"|inc-direct|={diff:.2e}")
     else:
         record("edge-cross-method", "SKIPPED", "no non-adjacent pair")
-
-    if hyper and len(hyper[0].vertex_set) >= 3:
-        targets = sorted(hyper[0].vertex_set)[:3]
-        attach = [(t, 1.0) for t in targets]
-        rep6 = check_factorization(hyper[0], attach, h + 0.3)
-        record("factorization", "INFO",
-               f"rho(F)={rep6.rho_f:.6g} rho(L)rho(M)={rep6.product:.6g} "
-               f"ratio={rep6.ratio:.4g}")
-    else:
-        record("factorization", "SKIPPED", "needs 3 vertices in one component")
 
     failed = [name for name, status, _ in results if status == "FAIL"]
     for name, status, detail in results:

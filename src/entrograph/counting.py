@@ -21,7 +21,8 @@ from .entropy import _RhoRootProblem, volume_entropy
 from .errors import (DivergentSeries, HorizonTooLarge, MarginTooSmall,
                      NonConvergence, PreconditionError, UnknownVertex)
 from .genfun import f_from, f_path, primitive_matrix
-from .graph import MetricGraph, components, first_betti, validate
+from .graph import (MetricGraph, component_of, components, first_betti,
+                    validate)
 from .spectral import TransferMode, build_transfer, solve_resolvent, spectral_radius
 
 DEFAULT_CAP = 10_000_000
@@ -96,13 +97,6 @@ def _successor_table(graph: MetricGraph, mode: TransferMode):
     return succ
 
 
-def _component_of(graph: MetricGraph, x: str) -> MetricGraph:
-    for comp, _ in components(graph):
-        if x in comp.vertex_set:
-            return comp
-    raise UnknownVertex(f"unknown vertex {x!r}")
-
-
 def _branching(comp: MetricGraph, mode: TransferMode) -> float:
     return spectral_radius(build_transfer(comp, 0.0, mode)).rho
 
@@ -123,7 +117,7 @@ def horizon_for_budget(graph: MetricGraph, x: str, target: int,
                        mode: TransferMode = TransferMode.NON_BACKTRACKING
                        ) -> float:
     """Horizon at which roughly ``target`` dart sequences from x exist."""
-    comp = _component_of(graph, x)
+    comp = component_of(graph, x)
     n_starts = max(len(comp.out_darts(x)), 1)
     b = _branching(comp, mode)
     l_mean = float(np.mean([d.length for d in comp.darts]))
@@ -218,7 +212,7 @@ def enumerate_paths(graph: MetricGraph, spec: EnumerationSpec,
         base, endpoints = spec.x, (spec.x,)
     else:
         base, endpoints = spec.v, (spec.v,)
-    comp = _component_of(graph, base)
+    comp = component_of(graph, base)
 
     starts = comp.out_darts(base)
     projected = _projected(comp, spec.mode, len(starts), spec.r_max)
@@ -643,7 +637,7 @@ def backtracking_entropy(graph: MetricGraph, v: str,
     g(t) = 1 for the primitive-cycle generating function.  The two roots
     agree within solver tolerance; both are returned.
     """
-    comp = _component_of(graph, v)
+    comp = component_of(graph, v)
     if not comp.darts:
         return BacktrackingEntropy(0.0, 0.0, 0.0, 0.0)
     lengths = np.array([d.length for d in comp.darts])

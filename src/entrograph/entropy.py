@@ -195,7 +195,6 @@ def volume_entropy(graph: MetricGraph, tol: float = 1e-10,
             best = (t, resid, evals, bracket, method)
 
     if best is None:
-        h = 0.0
         result = EntropyResult(0.0, 0.0, total_iters, (0.0, 0.0), "exact",
                                tuple(per))
     else:

@@ -39,7 +39,8 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import DivergentSeries, InvalidDartIndex, UnknownVertex
-from .graph import Dart, MetricGraph, components, delete_vertex
+from .graph import (Dart, MetricGraph, component_of, components,
+                    delete_vertex)
 from .spectral import TransferMode, vertex_form
 
 
@@ -68,13 +69,6 @@ class GenFunValue:
     @property
     def converged(self) -> bool:
         return self.status is GenFunStatus.CONVERGED
-
-
-def _component_of(graph: MetricGraph, x: str) -> MetricGraph:
-    for comp, _ in components(graph):
-        if x in comp.vertex_set:
-            return comp
-    raise UnknownVertex(f"unknown vertex {x!r}")
 
 
 class _Resolvent:
@@ -135,7 +129,7 @@ def f_path(graph: MetricGraph, x: str, y: str, t: float,
     """
     if y not in graph.vertex_set:
         raise UnknownVertex(f"unknown vertex {y!r}")
-    comp = _component_of(graph, x)
+    comp = component_of(graph, x)
     if y not in comp.vertex_set:
         return GenFunValue(0.0, float(t), GenFunKind.PATH_XY, (x, y),
                            GenFunStatus.CONVERGED, disconnected=True)
@@ -150,7 +144,7 @@ def f_path(graph: MetricGraph, x: str, y: str, t: float,
 def f_from(graph: MetricGraph, x: str, t: float,
            mode: TransferMode = TransferMode.NON_BACKTRACKING) -> GenFunValue:
     """Generating function f_x(t) = sum_y f_xy(t); one resolvent solve."""
-    comp = _component_of(graph, x)
+    comp = component_of(graph, x)
     ctx = _Resolvent(comp, t, mode)
     if not ctx.ok:
         return GenFunValue(math.inf, float(t), GenFunKind.PATH_FROM, (x,),

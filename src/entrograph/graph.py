@@ -187,6 +187,14 @@ def components(graph: MetricGraph) -> list[tuple[MetricGraph, dict[str, str]]]:
     return out
 
 
+def component_of(graph: MetricGraph, x: str) -> MetricGraph:
+    """The connected component containing vertex x."""
+    for comp, _ in components(graph):
+        if x in comp.vertex_set:
+            return comp
+    raise UnknownVertex(f"unknown vertex {x!r}")
+
+
 def first_betti(graph: MetricGraph) -> tuple[int, ...]:
     """First Betti number |E| - |V| + 1 of each connected component."""
     return tuple(comp.edge_count - len(comp.vertices) + 1

@@ -7,35 +7,32 @@ entropy to the unique root t* > h of
 
 a strictly increasing function on the convergence domain (the defining
 equation rearranged into a pole-free monotone form).  Adding a vertex
-with n >= 3 edges moves the entropy to the root
-of rho(F(t)) = 1 for an n x n matrix built from path generating
-functions between the attachment targets.  Two candidate operators are
-implemented side by side, differing in whether cycles that leave and
-return through the same new edge (e_i q e_i-bar, q nonempty) are
-admitted, and both are compared against the direct solver:
+with n >= 3 edges of lengths l_i to targets v_i moves the entropy to the
+root of rho((D A)(t)) = 1, where
 
-* OFF_DIAGONAL : F_ij = (1 - delta_ij) e^{-l_i t} f_{v_i v_j}(t) e^{-l_j t},
-                 which excludes the diagonal primitive cycles;
-* TRANSFER_DA  : (D A)_ik = sum_{j != k} D_ij with
-                 D_ij = e^{-(l_i + l_j) t} (f_{v_i v_j}(t) + [v_i = v_j, i != j]),
-                 A = ones - identity, derived from the junction
-                 constraint j_k != i_{k+1} (and including the bigon term
-                 for repeated attachment targets).
+    D_ij = e^{-(l_i + l_j) t} (f_{v_i v_j}(t) + [v_i = v_j, i != j]),
 
-Neither variant is silently preferred: results carry their variant and
-the cross-checks arbitrate numerically.
+A = ones - identity, so (D A)_ik = sum_{j != k} D_ij.  The junction
+constraint j_k != i_{k+1} gives A; the bracket adds the bigon of two
+parallel new edges on a repeated target.  Every f is a Cholesky solve of
+the vertex matrix M(t) (``genfun._Resolvent``), and both equations are
+solved by ``_rootutil.root_above`` from the base entropy upward.
+
+The asymptotic constants of the pole f_ab(t) ~ C_ab t / (t - h) have the
+closed form C_ab = v_a v_b / (h lambda'(h)), with v the unit null vector
+of M(h) and lambda'(h) = v^T M'(h) v the slope of its smallest
+eigenvalue.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
-from ._rootutil import bracketed_root
+from ._rootutil import root_above
 from .counting import (DEFAULT_CAP, EnumerationSpec, PathKind,
                        enumerate_paths, horizon_for_budget)
 from .entropy import volume_entropy
@@ -43,13 +40,8 @@ from .errors import (AdjacentVertices, DisconnectedPair, DivergentSeries,
                      NonConvergence, PreconditionError, TooFewAttachments,
                      UnknownVertex)
 from .genfun import _Resolvent
-from .graph import MetricGraph, components
-from .spectral import spectral_radius
-
-
-class VertexVariant(Enum):
-    OFF_DIAGONAL = "off-diagonal"
-    TRANSFER_DA = "transfer-da"
+from .graph import MetricGraph, component_of
+from .spectral import spectral_radius, vertex_form, vertex_form_dt
 
 
 @dataclass(frozen=True)
@@ -58,7 +50,8 @@ class EdgeAdditionResult:
 
     ``residual`` is |Phi(h')| / max(1, e^{l0 h'}): the defining equation
     scaled by its dominant term, so the tolerance stays meaningful for
-    long edges where Phi itself is huge.
+    long edges where Phi itself is huge.  ``iterations`` counts the
+    evaluations of Phi.
     """
 
     h_prime: float
@@ -71,12 +64,12 @@ class EdgeAdditionResult:
 
 @dataclass(frozen=True)
 class VertexAdditionResult:
+    """Entropy after adding one vertex; ``spectral_residual`` is
+    |rho((D A)(h')) - 1| and ``iterations`` counts its evaluations."""
+
     h_prime: float
     h_base: float
-    variant: VertexVariant
     spectral_residual: float
-    l_norm: float
-    m_norm: float
     iterations: int
 
 
@@ -106,34 +99,23 @@ class VertexPrediction:
     samples: tuple[tuple[float, float, float], ...]  # (scale, h'-h, ratio)
 
 
-@dataclass(frozen=True)
-class FactorizationReport:
-    """Diagnostic for the factorization claim ||F|| = ||L|| * ||M||
-    over the entrywise split F = L o M; nothing in the package assumes
-    it."""
-
-    t: float
-    rho_f: float
-    rho_l: float
-    rho_m: float
-    product: float
-    discrepancy: float
-    ratio: float
-
-
 def _shared_component(graph: MetricGraph, verts: Sequence[str]) -> MetricGraph:
     for v in verts:
         if v not in graph.vertex_set:
             raise UnknownVertex(f"unknown vertex {v!r}")
-    for comp, _ in components(graph):
-        if verts[0] in comp.vertex_set:
-            missing = [v for v in verts if v not in comp.vertex_set]
-            if missing:
-                raise DisconnectedPair(
-                    f"vertices {missing} lie outside the component of "
-                    f"{verts[0]!r}")
-            return comp
-    raise UnknownVertex(f"unknown vertex {verts[0]!r}")
+    comp = component_of(graph, verts[0])
+    missing = [v for v in verts if v not in comp.vertex_set]
+    if missing:
+        raise DisconnectedPair(
+            f"vertices {missing} lie outside the component of {verts[0]!r}")
+    return comp
+
+
+def _resolvent(comp: MetricGraph, t: float) -> _Resolvent:
+    ctx = _Resolvent(comp, t)
+    if not ctx.ok:
+        raise DivergentSeries(f"generating functions diverge at t={t}")
+    return ctx
 
 
 def entropy_after_edge(graph: MetricGraph, x: str, y: str, l0: float,
@@ -145,9 +127,7 @@ def entropy_after_edge(graph: MetricGraph, x: str, y: str, l0: float,
     edge is not parallel to an existing one) and co-located in one
     component.  A tree component (first Betti number 0) gives h' = 0
     exactly, the rule volume_entropy applies to a single cycle.  Otherwise
-    the root is bracketed from h_base upward: the lower end starts at a
-    relative offset and grows on divergence, shrinks while Phi is
-    already positive; then bisection and secant polish.
+    the root of Phi is found by ``root_above`` from h_base upward.
     """
     if x == y:
         raise AdjacentVertices("x and y must be distinct vertices")
@@ -162,80 +142,17 @@ def entropy_after_edge(graph: MetricGraph, x: str, y: str, l0: float,
         return EdgeAdditionResult(0.0, 0.0, float(l0), 0.0, 0)
     if h_base is None:
         h_base = volume_entropy(comp, tol=tol).h
-    evals = 0
 
     def phi(t: float) -> float:
-        nonlocal evals
-        evals += 1
-        ctx = _Resolvent(comp, t)
-        if not ctx.ok:
-            raise DivergentSeries(f"generating functions diverge at t={t}")
+        ctx = _resolvent(comp, t)
         fxy = ctx.path_value(x, y)
         fxx = ctx.path_value(x, x)
         fyy = ctx.path_value(y, y)
         return math.exp(l0 * t) - fxy - math.sqrt(fxx * fyy)
 
-    # Lower bracket: smallest converged t above h_base with Phi < 0.
-    off = rel_margin * max(h_base, 1.0)
-    floor = 1e-16 * max(h_base, 1.0)
-    t_lo = p_lo = None
-    for _ in range(240):
-        t_try = h_base + off
-        try:
-            p_try = phi(t_try)
-        except DivergentSeries:
-            off *= 2.0
-            continue
-        if p_try < 0.0:
-            t_lo, p_lo = t_try, p_try
-            break
-        if off <= floor:
-            # Root pinched against h_base: t_try already satisfies the
-            # equation to within the float resolution of the bracket.
-            resid = abs(p_try) / max(1.0, math.exp(l0 * t_try))
-            return EdgeAdditionResult(t_try, h_base, float(l0), resid, evals)
-        off /= 8.0
-    if t_lo is None:
-        raise NonConvergence(
-            "failed to bracket the edge-addition equation above h_base")
-
-    gap = max(4.0 * (t_lo - h_base), 0.25)
-    t_hi = p_hi = None
-    for _ in range(200):
-        t_hi = h_base + gap
-        p_hi = phi(t_hi)
-        if p_hi > 0.0:
-            break
-        gap *= 2.0
-    else:  # pragma: no cover
-        raise NonConvergence("failed to bracket the root from above")
-
-    root, f_root, evals_root = bracketed_root(phi, t_lo, t_hi, p_lo, p_hi)
-    evals += evals_root
+    root, f_root, evals = root_above(phi, h_base, rel_margin)
     resid = abs(f_root) / max(1.0, math.exp(l0 * root))
     return EdgeAdditionResult(root, h_base, float(l0), resid, evals)
-
-
-def _f_matrix(ctx: _Resolvent, targets: Sequence[str]) -> np.ndarray:
-    n = len(targets)
-    out = np.zeros((n, n))
-    for a in range(n):
-        for b in range(n):
-            out[a, b] = ctx.path_value(targets[a], targets[b])
-    return out
-
-
-def _variant_matrix(fmat: np.ndarray, lengths: np.ndarray, t: float,
-                    variant: VertexVariant,
-                    bigon: np.ndarray) -> np.ndarray:
-    w = np.exp(-lengths * t)
-    if variant is VertexVariant.OFF_DIAGONAL:
-        f = np.outer(w, w) * fmat
-        np.fill_diagonal(f, 0.0)
-        return f
-    d = np.outer(w, w) * (fmat + bigon)
-    n = len(lengths)
-    return d @ (np.ones((n, n)) - np.eye(n))
 
 
 def _l_matrix(lengths: np.ndarray, t: float) -> np.ndarray:
@@ -247,16 +164,13 @@ def _l_matrix(lengths: np.ndarray, t: float) -> np.ndarray:
 
 def entropy_after_vertex(graph: MetricGraph,
                          attachments: Sequence[tuple[str, float]],
-                         variant: VertexVariant = VertexVariant.TRANSFER_DA,
                          tol: float = 1e-10, rel_margin: float = 1e-6,
                          h_base: float | None = None) -> VertexAdditionResult:
     """Entropy after adding a new vertex with n >= 3 edges into one
-    component, as the root of rho(F(t)) = 1 for the chosen variant.
+    component, as the root of rho((D A)(t)) = 1 (module docstring).
 
-    rho is strictly decreasing in t on the convergence domain, so the
-    root is found by bracketed bisection with secant polish.  The report
-    carries rho(L) and rho(M) at the root for the factorization
-    diagnostic.
+    rho is strictly decreasing in t on the convergence domain, so
+    ``root_above`` solves 1 - rho = 0 from h_base upward.
     """
     n = len(attachments)
     if n < 3:
@@ -270,87 +184,17 @@ def entropy_after_vertex(graph: MetricGraph,
         h_base = volume_entropy(comp, tol=tol).h
     bigon = np.array([[1.0 if (targets[a] == targets[b] and a != b) else 0.0
                        for b in range(n)] for a in range(n)])
-    evals = 0
 
-    def rho_minus_one(t: float) -> float:
-        nonlocal evals
-        evals += 1
-        ctx = _Resolvent(comp, t)
-        if not ctx.ok:
-            raise DivergentSeries(f"generating functions diverge at t={t}")
-        mat = _variant_matrix(_f_matrix(ctx, targets), lengths, t, variant,
-                              bigon)
-        return spectral_radius(mat).rho - 1.0
+    def one_minus_rho(t: float) -> float:
+        ctx = _resolvent(comp, t)
+        fmat = np.array([[ctx.path_value(a, b) for b in targets]
+                         for a in targets])
+        w = np.exp(-lengths * t)
+        d = np.outer(w, w) * (fmat + bigon)
+        return 1.0 - spectral_radius(d.sum(axis=1)[:, None] - d).rho
 
-    off = rel_margin * max(h_base, 1.0)
-    t_lo = f_lo = None
-    for _ in range(240):
-        t_try = h_base + off
-        try:
-            f_try = rho_minus_one(t_try)
-        except DivergentSeries:
-            off *= 2.0
-            continue
-        if f_try > 0.0:
-            t_lo, f_lo = t_try, f_try
-            break
-        off /= 8.0
-        if off <= 1e-16 * max(h_base, 1.0):
-            t_lo, f_lo = t_try, f_try
-            break
-    if t_lo is None:
-        raise NonConvergence("failed to bracket rho(F(t)) = 1 from below")
-    if f_lo <= 0.0:
-        # Root pinched against h_base.
-        h_prime, resid = t_lo, abs(f_lo)
-    else:
-        gap = max(4.0 * (t_lo - h_base), 0.25)
-        for _ in range(200):
-            t_hi = h_base + gap
-            f_hi = rho_minus_one(t_hi)
-            if f_hi < 0.0:
-                break
-            gap *= 2.0
-        else:  # pragma: no cover
-            raise NonConvergence("failed to bracket rho(F(t)) = 1 from above")
-        h_prime, f_root, evals_root = bracketed_root(
-            rho_minus_one, t_lo, t_hi, f_lo, f_hi)
-        evals += evals_root
-        resid = abs(f_root)
-
-    ctx = _Resolvent(comp, h_prime)
-    fmat = _f_matrix(ctx, targets)
-    l_norm = spectral_radius(_l_matrix(lengths, h_prime)).rho
-    m_norm = spectral_radius(fmat).rho
-    return VertexAdditionResult(h_prime, h_base, variant, resid, l_norm,
-                                m_norm, evals)
-
-
-def check_factorization(graph: MetricGraph, attachments: Sequence[tuple[str, float]],
-               t: float) -> FactorizationReport:
-    """Evaluate both sides of the candidate identity
-    ||F(t)|| = ||L(t)|| * ||M(t)|| and report their discrepancy.
-
-    Purely diagnostic: the right side multiplies spectral radii over an
-    entrywise (Hadamard) split of F, which does not hold in general
-    (the fully symmetric case already comes out a factor n apart).
-    """
-    targets = [v for v, _ in attachments]
-    lengths = np.array([float(l) for _, l in attachments])
-    comp = _shared_component(graph, targets)
-    ctx = _Resolvent(comp, t)
-    if not ctx.ok:
-        raise DivergentSeries(f"generating functions diverge at t={t}")
-    fmat = _f_matrix(ctx, targets)
-    n = len(targets)
-    rho_f = spectral_radius(_variant_matrix(
-        fmat, lengths, t, VertexVariant.OFF_DIAGONAL, np.zeros((n, n)))).rho
-    rho_l = spectral_radius(_l_matrix(lengths, t)).rho
-    rho_m = spectral_radius(fmat).rho
-    product = rho_l * rho_m
-    ratio = product / rho_f if rho_f > 0 else math.inf
-    return FactorizationReport(float(t), rho_f, rho_l, rho_m, product,
-                      abs(rho_f - product), ratio)
+    root, f_root, evals = root_above(one_minus_rho, h_base, rel_margin)
+    return VertexAdditionResult(root, h_base, abs(f_root), evals)
 
 
 def predict_edge_asymptotic(h: float, c: float, l: float) -> float:
@@ -404,8 +248,7 @@ def predict_vertex_asymptotic(graph: MetricGraph,
     c = None
     for s in sorted(float(s) for s in scales):
         scaled = [(v, l * s) for (v, _), l in zip(attachments, lengths)]
-        res = entropy_after_vertex(graph, scaled, VertexVariant.TRANSFER_DA,
-                                   tol=tol, h_base=h)
+        res = entropy_after_vertex(graph, scaled, tol=tol, h_base=h)
         rho_s = spectral_radius(_l_matrix(lengths * s, h)).rho
         ratio = (res.h_prime - h) / rho_s
         samples.append((s, res.h_prime - h, ratio))
@@ -430,7 +273,7 @@ def _tail_average_constant(profile, h: float, r1: float) -> float:
 
 
 def estimate_constant_C(graph: MetricGraph, x: str, y: str,
-                        method: str = "resolvent", ladder_k: int = 10,
+                        method: str = "resolvent",
                         horizon: float | None = None,
                         node_budget: int = 300_000,
                         cap: int = DEFAULT_CAP,
@@ -438,13 +281,17 @@ def estimate_constant_C(graph: MetricGraph, x: str, y: str,
     """Per-pair constants C_xx, C_yy, C_xy of the simple-pole behavior
     f(t) ~ C t / (t - h), combined into C = (sqrt(C_xx C_yy) + C_xy) h.
 
-    method "resolvent": evaluate c(t) = f(t) (t - h) / t on the geometric
-    ladder t_k = h (1 + 0.1 * 2^-k) and Richardson-extrapolate (order 1,
-    ratio 2) to t -> h+.  method "counting": average N(r) e^{-hr} over
-    the enumerated tail.  method "both" runs the two and warns when they
-    disagree by more than 20% (a hint that the length spectrum may not be
-    Diophantine, e.g. all lengths equal).
+    method "resolvent": the closed form C_ab = v_a v_b / (h lambda'(h)),
+    with v the unit null vector of M(h) and lambda'(h) = v^T M'(h) v
+    (``spectral.vertex_form_dt``); ``details`` records the eigenvalue of
+    M(h) that stands in for 0 (``null_eigenvalue``) and ``dlambda``.
+    method "counting": average N(r) e^{-hr} over the enumerated tail.
+    method "both" runs the two and warns when they disagree by more than
+    20% (a hint that the length spectrum may not be Diophantine, e.g. all
+    lengths equal).
     """
+    if method not in ("resolvent", "counting", "both"):
+        raise ValueError(f"unknown method {method!r}")
     comp = _shared_component(graph, (x,))
     h = volume_entropy(comp, tol=tol).h
     if h <= 0:
@@ -455,44 +302,29 @@ def estimate_constant_C(graph: MetricGraph, x: str, y: str,
     disconnected = y not in comp.vertex_set
     if disconnected:
         warnings.append(f"{y!r} is not connected to {x!r}: C_xy = 0")
-
-    def resolvent_pair(a: str, b: str):
-        ladder = []
-        for k in range(ladder_k + 1):
-            t = h * (1.0 + 0.1 * 2.0 ** (-k))
-            ctx = _Resolvent(comp, t)
-            if not ctx.ok:
-                break
-            ladder.append(ctx.path_value(a, b) * (t - h) / t)
-        if len(ladder) < 2:
-            raise NonConvergence("resolvent ladder failed near t = h")
-        rich = [2.0 * ladder[k + 1] - ladder[k]
-                for k in range(len(ladder) - 1)]
-        return rich[-1], ladder
-
-    def counting_pair(a: str, b: str):
-        r_max = horizon if horizon is not None else \
-            horizon_for_budget(comp, a, node_budget)
-        profile = enumerate_paths(comp, EnumerationSpec(
-            PathKind.PATHS_XY, r_max, x=a, y=b, cap=cap))
-        if profile.lengths.size < 8:
-            raise NonConvergence("too few enumerated paths for a fit")
-        return _tail_average_constant(profile, h, 0.5 * r_max), profile.r_max
-
-    per_res: dict[str, float] = {}
-    per_cnt: dict[str, float] = {}
+    live = {name: ab for name, ab in pairs.items()
+            if not (disconnected and "y" in name)}
+    per_res = dict.fromkeys(pairs, 0.0)
+    per_cnt = dict.fromkeys(pairs, 0.0)
     details: dict = {}
-    for name, (a, b) in pairs.items():
-        if disconnected and "y" in name:
-            per_res[name] = 0.0
-            per_cnt[name] = 0.0
-            continue
-        if method in ("resolvent", "both"):
-            per_res[name], ladder = resolvent_pair(a, b)
-            details[f"ladder_{name}"] = tuple(ladder)
-        if method in ("counting", "both"):
-            per_cnt[name], used_r = counting_pair(a, b)
-            details[f"horizon_{name}"] = used_r
+    if method in ("resolvent", "both"):
+        index = {v: i for i, v in enumerate(comp.vertices)}
+        eigvals, eigvecs = np.linalg.eigh(vertex_form(comp, h).matrix())
+        v = eigvecs[:, 0]
+        dlambda = float(v @ vertex_form_dt(comp, h).apply(v))
+        details.update(null_eigenvalue=float(eigvals[0]), dlambda=dlambda)
+        for name, (a, b) in live.items():
+            per_res[name] = float(v[index[a]] * v[index[b]]) / (h * dlambda)
+    if method in ("counting", "both"):
+        for name, (a, b) in live.items():
+            r_max = horizon if horizon is not None else \
+                horizon_for_budget(comp, a, node_budget)
+            profile = enumerate_paths(comp, EnumerationSpec(
+                PathKind.PATHS_XY, r_max, x=a, y=b, cap=cap))
+            if profile.lengths.size < 8:
+                raise NonConvergence("too few enumerated paths for a fit")
+            per_cnt[name] = _tail_average_constant(profile, h, 0.5 * r_max)
+            details[f"horizon_{name}"] = profile.r_max
 
     per = per_res if method in ("resolvent", "both") else per_cnt
     combined = (math.sqrt(max(per["xx"], 0.0) * max(per["yy"], 0.0))

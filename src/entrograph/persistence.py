@@ -11,9 +11,13 @@ edge-addition equation when a step adds exactly one edge between
 existing, non-adjacent vertices of one component of the previous graph,
 and the vertex-addition equation when a step adds one new vertex with at
 least 3 edges into one component; anything else (equal-length batches,
-component merges, pendant edges) falls back to direct.  "auto" chooses
-per step by a size heuristic and records its choice; all strategies
-produce the same curve up to solver tolerance.
+component merges, pendant edges) falls back to direct.  "auto" is
+accepted and means "incremental": an incremental step costs tens of
+Cholesky solves of the V x V vertex matrix of the base component, and
+was not slower than the direct step even on bases of a few darts, so
+there is no per-step choice left to make.  All strategies produce the
+same curve up to solver tolerance, and every step records the strategy
+it used.
 """
 
 from __future__ import annotations
@@ -27,16 +31,7 @@ from enum import Enum
 from .entropy import volume_entropy
 from .errors import UnknownFormat, ValidationFailed
 from .graph import MetricGraph, components, validate
-from .incremental import VertexVariant, entropy_after_edge, entropy_after_vertex
-
-# An incremental step costs tens of Cholesky solves of the V x V vertex
-# matrix of the base component; a direct step runs Newton with a 2E x 2E
-# power iteration per evaluation on the edited one.  Whole-curve times
-# (median of 3, one BLAS thread, 2-core Xeon host): generate_graph(3, 12,
-# 24) incremental 0.23 s, auto 0.36 s, direct 0.79 s; generate_graph(1,
-# 8, 16) 0.30 s, 0.31 s, 0.42 s.  The cut-off for tiny bases was not
-# re-measured.
-AUTO_MIN_DARTS = 8
+from .incremental import entropy_after_edge, entropy_after_vertex
 
 
 class StepStrategy(Enum):
@@ -122,7 +117,8 @@ def persistent_entropy(graph: MetricGraph, strategy: str = "direct",
                        tol: float = 1e-10) -> EntropyCurve:
     """Entropy curve of the edge-length filtration.
 
-    ``strategy`` is one of "direct", "incremental", "auto".  Solver
+    ``strategy`` is one of "direct", "incremental", "auto" (an alias of
+    "incremental").  Solver
     errors propagate with the offending threshold attached.
     """
     report = validate(graph)
@@ -150,11 +146,6 @@ def persistent_entropy(graph: MetricGraph, strategy: str = "direct",
             edge_case = _edge_step(added, prev_comps)
             vertex_case = None if edge_case else _vertex_step(added,
                                                               prev_comps)
-            if strategy == "auto":
-                base = edge_case[3] if edge_case else (
-                    vertex_case[2] if vertex_case else None)
-                if base is not None and len(base.darts) < AUTO_MIN_DARTS:
-                    edge_case = vertex_case = None
 
         comps_now = components(g_eps)
         new_h: dict = {}
@@ -175,9 +166,8 @@ def persistent_entropy(graph: MetricGraph, strategy: str = "direct",
                     used = StepStrategy.INCREMENTAL_EDGE
                 elif vertex_case and vertex_case[0] in key[0]:
                     v0, attach, base = vertex_case
-                    res = entropy_after_vertex(
-                        base, attach, VertexVariant.TRANSFER_DA, tol=tol,
-                        h_base=hint)
+                    res = entropy_after_vertex(base, attach, tol=tol,
+                                               h_base=hint)
                     new_h[key] = res.h_prime
                     iterations += res.iterations
                     used = StepStrategy.INCREMENTAL_VERTEX

@@ -110,16 +110,22 @@ class VertexForm:
         return out
 
 
+def _edge_arrays(graph: MetricGraph):
+    """Vertex count, then tail and head indices (``graph.vertices``
+    order) and lengths of the edges."""
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    edges = graph.edge_darts()
+    u = np.array([index[d.tail] for d in edges], dtype=np.intp)
+    w = np.array([index[d.head] for d in edges], dtype=np.intp)
+    return len(index), u, w, np.array([d.length for d in edges], dtype=float)
+
+
 def vertex_form(graph: MetricGraph, t: float,
                 mode: TransferMode = TransferMode.NON_BACKTRACKING
                 ) -> VertexForm:
     """Vertex matrix at parameter t > 0, indexed in ``graph.vertices``
     order (see ``vertex_matrix``)."""
-    index = {v: i for i, v in enumerate(graph.vertices)}
-    edges = graph.edge_darts()
-    u = np.array([index[d.tail] for d in edges], dtype=np.intp)
-    w = np.array([index[d.head] for d in edges], dtype=np.intp)
-    lengths = np.array([d.length for d in edges], dtype=float)
+    n, u, w, lengths = _edge_arrays(graph)
     z = np.exp(-t * lengths)
     loop = u == w
     if mode is TransferMode.BACKTRACKING:
@@ -129,9 +135,30 @@ def vertex_form(graph: MetricGraph, t: float,
         # a loop's net diagonal term is -2z/(1+z).
         weights = z[~loop] / -np.expm1(-2.0 * t * lengths[~loop])
         drop = z / (1.0 + z)
-    shift = np.ones(len(index))
+    shift = np.ones(n)
     np.subtract.at(shift, u, drop)
     np.subtract.at(shift, w, drop)
+    return VertexForm(shift, u[~loop], w[~loop], weights)
+
+
+def vertex_form_dt(graph: MetricGraph, t: float) -> VertexForm:
+    """t-derivative M'(t) of the non-backtracking vertex matrix, in the
+    layout of ``vertex_form``: weights d/dt z/(1-z^2) = -l z(1+z^2)/(1-z^2)^2
+    and endpoint terms d/dt -z/(1+z) = l z/(1+z)^2, a loop counting at
+    both of its ends as in ``vertex_form``.  With v the unit null vector
+    of M(h), the smallest eigenvalue has slope
+    lambda'(h) = v @ vertex_form_dt(graph, h).apply(v).
+    """
+    n, u, w, lengths = _edge_arrays(graph)
+    z = np.exp(-t * lengths)
+    loop = u == w
+    q = -np.expm1(-2.0 * t * lengths[~loop])
+    zl = z[~loop]
+    weights = -lengths[~loop] * zl * (1.0 + zl * zl) / (q * q)
+    rise = lengths * z / (1.0 + z) ** 2
+    shift = np.zeros(n)
+    np.add.at(shift, u, rise)
+    np.add.at(shift, w, rise)
     return VertexForm(shift, u[~loop], w[~loop], weights)
 
 

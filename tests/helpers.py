@@ -9,6 +9,7 @@ import math
 from collections import deque
 
 import numpy as np
+from hypothesis import strategies as st
 
 from entrograph import MetricGraph
 
@@ -148,3 +149,20 @@ def dart_lu_path(graph, x, y, t):
                   for d in graph.darts])
     tau = np.array([1.0 if d.head == y else 0.0 for d in graph.darts])
     return float(s @ np.linalg.solve(np.eye(len(tau)) - mat, tau))
+
+
+@st.composite
+def multigraphs(draw):
+    """Connected multigraphs with loops and parallel edges, first Betti
+    number 2..4, and lengths 10^U(-3, 3)."""
+    n = draw(st.integers(1, 5))
+    names = [f"v{i}" for i in range(n)]
+    ends = [(names[i], names[draw(st.integers(0, i - 1))])
+            for i in range(1, n)]
+    ends += [(names[draw(st.integers(0, n - 1))],
+              names[draw(st.integers(0, n - 1))])
+             for _ in range(draw(st.integers(2, 4)))]
+    exps = draw(st.lists(st.floats(-3.0, 3.0), min_size=len(ends),
+                         max_size=len(ends)))
+    return MetricGraph.from_edges(
+        names, [(u, v, 10.0 ** e) for (u, v), e in zip(ends, exps)])

@@ -82,7 +82,9 @@ def test_add_vertex_command(c4_file, capsys):
                  "--attach", "b:1", "--attach", "c:1"])
     assert code == 0
     out = capsys.readouterr().out
-    assert "transfer-da" in out and "off-diagonal" in out and "direct" in out
+    assert "incremental h' = " in out and "direct h' = " in out
+    diff = float(out.split("|incremental - direct| = ")[1])
+    assert diff <= 1e-8
 
 
 def test_add_vertex_too_few_exit_code(c4_file):
@@ -133,7 +135,7 @@ def test_verify_rose2_all_pass(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert "PASS" in out
-    assert "factorization" in out
+    assert "edge-cross-method" in out
 
 
 def test_verify_tiny_cap_skips_enumeration_checks(k4_file, capsys):

@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from entrograph import (EnumerationSpec, InvalidDartIndex, MetricGraph,
                         PathKind, attachment_darts, check_symmetry,
@@ -13,7 +13,7 @@ from entrograph import (EnumerationSpec, InvalidDartIndex, MetricGraph,
                         generate_graph, primitive_matrix, volume_entropy)
 from entrograph.genfun import _Resolvent
 from helpers import (c4, complete4, dart_lu_path, dumbbell, eig_entropy,
-                     rose, segment, theta)
+                     multigraphs, rose, segment, theta)
 
 
 def test_segment_single_path():
@@ -201,23 +201,6 @@ def test_primitive_matrix_matches_scalar_and_enumeration():
 
 
 # -- vertex-matrix resolvent against the dart-matrix LU -------------------
-
-@st.composite
-def multigraphs(draw):
-    """Connected multigraphs with loops and parallel edges, first Betti
-    number 2..4, and lengths 10^U(-3, 3)."""
-    n = draw(st.integers(1, 5))
-    names = [f"v{i}" for i in range(n)]
-    ends = [(names[i], names[draw(st.integers(0, i - 1))])
-            for i in range(1, n)]
-    ends += [(names[draw(st.integers(0, n - 1))],
-              names[draw(st.integers(0, n - 1))])
-             for _ in range(draw(st.integers(2, 4)))]
-    exps = draw(st.lists(st.floats(-3.0, 3.0), min_size=len(ends),
-                         max_size=len(ends)))
-    return MetricGraph.from_edges(
-        names, [(u, v, 10.0 ** e) for (u, v), e in zip(ends, exps)])
-
 
 def _assert_matches_dart_lu(g, t):
     ctx = _Resolvent(g, t)

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entrograph import (DivergentSeries, MetricGraph, TransferMode,
                         build_transfer, solve_resolvent, spectral_radius,
                         vertex_matrix)
-from helpers import c4, complete4, dumbbell, eig_rho, rose, segment, theta
+from entrograph.spectral import vertex_form_dt
+from helpers import (c4, complete4, dumbbell, eig_rho, multigraphs, rose,
+                     segment, theta)
 
 NB = TransferMode.NON_BACKTRACKING
 BT = TransferMode.BACKTRACKING
@@ -183,3 +186,16 @@ def test_vertex_matrix_backtracking_radius():
             assert np.allclose(w, w.T)
             assert np.max(np.linalg.eigvalsh(w)) == pytest.approx(
                 eig_rho(build_transfer(g, t, BT).matrix), rel=1e-10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(multigraphs(), st.floats(0.05, 3.0))
+def test_vertex_form_dt_matches_central_differences(g, s):
+    # t is set on the scale of the shortest edge: where every t * l is
+    # large, M'(t) falls below the rounding of M(t) over the difference
+    # step, and central differences cannot resolve it.
+    t = s / g.min_length()
+    step = 1e-5 * t
+    fd = (vertex_matrix(g, t + step) - vertex_matrix(g, t - step)) / (2 * step)
+    exact = vertex_form_dt(g, t).matrix()
+    assert np.max(np.abs(fd - exact)) <= 1e-7 * np.max(np.abs(exact))
