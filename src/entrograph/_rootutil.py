@@ -79,7 +79,8 @@ def bracketed_root(fn: Callable[[float], float], lo: float, hi: float,
 
 
 def root_above(fn: Callable[[float], float], base: float,
-               rel_margin: float = 1e-6) -> tuple[float, float, int]:
+               rel_margin: float = 1e-6
+               ) -> tuple[float, float, int, float | None]:
     """Root above ``base`` of a function that is negative between
     ``base`` and the root and positive above the root, such as an
     increasing defining equation whose series converge only above
@@ -92,7 +93,9 @@ def root_above(fn: Callable[[float], float], base: float,
     comes within 1e-16 * max(base, 1) of ``base`` or of the divergent
     end, the root is pinched and that end is returned.  The upper end
     doubles its gap until fn > 0, then ``bracketed_root`` finishes.
-    Returns (x, fn(x), evaluations), counting every call of ``fn``.
+    Returns (x, fn(x), evaluations, pinch), counting every call of
+    ``fn``; ``pinch`` is None, or for a pinched root the width of the
+    certified bracket relative to max(base, 1), at most 1e-16.
     """
     evals = 0
     scale = max(base, 1.0)
@@ -112,7 +115,8 @@ def root_above(fn: Callable[[float], float], base: float,
                 break
             nonneg, f_nonneg = off, f_try
             if nonneg - divergent <= floor:
-                return base + nonneg, f_nonneg, evals
+                return (base + nonneg, f_nonneg, evals,
+                        (nonneg - divergent) / scale)
         if nonneg is None:
             off *= 2.0
         elif divergent == 0.0:
@@ -134,4 +138,4 @@ def root_above(fn: Callable[[float], float], base: float,
         raise NonConvergence(f"failed to bracket the root above {base!r} "
                              f"from above")
     root, f_root, evals_root = bracketed_root(fn, t_lo, t_hi, f_lo, f_hi)
-    return root, f_root, evals + evals_root
+    return root, f_root, evals + evals_root, None

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -48,14 +47,11 @@ class RunConfig:
     cap: int = 10_000_000
     margin: float = 1e-6
     fmt: str = "csv"
-    threads: int = 1
 
 
 def _config(args) -> RunConfig:
-    threads = max(int(os.environ.get("ENTROGRAPH_THREADS", "1")), 1)
     return RunConfig(tol=args.tol, max_iter=args.max_iter, cap=int(args.cap),
-                     margin=args.margin, fmt=getattr(args, "format", "csv"),
-                     threads=threads)
+                     margin=args.margin, fmt=getattr(args, "format", "csv"))
 
 
 def _emit(text: str, out_path: str | None):
@@ -295,7 +291,7 @@ def cmd_count(args) -> int:
         else TransferMode.NON_BACKTRACKING
     spec = counting.EnumerationSpec(kind, args.r, mode, x=args.x, y=args.y,
                                     v=args.v, cap=cfg.cap)
-    profile = counting.enumerate_paths(graph, spec, threads=cfg.threads)
+    profile = counting.enumerate_paths(graph, spec)
     if cfg.fmt == "json":
         uniq = {}
         total = 0

@@ -1,16 +1,17 @@
 """Brute-force path/cycle enumeration and the counting identities.
 
-The enumeration is the ground-truth oracle of the package: a depth-first
-search over dart sequences with cumulative length below a horizon, exact
-and duplicate-free.  Counts use the strict convention N(r) = #{lengths
-< r} throughout; ties at a grid radius belong to the open side.
+The enumeration is the ground-truth oracle of the package: a frontier
+walk over the dart sequences shorter than a horizon, exact and
+duplicate-free.  Chunks of up to 8192 sequences, held as numpy arrays,
+are popped from a stack and extended by every successor dart at once
+through a CSR successor table; it builds neither M(t) nor B(t).  Counts
+use the strict convention N(r) = #{lengths < r} throughout; ties at a
+grid radius belong to the open side.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -86,31 +87,19 @@ class CountProfile:
         return "\n".join(lines) + "\n"
 
 
-def _successor_table(graph: MetricGraph, mode: TransferMode):
-    succ: list[list[tuple[int, float]]] = [[] for _ in graph.darts]
-    for d in graph.darts:
-        row = succ[d.id]
-        for d2 in graph.out_darts(d.head):
-            if mode is TransferMode.NON_BACKTRACKING and d2 == d.reverse:
-                continue
-            row.append((d2, graph.darts[d2].length))
-    return succ
+def _series(comp: MetricGraph, mode: TransferMode) -> tuple[float, float]:
+    """Branching factor b = rho(B(0)) and mean dart length l_mean of a
+    component.  They model the dart sequences from n start darts as a
+    geometric series: about n (b^{r/l_mean} - 1)/(b - 1) of them are
+    shorter than r (linear growth when b <= 1.05)."""
+    b = spectral_radius(build_transfer(comp, 0.0, mode)).rho
+    return b, float(np.mean([d.length for d in comp.darts]))
 
 
-def _branching(comp: MetricGraph, mode: TransferMode) -> float:
-    return spectral_radius(build_transfer(comp, 0.0, mode)).rho
-
-
-def _projected(comp: MetricGraph, mode: TransferMode, n_starts: int,
-               r_max: float) -> float:
-    if not comp.darts:
-        return 0.0
-    b = _branching(comp, mode)
-    l_mean = float(np.mean([d.length for d in comp.darts]))
-    levels = r_max / l_mean
-    if b <= 1.05:
-        return n_starts * (levels + 1.0) * len(comp.darts)
-    return n_starts * (b ** levels - 1.0) / (b - 1.0)
+def _series_horizon(b: float, l_mean: float, n_starts: int,
+                    target: float) -> float:
+    """The horizon at which the geometric series reaches ``target``."""
+    return l_mean * math.log(target * (b - 1.0) / n_starts + 1.0) / math.log(b)
 
 
 def horizon_for_budget(graph: MetricGraph, x: str, target: int,
@@ -119,167 +108,150 @@ def horizon_for_budget(graph: MetricGraph, x: str, target: int,
     """Horizon at which roughly ``target`` dart sequences from x exist."""
     comp = component_of(graph, x)
     n_starts = max(len(comp.out_darts(x)), 1)
-    b = _branching(comp, mode)
-    l_mean = float(np.mean([d.length for d in comp.darts]))
+    b, l_mean = _series(comp, mode)
     if b <= 1.05:
-        return target / max(n_starts, 1) * l_mean
-    return l_mean * math.log(target * (b - 1.0) / n_starts + 1.0) / math.log(b)
+        return target / n_starts * l_mean
+    return _series_horizon(b, l_mean, n_starts, target)
 
 
-class _Budget:
-    __slots__ = ("left", "r_max")
+_CHUNK = 8192
 
-    def __init__(self, cap: int, r_max: float):
-        self.left = cap
-        self.r_max = r_max
 
-    def spend(self, n: int):
-        self.left -= n
-        if self.left < 0:
+def _walk(comp: MetricGraph, mode: TransferMode, starts, r_max: float,
+          target: str | None, stop: bool, limit: int):
+    """Frontier walk over the dart sequences that begin with one of
+    ``starts`` and stay shorter than ``r_max``.
+
+    A node is (start index, last dart, cumulative length), the start
+    index 1-based in ``starts``.  Nodes live in a stack of chunks of at
+    most _CHUNK.  A popped chunk is expanded at once through a CSR
+    successor table with ``np.repeat``; a child is kept when cum + l <
+    r_max, so every length is the left fold of its dart lengths, in the
+    order a depth-first search would add them.  Yields (start index, last
+    dart, cum) arrays of the nodes whose head is the vertex ``target`` (of
+    every node when it is None); with ``stop`` those nodes are not
+    expanded.  Raises HorizonTooLarge once more than ``limit`` nodes
+    have been popped.
+    """
+    index = {v: i for i, v in enumerate(comp.vertices)}
+    heads = np.array([index[d.head] for d in comp.darts], dtype=np.intp)
+    lengths = np.array([d.length for d in comp.darts])
+    rows = [[d2 for d2 in comp.out_darts(d.head)
+             if not (mode is TransferMode.NON_BACKTRACKING
+                     and d2 == d.reverse)] for d in comp.darts]
+    offsets = np.zeros(len(rows) + 1, dtype=np.intp)
+    offsets[1:] = np.cumsum([len(row) for row in rows])
+    succ = np.array([d2 for row in rows for d2 in row], dtype=np.intp)
+    succ_len = lengths[succ]
+
+    first = np.array(starts, dtype=np.intp)
+    fit = lengths[first] < r_max
+    stack = [(np.arange(1, first.size + 1)[fit], first[fit],
+              lengths[first][fit])]
+    goal = index.get(target, -1)
+    popped = 0
+    while stack:
+        k, d, cum = stack.pop()
+        popped += d.size
+        if popped > limit:
             raise HorizonTooLarge(
                 f"enumeration exceeded its cap; retry with a smaller "
-                f"horizon (suggestion: {0.8 * self.r_max:.6g})",
-                safe_horizon=0.8 * self.r_max)
+                f"horizon (suggestion: {0.8 * r_max:.6g})",
+                safe_horizon=0.8 * r_max)
+        if target is None:
+            yield k, d, cum
+        else:
+            hit = heads[d] == goal
+            yield k[hit], d[hit], cum[hit]
+            if stop:
+                k, d, cum = k[~hit], d[~hit], cum[~hit]
+        lo = offsets[d]
+        cnt = offsets[d + 1] - lo
+        pos = np.repeat(lo - (np.cumsum(cnt) - cnt), cnt) \
+            + np.arange(cnt.sum())
+        cum = np.repeat(cum, cnt) + succ_len[pos]
+        fit = cum < r_max
+        k, d, cum = np.repeat(k, cnt)[fit], succ[pos][fit], cum[fit]
+        for i in range(0, cum.size, _CHUNK):
+            stack.append((k[i:i + _CHUNK], d[i:i + _CHUNK],
+                          cum[i:i + _CHUNK]))
 
 
-def _dfs_paths(succ, heads, start, l0, r_max, target, budget: _Budget):
-    """All dart sequences from ``start``; records every node when target
-    is None, else only nodes whose head equals target."""
-    out: list[float] = []
-    stack = [(start, l0)]
-    spent = 0
-    while stack:
-        d, cum = stack.pop()
-        spent += 1
-        if spent >= 8192:
-            budget.spend(spent)
-            spent = 0
-        if target is None or heads[d] == target:
-            out.append(cum)
-        for d2, l2 in succ[d]:
-            c2 = cum + l2
-            if c2 < r_max:
-                stack.append((d2, c2))
-    budget.spend(spent)
-    return out
-
-
-def _dfs_primitive(succ, heads, start, l0, r_max, v, budget: _Budget):
-    """Primitive cycles at v beginning with ``start``: the interior never
-    visits v; a sequence ends the moment it arrives at v."""
-    out: list[tuple[int, float]] = []  # (last dart, length)
-    stack = [(start, l0)]
-    spent = 0
-    while stack:
-        d, cum = stack.pop()
-        spent += 1
-        if spent >= 8192:
-            budget.spend(spent)
-            spent = 0
-        if heads[d] == v:
-            out.append((d, cum))
-            continue
-        for d2, l2 in succ[d]:
-            c2 = cum + l2
-            if c2 < r_max:
-                stack.append((d2, c2))
-    budget.spend(spent)
-    return out
-
-
-def enumerate_paths(graph: MetricGraph, spec: EnumerationSpec,
-                    threads: int | None = None) -> CountProfile:
+def enumerate_paths(graph: MetricGraph, spec: EnumerationSpec
+                    ) -> CountProfile:
     """Exhaustively enumerate paths or cycles below ``spec.r_max``.
 
+    A geometric-series projection of the count runs first; then a
+    frontier walk (``_walk``) expands chunks of dart sequences with numpy
+    and records the nodes the kind asks for: every node (paths from x),
+    arrivals at y (paths x..y) or at v (cycles), or first returns to v,
+    which end the sequence (primitive cycles).  The profile is sorted, so
+    it does not depend on the order of the walk.
+
     Raises HorizonTooLarge (with a safe achievable horizon) when the
-    projected or actual node count exceeds ``spec.cap``.  Workers may run
-    per initial dart when ``threads`` (or ENTROGRAPH_THREADS) exceeds 1;
-    the merged profile is sorted and therefore schedule-independent.
+    projected count, or the number of nodes walked, exceeds ``spec.cap``
+    (the latter with a 25% + 1024 allowance).
     """
     report = validate(graph)
     if report:
         raise PreconditionError("enumerate requires a valid graph")
     if spec.r_max <= 0:
         raise PreconditionError("horizon must be positive")
-    if threads is None:
-        threads = max(int(os.environ.get("ENTROGRAPH_THREADS", "1")), 1)
 
     if spec.kind is PathKind.PATHS_XY:
-        base, endpoints = spec.x, (spec.x, spec.y)
+        base, target, endpoints = spec.x, spec.y, (spec.x, spec.y)
         if spec.y not in graph.vertex_set:
             raise UnknownVertex(f"unknown vertex {spec.y!r}")
     elif spec.kind is PathKind.PATHS_FROM:
-        base, endpoints = spec.x, (spec.x,)
+        base, target, endpoints = spec.x, None, (spec.x,)
     else:
-        base, endpoints = spec.v, (spec.v,)
+        base, target, endpoints = spec.v, spec.v, (spec.v,)
     comp = component_of(graph, base)
 
     starts = comp.out_darts(base)
-    projected = _projected(comp, spec.mode, len(starts), spec.r_max)
-    if projected > spec.cap:
-        b = _branching(comp, spec.mode)
-        l_mean = float(np.mean([d.length for d in comp.darts]))
-        if b > 1.05 and starts:
-            safe = l_mean * math.log(
-                0.8 * spec.cap * (b - 1.0) / len(starts) + 1.0) / math.log(b)
+    if comp.darts:
+        b, l_mean = _series(comp, spec.mode)
+        levels = spec.r_max / l_mean
+        if b <= 1.05:
+            projected = len(starts) * (levels + 1.0) * len(comp.darts)
         else:
-            safe = 0.8 * spec.r_max
-        raise HorizonTooLarge(
-            f"projected count {projected:.3g} exceeds cap {spec.cap:g}; "
-            f"a horizon of about {safe:.6g} is achievable", safe_horizon=safe)
+            projected = len(starts) * (b ** levels - 1.0) / (b - 1.0)
+        if projected > spec.cap:
+            safe = _series_horizon(b, l_mean, len(starts), 0.8 * spec.cap) \
+                if b > 1.05 else 0.8 * spec.r_max
+            raise HorizonTooLarge(
+                f"projected count {projected:.3g} exceeds cap {spec.cap:g}; "
+                f"a horizon of about {safe:.6g} is achievable",
+                safe_horizon=safe)
 
-    succ = _successor_table(comp, spec.mode)
-    heads = [d.head for d in comp.darts]
-    budget = _Budget(int(1.25 * spec.cap) + 1024, spec.r_max)
-    darts = comp.darts
-    if spec.kind is PathKind.PRIMITIVE_CYCLES_AT:
-        rev_index = {darts[s].reverse: k + 1 for k, s in enumerate(starts)}
-
-        def run(k_s):
-            k, s = k_s
-            if darts[s].length >= spec.r_max:
-                return k, []
-            return k, _dfs_primitive(succ, heads, s, darts[s].length,
-                                     spec.r_max, base, budget)
-
-        results = _run_starts(run, list(enumerate(starts, 1)), threads)
-        by_pair: dict[tuple[int, int], list[float]] = {}
-        for k, rows in results:
-            for last, cum in rows:
-                by_pair.setdefault((k, rev_index[last]), []).append(cum)
-        all_lengths = sorted(c for rows in by_pair.values() for c in rows)
-        return CountProfile(
-            spec.kind, spec.mode, spec.r_max,
-            np.array(all_lengths), endpoints,
-            by_pair={k: np.array(sorted(vs)) for k, vs in by_pair.items()},
-            attachment_ids=tuple(starts))
-
-    target = {PathKind.PATHS_XY: spec.y,
-              PathKind.PATHS_FROM: None,
-              PathKind.CYCLES_AT: base}[spec.kind]
-
-    def run(k_s):
-        k, s = k_s
-        if darts[s].length >= spec.r_max:
-            return k, []
-        return k, _dfs_paths(succ, heads, s, darts[s].length, spec.r_max,
-                             target, budget)
-
-    results = _run_starts(run, list(enumerate(starts, 1)), threads)
-    by_start = {k: np.array(sorted(rows)) for k, rows in results if rows}
-    all_lengths = sorted(c for _, rows in results for c in rows)
-    return CountProfile(
-        spec.kind, spec.mode, spec.r_max, np.array(all_lengths), endpoints,
-        by_start=by_start if spec.kind is PathKind.CYCLES_AT else {},
-        attachment_ids=tuple(starts)
-        if spec.kind is PathKind.CYCLES_AT else ())
-
-
-def _run_starts(run, jobs, threads):
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, jobs))
-    return [run(job) for job in jobs]
+    primitive = spec.kind is PathKind.PRIMITIVE_CYCLES_AT
+    walk = _walk(comp, spec.mode, starts, spec.r_max, target, primitive,
+                 int(1.25 * spec.cap) + 1024)
+    if spec.kind in (PathKind.PATHS_XY, PathKind.PATHS_FROM):
+        lengths = np.concatenate([cum for _, _, cum in walk])
+        return CountProfile(spec.kind, spec.mode, spec.r_max,
+                            np.sort(lengths), endpoints)
+    if primitive:
+        # key k * width + j: out along start k, back along the reverse of
+        # start j
+        width = len(starts) + 1
+        rev_pos = np.zeros(len(comp.darts), dtype=np.intp)
+        for k, s in enumerate(starts, 1):
+            rev_pos[comp.darts[s].reverse] = k
+        parts = [(cum, k * width + rev_pos[last]) for k, last, cum in walk]
+    else:
+        parts = [(cum, k) for k, _, cum in walk]
+    lengths = np.concatenate([cum for cum, _ in parts])
+    keys = np.concatenate([key for _, key in parts])
+    rows = {int(key): np.sort(lengths[keys == key])
+            for key in np.unique(keys)}
+    if primitive:
+        groups = {"by_pair": {divmod(key, width): row
+                              for key, row in rows.items()}}
+    else:
+        groups = {"by_start": rows}
+    return CountProfile(spec.kind, spec.mode, spec.r_max, np.sort(lengths),
+                        endpoints, attachment_ids=tuple(starts), **groups)
 
 
 # -- Laplace transform check (truncated integral plus tail bracket) -------

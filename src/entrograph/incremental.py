@@ -50,8 +50,11 @@ class EdgeAdditionResult:
 
     ``residual`` is |Phi(h')| / max(1, e^{l0 h'}): the defining equation
     scaled by its dominant term, so the tolerance stays meaningful for
-    long edges where Phi itself is huge.  ``iterations`` counts the
-    evaluations of Phi.
+    long edges where Phi itself is huge.  When the root is pinched against
+    h_base (h' - h_base below float resolution, as for a long edge), it is
+    instead the width of the certified bracket of h' relative to
+    max(h_base, 1), at most 1e-16.  ``iterations`` counts the evaluations
+    of Phi.
     """
 
     h_prime: float
@@ -64,8 +67,13 @@ class EdgeAdditionResult:
 
 @dataclass(frozen=True)
 class VertexAdditionResult:
-    """Entropy after adding one vertex; ``spectral_residual`` is
-    |rho((D A)(h')) - 1| and ``iterations`` counts its evaluations."""
+    """Entropy after adding one vertex.
+
+    ``spectral_residual`` is |rho((D A)(h')) - 1|, or, when the root is
+    pinched against h_base, the width of the certified bracket of h'
+    relative to max(h_base, 1), at most 1e-16.  ``iterations`` counts the
+    evaluations of rho.
+    """
 
     h_prime: float
     h_base: float
@@ -94,9 +102,7 @@ class ConstantEstimate:
 @dataclass(frozen=True)
 class VertexPrediction:
     h_predicted: float
-    l_norm: float
-    c_estimate: float
-    samples: tuple[tuple[float, float, float], ...]  # (scale, h'-h, ratio)
+    h_base: float
 
 
 def _shared_component(graph: MetricGraph, verts: Sequence[str]) -> MetricGraph:
@@ -150,16 +156,10 @@ def entropy_after_edge(graph: MetricGraph, x: str, y: str, l0: float,
         fyy = ctx.path_value(y, y)
         return math.exp(l0 * t) - fxy - math.sqrt(fxx * fyy)
 
-    root, f_root, evals = root_above(phi, h_base, rel_margin)
-    resid = abs(f_root) / max(1.0, math.exp(l0 * root))
+    root, f_root, evals, pinch = root_above(phi, h_base, rel_margin)
+    resid = abs(f_root) / max(1.0, math.exp(l0 * root)) if pinch is None \
+        else pinch
     return EdgeAdditionResult(root, h_base, float(l0), resid, evals)
-
-
-def _l_matrix(lengths: np.ndarray, t: float) -> np.ndarray:
-    w = np.exp(-lengths * t)
-    l = np.outer(w, w)
-    np.fill_diagonal(l, 0.0)
-    return l
 
 
 def entropy_after_vertex(graph: MetricGraph,
@@ -193,8 +193,9 @@ def entropy_after_vertex(graph: MetricGraph,
         d = np.outer(w, w) * (fmat + bigon)
         return 1.0 - spectral_radius(d.sum(axis=1)[:, None] - d).rho
 
-    root, f_root, evals = root_above(one_minus_rho, h_base, rel_margin)
-    return VertexAdditionResult(root, h_base, abs(f_root), evals)
+    root, f_root, evals, pinch = root_above(one_minus_rho, h_base, rel_margin)
+    return VertexAdditionResult(
+        root, h_base, abs(f_root) if pinch is None else pinch, evals)
 
 
 def predict_edge_asymptotic(h: float, c: float, l: float) -> float:
@@ -227,12 +228,25 @@ def fit_edge_asymptotic(graph: MetricGraph, x: str, y: str,
     return AsymptoticFit(c, gamma, samples)
 
 
+def _null_vector(comp: MetricGraph, h: float) -> tuple[np.ndarray, float,
+                                                      float]:
+    """Unit null vector v of M(h) (``eigh``), the eigenvalue that stands in
+    for 0, and the slope lambda'(h) = v^T M'(h) v of the smallest
+    eigenvalue."""
+    eigvals, eigvecs = np.linalg.eigh(vertex_form(comp, h).matrix())
+    v = eigvecs[:, 0]
+    return v, float(eigvals[0]), float(v @ vertex_form_dt(comp, h).apply(v))
+
+
 def predict_vertex_asymptotic(graph: MetricGraph,
                               attachments: Sequence[tuple[str, float]],
-                              scales: Sequence[float] = (3.0, 5.0),
                               tol: float = 1e-10) -> VertexPrediction:
-    """Predict h' = h + C rho(L(h)) with C calibrated from solver runs at
-    scaled-up attachment lengths (where the asymptotic regime holds)."""
+    """Leading-order entropy after adding a vertex with long edges.
+
+    First-order perturbation of the smallest eigenvalue of M at h gives
+    h' - h = w^T (J - I) w / lambda'(h), with w_i = e^{-h l_i} v_{t_i}, v
+    the unit null vector of M(h) and J the all-ones matrix.
+    """
     if len(attachments) < 3:
         raise TooFewAttachments(
             f"need at least 3 attachment edges, got {len(attachments)}")
@@ -243,17 +257,10 @@ def predict_vertex_asymptotic(graph: MetricGraph,
     if h <= 0:
         raise PreconditionError(
             "vertex-addition asymptotics require a positive base entropy")
-    l_norm = spectral_radius(_l_matrix(lengths, h)).rho
-    samples = []
-    c = None
-    for s in sorted(float(s) for s in scales):
-        scaled = [(v, l * s) for (v, _), l in zip(attachments, lengths)]
-        res = entropy_after_vertex(graph, scaled, tol=tol, h_base=h)
-        rho_s = spectral_radius(_l_matrix(lengths * s, h)).rho
-        ratio = (res.h_prime - h) / rho_s
-        samples.append((s, res.h_prime - h, ratio))
-        c = ratio
-    return VertexPrediction(h + c * l_norm, l_norm, c, tuple(samples))
+    index = {v: i for i, v in enumerate(comp.vertices)}
+    v, _, dlambda = _null_vector(comp, h)
+    w = np.exp(-h * lengths) * v[[index[t] for t in targets]]
+    return VertexPrediction(float(h + (w.sum() ** 2 - w @ w) / dlambda), h)
 
 
 def _tail_average_constant(profile, h: float, r1: float) -> float:
@@ -309,10 +316,8 @@ def estimate_constant_C(graph: MetricGraph, x: str, y: str,
     details: dict = {}
     if method in ("resolvent", "both"):
         index = {v: i for i, v in enumerate(comp.vertices)}
-        eigvals, eigvecs = np.linalg.eigh(vertex_form(comp, h).matrix())
-        v = eigvecs[:, 0]
-        dlambda = float(v @ vertex_form_dt(comp, h).apply(v))
-        details.update(null_eigenvalue=float(eigvals[0]), dlambda=dlambda)
+        v, null_eigenvalue, dlambda = _null_vector(comp, h)
+        details.update(null_eigenvalue=null_eigenvalue, dlambda=dlambda)
         for name, (a, b) in live.items():
             per_res[name] = float(v[index[a]] * v[index[b]]) / (h * dlambda)
     if method in ("counting", "both"):

@@ -1,8 +1,9 @@
 """Shared graph builders and independent oracles for the test suite.
 
 The BFS enumerator and the dense eigenvalue oracle are deliberately
-separate implementations from the package's DFS/power-iteration code:
-they provide the second opinion the cross-checks rely on.
+separate implementations from the package's frontier walk and
+power-iteration code: they provide the second opinion the cross-checks
+rely on.
 """
 
 import math

@@ -5,14 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from entrograph import (EnumerationSpec, HorizonTooLarge, MarginTooSmall,
-                        PathKind, PreconditionError, TransferMode,
-                        backtracking_bound, backtracking_entropy,
-                        enumerate_paths, generate_graph, growth_bounds,
+                        MetricGraph, PathKind, PreconditionError,
+                        TransferMode, backtracking_bound,
+                        backtracking_entropy, enumerate_paths,
+                        generate_graph, growth_bounds, horizon_for_budget,
                         laplace_check, verify_recursions, volume_entropy)
-from helpers import (bfs_enumerate, c4, complete4, dumbbell, path3, rose,
-                     segment, theta)
+from helpers import (bfs_enumerate, c4, complete4, dumbbell, multigraphs,
+                     path3, rose, segment, theta)
 
 NB = TransferMode.NON_BACKTRACKING
 BT = TransferMode.BACKTRACKING
@@ -65,7 +67,42 @@ def test_two_oracle_agreement(kind, mode):
                                    "cycles": "cycles",
                                    "primitive": "primitive"}[kind],
                                r_max, mode=mode, x=x, y=y, v=x)
-        assert np.allclose(mine, oracle), (kind, mode, g.vertices)
+        assert mine == oracle, (kind, mode, g.vertices)
+
+
+ORACLE_KINDS = {PathKind.PATHS_FROM: "from", PathKind.PATHS_XY: "xy",
+                PathKind.CYCLES_AT: "cycles",
+                PathKind.PRIMITIVE_CYCLES_AT: "primitive"}
+
+
+@pytest.mark.parametrize("mode", ["nb", "bt"])
+@pytest.mark.parametrize("kind", list(ORACLE_KINDS),
+                         ids=[k.value for k in ORACLE_KINDS])
+@settings(max_examples=25, deadline=None)
+@given(g=multigraphs())
+def test_walk_matches_bfs_oracle_on_multigraphs(kind, mode, g):
+    # lengths span 10^-3..10^3, so the projected horizon alone often
+    # overflows the cap; retry at the suggested safe horizon
+    tmode = NB if mode == "nb" else BT
+    x, y = g.vertices[0], g.vertices[-1]
+    r_max = horizon_for_budget(g, x, 2000, tmode)
+    for _ in range(100):
+        spec = EnumerationSpec(kind, r_max, tmode, x=x, y=y, v=x, cap=2000)
+        try:
+            prof = enumerate_paths(g, spec)
+            break
+        except HorizonTooLarge as exc:
+            r_max = exc.safe_horizon
+    else:
+        pytest.fail("no horizon fits the cap")
+    oracle = bfs_enumerate(g, ORACLE_KINDS[kind], r_max, mode=mode, x=x,
+                           y=y, v=x)
+    assert prof.lengths.tolist() == oracle
+    rows = {PathKind.CYCLES_AT: prof.by_start,
+            PathKind.PRIMITIVE_CYCLES_AT: prof.by_pair}.get(kind)
+    if rows is not None:
+        merged = np.sort(np.concatenate([np.array([])] + list(rows.values())))
+        assert merged.tolist() == oracle
 
 
 def test_nonbacktracking_counts_below_backtracking():
@@ -98,13 +135,6 @@ def test_primitive_interior_avoids_vertex():
         assert all(l == 2.0 for l in lengths.tolist())
 
 
-def test_threads_do_not_change_profile():
-    spec = EnumerationSpec(PathKind.PATHS_FROM, 8.0, x="a")
-    a = enumerate_paths(complete4(), spec, threads=1)
-    b = enumerate_paths(complete4(), spec, threads=3)
-    assert a.lengths.tolist() == b.lengths.tolist()
-
-
 def test_horizon_cap_raises_with_safe_horizon():
     with pytest.raises(HorizonTooLarge) as err:
         enumerate_paths(rose(2), EnumerationSpec(
@@ -114,6 +144,20 @@ def test_horizon_cap_raises_with_safe_horizon():
     prof = enumerate_paths(rose(2), EnumerationSpec(
         PathKind.PATHS_FROM, safe, x="v", cap=100_000))
     assert prof.lengths.size <= 100_000
+
+
+def test_walk_cap_fires_below_the_projection():
+    # two 0.01 loops make over 10^4 sequences below 0.1, but the 100 loop
+    # drags the mean dart length up, so the projection sees almost none
+    g = MetricGraph.from_edges(
+        ["v"], [("v", "v", 0.01), ("v", "v", 0.01), ("v", "v", 100.0)])
+    spec = EnumerationSpec(PathKind.PATHS_FROM, 0.1, x="v", cap=1000)
+    with pytest.raises(HorizonTooLarge, match="exceeded its cap") as err:
+        enumerate_paths(g, spec)
+    assert err.value.safe_horizon == pytest.approx(0.08, rel=1e-12)
+    prof = enumerate_paths(g, EnumerationSpec(PathKind.PATHS_FROM, 0.05,
+                                              x="v", cap=1000))
+    assert prof.lengths.tolist() == bfs_enumerate(g, "from", 0.05, x="v")
 
 
 def test_profile_csv_export():
