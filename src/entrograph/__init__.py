@@ -18,12 +18,11 @@ from .counting import (BacktrackingBoundReport, BacktrackingEntropy,
                        laplace_check, verify_recursions)
 from .entropy import (CountSlopeEstimate, EntropyResult, entropy_from_counts,
                       rho_curve, volume_entropy)
-from .errors import (AdjacentVertices, DisconnectedPair, DivergentSeries,
-                     EntrographError, HorizonTooLarge, InsufficientData,
-                     InvalidDartIndex, MarginTooSmall, NonConvergence,
-                     NonPositiveLength, PreconditionError,
-                     TooFewAttachments, UnknownFormat, UnknownVertex,
-                     ValidationFailed)
+from .errors import (DisconnectedPair, DivergentSeries, EntrographError,
+                     HorizonTooLarge, InsufficientData, InvalidDartIndex,
+                     MarginTooSmall, NonConvergence, NonPositiveLength,
+                     PreconditionError, TooFewAttachments, UnknownFormat,
+                     UnknownVertex, ValidationFailed)
 from .genfun import (GenFunKind, GenFunStatus, GenFunValue, attachment_darts,
                      check_symmetry, f_from, f_path, g_primitive,
                      primitive_matrix)

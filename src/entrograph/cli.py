@@ -15,11 +15,10 @@ from dataclasses import dataclass
 
 from . import counting, persistence
 from .entropy import volume_entropy
-from .errors import (AdjacentVertices, DisconnectedPair, DivergentSeries,
-                     EntrographError, HorizonTooLarge, MarginTooSmall,
-                     NonConvergence, NonPositiveLength, PreconditionError,
-                     TooFewAttachments, UnknownFormat, UnknownVertex,
-                     ValidationFailed)
+from .errors import (DisconnectedPair, DivergentSeries, EntrographError,
+                     HorizonTooLarge, MarginTooSmall, NonConvergence,
+                     NonPositiveLength, PreconditionError, TooFewAttachments,
+                     UnknownFormat, UnknownVertex, ValidationFailed)
 from .genfun import check_symmetry
 from .graph import (MetricGraph, add_edge, add_vertex, component_of,
                     components, reduce, validate)
@@ -33,10 +32,10 @@ EXIT_SOLVER = 3
 EXIT_PRECONDITION = 4
 EXIT_VERIFY = 5
 
-_PRECONDITION_ERRORS = (AdjacentVertices, DisconnectedPair,
-                        TooFewAttachments, PreconditionError, UnknownVertex,
-                        NonPositiveLength, HorizonTooLarge, UnknownFormat,
-                        MarginTooSmall, ValueError)
+_PRECONDITION_ERRORS = (DisconnectedPair, TooFewAttachments,
+                        PreconditionError, UnknownVertex, NonPositiveLength,
+                        HorizonTooLarge, UnknownFormat, MarginTooSmall,
+                        ValueError)
 _SOLVER_ERRORS = (NonConvergence, DivergentSeries)
 
 
@@ -86,15 +85,16 @@ def cmd_add_edge(args) -> int:
     cfg = _config(args)
     graph = _load(args.file)
     base = volume_entropy(graph, tol=cfg.tol)
-    comp_x = component_of(graph, args.x)
+    ends = component_of(graph, args.x).vertex_set \
+        | component_of(graph, args.y).vertex_set
     h_comp = dict(base.per_component)
     inc = entropy_after_edge(graph, args.x, args.y, args.length, tol=cfg.tol,
                              rel_margin=cfg.margin,
-                             h_base=h_comp[min(comp_x.vertices)])
+                             h_base=max(h for cid, h in h_comp.items()
+                                        if cid in ends))
     edited = add_edge(graph, args.x, args.y, args.length)
     direct = volume_entropy(edited, tol=cfg.tol)
-    others = [h for cid, h in h_comp.items()
-              if cid not in comp_x.vertex_set]
+    others = [h for cid, h in h_comp.items() if cid not in ends]
     combined = max([inc.h_prime] + others)
     print(f"h_base = {inc.h_base:.12g}")
     print(f"incremental h' = {inc.h_prime:.12g}  "

@@ -80,13 +80,16 @@ class _RhoRootProblem:
         drho = -float(data.left @ (mat @ (self.lengths * data.right)))
         return rho, drho / denom
 
-    def solve(self, t_hi0: float, t_lo: float = 0.0):
-        """Root of rho(t) = 1 on [t_lo, inf), assuming rho(t_lo) >= 1.
+    def solve(self, t_hi0: float, t_lo: float = 0.0,
+              rho_lo: float | None = None):
+        """Root of rho(t) = 1 on [t_lo, inf), assuming rho(t_lo) >= 1;
+        ``rho_lo`` is rho(t_lo) when the caller has already evaluated it.
 
         Returns (t, residual, method, bracket).
         """
         tol = self.tol
-        rho_lo, _ = self.eval(t_lo)
+        if rho_lo is None:
+            rho_lo, _ = self.eval(t_lo)
         if rho_lo < 1.0 - tol:
             raise ValueError("lower bracket does not satisfy rho >= 1")
         if abs(rho_lo - 1.0) <= tol:
@@ -151,12 +154,12 @@ def _solve_component(core: MetricGraph, tol: float, max_iter: int,
     # Trivial upper bound log(k) / l_min where k + 1 is the max degree.
     k = core.max_degree() - 1
     t_hi0 = math.log(max(k, 2)) / core.min_length()
-    t_lo = 0.0
+    t_lo, rho_lo = 0.0, None
     if bracket_hint is not None and bracket_hint > 0:
         rho_hint, _ = problem.eval(bracket_hint)
         if rho_hint >= 1.0 - tol:
-            t_lo = bracket_hint
-    return problem.solve(t_hi0, t_lo=t_lo), problem.evals
+            t_lo, rho_lo = bracket_hint, rho_hint
+    return problem.solve(t_hi0, t_lo, rho_lo), problem.evals
 
 
 def volume_entropy(graph: MetricGraph, tol: float = 1e-10,

@@ -4,7 +4,13 @@ from __future__ import annotations
 
 
 class EntrographError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    ``threshold`` is the filtration threshold at which
+    ``persistent_entropy`` met the error, or None outside a filtration.
+    """
+
+    threshold: float | None = None
 
 
 class ValidationFailed(EntrographError):
@@ -36,10 +42,6 @@ class DivergentSeries(EntrographError):
 
 
 class DisconnectedPair(EntrographError):
-    pass
-
-
-class AdjacentVertices(EntrographError):
     pass
 
 

@@ -1,12 +1,24 @@
 """Entropy change under edge and vertex addition.
 
-Adding an edge of length l0 between non-adjacent vertices x, y moves the
-entropy to the unique root t* > h of
+Adding an edge of length l0 between vertices x != y moves the entropy to
+the unique root t* > h of
 
     Phi(t) = e^{l0 t} - f_xy(t) - sqrt(f_xx(t) f_yy(t)),
 
 a strictly increasing function on the convergence domain (the defining
-equation rearranged into a pole-free monotone form).  Adding a vertex
+equation rearranged into a pole-free monotone form).  The determinant
+lemma det(I_2 + Delta G_2) = 0 behind it does not ask x and y to be
+non-adjacent, so Phi also covers a parallel edge.  When the edge joins
+two components A and B, the base is their disjoint union with
+h = max(h_A, h_B); its M(t) is block-diagonal, so f_xy = 0 and
+Phi = e^{l0 t} - sqrt(f^A_xx f^B_yy).  If A or B is a tree (a pendant
+edge, say) the entropy stays h exactly.  A loop at x is the rank-1 case
+of the lemma: the root of e^{l0 t} - 1 - 2 f_xx(t) (reusing Phi with
+x = y would give e^{l0 t} = 2 f_xx, which is wrong).  A component that
+is left with at most one independent cycle has entropy 0.
+
+A new vertex with one edge is a pendant edge, and one with two edges is
+an edge of length l_1 + l_2 between its two targets.  Adding a vertex
 with n >= 3 edges of lengths l_i to targets v_i moves the entropy to the
 root of rho((D A)(t)) = 1, where
 
@@ -15,7 +27,7 @@ root of rho((D A)(t)) = 1, where
 A = ones - identity, so (D A)_ik = sum_{j != k} D_ij.  The junction
 constraint j_k != i_{k+1} gives A; the bracket adds the bigon of two
 parallel new edges on a repeated target.  Every f is a Cholesky solve of
-the vertex matrix M(t) (``genfun._Resolvent``), and both equations are
+the vertex matrix M(t) (``genfun._Resolvent``), and every equation is
 solved by ``_rootutil.root_above`` from the base entropy upward.
 
 The asymptotic constants of the pole f_ab(t) ~ C_ab t / (t - h) have the
@@ -36,11 +48,10 @@ from ._rootutil import root_above
 from .counting import (DEFAULT_CAP, EnumerationSpec, PathKind,
                        enumerate_paths, horizon_for_budget)
 from .entropy import volume_entropy
-from .errors import (AdjacentVertices, DisconnectedPair, DivergentSeries,
-                     NonConvergence, PreconditionError, TooFewAttachments,
-                     UnknownVertex)
+from .errors import (DisconnectedPair, DivergentSeries, NonConvergence,
+                     PreconditionError, TooFewAttachments, UnknownVertex)
 from .genfun import _Resolvent
-from .graph import MetricGraph, component_of
+from .graph import MetricGraph, component_of, components, disjoint_union
 from .spectral import spectral_radius, vertex_form, vertex_form_dt
 
 
@@ -48,9 +59,9 @@ from .spectral import spectral_radius, vertex_form, vertex_form_dt
 class EdgeAdditionResult:
     """Entropy after adding one edge, from the defining equation.
 
-    ``residual`` is |Phi(h')| / max(1, e^{l0 h'}): the defining equation
-    scaled by its dominant term, so the tolerance stays meaningful for
-    long edges where Phi itself is huge.  When the root is pinched against
+    ``residual`` is |Phi(h')| e^{-l0 h'}: the defining equation scaled by
+    its dominant term, so the tolerance stays meaningful for long edges
+    where Phi itself is huge.  When the root is pinched against
     h_base (h' - h_base below float resolution, as for a long edge), it is
     instead the width of the certified bracket of h' relative to
     max(h_base, 1), at most 1e-16.  ``iterations`` counts the evaluations
@@ -129,37 +140,47 @@ def entropy_after_edge(graph: MetricGraph, x: str, y: str, l0: float,
                        h_base: float | None = None) -> EdgeAdditionResult:
     """Entropy of the component of {x, y} after adding an edge [x, y].
 
-    Requires x != y, non-adjacent (the defining equation assumes the new
-    edge is not parallel to an existing one) and co-located in one
-    component.  A tree component (first Betti number 0) gives h' = 0
-    exactly, the rule volume_entropy applies to a single cycle.  Otherwise
-    the root of Phi is found by ``root_above`` from h_base upward.
+    The base is the component of x, joined by the component of y when the
+    edge merges two components; ``h_base`` defaults to its entropy, which
+    for a merge is max(h_A, h_B).  The new entropy is the root above
+    h_base of Phi (module docstring) for x != y, adjacent or not, and of
+    e^{l0 t} - 1 - 2 f_xx(t) for a loop x = y.  On a merge M(t) is
+    block-diagonal, so f_xy = 0 and Phi = e^{l0 t} - sqrt(f_xx f_yy).
+    Two cases need no solve: a new component with at most one independent
+    cycle has h' = 0, and a merge with a tree (a pendant edge, say) keeps
+    h' = h_base; both report 0 iterations.
     """
-    if x == y:
-        raise AdjacentVertices("x and y must be distinct vertices")
     if l0 <= 0:
         raise PreconditionError("edge length must be positive")
-    comp = _shared_component(graph, (x, y))
-    if any(d.head == y for d in comp.darts if d.tail == x):
-        raise AdjacentVertices(f"{x!r} and {y!r} are already adjacent")
-    if comp.edge_count - len(comp.vertices) + 1 == 0:
-        # A tree plus one edge has a single cycle: entropy 0 exactly, and
-        # Phi(0) = 1 - f_xy(0) - 0 = 0 with the unique tree path x..y.
+    for v in (x, y):
+        if v not in graph.vertex_set:
+            raise UnknownVertex(f"unknown vertex {v!r}")
+    parts = [c for c, _ in components(graph) if c.vertex_set & {x, y}]
+    betti = [c.edge_count - len(c.vertices) + 1 for c in parts]
+    # the new component's first Betti number is the sum over the parts,
+    # plus one when the edge closes a cycle inside one component
+    if sum(betti) + (len(parts) == 1) <= 1:
         return EdgeAdditionResult(0.0, 0.0, float(l0), 0.0, 0)
+    comp = disjoint_union(parts)
     if h_base is None:
         h_base = volume_entropy(comp, tol=tol).h
+    if min(betti) == 0:  # a merge with a tree
+        return EdgeAdditionResult(h_base, h_base, float(l0), 0.0, 0)
 
-    def phi(t: float) -> float:
+    def scaled_phi(t: float) -> float:
+        # e^{-l0 t} times the equation: same root, and no overflow of
+        # e^{l0 t} for long edges at large t
         ctx = _resolvent(comp, t)
-        fxy = ctx.path_value(x, y)
-        fxx = ctx.path_value(x, x)
-        fyy = ctx.path_value(y, y)
-        return math.exp(l0 * t) - fxy - math.sqrt(fxx * fyy)
+        if x == y:
+            return -math.expm1(-l0 * t) \
+                - 2.0 * math.exp(-l0 * t) * ctx.path_value(x, x)
+        paths = ctx.path_value(x, y) + math.sqrt(ctx.path_value(x, x)
+                                                 * ctx.path_value(y, y))
+        return 1.0 - math.exp(-l0 * t) * paths
 
-    root, f_root, evals, pinch = root_above(phi, h_base, rel_margin)
-    resid = abs(f_root) / max(1.0, math.exp(l0 * root)) if pinch is None \
-        else pinch
-    return EdgeAdditionResult(root, h_base, float(l0), resid, evals)
+    root, f_root, evals, pinch = root_above(scaled_phi, h_base, rel_margin)
+    return EdgeAdditionResult(root, h_base, float(l0),
+                              abs(f_root) if pinch is None else pinch, evals)
 
 
 def entropy_after_vertex(graph: MetricGraph,

@@ -6,18 +6,26 @@ over components, components with at most one independent cycle counting
 as 0).  Entropy is monotone along the filtration, which makes the
 previous value a valid warm start for every later solve.
 
-Strategy "direct" always re-solves; "incremental" applies the
-edge-addition equation when a step adds exactly one edge between
-existing, non-adjacent vertices of one component of the previous graph,
-and the vertex-addition equation when a step adds one new vertex with at
-least 3 edges into one component; anything else (equal-length batches,
-component merges, pendant edges) falls back to direct.  "auto" is
-accepted and means "incremental": an incremental step costs tens of
-Cholesky solves of the V x V vertex matrix of the base component, and
-was not slower than the direct step even on bases of a few darts, so
-there is no per-step choice left to make.  All strategies produce the
-same curve up to solver tolerance, and every step records the strategy
-it used.
+Strategy "direct" always re-solves.  "incremental" sends every step that
+adds one edge, or one new vertex (isolated before the step) with all its
+edges, to the paper's formulas (``_formula_step``):
+
+- one edge: ``entropy_after_edge``, which covers parallel edges, loops,
+  merges of two components and pendant edges (h unchanged, no solve);
+- a new vertex with k = 1 edge: a pendant edge; with k = 2 edges: one
+  edge of length l_1 + l_2 between its two targets (a loop when they
+  coincide, a merge when they lie in different components);
+- a new vertex with k >= 3 edges into one component:
+  ``entropy_after_vertex``.
+
+Anything else (equal-length batches of unrelated edges, a new vertex of
+degree >= 3 whose targets span several components) falls back to
+direct.  "auto" is accepted and means "incremental": an incremental
+step costs tens of Cholesky solves of the small V x V vertex matrix of
+the base, and was not slower than the direct step even on bases of a
+few darts, so there is no per-step choice left to make.  All strategies
+produce the same curve up to solver tolerance, and every step records
+the strategy it used.
 """
 
 from __future__ import annotations
@@ -29,8 +37,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .entropy import volume_entropy
-from .errors import UnknownFormat, ValidationFailed
-from .graph import MetricGraph, components, validate
+from .errors import EntrographError, UnknownFormat, ValidationFailed
+from .graph import MetricGraph, components, disjoint_union, validate
 from .incremental import entropy_after_edge, entropy_after_vertex
 
 
@@ -72,45 +80,46 @@ def _component_key(comp: MetricGraph):
                          for u, v, l in comp.edge_list())))
 
 
-def _vertex_step(added, prev_comps):
-    """Detect a single-new-vertex step: all added edges share one common
-    endpoint that was isolated before, the other endpoints lie in one
-    previous component, and there are at least 3 edges."""
-    if len(added) < 3:
-        return None
-    for cand in set(added[0][:2]):
-        if not all(cand in (u, v) and u != v for u, v, _ in added):
-            continue
-        others = [(v if u == cand else u, l) for u, v, l in added]
-        isolated, prev = True, None
-        for comp, _ in prev_comps:
-            if cand in comp.vertex_set and comp.edge_count > 0:
-                isolated = False  # not a new effective vertex
-                break
-            if others[0][0] in comp.vertex_set:
-                prev = comp
-        if not isolated or prev is None or prev.edge_count == 0:
-            continue
-        if all(t in prev.vertex_set for t, _ in others):
-            return cand, others, prev
+def _new_vertex(added, prev_comps):
+    """The common endpoint of all added edges when it was isolated before
+    the step and none of them is a loop, else None."""
+    for cand in added[0][:2]:
+        if all(cand in (u, v) and u != v for u, v, _ in added) and any(
+                cand in c.vertex_set and c.edge_count == 0
+                for c, _ in prev_comps):
+            return cand
     return None
 
 
-def _edge_step(added, prev_comps):
-    """Detect a single-edge step between existing non-adjacent vertices
-    of one previous component."""
-    if len(added) != 1:
-        return None
-    u, v, l = added[0]
-    if u == v:
-        return None
-    for comp, _ in prev_comps:
-        if u in comp.vertex_set:
-            if v not in comp.vertex_set or comp.edge_count == 0:
+def _formula_step(added, prev_comps, tol):
+    """The formula for a step (module docstring) as (strategy, a vertex of
+    the changed component, solve taking h_base), or None for a direct
+    step."""
+    strategy = StepStrategy.INCREMENTAL_EDGE
+    if len(added) > 1:
+        hub = _new_vertex(added, prev_comps)
+        if hub is None:
+            return None
+        strategy = StepStrategy.INCREMENTAL_VERTEX
+        attach = [(v if u == hub else u, l) for u, v, l in added]
+        if len(attach) > 2:
+            parts = _touching(prev_comps, [t for t, _ in attach])
+            if len(parts) > 1:
                 return None
-            adjacent = any(d.head == v for d in comp.darts if d.tail == u)
-            return None if adjacent else (u, v, l, comp)
-    return None
+            return (strategy, hub,
+                    lambda h: entropy_after_vertex(parts[0], attach, tol=tol,
+                                                   h_base=h))
+        (x, lx), (y, ly) = attach  # a degree-2 vertex: one edge x..y
+        added = [(x, y, lx + ly)]
+    (x, y, l), = added
+    base = disjoint_union(_touching(prev_comps, (x, y)))
+    return (strategy, x,
+            lambda h: entropy_after_edge(base, x, y, l, tol=tol, h_base=h))
+
+
+def _touching(prev_comps, verts) -> list[MetricGraph]:
+    """The previous components that hold any of ``verts``."""
+    return [c for c, _ in prev_comps if c.vertex_set.intersection(verts)]
 
 
 def persistent_entropy(graph: MetricGraph, strategy: str = "direct",
@@ -118,8 +127,9 @@ def persistent_entropy(graph: MetricGraph, strategy: str = "direct",
     """Entropy curve of the edge-length filtration.
 
     ``strategy`` is one of "direct", "incremental", "auto" (an alias of
-    "incremental").  Solver
-    errors propagate with the offending threshold attached.
+    "incremental").  A package error (``EntrographError``) propagates
+    with its ``threshold`` attribute set to the offending threshold;
+    other exceptions propagate untouched.
     """
     report = validate(graph)
     if report:
@@ -141,11 +151,8 @@ def persistent_entropy(graph: MetricGraph, strategy: str = "direct",
         used = StepStrategy.DIRECT
         iterations = 0
 
-        edge_case = vertex_case = None
-        if strategy != "direct":
-            edge_case = _edge_step(added, prev_comps)
-            vertex_case = None if edge_case else _vertex_step(added,
-                                                              prev_comps)
+        formula = None if strategy == "direct" else \
+            _formula_step(added, prev_comps, tol)
 
         comps_now = components(g_eps)
         new_h: dict = {}
@@ -157,26 +164,16 @@ def persistent_entropy(graph: MetricGraph, strategy: str = "direct",
                     continue
                 hint = max((h for pk, h in prev_h.items()
                             if pk[0] & key[0]), default=0.0)
-                if edge_case and {edge_case[0], edge_case[1]} <= key[0]:
-                    u, v, l, base = edge_case
-                    res = entropy_after_edge(base, u, v, l, tol=tol,
-                                             h_base=hint)
+                if formula and formula[1] in key[0]:
+                    used, _, solve = formula
+                    res = solve(hint)
                     new_h[key] = res.h_prime
-                    iterations += res.iterations
-                    used = StepStrategy.INCREMENTAL_EDGE
-                elif vertex_case and vertex_case[0] in key[0]:
-                    v0, attach, base = vertex_case
-                    res = entropy_after_vertex(base, attach, tol=tol,
-                                               h_base=hint)
-                    new_h[key] = res.h_prime
-                    iterations += res.iterations
-                    used = StepStrategy.INCREMENTAL_VERTEX
                 else:
                     res = volume_entropy(comp, tol=tol, bracket_hint=hint)
                     new_h[key] = res.h
-                    iterations += res.iterations
-        except Exception as exc:
-            exc.args = (f"{exc} (at filtration threshold {eps!r})",)
+                iterations += res.iterations
+        except EntrographError as exc:
+            exc.threshold = eps
             raise
 
         h_eps = max(new_h.values(), default=0.0)

@@ -74,7 +74,12 @@ def test_add_edge_command(c4_file, capsys):
 
 
 def test_add_edge_adjacent_exit_code(c4_file, capsys):
-    assert main(["add-edge", c4_file, "a", "b", "1.0"]) == 4
+    # a parallel edge and a loop are edge-operator cases, not errors
+    for y in ("b", "a"):
+        assert main(["add-edge", c4_file, "a", y, "1.0"]) == 0
+        out = capsys.readouterr().out
+        assert "incremental h' = " in out and "direct h' = " in out
+        assert float(out.split("|incremental - direct| = ")[1]) <= 1e-8
 
 
 def test_add_vertex_command(c4_file, capsys):

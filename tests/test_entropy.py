@@ -8,6 +8,7 @@ from entrograph import (EnumerationSpec, InsufficientData, MetricGraph,
                         PathKind, ValidationFailed, entropy_from_counts,
                         enumerate_paths, generate_graph, reduce, rho_curve,
                         volume_entropy)
+from entrograph import entropy
 from entrograph.graph import Dart
 from helpers import c4, complete4, dumbbell, path3, rose, theta
 
@@ -93,6 +94,26 @@ def test_warm_start_hint_gives_same_answer():
     # a hint above the root is rejected, not trusted
     over = volume_entropy(g, bracket_hint=2.0).h
     assert over == pytest.approx(cold, abs=1e-10)
+
+
+def test_warm_start_evaluates_each_t_once(monkeypatch):
+    # rho at the hint is the lower end of the solve, not evaluated again
+    seen = []
+    eval_rho = entropy._RhoRootProblem.eval
+
+    def recording(self, t):
+        seen.append(t)
+        return eval_rho(self, t)
+
+    monkeypatch.setattr(entropy._RhoRootProblem, "eval", recording)
+    g = generate_graph(1, 8, 16)
+    h = volume_entropy(g).h
+    for hint in (0.5 * h, 0.9 * h, h - 1e-3):
+        seen.clear()
+        assert volume_entropy(g, bracket_hint=hint).h == \
+            pytest.approx(h, abs=1e-10)
+        assert seen[0] == hint
+        assert len(seen) == len(set(seen))
 
 
 def test_rho_curve_closed_forms():

@@ -6,14 +6,15 @@ import random
 import numpy as np
 import pytest
 
-from entrograph import (AdjacentVertices, DisconnectedPair, MetricGraph,
-                        TooFewAttachments, add_edge, add_vertex,
-                        entropy_after_edge, entropy_after_vertex,
+from entrograph import (DisconnectedPair, MetricGraph, PreconditionError,
+                        TooFewAttachments, UnknownVertex, add_edge,
+                        add_vertex, entropy_after_edge, entropy_after_vertex,
                         estimate_constant_C, fit_edge_asymptotic,
                         generate_graph, predict_edge_asymptotic,
                         predict_vertex_asymptotic, volume_entropy)
 from entrograph import incremental
-from helpers import c4, complete4, dumbbell, path3, rose, theta
+from entrograph.graph import disjoint_union
+from helpers import c4, complete4, cycle, dumbbell, path3, rose, theta
 
 
 def quintic_root_h():
@@ -41,14 +42,101 @@ def test_edge_addition_matches_direct_solver():
 
 
 def test_edge_addition_preconditions():
-    with pytest.raises(AdjacentVertices):
-        entropy_after_edge(c4(), "a", "b", 1.0)
-    with pytest.raises(AdjacentVertices):
-        entropy_after_edge(c4(), "a", "a", 1.0)
+    # an adjacent pair, a loop and a pair in two components are cases of
+    # the edge operator, not precondition errors
+    for x, y in (("a", "b"), ("a", "a")):
+        res = entropy_after_edge(c4(), x, y, 1.0)
+        assert res.h_prime == pytest.approx(
+            volume_entropy(add_edge(c4(), x, y, 1.0)).h, abs=1e-9)
     two = MetricGraph.from_edges(["x", "y", "p", "q"],
                                  [("x", "y", 1.0), ("p", "q", 1.0)])
+    assert entropy_after_edge(two, "x", "p", 1.0).h_prime == 0.0
     with pytest.raises(DisconnectedPair):
-        entropy_after_edge(two, "x", "p", 1.0)
+        entropy_after_vertex(two, [("x", 1.0), ("y", 1.0), ("p", 1.0)])
+    with pytest.raises(PreconditionError):
+        entropy_after_edge(c4(), "a", "c", 0.0)
+    with pytest.raises(UnknownVertex):
+        entropy_after_edge(c4(), "a", "z", 1.0)
+
+
+def _renamed(g, prefix):
+    return MetricGraph.from_edges(
+        [prefix + v for v in g.vertices],
+        [(prefix + u, prefix + v, l) for u, v, l in g.edge_list()])
+
+
+def _edge_gap(g, x, y, l0):
+    res = entropy_after_edge(g, x, y, l0)
+    return abs(res.h_prime - volume_entropy(add_edge(g, x, y, l0)).h)
+
+
+def test_parallel_edge_matches_direct():
+    g = generate_graph(1, 10, 20)
+    pairs = [(d.tail, d.head) for d in g.edge_darts() if d.tail != d.head]
+    for x, y in pairs[:3]:
+        for l0 in (0.5, 2.0):
+            assert _edge_gap(g, x, y, l0) <= 1e-9
+
+
+def test_loop_matches_direct():
+    # rose-2 plus a unit loop is rose-3, with h = log 5; Phi with x = y
+    # (e^{l0 t} = 2 f_xx) would give h = -log((sqrt(41) - 3) / 16) = 1.548
+    res = entropy_after_edge(rose(2), "v", "v", 1.0)
+    assert res.h_prime == pytest.approx(math.log(5.0), abs=1e-12)
+    for args in ((1, 10, 20), (2, 8, 14), (3, 6, 10)):
+        for l0 in (0.3, 3.0):
+            assert _edge_gap(generate_graph(*args), "v1", "v1", l0) <= 1e-9
+
+
+def test_merge_of_two_hyperbolic_components():
+    a, b = generate_graph(1, 6, 10), _renamed(generate_graph(2, 5, 9), "b")
+    g = disjoint_union([a, b])
+    for l0 in (0.5, 4.0):
+        res = entropy_after_edge(g, "v0", "bv1", l0)
+        assert res.h_base == max(volume_entropy(a).h, volume_entropy(b).h)
+        assert _edge_gap(g, "v0", "bv1", l0) <= 1e-9
+
+
+def test_merge_with_single_cycle():
+    g = disjoint_union([generate_graph(1, 6, 10),
+                        cycle(5, [1.0, 1.3, 0.7, 2.0, 1.1])])
+    for l0 in (0.5, 4.0):
+        assert _edge_gap(g, "v2", "c1", l0) <= 1e-9
+    # two single cycles merge into a hyperbolic component from h = 0
+    pair = disjoint_union([cycle(3, [1.0, 1.5, 0.5]),
+                           _renamed(rose(1, 0.7), "r")])
+    assert _edge_gap(pair, "c0", "rv", 3.0) <= 1e-9
+
+
+def test_merge_with_tree_keeps_entropy_exactly():
+    a = generate_graph(1, 6, 10)
+    g = disjoint_union([a, path3()])
+    res = entropy_after_edge(g, "v0", "y", 1.0)
+    assert res.h_prime == volume_entropy(a).h
+    assert res.iterations == 0
+    assert _edge_gap(g, "v0", "y", 1.0) <= 1e-9
+
+
+def test_degree_one_vertex_keeps_entropy():
+    # a new vertex with one edge is a pendant edge from an isolated vertex
+    a = generate_graph(1, 6, 10)
+    g = MetricGraph.from_edges(a.vertices + ("w",), a.edge_list())
+    res = entropy_after_edge(g, "w", "v3", 2.0)
+    assert res.h_prime == volume_entropy(a).h and res.iterations == 0
+    direct = volume_entropy(add_vertex(a, [("v3", 2.0)])).h
+    assert res.h_prime == pytest.approx(direct, abs=1e-9)
+
+
+def test_degree_two_vertex_is_one_edge():
+    # one edge of length l1 + l2 between the targets: a plain edge, a
+    # loop when the targets coincide, a merge across two components
+    a = generate_graph(1, 6, 10)
+    g = disjoint_union([a, _renamed(generate_graph(2, 5, 9), "b")])
+    for x, y in (("v0", "v4"), ("v2", "v2"), ("v0", "bv1")):
+        att = [(x, 0.6), (y, 1.1)]
+        res = entropy_after_edge(g, x, y, 1.7)
+        direct = volume_entropy(add_vertex(g, att)).h
+        assert res.h_prime == pytest.approx(direct, abs=1e-9)
 
 
 def test_edge_addition_monotone_in_length():

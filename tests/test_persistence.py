@@ -3,13 +3,15 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings
 
-from entrograph import (EntropyCurve, MetricGraph, StepStrategy,
-                        UnknownFormat, add_edge, curve_from_json,
-                        delete_edge, export_curve, filter_at,
-                        generate_graph, persistent_entropy, same_graph,
-                        thresholds, volume_entropy)
-from helpers import c4, complete4
+from entrograph import (EntropyCurve, MetricGraph, NonConvergence,
+                        StepStrategy, UnknownFormat, add_edge,
+                        curve_from_json, delete_edge, export_curve,
+                        filter_at, generate_graph, persistence,
+                        persistent_entropy, same_graph, thresholds,
+                        volume_entropy)
+from helpers import c4, complete4, multigraphs
 
 
 def k4_with_long_chord():
@@ -92,6 +94,69 @@ def test_vertex_step_parallel_batch_to_one_target():
     assert inc.steps[-1].strategy is StepStrategy.INCREMENTAL_VERTEX
     for sa, sd in zip(inc.steps, direct.steps):
         assert abs(sa.h - sd.h) <= 1e-7
+
+
+@pytest.mark.parametrize("targets", [("a", "c"), ("a", "a"), ("a", "p")],
+                         ids=["edge", "loop", "merge"])
+def test_degree_two_vertex_step(targets):
+    # a new vertex with two equal-length edges, after a hyperbolic K4 and
+    # a separate single cycle at p
+    g = MetricGraph.from_edges(
+        list("abcdpq") + ["w"],
+        complete4().edge_list()
+        + (("p", "q", 1.0), ("q", "p", 1.2), ("w", targets[0], 1.5),
+           ("w", targets[1], 1.5)))
+    inc = persistent_entropy(g, strategy="incremental")
+    direct = persistent_entropy(g, strategy="direct")
+    assert inc.steps[-1].strategy is StepStrategy.INCREMENTAL_VERTEX
+    for sa, sd in zip(inc.steps, direct.steps):
+        assert abs(sa.h - sd.h) <= 1e-9
+
+
+@pytest.mark.parametrize("args", [(1, 8, 16), (3, 6, 12)])
+def test_generated_filtrations_take_no_direct_step(args):
+    g = generate_graph(*args)
+    inc = persistent_entropy(g, strategy="incremental")
+    direct = persistent_entropy(g, strategy="direct")
+    assert all(s.strategy is not StepStrategy.DIRECT for s in inc.steps)
+    for sa, sd in zip(inc.steps, direct.steps):
+        assert abs(sa.h - sd.h) <= 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(multigraphs())
+def test_incremental_matches_direct_on_multigraphs(g):
+    try:
+        direct = persistent_entropy(g, strategy="direct")
+    except NonConvergence:
+        # the dart power iteration of the direct solver does not converge
+        # on some wide length spreads; there is no curve to compare with
+        assume(False)
+    inc = persistent_entropy(g, strategy="incremental")
+    for sa, sd in zip(inc.steps, direct.steps):
+        assert abs(sa.h - sd.h) <= 1e-7
+
+
+def test_package_error_carries_its_threshold(monkeypatch):
+    def fail(*args, **kwargs):
+        raise NonConvergence("no root")
+
+    monkeypatch.setattr(persistence, "volume_entropy", fail)
+    with pytest.raises(NonConvergence) as info:
+        persistent_entropy(complete4(), strategy="direct")
+    assert info.value.threshold == 1.0
+    assert info.value.args == ("no root",)
+
+
+def test_other_errors_propagate_untouched(monkeypatch):
+    def fail(*args, **kwargs):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(persistence, "volume_entropy", fail)
+    with pytest.raises(ZeroDivisionError) as info:
+        persistent_entropy(complete4(), strategy="direct")
+    assert info.value.args == ("division by zero",)
+    assert not hasattr(info.value, "threshold")
 
 
 def test_strategy_independence_and_monotonicity_seeded():
