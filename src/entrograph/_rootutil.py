@@ -6,6 +6,7 @@ incremental formulas and the primitive-cycle roots."""
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 from .errors import DivergentSeries, NonConvergence
@@ -35,6 +36,8 @@ def bracketed_root(fn: Callable[[float], float], lo: float, hi: float,
         return hi, 0.0, evals
     if (f_lo > 0.0) == (f_hi > 0.0):
         raise ValueError(f"no sign change on [{lo}, {hi}]")
+    # an infinite value keeps its sign for the bracket; the secant steps
+    # it yields (nan, or an end of the bracket) fall back to midpoints
 
     scale = max(1.0, abs(lo), abs(hi))
     while hi - lo > coarse * scale and evals < max_iter:
@@ -96,6 +99,13 @@ def root_above(fn: Callable[[float], float], base: float,
     Returns (x, fn(x), evaluations, pinch), counting every call of
     ``fn``; ``pinch`` is None, or for a pinched root the width of the
     certified bracket relative to max(base, 1), at most 1e-16.
+
+    Just above ``base`` the equation is rounding noise: a ``base`` from an
+    earlier solve may sit a few ulps below the true pole, and the noise
+    band can be wider than the gap to a root that is nearly pinched (a
+    long edge).  So DivergentSeries may also come from a point above the
+    found lower end; ``bracketed_root`` then sees -inf, the limit of the
+    equation at its pole, which keeps that point below the root.
     """
     evals = 0
     scale = max(base, 1.0)
@@ -137,5 +147,12 @@ def root_above(fn: Callable[[float], float], base: float,
     else:  # pragma: no cover
         raise NonConvergence(f"failed to bracket the root above {base!r} "
                              f"from above")
-    root, f_root, evals_root = bracketed_root(fn, t_lo, t_hi, f_lo, f_hi)
+    def fn_or_pole(t: float) -> float:
+        try:
+            return fn(t)
+        except DivergentSeries:
+            return -math.inf
+
+    root, f_root, evals_root = bracketed_root(fn_or_pole, t_lo, t_hi,
+                                              f_lo, f_hi)
     return root, f_root, evals + evals_root, None

@@ -137,6 +137,22 @@ def test_incremental_matches_direct_on_multigraphs(g):
         assert abs(sa.h - sd.h) <= 1e-7
 
 
+def test_long_loop_on_a_base_from_an_earlier_step():
+    # the last step adds a loop of length 65 whose root lies ~1e-13 above
+    # the base entropy, inside the rounding noise of the resolvent, and
+    # the base h comes from the previous incremental step: root_above
+    # meets a divergent evaluation above its lower end
+    g = MetricGraph.from_edges(
+        ["v0", "v1"],
+        [("v1", "v0", 8.058421877614817), ("v1", "v0", 0.0031622776601683794),
+         ("v0", "v0", 64.93816315762113), ("v0", "v0", 0.1778279410038923)])
+    direct = persistent_entropy(g, strategy="direct")
+    inc = persistent_entropy(g, strategy="incremental")
+    assert all(s.strategy is not StepStrategy.DIRECT for s in inc.steps)
+    for sa, sd in zip(inc.steps, direct.steps):
+        assert abs(sa.h - sd.h) <= 1e-9
+
+
 def test_package_error_carries_its_threshold(monkeypatch):
     def fail(*args, **kwargs):
         raise NonConvergence("no root")
