@@ -612,12 +612,8 @@ def backtracking_entropy(graph: MetricGraph, v: str,
     comp = component_of(graph, v)
     if not comp.darts:
         return BacktrackingEntropy(0.0, 0.0, 0.0, 0.0)
-    lengths = np.array([d.length for d in comp.darts])
-    problem = _RhoRootProblem(
-        lambda t: build_transfer(comp, t, TransferMode.BACKTRACKING).matrix,
-        lengths, tol, 10_000)
-    t_hi0 = math.log(max(comp.max_degree(), 2)) / comp.min_length()
-    h1, resid1, _, _ = problem.solve(t_hi0)
+    problem = _RhoRootProblem(comp, TransferMode.BACKTRACKING, tol, 10_000)
+    h1, resid1, _, _ = problem.solve()
 
     def g_minus_one(t: float) -> float:
         return _primitive_cycle_genfun(comp, v, t,

@@ -3,21 +3,23 @@
 The entropy of a component with at least two independent cycles is the
 unique t* > 0 with rho(B(t*)) = 1, found by safeguarded Newton iteration
 on the convex function log rho(B(t)).  The Newton step uses the exact
-eigenvalue derivative through the left/right Perron vectors; whenever an
-iterate would leave the maintained sign bracket, a bisection step is
-taken instead.  Components that reduce to a tree or to a single cycle
-have entropy 0 exactly and are never sent to the numerical solver.
+eigenvalue derivative through the right Perron vector r and the left
+one e^{-t l_d} r_{rev d} that the dart reversal gives (see ``spectral``);
+whenever an iterate would leave the maintained sign bracket, a bisection
+step is taken instead.  A cold solve starts at t = 0 unevaluated, as
+rho(B(0)) > 1 on a hyperbolic core.  Components that reduce to a tree or
+to a single cycle have entropy 0 exactly and are never solved for.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import InsufficientData, ValidationFailed
+from .errors import InsufficientData, NonConvergence, ValidationFailed
 from .graph import ComponentKind, MetricGraph, components, reduce, validate
 from .spectral import TransferMode, build_transfer, spectral_radius
 
@@ -53,37 +55,42 @@ class CountSlopeEstimate:
 
 
 class _RhoRootProblem:
-    """rho(B(t)) = 1 root finding for a matrix family with log-linear
-    entries; used for both transfer modes."""
+    """rho(B(t)) = 1 root finding on the transfer matrices of a graph in
+    either mode."""
 
-    def __init__(self, matrix_at: Callable[[float], np.ndarray],
-                 lengths: np.ndarray, tol: float, max_iter: int):
-        self.matrix_at = matrix_at
-        self.lengths = np.asarray(lengths, dtype=float)
+    def __init__(self, graph: MetricGraph, mode: TransferMode, tol: float,
+                 max_iter: int):
+        self.graph = graph
+        self.mode = mode
+        self.lengths = np.array([d.length for d in graph.darts])
+        self.reverse = np.array([d.reverse for d in graph.darts])
         self.l_min = float(np.min(self.lengths))
         self.tol = tol
         self.max_iter = max_iter
         self.evals = 0
 
     def eval(self, t: float):
-        """Return (rho, d(log rho)/dt) at t."""
+        """Return (rho, d(log rho)/dt) at t, recorded as ``self.t``."""
         self.evals += 1
-        mat = self.matrix_at(t)
+        self.t = t
+        mat = build_transfer(self.graph, t, self.mode).matrix
         data = spectral_radius(mat, tol=min(1e-12, self.tol / 10),
                                max_iter=self.max_iter)
-        rho = data.rho
+        rho, right = data.rho, data.right
         if rho <= 0.0:
             return 0.0, None
-        denom = float(data.left @ data.right) * rho
+        # left @ right = 0, so bisect, if the block is not closed under
+        # reversal (possible only where weights underflow).
+        left = np.exp(-t * self.lengths) * right[self.reverse]
+        denom = float(left @ right) * rho
         if denom <= 0.0:
             return rho, None
-        drho = -float(data.left @ (mat @ (self.lengths * data.right)))
+        drho = -float(left @ (mat @ (self.lengths * right)))
         return rho, drho / denom
 
-    def solve(self, t_hi0: float, t_lo: float = 0.0,
-              rho_lo: float | None = None):
+    def solve(self, t_lo: float = 0.0, rho_lo: float | None = None):
         """Root of rho(t) = 1 on [t_lo, inf), assuming rho(t_lo) >= 1;
-        ``rho_lo`` is rho(t_lo) when the caller has already evaluated it.
+        ``rho_lo`` is rho(t_lo) if known, inf if only known to exceed 1.
 
         Returns (t, residual, method, bracket).
         """
@@ -95,7 +102,12 @@ class _RhoRootProblem:
         if abs(rho_lo - 1.0) <= tol:
             return t_lo, abs(rho_lo - 1.0), "exact", (t_lo, t_lo)
 
-        t_hi = max(t_hi0, t_lo + self.l_min, 1e-6)
+        # Trivial upper bound log(k) / l_min, k the largest number of
+        # continuations of a dart.
+        k = self.graph.max_degree()
+        if self.mode is TransferMode.NON_BACKTRACKING:
+            k -= 1
+        t_hi = max(math.log(max(k, 2)) / self.l_min, t_lo + self.l_min, 1e-6)
         rho_hi, g_hi = self.eval(t_hi)
         guard = 0
         while rho_hi > 1.0 + tol:
@@ -145,23 +157,6 @@ class _RhoRootProblem:
         return t, abs(rho - 1.0), method, bracket
 
 
-def _solve_component(core: MetricGraph, tol: float, max_iter: int,
-                     bracket_hint: float | None):
-    """Entropy of a reduced hyperbolic component."""
-    lengths = np.array([d.length for d in core.darts])
-    problem = _RhoRootProblem(
-        lambda t: build_transfer(core, t).matrix, lengths, tol, max_iter)
-    # Trivial upper bound log(k) / l_min where k + 1 is the max degree.
-    k = core.max_degree() - 1
-    t_hi0 = math.log(max(k, 2)) / core.min_length()
-    t_lo, rho_lo = 0.0, None
-    if bracket_hint is not None and bracket_hint > 0:
-        rho_hint, _ = problem.eval(bracket_hint)
-        if rho_hint >= 1.0 - tol:
-            t_lo, rho_lo = bracket_hint, rho_hint
-    return problem.solve(t_hi0, t_lo, rho_lo), problem.evals
-
-
 def volume_entropy(graph: MetricGraph, tol: float = 1e-10,
                    max_iter: int = 10_000,
                    bracket_hint: float | None = None) -> EntropyResult:
@@ -190,12 +185,22 @@ def volume_entropy(graph: MetricGraph, tol: float = 1e-10,
         if red.kinds[0] is not ComponentKind.HYPERBOLIC:
             per.append((cid, 0.0))
             continue
-        (t, resid, method, bracket), evals = _solve_component(
-            red.graph, tol, max_iter, bracket_hint)
-        total_iters += evals
+        problem = _RhoRootProblem(red.graph, TransferMode.NON_BACKTRACKING,
+                                  tol, max_iter)
+        t_lo, rho_lo = 0.0, math.inf  # rho(B(0)) > 1 on a hyperbolic core
+        try:
+            if bracket_hint is not None and bracket_hint > 0:
+                rho_hint, _ = problem.eval(bracket_hint)
+                if rho_hint >= 1.0 - tol:
+                    t_lo, rho_lo = bracket_hint, rho_hint
+            t, resid, method, bracket = problem.solve(t_lo, rho_lo)
+        except NonConvergence as exc:
+            exc.t, exc.component = problem.t, cid
+            raise
+        total_iters += problem.evals
         per.append((cid, t))
         if best is None or t > best[0]:
-            best = (t, resid, evals, bracket, method)
+            best = (t, resid, problem.evals, bracket, method)
 
     if best is None:
         result = EntropyResult(0.0, 0.0, total_iters, (0.0, 0.0), "exact",

@@ -8,9 +8,13 @@ class EntrographError(Exception):
 
     ``threshold`` is the filtration threshold at which
     ``persistent_entropy`` met the error, or None outside a filtration.
+    ``t`` and ``component`` (its least vertex) locate an evaluation that
+    failed inside ``volume_entropy``, or are None.
     """
 
     threshold: float | None = None
+    t: float | None = None
+    component: str | None = None
 
 
 class ValidationFailed(EntrographError):

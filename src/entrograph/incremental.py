@@ -73,7 +73,6 @@ class EdgeAdditionResult:
     l0: float
     residual: float
     iterations: int
-    c_estimate: float | None = None
 
 
 @dataclass(frozen=True)

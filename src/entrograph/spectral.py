@@ -5,7 +5,10 @@ entered dart d' (column-weight convention, fixed project-wide so the
 resolvent formulas for path generating functions are unambiguous).  The
 spectral radius is computed per strongly connected component of the
 support digraph with power iteration on (I + M), which neutralizes
-periodic supports such as the dart graph of an even cycle.
+periodic supports such as the dart graph of an even cycle.  Only the
+right vector r is iterated: B(t) = S W with W = diag(e^{-t l}) and
+S^T = J S J for the dart reversal J, so B^T (W J r) = W J (B r) and
+e^{-t l_d} r_{rev d} is a left vector with at most the residual of r.
 
 The symmetric V x V vertex matrix of the weighted Ihara-Bass identity,
 det(I - B(t)) = det M(t) * prod_e (1 - z_e^2) with z_e = e^{-t l_e},
@@ -43,17 +46,18 @@ class TransferMatrix:
 
 @dataclass(frozen=True)
 class PerronData:
-    """Spectral radius with Perron vectors of the maximizing component.
+    """Spectral radius with the right Perron vector of the maximizing
+    component.
 
-    ``right`` and ``left`` are the unit-sum Perron vectors of the
-    strongly connected component attaining the radius, extended by zeros
-    to full dimension.  ``converged`` certifies the residual
+    ``right`` is the unit-sum Perron vector of the strongly connected
+    component attaining the radius, extended by zeros to full dimension
+    (of B(t), e^{-t l} * right[rev] is a left one; see the module doc).
+    ``converged`` certifies the residual
     ||B r - rho r||_inf <= tol ||B||_inf ||r||_inf on that component.
     """
 
     rho: float
     right: np.ndarray
-    left: np.ndarray
     converged: bool
     iterations: int
 
@@ -198,8 +202,6 @@ def _power_block(block: np.ndarray, tol: float, max_iter: int):
     residual floating point can reach.
     """
     n = block.shape[0]
-    if n == 1:
-        return float(block[0, 0]), np.ones(1), 1
     x = np.full(n, 1.0 / n)
     scale = max(float(np.max(np.abs(block).sum(axis=1))), 1e-300)
     for it in range(1, max_iter + 1):
@@ -217,17 +219,18 @@ def _power_block(block: np.ndarray, tol: float, max_iter: int):
 
 def spectral_radius(matrix, tol: float = 1e-12,
                     max_iter: int = 10_000) -> PerronData:
-    """Spectral radius of a square nonnegative matrix with Perron vectors.
+    """Spectral radius of a square nonnegative matrix with its right
+    Perron vector.
 
     The radius is the maximum over the strongly connected components of
-    the support digraph; right/left vectors belong to the maximizing
-    component and are extended by zeros.  Raises NonConvergence when the
+    the support digraph; the right vector belongs to the maximizing
+    component and is extended by zeros.  Raises NonConvergence when the
     power-iteration residual fails to reach ``tol`` within ``max_iter``.
     """
     mat = _as_array(matrix)
     n = mat.shape[0]
     if n == 0:
-        return PerronData(0.0, np.zeros(0), np.zeros(0), True, 0)
+        return PerronData(0.0, np.zeros(0), True, 0)
     support = csr_matrix(mat > 0)
     n_comp, labels = connected_components(support, directed=True,
                                           connection="strong")
@@ -235,8 +238,7 @@ def spectral_radius(matrix, tol: float = 1e-12,
     for i, lab in enumerate(labels):
         groups.setdefault(int(lab), []).append(i)
 
-    best_rho, best_idx, total_iters = 0.0, None, 0
-    best_vecs = None
+    best_rho, best_idx, best_right, total_iters = 0.0, None, None, 0
     for idx in groups.values():
         if len(idx) == 1 and mat[idx[0], idx[0]] == 0.0:
             continue  # trivial component, eigenvalue 0
@@ -244,24 +246,16 @@ def spectral_radius(matrix, tol: float = 1e-12,
         rho, right, its = _power_block(block, tol, max_iter)
         total_iters += its
         if rho > best_rho:
-            _, left, its_l = _power_block(block.T, tol, max_iter)
-            total_iters += its_l
-            best_rho, best_idx, best_vecs = rho, idx, (right, left)
-
-    if best_idx is None:
-        # Nilpotent support: radius 0; any zero column (row) carries an
-        # exact right (left) eigenvector.
-        right = np.zeros(n)
-        left = np.zeros(n)
-        right[int(np.argmin(mat.sum(axis=0)))] = 1.0
-        left[int(np.argmin(mat.sum(axis=1)))] = 1.0
-        return PerronData(0.0, right, left, True, total_iters)
+            best_rho, best_idx, best_right = rho, idx, right
 
     right = np.zeros(n)
-    left = np.zeros(n)
-    right[best_idx] = best_vecs[0]
-    left[best_idx] = best_vecs[1]
-    return PerronData(float(best_rho), right, left, True, total_iters)
+    if best_idx is None:
+        # Nilpotent support: radius 0; any zero column carries an exact
+        # right eigenvector.
+        right[int(np.argmin(mat.sum(axis=0)))] = 1.0
+    else:
+        right[best_idx] = best_right
+    return PerronData(float(best_rho), right, True, total_iters)
 
 
 def solve_resolvent(matrix, rhs, margin: float = 1e-9,

@@ -12,7 +12,7 @@ from collections import deque
 import numpy as np
 from hypothesis import strategies as st
 
-from entrograph import MetricGraph
+from entrograph import MetricGraph, TransferMode
 
 
 def rose(k, length=1.0):
@@ -121,14 +121,14 @@ def nonadjacent_pair(graph):
     return None
 
 
-def eig_entropy(graph, rel_tol=1e-12):
+def eig_entropy(graph, rel_tol=1e-12, mode=TransferMode.NON_BACKTRACKING):
     """Entropy by bisection on the dense-eigenvalue radius of the dart
-    matrix B(t) (independent of the power iteration and of the vertex
-    matrix); for graphs with first Betti number >= 2."""
+    matrix B(t) of the given mode (independent of the power iteration
+    and of the vertex matrix); for graphs with first Betti number >= 2."""
     from entrograph import build_transfer
 
     def above(t):
-        return eig_rho(build_transfer(graph, t).matrix) >= 1.0
+        return eig_rho(build_transfer(graph, t, mode).matrix) >= 1.0
 
     lo, hi = 0.0, 1.0
     while above(hi):

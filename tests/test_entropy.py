@@ -5,12 +5,13 @@ import math
 import pytest
 
 from entrograph import (EnumerationSpec, InsufficientData, MetricGraph,
-                        PathKind, ValidationFailed, entropy_from_counts,
+                        NonConvergence, PathKind, TransferMode,
+                        ValidationFailed, build_transfer, entropy_from_counts,
                         enumerate_paths, generate_graph, reduce, rho_curve,
                         volume_entropy)
 from entrograph import entropy
 from entrograph.graph import Dart
-from helpers import c4, complete4, dumbbell, path3, rose, theta
+from helpers import c4, complete4, dumbbell, eig_rho, path3, rose, theta
 
 
 def test_rose_closed_forms():
@@ -114,6 +115,57 @@ def test_warm_start_evaluates_each_t_once(monkeypatch):
             pytest.approx(h, abs=1e-10)
         assert seen[0] == hint
         assert len(seen) == len(set(seen))
+
+
+@pytest.mark.parametrize("mode", list(TransferMode))
+def test_newton_slope_matches_finite_difference(mode):
+    # the slope's left vector is e^{-t l} r[rev], not a second iteration
+    def log_rho(g, t):
+        return math.log(eig_rho(build_transfer(g, t, mode).matrix))
+
+    for g in (complete4(), dumbbell(), theta((1.0, 1.4, 2.2)),
+              generate_graph(1, 8, 16)):
+        problem = entropy._RhoRootProblem(g, mode, 1e-10, 10_000)
+        for t in (0.3, 0.9):
+            d = 1e-5
+            fd = (log_rho(g, t + d) - log_rho(g, t - d)) / (2.0 * d)
+            assert problem.eval(t)[1] == pytest.approx(fd, rel=1e-7)
+
+
+def test_cold_solve_never_evaluates_t0(monkeypatch):
+    # rho(B(0)) > 1 on a hyperbolic core, so t = 0 is a known lower end
+    seen = []
+    eval_rho = entropy._RhoRootProblem.eval
+
+    def recording(self, t):
+        seen.append(t)
+        return eval_rho(self, t)
+
+    monkeypatch.setattr(entropy._RhoRootProblem, "eval", recording)
+    for g in (rose(2), complete4(), dumbbell(), generate_graph(1, 8, 16)):
+        seen.clear()
+        res = volume_entropy(g)
+        assert seen and 0.0 not in seen
+        assert res.iterations == len(seen)
+
+
+def test_nonconvergence_carries_t_and_component():
+    g = generate_graph(1, 10, 20)
+    core = reduce(g).graph
+    t_hi0 = math.log(core.max_degree() - 1) / core.min_length()
+    with pytest.raises(NonConvergence) as info:
+        volume_entropy(g, max_iter=5)
+    assert info.value.t == t_hi0
+    assert info.value.component == "v0"
+    assert info.value.threshold is None
+
+
+def test_wide_ladder_graph_solves_to_unit_radius():
+    # The left power iteration of the earlier solver did not converge here.
+    g = generate_graph(2, 100, 200)
+    h = volume_entropy(g).h
+    assert eig_rho(build_transfer(g, h).matrix) == pytest.approx(1.0,
+                                                                 abs=1e-8)
 
 
 def test_rho_curve_closed_forms():

@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.csgraph import connected_components
 
-from entrograph import (DivergentSeries, MetricGraph, TransferMode,
-                        build_transfer, solve_resolvent, spectral_radius,
-                        vertex_matrix)
+from entrograph import (DivergentSeries, MetricGraph, NonConvergence,
+                        TransferMode, build_transfer, solve_resolvent,
+                        spectral_radius, vertex_matrix)
 from entrograph.spectral import vertex_form_dt
-from helpers import (c4, complete4, dumbbell, eig_rho, multigraphs, rose,
-                     segment, theta)
+from helpers import (c4, complete4, dumbbell, eig_entropy, eig_rho,
+                     multigraphs, rose, segment, theta)
 
 NB = TransferMode.NON_BACKTRACKING
 BT = TransferMode.BACKTRACKING
@@ -79,11 +80,37 @@ def test_perron_vectors_residual_invariant():
     mat = build_transfer(complete4(), 0.4, NB).matrix
     data = spectral_radius(mat, tol=1e-13)
     scale = np.max(np.abs(mat).sum(axis=1))
-    for vec, m in ((data.right, mat), (data.left, mat.T)):
-        resid = np.max(np.abs(m @ vec - data.rho * vec))
-        assert resid <= 1e-12 * scale * np.max(vec)
+    resid = np.max(np.abs(mat @ data.right - data.rho * data.right))
+    assert resid <= 1e-12 * scale * np.max(data.right)
     assert data.right.sum() == pytest.approx(1.0)
-    assert data.left.sum() == pytest.approx(1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(multigraphs())
+def test_reversed_right_vector_is_left_perron_vector(g):
+    # B(t) = S W with S^T = J S J for the dart reversal J, so
+    # ell = W J r has B^T ell - rho ell = W J (B r - rho r): a left
+    # Perron vector on the reversal of the block that carries r.
+    rev = np.array([d.reverse for d in g.darts])
+    lengths = np.array([d.length for d in g.darts])
+    for mode in (NB, BT):
+        h = eig_entropy(g, 1e-6, mode)
+        for t in (0.0, h, 2.0 * h):
+            mat = build_transfer(g, t, mode).matrix
+            try:
+                data = spectral_radius(mat, tol=1e-13)
+            except NonConvergence:
+                continue  # no right vector, so no left vector to check
+            _, labels = connected_components(mat > 0, directed=True,
+                                             connection="strong")
+            block = labels == labels[np.argmax(data.right)]
+            left = np.exp(-t * lengths) * data.right[rev]
+            assert not np.any(left[~block[rev]])
+            scale = np.max(np.abs(mat).sum(axis=1))
+            for vec, m, rows in ((data.right, mat, block),
+                                 (left, mat.T, block[rev])):
+                resid = np.max(np.abs(m @ vec - data.rho * vec)[rows])
+                assert resid <= 1e-12 * scale * np.max(vec)
 
 
 def test_periodic_support_converges():
