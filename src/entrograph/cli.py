@@ -175,6 +175,7 @@ def cmd_verify(args) -> int:
 
     res = volume_entropy(graph, tol=cfg.tol)
     h = res.h
+    h_comp = dict(res.per_component)
     record("entropy-solve", "PASS", f"h={h:.9g} residual={res.residual:.2e}")
 
     comps = [c for c, _ in components(graph) if len(c.vertex_set) >= 2]
@@ -200,8 +201,11 @@ def cmd_verify(args) -> int:
             skip_reason = (f"cap {cfg.cap:g} allows horizon "
                            f"{r_cap:.3g} only")
     if skip_reason is None:
+        # the core keeps the names of its component's vertices
+        h_core = h_comp[min(component_of(graph, v).vertices)]
         try:
-            rep = counting.growth_bounds(core0, v, r_cap, cap=cfg.cap)
+            rep = counting.growth_bounds(core0, v, r_cap, cap=cfg.cap,
+                                         h=h_core)
             record("growth-bounds",
                    "PASS" if rep.passed else "FAIL",
                    f"M={rep.m_formula:.4g} m={rep.m_empirical:.4g} "
@@ -220,7 +224,6 @@ def cmd_verify(args) -> int:
             x0 = sorted(core0.vertex_set)[0]
             prof = counting.enumerate_paths(core0, EnumerationSpec(
                 PathKind.PATHS_FROM, 0.8 * r_cap, x=x0, cap=cfg.cap))
-            h_core = volume_entropy(core0).h
             ok = True
             worst = 0.0
             for tt in (h + 0.2, h + 0.6, h + 1.0, h + 1.4, h + 2.0):
@@ -239,7 +242,6 @@ def cmd_verify(args) -> int:
     if pair:
         x, y = pair
         comp = component_of(graph, x)
-        h_comp = dict(res.per_component)
         inc = entropy_after_edge(graph, x, y, 1.0, tol=cfg.tol,
                                  h_base=h_comp[min(comp.vertices)])
         direct = volume_entropy(add_edge(graph, x, y, 1.0), tol=cfg.tol)

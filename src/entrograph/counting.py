@@ -7,6 +7,11 @@ are popped from a stack and extended by every successor dart at once
 through a CSR successor table; it builds neither M(t) nor B(t).  Counts
 use the strict convention N(r) = #{lengths < r} throughout; ties at a
 grid radius belong to the open side.
+
+The identity checks query a finished profile with arrays: one
+``np.searchsorted`` per profile row and check radius r over the inner
+radii r - l, and one ``np.exp`` over the jumps of N.  The step integral
+is exact for the step function N, its segments summed with ``math.fsum``.
 """
 
 from __future__ import annotations
@@ -77,13 +82,15 @@ class CountProfile:
     def jump_radii(self) -> np.ndarray:
         return np.unique(self.lengths)
 
+    def steps(self) -> tuple[np.ndarray, np.ndarray]:
+        """The jump radii a_k of N and N just past each, ``count_le(a_k)``."""
+        jumps, mult = np.unique(self.lengths, return_counts=True)
+        return jumps, np.cumsum(mult)
+
     def to_csv(self) -> str:
         lines = ["length,cumulative"]
-        uniq, counts = np.unique(self.lengths, return_counts=True)
-        total = 0
-        for ell, c in zip(uniq, counts):
-            total += int(c)
-            lines.append(f"{float(ell)!r},{total}")
+        for ell, total in zip(*self.steps()):
+            lines.append(f"{float(ell)!r},{int(total)}")
         return "\n".join(lines) + "\n"
 
 
@@ -267,16 +274,17 @@ class LaplaceReport:
     passed: bool
 
 
-def _step_integral(profile: CountProfile, weight: float) -> float:
-    """weight * integral_0^R N(r) e^{-weight r} dr, exact for the step
-    function N (a finite sum of exponential segments)."""
-    jumps = profile.jump_radii()
-    total = 0.0
-    for k, a in enumerate(jumps):
-        b = jumps[k + 1] if k + 1 < len(jumps) else profile.r_max
-        n_val = profile.count_le(a)
-        total += n_val * (math.exp(-weight * a) - math.exp(-weight * b))
-    return total
+def _step_integral(profile: CountProfile, weight: float,
+                   start: float = 0.0) -> float:
+    """weight * integral_start^R N(r) e^{-weight r} dr, exact for the step
+    function N: N(a) (e^{-weight a} - e^{-weight b}) over each segment
+    [a, b) between start, the later jumps and R, summed with math.fsum."""
+    jumps, n_le = profile.steps()
+    k = int(np.searchsorted(jumps, start, side="right"))
+    edges = np.concatenate(([start], jumps[k:], [profile.r_max]))
+    counts = np.concatenate(([n_le[k - 1] if k else 0], n_le[k:]))
+    decay = np.exp(-weight * edges)
+    return math.fsum((counts * (decay[:-1] - decay[1:])).tolist())
 
 
 def _genfun_for_profile(profile: CountProfile, graph: MetricGraph, t: float):
@@ -316,13 +324,12 @@ def laplace_check(profile: CountProfile, graph: MetricGraph, t: float,
         raise MarginTooSmall(
             f"t = {t} is within {margin} of the growth rate {h:.6g}")
     if m_const is None:
-        jumps = profile.jump_radii()
-        tail = jumps[jumps >= 0.5 * profile.r_max]
-        if tail.size == 0:
-            tail = jumps
-        m_const = 2.0 * max(
-            (profile.count_le(ell) * math.exp(-h * ell) for ell in tail),
-            default=1.0)
+        jumps, n_le = profile.steps()
+        tail = jumps >= 0.5 * profile.r_max
+        if not tail.any():
+            tail[:] = True
+        scaled = n_le[tail] * np.exp(-h * jumps[tail])
+        m_const = 2.0 * (float(scaled.max()) if scaled.size else 1.0)
     truncated = _step_integral(profile, t)
     tail_upper = t * m_const * math.exp((h - t) * profile.r_max) / (t - h)
     f_val = _genfun_for_profile(profile, graph, t)
@@ -345,26 +352,25 @@ def _default_radii(attained: np.ndarray, r_max: float, tie_guard: float,
     if attained.size == 0:
         return (r_max,)
     floor = 200.0 * tie_guard
-    gaps = [(a, b) for a, b in zip(attained[:-1], attained[1:])
-            if b - a > floor]
-    gaps.append((float(attained[-1]), r_max))
-    candidates: list[float] = []
+    gap = np.diff(attained)
+    wide = gap > floor
+    lo = np.append(attained[:-1][wide], attained[-1])
+    width = np.append(gap[wide], r_max - attained[-1])
+    candidates = np.empty(0)
     parts = 2
-    while len(candidates) < want and parts <= 4096:
-        candidates = []
-        for a, b in gaps:
-            step = (b - a) / parts
-            if step <= floor:
-                step, n_sub = (b - a) / 2.0, 2
-            else:
-                n_sub = parts
-            candidates.extend(a + step * i for i in range(1, n_sub))
+    while candidates.size < want and parts <= 4096:
+        step = width / parts
+        narrow = step <= floor
+        step = np.where(narrow, width / 2.0, step)
+        n_sub = np.where(narrow, 1, parts - 1)
+        i = np.arange(1, n_sub.sum() + 1) - np.repeat(np.cumsum(n_sub) - n_sub,
+                                                      n_sub)
+        candidates = np.sort(np.repeat(lo, n_sub) + np.repeat(step, n_sub) * i)
         parts *= 2
-    candidates.sort()
-    if len(candidates) <= want:
-        return tuple(candidates)
-    idx = np.unique(np.linspace(0, len(candidates) - 1, want).astype(int))
-    return tuple(candidates[i] for i in idx)
+    if candidates.size > want:
+        candidates = candidates[np.unique(
+            np.linspace(0, candidates.size - 1, want).astype(int))]
+    return tuple(candidates.tolist())
 
 
 @dataclass(frozen=True)
@@ -424,29 +430,32 @@ def verify_recursions(graph: MetricGraph, v: str,
 
     n = graph.degree(v)
     empty = np.array([])
+    starts = [nb_cyc.by_start.get(k, empty) for k in range(1, n + 1)]
 
-    def n_of(arr, q):
-        return int(np.searchsorted(arr, q - tie_guard, side="left"))
+    def below(arr, q):
+        return arr[:np.searchsorted(arr, q)]
+
+    def n_sum(arr, inner):
+        return int(np.searchsorted(arr, inner).sum())
 
     bt_bad: list[tuple[float, int, int]] = []
     nb_bad: list[tuple[float, int, int, int]] = []
-    for r in r_grid:
-        lhs = n_of(bt_cyc.lengths, r)
-        prim = bt_prim.lengths[bt_prim.lengths < r - tie_guard]
-        rhs = len(prim) + sum(n_of(bt_cyc.lengths, r - l) for l in prim)
+    for r, q in zip(r_grid, np.asarray(r_grid) - tie_guard):
+        lhs = int(np.searchsorted(bt_cyc.lengths, q))
+        inner = (r - below(bt_prim.lengths, q)) - tie_guard
+        rhs = inner.size + n_sum(bt_cyc.lengths, inner)
         if lhs != rhs:
             bt_bad.append((r, lhs, rhs))
         for i in range(1, n + 1):
-            lhs = n_of(nb_cyc.by_start.get(i, empty), r)
+            lhs = int(np.searchsorted(starts[i - 1], q))
             rhs = 0
             for j in range(1, n + 1):
-                prim_ij = nb_prim.by_pair.get((i, j), empty)
-                for l in prim_ij[prim_ij < r - tie_guard]:
-                    rhs += 1
-                    for k in range(1, n + 1):
-                        if k == j:
-                            continue
-                        rhs += n_of(nb_cyc.by_start.get(k, empty), r - l)
+                # the rows of the other starts k != j partition the rest
+                # of the cycle lengths
+                inner = (r - below(nb_prim.by_pair.get((i, j), empty), q)) \
+                    - tie_guard
+                rhs += inner.size + n_sum(nb_cyc.lengths, inner) \
+                    - n_sum(starts[j - 1], inner)
             if lhs != rhs:
                 nb_bad.append((r, i, lhs, rhs))
     return RecursionReport(tuple(r_grid), tuple(bt_bad), tuple(nb_bad))
@@ -485,8 +494,19 @@ def _require_reduced_hyperbolic(graph: MetricGraph):
             "a reduced graph (all degrees >= 3) is required; call reduce()")
 
 
+def _over_bound(jumps: np.ndarray, n_le: np.ndarray, m_const: float,
+                h: float) -> tuple[tuple[float, int, float], ...]:
+    """(radius, N, bound) at every jump where N just past it exceeds the
+    bound M e^{hr} by more than 1e-12 relative."""
+    bound = m_const * np.exp(h * jumps)
+    bad = np.flatnonzero(n_le > bound * (1.0 + 1e-12))
+    return tuple((float(jumps[k]), int(n_le[k]), float(bound[k]))
+                 for k in bad)
+
+
 def growth_bounds(graph: MetricGraph, v: str, r_max: float,
-                  tol: float = 1e-8, cap: int = DEFAULT_CAP) -> BoundsReport:
+                  tol: float = 1e-8, cap: int = DEFAULT_CAP,
+                  h: float | None = None) -> BoundsReport:
     """Verify m e^{hr} <= N_v(r) <= M e^{hr} with the explicit constant
     M = (n-1)/(n-2) * (sum w_i) / (min w_i).
 
@@ -494,11 +514,13 @@ def growth_bounds(graph: MetricGraph, v: str, r_max: float,
     Perron vector w gives the constant and its spectral radius must come
     out as 1, tying the generating-function, spectral and entropy
     pipelines together.  The lower constant is reported empirically as
-    the minimum of N_v(r) e^{-hr} over the enumerated range.
+    the minimum of N_v(r) e^{-hr} over the enumerated range.  ``h`` is
+    the entropy of the graph when the caller already holds it.
     """
     _require_reduced_hyperbolic(graph)
     n = graph.degree(v)
-    h = volume_entropy(graph).h
+    if h is None:
+        h = volume_entropy(graph).h
     g_mat = primitive_matrix(graph, v, h)
     a_mat = g_mat.sum(axis=1, keepdims=True) - g_mat
     perron = spectral_radius(a_mat)
@@ -515,19 +537,13 @@ def growth_bounds(graph: MetricGraph, v: str, r_max: float,
     profile = enumerate_paths(graph, EnumerationSpec(
         PathKind.CYCLES_AT, r_max, TransferMode.NON_BACKTRACKING, v=v,
         cap=cap))
-    violations: list[tuple[float, int, float]] = []
-    m_candidates: list[float] = []
-    jumps = profile.jump_radii()
-    for idx, ell in enumerate(jumps):
-        n_at = profile.count_le(ell)
-        bound = m_formula * math.exp(h * ell)
-        if n_at > bound * (1.0 + 1e-12):
-            violations.append((float(ell), n_at, bound))
-        if idx > 0:
-            m_candidates.append(profile.count(ell) * math.exp(-h * ell))
-    m_candidates.append(profile.count(r_max) * math.exp(-h * r_max))
-    m_emp = min(m_candidates) if m_candidates else 0.0
-    return BoundsReport(h, n, m_formula, m_emp, tuple(violations), w,
+    jumps, n_le = profile.steps()
+    # N(r) e^{-hr} just below every jump after the first, and at r_max
+    m_emp = min(float((n_le[:-1] * np.exp(-h * jumps[1:])).min(
+                    initial=math.inf)),
+                profile.count(r_max) * math.exp(-h * r_max))
+    return BoundsReport(h, n, m_formula, m_emp,
+                        _over_bound(jumps, n_le, m_formula, h), w,
                         a_mat, rho_a, r_max)
 
 
@@ -560,13 +576,8 @@ def backtracking_bound(graph: MetricGraph, v: str, r_max: float,
     m_formula = max(2.0, 3.0 * math.exp(-h * l1))
     profile = enumerate_paths(graph, EnumerationSpec(
         PathKind.CYCLES_AT, r_max, TransferMode.BACKTRACKING, v=v, cap=cap))
-    violations = []
-    for ell in profile.jump_radii():
-        n_at = profile.count_le(ell)
-        bound = m_formula * math.exp(h * ell)
-        if n_at > bound * (1.0 + 1e-12):
-            violations.append((float(ell), n_at, bound))
-    return BacktrackingBoundReport(h, l1, m_formula, tuple(violations), r_max)
+    return BacktrackingBoundReport(
+        h, l1, m_formula, _over_bound(*profile.steps(), m_formula, h), r_max)
 
 
 # -- backtracking entropy (two routes) -------------------------------------

@@ -46,7 +46,7 @@ import numpy as np
 
 from ._rootutil import root_above
 from .counting import (DEFAULT_CAP, EnumerationSpec, PathKind,
-                       enumerate_paths, horizon_for_budget)
+                       _step_integral, enumerate_paths, horizon_for_budget)
 from .entropy import volume_entropy
 from .errors import (DisconnectedPair, DivergentSeries, NonConvergence,
                      PreconditionError, TooFewAttachments, UnknownVertex)
@@ -283,22 +283,6 @@ def predict_vertex_asymptotic(graph: MetricGraph,
     return VertexPrediction(float(h + (w.sum() ** 2 - w @ w) / dlambda), h)
 
 
-def _tail_average_constant(profile, h: float, r1: float) -> float:
-    """Average of N(r) e^{-hr} over [r1, R], integrated exactly over the
-    steps of N; equals the asymptotic constant when N ~ C e^{hr}."""
-    jumps = profile.jump_radii()
-    r2 = profile.r_max
-    total = 0.0
-    points = [r1] + [float(j) for j in jumps if j > r1] + [r2]
-    for a, b in zip(points[:-1], points[1:]):
-        n_val = profile.count_le(a)
-        if h > 0:
-            total += n_val * (math.exp(-h * a) - math.exp(-h * b)) / h
-        else:
-            total += n_val * (b - a)
-    return total / (r2 - r1)
-
-
 def estimate_constant_C(graph: MetricGraph, x: str, y: str,
                         method: str = "resolvent",
                         horizon: float | None = None,
@@ -348,7 +332,9 @@ def estimate_constant_C(graph: MetricGraph, x: str, y: str,
                 PathKind.PATHS_XY, r_max, x=a, y=b, cap=cap))
             if profile.lengths.size < 8:
                 raise NonConvergence("too few enumerated paths for a fit")
-            per_cnt[name] = _tail_average_constant(profile, h, 0.5 * r_max)
+            # average of N(r) e^{-hr} over [R/2, R]
+            per_cnt[name] = _step_integral(profile, h, 0.5 * r_max) \
+                / (0.5 * h * r_max)
             details[f"horizon_{name}"] = profile.r_max
 
     per = per_res if method in ("resolvent", "both") else per_cnt

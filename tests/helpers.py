@@ -167,3 +167,137 @@ def multigraphs(draw):
                          max_size=len(ends)))
     return MetricGraph.from_edges(
         names, [(u, v, 10.0 ** e) for (u, v), e in zip(ends, exps)])
+
+
+# -- scalar references for the counting identity checks --------------------
+#
+# One radius at a time, in Python: the loops the package ran before its
+# checks became whole-array queries.  The property tests compare the two.
+
+def scalar_default_radii(attained, r_max, tie_guard, want=20):
+    """Up to ``want`` radii inside the gaps between attained lengths."""
+    if attained.size == 0:
+        return (r_max,)
+    floor = 200.0 * tie_guard
+    gaps = [(a, b) for a, b in zip(attained[:-1], attained[1:])
+            if b - a > floor]
+    gaps.append((float(attained[-1]), r_max))
+    candidates = []
+    parts = 2
+    while len(candidates) < want and parts <= 4096:
+        candidates = []
+        for a, b in gaps:
+            step = (b - a) / parts
+            if step <= floor:
+                step, n_sub = (b - a) / 2.0, 2
+            else:
+                n_sub = parts
+            candidates.extend(a + step * i for i in range(1, n_sub))
+        parts *= 2
+    candidates.sort()
+    if len(candidates) <= want:
+        return tuple(candidates)
+    idx = np.unique(np.linspace(0, len(candidates) - 1, want).astype(int))
+    return tuple(candidates[i] for i in idx)
+
+
+def scalar_recursions(graph, v, r_grid=None, r_max=None, cap=10_000_000,
+                      tie_guard=1e-9):
+    """``verify_recursions`` with one ``searchsorted`` per count."""
+    from entrograph import (EnumerationSpec, PathKind, RecursionReport,
+                            enumerate_paths)
+    if r_grid is not None:
+        r_grid = tuple(float(r) for r in r_grid)
+        r_max = max(r_grid)
+
+    def profile(kind, mode):
+        return enumerate_paths(graph, EnumerationSpec(kind, r_max, mode,
+                                                      v=v, cap=cap))
+    nb, bt = TransferMode.NON_BACKTRACKING, TransferMode.BACKTRACKING
+    bt_cyc = profile(PathKind.CYCLES_AT, bt)
+    bt_prim = profile(PathKind.PRIMITIVE_CYCLES_AT, bt)
+    nb_cyc = profile(PathKind.CYCLES_AT, nb)
+    nb_prim = profile(PathKind.PRIMITIVE_CYCLES_AT, nb)
+    if r_grid is None:
+        r_grid = scalar_default_radii(
+            np.unique(np.concatenate([nb_cyc.lengths, bt_cyc.lengths]))
+            if bt_cyc.lengths.size else np.array([]), r_max, tie_guard)
+    n = graph.degree(v)
+    empty = np.array([])
+
+    def n_of(arr, q):
+        return int(np.searchsorted(arr, q - tie_guard, side="left"))
+
+    bt_bad, nb_bad = [], []
+    for r in r_grid:
+        lhs = n_of(bt_cyc.lengths, r)
+        prim = bt_prim.lengths[bt_prim.lengths < r - tie_guard]
+        rhs = len(prim) + sum(n_of(bt_cyc.lengths, r - l) for l in prim)
+        if lhs != rhs:
+            bt_bad.append((r, lhs, rhs))
+        for i in range(1, n + 1):
+            lhs = n_of(nb_cyc.by_start.get(i, empty), r)
+            rhs = 0
+            for j in range(1, n + 1):
+                prim_ij = nb_prim.by_pair.get((i, j), empty)
+                for l in prim_ij[prim_ij < r - tie_guard]:
+                    rhs += 1
+                    for k in range(1, n + 1):
+                        if k != j:
+                            rhs += n_of(nb_cyc.by_start.get(k, empty), r - l)
+            if lhs != rhs:
+                nb_bad.append((r, i, lhs, rhs))
+    return RecursionReport(tuple(r_grid), tuple(bt_bad), tuple(nb_bad))
+
+
+def scalar_violations(profile, m_const, h):
+    """(radius, N, bound) where N just past a jump exceeds M e^{hr}."""
+    out = []
+    for ell in profile.jump_radii():
+        n_at = profile.count_le(ell)
+        bound = m_const * math.exp(h * ell)
+        if n_at > bound * (1.0 + 1e-12):
+            out.append((float(ell), n_at, bound))
+    return tuple(out)
+
+
+def scalar_lower_constant(profile, h):
+    """Minimum of N(r) e^{-hr} just below each jump past the first and
+    at the horizon (the empirical lower constant of growth_bounds)."""
+    cands = [profile.count(ell) * math.exp(-h * ell)
+             for ell in profile.jump_radii()[1:]]
+    cands.append(profile.count(profile.r_max)
+                 * math.exp(-h * profile.r_max))
+    return min(cands)
+
+
+def scalar_step_integral(profile, weight):
+    """weight * integral_0^R N(r) e^{-weight r} dr, one step at a time."""
+    jumps = profile.jump_radii()
+    total = 0.0
+    for k, a in enumerate(jumps):
+        b = jumps[k + 1] if k + 1 < len(jumps) else profile.r_max
+        total += profile.count_le(a) * (math.exp(-weight * a)
+                                        - math.exp(-weight * b))
+    return total
+
+
+def scalar_tail_average(profile, h, r1):
+    """Average of N(r) e^{-hr} over [r1, R], one step at a time."""
+    points = [r1] + [float(j) for j in profile.jump_radii() if j > r1] \
+        + [profile.r_max]
+    total = 0.0
+    for a, b in zip(points[:-1], points[1:]):
+        total += profile.count_le(a) * (math.exp(-h * a)
+                                        - math.exp(-h * b)) / h
+    return total / (profile.r_max - r1)
+
+
+def scalar_laplace_constant(profile, h):
+    """Twice the largest N(r) e^{-hr} at the jumps of the upper half."""
+    jumps = profile.jump_radii()
+    tail = jumps[jumps >= 0.5 * profile.r_max]
+    if tail.size == 0:
+        tail = jumps
+    return 2.0 * max((profile.count_le(ell) * math.exp(-h * ell)
+                      for ell in tail), default=1.0)

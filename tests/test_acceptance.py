@@ -136,7 +136,7 @@ def test_criterion_06_laplace_identity():
     checked, all_pass = 0, True
     for graph, x in suite:
         h = volume_entropy(graph).h
-        r = horizon_for_budget(graph, x, 250_000)
+        r = horizon_for_budget(graph, x, 2_000_000)
         profile = enumerate_paths(graph, EnumerationSpec(
             PathKind.PATHS_FROM, r, x=x))
         for t in np.arange(h + 0.2, h + 2.0 + 1e-9, 0.2):
@@ -151,9 +151,9 @@ def test_criterion_06_laplace_identity():
 
 def test_criterion_07_count_recursions():
     t0 = time.perf_counter()
-    suite = [(rose(2), "v", 9.0), (theta(), "x", 11.0),
-             (complete4(), "a", 9.5), (dumbbell(), "a", 11.0),
-             (add_edge(c4(), "a", "c", 1.0), "a", 11.0)]
+    suite = [(rose(2), "v", 11.0), (theta(), "x", 14.0),
+             (complete4(), "a", 14.0), (dumbbell(), "a", 16.0),
+             (add_edge(c4(), "a", "c", 1.0), "a", 16.0)]
     all_pass, grids = True, []
     for graph, v, r_max in suite:
         rep = verify_recursions(graph, v, r_max=r_max)
@@ -174,15 +174,15 @@ def _lopsided_path():
 
 def test_criterion_08_growth_bounds():
     t0 = time.perf_counter()
-    suite = [(rose(2), "v", 12.0), (rose(3), "v", 8.0), (theta(), "x", 16.0),
-             (complete4(), "a", 14.0),
-             (theta((1.0, 1.3, 1.7)), "x", 18.0)]
+    suite = [(rose(2), "v", 13.0), (rose(3), "v", 9.0), (theta(), "x", 20.0),
+             (complete4(), "a", 20.0),
+             (theta((1.0, 1.3, 1.7)), "x", 28.0)]
     worst_rho, violations = 0.0, 0
     for graph, v, r_max in suite:
         rep = growth_bounds(graph, v, r_max)
         worst_rho = max(worst_rho, abs(rep.rho_a - 1.0))
         violations += len(rep.violations)
-    bt_suite = [(theta(), "x", 10.0), (_lopsided_path(), "x", 40.0)]
+    bt_suite = [(theta(), "x", 14.0), (_lopsided_path(), "x", 100.0)]
     for graph, v, r_max in bt_suite:
         rep = backtracking_bound(graph, v, r_max)
         violations += len(rep.violations)
