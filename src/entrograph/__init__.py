@@ -42,7 +42,6 @@ from .persistence import (CurveStep, EntropyCurve, StepStrategy,
                           curve_from_json, export_curve, filter_at,
                           persistent_entropy, thresholds)
 from .spectral import (PerronData, TransferMatrix, TransferMode,
-                       build_transfer, solve_resolvent, spectral_radius,
-                       vertex_matrix)
+                       build_transfer, spectral_radius, vertex_matrix)
 
 __version__ = "0.1.0"

@@ -93,9 +93,11 @@ def root_above(fn: Callable[[float], float], base: float,
     starts at ``base + rel_margin * max(base, 1)``, grows on divergence
     and shrinks while fn >= 0; once both a divergent and a non-negative
     offset are known it bisects between them.  When the non-negative end
-    comes within 1e-16 * max(base, 1) of ``base`` or of the divergent
-    end, the root is pinched and that end is returned.  The upper end
-    doubles its gap until fn > 0, then ``bracketed_root`` finishes.
+    comes within 1e-16 * max(base, 1) of ``base``, of the divergent end
+    or of the negative end, the root is pinched and that end is
+    returned.  The upper end is the non-negative offset when one was
+    met; otherwise it doubles its gap until fn > 0.  Then
+    ``bracketed_root`` finishes.
     Returns (x, fn(x), evaluations, pinch), counting every call of
     ``fn``; ``pinch`` is None, or for a pinched root the width of the
     certified bracket relative to max(base, 1), at most 1e-16.
@@ -136,17 +138,22 @@ def root_above(fn: Callable[[float], float], base: float,
     if t_lo is None:
         raise NonConvergence(f"failed to bracket the root above {base!r}")
 
-    gap = max(4.0 * (t_lo - base), 0.25)
-    for _ in range(200):
-        evals += 1
-        t_hi = base + gap
-        f_hi = fn(t_hi)
-        if f_hi > 0.0:
-            break
-        gap *= 2.0
-    else:  # pragma: no cover
-        raise NonConvergence(f"failed to bracket the root above {base!r} "
-                             f"from above")
+    if nonneg is not None:
+        if nonneg - off <= floor:
+            return base + nonneg, f_nonneg, evals, (nonneg - off) / scale
+        t_hi, f_hi = base + nonneg, f_nonneg
+    else:
+        gap = max(4.0 * (t_lo - base), 0.25)
+        for _ in range(200):
+            evals += 1
+            t_hi = base + gap
+            f_hi = fn(t_hi)
+            if f_hi > 0.0:
+                break
+            gap *= 2.0
+        else:  # pragma: no cover
+            raise NonConvergence(f"failed to bracket the root above "
+                                 f"{base!r} from above")
     def fn_or_pole(t: float) -> float:
         try:
             return fn(t)

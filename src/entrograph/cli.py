@@ -220,14 +220,14 @@ def cmd_verify(args) -> int:
         except HorizonTooLarge as exc:
             record("recursions", "SKIPPED", str(exc))
         try:
-            from .counting import EnumerationSpec, PathKind, laplace_check
             x0 = sorted(core0.vertex_set)[0]
-            prof = counting.enumerate_paths(core0, EnumerationSpec(
-                PathKind.PATHS_FROM, 0.8 * r_cap, x=x0, cap=cfg.cap))
+            prof = counting.enumerate_paths(core0, counting.EnumerationSpec(
+                counting.PathKind.PATHS_FROM, 0.8 * r_cap, x=x0,
+                cap=cfg.cap))
             ok = True
             worst = 0.0
             for tt in (h + 0.2, h + 0.6, h + 1.0, h + 1.4, h + 2.0):
-                rep_l = laplace_check(prof, core0, tt, h=h_core)
+                rep_l = counting.laplace_check(prof, core0, tt, h=h_core)
                 ok = ok and rep_l.passed
                 worst = max(worst, abs(rep_l.f_value - rep_l.truncated))
             record("laplace", "PASS" if ok else "FAIL",
@@ -295,16 +295,13 @@ def cmd_count(args) -> int:
                                     v=args.v, cap=cfg.cap)
     profile = counting.enumerate_paths(graph, spec)
     if cfg.fmt == "json":
-        uniq = {}
-        total = 0
-        for ell in profile.lengths.tolist():
-            total += 1
-            uniq[ell] = total
+        jumps, n_le = profile.steps()
         payload = json.dumps(
             {"kind": args.kind, "mode": args.mode, "r_max": args.r,
              "total": int(profile.lengths.size),
-             "cumulative": [{"length": k, "count": v}
-                            for k, v in uniq.items()]}, indent=2) + "\n"
+             "cumulative": [{"length": k, "count": v} for k, v in
+                            zip(jumps.tolist(), n_le.tolist())]},
+            indent=2) + "\n"
     else:
         payload = profile.to_csv()
     _emit(payload, args.out)

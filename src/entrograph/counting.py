@@ -12,6 +12,12 @@ The identity checks query a finished profile with arrays: one
 ``np.searchsorted`` per profile row and check radius r over the inner
 radii r - l, and one ``np.exp`` over the jumps of N.  The step integral
 is exact for the step function N, its segments summed with ``math.fsum``.
+
+Both routes of ``backtracking_entropy`` run on the symmetric V x V
+matrix I - W(t) of ``spectral.vertex_form``: an ``eigvalsh`` root and a
+Cholesky-based primitive-cycle series.  Of this module only the
+geometric-series estimate behind ``horizon_for_budget`` and the
+enumeration cap still reads the dart matrix B(0).
 """
 
 from __future__ import annotations
@@ -22,14 +28,15 @@ from enum import Enum
 
 import numpy as np
 
-from ._rootutil import bracketed_root
-from .entropy import _RhoRootProblem, volume_entropy
+from ._rootutil import bracketed_root, root_above
+from .entropy import volume_entropy
 from .errors import (DivergentSeries, HorizonTooLarge, MarginTooSmall,
                      NonConvergence, PreconditionError, UnknownVertex)
-from .genfun import f_from, f_path, primitive_matrix
-from .graph import (MetricGraph, component_of, components, first_betti,
-                    validate)
-from .spectral import TransferMode, build_transfer, solve_resolvent, spectral_radius
+from .genfun import attachment_darts, f_from, f_path, primitive_matrix
+from .graph import (MetricGraph, component_of, components, delete_vertex,
+                    first_betti, validate)
+from .spectral import (TransferMode, build_transfer, spectral_radius,
+                       vertex_form)
 
 DEFAULT_CAP = 10_000_000
 
@@ -531,6 +538,17 @@ def growth_bounds(graph: MetricGraph, v: str, r_max: float,
             f"differs from 1 by more than {tol:g}")
     w = perron.right
     if np.min(w) <= 0:
+        # g has no zero row on a reduced hyperbolic graph in exact
+        # arithmetic, so a zero row is e^{-h l} underflowing
+        lost = sorted({d.length for d, row in
+                       zip(attachment_darts(graph, v), g_mat)
+                       if not row.any()})
+        if lost:
+            raise PreconditionError(
+                f"e^(-h l) underflows to 0 at h = {h:.6g} on the "
+                f"attachments of length {', '.join(f'{l:g}' for l in lost)}"
+                f": their Perron entries are 0, so M = (n-1)/(n-2) sum w "
+                f"/ min w is not representable")
         raise PreconditionError("Perron vector is not strictly positive")
     m_formula = (n - 1) / (n - 2) * float(np.sum(w) / np.min(w))
 
@@ -590,104 +608,63 @@ class BacktrackingEntropy:
     residual_g: float
 
 
-def _primitive_cycle_genfun(comp: MetricGraph, v: str, t: float,
-                            mode: TransferMode = TransferMode.BACKTRACKING,
-                            margin: float = 1e-9) -> float:
-    """g(t) for primitive cycles at v: a resolvent solve on the transfer
-    matrix with v split into source/sink copies (rows of darts arriving
-    at v are masked, so no sequence continues through v).  The radius
-    check inside solve_resolvent raises DivergentSeries where the series
-    diverges."""
-    tm = build_transfer(comp, t, mode)
-    masked = tm.matrix.copy()
-    tau = np.zeros(len(comp.darts))
-    for d in comp.darts:
-        if d.head == v:
-            masked[d.id, :] = 0.0
-            tau[d.id] = 1.0
-    u = solve_resolvent(masked, tau, margin=margin)
-    s = np.zeros(len(comp.darts))
-    for d in comp.out_darts(v):
-        s[d] = math.exp(-t * comp.darts[d].length)
-    return float(s @ u)
+def _backtracking_root(graph: MetricGraph) -> tuple[float, float]:
+    """Largest root of lambda_min(I - W(t)) = 0 and |lambda_min| there.
+
+    With H the dart-head incidence and T the dart-tail incidence weighted
+    by z = e^{-t l}, B_bt(t) = H T and W(t) = T H, so W(t) has the nonzero
+    spectrum of B_bt(t), and on a disconnected graph the root is the
+    largest over its components.  lambda_min rises with t; at
+    log(k)/l_min, k the largest degree, no row of W sums above 1, which
+    bounds the root.  The growth rate is 0 when lambda_min(I - W(0)) >= 0
+    (no edge, or a single edge).
+    """
+    if not graph.darts:
+        return 0.0, 0.0
+
+    def lam_min(t: float) -> float:
+        mat = vertex_form(graph, t, TransferMode.BACKTRACKING).matrix()
+        return float(np.linalg.eigvalsh(mat)[0])
+
+    f_lo = lam_min(0.0)
+    if f_lo >= 0.0:
+        return 0.0, 0.0
+    hi = math.log(max(graph.max_degree(), 2)) / graph.min_length()
+    f_hi = lam_min(hi)
+    if f_hi <= 0.0:  # a root on the bound, f_hi < 0 only by rounding
+        return hi, abs(f_hi)
+    # The bound can sit orders of magnitude above the root, and across
+    # such a bracket spread lengths bend lambda_min too much for secant
+    # steps, so bisection narrows it to 1e-8 of the bound first.
+    h, f_h, _ = bracketed_root(lam_min, 0.0, hi, f_lo, f_hi, coarse=1e-8)
+    return h, abs(f_h)
 
 
-def backtracking_entropy(graph: MetricGraph, v: str,
-                         tol: float = 1e-10) -> BacktrackingEntropy:
-    """Growth rate of backtracking cycles at v, computed two ways.
+def backtracking_entropy(graph: MetricGraph, v: str) -> BacktrackingEntropy:
+    """Growth rate of backtracking cycles at v, computed two ways, both on
+    the symmetric vertex matrix I - W(t) of the component of v.
 
-    Route 1 solves rho(B_bt(t)) = 1 on the component of v; route 2 solves
-    g(t) = 1 for the primitive-cycle generating function.  The two roots
-    agree within solver tolerance; both are returned.
+    Route 1 (``h_transfer``) is the largest root of lambda_min(I - W(t))
+    = 0, where rho(B_bt(t)) = 1.  Route 2 (``h_g_root``) solves g(t) = 1
+    for the primitive-cycle generating function g, the sum of
+    ``primitive_matrix`` in backtracking mode, from the route-1 entropy of
+    G - v upward (``root_above``); g diverges where the Cholesky
+    factorization of I - W_{G-v}(t) fails.  ``residual_transfer`` is
+    |lambda_min| at h_transfer.  ``residual_g`` is |1 - g| at h_g_root,
+    or, when the root is pinched against the interior entropy, the width
+    of the certified bracket relative to max(1, that entropy), at most
+    1e-16.  The two roots agree within solver tolerance.
     """
     comp = component_of(graph, v)
     if not comp.darts:
         return BacktrackingEntropy(0.0, 0.0, 0.0, 0.0)
-    problem = _RhoRootProblem(comp, TransferMode.BACKTRACKING, tol, 10_000)
-    h1, resid1, _, _ = problem.solve()
+    h1, resid1 = _backtracking_root(comp)
+    base, _ = _backtracking_root(delete_vertex(comp, v))
 
-    def g_minus_one(t: float) -> float:
-        return _primitive_cycle_genfun(comp, v, t,
-                                       margin=min(1e-9, tol)) - 1.0
+    def one_minus_g(t: float) -> float:
+        g_mat = primitive_matrix(comp, v, t, TransferMode.BACKTRACKING)
+        return 1.0 - float(g_mat.sum())
 
-    # Find a converged evaluation, walking up from 0 past the divergence
-    # boundary of the interior dynamics when necessary.
-    t_div = None
-    t0 = 0.0
-    try:
-        f0 = g_minus_one(0.0)
-    except DivergentSeries:
-        t_div, off = 0.0, 1e-3 * comp.min_length()
-        f0 = None
-        for _ in range(200):
-            try:
-                f0 = g_minus_one(off)
-                t0 = off
-                break
-            except DivergentSeries:
-                t_div = off
-                off *= 2.0
-        if f0 is None:
-            raise NonConvergence(
-                "primitive-cycle series diverges on the whole probe range")
-    if f0 > 0:
-        lo, f_lo = t0, f0
-        hi = f_hi = None
-    elif t_div is None:
-        # g converges at 0 with g(0) <= 1: the root is at t <= 0 and the
-        # growth rate is 0 (finitely many cycles or exact criticality).
-        return BacktrackingEntropy(h1, 0.0, resid1, abs(min(f0, 0.0)))
-    else:
-        # Root squeezed between the divergence boundary and t0.
-        lo = f_lo = None
-        hi, f_hi = t0, f0
-        for _ in range(200):
-            if hi - t_div <= 1e-13 * max(1.0, hi):
-                raise NonConvergence(
-                    "primitive-cycle root pinched at the divergence "
-                    "boundary")
-            mid = 0.5 * (t_div + hi)
-            try:
-                f_mid = g_minus_one(mid)
-            except DivergentSeries:
-                t_div = mid
-                continue
-            if f_mid > 0:
-                lo, f_lo = mid, f_mid
-                break
-            hi, f_hi = mid, f_mid
-        if lo is None:
-            raise NonConvergence(
-                "could not bracket the primitive-cycle root from below")
-    if hi is None:
-        hi = max(2.0 * h1, lo + 1.0 / comp.min_length())
-        f_hi = g_minus_one(hi)
-        guard = 0
-        while f_hi > 0:
-            hi *= 2.0
-            f_hi = g_minus_one(hi)
-            guard += 1
-            if guard > 100:
-                raise NonConvergence("could not bracket g(t) = 1 from above")
-    h2, f2, _ = bracketed_root(g_minus_one, lo, hi, f_lo, f_hi)
-    return BacktrackingEntropy(h1, h2, resid1, abs(f2))
+    h2, f2, _, pinch = root_above(one_minus_g, base)
+    return BacktrackingEntropy(h1, h2, resid1,
+                               abs(f2) if pinch is None else pinch)

@@ -55,13 +55,11 @@ class CountSlopeEstimate:
 
 
 class _RhoRootProblem:
-    """rho(B(t)) = 1 root finding on the transfer matrices of a graph in
-    either mode."""
+    """rho(B(t)) = 1 root finding on the non-backtracking transfer
+    matrices of a graph."""
 
-    def __init__(self, graph: MetricGraph, mode: TransferMode, tol: float,
-                 max_iter: int):
+    def __init__(self, graph: MetricGraph, tol: float, max_iter: int):
         self.graph = graph
-        self.mode = mode
         self.lengths = np.array([d.length for d in graph.darts])
         self.reverse = np.array([d.reverse for d in graph.darts])
         self.l_min = float(np.min(self.lengths))
@@ -73,7 +71,7 @@ class _RhoRootProblem:
         """Return (rho, d(log rho)/dt) at t, recorded as ``self.t``."""
         self.evals += 1
         self.t = t
-        mat = build_transfer(self.graph, t, self.mode).matrix
+        mat = build_transfer(self.graph, t).matrix
         data = spectral_radius(mat, tol=min(1e-12, self.tol / 10),
                                max_iter=self.max_iter)
         rho, right = data.rho, data.right
@@ -104,9 +102,7 @@ class _RhoRootProblem:
 
         # Trivial upper bound log(k) / l_min, k the largest number of
         # continuations of a dart.
-        k = self.graph.max_degree()
-        if self.mode is TransferMode.NON_BACKTRACKING:
-            k -= 1
+        k = self.graph.max_degree() - 1
         t_hi = max(math.log(max(k, 2)) / self.l_min, t_lo + self.l_min, 1e-6)
         rho_hi, g_hi = self.eval(t_hi)
         guard = 0
@@ -185,8 +181,7 @@ def volume_entropy(graph: MetricGraph, tol: float = 1e-10,
         if red.kinds[0] is not ComponentKind.HYPERBOLIC:
             per.append((cid, 0.0))
             continue
-        problem = _RhoRootProblem(red.graph, TransferMode.NON_BACKTRACKING,
-                                  tol, max_iter)
+        problem = _RhoRootProblem(red.graph, tol, max_iter)
         t_lo, rho_lo = 0.0, math.inf  # rho(B(0)) > 1 on a hyperbolic core
         try:
             if bracket_hint is not None and bracket_hint > 0:
@@ -243,17 +238,13 @@ def entropy_from_counts(profile: "CountProfile",
     if r2 > profile.r_max:
         raise InsufficientData(
             f"window end {r2} exceeds profile horizon {profile.r_max}")
-    jumps = np.unique(lengths[(lengths >= r1) & (lengths <= r2)])
-    xs, ys = [], []
-    for ell in jumps:
-        n = int(np.searchsorted(lengths, ell, side="right"))
-        if n > 0:
-            xs.append(float(ell))
-            ys.append(math.log(n))
-    if len(xs) < 4:
+    jumps, n_le = profile.steps()
+    inside = (jumps >= r1) & (jumps <= r2)
+    xs, ys = jumps[inside], np.log(n_le[inside])
+    if xs.size < 4:
         raise InsufficientData(
-            f"only {len(xs)} sample points in window ({r1}, {r2})")
+            f"only {xs.size} sample points in window ({r1}, {r2})")
     slope = float(np.polyfit(xs, ys, 1)[0])
-    pointwise = np.array(ys) / np.array(xs)
+    pointwise = ys / xs
     band = float(np.max(pointwise) - np.min(pointwise))
-    return CountSlopeEstimate(slope, band, (r1, r2), len(xs))
+    return CountSlopeEstimate(slope, band, (r1, r2), int(xs.size))

@@ -38,11 +38,7 @@ class NonConvergence(EntrographError):
 
 
 class DivergentSeries(EntrographError):
-    """A resolvent/generating-function evaluation at or below the entropy."""
-
-    def __init__(self, message, rho=None):
-        self.rho = rho
-        super().__init__(message)
+    """A generating-function evaluation at or below the entropy."""
 
 
 class DisconnectedPair(EntrographError):

@@ -200,12 +200,18 @@ def g_primitive(graph: MetricGraph, v: str, i: int, j: int,
                        GenFunStatus.CONVERGED)
 
 
-def primitive_matrix(graph: MetricGraph, v: str, t: float) -> np.ndarray:
+def primitive_matrix(graph: MetricGraph, v: str, t: float,
+                     mode: TransferMode = TransferMode.NON_BACKTRACKING
+                     ) -> np.ndarray:
     """All g_ij(t) at v as an n x n array (one deletion, one solve pass).
 
-    Raises DivergentSeries when t is at or below the entropy of the graph
-    with v removed.
+    In backtracking mode the interior paths may backtrack, and a cycle
+    may return along the reversal of the dart it left by, so the
+    empty-interior indicator also counts i = j; a loop dart still adds
+    e^{-l t}.  Raises DivergentSeries when t is at or below the entropy
+    of the graph with v removed.
     """
+    backtracking = mode is TransferMode.BACKTRACKING
     darts = attachment_darts(graph, v)
     n = len(darts)
     out = np.zeros((n, n))
@@ -229,13 +235,14 @@ def primitive_matrix(graph: MetricGraph, v: str, t: float) -> np.ndarray:
             if comp is not None and eb.head in comp.vertex_set:
                 key = comp.vertex_set
                 if key not in contexts:
-                    contexts[key] = _Resolvent(comp, t)
+                    contexts[key] = _Resolvent(comp, t, mode)
                 ctx = contexts[key]
                 if not ctx.ok:
                     raise DivergentSeries(
                         f"g_ij diverges at t={t}: interior entropy reached")
                 f_val = ctx.path_value(ea.head, eb.head)
-            bigon = 1.0 if (ea.head == eb.head and a != b) else 0.0
+            bigon = 1.0 if (ea.head == eb.head
+                            and (a != b or backtracking)) else 0.0
             out[a, b] = math.exp(-(ea.length + eb.length) * t) * (f_val + bigon)
     return out
 

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .errors import DivergentSeries, NonConvergence
+from .errors import NonConvergence
 from .graph import MetricGraph
 
 
@@ -257,32 +257,3 @@ def spectral_radius(matrix, tol: float = 1e-12,
         right[best_idx] = best_right
     return PerronData(float(best_rho), right, True, total_iters)
 
-
-def solve_resolvent(matrix, rhs, margin: float = 1e-9,
-                    residual_tol: float = 1e-10) -> np.ndarray:
-    """Solve (I - M) u = rhs, i.e. sum the Neumann series of M on rhs.
-
-    Requires spectral_radius(M) < 1 - margin; otherwise the series
-    diverges and DivergentSeries is raised (callers map this to
-    generating-function divergence at t <= h).  Dense LU with iterative
-    refinement keeps the residual below ``residual_tol * ||rhs||_inf``
-    whenever float64 allows.
-    """
-    mat = _as_array(matrix)
-    rhs = np.asarray(rhs, dtype=float)
-    if mat.shape[0] == 0:
-        return np.zeros(0)
-    rho = spectral_radius(mat).rho
-    if rho >= 1.0 - margin:
-        raise DivergentSeries(
-            f"resolvent precondition failed: spectral radius {rho:.12g} "
-            f">= 1 - {margin:g}", rho=rho)
-    a = np.eye(mat.shape[0]) - mat
-    u = np.linalg.solve(a, rhs)
-    scale = max(float(np.max(np.abs(rhs))), 1e-300)
-    for _ in range(3):
-        r = rhs - a @ u
-        if float(np.max(np.abs(r))) <= residual_tol * scale:
-            break
-        u = u + np.linalg.solve(a, r)
-    return u

@@ -301,3 +301,17 @@ def scalar_laplace_constant(profile, h):
         tail = jumps
     return 2.0 * max((profile.count_le(ell) * math.exp(-h * ell)
                       for ell in tail), default=1.0)
+
+
+def scalar_entropy_from_counts(profile, window):
+    """(slope, band, samples) of ``entropy_from_counts`` with one
+    ``searchsorted`` and one ``math.log`` per jump in the window."""
+    lengths = np.asarray(profile.lengths)
+    r1, r2 = window
+    xs, ys = [], []
+    for ell in np.unique(lengths[(lengths >= r1) & (lengths <= r2)]):
+        xs.append(float(ell))
+        ys.append(math.log(int(np.searchsorted(lengths, ell, side="right"))))
+    pointwise = np.array(ys) / np.array(xs)
+    return (float(np.polyfit(xs, ys, 1)[0]),
+            float(np.max(pointwise) - np.min(pointwise)), len(xs))

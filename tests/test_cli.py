@@ -205,6 +205,21 @@ def test_count_command_csv(c4_file, capsys):
     assert lines == ["length,cumulative", "4.0,2", "8.0,4"]
 
 
+def test_count_json_matches_csv(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(serialize_json(generate_graph(3, 6, 10)))
+    for extra in (["--kind", "paths-from", "--x", "v0", "--r", "5"],
+                  ["--kind", "cycles", "--v", "v1", "--r", "7", "--mode",
+                   "bt"]):
+        assert main(["count", str(path), *extra]) == 0
+        rows = capsys.readouterr().out.strip().split("\n")[1:]
+        assert main(["count", str(path), *extra, "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [f"{c['length']!r},{c['count']}"
+                for c in doc["cumulative"]] == rows
+        assert doc["total"] == doc["cumulative"][-1]["count"]
+
+
 def test_count_cap_exit_code(tmp_path, capsys):
     path = tmp_path / "rose2.json"
     path.write_text(serialize_json(rose(2)))

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from entrograph import (EnumerationSpec, HorizonTooLarge, MarginTooSmall,
                         MetricGraph, NonConvergence, PathKind,
@@ -248,6 +248,17 @@ def test_growth_bounds_rose2_with_loops():
     assert rep.violations == ()
 
 
+def test_growth_bounds_names_underflow():
+    # at h = log 3 / 0.01, e^{-10 h} underflows: the rows of the long loop
+    # in the primitive matrix are 0, and so are their Perron entries
+    g = MetricGraph.from_edges(["v"], [("v", "v", 10.0), ("v", "v", 0.01),
+                                       ("v", "v", 0.01)])
+    with pytest.raises(PreconditionError, match="underflows") as info:
+        growth_bounds(g, "v", 0.05, h=eig_entropy(g))
+    assert "length 10:" in str(info.value)
+    assert "not representable" in str(info.value)
+
+
 def test_growth_bounds_requires_reduced_hyperbolic():
     with pytest.raises(PreconditionError):
         growth_bounds(c4(), "a", 8.0)  # degree 2 everywhere
@@ -288,6 +299,39 @@ def test_backtracking_entropy_on_suite_routes_agree():
                  (dumbbell(), "m")):
         res = backtracking_entropy(g, v)
         assert abs(res.h_transfer - res.h_g_root) <= 1e-9
+
+
+@settings(max_examples=50, deadline=None)
+@given(g=multigraphs(), data=st.data())
+def test_backtracking_entropy_routes_agree_on_multigraphs(g, data):
+    v = data.draw(st.sampled_from(g.vertices))
+    res = backtracking_entropy(g, v)
+    scale = max(1.0, res.h_transfer)
+    assert abs(res.h_transfer - res.h_g_root) <= 1e-12 * scale
+    assert abs(res.h_transfer - eig_entropy(g, mode=BT)) <= 1e-10 * scale
+
+
+def test_backtracking_entropy_pinched_at_interior_entropy():
+    # G - v0 keeps the loop of 0.01 at v1, whose entropy log 2 / 0.01 the
+    # root exceeds by far less than an ulp
+    g = MetricGraph.from_edges(["v0", "v1", "v2"], [
+        ("v1", "v0", 1.0), ("v2", "v0", 1.0), ("v0", "v0", 1.0),
+        ("v1", "v1", 0.01)])
+    res = backtracking_entropy(g, "v0")
+    h = math.log(2) / 0.01
+    assert res.h_transfer == pytest.approx(h, rel=1e-13)
+    assert res.h_g_root == pytest.approx(h, rel=1e-13)
+    assert res.residual_g <= 1e-16
+
+
+def test_backtracking_entropy_root_an_ulp_above_interior_entropy():
+    # 1 - g(t) is negative at the interior entropy log 2 / 0.001 and
+    # positive one ulp above it, where the bracket must end
+    g = MetricGraph.from_edges(["v0", "v1", "v2"], [
+        ("v0", "v0", 0.001), ("v0", "v2", 0.34), ("v0", "v1", 1.0)])
+    res = backtracking_entropy(g, "v2")
+    assert res.h_transfer == pytest.approx(math.log(2) / 0.001, rel=1e-13)
+    assert abs(res.h_g_root - res.h_transfer) <= 1e-12 * res.h_transfer
 
 
 def test_tree_backtracking_entropy_positive():
@@ -355,14 +399,15 @@ def test_array_checks_match_scalar_reference(g):
                     _step_integral(prof, w, half) / (w * half),
                     scalar_tail_average(prof, w, half), rel_tol=1e-12)
 
-    # The bound checks below need entropies and a Perron vector.  Where
-    # the package's solvers fail on these inputs (power-iteration
+    # The bound checks below need entropies and a Perron vector.  With
+    # fewer than two primitive cycles there is no backtracking bound, and
+    # where growth_bounds fails on these inputs (power-iteration
     # NonConvergence, ROADMAP item 2; a Perron entry that underflows to 0
-    # beside a much longer edge) there is no report to compare, and the
-    # part is skipped.
+    # beside a much longer edge) there is no report to compare; those
+    # parts are skipped.
     try:
         bt = backtracking_bound(g, v, r_max, cap=2000)
-    except (PreconditionError, NonConvergence):
+    except PreconditionError:
         bt = None
     if bt is not None:
         assert _pairs(bt.violations) \

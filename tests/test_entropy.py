@@ -11,7 +11,8 @@ from entrograph import (EnumerationSpec, InsufficientData, MetricGraph,
                         volume_entropy)
 from entrograph import entropy
 from entrograph.graph import Dart
-from helpers import c4, complete4, dumbbell, eig_rho, path3, rose, theta
+from helpers import (c4, complete4, dumbbell, eig_rho, path3, rose,
+                     scalar_entropy_from_counts, theta)
 
 
 def test_rose_closed_forms():
@@ -117,15 +118,16 @@ def test_warm_start_evaluates_each_t_once(monkeypatch):
         assert len(seen) == len(set(seen))
 
 
-@pytest.mark.parametrize("mode", list(TransferMode))
+@pytest.mark.parametrize("mode", [TransferMode.NON_BACKTRACKING])
 def test_newton_slope_matches_finite_difference(mode):
-    # the slope's left vector is e^{-t l} r[rev], not a second iteration
+    # the slope's left vector is e^{-t l} r[rev], not a second iteration;
+    # the backtracking root has no Newton step (counting._backtracking_root)
     def log_rho(g, t):
         return math.log(eig_rho(build_transfer(g, t, mode).matrix))
 
     for g in (complete4(), dumbbell(), theta((1.0, 1.4, 2.2)),
               generate_graph(1, 8, 16)):
-        problem = entropy._RhoRootProblem(g, mode, 1e-10, 10_000)
+        problem = entropy._RhoRootProblem(g, 1e-10, 10_000)
         for t in (0.3, 0.9):
             d = 1e-5
             fd = (log_rho(g, t + d) - log_rho(g, t - d)) / (2.0 * d)
@@ -192,6 +194,24 @@ def test_entropy_from_counts_single_cycle_slope_vanishes():
         PathKind.PATHS_FROM, 40.0, x="a"))
     est = entropy_from_counts(prof, (20.0, 40.0))
     assert est.h_hat <= math.log(40.0) / 40.0
+
+
+@pytest.mark.parametrize("graph,x,mode,r_max", [
+    (rose(2), "v", TransferMode.NON_BACKTRACKING, 12.0),
+    (c4(), "a", TransferMode.NON_BACKTRACKING, 40.0),
+    (path3(1.0, 1.7), "y", TransferMode.BACKTRACKING, 20.0),
+    (generate_graph(11, 5, 8), "v0", TransferMode.NON_BACKTRACKING, 9.0),
+    (generate_graph(2, 6, 10), "v1", TransferMode.BACKTRACKING, 6.0)],
+    ids=["rose2", "c4", "path3-bt", "gen-11-5-8", "gen-2-6-10-bt"])
+def test_entropy_from_counts_matches_scalar_reference(graph, x, mode, r_max):
+    prof = enumerate_paths(graph, EnumerationSpec(PathKind.PATHS_FROM, r_max,
+                                                  mode, x=x))
+    for window in ((0.5 * r_max, r_max), (0.3 * r_max, 0.9 * r_max)):
+        est = entropy_from_counts(prof, window)
+        slope, band, samples = scalar_entropy_from_counts(prof, window)
+        assert est.n_samples == samples
+        assert math.isclose(est.h_hat, slope, rel_tol=1e-12)
+        assert math.isclose(est.band, band, rel_tol=1e-12)
 
 
 def test_entropy_from_counts_window_errors():

@@ -1,4 +1,4 @@
-"""Transfer matrices, Perron data and resolvent solves."""
+"""Transfer matrices, Perron data and the vertex matrix."""
 
 import math
 
@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.sparse.csgraph import connected_components
 
-from entrograph import (DivergentSeries, MetricGraph, NonConvergence,
-                        TransferMode, build_transfer, solve_resolvent,
-                        spectral_radius, vertex_matrix)
+from entrograph import (MetricGraph, NonConvergence, TransferMode,
+                        build_transfer, spectral_radius, vertex_matrix)
 from entrograph.spectral import vertex_form_dt
 from helpers import (c4, complete4, dumbbell, eig_entropy, eig_rho,
                      multigraphs, rose, segment, theta)
@@ -143,48 +142,6 @@ def test_backtracking_rho_at_zero_is_max_degree_on_regular_graphs():
         pytest.approx(3.0, abs=1e-11)
     assert spectral_radius(build_transfer(theta(), 0.0, BT)).rho == \
         pytest.approx(3.0, abs=1e-11)
-
-
-def test_resolvent_identity_and_scalar():
-    v = np.array([1.0, -2.0, 3.0])
-    assert np.allclose(solve_resolvent(np.zeros((3, 3)), v), v)
-    assert solve_resolvent(np.array([[0.5]]), np.array([1.0]))[0] == \
-        pytest.approx(2.0)
-
-
-def test_resolvent_rose2_uniform():
-    mat = build_transfer(rose(2), math.log(4.0), NB)
-    u = solve_resolvent(mat, np.ones(4))
-    assert np.allclose(u, 4.0, atol=1e-10)
-
-
-def test_resolvent_raises_on_divergence():
-    mat = build_transfer(rose(2), math.log(3.0), NB)  # rho exactly 1
-    with pytest.raises(DivergentSeries):
-        solve_resolvent(mat, np.ones(4))
-
-
-def test_resolvent_residual_tolerance():
-    mat = build_transfer(complete4(), 0.75, NB).matrix
-    rhs = np.linspace(1.0, 2.0, mat.shape[0])
-    u = solve_resolvent(mat, rhs)
-    resid = np.max(np.abs(rhs - (np.eye(len(rhs)) - mat) @ u))
-    assert resid <= 1e-10 * np.max(np.abs(rhs))
-
-
-def test_resolvent_matches_truncated_neumann_series():
-    mat = build_transfer(complete4(), 0.9, NB).matrix
-    rho = spectral_radius(mat).rho
-    rhs = np.ones(mat.shape[0])
-    u = solve_resolvent(mat, rhs)
-    for k in (4, 9, 16):
-        partial = np.zeros_like(rhs)
-        term = rhs.copy()
-        for _ in range(k + 1):
-            partial += term
-            term = mat @ term
-        bound = rho ** (k + 1) / (1.0 - rho) * np.max(np.abs(rhs))
-        assert np.max(np.abs(u - partial)) <= bound + 1e-12
 
 
 def _loops_and_parallels():
