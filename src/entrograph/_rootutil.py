@@ -21,7 +21,8 @@ def bracketed_root(fn: Callable[[float], float], lo: float, hi: float,
     Returns (x, f(x), evaluations).  ``coarse`` bounds the relative width
     reached by pure bisection before secant steps take over; secant
     iterates falling outside the current bracket are replaced by
-    midpoints.
+    midpoints.  It stops once a secant step or the bracket falls below
+    ``xtol_rel`` relative.
     """
     evals = 0
     if f_lo is None:
@@ -60,6 +61,9 @@ def bracketed_root(fn: Callable[[float], float], lo: float, hi: float,
         denom = f_cur - f_prev
         if denom != 0.0:
             x_next = x_cur - f_cur * (x_cur - x_prev) / denom
+            if abs(x_next - x_cur) <= xtol_rel * max(1.0, abs(x_cur)) \
+                    and math.isfinite(denom):
+                break  # the secant correction is below resolution
         else:
             x_next = 0.5 * (lo + hi)
         if not (lo < x_next < hi):
@@ -94,13 +98,14 @@ def root_above(fn: Callable[[float], float], base: float,
     and shrinks while fn >= 0; once both a divergent and a non-negative
     offset are known it bisects between them.  When the non-negative end
     comes within 1e-16 * max(base, 1) of ``base``, of the divergent end
-    or of the negative end, the root is pinched and that end is
-    returned.  The upper end is the non-negative offset when one was
-    met; otherwise it doubles its gap until fn > 0.  Then
-    ``bracketed_root`` finishes.
+    or of the negative end, or is the float next to the negative end,
+    the root is pinched and that end is returned.  The upper end is the
+    non-negative offset when one was met; otherwise it doubles its gap
+    until fn > 0.  Then ``bracketed_root`` finishes.
     Returns (x, fn(x), evaluations, pinch), counting every call of
     ``fn``; ``pinch`` is None, or for a pinched root the width of the
-    certified bracket relative to max(base, 1), at most 1e-16.
+    certified bracket relative to max(base, 1), at most
+    max(1e-16, one ulp of the root relative to max(base, 1)).
 
     Just above ``base`` the equation is rounding noise: a ``base`` from an
     earlier solve may sit a few ulps below the true pole, and the noise
@@ -139,7 +144,8 @@ def root_above(fn: Callable[[float], float], base: float,
         raise NonConvergence(f"failed to bracket the root above {base!r}")
 
     if nonneg is not None:
-        if nonneg - off <= floor:
+        if nonneg - off <= floor \
+                or math.nextafter(base + off, math.inf) >= base + nonneg:
             return base + nonneg, f_nonneg, evals, (nonneg - off) / scale
         t_hi, f_hi = base + nonneg, f_nonneg
     else:

@@ -522,13 +522,20 @@ def growth_bounds(graph: MetricGraph, v: str, r_max: float,
     out as 1, tying the generating-function, spectral and entropy
     pipelines together.  The lower constant is reported empirically as
     the minimum of N_v(r) e^{-hr} over the enumerated range.  ``h`` is
-    the entropy of the graph when the caller already holds it.
+    the entropy of the graph when the caller already holds it.  Raises
+    PreconditionError when the entropy of the graph without v reaches h
+    in floating point, so that A(h) diverges.
     """
     _require_reduced_hyperbolic(graph)
     n = graph.degree(v)
     if h is None:
         h = volume_entropy(graph).h
-    g_mat = primitive_matrix(graph, v, h)
+    try:
+        g_mat = primitive_matrix(graph, v, h)
+    except DivergentSeries as exc:
+        raise PreconditionError(
+            f"A(h) diverges at h = {h!r}: the entropy of the graph without "
+            f"{v!r} is not below h in floating point") from exc
     a_mat = g_mat.sum(axis=1, keepdims=True) - g_mat
     perron = spectral_radius(a_mat)
     rho_a = perron.rho
@@ -653,7 +660,8 @@ def backtracking_entropy(graph: MetricGraph, v: str) -> BacktrackingEntropy:
     |lambda_min| at h_transfer.  ``residual_g`` is |1 - g| at h_g_root,
     or, when the root is pinched against the interior entropy, the width
     of the certified bracket relative to max(1, that entropy), at most
-    1e-16.  The two roots agree within solver tolerance.
+    max(1e-16, one ulp of the root relative to it).  The two roots agree
+    within solver tolerance.
     """
     comp = component_of(graph, v)
     if not comp.darts:

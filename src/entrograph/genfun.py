@@ -11,8 +11,11 @@ and backtracking paths use I - W(t) in place of M(t).  M(t) is positive
 definite exactly when t lies above the component entropy, so one
 Cholesky factorization both certifies convergence and serves every
 solve; at or below the entropy the evaluation reports Divergent status
-instead of raising.  M(t) needs t > 0, so t <= 0 reports Divergent as
-well, which leaves the finite sums of a forest at t <= 0 unevaluated.
+instead of raising.  So does a solve with an entry below zero (beyond
+rounding): M^{-1} >= 0 above the entropy, so it shows a factorization
+that succeeded on a numerically singular M(t).  M(t) needs t > 0, so
+t <= 0 reports Divergent as well, which leaves the finite sums of a
+forest at t <= 0 unevaluated.
 
 Each solve takes one step of iterative refinement with the residual
 computed from the edge form of M(t) (``spectral.VertexForm.apply``).
@@ -34,9 +37,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import DivergentSeries, InvalidDartIndex, UnknownVertex
 from .graph import (Dart, MetricGraph, component_of, components,
@@ -76,7 +80,8 @@ class _Resolvent:
 
     Factors the vertex matrix M(t) once by Cholesky and caches one
     refined solve per target: path_value(x, y) = (M^{-1})_xy - delta_xy
-    and from_value(x) = (M^{-1} 1)_x - 1.  ``ok`` is True when the
+    and from_value(x) = (M^{-1} 1)_x - 1; ``block`` takes every f_ab over
+    a vertex list from one multi-column solve.  ``ok`` is True when the
     factorization succeeds: M(t) is positive definite exactly when t
     exceeds the component entropy, so a failed factorization means the
     series diverges.  Values agree with the dart-matrix resolvent within
@@ -89,26 +94,36 @@ class _Resolvent:
         self._form = self._factor = None
         if t > 0.0:  # z = 1 at t = 0 puts 1/(1 - z^2) = inf in M
             self._form = vertex_form(comp, float(t), mode)
-            try:
-                self._factor = cho_factor(self._form.matrix())
-            except LinAlgError:
-                pass
+            factor, info = dpotrf(self._form.matrix())  # info > 0: not PD
+            if info == 0:
+                self._factor = factor
         self.ok = self._factor is not None
         self._columns: dict[str | None, np.ndarray] = {}
 
-    def _column(self, y: str | None) -> np.ndarray:
-        """M^{-1} e_y, or M^{-1} 1 for y None."""
+    def _solve(self, rhs: np.ndarray) -> np.ndarray:
+        """M^{-1} rhs for rhs >= 0, with one refinement step.  M^{-1} >= 0
+        for the positive definite Z-matrix M(t), so a column with an entry
+        below -1e-9 max(1, |column|_inf) shows a numerically singular
+        M(t), and counts as divergence."""
         if not self.ok:
             raise DivergentSeries("series diverges at this parameter")
+        u = dpotrs(self._factor, rhs)[0]
+        u += dpotrs(self._factor, rhs - self._form.apply(u))[0]
+        if np.any(u.min(axis=0)
+                  < -1e-9 * np.maximum(1.0, np.abs(u).max(axis=0))):
+            raise DivergentSeries("the resolvent solve lost its sign: "
+                                  "series diverges at this parameter")
+        return u
+
+    def _column(self, y: str | None) -> np.ndarray:
+        """M^{-1} e_y, or M^{-1} 1 for y None."""
         if y not in self._columns:
             if y is None:
                 rhs = np.ones(len(self.index))
             else:
                 rhs = np.zeros(len(self.index))
                 rhs[self.index[y]] = 1.0
-            u = cho_solve(self._factor, rhs)
-            self._columns[y] = u + cho_solve(self._factor,
-                                             rhs - self._form.apply(u))
+            self._columns[y] = self._solve(rhs)
         return self._columns[y]
 
     def path_value(self, x: str, y: str) -> float:
@@ -117,6 +132,13 @@ class _Resolvent:
 
     def from_value(self, x: str) -> float:
         return max(float(self._column(None)[self.index[x]]) - 1.0, 0.0)
+
+    def block(self, verts: Sequence[str]) -> np.ndarray:
+        """The matrix (f_ab) for a, b in ``verts`` (distinct vertices)."""
+        idx = [self.index[v] for v in verts]
+        rhs = np.zeros((len(self.index), len(idx)))
+        rhs[idx, range(len(idx))] = 1.0
+        return np.maximum(self._solve(rhs)[idx] - np.eye(len(idx)), 0.0)
 
 
 def f_path(graph: MetricGraph, x: str, y: str, t: float,
@@ -133,24 +155,26 @@ def f_path(graph: MetricGraph, x: str, y: str, t: float,
     if y not in comp.vertex_set:
         return GenFunValue(0.0, float(t), GenFunKind.PATH_XY, (x, y),
                            GenFunStatus.CONVERGED, disconnected=True)
-    ctx = _Resolvent(comp, t, mode)
-    if not ctx.ok:
+    try:
+        value = _Resolvent(comp, t, mode).path_value(x, y)
+    except DivergentSeries:
         return GenFunValue(math.inf, float(t), GenFunKind.PATH_XY, (x, y),
                            GenFunStatus.DIVERGENT)
-    return GenFunValue(ctx.path_value(x, y), float(t), GenFunKind.PATH_XY,
-                       (x, y), GenFunStatus.CONVERGED)
+    return GenFunValue(value, float(t), GenFunKind.PATH_XY, (x, y),
+                       GenFunStatus.CONVERGED)
 
 
 def f_from(graph: MetricGraph, x: str, t: float,
            mode: TransferMode = TransferMode.NON_BACKTRACKING) -> GenFunValue:
     """Generating function f_x(t) = sum_y f_xy(t); one resolvent solve."""
     comp = component_of(graph, x)
-    ctx = _Resolvent(comp, t, mode)
-    if not ctx.ok:
+    try:
+        value = _Resolvent(comp, t, mode).from_value(x)
+    except DivergentSeries:
         return GenFunValue(math.inf, float(t), GenFunKind.PATH_FROM, (x,),
                            GenFunStatus.DIVERGENT)
-    return GenFunValue(ctx.from_value(x), float(t), GenFunKind.PATH_FROM,
-                       (x,), GenFunStatus.CONVERGED)
+    return GenFunValue(value, float(t), GenFunKind.PATH_FROM, (x,),
+                       GenFunStatus.CONVERGED)
 
 
 def attachment_darts(graph: MetricGraph, v: str) -> tuple[Dart, ...]:

@@ -1,34 +1,36 @@
-"""Entropy change under edge and vertex addition.
+"""Entropy change when edges, or a vertex with its edges, are added.
 
-Adding an edge of length l0 between vertices x != y moves the entropy to
-the unique root t* > h of
+Add k edges to a graph G_0, the disjoint union of the components they
+touch; a new vertex is an isolated vertex of G_0.  Over the 2k new darts
+the first-return matrix
 
-    Phi(t) = e^{l0 t} - f_xy(t) - sqrt(f_xx(t) f_yy(t)),
+    T(t)[d, d'] = e^{-l(d') t} (f_{head d, tail d'}(t)
+                                + [head d = tail d' and d' != rev d])
 
-a strictly increasing function on the convergence domain (the defining
-equation rearranged into a pole-free monotone form).  The determinant
-lemma det(I_2 + Delta G_2) = 0 behind it does not ask x and y to be
-non-adjacent, so Phi also covers a parallel edge.  When the edge joins
-two components A and B, the base is their disjoint union with
-h = max(h_A, h_B); its M(t) is block-diagonal, so f_xy = 0 and
-Phi = e^{l0 t} - sqrt(f^A_xx f^B_yy).  If A or B is a tree (a pendant
-edge, say) the entropy stays h exactly.  A loop at x is the rank-1 case
-of the lemma: the root of e^{l0 t} - 1 - 2 f_xx(t) (reusing Phi with
-x = y would give e^{l0 t} = 2 f_xx, which is wrong).  A component that
-is left with at most one independent cycle has entropy 0.
+is the Schur complement of the new graph's dart matrix B(t): f sums the
+nonempty non-backtracking paths of G_0, the bracket is the direct step.
+Above the entropy h_base of G_0, rho(B(t)) < 1 exactly when
+rho(T(t)) < 1, so the new entropy is the root above h_base of the
+nondecreasing 1 - rho(T(t)) (``_rootutil.root_above``).  Each evaluation
+takes f among the ends of the new edges from one Cholesky factorization
+of the vertex matrix M(t) of G_0 (``genfun._Resolvent``; f = 0 between
+its components and at an isolated vertex), and rho from the dense
+eigenvalues of T(t).  The paper's formulas are the small cases:
 
-A new vertex with one edge is a pendant edge, and one with two edges is
-an edge of length l_1 + l_2 between its two targets.  Adding a vertex
-with n >= 3 edges of lengths l_i to targets v_i moves the entropy to the
-root of rho((D A)(t)) = 1, where
+- an edge of length l0 between x != y, adjacent or not:
+  rho(T) = e^{-l0 t} (f_xy + sqrt(f_xx f_yy)), which is
+  Phi(t) = e^{l0 t} - f_xy(t) - sqrt(f_xx(t) f_yy(t)) scaled by
+  e^{-l0 t}; f_xy = 0 on a merge of two components;
+- a loop of length l0 at x: rho(T) = e^{-l0 t} (1 + 2 f_xx);
+- a new vertex with edges of lengths l_i to v_i: T links only inward to
+  outward darts and back, so rho(T)^2 = rho(D A) with D_ij =
+  e^{-(l_i + l_j) t} (f_{v_i v_j} + [v_i = v_j, i != j]) and
+  A = ones - identity.
 
-    D_ij = e^{-(l_i + l_j) t} (f_{v_i v_j}(t) + [v_i = v_j, i != j]),
-
-A = ones - identity, so (D A)_ik = sum_{j != k} D_ij.  The junction
-constraint j_k != i_{k+1} gives A; the bracket adds the bigon of two
-parallel new edges on a repeated target.  Every f is a Cholesky solve of
-the vertex matrix M(t) (``genfun._Resolvent``), and every equation is
-solved by ``_rootutil.root_above`` from the base entropy upward.
+Let b be the first Betti number of the new component.  If b <= 1 its
+entropy is 0.  If b equals the largest Betti number among the parts, the
+new edges join that part to trees along a tree (a pendant edge, say) and
+the entropy stays h_base exactly.
 
 The asymptotic constants of the pole f_ab(t) ~ C_ab t / (t - h) have the
 closed form C_ab = v_a v_b / (h lambda'(h)), with v the unit null vector
@@ -48,24 +50,23 @@ from ._rootutil import root_above
 from .counting import (DEFAULT_CAP, EnumerationSpec, PathKind,
                        _step_integral, enumerate_paths, horizon_for_budget)
 from .entropy import volume_entropy
-from .errors import (DisconnectedPair, DivergentSeries, NonConvergence,
+from .errors import (DisconnectedPair, NonConvergence,
                      PreconditionError, TooFewAttachments, UnknownVertex)
 from .genfun import _Resolvent
 from .graph import MetricGraph, component_of, components, disjoint_union
-from .spectral import spectral_radius, vertex_form, vertex_form_dt
+from .spectral import vertex_form, vertex_form_dt
 
 
 @dataclass(frozen=True)
 class EdgeAdditionResult:
-    """Entropy after adding one edge, from the defining equation.
+    """Entropy after adding one edge.
 
-    ``residual`` is |Phi(h')| e^{-l0 h'}: the defining equation scaled by
-    its dominant term, so the tolerance stays meaningful for long edges
-    where Phi itself is huge.  When the root is pinched against
-    h_base (h' - h_base below float resolution, as for a long edge), it is
-    instead the width of the certified bracket of h' relative to
-    max(h_base, 1), at most 1e-16.  ``iterations`` counts the evaluations
-    of Phi.
+    ``residual`` is |1 - rho(T(h'))| = |Phi(h')| e^{-l0 h'} (module
+    docstring), meaningful also for long edges where Phi is huge.  When
+    the root is pinched against h_base (h' - h_base below float
+    resolution, as for a long edge), it is the width of the certified
+    bracket of h' relative to max(h_base, 1), at most max(1e-16, one
+    ulp).  ``iterations`` counts the evaluations of rho(T).
     """
 
     h_prime: float
@@ -79,10 +80,10 @@ class EdgeAdditionResult:
 class VertexAdditionResult:
     """Entropy after adding one vertex.
 
-    ``spectral_residual`` is |rho((D A)(h')) - 1|, or, when the root is
+    ``spectral_residual`` is |1 - rho(T(h'))|, or, when the root is
     pinched against h_base, the width of the certified bracket of h'
-    relative to max(h_base, 1), at most 1e-16.  ``iterations`` counts the
-    evaluations of rho.
+    relative to max(h_base, 1) (as for ``EdgeAdditionResult``).
+    ``iterations`` counts the evaluations of rho(T).
     """
 
     h_prime: float
@@ -127,11 +128,45 @@ def _shared_component(graph: MetricGraph, verts: Sequence[str]) -> MetricGraph:
     return comp
 
 
-def _resolvent(comp: MetricGraph, t: float) -> _Resolvent:
-    ctx = _Resolvent(comp, t)
-    if not ctx.ok:
-        raise DivergentSeries(f"generating functions diverge at t={t}")
-    return ctx
+def _betti(graph: MetricGraph) -> int:
+    return graph.edge_count - len(graph.vertices) + 1
+
+
+def _extend(parts: Sequence[MetricGraph],
+            new_edges: Sequence[tuple[str, str, float]],
+            h_base: float | None, tol: float = 1e-10,
+            rel_margin: float = 1e-6) -> tuple[float, float, float, int]:
+    """Entropy of the connected graph made of the vertex-disjoint
+    ``parts`` and ``new_edges`` (module docstring).
+
+    ``h_base`` is the entropy of the union of the parts, computed when
+    None and not needed.  Returns (h', h_base, residual, evaluations),
+    the residual as in ``EdgeAdditionResult``.
+    """
+    betti = sum(map(_betti, parts)) + len(new_edges) - len(parts) + 1
+    if betti <= 1:
+        return 0.0, 0.0, 0.0, 0
+    base = disjoint_union(parts)
+    if h_base is None:
+        h_base = volume_entropy(base, tol=tol).h
+    if betti == max(map(_betti, parts)):
+        return h_base, h_base, 0.0, 0
+    # dart 2i runs along new edge i, its reversal 2i ^ 1 back
+    tails = [v for u, w, _ in new_edges for v in (u, w)]
+    ends = list(dict.fromkeys(tails))
+    tail_at = np.array([ends.index(v) for v in tails])
+    darts = np.arange(len(tails))
+    head_at = tail_at[darts ^ 1][:, None]
+    step = (head_at == tail_at) & (darts != darts[:, None] ^ 1)
+    lengths = np.repeat([l for _, _, l in new_edges], 2)
+
+    def one_minus_rho(t: float) -> float:
+        f = _Resolvent(base, t).block(ends)
+        trans = (f[head_at, tail_at] + step) * np.exp(-lengths * t)
+        return 1.0 - float(np.abs(np.linalg.eigvals(trans)).max())
+
+    root, f_root, evals, pinch = root_above(one_minus_rho, h_base, rel_margin)
+    return root, h_base, abs(f_root) if pinch is None else pinch, evals
 
 
 def entropy_after_edge(graph: MetricGraph, x: str, y: str, l0: float,
@@ -141,13 +176,10 @@ def entropy_after_edge(graph: MetricGraph, x: str, y: str, l0: float,
 
     The base is the component of x, joined by the component of y when the
     edge merges two components; ``h_base`` defaults to its entropy, which
-    for a merge is max(h_A, h_B).  The new entropy is the root above
-    h_base of Phi (module docstring) for x != y, adjacent or not, and of
-    e^{l0 t} - 1 - 2 f_xx(t) for a loop x = y.  On a merge M(t) is
-    block-diagonal, so f_xy = 0 and Phi = e^{l0 t} - sqrt(f_xx f_yy).
-    Two cases need no solve: a new component with at most one independent
-    cycle has h' = 0, and a merge with a tree (a pendant edge, say) keeps
-    h' = h_base; both report 0 iterations.
+    for a merge is max(h_A, h_B).  x = y adds a loop.  A new component
+    with at most one independent cycle has h' = 0, and a merge with a
+    tree (a pendant edge, say) keeps h' = h_base; both report 0
+    iterations (module docstring).
     """
     if l0 <= 0:
         raise PreconditionError("edge length must be positive")
@@ -155,31 +187,9 @@ def entropy_after_edge(graph: MetricGraph, x: str, y: str, l0: float,
         if v not in graph.vertex_set:
             raise UnknownVertex(f"unknown vertex {v!r}")
     parts = [c for c, _ in components(graph) if c.vertex_set & {x, y}]
-    betti = [c.edge_count - len(c.vertices) + 1 for c in parts]
-    # the new component's first Betti number is the sum over the parts,
-    # plus one when the edge closes a cycle inside one component
-    if sum(betti) + (len(parts) == 1) <= 1:
-        return EdgeAdditionResult(0.0, 0.0, float(l0), 0.0, 0)
-    comp = disjoint_union(parts)
-    if h_base is None:
-        h_base = volume_entropy(comp, tol=tol).h
-    if min(betti) == 0:  # a merge with a tree
-        return EdgeAdditionResult(h_base, h_base, float(l0), 0.0, 0)
-
-    def scaled_phi(t: float) -> float:
-        # e^{-l0 t} times the equation: same root, and no overflow of
-        # e^{l0 t} for long edges at large t
-        ctx = _resolvent(comp, t)
-        if x == y:
-            return -math.expm1(-l0 * t) \
-                - 2.0 * math.exp(-l0 * t) * ctx.path_value(x, x)
-        paths = ctx.path_value(x, y) + math.sqrt(ctx.path_value(x, x)
-                                                 * ctx.path_value(y, y))
-        return 1.0 - math.exp(-l0 * t) * paths
-
-    root, f_root, evals, pinch = root_above(scaled_phi, h_base, rel_margin)
-    return EdgeAdditionResult(root, h_base, float(l0),
-                              abs(f_root) if pinch is None else pinch, evals)
+    h_prime, h_base, residual, evals = _extend(
+        parts, [(x, y, float(l0))], h_base, tol, rel_margin)
+    return EdgeAdditionResult(h_prime, h_base, float(l0), residual, evals)
 
 
 def entropy_after_vertex(graph: MetricGraph,
@@ -187,35 +197,19 @@ def entropy_after_vertex(graph: MetricGraph,
                          tol: float = 1e-10, rel_margin: float = 1e-6,
                          h_base: float | None = None) -> VertexAdditionResult:
     """Entropy after adding a new vertex with n >= 3 edges into one
-    component, as the root of rho((D A)(t)) = 1 (module docstring).
-
-    rho is strictly decreasing in t on the convergence domain, so
-    ``root_above`` solves 1 - rho = 0 from h_base upward.
-    """
+    component, as the root of rho(T(t)) = 1 over the 2n new darts, which
+    is rho((D A)(t)) = 1 (module docstring)."""
     n = len(attachments)
     if n < 3:
         raise TooFewAttachments(f"need at least 3 attachment edges, got {n}")
-    targets = [v for v, _ in attachments]
-    lengths = np.array([float(l) for _, l in attachments])
-    if np.any(lengths <= 0):
+    if any(float(l) <= 0 for _, l in attachments):
         raise PreconditionError("attachment lengths must be positive")
-    comp = _shared_component(graph, targets)
-    if h_base is None:
-        h_base = volume_entropy(comp, tol=tol).h
-    bigon = np.array([[1.0 if (targets[a] == targets[b] and a != b) else 0.0
-                       for b in range(n)] for a in range(n)])
-
-    def one_minus_rho(t: float) -> float:
-        ctx = _resolvent(comp, t)
-        fmat = np.array([[ctx.path_value(a, b) for b in targets]
-                         for a in targets])
-        w = np.exp(-lengths * t)
-        d = np.outer(w, w) * (fmat + bigon)
-        return 1.0 - spectral_radius(d.sum(axis=1)[:, None] - d).rho
-
-    root, f_root, evals, pinch = root_above(one_minus_rho, h_base, rel_margin)
-    return VertexAdditionResult(
-        root, h_base, abs(f_root) if pinch is None else pinch, evals)
+    comp = _shared_component(graph, [v for v, _ in attachments])
+    hub = max(comp.vertices, key=len) + "+"  # longer than any name in comp
+    return VertexAdditionResult(*_extend(
+        [comp, MetricGraph.from_edges([hub], [])],
+        [(hub, v, float(l)) for v, l in attachments], h_base, tol,
+        rel_margin))
 
 
 def predict_edge_asymptotic(h: float, c: float, l: float) -> float:

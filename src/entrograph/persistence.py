@@ -6,40 +6,35 @@ over components, components with at most one independent cycle counting
 as 0).  Entropy is monotone along the filtration, which makes the
 previous value a valid warm start for every later solve.
 
-Strategy "direct" always re-solves.  "incremental" sends every step that
-adds one edge, or one new vertex (isolated before the step) with all its
-edges, to the paper's formulas (``_formula_step``):
-
-- one edge: ``entropy_after_edge``, which covers parallel edges, loops,
-  merges of two components and pendant edges (h unchanged, no solve);
-- a new vertex with k = 1 edge: a pendant edge; with k = 2 edges: one
-  edge of length l_1 + l_2 between its two targets (a loop when they
-  coincide, a merge when they lie in different components);
-- a new vertex with k >= 3 edges into one component:
-  ``entropy_after_vertex``.
-
-Anything else (equal-length batches of unrelated edges, a new vertex of
-degree >= 3 whose targets span several components) falls back to
-direct.  "auto" is accepted and means "incremental": an incremental
-step costs tens of Cholesky solves of the small V x V vertex matrix of
-the base, and was not slower than the direct step even on bases of a
-few darts, so there is no per-step choice left to make.  All strategies
-produce the same curve up to solver tolerance, and every step records
-the strategy it used.
+Each step adds the edges of one length.  A component of G_eps that no
+added edge touches keeps its entropy.  Every other component is made of
+the previous components inside it (its parts) and the added edges that
+land in it, and starts from h_base, the largest entropy of its parts.
+Strategy "direct" solves it again (``volume_entropy`` with h_base as
+the bracket hint).  "incremental" finds it as the root of
+1 - rho(T(t)) over the new darts (``incremental._extend``): one edge, a
+loop, a merge, a new vertex of any degree and a batch of equal-length
+edges are all this one equation, so no step falls back to a direct
+solve.  "auto" is accepted and means "incremental": an incremental step
+costs tens of Cholesky solves of the small vertex matrix of the base,
+and was not slower than the direct step even on bases of a few darts.
+All strategies produce the same curve up to solver tolerance, and every
+step records the strategy it used: a formula step is labelled
+"incremental-vertex" when one of its parts has no edge (a new vertex),
+else "incremental-edge".
 """
 
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import dataclass
 from enum import Enum
 
 from .entropy import volume_entropy
 from .errors import EntrographError, UnknownFormat, ValidationFailed
-from .graph import MetricGraph, components, disjoint_union, validate
-from .incremental import entropy_after_edge, entropy_after_vertex
+from .graph import MetricGraph, validate
+from .incremental import _extend
 
 
 class StepStrategy(Enum):
@@ -74,52 +69,21 @@ def filter_at(graph: MetricGraph, epsilon: float) -> MetricGraph:
     return MetricGraph.from_edges(graph.vertices, edges)
 
 
-def _component_key(comp: MetricGraph):
-    return (comp.vertex_set,
-            tuple(sorted((min(u, v), max(u, v), l)
-                         for u, v, l in comp.edge_list())))
-
-
-def _new_vertex(added, prev_comps):
-    """The common endpoint of all added edges when it was isolated before
-    the step and none of them is a loop, else None."""
-    for cand in added[0][:2]:
-        if all(cand in (u, v) and u != v for u, v, _ in added) and any(
-                cand in c.vertex_set and c.edge_count == 0
-                for c, _ in prev_comps):
-            return cand
-    return None
-
-
-def _formula_step(added, prev_comps, tol):
-    """The formula for a step (module docstring) as (strategy, a vertex of
-    the changed component, solve taking h_base), or None for a direct
-    step."""
-    strategy = StepStrategy.INCREMENTAL_EDGE
-    if len(added) > 1:
-        hub = _new_vertex(added, prev_comps)
-        if hub is None:
-            return None
-        strategy = StepStrategy.INCREMENTAL_VERTEX
-        attach = [(v if u == hub else u, l) for u, v, l in added]
-        if len(attach) > 2:
-            parts = _touching(prev_comps, [t for t, _ in attach])
-            if len(parts) > 1:
-                return None
-            return (strategy, hub,
-                    lambda h: entropy_after_vertex(parts[0], attach, tol=tol,
-                                                   h_base=h))
-        (x, lx), (y, ly) = attach  # a degree-2 vertex: one edge x..y
-        added = [(x, y, lx + ly)]
-    (x, y, l), = added
-    base = disjoint_union(_touching(prev_comps, (x, y)))
-    return (strategy, x,
-            lambda h: entropy_after_edge(base, x, y, l, tol=tol, h_base=h))
-
-
-def _touching(prev_comps, verts) -> list[MetricGraph]:
-    """The previous components that hold any of ``verts``."""
-    return [c for c, _ in prev_comps if c.vertex_set.intersection(verts)]
+def _step_groups(added, owner):
+    """The components of G_eps that the edges ``added`` at eps touch, as
+    (keys of their parts, their added edges); ``owner`` maps a vertex to
+    the key of its previous component."""
+    group: dict = {}  # part key -> ({part key: None}, edges) of its group
+    for e in added:
+        a, b = (group.setdefault(owner[v], ({owner[v]: None}, []))
+                for v in e[:2])
+        if a is not b:
+            a[0].update(b[0])
+            a[1].extend(b[1])
+            group.update(dict.fromkeys(b[0], a))
+        a[1].append(e)
+    return [(list(keys), edges) for keys, edges
+            in {id(g): g for g in group.values()}.values()]
 
 
 def persistent_entropy(graph: MetricGraph, strategy: str = "direct",
@@ -138,48 +102,45 @@ def persistent_entropy(graph: MetricGraph, strategy: str = "direct",
         raise ValueError(f"unknown strategy {strategy!r}")
 
     eps_list = thresholds(graph)
+    by_length: dict = {}
+    for e in graph.edge_list():
+        by_length.setdefault(e[2], []).append(e)
+    # the components of G_eps by vertex set, each with its entropy
+    owner = {v: frozenset((v,)) for v in graph.vertices}
+    comps = {key: (MetricGraph.from_edges(key, []), 0.0)
+             for key in owner.values()}
     steps: list[CurveStep] = []
-    prev_graph = filter_at(graph, -math.inf)
-    prev_comps = components(prev_graph)
-    prev_h: dict = {_component_key(c): 0.0 for c, _ in prev_comps}
-    all_edges = graph.edge_list()
 
     for eps in eps_list:
         t0 = time.perf_counter()
-        g_eps = filter_at(graph, eps)
-        added = [e for e in all_edges if e[2] == eps]
-        used = StepStrategy.DIRECT
+        used = StepStrategy.DIRECT if strategy == "direct" \
+            else StepStrategy.INCREMENTAL_EDGE
         iterations = 0
-
-        formula = None if strategy == "direct" else \
-            _formula_step(added, prev_comps, tol)
-
-        comps_now = components(g_eps)
-        new_h: dict = {}
         try:
-            for comp, _ in comps_now:
-                key = _component_key(comp)
-                if key in prev_h:
-                    new_h[key] = prev_h[key]
-                    continue
-                hint = max((h for pk, h in prev_h.items()
-                            if pk[0] & key[0]), default=0.0)
-                if formula and formula[1] in key[0]:
-                    used, _, solve = formula
-                    res = solve(hint)
-                    new_h[key] = res.h_prime
+            for keys, new_edges in _step_groups(by_length[eps], owner):
+                parts = [comps.pop(k) for k in keys]
+                graphs = [g for g, _ in parts]
+                h_base = max(h for _, h in parts)
+                comp = MetricGraph.from_edges(
+                    [v for g in graphs for v in g.vertices],
+                    [e for g in graphs for e in g.edge_list()] + new_edges)
+                if strategy == "direct":
+                    res = volume_entropy(comp, tol=tol, bracket_hint=h_base)
+                    h, evals = res.h, res.iterations
                 else:
-                    res = volume_entropy(comp, tol=tol, bracket_hint=hint)
-                    new_h[key] = res.h
-                iterations += res.iterations
+                    h, _, _, evals = _extend(graphs, new_edges, h_base, tol)
+                    if any(g.edge_count == 0 for g in graphs):
+                        used = StepStrategy.INCREMENTAL_VERTEX
+                iterations += evals
+                comps[comp.vertex_set] = (comp, h)
+                owner.update(dict.fromkeys(comp.vertices, comp.vertex_set))
         except EntrographError as exc:
             exc.threshold = eps
             raise
 
-        h_eps = max(new_h.values(), default=0.0)
+        h_eps = max(h for _, h in comps.values())
         ms = (time.perf_counter() - t0) * 1e3
         steps.append(CurveStep(eps, h_eps, used, iterations, ms))
-        prev_graph, prev_comps, prev_h = g_eps, comps_now, new_h
 
     return EntropyCurve(tuple(steps), eps_list)
 

@@ -107,8 +107,10 @@ class VertexForm:
         return mat
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        flow = self.weights * (x[self.tails] - x[self.heads])
-        out = self.shift * x
+        """The matrix times x, a vector or a matrix of columns."""
+        col = (slice(None),) + (None,) * (x.ndim - 1)
+        flow = self.weights[col] * (x[self.tails] - x[self.heads])
+        out = self.shift[col] * x
         np.add.at(out, self.tails, flow)
         np.subtract.at(out, self.heads, flow)
         return out

@@ -255,7 +255,10 @@ def scalar_violations(profile, m_const, h):
     out = []
     for ell in profile.jump_radii():
         n_at = profile.count_le(ell)
-        bound = m_const * math.exp(h * ell)
+        try:
+            bound = m_const * math.exp(h * ell)
+        except OverflowError:  # numpy's bound is inf there
+            bound = math.inf
         if n_at > bound * (1.0 + 1e-12):
             out.append((float(ell), n_at, bound))
     return tuple(out)

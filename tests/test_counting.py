@@ -334,6 +334,16 @@ def test_backtracking_entropy_root_an_ulp_above_interior_entropy():
     assert abs(res.h_g_root - res.h_transfer) <= 1e-12 * res.h_transfer
 
 
+def test_backtracking_entropy_pinch_between_adjacent_floats():
+    # the same graph: 1 - g is negative at one float and 1 at the next,
+    # so the root is pinched and residual_g is the width of that bracket
+    g = MetricGraph.from_edges(["v0", "v1", "v2"], [
+        ("v0", "v0", 0.001), ("v0", "v2", 0.34), ("v0", "v1", 1.0)])
+    res = backtracking_entropy(g, "v2")
+    h = res.h_g_root
+    assert res.residual_g <= max(1e-16, math.ulp(h) / h)
+
+
 def test_tree_backtracking_entropy_positive():
     # trees have zero volume entropy but positive backtracking growth
     for lengths in ((1.0, 1.0), (2.0, 1.5)):

@@ -9,7 +9,7 @@ import pytest
 from entrograph import (DisconnectedPair, MetricGraph, PreconditionError,
                         TooFewAttachments, UnknownVertex, add_edge,
                         add_vertex, entropy_after_edge, entropy_after_vertex,
-                        estimate_constant_C, fit_edge_asymptotic,
+                        estimate_constant_C, f_path, fit_edge_asymptotic,
                         generate_graph, predict_edge_asymptotic,
                         predict_vertex_asymptotic, volume_entropy)
 from entrograph import incremental
@@ -184,6 +184,21 @@ def test_iterations_count_each_equation_evaluation(monkeypatch):
     _CountingResolvent.made = 0
     res = entropy_after_vertex(c4(), [("a", 1.0), ("b", 1.0), ("c", 1.0)])
     assert res.iterations == _CountingResolvent.made > 0
+
+
+def test_resolvent_solve_that_loses_its_sign_diverges():
+    # at t = 1e-6 the Cholesky of M(t) of this single-cycle base succeeds,
+    # but the refined columns of M^{-1} come out near -2.9e7; clamped to
+    # f = 0 they made 1e-6 the upper end of the root, and h' = 1e-6
+    l = 0.026032510230624698
+    g = MetricGraph.from_edges(["v0", "v1", "v2", "v3"], [
+        ("v1", "v0", l), ("v2", "v1", l), ("v2", "v1", l), ("v3", "v0", l)])
+    assert not f_path(g, "v3", "v0", 1e-6).converged
+    res = entropy_after_edge(g, "v3", "v0", 4.624224567217251)
+    direct = volume_entropy(add_edge(g, "v3", "v0", 4.624224567217251)).h
+    assert direct == pytest.approx(0.9351146783879258, abs=1e-9)
+    assert abs(res.h_prime - direct) <= 1e-8
+    assert res.residual <= 1e-10
 
 
 def test_edge_addition_tree_base_gives_zero():

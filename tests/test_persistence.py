@@ -3,15 +3,15 @@
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, settings, strategies as st
 
 from entrograph import (EntropyCurve, MetricGraph, NonConvergence,
                         StepStrategy, UnknownFormat, add_edge,
                         curve_from_json, delete_edge, export_curve,
-                        filter_at, generate_graph, persistence,
+                        filter_at, first_betti, generate_graph, persistence,
                         persistent_entropy, same_graph, thresholds,
                         volume_entropy)
-from helpers import c4, complete4, multigraphs
+from helpers import c4, complete4, eig_entropy, multigraphs
 
 
 def k4_with_long_chord():
@@ -135,6 +135,70 @@ def test_incremental_matches_direct_on_multigraphs(g):
     inc = persistent_entropy(g, strategy="incremental")
     for sa, sd in zip(inc.steps, direct.steps):
         assert abs(sa.h - sd.h) <= 1e-7
+
+
+@st.composite
+def batched_multigraphs(draw):
+    """``multigraphs()`` with every length replaced by one of at most
+    three values, so that unrelated edges arrive in one step."""
+    g = draw(multigraphs())
+    exps = draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3))
+    return MetricGraph.from_edges(g.vertices, [
+        (u, v, 10.0 ** draw(st.sampled_from(exps)))
+        for u, v, _ in g.edge_list()])
+
+
+def _matches_eig_oracle(g):
+    """The incremental curve takes no direct step and agrees with the
+    dense-eigenvalue entropy of every G_eps that has a component of
+    first Betti number >= 2; the others have entropy 0."""
+    curve = persistent_entropy(g, strategy="incremental")
+    assert all(s.strategy is not StepStrategy.DIRECT for s in curve.steps)
+    for s in curve.steps:
+        g_eps = filter_at(g, s.epsilon)
+        if max(first_betti(g_eps)) >= 2:
+            h = eig_entropy(g_eps)
+            assert abs(s.h - h) <= 1e-7 * max(1.0, h)
+        else:
+            assert s.h == 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(multigraphs())
+def test_incremental_matches_eig_oracle_on_multigraphs(g):
+    _matches_eig_oracle(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(batched_multigraphs())
+def test_incremental_matches_eig_oracle_on_equal_length_batches(g):
+    _matches_eig_oracle(g)
+
+
+@pytest.mark.parametrize("args", [(1, 10, 20), (2, 8, 14)])
+def test_lattice_filtration_takes_no_direct_step(args):
+    # every length is 1: one step adds all edges to isolated vertices
+    g = generate_graph(*args, length_model="lattice")
+    inc = persistent_entropy(g, strategy="incremental")
+    direct = persistent_entropy(g, strategy="direct")
+    assert [s.strategy for s in inc.steps] \
+        == [StepStrategy.INCREMENTAL_VERTEX]
+    assert abs(inc.steps[0].h - direct.steps[0].h) <= 1e-9
+
+
+def test_degree_three_vertex_spanning_two_components():
+    # a new vertex joins a hyperbolic K4 and a single cycle at p
+    g = MetricGraph.from_edges(
+        list("abcdpq") + ["w"],
+        complete4().edge_list()
+        + (("p", "q", 1.0), ("q", "p", 1.2), ("w", "a", 1.5),
+           ("w", "b", 1.5), ("w", "p", 1.5)))
+    inc = persistent_entropy(g, strategy="incremental")
+    direct = persistent_entropy(g, strategy="direct")
+    assert all(s.strategy is not StepStrategy.DIRECT for s in inc.steps)
+    assert inc.steps[-1].strategy is StepStrategy.INCREMENTAL_VERTEX
+    for sa, sd in zip(inc.steps, direct.steps):
+        assert abs(sa.h - sd.h) <= 1e-9
 
 
 def test_long_loop_on_a_base_from_an_earlier_step():
