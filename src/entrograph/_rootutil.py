@@ -1,8 +1,9 @@
 """Bracketed scalar root finding: bisection to a coarse width, then
-secant polish with bracket projection (``bracketed_root``), and the
-search for a bracket above a base point where the equation may diverge
-(``root_above``).  Used for the monotone defining equations of the
-incremental formulas and the primitive-cycle roots."""
+secant polish with bracket projection and Brent's bisection fallback
+(``bracketed_root``), and the search for a bracket above a base point
+where the equation may diverge (``root_above``).  Used for the monotone
+defining equations of the incremental formulas and the primitive-cycle
+roots."""
 
 from __future__ import annotations
 
@@ -20,9 +21,10 @@ def bracketed_root(fn: Callable[[float], float], lo: float, hi: float,
 
     Returns (x, f(x), evaluations).  ``coarse`` bounds the relative width
     reached by pure bisection before secant steps take over; secant
-    iterates falling outside the current bracket are replaced by
-    midpoints.  It stops once a secant step or the bracket falls below
-    ``xtol_rel`` relative.
+    iterates falling outside the current bracket, or stepping farther
+    than half the step before the last one, are replaced by midpoints.
+    It stops once a secant step or the bracket falls below ``xtol_rel``
+    relative.
     """
     evals = 0
     if f_lo is None:
@@ -57,6 +59,7 @@ def bracketed_root(fn: Callable[[float], float], lo: float, hi: float,
     if abs(f_lo) < abs(f_hi):
         x_prev, f_prev, x_cur, f_cur = hi, f_hi, lo, f_lo
     best = (x_cur, f_cur)
+    step_last = step_before = math.inf
     while evals < max_iter:
         denom = f_cur - f_prev
         if denom != 0.0:
@@ -66,9 +69,13 @@ def bracketed_root(fn: Callable[[float], float], lo: float, hi: float,
                 break  # the secant correction is below resolution
         else:
             x_next = 0.5 * (lo + hi)
-        if not (lo < x_next < hi):
+        # Brent's rule: a secant step longer than half the step before
+        # the last one is not converging, so bisect
+        if not (lo < x_next < hi) \
+                or abs(x_next - x_cur) > 0.5 * step_before:
             x_next = 0.5 * (lo + hi)
         step = abs(x_next - x_cur)
+        step_last, step_before = step, step_last
         f_next = fn(x_next)
         evals += 1
         if (f_next > 0.0) == (f_lo > 0.0):

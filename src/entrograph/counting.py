@@ -1,12 +1,12 @@
 """Brute-force path/cycle enumeration and the counting identities.
 
-The enumeration is the ground-truth oracle of the package: a frontier
-walk over the dart sequences shorter than a horizon, exact and
-duplicate-free.  Chunks of up to 8192 sequences, held as numpy arrays,
-are popped from a stack and extended by every successor dart at once
-through a CSR successor table; it builds neither M(t) nor B(t).  Counts
-use the strict convention N(r) = #{lengths < r} throughout; ties at a
-grid radius belong to the open side.
+The enumeration is the ground-truth oracle of the package: a walk over
+the dart sequences shorter than a horizon, exact and duplicate-free.  It
+goes level by level, the sequences of one length in darts held as numpy
+arrays grouped by their last dart, and extends a whole group by each
+successor dart at once; it builds neither M(t) nor B(t).  Counts use the
+strict convention N(r) = #{lengths < r} throughout; ties at a grid
+radius belong to the open side.
 
 The identity checks query a finished profile with arrays: one
 ``np.searchsorted`` per profile row and check radius r over the inner
@@ -128,67 +128,67 @@ def horizon_for_budget(graph: MetricGraph, x: str, target: int,
     return _series_horizon(b, l_mean, n_starts, target)
 
 
-_CHUNK = 8192
-
-
 def _walk(comp: MetricGraph, mode: TransferMode, starts, r_max: float,
-          target: str | None, stop: bool, limit: int):
-    """Frontier walk over the dart sequences that begin with one of
-    ``starts`` and stay shorter than ``r_max``.
+          target: str | None, stop: bool, limit: int, keep_starts: bool):
+    """Level-synchronous walk over the dart sequences that begin with one
+    of ``starts`` and stay shorter than ``r_max``.
 
-    A node is (start index, last dart, cumulative length), the start
-    index 1-based in ``starts``.  Nodes live in a stack of chunks of at
-    most _CHUNK.  A popped chunk is expanded at once through a CSR
-    successor table with ``np.repeat``; a child is kept when cum + l <
-    r_max, so every length is the left fold of its dart lengths, in the
-    order a depth-first search would add them.  Yields (start index, last
-    dart, cum) arrays of the nodes whose head is the vertex ``target`` (of
-    every node when it is None); with ``stop`` those nodes are not
-    expanded.  Raises HorizonTooLarge once more than ``limit`` nodes
-    have been popped.
+    Level n holds the sequences of n darts as {last dart: parts}, a part
+    being (start indices, cumulative lengths), the start indices 1-based
+    in ``starts`` in a narrow dtype, or None unless ``keep_starts``.  A
+    group d is popped, its parts joined, and extended by all successors
+    d2 at once (not by the reverse of d when non-backtracking): a child
+    cum + l(d2) is kept when below r_max, so every length is the left fold
+    of its dart lengths, and becomes a part of group d2 of the next level.
+    Yields (start indices, d, cum) for every group whose last dart heads
+    into the vertex ``target`` (every group when it is None); with
+    ``stop`` those groups are not expanded.  Raises HorizonTooLarge once
+    more than ``limit`` nodes have been made.
     """
-    index = {v: i for i, v in enumerate(comp.vertices)}
-    heads = np.array([index[d.head] for d in comp.darts], dtype=np.intp)
-    lengths = np.array([d.length for d in comp.darts])
-    rows = [[d2 for d2 in comp.out_darts(d.head)
+    lengths = [d.length for d in comp.darts]
+    succ = [[d2 for d2 in comp.out_darts(d.head)
              if not (mode is TransferMode.NON_BACKTRACKING
                      and d2 == d.reverse)] for d in comp.darts]
-    offsets = np.zeros(len(rows) + 1, dtype=np.intp)
-    offsets[1:] = np.cumsum([len(row) for row in rows])
-    succ = np.array([d2 for row in rows for d2 in row], dtype=np.intp)
-    succ_len = lengths[succ]
-
-    first = np.array(starts, dtype=np.intp)
-    fit = lengths[first] < r_max
-    stack = [(np.arange(1, first.size + 1)[fit], first[fit],
-              lengths[first][fit])]
-    goal = index.get(target, -1)
-    popped = 0
-    while stack:
-        k, d, cum = stack.pop()
-        popped += d.size
-        if popped > limit:
-            raise HorizonTooLarge(
-                f"enumeration exceeded its cap; retry with a smaller "
-                f"horizon (suggestion: {0.8 * r_max:.6g})",
-                safe_horizon=0.8 * r_max)
-        if target is None:
-            yield k, d, cum
-        else:
-            hit = heads[d] == goal
-            yield k[hit], d[hit], cum[hit]
-            if stop:
-                k, d, cum = k[~hit], d[~hit], cum[~hit]
-        lo = offsets[d]
-        cnt = offsets[d + 1] - lo
-        pos = np.repeat(lo - (np.cumsum(cnt) - cnt), cnt) \
-            + np.arange(cnt.sum())
-        cum = np.repeat(cum, cnt) + succ_len[pos]
-        fit = cum < r_max
-        k, d, cum = np.repeat(k, cnt)[fit], succ[pos][fit], cum[fit]
-        for i in range(0, cum.size, _CHUNK):
-            stack.append((k[i:i + _CHUNK], d[i:i + _CHUNK],
-                          cum[i:i + _CHUNK]))
+    steps = [np.array([lengths[d2] for d2 in row])[:, None] for row in succ]
+    hits = [target is None or d.head == target for d in comp.darts]
+    narrow = np.min_scalar_type(len(starts))
+    level = {s: [(np.full(1, i, narrow) if keep_starts else None,
+                  np.full(1, lengths[s]))]
+             for i, s in enumerate(starts, 1) if lengths[s] < r_max}
+    made = len(level)
+    while level:
+        later: dict[int, list] = {}
+        while level:
+            # every node made lands in a level that is popped from, so
+            # this one test sees each count
+            if made > limit:
+                raise HorizonTooLarge(
+                    f"enumeration exceeded its cap; retry with a smaller "
+                    f"horizon (suggestion: {0.8 * r_max:.6g})",
+                    safe_horizon=0.8 * r_max)
+            d, parts = level.popitem()
+            if len(parts) == 1:
+                (k, cum), = parts
+            else:
+                cum = np.concatenate([c for _, c in parts])
+                k = np.concatenate([k for k, _ in parts]) \
+                    if keep_starts else None
+            del parts
+            if hits[d]:
+                yield k, d, cum
+                if stop:
+                    continue
+            child = cum + steps[d]  # one row per successor
+            fit = child < r_max
+            for d2, row, keep in zip(succ[d], child, fit):
+                size = np.count_nonzero(keep)
+                made += size
+                if size == row.size:
+                    later.setdefault(d2, []).append((k, row))
+                elif size:
+                    later.setdefault(d2, []).append(
+                        (None if k is None else k[keep], row[keep]))
+        level = later
 
 
 def enumerate_paths(graph: MetricGraph, spec: EnumerationSpec
@@ -196,11 +196,12 @@ def enumerate_paths(graph: MetricGraph, spec: EnumerationSpec
     """Exhaustively enumerate paths or cycles below ``spec.r_max``.
 
     A geometric-series projection of the count runs first; then a
-    frontier walk (``_walk``) expands chunks of dart sequences with numpy
-    and records the nodes the kind asks for: every node (paths from x),
-    arrivals at y (paths x..y) or at v (cycles), or first returns to v,
-    which end the sequence (primitive cycles).  The profile is sorted, so
-    it does not depend on the order of the walk.
+    level-synchronous walk (``_walk``) extends the dart sequences of one
+    length, grouped by last dart, with numpy, and records the groups the
+    kind asks for: every group (paths from x), arrivals at y (paths x..y)
+    or at v (cycles), or first returns to v, which end the sequence
+    (primitive cycles).  The profile is sorted, so it does not depend on
+    the order of the walk.
 
     Raises HorizonTooLarge (with a safe achievable horizon) when the
     projected count, or the number of nodes walked, exceeds ``spec.cap``
@@ -239,32 +240,32 @@ def enumerate_paths(graph: MetricGraph, spec: EnumerationSpec
                 safe_horizon=safe)
 
     primitive = spec.kind is PathKind.PRIMITIVE_CYCLES_AT
+    paths = spec.kind in (PathKind.PATHS_XY, PathKind.PATHS_FROM)
     walk = _walk(comp, spec.mode, starts, spec.r_max, target, primitive,
-                 int(1.25 * spec.cap) + 1024)
-    if spec.kind in (PathKind.PATHS_XY, PathKind.PATHS_FROM):
-        lengths = np.concatenate([cum for _, _, cum in walk])
-        return CountProfile(spec.kind, spec.mode, spec.r_max,
-                            np.sort(lengths), endpoints)
-    if primitive:
-        # key k * width + j: out along start k, back along the reverse of
-        # start j
-        width = len(starts) + 1
-        rev_pos = np.zeros(len(comp.darts), dtype=np.intp)
-        for k, s in enumerate(starts, 1):
-            rev_pos[comp.darts[s].reverse] = k
-        parts = [(cum, k * width + rev_pos[last]) for k, last, cum in walk]
-    else:
-        parts = [(cum, k) for k, _, cum in walk]
-    lengths = np.concatenate([cum for cum, _ in parts])
-    keys = np.concatenate([key for _, key in parts])
+                 int(1.25 * spec.cap) + 1024, not paths)
+    if paths:
+        lengths = np.concatenate([cum for _, _, cum in walk] or [np.empty(0)])
+        lengths.sort()
+        return CountProfile(spec.kind, spec.mode, spec.r_max, lengths,
+                            endpoints)
+    # key k * width + j: out along start k, back along the reverse of
+    # start j (primitive cycles); k alone for cycles
+    width = len(starts) + 1
+    rev_pos = {comp.darts[s].reverse: j for j, s in enumerate(starts, 1)}
+    parts = [(cum, k.astype(np.intp) * width + rev_pos[last] if primitive
+              else k) for k, last, cum in walk]
+    lengths = np.concatenate([cum for cum, _ in parts] or [np.empty(0)])
+    keys = np.concatenate([key for _, key in parts]
+                          or [np.empty(0, np.intp)])
     rows = {int(key): np.sort(lengths[keys == key])
-            for key in np.unique(keys)}
+            for key in np.flatnonzero(np.bincount(keys))}
     if primitive:
         groups = {"by_pair": {divmod(key, width): row
                               for key, row in rows.items()}}
     else:
         groups = {"by_start": rows}
-    return CountProfile(spec.kind, spec.mode, spec.r_max, np.sort(lengths),
+    lengths.sort()
+    return CountProfile(spec.kind, spec.mode, spec.r_max, lengths,
                         endpoints, attachment_ids=tuple(starts), **groups)
 
 
@@ -640,10 +641,7 @@ def _backtracking_root(graph: MetricGraph) -> tuple[float, float]:
     f_hi = lam_min(hi)
     if f_hi <= 0.0:  # a root on the bound, f_hi < 0 only by rounding
         return hi, abs(f_hi)
-    # The bound can sit orders of magnitude above the root, and across
-    # such a bracket spread lengths bend lambda_min too much for secant
-    # steps, so bisection narrows it to 1e-8 of the bound first.
-    h, f_h, _ = bracketed_root(lam_min, 0.0, hi, f_lo, f_hi, coarse=1e-8)
+    h, f_h, _ = bracketed_root(lam_min, 0.0, hi, f_lo, f_hi)
     return h, abs(f_h)
 
 

@@ -14,7 +14,9 @@ from entrograph import (EnumerationSpec, HorizonTooLarge, MarginTooSmall,
                         generate_graph, growth_bounds, horizon_for_budget,
                         laplace_check, reduce, verify_recursions,
                         volume_entropy)
+from entrograph._rootutil import bracketed_root
 from entrograph.counting import _over_bound, _step_integral
+from entrograph.spectral import vertex_form
 from helpers import (bfs_enumerate, c4, complete4, dumbbell, eig_entropy,
                      multigraphs, path3, rose, scalar_laplace_constant,
                      scalar_lower_constant, scalar_recursions,
@@ -163,6 +165,26 @@ def test_walk_cap_fires_below_the_projection():
     prof = enumerate_paths(g, EnumerationSpec(PathKind.PATHS_FROM, 0.05,
                                               x="v", cap=1000))
     assert prof.lengths.tolist() == bfs_enumerate(g, "from", 0.05, x="v")
+
+
+def test_walk_cap_boundary():
+    # the graph above, where the projection stays quiet: the walk raises
+    # exactly when its node count exceeds int(1.25 cap) + 1024
+    g = MetricGraph.from_edges(
+        ["v"], [("v", "v", 0.01), ("v", "v", 0.01), ("v", "v", 100.0)])
+    nodes = len(bfs_enumerate(g, "from", 0.1, x="v"))
+    edge = math.ceil((nodes - 1024) / 1.25)
+    outcomes = set()
+    for cap in range(edge - 3, edge + 4):
+        spec = EnumerationSpec(PathKind.PATHS_FROM, 0.1, x="v", cap=cap)
+        over = nodes > int(1.25 * cap) + 1024
+        outcomes.add(over)
+        if over:
+            with pytest.raises(HorizonTooLarge, match="exceeded its cap"):
+                enumerate_paths(g, spec)
+        else:
+            assert enumerate_paths(g, spec).lengths.size == nodes
+    assert outcomes == {False, True}
 
 
 def test_profile_csv_export():
@@ -342,6 +364,27 @@ def test_backtracking_entropy_pinch_between_adjacent_floats():
     res = backtracking_entropy(g, "v2")
     h = res.h_g_root
     assert res.residual_g <= max(1e-16, math.ulp(h) / h)
+
+
+def test_bracketed_root_does_not_stall_on_one_side():
+    # lengths from 1e-3 to 757 bend lambda_min(I - W(t)) so much over
+    # [0, log 4 / l_min] that secant steps crept along one side of the
+    # root and spent every evaluation, ending at 0.13295
+    g = MetricGraph.from_edges(["v0", "v1", "v2", "v3"], [
+        ("v1", "v0", 757.3711340177078), ("v2", "v0", 313.2045504220117),
+        ("v3", "v0", 0.0012500341834190583),
+        ("v2", "v1", 250.2714033577274), ("v2", "v3", 64.05496905814456),
+        ("v3", "v0", 581.0833656803674)])
+
+    def lam_min(t):
+        return float(np.linalg.eigvalsh(vertex_form(g, t, BT).matrix())[0])
+
+    hi = math.log(g.max_degree()) / g.min_length()
+    root, _, evals = bracketed_root(lam_min, 0.0, hi)
+    assert root == pytest.approx(0.0677780297621380, rel=1e-12)
+    assert evals <= 60
+    assert backtracking_entropy(g, "v0").h_transfer == \
+        pytest.approx(0.0677780297621380, rel=1e-12)
 
 
 def test_tree_backtracking_entropy_positive():
