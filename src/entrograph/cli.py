@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import counting, persistence
 from .entropy import volume_entropy
@@ -39,20 +38,6 @@ _PRECONDITION_ERRORS = (DisconnectedPair, TooFewAttachments,
 _SOLVER_ERRORS = (NonConvergence, DivergentSeries)
 
 
-@dataclass
-class RunConfig:
-    tol: float = 1e-10
-    max_iter: int = 10_000
-    cap: int = 10_000_000
-    margin: float = 1e-6
-    fmt: str = "csv"
-
-
-def _config(args) -> RunConfig:
-    return RunConfig(tol=args.tol, max_iter=args.max_iter, cap=int(args.cap),
-                     margin=args.margin, fmt=getattr(args, "format", "csv"))
-
-
 def _emit(text: str, out_path: str | None):
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -70,9 +55,8 @@ def _load(path: str) -> MetricGraph:
 
 
 def cmd_entropy(args) -> int:
-    cfg = _config(args)
     graph = _load(args.file)
-    res = volume_entropy(graph, tol=cfg.tol, max_iter=cfg.max_iter)
+    res = volume_entropy(graph, tol=args.tol, max_iter=args.max_iter)
     print(f"h = {res.h:.12g}")
     print(f"residual = {res.residual:.3e}")
     print(f"method = {res.method}  iterations = {res.iterations}")
@@ -82,18 +66,17 @@ def cmd_entropy(args) -> int:
 
 
 def cmd_add_edge(args) -> int:
-    cfg = _config(args)
     graph = _load(args.file)
-    base = volume_entropy(graph, tol=cfg.tol)
+    base = volume_entropy(graph, tol=args.tol)
     ends = component_of(graph, args.x).vertex_set \
         | component_of(graph, args.y).vertex_set
     h_comp = dict(base.per_component)
-    inc = entropy_after_edge(graph, args.x, args.y, args.length, tol=cfg.tol,
-                             rel_margin=cfg.margin,
+    inc = entropy_after_edge(graph, args.x, args.y, args.length, tol=args.tol,
+                             rel_margin=args.margin,
                              h_base=max(h for cid, h in h_comp.items()
                                         if cid in ends))
     edited = add_edge(graph, args.x, args.y, args.length)
-    direct = volume_entropy(edited, tol=cfg.tol)
+    direct = volume_entropy(edited, tol=args.tol)
     others = [h for cid, h in h_comp.items() if cid not in ends]
     combined = max([inc.h_prime] + others)
     print(f"h_base = {inc.h_base:.12g}")
@@ -105,13 +88,12 @@ def cmd_add_edge(args) -> int:
 
 
 def cmd_add_vertex(args) -> int:
-    cfg = _config(args)
     graph = _load(args.file)
     attachments = _parse_attachments(args.attach)
-    inc = entropy_after_vertex(graph, attachments, tol=cfg.tol,
-                               rel_margin=cfg.margin)
+    inc = entropy_after_vertex(graph, attachments, tol=args.tol,
+                               rel_margin=args.margin)
     edited = add_vertex(graph, attachments)
-    direct = volume_entropy(edited, tol=cfg.tol)
+    direct = volume_entropy(edited, tol=args.tol)
     print(f"h_base = {inc.h_base:.12g}")
     print(f"incremental h' = {inc.h_prime:.12g}  "
           f"(residual {inc.spectral_residual:.3e}, {inc.iterations} "
@@ -134,20 +116,19 @@ def _parse_attachments(specs) -> list[tuple[str, float]]:
 
 
 def cmd_persistence(args) -> int:
-    cfg = _config(args)
     graph = _load(args.file)
     curve = persistence.persistent_entropy(graph, strategy=args.strategy,
-                                           tol=cfg.tol)
-    payload = persistence.export_curve(curve, cfg.fmt).decode()
+                                           tol=args.tol)
+    payload = persistence.export_curve(curve, args.format).decode()
     if args.bench:
-        payload += _bench_report(graph, cfg)
+        payload += _bench_report(graph, args.tol)
     _emit(payload, args.out)
     return EXIT_OK
 
 
-def _bench_report(graph: MetricGraph, cfg: RunConfig) -> str:
+def _bench_report(graph: MetricGraph, tol: float) -> str:
     curves = {name: persistence.persistent_entropy(graph, strategy=name,
-                                                   tol=cfg.tol)
+                                                   tol=tol)
               for name in ("direct", "incremental", "auto")}
     lines = ["bench,strategy,epsilon,ms,step_strategy"]
     for name, curve in curves.items():
@@ -166,14 +147,14 @@ def _bench_report(graph: MetricGraph, cfg: RunConfig) -> str:
 
 
 def cmd_verify(args) -> int:
-    cfg = _config(args)
+    cap = int(args.cap)
     graph = _load(args.file)
     results: list[tuple[str, str, str]] = []  # (name, status, detail)
 
     def record(name, status, detail=""):
         results.append((name, status, detail))
 
-    res = volume_entropy(graph, tol=cfg.tol)
+    res = volume_entropy(graph, tol=args.tol)
     h = res.h
     h_comp = dict(res.per_component)
     record("entropy-solve", "PASS", f"h={h:.9g} residual={res.residual:.2e}")
@@ -195,16 +176,16 @@ def cmd_verify(args) -> int:
     if hyper:
         core0 = hyper[0]
         v = max(core0.vertex_set, key=lambda w: (core0.degree(w), w))
-        r_cap = counting.horizon_for_budget(core0, v, min(cfg.cap, 200_000))
+        r_cap = counting.horizon_for_budget(core0, v, min(cap, 200_000))
         longest = max(d.length for d in core0.darts)
         if r_cap < 3.0 * longest:
-            skip_reason = (f"cap {cfg.cap:g} allows horizon "
+            skip_reason = (f"cap {cap:g} allows horizon "
                            f"{r_cap:.3g} only")
     if skip_reason is None:
         # the core keeps the names of its component's vertices
         h_core = h_comp[min(component_of(graph, v).vertices)]
         try:
-            rep = counting.growth_bounds(core0, v, r_cap, cap=cfg.cap,
+            rep = counting.growth_bounds(core0, v, r_cap, cap=cap,
                                          h=h_core)
             record("growth-bounds",
                    "PASS" if rep.passed else "FAIL",
@@ -214,7 +195,7 @@ def cmd_verify(args) -> int:
             record("growth-bounds", "SKIPPED", str(exc))
         try:
             rec = counting.verify_recursions(core0, v, r_max=0.6 * r_cap,
-                                             cap=cfg.cap)
+                                             cap=cap)
             record("recursions", "PASS" if rec.passed else "FAIL",
                    f"{len(rec.r_grid)} radii")
         except HorizonTooLarge as exc:
@@ -223,7 +204,7 @@ def cmd_verify(args) -> int:
             x0 = sorted(core0.vertex_set)[0]
             prof = counting.enumerate_paths(core0, counting.EnumerationSpec(
                 counting.PathKind.PATHS_FROM, 0.8 * r_cap, x=x0,
-                cap=cfg.cap))
+                cap=cap))
             ok = True
             worst = 0.0
             for tt in (h + 0.2, h + 0.6, h + 1.0, h + 1.4, h + 2.0):
@@ -242,9 +223,9 @@ def cmd_verify(args) -> int:
     if pair:
         x, y = pair
         comp = component_of(graph, x)
-        inc = entropy_after_edge(graph, x, y, 1.0, tol=cfg.tol,
+        inc = entropy_after_edge(graph, x, y, 1.0, tol=args.tol,
                                  h_base=h_comp[min(comp.vertices)])
-        direct = volume_entropy(add_edge(graph, x, y, 1.0), tol=cfg.tol)
+        direct = volume_entropy(add_edge(graph, x, y, 1.0), tol=args.tol)
         others = [hh for cid, hh in h_comp.items()
                   if cid not in comp.vertex_set]
         combined = max([inc.h_prime] + others)
@@ -283,7 +264,6 @@ def cmd_generate(args) -> int:
 
 
 def cmd_count(args) -> int:
-    cfg = _config(args)
     graph = _load(args.file)
     kind = {"paths-from": counting.PathKind.PATHS_FROM,
             "paths-xy": counting.PathKind.PATHS_XY,
@@ -292,9 +272,9 @@ def cmd_count(args) -> int:
     mode = TransferMode.BACKTRACKING if args.mode == "bt" \
         else TransferMode.NON_BACKTRACKING
     spec = counting.EnumerationSpec(kind, args.r, mode, x=args.x, y=args.y,
-                                    v=args.v, cap=cfg.cap)
+                                    v=args.v, cap=int(args.cap))
     profile = counting.enumerate_paths(graph, spec)
-    if cfg.fmt == "json":
+    if args.format == "json":
         jumps, n_le = profile.steps()
         payload = json.dumps(
             {"kind": args.kind, "mode": args.mode, "r_max": args.r,
@@ -308,27 +288,39 @@ def cmd_count(args) -> int:
     return EXIT_OK
 
 
+_OPTIONS = {
+    "tol": dict(type=float, default=1e-10),
+    "max-iter": dict(type=int, default=10_000),
+    "cap": dict(type=float, default=10_000_000,
+                help="enumeration node cap"),
+    "margin": dict(type=float, default=1e-6),
+    "format": dict(choices=("csv", "json"), default="csv"),
+    "out": dict(default=None, metavar="PATH"),
+}
+
+
+def _options(*names: str) -> argparse.ArgumentParser:
+    """Parent parser with the named shared options: each subcommand takes
+    only the options it reads."""
+    parent = argparse.ArgumentParser(add_help=False)
+    for name in names:
+        parent.add_argument(f"--{name}", **_OPTIONS[name])
+    return parent
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="entrograph",
         description="Volume entropy of metric graphs: solvers, "
                     "incremental formulas, counting checks, persistence.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-10)
-    common.add_argument("--max-iter", type=int, default=10_000)
-    common.add_argument("--cap", type=float, default=10_000_000)
-    common.add_argument("--margin", type=float, default=1e-6)
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--out", default=None)
-
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("entropy", parents=[common],
+    p = sub.add_parser("entropy", parents=[_options("tol", "max-iter")],
                        help="volume entropy of a graph file")
     p.add_argument("file")
     p.set_defaults(fn=cmd_entropy)
 
-    p = sub.add_parser("add-edge", parents=[common],
+    p = sub.add_parser("add-edge", parents=[_options("tol", "margin")],
                        help="incremental vs direct entropy after one edge")
     p.add_argument("file")
     p.add_argument("x")
@@ -336,14 +328,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("length", type=float)
     p.set_defaults(fn=cmd_add_edge)
 
-    p = sub.add_parser("add-vertex", parents=[common],
+    p = sub.add_parser("add-vertex", parents=[_options("tol", "margin")],
                        help="incremental vs direct entropy after a vertex")
     p.add_argument("file")
     p.add_argument("--attach", action="append", required=True,
                    metavar="VERTEX:LENGTH")
     p.set_defaults(fn=cmd_add_vertex)
 
-    p = sub.add_parser("persistence", parents=[common],
+    p = sub.add_parser("persistence",
+                       parents=[_options("tol", "format", "out")],
                        help="persistent entropy curve over edge lengths")
     p.add_argument("file")
     p.add_argument("--strategy", choices=("direct", "incremental", "auto"),
@@ -351,12 +344,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bench", action="store_true")
     p.set_defaults(fn=cmd_persistence)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[_options("tol", "cap")],
                        help="run the property suite on one graph")
     p.add_argument("file")
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("generate", parents=[common],
+    p = sub.add_parser("generate", parents=[_options("out")],
                        help="seeded random connected graph file")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--vertices", type=int, required=True)
@@ -367,7 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="require at least Betti number 2")
     p.set_defaults(fn=cmd_generate)
 
-    p = sub.add_parser("count", parents=[common],
+    p = sub.add_parser("count", parents=[_options("cap", "format", "out")],
                        help="enumerate paths/cycles below a horizon")
     p.add_argument("file")
     p.add_argument("--kind", choices=("paths-from", "paths-xy", "cycles",

@@ -518,10 +518,14 @@ def growth_bounds(graph: MetricGraph, v: str, r_max: float,
     """Verify m e^{hr} <= N_v(r) <= M e^{hr} with the explicit constant
     M = (n-1)/(n-2) * (sum w_i) / (min w_i).
 
-    A(h) is assembled from primitive-cycle generating functions at v; its
-    Perron vector w gives the constant and its spectral radius must come
-    out as 1, tying the generating-function, spectral and entropy
-    pipelines together.  The lower constant is reported empirically as
+    A(h) is assembled from primitive-cycle generating functions at v
+    (``primitive_matrix``).  Its Perron root, the eigenvalue of largest
+    real part from dense ``np.linalg.eig``, must come out as 1, tying the
+    generating-function, spectral and entropy pipelines together.  Its
+    Perron vector w, which gives the constant, is A(h) |x| for the
+    eigenvector x of that root, normalised to unit sum: the product keeps
+    every entry accurate relative to its size, and an underflowed row of
+    A(h) exactly 0.  The lower constant is reported empirically as
     the minimum of N_v(r) e^{-hr} over the enumerated range.  ``h`` is
     the entropy of the graph when the caller already holds it.  Raises
     PreconditionError when the entropy of the graph without v reaches h
@@ -538,13 +542,17 @@ def growth_bounds(graph: MetricGraph, v: str, r_max: float,
             f"A(h) diverges at h = {h!r}: the entropy of the graph without "
             f"{v!r} is not below h in floating point") from exc
     a_mat = g_mat.sum(axis=1, keepdims=True) - g_mat
-    perron = spectral_radius(a_mat)
-    rho_a = perron.rho
+    vals, vecs = np.linalg.eig(a_mat)
+    k = int(np.argmax(vals.real))
+    rho_a = float(vals[k].real)
     if abs(rho_a - 1.0) > tol:
         raise NonConvergence(
             f"pipeline consistency failure: rho(A(h)) = {rho_a:.12g} "
             f"differs from 1 by more than {tol:g}")
-    w = perron.right
+    # eig gives the vector to absolute accuracy only; one product with
+    # the nonnegative A(h) gives every entry to relative accuracy
+    w = a_mat @ np.abs(vecs[:, k])
+    w /= w.sum()
     if np.min(w) <= 0:
         # g has no zero row on a reduced hyperbolic graph in exact
         # arithmetic, so a zero row is e^{-h l} underflowing

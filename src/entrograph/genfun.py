@@ -28,6 +28,13 @@ edges and lengths 10^U(-3, 3), at t in {1.01h, 1.5h, 3h}, the values
 agree within 3e-12 * max(1, |f|) when t * l_min >= 1e-3 and within
 3e-11 * max(1, |f|) down to t * l_min = 2e-6.
 
+Every f_ab comes from one query, the block of f over a vertex list
+(``_Resolvent.block``, one multi-column solve): ``f_path`` reads f_xy
+from the block over (x, y), ``primitive_matrix`` takes the block over
+the heads of the attachment darts in G - v, and the incremental formulas
+the block over the endpoints of the new edges.  ``f_from`` is the one
+all-ones solve.
+
 The empty path is never counted, including for x = y: paths are edge
 concatenations, so f_xx starts at the shortest nonempty cycle through x.
 """
@@ -43,8 +50,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import DivergentSeries, InvalidDartIndex, UnknownVertex
-from .graph import (Dart, MetricGraph, component_of, components,
-                    delete_vertex)
+from .graph import Dart, MetricGraph, component_of, delete_vertex
 from .spectral import TransferMode, vertex_form
 
 
@@ -78,14 +84,14 @@ class GenFunValue:
 class _Resolvent:
     """Shared (graph component, t) factorization context.
 
-    Factors the vertex matrix M(t) once by Cholesky and caches one
-    refined solve per target: path_value(x, y) = (M^{-1})_xy - delta_xy
-    and from_value(x) = (M^{-1} 1)_x - 1; ``block`` takes every f_ab over
-    a vertex list from one multi-column solve.  ``ok`` is True when the
-    factorization succeeds: M(t) is positive definite exactly when t
-    exceeds the component entropy, so a failed factorization means the
-    series diverges.  Values agree with the dart-matrix resolvent within
-    3e-12 * max(1, |f|) for t * l_min >= 1e-3 (module docstring).
+    Factors the vertex matrix M(t) once by Cholesky.  ``block`` is the one
+    query for path values: every f_ab over a vertex list from one
+    multi-column refined solve; ``from_value(x)`` = (M^{-1} 1)_x - 1 is
+    the all-ones solve.  ``ok`` is True when the factorization succeeds:
+    M(t) is positive definite exactly when t exceeds the component
+    entropy, so a failed factorization means the series diverges.  Values
+    agree with the dart-matrix resolvent within 3e-12 * max(1, |f|) for
+    t * l_min >= 1e-3 (module docstring).
     """
 
     def __init__(self, comp: MetricGraph, t: float,
@@ -98,7 +104,6 @@ class _Resolvent:
             if info == 0:
                 self._factor = factor
         self.ok = self._factor is not None
-        self._columns: dict[str | None, np.ndarray] = {}
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
         """M^{-1} rhs for rhs >= 0, with one refinement step.  M^{-1} >= 0
@@ -115,23 +120,9 @@ class _Resolvent:
                                   "series diverges at this parameter")
         return u
 
-    def _column(self, y: str | None) -> np.ndarray:
-        """M^{-1} e_y, or M^{-1} 1 for y None."""
-        if y not in self._columns:
-            if y is None:
-                rhs = np.ones(len(self.index))
-            else:
-                rhs = np.zeros(len(self.index))
-                rhs[self.index[y]] = 1.0
-            self._columns[y] = self._solve(rhs)
-        return self._columns[y]
-
-    def path_value(self, x: str, y: str) -> float:
-        val = float(self._column(y)[self.index[x]]) - (1.0 if x == y else 0.0)
-        return max(val, 0.0)
-
     def from_value(self, x: str) -> float:
-        return max(float(self._column(None)[self.index[x]]) - 1.0, 0.0)
+        u = self._solve(np.ones(len(self.index)))
+        return max(float(u[self.index[x]]) - 1.0, 0.0)
 
     def block(self, verts: Sequence[str]) -> np.ndarray:
         """The matrix (f_ab) for a, b in ``verts`` (distinct vertices)."""
@@ -156,7 +147,8 @@ def f_path(graph: MetricGraph, x: str, y: str, t: float,
         return GenFunValue(0.0, float(t), GenFunKind.PATH_XY, (x, y),
                            GenFunStatus.CONVERGED, disconnected=True)
     try:
-        value = _Resolvent(comp, t, mode).path_value(x, y)
+        value = float(_Resolvent(comp, t, mode).block(
+            list(dict.fromkeys((x, y))))[0, -1])
     except DivergentSeries:
         return GenFunValue(math.inf, float(t), GenFunKind.PATH_XY, (x, y),
                            GenFunStatus.DIVERGENT)
@@ -227,47 +219,36 @@ def g_primitive(graph: MetricGraph, v: str, i: int, j: int,
 def primitive_matrix(graph: MetricGraph, v: str, t: float,
                      mode: TransferMode = TransferMode.NON_BACKTRACKING
                      ) -> np.ndarray:
-    """All g_ij(t) at v as an n x n array (one deletion, one solve pass).
+    """All g_ij(t) at v as an n x n array, from one factorization of the
+    vertex matrix of G - v and one block solve over the distinct heads.
 
-    In backtracking mode the interior paths may backtrack, and a cycle
-    may return along the reversal of the dart it left by, so the
-    empty-interior indicator also counts i = j; a loop dart still adds
-    e^{-l t}.  Raises DivergentSeries when t is at or below the entropy
-    of the graph with v removed.
+    On the non-loop darts this is the matrix D of adding v back to G - v
+    (README, "Incremental formulas"): e^{-(l_i + l_j) t} times f_{v_i v_j}
+    plus the bigon indicator [v_i = v_j, i != j].  In backtracking mode
+    the interior paths may backtrack, and a cycle may return along the
+    reversal of the dart it left by, so the indicator also counts i = j.
+    A loop dart's row holds e^{-l t} at its reversal.  Only the component
+    of v is factored, so a component of G that v does not touch cannot
+    make the series diverge.  Raises DivergentSeries when t is at or below
+    the entropy of that component with v removed.
     """
-    backtracking = mode is TransferMode.BACKTRACKING
     darts = attachment_darts(graph, v)
-    n = len(darts)
-    out = np.zeros((n, n))
-    interior = delete_vertex(graph, v)
-    contexts: dict[frozenset, _Resolvent] = {}
-    comps = components(interior)
-    for a in range(n):
-        ea = darts[a]
-        if ea.head == v:
-            rev = ea.reverse
-            for b in range(n):
-                if darts[b].id == rev:
-                    out[a, b] = math.exp(-t * ea.length)
-            continue
-        for b in range(n):
-            eb = darts[b]
-            if eb.head == v:
-                continue
-            f_val = 0.0
-            comp = next((c for c, _ in comps if ea.head in c.vertex_set), None)
-            if comp is not None and eb.head in comp.vertex_set:
-                key = comp.vertex_set
-                if key not in contexts:
-                    contexts[key] = _Resolvent(comp, t, mode)
-                ctx = contexts[key]
-                if not ctx.ok:
-                    raise DivergentSeries(
-                        f"g_ij diverges at t={t}: interior entropy reached")
-                f_val = ctx.path_value(ea.head, eb.head)
-            bigon = 1.0 if (ea.head == eb.head
-                            and (a != b or backtracking)) else 0.0
-            out[a, b] = math.exp(-(ea.length + eb.length) * t) * (f_val + bigon)
+    z = np.exp(-t * np.array([d.length for d in darts]))
+    out = np.zeros((len(darts), len(darts)))
+    col = {d.id: k for k, d in enumerate(darts)}
+    loops = [k for k, d in enumerate(darts) if d.head == v]
+    out[loops, [col[darts[k].reverse] for k in loops]] = z[loops]
+    inner = [k for k, d in enumerate(darts) if d.head != v]
+    if not inner:
+        return out
+    verts = list(dict.fromkeys(darts[k].head for k in inner))
+    slot = [verts.index(darts[k].head) for k in inner]
+    f = _Resolvent(delete_vertex(component_of(graph, v), v), t,
+                   mode).block(verts)[np.ix_(slot, slot)]
+    bigon = np.equal.outer(slot, slot)
+    if mode is not TransferMode.BACKTRACKING:
+        np.fill_diagonal(bigon, False)
+    out[np.ix_(inner, inner)] = np.outer(z[inner], z[inner]) * (f + bigon)
     return out
 
 

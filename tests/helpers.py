@@ -169,6 +169,51 @@ def multigraphs(draw):
         names, [(u, v, 10.0 ** e) for (u, v), e in zip(ends, exps)])
 
 
+def counting_resolvent():
+    """A subclass of the vertex-matrix factorization context that counts
+    its instances in ``made``, for monkeypatching over ``_Resolvent``."""
+    from entrograph.genfun import _Resolvent
+
+    class CountingResolvent(_Resolvent):
+        made = 0
+
+        def __init__(self, *args, **kwargs):
+            type(self).made += 1
+            super().__init__(*args, **kwargs)
+    return CountingResolvent
+
+
+def scalar_primitive_matrix(graph, v, t,
+                            mode=TransferMode.NON_BACKTRACKING):
+    """``primitive_matrix`` one entry at a time: a Python loop over the
+    attachment-dart pairs (a, b) with one ``f_path`` in G - v per pair.
+    Raises DivergentSeries when an interior f_ab diverges."""
+    from entrograph import (DivergentSeries, attachment_darts,
+                            delete_vertex, f_path)
+    backtracking = mode is TransferMode.BACKTRACKING
+    darts = attachment_darts(graph, v)
+    n = len(darts)
+    out = np.zeros((n, n))
+    interior = delete_vertex(graph, v)
+    for a, ea in enumerate(darts):
+        if ea.head == v:
+            for b, eb in enumerate(darts):
+                if eb.id == ea.reverse:
+                    out[a, b] = math.exp(-t * ea.length)
+            continue
+        for b, eb in enumerate(darts):
+            if eb.head == v:
+                continue
+            inner = f_path(interior, ea.head, eb.head, t, mode)
+            if not inner.converged:
+                raise DivergentSeries(f"f diverges at t={t}")
+            bigon = 1.0 if (ea.head == eb.head
+                            and (a != b or backtracking)) else 0.0
+            out[a, b] = math.exp(-(ea.length + eb.length) * t) \
+                * (inner.value + bigon)
+    return out
+
+
 # -- scalar references for the counting identity checks --------------------
 #
 # One radius at a time, in Python: the loops the package ran before its

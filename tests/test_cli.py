@@ -223,6 +223,22 @@ def test_count_json_matches_csv(tmp_path, capsys):
 def test_count_cap_exit_code(tmp_path, capsys):
     path = tmp_path / "rose2.json"
     path.write_text(serialize_json(rose(2)))
-    assert main(["count", str(path), "--kind", "paths-from", "--x", "v",
-                 "--r", "40", "--cap", "1000"]) == 4
-    assert "horizon" in capsys.readouterr().err
+    for cap in ("1000", "1e3"):  # --cap also takes float text
+        assert main(["count", str(path), "--kind", "paths-from", "--x", "v",
+                     "--r", "40", "--cap", cap]) == 4
+        assert "horizon" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "K4", "--format", "json"],
+    ["generate", "--vertices", "5", "--edges", "8", "--tol", "1e-9"],
+    ["entropy", "K4", "--cap", "10"],
+    ["add-edge", "K4", "a", "b", "1.0", "--out", "h.txt"],
+    ["count", "K4", "--kind", "cycles", "--v", "a", "--r", "5",
+     "--margin", "0.1"],
+])
+def test_option_a_command_does_not_read_exits_2(argv, k4_file, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([k4_file if arg == "K4" else arg for arg in argv])
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

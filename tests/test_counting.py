@@ -270,6 +270,50 @@ def test_growth_bounds_rose2_with_loops():
     assert rep.violations == ()
 
 
+@pytest.mark.parametrize("edges, v", [
+    ([("v4", "v4", 96.75970624450153), ("v0", "v0", 0.14107531840106938),
+      ("v4", "v0", 8.108613719756914)], "v4"),
+    ([("v0", "v1", 70.35685564348415), ("v0", "v1", 0.08628665462711338),
+      ("v0", "v1", 37.409637494553955), ("v1", "v1", 16.302093204554406),
+      ("v0", "v0", 0.018520859815246437)], "v1"),
+    ([("v2", "v4", 3.5861990761213898), ("v2", "v5", 7.0108222137330864),
+      ("v5", "v2", 0.36727947731122124), ("v4", "v4", 4.380891324460537),
+      ("v5", "v5", 0.01708471117330321), ("v2", "v2", 57.799570142765866)],
+     "v2"),
+])
+def test_growth_bounds_on_small_cores_with_wide_lengths(edges, v):
+    # a power iteration on A(h) put rho 1.1e-8 and 2.8e-8 above 1 on the
+    # first and third core and did not converge on the second
+    names = sorted({x for e in edges for x in e[:2]})
+    rep = growth_bounds(MetricGraph.from_edges(names, edges), v, 12.0)
+    assert abs(rep.rho_a - 1.0) <= 1e-8
+    assert rep.passed
+
+
+def test_growth_bounds_constant_on_rose_with_a_long_loop():
+    # At the one vertex of a rose, A(h) = diag(z) (J - P) with z = e^{-h l}
+    # and P the dart reversal, so w ~ z / (1 + z), whose sum is 1 at h,
+    # and M = (n-1)/(n-2) / min z/(1+z).  The long loop's Perron entries
+    # are 2e-14 of the short loops'; a power iteration resolved them only
+    # to about 1e-12 of the largest and put M 98.6% low.
+    loops = (1.0, 1.0, 30.0)
+    g = MetricGraph.from_edges(["v"], [("v", "v", l) for l in loops])
+    lo, hi = 0.1, 5.0  # bisect sum 2z/(1+z) = 1, the rose's equation
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if sum(2.0 / (1.0 + math.exp(mid * l)) for l in loops) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    h = 0.5 * (lo + hi)
+    n = 2 * len(loops)
+    want = (n - 1) / (n - 2) / min(1.0 / (1.0 + math.exp(h * l))
+                                   for l in loops)
+    rep = growth_bounds(g, "v", 1e-9, h=h)
+    assert rep.m_formula == pytest.approx(want, rel=1e-12)
+    assert abs(rep.rho_a - 1.0) <= 1e-12
+
+
 def test_growth_bounds_names_underflow():
     # at h = log 3 / 0.01, e^{-10 h} underflows: the rows of the long loop
     # in the primitive matrix are 0, and so are their Perron entries
@@ -454,10 +498,10 @@ def test_array_checks_match_scalar_reference(g):
 
     # The bound checks below need entropies and a Perron vector.  With
     # fewer than two primitive cycles there is no backtracking bound, and
-    # where growth_bounds fails on these inputs (power-iteration
-    # NonConvergence, ROADMAP item 2; a Perron entry that underflows to 0
-    # beside a much longer edge) there is no report to compare; those
-    # parts are skipped.
+    # where growth_bounds fails on these inputs (rho(A(h)) off 1 where the
+    # entropy of the core without v is within rounding of h; a Perron
+    # entry that underflows to 0 beside a much longer edge) there is no
+    # report to compare; those parts are skipped.
     try:
         bt = backtracking_bound(g, v, r_max, cap=2000)
     except PreconditionError:

@@ -5,15 +5,19 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
-from entrograph import (EnumerationSpec, InvalidDartIndex, MetricGraph,
-                        PathKind, attachment_darts, check_symmetry,
-                        enumerate_paths, f_from, f_path, g_primitive,
-                        generate_graph, primitive_matrix, volume_entropy)
+from entrograph import (DivergentSeries, EnumerationSpec, InvalidDartIndex,
+                        MetricGraph, PathKind, TransferMode,
+                        attachment_darts, check_symmetry, enumerate_paths,
+                        f_from, f_path, g_primitive, generate_graph,
+                        primitive_matrix, volume_entropy)
+from entrograph import genfun
 from entrograph.genfun import _Resolvent
-from helpers import (c4, complete4, dart_lu_path, dumbbell, eig_entropy,
-                     multigraphs, rose, segment, theta)
+from entrograph.graph import disjoint_union
+from helpers import (c4, complete4, counting_resolvent, dart_lu_path,
+                     dumbbell, eig_entropy, multigraphs, rose,
+                     scalar_primitive_matrix, segment, theta)
 
 
 def test_segment_single_path():
@@ -200,15 +204,58 @@ def test_primitive_matrix_matches_scalar_and_enumeration():
             (volume_entropy(g).h - t) * 12.0)
 
 
+@settings(max_examples=40, deadline=None)
+@given(multigraphs(), st.data())
+def test_primitive_matrix_matches_scalar_loop_on_random_multigraphs(g,
+                                                                   data):
+    # t from below the entropy of G - v (divergent) to far above h
+    v = data.draw(st.sampled_from(g.vertices))
+    h = eig_entropy(g)
+    for mode in (TransferMode.NON_BACKTRACKING, TransferMode.BACKTRACKING):
+        for t in (0.5 * h, 0.9 * h, 1.01 * h, 1.5 * h, 3.0 * h):
+            try:
+                want = scalar_primitive_matrix(g, v, t, mode)
+            except DivergentSeries:
+                with pytest.raises(DivergentSeries):
+                    primitive_matrix(g, v, t, mode)
+                continue
+            got = primitive_matrix(g, v, t, mode)
+            assert np.all(np.abs(got - want)
+                          <= 1e-12 * np.maximum(1.0, np.abs(want))), \
+                (mode, t)
+
+
+def test_primitive_matrix_ignores_components_away_from_v():
+    # the rose of three loops of length 0.1 has entropy log(5)/0.1 = 16.1,
+    # far above t; it shares no component with v
+    g = disjoint_union([complete4(), MetricGraph.from_edges(
+        ["r"], [("r", "r", 0.1)] * 3)])
+    t = volume_entropy(complete4()).h + 0.4
+    assert np.array_equal(primitive_matrix(g, "a", t),
+                          primitive_matrix(complete4(), "a", t))
+
+
+def test_primitive_matrix_factors_once(monkeypatch):
+    # G - m is the two loops at a and at b, two components: one
+    # factorization of the block-diagonal vertex matrix serves both
+    counting = counting_resolvent()
+    monkeypatch.setattr(genfun, "_Resolvent", counting)
+    mat = primitive_matrix(dumbbell(), "m", 0.8)
+    assert counting.made == 1
+    assert np.allclose(mat, scalar_primitive_matrix(dumbbell(), "m", 0.8),
+                       rtol=1e-12, atol=0.0)
+
+
 # -- vertex-matrix resolvent against the dart-matrix LU -------------------
 
 def _assert_matches_dart_lu(g, t):
     ctx = _Resolvent(g, t)
     assert ctx.ok
-    for x in g.vertices:
-        for y in g.vertices:
+    block = ctx.block(g.vertices)
+    for i, x in enumerate(g.vertices):
+        for j, y in enumerate(g.vertices):
             want = dart_lu_path(g, x, y, t)
-            assert abs(ctx.path_value(x, y) - want) <= \
+            assert abs(block[i, j] - want) <= \
                 1e-9 * max(1.0, abs(want)), (x, y, t)
 
 

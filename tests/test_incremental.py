@@ -14,7 +14,8 @@ from entrograph import (DisconnectedPair, MetricGraph, PreconditionError,
                         predict_vertex_asymptotic, volume_entropy)
 from entrograph import incremental
 from entrograph.graph import disjoint_union
-from helpers import c4, complete4, cycle, dumbbell, path3, rose, theta
+from helpers import (c4, complete4, counting_resolvent, cycle, dumbbell,
+                     path3, rose, theta)
 
 
 def quintic_root_h():
@@ -167,23 +168,15 @@ def test_long_edge_root_pinched_against_base(l0):
     assert res.residual <= 1e-12
 
 
-class _CountingResolvent(incremental._Resolvent):
-    made = 0
-
-    def __init__(self, *args, **kwargs):
-        type(self).made += 1
-        super().__init__(*args, **kwargs)
-
-
 def test_iterations_count_each_equation_evaluation(monkeypatch):
     # every evaluation of either defining equation factors M(t) once
-    monkeypatch.setattr(incremental, "_Resolvent", _CountingResolvent)
-    _CountingResolvent.made = 0
+    counting = counting_resolvent()
+    monkeypatch.setattr(incremental, "_Resolvent", counting)
     res = entropy_after_edge(c4(), "a", "c", 1.0)
-    assert res.iterations == _CountingResolvent.made > 0
-    _CountingResolvent.made = 0
+    assert res.iterations == counting.made > 0
+    counting.made = 0
     res = entropy_after_vertex(c4(), [("a", 1.0), ("b", 1.0), ("c", 1.0)])
-    assert res.iterations == _CountingResolvent.made > 0
+    assert res.iterations == counting.made > 0
 
 
 def test_resolvent_solve_that_loses_its_sign_diverges():
