@@ -23,9 +23,8 @@ from .errors import (DisconnectedPair, DivergentSeries, EntrographError,
                      MarginTooSmall, NonConvergence, NonPositiveLength,
                      PreconditionError, TooFewAttachments, UnknownFormat,
                      UnknownVertex, ValidationFailed)
-from .genfun import (GenFunKind, GenFunStatus, GenFunValue, attachment_darts,
-                     check_symmetry, f_from, f_path, g_primitive,
-                     primitive_matrix)
+from .genfun import (GenFunValue, attachment_darts, check_symmetry, f_from,
+                     f_path, g_primitive, primitive_matrix)
 from .graph import (ComponentKind, Dart, MetricGraph, ReduceResult, add_edge,
                     add_vertex, components, delete_edge, delete_vertex,
                     first_betti, reduce, same_graph, validate)

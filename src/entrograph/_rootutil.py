@@ -1,9 +1,10 @@
-"""Bracketed scalar root finding: bisection to a coarse width, then
-secant polish with bracket projection and Brent's bisection fallback
-(``bracketed_root``), and the search for a bracket above a base point
-where the equation may diverge (``root_above``).  Used for the monotone
-defining equations of the incremental formulas and the primitive-cycle
-roots."""
+"""Bracketed scalar root finding: bisection to relative width ``COARSE``,
+then secant polish with bracket projection and Brent's bisection
+fallback down to ``XTOL_REL`` relative, within ``MAX_ITER`` evaluations
+(``bracketed_root``); and the search for a bracket above a base point
+where the equation may diverge, from ``REL_MARGIN`` relative above it
+(``root_above``).  Used for the monotone defining equations of the
+incremental formulas and the primitive-cycle roots."""
 
 from __future__ import annotations
 
@@ -12,19 +13,23 @@ from typing import Callable
 
 from .errors import DivergentSeries, NonConvergence
 
+COARSE = 1e-2
+XTOL_REL = 1e-15
+MAX_ITER = 240
+REL_MARGIN = 1e-6
+
 
 def bracketed_root(fn: Callable[[float], float], lo: float, hi: float,
-                   f_lo: float | None = None, f_hi: float | None = None,
-                   coarse: float = 1e-2, xtol_rel: float = 1e-15,
-                   max_iter: int = 240) -> tuple[float, float, int]:
+                   f_lo: float | None = None, f_hi: float | None = None
+                   ) -> tuple[float, float, int]:
     """Root of a continuous function with a sign change on [lo, hi].
 
-    Returns (x, f(x), evaluations).  ``coarse`` bounds the relative width
+    Returns (x, f(x), evaluations).  ``COARSE`` bounds the relative width
     reached by pure bisection before secant steps take over; secant
     iterates falling outside the current bracket, or stepping farther
     than half the step before the last one, are replaced by midpoints.
-    It stops once a secant step or the bracket falls below ``xtol_rel``
-    relative.
+    It stops once a secant step or the bracket falls below ``XTOL_REL``
+    relative, or after ``MAX_ITER`` evaluations.
     """
     evals = 0
     if f_lo is None:
@@ -43,7 +48,7 @@ def bracketed_root(fn: Callable[[float], float], lo: float, hi: float,
     # it yields (nan, or an end of the bracket) fall back to midpoints
 
     scale = max(1.0, abs(lo), abs(hi))
-    while hi - lo > coarse * scale and evals < max_iter:
+    while hi - lo > COARSE * scale and evals < MAX_ITER:
         mid = 0.5 * (lo + hi)
         f_mid = fn(mid)
         evals += 1
@@ -60,11 +65,11 @@ def bracketed_root(fn: Callable[[float], float], lo: float, hi: float,
         x_prev, f_prev, x_cur, f_cur = hi, f_hi, lo, f_lo
     best = (x_cur, f_cur)
     step_last = step_before = math.inf
-    while evals < max_iter:
+    while evals < MAX_ITER:
         denom = f_cur - f_prev
         if denom != 0.0:
             x_next = x_cur - f_cur * (x_cur - x_prev) / denom
-            if abs(x_next - x_cur) <= xtol_rel * max(1.0, abs(x_cur)) \
+            if abs(x_next - x_cur) <= XTOL_REL * max(1.0, abs(x_cur)) \
                     and math.isfinite(denom):
                 break  # the secant correction is below resolution
         else:
@@ -86,14 +91,13 @@ def bracketed_root(fn: Callable[[float], float], lo: float, hi: float,
         x_cur, f_cur = x_next, f_next
         if abs(f_cur) < abs(best[1]):
             best = (x_cur, f_cur)
-        if f_next == 0.0 or step <= xtol_rel * max(1.0, abs(x_next)) \
-                or hi - lo <= xtol_rel * max(1.0, abs(x_next)):
+        if f_next == 0.0 or step <= XTOL_REL * max(1.0, abs(x_next)) \
+                or hi - lo <= XTOL_REL * max(1.0, abs(x_next)):
             break
     return best[0], best[1], evals
 
 
-def root_above(fn: Callable[[float], float], base: float,
-               rel_margin: float = 1e-6
+def root_above(fn: Callable[[float], float], base: float
                ) -> tuple[float, float, int, float | None]:
     """Root above ``base`` of a function that is negative between
     ``base`` and the root and positive above the root, such as an
@@ -101,7 +105,7 @@ def root_above(fn: Callable[[float], float], base: float,
     ``base``; ``fn`` may raise DivergentSeries close to ``base``.
 
     The lower end
-    starts at ``base + rel_margin * max(base, 1)``, grows on divergence
+    starts at ``base + REL_MARGIN * max(base, 1)``, grows on divergence
     and shrinks while fn >= 0; once both a divergent and a non-negative
     offset are known it bisects between them.  When the non-negative end
     comes within 1e-16 * max(base, 1) of ``base``, of the divergent end
@@ -124,7 +128,7 @@ def root_above(fn: Callable[[float], float], base: float,
     evals = 0
     scale = max(base, 1.0)
     floor = 1e-16 * scale
-    off = rel_margin * scale
+    off = REL_MARGIN * scale
     divergent, nonneg = 0.0, None  # largest divergent, smallest fn >= 0
     t_lo = f_lo = None
     for _ in range(240):

@@ -65,41 +65,42 @@ def cmd_entropy(args) -> int:
     return EXIT_OK
 
 
-def cmd_add_edge(args) -> int:
-    graph = _load(args.file)
-    base = volume_entropy(graph, tol=args.tol)
-    ends = component_of(graph, args.x).vertex_set \
-        | component_of(graph, args.y).vertex_set
-    h_comp = dict(base.per_component)
-    inc = entropy_after_edge(graph, args.x, args.y, args.length, tol=args.tol,
-                             rel_margin=args.margin,
-                             h_base=max(h for cid, h in h_comp.items()
-                                        if cid in ends))
-    edited = add_edge(graph, args.x, args.y, args.length)
-    direct = volume_entropy(edited, tol=args.tol)
-    others = [h for cid, h in h_comp.items() if cid not in ends]
-    combined = max([inc.h_prime] + others)
+def _direct_gap(edited: MetricGraph, x: str, h_prime: float,
+                tol: float) -> tuple[float, float]:
+    """Entropy of the component of x in the edited graph by a direct
+    solve, and its distance to the incremental h' of that component."""
+    direct = volume_entropy(component_of(edited, x), tol=tol).h
+    return direct, abs(h_prime - direct)
+
+
+def _print_cross_check(inc, residual: float, edited: MetricGraph, x: str,
+                       tol: float):
+    """Print an incremental result beside the direct solve of the
+    component of x in the edited graph."""
+    direct, gap = _direct_gap(edited, x, inc.h_prime, tol)
     print(f"h_base = {inc.h_base:.12g}")
     print(f"incremental h' = {inc.h_prime:.12g}  "
-          f"(residual {inc.residual:.3e}, {inc.iterations} evaluations)")
-    print(f"direct h' = {direct.h:.12g}")
-    print(f"|incremental - direct| = {abs(combined - direct.h):.3e}")
+          f"(residual {residual:.3e}, {inc.iterations} evaluations)")
+    print(f"direct h' = {direct:.12g}")
+    print(f"|incremental - direct| = {gap:.3e}")
+
+
+def cmd_add_edge(args) -> int:
+    graph = _load(args.file)
+    inc = entropy_after_edge(graph, args.x, args.y, args.length, tol=args.tol)
+    _print_cross_check(inc, inc.residual,
+                       add_edge(graph, args.x, args.y, args.length), args.x,
+                       args.tol)
     return EXIT_OK
 
 
 def cmd_add_vertex(args) -> int:
     graph = _load(args.file)
     attachments = _parse_attachments(args.attach)
-    inc = entropy_after_vertex(graph, attachments, tol=args.tol,
-                               rel_margin=args.margin)
-    edited = add_vertex(graph, attachments)
-    direct = volume_entropy(edited, tol=args.tol)
-    print(f"h_base = {inc.h_base:.12g}")
-    print(f"incremental h' = {inc.h_prime:.12g}  "
-          f"(residual {inc.spectral_residual:.3e}, {inc.iterations} "
-          f"evaluations)")
-    print(f"direct h' = {direct.h:.12g}")
-    print(f"|incremental - direct| = {abs(inc.h_prime - direct.h):.3e}")
+    inc = entropy_after_vertex(graph, attachments, tol=args.tol)
+    _print_cross_check(inc, inc.spectral_residual,
+                       add_vertex(graph, attachments), attachments[0][0],
+                       args.tol)
     return EXIT_OK
 
 
@@ -138,8 +139,7 @@ def _bench_report(graph: MetricGraph, tol: float) -> str:
     crossover = None
     direct, incr = curves["direct"].steps, curves["incremental"].steps
     for sd, si in zip(direct, incr):
-        if si.strategy is not persistence.StepStrategy.DIRECT \
-                and si.ms < sd.ms:
+        if si.ms < sd.ms:
             crossover = sd.epsilon
             break
     lines.append(f"crossover,{'' if crossover is None else repr(crossover)}")
@@ -159,7 +159,7 @@ def cmd_verify(args) -> int:
     h_comp = dict(res.per_component)
     record("entropy-solve", "PASS", f"h={h:.9g} residual={res.residual:.2e}")
 
-    comps = [c for c, _ in components(graph) if len(c.vertex_set) >= 2]
+    comps = [c for c in components(graph) if len(c.vertex_set) >= 2]
     if comps:
         comp = comps[0]
         a, b = sorted(comp.vertex_set)[:2]
@@ -171,7 +171,7 @@ def cmd_verify(args) -> int:
 
     red = reduce(graph)
     core = red.graph
-    hyper = [c for c, _ in components(core)] if core.vertices else []
+    hyper = components(core)
     skip_reason = "no hyperbolic component" if not hyper else None
     if hyper:
         core0 = hyper[0]
@@ -225,11 +225,8 @@ def cmd_verify(args) -> int:
         comp = component_of(graph, x)
         inc = entropy_after_edge(graph, x, y, 1.0, tol=args.tol,
                                  h_base=h_comp[min(comp.vertices)])
-        direct = volume_entropy(add_edge(graph, x, y, 1.0), tol=args.tol)
-        others = [hh for cid, hh in h_comp.items()
-                  if cid not in comp.vertex_set]
-        combined = max([inc.h_prime] + others)
-        diff = abs(combined - direct.h)
+        _, diff = _direct_gap(add_edge(graph, x, y, 1.0), x, inc.h_prime,
+                              args.tol)
         record("edge-cross-method", "PASS" if diff <= 1e-8 else "FAIL",
                f"|inc-direct|={diff:.2e}")
     else:
@@ -245,7 +242,7 @@ def cmd_verify(args) -> int:
 
 
 def _first_nonadjacent_pair(graph: MetricGraph):
-    for comp, _ in components(graph):
+    for comp in components(graph):
         verts = sorted(comp.vertex_set)
         for i, x in enumerate(verts):
             neighbors = {comp.darts[d].head for d in comp.out_darts(x)}
@@ -293,7 +290,6 @@ _OPTIONS = {
     "max-iter": dict(type=int, default=10_000),
     "cap": dict(type=float, default=10_000_000,
                 help="enumeration node cap"),
-    "margin": dict(type=float, default=1e-6),
     "format": dict(choices=("csv", "json"), default="csv"),
     "out": dict(default=None, metavar="PATH"),
 }
@@ -320,7 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.set_defaults(fn=cmd_entropy)
 
-    p = sub.add_parser("add-edge", parents=[_options("tol", "margin")],
+    p = sub.add_parser("add-edge", parents=[_options("tol")],
                        help="incremental vs direct entropy after one edge")
     p.add_argument("file")
     p.add_argument("x")
@@ -328,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("length", type=float)
     p.set_defaults(fn=cmd_add_edge)
 
-    p = sub.add_parser("add-vertex", parents=[_options("tol", "margin")],
+    p = sub.add_parser("add-vertex", parents=[_options("tol")],
                        help="incremental vs direct entropy after a vertex")
     p.add_argument("file")
     p.add_argument("--attach", action="append", required=True,

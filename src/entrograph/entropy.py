@@ -175,7 +175,7 @@ def volume_entropy(graph: MetricGraph, tol: float = 1e-10,
     per: list[tuple[str, float]] = []
     best = None  # (h, residual, iterations, bracket, method)
     total_iters = 0
-    for comp, _ in components(graph):
+    for comp in components(graph):
         cid = min(comp.vertices)
         red = reduce(comp)
         if red.kinds[0] is not ComponentKind.HYPERBOLIC:
@@ -209,15 +209,14 @@ def volume_entropy(graph: MetricGraph, tol: float = 1e-10,
 def rho_curve(graph: MetricGraph, t_values: Sequence[float],
               mode: TransferMode = TransferMode.NON_BACKTRACKING
               ) -> list[tuple[float, float]]:
-    """Sample (t, rho(B(t))) along a parameter grid; diagnostic helper."""
+    """Sample (t, rho(B(t))) along a parameter grid, each radius from the
+    dense eigenvalues of B(t); diagnostic helper."""
     report = validate(graph)
     if report:
         raise ValidationFailed(report)
-    out = []
-    for t in t_values:
-        rho = spectral_radius(build_transfer(graph, float(t), mode)).rho
-        out.append((float(t), rho))
-    return out
+    return [(float(t), float(np.abs(np.linalg.eigvals(
+        build_transfer(graph, float(t), mode).matrix)).max(initial=0.0)))
+        for t in t_values]
 
 
 def entropy_from_counts(profile: "CountProfile",

@@ -10,12 +10,12 @@ Fukumizu, NeurIPS 2009) this is
 and backtracking paths use I - W(t) in place of M(t).  M(t) is positive
 definite exactly when t lies above the component entropy, so one
 Cholesky factorization both certifies convergence and serves every
-solve; at or below the entropy the evaluation reports Divergent status
+solve; at or below the entropy the evaluation returns the value inf
 instead of raising.  So does a solve with an entry below zero (beyond
 rounding): M^{-1} >= 0 above the entropy, so it shows a factorization
 that succeeded on a numerically singular M(t).  M(t) needs t > 0, so
-t <= 0 reports Divergent as well, which leaves the finite sums of a
-forest at t <= 0 unevaluated.
+t <= 0 gives inf as well, which leaves the finite sums of a forest at
+t <= 0 unevaluated.
 
 Each solve takes one step of iterative refinement with the residual
 computed from the edge form of M(t) (``spectral.VertexForm.apply``).
@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -54,31 +53,17 @@ from .graph import Dart, MetricGraph, component_of, delete_vertex
 from .spectral import TransferMode, vertex_form
 
 
-class GenFunKind(Enum):
-    PATH_XY = "path-xy"
-    PATH_FROM = "path-from"
-    PRIMITIVE_IJ = "primitive-ij"
-
-
-class GenFunStatus(Enum):
-    CONVERGED = "converged"
-    DIVERGENT = "divergent"
-
-
 @dataclass(frozen=True)
 class GenFunValue:
-    """Evaluation of a generating function at a real parameter t."""
+    """Evaluation of a generating function at a real parameter t: the
+    value is inf where the series diverges."""
 
     value: float
-    t: float
-    kind: GenFunKind
-    endpoints: tuple
-    status: GenFunStatus
     disconnected: bool = False
 
     @property
     def converged(self) -> bool:
-        return self.status is GenFunStatus.CONVERGED
+        return math.isfinite(self.value)
 
 
 class _Resolvent:
@@ -137,23 +122,19 @@ def f_path(graph: MetricGraph, x: str, y: str, t: float,
     """Generating function f_xy(t) of paths from x to y.
 
     Returns value 0 with the ``disconnected`` flag when x and y lie in
-    different components (the path set is empty); a Divergent status when
-    t is at or below the component entropy.
+    different components (the path set is empty); the value inf when t is
+    at or below the component entropy.
     """
     if y not in graph.vertex_set:
         raise UnknownVertex(f"unknown vertex {y!r}")
     comp = component_of(graph, x)
     if y not in comp.vertex_set:
-        return GenFunValue(0.0, float(t), GenFunKind.PATH_XY, (x, y),
-                           GenFunStatus.CONVERGED, disconnected=True)
+        return GenFunValue(0.0, disconnected=True)
     try:
-        value = float(_Resolvent(comp, t, mode).block(
-            list(dict.fromkeys((x, y))))[0, -1])
+        return GenFunValue(float(_Resolvent(comp, t, mode).block(
+            list(dict.fromkeys((x, y))))[0, -1]))
     except DivergentSeries:
-        return GenFunValue(math.inf, float(t), GenFunKind.PATH_XY, (x, y),
-                           GenFunStatus.DIVERGENT)
-    return GenFunValue(value, float(t), GenFunKind.PATH_XY, (x, y),
-                       GenFunStatus.CONVERGED)
+        return GenFunValue(math.inf)
 
 
 def f_from(graph: MetricGraph, x: str, t: float,
@@ -161,12 +142,9 @@ def f_from(graph: MetricGraph, x: str, t: float,
     """Generating function f_x(t) = sum_y f_xy(t); one resolvent solve."""
     comp = component_of(graph, x)
     try:
-        value = _Resolvent(comp, t, mode).from_value(x)
+        return GenFunValue(_Resolvent(comp, t, mode).from_value(x))
     except DivergentSeries:
-        return GenFunValue(math.inf, float(t), GenFunKind.PATH_FROM, (x,),
-                           GenFunStatus.DIVERGENT)
-    return GenFunValue(value, float(t), GenFunKind.PATH_FROM, (x,),
-                       GenFunStatus.CONVERGED)
+        return GenFunValue(math.inf)
 
 
 def attachment_darts(graph: MetricGraph, v: str) -> tuple[Dart, ...]:
@@ -198,22 +176,16 @@ def g_primitive(graph: MetricGraph, v: str, i: int, j: int,
         raise InvalidDartIndex(
             f"indices must lie in 1..{n}, got ({i}, {j})")
     ei, ej = darts[i - 1], darts[j - 1]
-    endpoints = (v, i, j)
     if ei.head == v or ej.head == v:  # loop dart at v
         if ei.head == v and ej.id == ei.reverse:
-            value = math.exp(-t * ei.length)
-        else:
-            value = 0.0
-        return GenFunValue(value, float(t), GenFunKind.PRIMITIVE_IJ,
-                           endpoints, GenFunStatus.CONVERGED)
+            return GenFunValue(math.exp(-t * ei.length))
+        return GenFunValue(0.0)
     inner = f_path(delete_vertex(graph, v), ei.head, ej.head, t)
     if not inner.converged:
-        return GenFunValue(math.inf, float(t), GenFunKind.PRIMITIVE_IJ,
-                           endpoints, GenFunStatus.DIVERGENT)
+        return GenFunValue(math.inf)
     bigon = 1.0 if (ei.head == ej.head and i != j) else 0.0
-    value = math.exp(-(ei.length + ej.length) * t) * (inner.value + bigon)
-    return GenFunValue(value, float(t), GenFunKind.PRIMITIVE_IJ, endpoints,
-                       GenFunStatus.CONVERGED)
+    return GenFunValue(math.exp(-(ei.length + ej.length) * t)
+                       * (inner.value + bigon))
 
 
 def primitive_matrix(graph: MetricGraph, v: str, t: float,

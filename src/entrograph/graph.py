@@ -156,18 +156,16 @@ def validate(graph: MetricGraph) -> tuple[str, ...]:
     return tuple(report)
 
 
-def components(graph: MetricGraph) -> list[tuple[MetricGraph, dict[str, str]]]:
+def components(graph: MetricGraph) -> list[MetricGraph]:
     """Split into connected components, ordered by smallest vertex id.
 
-    Returns (component, vertex_map) pairs where vertex_map sends each
-    component vertex to the corresponding input vertex (identifiers are
-    preserved, so the map is the identity restricted to the component).
+    Each component keeps the vertex identifiers of the input graph.
     """
     adj: dict[str, set[str]] = {v: set() for v in graph.vertices}
     for d in graph.darts:
         adj[d.tail].add(d.head)
     seen: set[str] = set()
-    out: list[tuple[MetricGraph, dict[str, str]]] = []
+    out: list[MetricGraph] = []
     for start in sorted(graph.vertices):
         if start in seen:
             continue
@@ -183,13 +181,13 @@ def components(graph: MetricGraph) -> list[tuple[MetricGraph, dict[str, str]]]:
         verts = tuple(v for v in graph.vertices if v in comp)
         edges = tuple((d.tail, d.head, d.length)
                       for d in graph.edge_darts() if d.tail in comp)
-        out.append((MetricGraph.from_edges(verts, edges), {v: v for v in verts}))
+        out.append(MetricGraph.from_edges(verts, edges))
     return out
 
 
 def component_of(graph: MetricGraph, x: str) -> MetricGraph:
     """The connected component containing vertex x."""
-    for comp, _ in components(graph):
+    for comp in components(graph):
         if x in comp.vertex_set:
             return comp
     raise UnknownVertex(f"unknown vertex {x!r}")
@@ -207,14 +205,13 @@ def disjoint_union(parts: Sequence[MetricGraph]) -> MetricGraph:
 def first_betti(graph: MetricGraph) -> tuple[int, ...]:
     """First Betti number |E| - |V| + 1 of each connected component."""
     return tuple(comp.edge_count - len(comp.vertices) + 1
-                 for comp, _ in components(graph))
+                 for comp in components(graph))
 
 
 @dataclass(frozen=True)
 class ReduceResult:
     graph: MetricGraph
     kinds: tuple[ComponentKind, ...]
-    vertex_map: dict[str, str]
 
 
 def reduce(graph: MetricGraph) -> ReduceResult:
@@ -228,12 +225,12 @@ def reduce(graph: MetricGraph) -> ReduceResult:
     carrying one loop (kind SINGLE_CYCLE; that vertex is kept even though
     its degree is 2 because suppressing it would erase the component);
     a Betti >= 2 component reduces to a core of minimum degree 3 (kind
-    HYPERBOLIC).  Kinds align with the ``components`` order and the
-    vertex map sends surviving vertices to their originals.
+    HYPERBOLIC).  Kinds align with the ``components`` order, and the
+    surviving vertices keep their identifiers.
     """
     pieces: list[tuple[tuple[str, ...], list[tuple[str, str, float]]]] = []
     kinds: list[ComponentKind] = []
-    for comp, _ in components(graph):
+    for comp in components(graph):
         betti = comp.edge_count - len(comp.vertices) + 1
         if betti == 0:
             kinds.append(ComponentKind.TRIVIAL)
@@ -247,7 +244,7 @@ def reduce(graph: MetricGraph) -> ReduceResult:
         verts.extend(pv)
         edges.extend(pe)
     reduced = MetricGraph.from_edges(verts, edges)
-    return ReduceResult(reduced, tuple(kinds), {v: v for v in verts})
+    return ReduceResult(reduced, tuple(kinds))
 
 
 def _reduce_component(comp: MetricGraph):

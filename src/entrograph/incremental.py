@@ -134,8 +134,8 @@ def _betti(graph: MetricGraph) -> int:
 
 def _extend(parts: Sequence[MetricGraph],
             new_edges: Sequence[tuple[str, str, float]],
-            h_base: float | None, tol: float = 1e-10,
-            rel_margin: float = 1e-6) -> tuple[float, float, float, int]:
+            h_base: float | None, tol: float = 1e-10
+            ) -> tuple[float, float, float, int]:
     """Entropy of the connected graph made of the vertex-disjoint
     ``parts`` and ``new_edges`` (module docstring).
 
@@ -165,13 +165,13 @@ def _extend(parts: Sequence[MetricGraph],
         trans = (f[head_at, tail_at] + step) * np.exp(-lengths * t)
         return 1.0 - float(np.abs(np.linalg.eigvals(trans)).max())
 
-    root, f_root, evals, pinch = root_above(one_minus_rho, h_base, rel_margin)
+    root, f_root, evals, pinch = root_above(one_minus_rho, h_base)
     return root, h_base, abs(f_root) if pinch is None else pinch, evals
 
 
 def entropy_after_edge(graph: MetricGraph, x: str, y: str, l0: float,
-                       tol: float = 1e-10, rel_margin: float = 1e-6,
-                       h_base: float | None = None) -> EdgeAdditionResult:
+                       tol: float = 1e-10, h_base: float | None = None
+                       ) -> EdgeAdditionResult:
     """Entropy of the component of {x, y} after adding an edge [x, y].
 
     The base is the component of x, joined by the component of y when the
@@ -186,16 +186,16 @@ def entropy_after_edge(graph: MetricGraph, x: str, y: str, l0: float,
     for v in (x, y):
         if v not in graph.vertex_set:
             raise UnknownVertex(f"unknown vertex {v!r}")
-    parts = [c for c, _ in components(graph) if c.vertex_set & {x, y}]
+    parts = [c for c in components(graph) if c.vertex_set & {x, y}]
     h_prime, h_base, residual, evals = _extend(
-        parts, [(x, y, float(l0))], h_base, tol, rel_margin)
+        parts, [(x, y, float(l0))], h_base, tol)
     return EdgeAdditionResult(h_prime, h_base, float(l0), residual, evals)
 
 
 def entropy_after_vertex(graph: MetricGraph,
                          attachments: Sequence[tuple[str, float]],
-                         tol: float = 1e-10, rel_margin: float = 1e-6,
-                         h_base: float | None = None) -> VertexAdditionResult:
+                         tol: float = 1e-10, h_base: float | None = None
+                         ) -> VertexAdditionResult:
     """Entropy after adding a new vertex with n >= 3 edges into one
     component, as the root of rho(T(t)) = 1 over the 2n new darts, which
     is rho((D A)(t)) = 1 (module docstring)."""
@@ -208,8 +208,7 @@ def entropy_after_vertex(graph: MetricGraph,
     hub = max(comp.vertices, key=len) + "+"  # longer than any name in comp
     return VertexAdditionResult(*_extend(
         [comp, MetricGraph.from_edges([hub], [])],
-        [(hub, v, float(l)) for v, l in attachments], h_base, tol,
-        rel_margin))
+        [(hub, v, float(l)) for v, l in attachments], h_base, tol))
 
 
 def predict_edge_asymptotic(h: float, c: float, l: float) -> float:

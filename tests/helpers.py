@@ -111,7 +111,7 @@ def eig_rho(matrix):
 def nonadjacent_pair(graph):
     """First non-adjacent vertex pair inside one component, or None."""
     from entrograph import components
-    for comp, _ in components(graph):
+    for comp in components(graph):
         verts = sorted(comp.vertex_set)
         for i, a in enumerate(verts):
             nbrs = {comp.darts[d].head for d in comp.out_darts(a)}

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from entrograph import parse_graph, same_graph, serialize_edgelist, serialize_json
+from entrograph import (MetricGraph, parse_graph, same_graph,
+                        serialize_edgelist, serialize_json)
 from entrograph.cli import main
 from entrograph.graphio import generate_graph
 from helpers import c4, complete4, rose
@@ -90,6 +91,24 @@ def test_add_vertex_command(c4_file, capsys):
     assert "incremental h' = " in out and "direct h' = " in out
     diff = float(out.split("|incremental - direct| = ")[1])
     assert diff <= 1e-8
+
+
+@pytest.mark.parametrize("edit", [
+    ["add-vertex", "--attach", "a:1", "--attach", "b:1", "--attach", "c:1"],
+    ["add-edge", "a", "x", "1.0"],  # merges the two components
+    ["add-edge", "a", "c", "1.0"],
+])
+def test_edit_compares_with_the_edited_component(edit, tmp_path, capsys):
+    # the x-y theta has a higher entropy than the a-b-c part; direct h' is
+    # the entropy of the component the edit touches
+    path = tmp_path / "two.json"
+    path.write_text(serialize_json(MetricGraph.from_edges(
+        ["a", "b", "c", "x", "y"],
+        [("a", "b", 1.0), ("a", "b", 1.3), ("b", "c", 0.7), ("c", "a", 1.1),
+         ("x", "y", 0.2), ("x", "y", 0.3), ("x", "y", 0.25)])))
+    assert main([edit[0], str(path), *edit[1:]]) == 0
+    out = capsys.readouterr().out
+    assert float(out.split("|incremental - direct| = ")[1]) <= 1e-8
 
 
 def test_add_vertex_too_few_exit_code(c4_file):
@@ -236,6 +255,7 @@ def test_count_cap_exit_code(tmp_path, capsys):
     ["add-edge", "K4", "a", "b", "1.0", "--out", "h.txt"],
     ["count", "K4", "--kind", "cycles", "--v", "a", "--r", "5",
      "--margin", "0.1"],
+    ["add-edge", "K4", "a", "b", "1.0", "--margin", "0.1"],
 ])
 def test_option_a_command_does_not_read_exits_2(argv, k4_file, capsys):
     with pytest.raises(SystemExit) as info:

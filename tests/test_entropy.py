@@ -181,6 +181,14 @@ def test_rho_curve_closed_forms():
         1.0, abs=1e-10)
 
 
+def test_rho_curve_short_edge_far_above_entropy():
+    # rho/||B|| is ~1e-15 here, where a power iteration does not converge;
+    # a 60-digit mpmath.eig of the same matrix gives 8.88178419700124887e-16
+    t = math.log(2) / 0.01
+    assert rho_curve(theta((1.0, 1.0, 0.01)), [t])[0][1] == pytest.approx(
+        8.88178419700124887e-16, rel=1e-12)
+
+
 def test_entropy_from_counts_rose2():
     prof = enumerate_paths(rose(2), EnumerationSpec(
         PathKind.PATHS_FROM, 14.0, x="v"))
