@@ -529,23 +529,27 @@ def growth_bounds(graph: MetricGraph, v: str, r_max: float,
     the minimum of N_v(r) e^{-hr} over the enumerated range.  ``h`` is
     the entropy of the graph when the caller already holds it.  Raises
     PreconditionError when the entropy of the graph without v reaches h
-    in floating point, so that A(h) diverges.
+    in floating point, so that A(h) diverges or its Perron root misses
+    1; NonConvergence when the root misses 1 for another reason.
     """
     _require_reduced_hyperbolic(graph)
     n = graph.degree(v)
     if h is None:
         h = volume_entropy(graph).h
+    interior = (f"A(h) is not usable at h = {h!r}: the entropy of the "
+                f"graph without {v!r} is not below h in floating point")
     try:
         g_mat = primitive_matrix(graph, v, h)
     except DivergentSeries as exc:
-        raise PreconditionError(
-            f"A(h) diverges at h = {h!r}: the entropy of the graph without "
-            f"{v!r} is not below h in floating point") from exc
+        raise PreconditionError(interior) from exc
     a_mat = g_mat.sum(axis=1, keepdims=True) - g_mat
     vals, vecs = np.linalg.eig(a_mat)
     k = int(np.argmax(vals.real))
     rho_a = float(vals[k].real)
     if abs(rho_a - 1.0) > tol:
+        # the interior entropy reaching h can also show as a finite A(h)
+        if volume_entropy(delete_vertex(graph, v)).h >= h:
+            raise PreconditionError(interior)
         raise NonConvergence(
             f"pipeline consistency failure: rho(A(h)) = {rho_a:.12g} "
             f"differs from 1 by more than {tol:g}")

@@ -7,8 +7,13 @@ eigenvalue derivative through the right Perron vector r and the left
 one e^{-t l_d} r_{rev d} that the dart reversal gives (see ``spectral``);
 whenever an iterate would leave the maintained sign bracket, a bisection
 step is taken instead.  A cold solve starts at t = 0 unevaluated, as
-rho(B(0)) > 1 on a hyperbolic core.  Components that reduce to a tree or
-to a single cycle have entropy 0 exactly and are never solved for.
+rho(B(0)) > 1 on a hyperbolic core, and brackets the root from the
+trivial upper bound log(k) / l_min.  A hinted solve starts from its
+lower end instead: as log rho is convex and decreasing, a Newton step
+from below the root lands at or below it, so the steps climb to the
+root without evaluating far above it, where the power iteration is
+slowest.  Components that reduce to a tree or to a single cycle have
+entropy 0 exactly and are never solved for.
 """
 
 from __future__ import annotations
@@ -21,7 +26,8 @@ import numpy as np
 
 from .errors import InsufficientData, NonConvergence, ValidationFailed
 from .graph import ComponentKind, MetricGraph, components, reduce, validate
-from .spectral import TransferMode, build_transfer, spectral_radius
+from .spectral import (TransferMode, build_transfer, spectral_radius,
+                       transitions)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .counting import CountProfile
@@ -62,6 +68,8 @@ class _RhoRootProblem:
         self.graph = graph
         self.lengths = np.array([d.length for d in graph.darts])
         self.reverse = np.array([d.reverse for d in graph.darts])
+        # the transition pattern is fixed; an evaluation fills in weights
+        self.rows, self.cols = transitions(graph)
         self.l_min = float(np.min(self.lengths))
         self.tol = tol
         self.max_iter = max_iter
@@ -71,7 +79,10 @@ class _RhoRootProblem:
         """Return (rho, d(log rho)/dt) at t, recorded as ``self.t``."""
         self.evals += 1
         self.t = t
-        mat = build_transfer(self.graph, t).matrix
+        n = self.lengths.size
+        weights = np.exp(-t * self.lengths)
+        mat = np.zeros((n, n))
+        mat[self.rows, self.cols] = weights[self.cols]
         data = spectral_radius(mat, tol=min(1e-12, self.tol / 10),
                                max_iter=self.max_iter)
         rho, right = data.rho, data.right
@@ -79,61 +90,78 @@ class _RhoRootProblem:
             return 0.0, None
         # left @ right = 0, so bisect, if the block is not closed under
         # reversal (possible only where weights underflow).
-        left = np.exp(-t * self.lengths) * right[self.reverse]
+        left = weights * right[self.reverse]
         denom = float(left @ right) * rho
         if denom <= 0.0:
             return rho, None
         drho = -float(left @ (mat @ (self.lengths * right)))
         return rho, drho / denom
 
-    def solve(self, t_lo: float = 0.0, rho_lo: float | None = None):
-        """Root of rho(t) = 1 on [t_lo, inf), assuming rho(t_lo) >= 1;
-        ``rho_lo`` is rho(t_lo) if known, inf if only known to exceed 1.
+    def _upper_start(self, t_lo: float):
+        """Evaluate the trivial upper bound log(k) / l_min, k the largest
+        number of continuations of a dart, doubling it while rho > 1.
 
-        Returns (t, residual, method, bracket).
+        Returns (t_lo, t_hi, rho_hi, dlog_hi), t_lo raised to the last
+        doubled point.
         """
-        tol = self.tol
-        if rho_lo is None:
-            rho_lo, _ = self.eval(t_lo)
-        if rho_lo < 1.0 - tol:
-            raise ValueError("lower bracket does not satisfy rho >= 1")
-        if abs(rho_lo - 1.0) <= tol:
-            return t_lo, abs(rho_lo - 1.0), "exact", (t_lo, t_lo)
-
-        # Trivial upper bound log(k) / l_min, k the largest number of
-        # continuations of a dart.
         k = self.graph.max_degree() - 1
         t_hi = max(math.log(max(k, 2)) / self.l_min, t_lo + self.l_min, 1e-6)
         rho_hi, g_hi = self.eval(t_hi)
         guard = 0
-        while rho_hi > 1.0 + tol:
-            t_lo, rho_lo = t_hi, rho_hi
+        while rho_hi > 1.0 + self.tol:
+            t_lo = t_hi
             t_hi = 2.0 * t_hi
             rho_hi, g_hi = self.eval(t_hi)
             guard += 1
             if guard > 200:
                 raise ValueError("failed to bracket rho(t) = 1 from above")
-        if abs(rho_hi - 1.0) <= tol:
-            return t_hi, abs(rho_hi - 1.0), "exact", (t_lo, t_hi)
+        return t_lo, t_hi, rho_hi, g_hi
+
+    def solve(self, t_lo: float, rho_lo: float, dlog_lo: float | None):
+        """Root of rho(t) = 1 on [t_lo, inf), given rho_lo = rho(t_lo) >= 1
+        (inf if only known to exceed 1) and its slope d(log rho)/dt.
+
+        With a usable slope the Newton steps go up from t_lo: log rho is
+        convex and decreasing, so each lands at or below the root.  The
+        upper start log(k) / l_min is evaluated only without one, or when
+        a step fails to move up before an upper end is known.
+
+        Returns (t, residual, method, bracket).
+        """
+        tol = self.tol
+        if rho_lo < 1.0 - tol:
+            raise ValueError("lower bracket does not satisfy rho >= 1")
+        if abs(rho_lo - 1.0) <= tol:
+            return t_lo, abs(rho_lo - 1.0), "exact", (t_lo, t_lo)
 
         # Residual target tight enough that the derivative bound
         # |d log rho / dt| >= l_min certifies a bracket of width <= tol.
         g_target = tol * min(1.0, 0.45 * self.l_min)
-        lo, hi = t_lo, t_hi
-        t, rho, dlog = t_hi, rho_hi, g_hi
+        lo, hi = t_lo, math.inf
+        t, rho, dlog = t_lo, rho_lo, dlog_lo
         hybrid = False
         best = (t, abs(rho - 1.0))
-        for _ in range(120):
+        steps = 0
+        while steps < 120:
             g = math.log(rho) if rho > 0 else -math.inf
             if abs(g) <= g_target and abs(rho - 1.0) <= tol:
                 break
             t_next = None
             if dlog is not None and dlog < 0 and math.isfinite(g):
                 t_next = t - g / dlog
+            if hi == math.inf and (t_next is None or t_next <= lo):
+                lo, t, rho, dlog = self._upper_start(lo)
+                hi = t
+                if abs(rho - 1.0) <= tol:
+                    return t, abs(rho - 1.0), "exact", (lo, hi)
+                if abs(rho - 1.0) < best[1]:
+                    best = (t, abs(rho - 1.0))
+                continue
             if t_next is None or not (lo < t_next < hi):
                 t_next = 0.5 * (lo + hi)
                 hybrid = True
-            t = t_next
+            t_prev, t = t, t_next
+            steps += 1
             rho, dlog = self.eval(t)
             if rho >= 1.0:
                 lo = t
@@ -141,7 +169,9 @@ class _RhoRootProblem:
                 hi = t
             if abs(rho - 1.0) < best[1]:
                 best = (t, abs(rho - 1.0))
-            if hi - lo <= 1e-15 * max(1.0, t):
+            # a collapsed bracket, or a step up below float resolution
+            width = hi - lo if hi < math.inf else t - t_prev
+            if width <= 1e-15 * max(1.0, t):
                 break
         else:  # pragma: no cover - iteration cap
             t, _ = best
@@ -162,8 +192,10 @@ def volume_entropy(graph: MetricGraph, tol: float = 1e-10,
     components contribute exactly 0, hyperbolic components are solved for
     rho(B(t)) = 1.  The entropy of the graph is the maximum over
     components.  ``bracket_hint`` (a known lower bound for the answer,
-    e.g. the previous entropy along a filtration) warm-starts the lower
-    bracket of each component solve when applicable.
+    e.g. the previous entropy along a filtration) is evaluated first in
+    each component solve: where rho is at least 1 there, the Newton
+    steps go up from it, with the upper start log(k) / l_min only as a
+    fallback; a hint above the root is dropped for a cold solve.
 
     Raises ValidationFailed on invalid input: no entropy is ever reported
     for a non-validated graph.
@@ -184,11 +216,12 @@ def volume_entropy(graph: MetricGraph, tol: float = 1e-10,
         problem = _RhoRootProblem(red.graph, tol, max_iter)
         t_lo, rho_lo = 0.0, math.inf  # rho(B(0)) > 1 on a hyperbolic core
         try:
+            dlog_lo = None
             if bracket_hint is not None and bracket_hint > 0:
-                rho_hint, _ = problem.eval(bracket_hint)
+                rho_hint, dlog_hint = problem.eval(bracket_hint)
                 if rho_hint >= 1.0 - tol:
-                    t_lo, rho_lo = bracket_hint, rho_hint
-            t, resid, method, bracket = problem.solve(t_lo, rho_lo)
+                    t_lo, rho_lo, dlog_lo = bracket_hint, rho_hint, dlog_hint
+            t, resid, method, bracket = problem.solve(t_lo, rho_lo, dlog_lo)
         except NonConvergence as exc:
             exc.t, exc.component = problem.t, cid
             raise

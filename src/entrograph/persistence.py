@@ -11,7 +11,8 @@ added edge touches keeps its entropy.  Every other component is made of
 the previous components inside it (its parts) and the added edges that
 land in it, and starts from h_base, the largest entropy of its parts.
 Strategy "direct" solves it again (``volume_entropy`` with h_base as
-the bracket hint).  "incremental" finds it as the root of
+the bracket hint: its Newton steps climb from h_base, and the far upper
+start of a cold solve is only a fallback).  "incremental" finds it as the root of
 1 - rho(T(t)) over the new darts (``incremental._extend``): one edge, a
 loop, a merge, a new vertex of any degree and a batch of equal-length
 edges are all this one equation, so no step falls back to a direct

@@ -52,14 +52,40 @@ class PerronData:
     ``right`` is the unit-sum Perron vector of the strongly connected
     component attaining the radius, extended by zeros to full dimension
     (of B(t), e^{-t l} * right[rev] is a left one; see the module doc).
-    ``converged`` certifies the residual
-    ||B r - rho r||_inf <= tol ||B||_inf ||r||_inf on that component.
+    Its residual ||B r - rho r||_inf <= tol ||B||_inf ||r||_inf on that
+    component is certified: ``spectral_radius`` raises otherwise.
+    ``iterations`` counts the power steps over all components.
     """
 
     rho: float
     right: np.ndarray
-    converged: bool
     iterations: int
+
+
+def transitions(graph: MetricGraph,
+                mode: TransferMode = TransferMode.NON_BACKTRACKING
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (d, d') of the dart-transition relation: head(d) =
+    tail(d'), without d' = reverse(d) in non-backtracking mode.  Pairs
+    come in row-major order, the successors of d in dart-id order.
+    """
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    tails = np.array([index[d.tail] for d in graph.darts], dtype=np.intp)
+    heads = np.array([index[d.head] for d in graph.darts], dtype=np.intp)
+    by_tail = np.argsort(tails, kind="stable")
+    sorted_tails = tails[by_tail]
+    first = np.searchsorted(sorted_tails, heads, side="left")
+    count = np.searchsorted(sorted_tails, heads, side="right") - first
+    rows = np.repeat(np.arange(len(graph.darts)), count)
+    # pair k is successor k - start[d] of its row d, start[d] the row's
+    # first pair, and that successor sits at first[d] + k - start[d]
+    start = np.cumsum(count) - count
+    cols = by_tail[np.arange(rows.size) + np.repeat(first - start, count)]
+    if mode is TransferMode.NON_BACKTRACKING:
+        reverse = np.array([d.reverse for d in graph.darts], dtype=np.intp)
+        keep = cols != reverse[rows]
+        rows, cols = rows[keep], cols[keep]
+    return rows, cols
 
 
 def build_transfer(graph: MetricGraph, t: float,
@@ -72,13 +98,9 @@ def build_transfer(graph: MetricGraph, t: float,
     """
     n = len(graph.darts)
     lengths = np.array([d.length for d in graph.darts], dtype=float)
-    weights = np.exp(-t * lengths)
+    rows, cols = transitions(graph, mode)
     mat = np.zeros((n, n))
-    for d in graph.darts:
-        for d2 in graph.out_darts(d.head):
-            if mode is TransferMode.NON_BACKTRACKING and d2 == d.reverse:
-                continue
-            mat[d.id, d2] = weights[d2]
+    mat[rows, cols] = np.exp(-t * lengths)[cols]
     return TransferMatrix(mat, lengths, float(t), mode)
 
 
@@ -205,12 +227,12 @@ def _power_block(block: np.ndarray, tol: float, max_iter: int):
     """
     n = block.shape[0]
     x = np.full(n, 1.0 / n)
-    scale = max(float(np.max(np.abs(block).sum(axis=1))), 1e-300)
+    scale = max(float(np.abs(block).sum(axis=1).max()), 1e-300)
     for it in range(1, max_iter + 1):
         bx = block @ x
         rho = float(bx.sum())  # x has unit sum: Rayleigh value without
-        resid = np.max(np.abs(bx - rho * x))  # a 1 + rho cancellation
-        if resid <= tol * scale * max(np.max(x), 1e-300):
+        resid = np.abs(bx - rho * x).max()  # a 1 + rho cancellation
+        if resid <= tol * scale * max(x.max(), 1e-300):
             return rho, x, it
         y = scale * x + bx
         x = y / y.sum()
@@ -232,19 +254,20 @@ def spectral_radius(matrix, tol: float = 1e-12,
     mat = _as_array(matrix)
     n = mat.shape[0]
     if n == 0:
-        return PerronData(0.0, np.zeros(0), True, 0)
+        return PerronData(0.0, np.zeros(0), 0)
     support = csr_matrix(mat > 0)
     n_comp, labels = connected_components(support, directed=True,
                                           connection="strong")
-    groups: dict[int, list[int]] = {}
-    for i, lab in enumerate(labels):
-        groups.setdefault(int(lab), []).append(i)
+    by_label = np.argsort(labels, kind="stable")
+    groups = np.split(by_label, np.cumsum(np.bincount(labels))[:-1])
+    groups.sort(key=lambda idx: idx[0])  # in order of first index
 
     best_rho, best_idx, best_right, total_iters = 0.0, None, None, 0
-    for idx in groups.values():
-        if len(idx) == 1 and mat[idx[0], idx[0]] == 0.0:
+    for idx in groups:
+        if idx.size == 1 and mat[idx[0], idx[0]] == 0.0:
             continue  # trivial component, eigenvalue 0
-        block = mat[np.ix_(idx, idx)]
+        # one component covering the matrix is iterated without a copy
+        block = mat if idx.size == n else mat[np.ix_(idx, idx)]
         rho, right, its = _power_block(block, tol, max_iter)
         total_iters += its
         if rho > best_rho:
@@ -257,5 +280,4 @@ def spectral_radius(matrix, tol: float = 1e-12,
         right[int(np.argmin(mat.sum(axis=0)))] = 1.0
     else:
         right[best_idx] = best_right
-    return PerronData(float(best_rho), right, True, total_iters)
-
+    return PerronData(float(best_rho), right, total_iters)

@@ -325,6 +325,17 @@ def test_growth_bounds_names_underflow():
     assert "not representable" in str(info.value)
 
 
+def test_growth_bounds_names_interior_entropy_at_h():
+    # G - v1 solves about 1.3e-11 above h: A(h) does not diverge in
+    # floating point, but its Perron root is 2.0e-8, not 1
+    g = MetricGraph.from_edges(["v0", "v1"], [
+        ("v0", "v0", 0.011487227450209346), ("v0", "v0", 2.603212119000015),
+        ("v1", "v1", 86.0231507443473), ("v1", "v1", 48.40959018764339),
+        ("v0", "v1", 0.11681437785115541), ("v0", "v1", 22.599269700245685)])
+    with pytest.raises(PreconditionError, match="without 'v1' is not below"):
+        growth_bounds(g, "v1", 10.0)
+
+
 def test_growth_bounds_requires_reduced_hyperbolic():
     with pytest.raises(PreconditionError):
         growth_bounds(c4(), "a", 8.0)  # degree 2 everywhere

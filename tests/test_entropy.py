@@ -99,7 +99,8 @@ def test_warm_start_hint_gives_same_answer():
 
 
 def test_warm_start_evaluates_each_t_once(monkeypatch):
-    # rho at the hint is the lower end of the solve, not evaluated again
+    # rho at the hint is the lower end of the solve, not evaluated again,
+    # and the Newton steps go up from it: log(k) / l_min is never reached
     seen = []
     eval_rho = entropy._RhoRootProblem.eval
 
@@ -116,6 +117,7 @@ def test_warm_start_evaluates_each_t_once(monkeypatch):
             pytest.approx(h, abs=1e-10)
         assert seen[0] == hint
         assert len(seen) == len(set(seen))
+        assert max(seen) < h + 1e-6
 
 
 @pytest.mark.parametrize("mode", [TransferMode.NON_BACKTRACKING])

@@ -217,6 +217,21 @@ def test_long_loop_on_a_base_from_an_earlier_step():
         assert abs(sa.h - sd.h) <= 1e-9
 
 
+def test_direct_step_does_not_evaluate_far_above_its_base():
+    # the step at 8.2755 starts from its base entropy; the trivial upper
+    # end log(k) / l_min = 12.24 of that graph, where the dart power
+    # iteration does not converge, is not evaluated
+    g = MetricGraph.from_edges(
+        ["v0", "v1"],
+        [("v1", "v0", 2.256415249128523), ("v0", "v0", 2.63502466460962),
+         ("v0", "v1", 8.275475802566113), ("v0", "v1", 0.11329660881995063)])
+    direct = persistent_entropy(g, strategy="direct")
+    inc = persistent_entropy(g, strategy="incremental")
+    assert [s.epsilon for s in direct.steps] == list(thresholds(g))
+    for sa, sd in zip(inc.steps, direct.steps):
+        assert abs(sa.h - sd.h) <= 1e-7
+
+
 def test_package_error_carries_its_threshold(monkeypatch):
     def fail(*args, **kwargs):
         raise NonConvergence("no root")

@@ -38,6 +38,20 @@ def test_segment_backtracking_transfer_at_ln2():
     assert np.allclose(tm.matrix, expected)
 
 
+@settings(max_examples=60, deadline=None)
+@given(multigraphs(), st.floats(0.0, 3.0))
+def test_transfer_matches_the_dart_loop(g, t):
+    # the index arrays fill the same entries as a loop over successors
+    weights = np.exp(-t * np.array([d.length for d in g.darts]))
+    for mode in (NB, BT):
+        ref = np.zeros((len(g.darts), len(g.darts)))
+        for d in g.darts:
+            for d2 in g.out_darts(d.head):
+                if mode is BT or d2 != d.reverse:
+                    ref[d.id, d2] = weights[d2]
+        assert np.array_equal(build_transfer(g, t, mode).matrix, ref)
+
+
 def test_transfer_entries_bounded_by_min_length_weight():
     g = dumbbell()
     t = 0.8
@@ -49,7 +63,6 @@ def test_transfer_entries_bounded_by_min_length_weight():
 def test_spectral_radius_zero_matrix():
     data = spectral_radius(np.zeros((3, 3)))
     assert data.rho == 0.0
-    assert data.converged
     assert np.max(np.abs(np.zeros((3, 3)) @ data.right)) == 0.0
 
 
@@ -64,6 +77,19 @@ def test_spectral_radius_block_diagonal_max():
     mat = np.zeros((7, 7))
     mat[:4, :4] = top
     assert spectral_radius(mat).rho == pytest.approx(3.0, abs=1e-11)
+
+
+def test_spectral_radius_tie_goes_to_the_first_component():
+    # components are visited in order of their first index, so of two
+    # equal radii the one holding index 0 carries the vector; the link
+    # 0 -> 4 makes scipy label the second component first
+    top = build_transfer(rose(2), 0.0, NB).matrix
+    mat = np.zeros((8, 8))
+    mat[:4, :4] = mat[4:, 4:] = top
+    mat[0, 4] = 0.5
+    data = spectral_radius(mat)
+    assert data.rho == pytest.approx(3.0, abs=1e-11)
+    assert not data.right[4:].any() and np.all(data.right[:4] > 0)
 
 
 def test_spectral_radius_matches_eigvals_on_seeded_matrices():
