@@ -87,7 +87,7 @@ def _print_cross_check(inc, residual: float, edited: MetricGraph, x: str,
 
 def cmd_add_edge(args) -> int:
     graph = _load(args.file)
-    inc = entropy_after_edge(graph, args.x, args.y, args.length, tol=args.tol)
+    inc = entropy_after_edge(graph, args.x, args.y, args.length)
     _print_cross_check(inc, inc.residual,
                        add_edge(graph, args.x, args.y, args.length), args.x,
                        args.tol)
@@ -97,7 +97,7 @@ def cmd_add_edge(args) -> int:
 def cmd_add_vertex(args) -> int:
     graph = _load(args.file)
     attachments = _parse_attachments(args.attach)
-    inc = entropy_after_vertex(graph, attachments, tol=args.tol)
+    inc = entropy_after_vertex(graph, attachments)
     _print_cross_check(inc, inc.spectral_residual,
                        add_vertex(graph, attachments), attachments[0][0],
                        args.tol)
@@ -223,7 +223,7 @@ def cmd_verify(args) -> int:
     if pair:
         x, y = pair
         comp = component_of(graph, x)
-        inc = entropy_after_edge(graph, x, y, 1.0, tol=args.tol,
+        inc = entropy_after_edge(graph, x, y, 1.0,
                                  h_base=h_comp[min(comp.vertices)])
         _, diff = _direct_gap(add_edge(graph, x, y, 1.0), x, inc.h_prime,
                               args.tol)

@@ -14,8 +14,9 @@ radii r - l, and one ``np.exp`` over the jumps of N.  The step integral
 is exact for the step function N, its segments summed with ``math.fsum``.
 
 Both routes of ``backtracking_entropy`` run on the symmetric V x V
-matrix I - W(t) of ``spectral.vertex_form``: an ``eigvalsh`` root and a
-Cholesky-based primitive-cycle series.  Of this module only the
+matrix I - W(t) of ``spectral.vertex_form``: the Newton root of its
+smallest eigenvalue (``entropy._vertex_root``) and a Cholesky-based
+primitive-cycle series.  Of this module only the
 geometric-series estimate behind ``horizon_for_budget`` and the
 enumeration cap still reads the dart matrix B(0).
 """
@@ -28,15 +29,14 @@ from enum import Enum
 
 import numpy as np
 
-from ._rootutil import bracketed_root, root_above
-from .entropy import volume_entropy
+from ._rootutil import root_above
+from .entropy import _vertex_root, volume_entropy
 from .errors import (DivergentSeries, HorizonTooLarge, MarginTooSmall,
                      NonConvergence, PreconditionError, UnknownVertex)
 from .genfun import attachment_darts, f_from, f_path, primitive_matrix
 from .graph import (MetricGraph, component_of, components, delete_vertex,
                     first_betti, validate)
-from .spectral import (TransferMode, build_transfer, spectral_radius,
-                       vertex_form)
+from .spectral import TransferMode, build_transfer, spectral_radius
 
 DEFAULT_CAP = 10_000_000
 
@@ -629,32 +629,19 @@ class BacktrackingEntropy:
 
 
 def _backtracking_root(graph: MetricGraph) -> tuple[float, float]:
-    """Largest root of lambda_min(I - W(t)) = 0 and |lambda_min| there.
+    """Largest root of lambda_min(I - W(t)) = 0 and |lambda_min| there,
+    from the vertex-matrix solver of ``entropy`` in backtracking mode.
 
     With H the dart-head incidence and T the dart-tail incidence weighted
     by z = e^{-t l}, B_bt(t) = H T and W(t) = T H, so W(t) has the nonzero
     spectrum of B_bt(t), and on a disconnected graph the root is the
-    largest over its components.  lambda_min rises with t; at
-    log(k)/l_min, k the largest degree, no row of W sums above 1, which
-    bounds the root.  The growth rate is 0 when lambda_min(I - W(0)) >= 0
-    (no edge, or a single edge).
+    largest over its components.  The growth rate is 0 when
+    lambda_min(I - W(0)) >= 0 (no edge, or a single edge), and a root on
+    the upper start log(k)/l_min, k the largest degree, is returned as
+    that bound.
     """
-    if not graph.darts:
-        return 0.0, 0.0
-
-    def lam_min(t: float) -> float:
-        mat = vertex_form(graph, t, TransferMode.BACKTRACKING).matrix()
-        return float(np.linalg.eigvalsh(mat)[0])
-
-    f_lo = lam_min(0.0)
-    if f_lo >= 0.0:
-        return 0.0, 0.0
-    hi = math.log(max(graph.max_degree(), 2)) / graph.min_length()
-    f_hi = lam_min(hi)
-    if f_hi <= 0.0:  # a root on the bound, f_hi < 0 only by rounding
-        return hi, abs(f_hi)
-    h, f_h, _ = bracketed_root(lam_min, 0.0, hi, f_lo, f_hi)
-    return h, abs(f_h)
+    root = _vertex_root(graph, TransferMode.BACKTRACKING)
+    return root.h, abs(root.null_eigenvalue)
 
 
 def backtracking_entropy(graph: MetricGraph, v: str) -> BacktrackingEntropy:

@@ -27,6 +27,10 @@ eigenvalues of T(t).  The paper's formulas are the small cases:
   e^{-(l_i + l_j) t} (f_{v_i v_j} + [v_i = v_j, i != j]) and
   A = ones - identity.
 
+h_base, when the caller does not supply it, comes from the
+vertex-matrix solve of G_0 (``entropy._vertex_root``), the same root of
+lambda_min(M(t)) = 0 that the Cholesky of M(t) certifies above.
+
 Let b be the first Betti number of the new component.  If b <= 1 its
 entropy is 0.  If b equals the largest Betti number among the parts, the
 new edges join that part to trees along a tree (a pendant edge, say) and
@@ -35,7 +39,8 @@ the entropy stays h_base exactly.
 The asymptotic constants of the pole f_ab(t) ~ C_ab t / (t - h) have the
 closed form C_ab = v_a v_b / (h lambda'(h)), with v the unit null vector
 of M(h) and lambda'(h) = v^T M'(h) v the slope of its smallest
-eigenvalue.
+eigenvalue; h, v and lambda'(h) come from one vertex-matrix solve of
+the component.
 """
 
 from __future__ import annotations
@@ -49,12 +54,11 @@ import numpy as np
 from ._rootutil import root_above
 from .counting import (DEFAULT_CAP, EnumerationSpec, PathKind,
                        _step_integral, enumerate_paths, horizon_for_budget)
-from .entropy import volume_entropy
+from .entropy import _vertex_root
 from .errors import (DisconnectedPair, NonConvergence,
                      PreconditionError, TooFewAttachments, UnknownVertex)
 from .genfun import _Resolvent
 from .graph import MetricGraph, component_of, components, disjoint_union
-from .spectral import vertex_form, vertex_form_dt
 
 
 @dataclass(frozen=True)
@@ -134,21 +138,20 @@ def _betti(graph: MetricGraph) -> int:
 
 def _extend(parts: Sequence[MetricGraph],
             new_edges: Sequence[tuple[str, str, float]],
-            h_base: float | None, tol: float = 1e-10
-            ) -> tuple[float, float, float, int]:
+            h_base: float | None) -> tuple[float, float, float, int]:
     """Entropy of the connected graph made of the vertex-disjoint
     ``parts`` and ``new_edges`` (module docstring).
 
-    ``h_base`` is the entropy of the union of the parts, computed when
-    None and not needed.  Returns (h', h_base, residual, evaluations),
-    the residual as in ``EdgeAdditionResult``.
+    ``h_base`` is the entropy of the union of the parts, solved on the
+    vertex matrix when None and needed.  Returns (h', h_base, residual,
+    evaluations), the residual as in ``EdgeAdditionResult``.
     """
     betti = sum(map(_betti, parts)) + len(new_edges) - len(parts) + 1
     if betti <= 1:
         return 0.0, 0.0, 0.0, 0
     base = disjoint_union(parts)
     if h_base is None:
-        h_base = volume_entropy(base, tol=tol).h
+        h_base = _vertex_root(base).h
     if betti == max(map(_betti, parts)):
         return h_base, h_base, 0.0, 0
     # dart 2i runs along new edge i, its reversal 2i ^ 1 back
@@ -170,13 +173,13 @@ def _extend(parts: Sequence[MetricGraph],
 
 
 def entropy_after_edge(graph: MetricGraph, x: str, y: str, l0: float,
-                       tol: float = 1e-10, h_base: float | None = None
-                       ) -> EdgeAdditionResult:
+                       h_base: float | None = None) -> EdgeAdditionResult:
     """Entropy of the component of {x, y} after adding an edge [x, y].
 
     The base is the component of x, joined by the component of y when the
-    edge merges two components; ``h_base`` defaults to its entropy, which
-    for a merge is max(h_A, h_B).  x = y adds a loop.  A new component
+    edge merges two components; ``h_base`` is its entropy, which for a
+    merge is max(h_A, h_B), solved on the vertex matrix when None
+    (module docstring).  x = y adds a loop.  A new component
     with at most one independent cycle has h' = 0, and a merge with a
     tree (a pendant edge, say) keeps h' = h_base; both report 0
     iterations (module docstring).
@@ -188,17 +191,17 @@ def entropy_after_edge(graph: MetricGraph, x: str, y: str, l0: float,
             raise UnknownVertex(f"unknown vertex {v!r}")
     parts = [c for c in components(graph) if c.vertex_set & {x, y}]
     h_prime, h_base, residual, evals = _extend(
-        parts, [(x, y, float(l0))], h_base, tol)
+        parts, [(x, y, float(l0))], h_base)
     return EdgeAdditionResult(h_prime, h_base, float(l0), residual, evals)
 
 
 def entropy_after_vertex(graph: MetricGraph,
                          attachments: Sequence[tuple[str, float]],
-                         tol: float = 1e-10, h_base: float | None = None
-                         ) -> VertexAdditionResult:
+                         h_base: float | None = None) -> VertexAdditionResult:
     """Entropy after adding a new vertex with n >= 3 edges into one
     component, as the root of rho(T(t)) = 1 over the 2n new darts, which
-    is rho((D A)(t)) = 1 (module docstring)."""
+    is rho((D A)(t)) = 1 (module docstring).  ``h_base`` is the entropy
+    of that component, solved on the vertex matrix when None."""
     n = len(attachments)
     if n < 3:
         raise TooFewAttachments(f"need at least 3 attachment edges, got {n}")
@@ -208,7 +211,7 @@ def entropy_after_vertex(graph: MetricGraph,
     hub = max(comp.vertices, key=len) + "+"  # longer than any name in comp
     return VertexAdditionResult(*_extend(
         [comp, MetricGraph.from_edges([hub], [])],
-        [(hub, v, float(l)) for v, l in attachments], h_base, tol))
+        [(hub, v, float(l)) for v, l in attachments], h_base))
 
 
 def predict_edge_asymptotic(h: float, c: float, l: float) -> float:
@@ -217,16 +220,15 @@ def predict_edge_asymptotic(h: float, c: float, l: float) -> float:
 
 
 def fit_edge_asymptotic(graph: MetricGraph, x: str, y: str,
-                        l_values: Sequence[float],
-                        tol: float = 1e-10) -> AsymptoticFit:
+                        l_values: Sequence[float]) -> AsymptoticFit:
     """Sweep edge lengths and fit the scaled corrections
     a_l = (h'(l) - h) e^{h l}; their limit is the asymptotic constant."""
     comp = _shared_component(graph, (x, y))
-    h = volume_entropy(comp, tol=tol).h
+    h = _vertex_root(comp).h
     ls = sorted(float(l) for l in l_values)
     a_vals = []
     for l in ls:
-        res = entropy_after_edge(graph, x, y, l, tol=tol, h_base=h)
+        res = entropy_after_edge(graph, x, y, l, h_base=h)
         a_vals.append((res.h_prime - h) * math.exp(h * l))
     c = a_vals[-1]
     gamma = 0.5
@@ -241,19 +243,9 @@ def fit_edge_asymptotic(graph: MetricGraph, x: str, y: str,
     return AsymptoticFit(c, gamma, samples)
 
 
-def _null_vector(comp: MetricGraph, h: float) -> tuple[np.ndarray, float,
-                                                      float]:
-    """Unit null vector v of M(h) (``eigh``), the eigenvalue that stands in
-    for 0, and the slope lambda'(h) = v^T M'(h) v of the smallest
-    eigenvalue."""
-    eigvals, eigvecs = np.linalg.eigh(vertex_form(comp, h).matrix())
-    v = eigvecs[:, 0]
-    return v, float(eigvals[0]), float(v @ vertex_form_dt(comp, h).apply(v))
-
-
 def predict_vertex_asymptotic(graph: MetricGraph,
-                              attachments: Sequence[tuple[str, float]],
-                              tol: float = 1e-10) -> VertexPrediction:
+                              attachments: Sequence[tuple[str, float]]
+                              ) -> VertexPrediction:
     """Leading-order entropy after adding a vertex with long edges.
 
     First-order perturbation of the smallest eigenvalue of M at h gives
@@ -266,28 +258,29 @@ def predict_vertex_asymptotic(graph: MetricGraph,
     targets = [v for v, _ in attachments]
     lengths = np.array([float(l) for _, l in attachments])
     comp = _shared_component(graph, targets)
-    h = volume_entropy(comp, tol=tol).h
+    root = _vertex_root(comp)
+    h = root.h
     if h <= 0:
         raise PreconditionError(
             "vertex-addition asymptotics require a positive base entropy")
     index = {v: i for i, v in enumerate(comp.vertices)}
-    v, _, dlambda = _null_vector(comp, h)
-    w = np.exp(-h * lengths) * v[[index[t] for t in targets]]
-    return VertexPrediction(float(h + (w.sum() ** 2 - w @ w) / dlambda), h)
+    w = np.exp(-h * lengths) * root.v[[index[t] for t in targets]]
+    return VertexPrediction(float(h + (w.sum() ** 2 - w @ w) / root.dlambda),
+                            h)
 
 
 def estimate_constant_C(graph: MetricGraph, x: str, y: str,
                         method: str = "resolvent",
                         horizon: float | None = None,
                         node_budget: int = 300_000,
-                        cap: int = DEFAULT_CAP,
-                        tol: float = 1e-10) -> ConstantEstimate:
+                        cap: int = DEFAULT_CAP) -> ConstantEstimate:
     """Per-pair constants C_xx, C_yy, C_xy of the simple-pole behavior
     f(t) ~ C t / (t - h), combined into C = (sqrt(C_xx C_yy) + C_xy) h.
 
     method "resolvent": the closed form C_ab = v_a v_b / (h lambda'(h)),
     with v the unit null vector of M(h) and lambda'(h) = v^T M'(h) v
-    (``spectral.vertex_form_dt``); ``details`` records the eigenvalue of
+    (``spectral.vertex_form_dt``), all from the vertex-matrix solve that
+    gives h (module docstring); ``details`` records the eigenvalue of
     M(h) that stands in for 0 (``null_eigenvalue``) and ``dlambda``.
     method "counting": average N(r) e^{-hr} over the enumerated tail.
     method "both" runs the two and warns when they disagree by more than
@@ -297,7 +290,8 @@ def estimate_constant_C(graph: MetricGraph, x: str, y: str,
     if method not in ("resolvent", "counting", "both"):
         raise ValueError(f"unknown method {method!r}")
     comp = _shared_component(graph, (x,))
-    h = volume_entropy(comp, tol=tol).h
+    root = _vertex_root(comp)
+    h = root.h
     if h <= 0:
         raise PreconditionError(
             "constant estimation requires a component with positive entropy")
@@ -313,8 +307,8 @@ def estimate_constant_C(graph: MetricGraph, x: str, y: str,
     details: dict = {}
     if method in ("resolvent", "both"):
         index = {v: i for i, v in enumerate(comp.vertices)}
-        v, null_eigenvalue, dlambda = _null_vector(comp, h)
-        details.update(null_eigenvalue=null_eigenvalue, dlambda=dlambda)
+        v, dlambda = root.v, root.dlambda
+        details.update(null_eigenvalue=root.null_eigenvalue, dlambda=dlambda)
         for name, (a, b) in live.items():
             per_res[name] = float(v[index[a]] * v[index[b]]) / (h * dlambda)
     if method in ("counting", "both"):

@@ -129,7 +129,7 @@ def persistent_entropy(graph: MetricGraph, strategy: str = "direct",
                     res = volume_entropy(comp, tol=tol, bracket_hint=h_base)
                     h, evals = res.h, res.iterations
                 else:
-                    h, _, _, evals = _extend(graphs, new_edges, h_base, tol)
+                    h, _, _, evals = _extend(graphs, new_edges, h_base)
                     if any(g.edge_count == 0 for g in graphs):
                         used = StepStrategy.INCREMENTAL_VERTEX
                 iterations += evals

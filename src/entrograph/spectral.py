@@ -169,21 +169,27 @@ def vertex_form(graph: MetricGraph, t: float,
     return VertexForm(shift, u[~loop], w[~loop], weights)
 
 
-def vertex_form_dt(graph: MetricGraph, t: float) -> VertexForm:
-    """t-derivative M'(t) of the non-backtracking vertex matrix, in the
-    layout of ``vertex_form``: weights d/dt z/(1-z^2) = -l z(1+z^2)/(1-z^2)^2
-    and endpoint terms d/dt -z/(1+z) = l z/(1+z)^2, a loop counting at
-    both of its ends as in ``vertex_form``.  With v the unit null vector
-    of M(h), the smallest eigenvalue has slope
-    lambda'(h) = v @ vertex_form_dt(graph, h).apply(v).
+def vertex_form_dt(graph: MetricGraph, t: float,
+                   mode: TransferMode = TransferMode.NON_BACKTRACKING
+                   ) -> VertexForm:
+    """t-derivative M'(t) of the vertex matrix, in the layout of
+    ``vertex_form``.  Non-backtracking: weights
+    d/dt z/(1-z^2) = -l z(1+z^2)/(1-z^2)^2 and endpoint terms
+    d/dt -z/(1+z) = l z/(1+z)^2.  Backtracking (I - W(t)): weights -l z
+    and endpoint terms l z.  A loop counts at both of its ends, as in
+    ``vertex_form``.  With v the unit null vector of M(h), the smallest
+    eigenvalue has slope lambda'(h) = v @ vertex_form_dt(graph, h).apply(v).
     """
     n, u, w, lengths = _edge_arrays(graph)
     z = np.exp(-t * lengths)
     loop = u == w
-    q = -np.expm1(-2.0 * t * lengths[~loop])
-    zl = z[~loop]
-    weights = -lengths[~loop] * zl * (1.0 + zl * zl) / (q * q)
-    rise = lengths * z / (1.0 + z) ** 2
+    if mode is TransferMode.BACKTRACKING:
+        weights, rise = -lengths[~loop] * z[~loop], lengths * z
+    else:
+        q = -np.expm1(-2.0 * t * lengths[~loop])
+        zl = z[~loop]
+        weights = -lengths[~loop] * zl * (1.0 + zl * zl) / (q * q)
+        rise = lengths * z / (1.0 + z) ** 2
     shift = np.zeros(n)
     np.add.at(shift, u, rise)
     np.add.at(shift, w, rise)

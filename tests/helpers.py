@@ -139,6 +139,20 @@ def eig_entropy(graph, rel_tol=1e-12, mode=TransferMode.NON_BACKTRACKING):
     return 0.5 * (lo + hi)
 
 
+def lim_metric(graph):
+    """Lim's minimal-entropy metric on a graph whose vertices all have
+    degree >= 3 (a loop counts 2), such as a reduced core: the graph with
+    l_e = log((d_u - 1)(d_w - 1)) and its exact entropy
+    h = (1/2) sum_v d_v log(d_v - 1) / vol (S. Lim, "Minimal volume
+    entropy for graphs", Trans. AMS 360 (2008) 5089-5100)."""
+    deg = {v: graph.degree(v) for v in graph.vertices}
+    edges = [(u, w, math.log((deg[u] - 1) * (deg[w] - 1)))
+             for u, w, _ in graph.edge_list()]
+    vol = math.fsum(l for _, _, l in edges)
+    h = 0.5 * math.fsum(d * math.log(d - 1) for d in deg.values()) / vol
+    return MetricGraph.from_edges(graph.vertices, edges), h
+
+
 def dart_lu_path(graph, x, y, t):
     """f_xy(t) = s_x (I - B(t))^{-1} tau_y by a dense LU of the dart
     matrix: s_x weights the darts leaving x by e^{-t l}, tau_y flags the

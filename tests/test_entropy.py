@@ -2,17 +2,21 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from entrograph import (EnumerationSpec, InsufficientData, MetricGraph,
                         NonConvergence, PathKind, TransferMode,
                         ValidationFailed, build_transfer, entropy_from_counts,
                         enumerate_paths, generate_graph, reduce, rho_curve,
-                        volume_entropy)
+                        vertex_matrix, volume_entropy)
 from entrograph import entropy
 from entrograph.graph import Dart
-from helpers import (c4, complete4, dumbbell, eig_rho, path3, rose,
-                     scalar_entropy_from_counts, theta)
+from entrograph.spectral import vertex_form
+from helpers import (c4, complete4, dumbbell, eig_entropy, eig_rho,
+                     lim_metric, multigraphs, path3, rose,
+                     scalar_entropy_from_counts, segment, theta)
 
 
 def test_rose_closed_forms():
@@ -123,7 +127,8 @@ def test_warm_start_evaluates_each_t_once(monkeypatch):
 @pytest.mark.parametrize("mode", [TransferMode.NON_BACKTRACKING])
 def test_newton_slope_matches_finite_difference(mode):
     # the slope's left vector is e^{-t l} r[rev], not a second iteration;
-    # the backtracking root has no Newton step (counting._backtracking_root)
+    # the backtracking root is the vertex-matrix solve
+    # (test_vertex_root_null_vector_and_slope)
     def log_rho(g, t):
         return math.log(eig_rho(build_transfer(g, t, mode).matrix))
 
@@ -242,3 +247,89 @@ def test_solver_matches_oracle_on_seeded_graph():
     prof = enumerate_paths(g, EnumerationSpec(PathKind.PATHS_FROM, r, x=x))
     est = entropy_from_counts(prof, (0.72 * r, r))
     assert abs(est.h_hat - h) <= est.band
+
+
+# -- the vertex-matrix solver (entropy._vertex_root) -------------------------
+
+MODES = [TransferMode.NON_BACKTRACKING, TransferMode.BACKTRACKING]
+
+
+def _lambda_min(g, t, mode):
+    """Smallest eigenvalue of M(t) by a dense ``eigh``, refined as the
+    Rayleigh quotient in the edge form, whose rounding does not scale with
+    the weights 1/(2 t l) of short edges."""
+    form = vertex_form(g, t, mode)
+    v = np.linalg.eigh(form.matrix())[1][:, 0]
+    return float(v @ form.apply(v))
+
+
+@pytest.mark.parametrize("mode", MODES)
+@settings(max_examples=60, deadline=None)
+@given(g=multigraphs())
+def test_vertex_root_matches_dense_dart_entropy(mode, g):
+    root = entropy._vertex_root(g, mode)
+    ref = eig_entropy(g, rel_tol=1e-15, mode=mode)
+    tol = 1e-12 * max(1.0, ref)
+    assert abs(root.h - ref) <= tol
+    lo, hi = root.bracket
+    assert lo <= root.h <= hi
+    assert lo - tol <= ref <= hi + tol
+
+
+@pytest.mark.parametrize("mode", MODES)
+@settings(max_examples=60, deadline=None)
+@given(g=multigraphs())
+def test_vertex_root_null_vector_and_slope(mode, g):
+    root = entropy._vertex_root(g, mode)
+    m = vertex_matrix(g, root.h, mode)
+    # the norm of I + |M - I|: M(h) itself is the scalar 0 on one vertex
+    scale = 1.0 + np.abs(m - np.eye(len(m))).sum(axis=1).max()
+    assert np.abs(m @ root.v).max() <= 1e-10 * scale
+    assert np.linalg.norm(root.v) == pytest.approx(1.0, abs=1e-12)
+    # central differences at steps d and d/2, Richardson-extrapolated:
+    # near-crossing eigenvalues can curve lambda_min on a scale far below h
+    def central(d):
+        return (_lambda_min(g, root.h + d, mode)
+                - _lambda_min(g, root.h - d, mode)) / (2.0 * d)
+    d = 1e-5 * root.h
+    fd = (4.0 * central(0.5 * d) - central(d)) / 3.0
+    assert root.dlambda == pytest.approx(fd, rel=1e-6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=multigraphs())
+def test_vertex_root_lim_metric_closed_form(g):
+    lim, h = lim_metric(reduce(g).graph)
+    assert entropy._vertex_root(lim).h == pytest.approx(h, rel=1e-12)
+
+
+def test_vertex_root_wide_length_graphs():
+    # log(k)/l_min lies far above h here: the dart power iteration does not
+    # converge at that start, the vertex matrix needs no iteration
+    core = MetricGraph.from_edges(["v1", "v2"], [
+        ("v2", "v2", 0.0022097536943248616), ("v1", "v1", 214.01592686401),
+        ("v1", "v2", 103.01997790846774)])
+    for g in (theta((1.0, 1.0, 0.01)), core):
+        ref = eig_entropy(g, rel_tol=1e-15)
+        assert entropy._vertex_root(g).h == pytest.approx(ref, rel=1e-12)
+
+
+def test_vertex_root_components_and_edge_cases():
+    # h is the maximum over components, v lives on the one attaining it
+    # and a component with first Betti number <= 1 is never solved
+    g = MetricGraph.from_edges(
+        ["c0", "c1", "a", "v"],
+        [("c0", "c1", 1.0), ("c1", "c0", 2.0), ("v", "v", 1.0),
+         ("v", "v", 1.0)])
+    root = entropy._vertex_root(g)
+    assert root.h == pytest.approx(math.log(3.0), rel=1e-15)
+    assert np.abs(root.v[:3]).max() == 0.0 and abs(root.v[3]) == 1.0
+    assert root.evals == entropy._vertex_root(rose(2)).evals
+    for tree in (path3(), c4(), MetricGraph.from_edges(["x"], [])):
+        assert entropy._vertex_root(tree).h == 0.0
+    bt = TransferMode.BACKTRACKING
+    assert entropy._vertex_root(path3(), bt).h > 0.0
+    for small in (MetricGraph.from_edges(["x"], []), segment()):
+        assert entropy._vertex_root(small, bt).h == 0.0
+    # the root on the upper start log(k) / l_min is that bound
+    assert entropy._vertex_root(rose(3), bt).h == math.log(6.0)

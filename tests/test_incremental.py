@@ -11,11 +11,14 @@ from entrograph import (DisconnectedPair, MetricGraph, PreconditionError,
                         add_vertex, entropy_after_edge, entropy_after_vertex,
                         estimate_constant_C, f_path, fit_edge_asymptotic,
                         generate_graph, predict_edge_asymptotic,
-                        predict_vertex_asymptotic, volume_entropy)
+                        predict_vertex_asymptotic, vertex_matrix,
+                        volume_entropy)
 from entrograph import incremental
+from entrograph.entropy import _vertex_root
 from entrograph.graph import disjoint_union
+from entrograph.spectral import vertex_form_dt
 from helpers import (c4, complete4, counting_resolvent, cycle, dumbbell,
-                     path3, rose, theta)
+                     eig_entropy, path3, rose, theta)
 
 
 def quintic_root_h():
@@ -94,7 +97,9 @@ def test_merge_of_two_hyperbolic_components():
     g = disjoint_union([a, b])
     for l0 in (0.5, 4.0):
         res = entropy_after_edge(g, "v0", "bv1", l0)
-        assert res.h_base == max(volume_entropy(a).h, volume_entropy(b).h)
+        assert res.h_base == max(_vertex_root(a).h, _vertex_root(b).h)
+        direct = max(volume_entropy(a).h, volume_entropy(b).h)
+        assert abs(res.h_base - direct) <= 1e-12 * direct
         assert _edge_gap(g, "v0", "bv1", l0) <= 1e-9
 
 
@@ -113,7 +118,8 @@ def test_merge_with_tree_keeps_entropy_exactly():
     a = generate_graph(1, 6, 10)
     g = disjoint_union([a, path3()])
     res = entropy_after_edge(g, "v0", "y", 1.0)
-    assert res.h_prime == volume_entropy(a).h
+    assert res.h_prime == _vertex_root(a).h
+    assert abs(res.h_prime - volume_entropy(a).h) <= 1e-12 * res.h_prime
     assert res.iterations == 0
     assert _edge_gap(g, "v0", "y", 1.0) <= 1e-9
 
@@ -123,7 +129,8 @@ def test_degree_one_vertex_keeps_entropy():
     a = generate_graph(1, 6, 10)
     g = MetricGraph.from_edges(a.vertices + ("w",), a.edge_list())
     res = entropy_after_edge(g, "w", "v3", 2.0)
-    assert res.h_prime == volume_entropy(a).h and res.iterations == 0
+    assert res.h_prime == _vertex_root(a).h and res.iterations == 0
+    assert abs(res.h_prime - volume_entropy(a).h) <= 1e-12 * res.h_prime
     direct = volume_entropy(add_vertex(a, [("v3", 2.0)])).h
     assert res.h_prime == pytest.approx(direct, abs=1e-9)
 
@@ -295,7 +302,8 @@ def test_predict_vertex_closed_form_on_generic_graph():
     pred = predict_vertex_asymptotic(g, att)
     h = volume_entropy(g).h
     delta = volume_entropy(add_vertex(g, att)).h - h
-    assert pred.h_base == h
+    assert pred.h_base == _vertex_root(g).h
+    assert abs(pred.h_base - h) <= 1e-12 * h
     assert pred.h_predicted - h == pytest.approx(delta, rel=2e-2)
 
 
@@ -324,3 +332,23 @@ def test_seeded_vertex_instances_cross_method():
         da = entropy_after_vertex(g, att)
         direct = volume_entropy(add_vertex(g, att)).h
         assert abs(da.h_prime - direct) <= 1e-8
+
+
+def test_wide_length_theta_edits_and_constant():
+    # log(k)/l_min = 69 lies far above h = 1.09 here, where the dart power
+    # iteration does not converge; the base solve is the vertex-matrix one
+    g = MetricGraph.from_edges(["a", "b", "c"], [
+        ("a", "b", 1.0), ("a", "b", 1.0), ("a", "b", 0.01), ("b", "c", 2.0)])
+    res = entropy_after_edge(g, "a", "c", 1.5)
+    ref = eig_entropy(add_edge(g, "a", "c", 1.5), rel_tol=1e-15)
+    assert abs(res.h_prime - ref) <= 1e-10 * max(1.0, ref)
+    att = [("a", 1.0), ("b", 2.0), ("c", 0.5)]
+    res = entropy_after_vertex(g, att)
+    ref = eig_entropy(add_vertex(g, att), rel_tol=1e-15)
+    assert abs(res.h_prime - ref) <= 1e-10 * max(1.0, ref)
+    # C = 2 v_a v_b / lambda'(h), v from a dense eigh of M at the dart h
+    h = eig_entropy(g, rel_tol=1e-15)
+    v = np.linalg.eigh(vertex_matrix(g, h))[1][:, 0]
+    dlambda = v @ vertex_form_dt(g, h).matrix() @ v
+    assert estimate_constant_C(g, "a", "b").combined == \
+        pytest.approx(2.0 * v[0] * v[1] / dlambda, rel=1e-8)
