@@ -118,18 +118,16 @@ def _parse_attachments(specs) -> list[tuple[str, float]]:
 
 def cmd_persistence(args) -> int:
     graph = _load(args.file)
-    curve = persistence.persistent_entropy(graph, strategy=args.strategy,
-                                           tol=args.tol)
+    curve = persistence.persistent_entropy(graph, strategy=args.strategy)
     payload = persistence.export_curve(curve, args.format).decode()
     if args.bench:
-        payload += _bench_report(graph, args.tol)
+        payload += _bench_report(graph)
     _emit(payload, args.out)
     return EXIT_OK
 
 
-def _bench_report(graph: MetricGraph, tol: float) -> str:
-    curves = {name: persistence.persistent_entropy(graph, strategy=name,
-                                                   tol=tol)
+def _bench_report(graph: MetricGraph) -> str:
+    curves = {name: persistence.persistent_entropy(graph, strategy=name)
               for name in ("direct", "incremental", "auto")}
     lines = ["bench,strategy,epsilon,ms,step_strategy"]
     for name, curve in curves.items():
@@ -332,7 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_add_vertex)
 
     p = sub.add_parser("persistence",
-                       parents=[_options("tol", "format", "out")],
+                       parents=[_options("format", "out")],
                        help="persistent entropy curve over edge lengths")
     p.add_argument("file")
     p.add_argument("--strategy", choices=("direct", "incremental", "auto"),

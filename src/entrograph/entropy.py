@@ -6,14 +6,10 @@ on the convex function log rho(B(t)).  The Newton step uses the exact
 eigenvalue derivative through the right Perron vector r and the left
 one e^{-t l_d} r_{rev d} that the dart reversal gives (see ``spectral``);
 whenever an iterate would leave the maintained sign bracket, a bisection
-step is taken instead.  A cold solve starts at t = 0 unevaluated, as
+step is taken instead.  A solve starts at t = 0 unevaluated, as
 rho(B(0)) > 1 on a hyperbolic core, and brackets the root from the
-trivial upper bound log(k) / l_min.  A hinted solve starts from its
-lower end instead: as log rho is convex and decreasing, a Newton step
-from below the root lands at or below it, so the steps climb to the
-root without evaluating far above it, where the power iteration is
-slowest.  Components that reduce to a tree or to a single cycle have
-entropy 0 exactly and are never solved for.
+trivial upper bound log(k) / l_min.  Components that reduce to a tree
+or to a single cycle have entropy 0 exactly and are never solved for.
 
 A second, private solver (``_vertex_root``) finds the same h as the
 largest root of lambda_min(M(t)) = 0 on the symmetric vertex matrix M(t)
@@ -25,7 +21,8 @@ log(k) / l_min; no power iteration is involved, so it also solves the
 wide-length graphs where the dart iteration does not converge.  Besides
 h it gives the null vector and slope that the asymptotic constants
 need, and it serves the backtracking mode (I - W(t)) as well.  It is
-the base solve of the incremental formulas and the backtracking root of
+the base solve of the incremental formulas, the step solve of the
+"direct" persistence strategy and the backtracking root of
 ``counting``.  ``volume_entropy`` keeps the dart solver for now: moving
 it over changes which benchmark inputs fail, and so goes with a change
 of the benchmark's pinned failures.
@@ -113,15 +110,16 @@ class _RhoRootProblem:
         drho = -float(left @ (mat @ (self.lengths * right)))
         return rho, drho / denom
 
-    def _upper_start(self, t_lo: float):
+    def _upper_start(self):
         """Evaluate the trivial upper bound log(k) / l_min, k the largest
         number of continuations of a dart, doubling it while rho > 1.
 
-        Returns (t_lo, t_hi, rho_hi, dlog_hi), t_lo raised to the last
-        doubled point.
+        Returns (t_lo, t_hi, rho_hi, dlog_hi), t_lo the last doubled
+        point, or 0.
         """
         k = self.graph.max_degree() - 1
-        t_hi = max(math.log(max(k, 2)) / self.l_min, t_lo + self.l_min, 1e-6)
+        t_lo = 0.0
+        t_hi = max(math.log(max(k, 2)) / self.l_min, self.l_min, 1e-6)
         rho_hi, g_hi = self.eval(t_hi)
         guard = 0
         while rho_hi > 1.0 + self.tol:
@@ -133,28 +131,22 @@ class _RhoRootProblem:
                 raise ValueError("failed to bracket rho(t) = 1 from above")
         return t_lo, t_hi, rho_hi, g_hi
 
-    def solve(self, t_lo: float, rho_lo: float, dlog_lo: float | None):
-        """Root of rho(t) = 1 on [t_lo, inf), given rho_lo = rho(t_lo) >= 1
-        (inf if only known to exceed 1) and its slope d(log rho)/dt.
-
-        With a usable slope the Newton steps go up from t_lo: log rho is
-        convex and decreasing, so each lands at or below the root.  The
-        upper start log(k) / l_min is evaluated only without one, or when
-        a step fails to move up before an upper end is known.
+    def solve(self):
+        """Root of rho(t) = 1 on (0, inf), where rho(B(0)) > 1 on a
+        hyperbolic core: Newton steps down from the upper start, with a
+        bisection step wherever one would leave the bracket.
 
         Returns (t, residual, method, bracket).
         """
         tol = self.tol
-        if rho_lo < 1.0 - tol:
-            raise ValueError("lower bracket does not satisfy rho >= 1")
-        if abs(rho_lo - 1.0) <= tol:
-            return t_lo, abs(rho_lo - 1.0), "exact", (t_lo, t_lo)
+        lo, t, rho, dlog = self._upper_start()
+        hi = t
+        if abs(rho - 1.0) <= tol:
+            return t, abs(rho - 1.0), "exact", (lo, hi)
 
         # Residual target tight enough that the derivative bound
         # |d log rho / dt| >= l_min certifies a bracket of width <= tol.
         g_target = tol * min(1.0, 0.45 * self.l_min)
-        lo, hi = t_lo, math.inf
-        t, rho, dlog = t_lo, rho_lo, dlog_lo
         hybrid = False
         best = (t, abs(rho - 1.0))
         steps = 0
@@ -165,18 +157,10 @@ class _RhoRootProblem:
             t_next = None
             if dlog is not None and dlog < 0 and math.isfinite(g):
                 t_next = t - g / dlog
-            if hi == math.inf and (t_next is None or t_next <= lo):
-                lo, t, rho, dlog = self._upper_start(lo)
-                hi = t
-                if abs(rho - 1.0) <= tol:
-                    return t, abs(rho - 1.0), "exact", (lo, hi)
-                if abs(rho - 1.0) < best[1]:
-                    best = (t, abs(rho - 1.0))
-                continue
             if t_next is None or not (lo < t_next < hi):
                 t_next = 0.5 * (lo + hi)
                 hybrid = True
-            t_prev, t = t, t_next
+            t = t_next
             steps += 1
             rho, dlog = self.eval(t)
             if rho >= 1.0:
@@ -185,9 +169,7 @@ class _RhoRootProblem:
                 hi = t
             if abs(rho - 1.0) < best[1]:
                 best = (t, abs(rho - 1.0))
-            # a collapsed bracket, or a step up below float resolution
-            width = hi - lo if hi < math.inf else t - t_prev
-            if width <= 1e-15 * max(1.0, t):
+            if hi - lo <= 1e-15 * max(1.0, t):
                 break
         else:  # pragma: no cover - iteration cap
             t, _ = best
@@ -306,18 +288,13 @@ def _vertex_root(graph: MetricGraph,
 
 
 def volume_entropy(graph: MetricGraph, tol: float = 1e-10,
-                   max_iter: int = 10_000,
-                   bracket_hint: float | None = None) -> EntropyResult:
+                   max_iter: int = 10_000) -> EntropyResult:
     """Volume entropy of a metric graph.
 
     Each connected component is reduced first; trivial and single-cycle
     components contribute exactly 0, hyperbolic components are solved for
     rho(B(t)) = 1.  The entropy of the graph is the maximum over
-    components.  ``bracket_hint`` (a known lower bound for the answer,
-    e.g. the previous entropy along a filtration) is evaluated first in
-    each component solve: where rho is at least 1 there, the Newton
-    steps go up from it, with the upper start log(k) / l_min only as a
-    fallback; a hint above the root is dropped for a cold solve.
+    components.
 
     Raises ValidationFailed on invalid input: no entropy is ever reported
     for a non-validated graph.
@@ -336,14 +313,8 @@ def volume_entropy(graph: MetricGraph, tol: float = 1e-10,
             per.append((cid, 0.0))
             continue
         problem = _RhoRootProblem(red.graph, tol, max_iter)
-        t_lo, rho_lo = 0.0, math.inf  # rho(B(0)) > 1 on a hyperbolic core
         try:
-            dlog_lo = None
-            if bracket_hint is not None and bracket_hint > 0:
-                rho_hint, dlog_hint = problem.eval(bracket_hint)
-                if rho_hint >= 1.0 - tol:
-                    t_lo, rho_lo, dlog_lo = bracket_hint, rho_hint, dlog_hint
-            t, resid, method, bracket = problem.solve(t_lo, rho_lo, dlog_lo)
+            t, resid, method, bracket = problem.solve()
         except NonConvergence as exc:
             exc.t, exc.component = problem.t, cid
             raise

@@ -156,14 +156,20 @@ def vertex_form(graph: MetricGraph, t: float,
     n, u, w, lengths = _edge_arrays(graph)
     z = np.exp(-t * lengths)
     loop = u == w
+    shift = np.ones(n)
     if mode is TransferMode.BACKTRACKING:
         weights, drop = z[~loop], z
     else:
         # z/(1-z^2) on L_e leaves z/(1+z) to remove from each endpoint;
-        # a loop's net diagonal term is -2z/(1+z).
+        # a loop's net diagonal term is -2z/(1+z) = tanh(t l/2) - 1.  Its
+        # 1 cancels the identity exactly, before any other term, so a
+        # short loop keeps its digits.
         weights = z[~loop] / -np.expm1(-2.0 * t * lengths[~loop])
         drop = z / (1.0 + z)
-    shift = np.ones(n)
+        if loop.any():
+            np.subtract.at(shift, u[loop], 1.0)
+            np.add.at(shift, u[loop], np.tanh(0.5 * t * lengths[loop]))
+            drop[loop] = 0.0
     np.subtract.at(shift, u, drop)
     np.subtract.at(shift, w, drop)
     return VertexForm(shift, u[~loop], w[~loop], weights)
@@ -206,7 +212,8 @@ def vertex_matrix(graph: MetricGraph, t: float,
     and D_vv = sum_{e at v} z^2/(1-z^2), z = e^{-t l_e} (weighted
     Ihara-Bass; Watanabe & Fukumizu, NeurIPS 2009).  A loop at v enters
     as its net diagonal term -2z/(1+z), which avoids the cancellation of
-    2z^2/(1-z^2) - 2z/(1-z^2) for short loops; 1 - z^2 is computed as
+    2z^2/(1-z^2) - 2z/(1-z^2) for short loops, written tanh(tl/2) - 1
+    so that the 1 cancels the identity exactly; 1 - z^2 is computed as
     -expm1(-2tl).  Backtracking: I - W(t) with W_uv = sum_{e=uv} z, so a
     loop contributes 2z.  In both modes the matrix is positive definite
     exactly when t exceeds the entropy of the mode, and

@@ -256,6 +256,7 @@ def test_count_cap_exit_code(tmp_path, capsys):
     ["count", "K4", "--kind", "cycles", "--v", "a", "--r", "5",
      "--margin", "0.1"],
     ["add-edge", "K4", "a", "b", "1.0", "--margin", "0.1"],
+    ["persistence", "K4", "--tol", "1e-9"],
 ])
 def test_option_a_command_does_not_read_exits_2(argv, k4_file, capsys):
     with pytest.raises(SystemExit) as info:

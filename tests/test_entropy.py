@@ -92,38 +92,6 @@ def test_reduction_invariance():
     assert h1 == pytest.approx(h2, abs=2e-10)
 
 
-def test_warm_start_hint_gives_same_answer():
-    g = complete4()
-    cold = volume_entropy(g).h
-    warm = volume_entropy(g, bracket_hint=0.5).h
-    assert warm == pytest.approx(cold, abs=1e-10)
-    # a hint above the root is rejected, not trusted
-    over = volume_entropy(g, bracket_hint=2.0).h
-    assert over == pytest.approx(cold, abs=1e-10)
-
-
-def test_warm_start_evaluates_each_t_once(monkeypatch):
-    # rho at the hint is the lower end of the solve, not evaluated again,
-    # and the Newton steps go up from it: log(k) / l_min is never reached
-    seen = []
-    eval_rho = entropy._RhoRootProblem.eval
-
-    def recording(self, t):
-        seen.append(t)
-        return eval_rho(self, t)
-
-    monkeypatch.setattr(entropy._RhoRootProblem, "eval", recording)
-    g = generate_graph(1, 8, 16)
-    h = volume_entropy(g).h
-    for hint in (0.5 * h, 0.9 * h, h - 1e-3):
-        seen.clear()
-        assert volume_entropy(g, bracket_hint=hint).h == \
-            pytest.approx(h, abs=1e-10)
-        assert seen[0] == hint
-        assert len(seen) == len(set(seen))
-        assert max(seen) < h + 1e-6
-
-
 @pytest.mark.parametrize("mode", [TransferMode.NON_BACKTRACKING])
 def test_newton_slope_matches_finite_difference(mode):
     # the slope's left vector is e^{-t l} r[rev], not a second iteration;
@@ -312,6 +280,19 @@ def test_vertex_root_wide_length_graphs():
     for g in (theta((1.0, 1.0, 0.01)), core):
         ref = eig_entropy(g, rel_tol=1e-15)
         assert entropy._vertex_root(g).h == pytest.approx(ref, rel=1e-12)
+
+
+def test_vertex_root_short_loop_core():
+    # the loop of length 0.0022 enters M(t) as tanh(t l / 2) ~ 3e-5, which
+    # 1 - 2z/(1+z) forms with ~1e-16 absolute error: h was 3.0e-13 off.
+    # The reference is a 40-digit mpmath root of lambda_min(M(t)) = 0.
+    # Rounding of the O(0.1) terms of v^T M v limits any float root to
+    # ~eps * 0.12 / (h lambda') = 7.6e-14 relative here.
+    core = MetricGraph.from_edges(["v1", "v2"], [
+        ("v2", "v2", 0.0022097536943248616), ("v1", "v1", 214.01592686401),
+        ("v1", "v2", 103.01997790846774)])
+    ref = 0.02650810829636056848358827255669643048656
+    assert entropy._vertex_root(core).h == pytest.approx(ref, rel=5e-14)
 
 
 def test_vertex_root_components_and_edge_cases():

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from entrograph import (EntropyCurve, MetricGraph, NonConvergence,
                         StepStrategy, UnknownFormat, add_edge,
@@ -11,7 +11,7 @@ from entrograph import (EntropyCurve, MetricGraph, NonConvergence,
                         filter_at, first_betti, generate_graph, persistence,
                         persistent_entropy, same_graph, thresholds,
                         volume_entropy)
-from helpers import c4, complete4, eig_entropy, multigraphs
+from helpers import c4, complete4, eig_entropy, multigraphs, theta
 
 
 def k4_with_long_chord():
@@ -126,12 +126,9 @@ def test_generated_filtrations_take_no_direct_step(args):
 @settings(max_examples=40, deadline=None)
 @given(multigraphs())
 def test_incremental_matches_direct_on_multigraphs(g):
-    try:
-        direct = persistent_entropy(g, strategy="direct")
-    except NonConvergence:
-        # the dart power iteration of the direct solver does not converge
-        # on some wide length spreads; there is no curve to compare with
-        assume(False)
+    direct = persistent_entropy(g, strategy="direct")
+    hs = [s.h for s in direct.steps]
+    assert hs == sorted(hs)  # exactly monotone
     inc = persistent_entropy(g, strategy="incremental")
     for sa, sd in zip(inc.steps, direct.steps):
         assert abs(sa.h - sd.h) <= 1e-7
@@ -217,10 +214,10 @@ def test_long_loop_on_a_base_from_an_earlier_step():
         assert abs(sa.h - sd.h) <= 1e-9
 
 
-def test_direct_step_does_not_evaluate_far_above_its_base():
-    # the step at 8.2755 starts from its base entropy; the trivial upper
-    # end log(k) / l_min = 12.24 of that graph, where the dart power
-    # iteration does not converge, is not evaluated
+def test_direct_step_from_a_far_upper_start():
+    # the step at 8.2755 starts its Newton steps at the trivial upper end
+    # log(k) / l_min = 12.24 of that graph, where a dart power iteration
+    # does not converge; the vertex matrix needs no iteration there
     g = MetricGraph.from_edges(
         ["v0", "v1"],
         [("v1", "v0", 2.256415249128523), ("v0", "v0", 2.63502466460962),
@@ -232,11 +229,23 @@ def test_direct_step_does_not_evaluate_far_above_its_base():
         assert abs(sa.h - sd.h) <= 1e-7
 
 
+def test_wide_length_theta_direct_curve():
+    # the dart power iteration raised NonConvergence at log 2 / 0.01 on
+    # this graph; its last step now matches the dense-eigenvalue entropy
+    g = theta((1.0, 1.0, 0.01))
+    direct = persistent_entropy(g, strategy="direct")
+    inc = persistent_entropy(g, strategy="incremental")
+    ref = eig_entropy(g, rel_tol=1e-15)
+    assert abs(direct.steps[-1].h - ref) <= 1e-13 * ref
+    for sa, sd in zip(inc.steps, direct.steps):
+        assert abs(sa.h - sd.h) <= 1e-9
+
+
 def test_package_error_carries_its_threshold(monkeypatch):
     def fail(*args, **kwargs):
         raise NonConvergence("no root")
 
-    monkeypatch.setattr(persistence, "volume_entropy", fail)
+    monkeypatch.setattr(persistence, "_vertex_root", fail)
     with pytest.raises(NonConvergence) as info:
         persistent_entropy(complete4(), strategy="direct")
     assert info.value.threshold == 1.0
@@ -247,7 +256,7 @@ def test_other_errors_propagate_untouched(monkeypatch):
     def fail(*args, **kwargs):
         raise ZeroDivisionError("division by zero")
 
-    monkeypatch.setattr(persistence, "volume_entropy", fail)
+    monkeypatch.setattr(persistence, "_vertex_root", fail)
     with pytest.raises(ZeroDivisionError) as info:
         persistent_entropy(complete4(), strategy="direct")
     assert info.value.args == ("division by zero",)
