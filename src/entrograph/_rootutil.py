@@ -1,10 +1,10 @@
-"""Bracketed scalar root finding: bisection to relative width ``COARSE``,
-then secant polish with bracket projection and Brent's bisection
-fallback down to ``XTOL_REL`` relative, within ``MAX_ITER`` evaluations
-(``bracketed_root``); and the search for a bracket above a base point
-where the equation may diverge, from ``REL_MARGIN`` relative above it
-(``root_above``).  Used for the monotone defining equations of the
-incremental formulas and the primitive-cycle roots."""
+"""Bracketed scalar root finding: secant steps with bracket projection
+and Brent's bisection fallback down to ``XTOL_REL`` relative, within
+``MAX_ITER`` evaluations (``bracketed_root``); and the search for a
+bracket above a base point where the equation may diverge, from
+``REL_MARGIN`` relative above it (``root_above``).  Used for the
+monotone defining equations of the incremental formulas and the
+primitive-cycle roots."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from typing import Callable
 
 from .errors import DivergentSeries, NonConvergence
 
-COARSE = 1e-2
 XTOL_REL = 1e-15
 MAX_ITER = 240
 REL_MARGIN = 1e-6
@@ -22,12 +21,12 @@ REL_MARGIN = 1e-6
 def bracketed_root(fn: Callable[[float], float], lo: float, hi: float,
                    f_lo: float | None = None, f_hi: float | None = None
                    ) -> tuple[float, float, int]:
-    """Root of a continuous function with a sign change on [lo, hi].
+    """Root of a continuous, finite function with a sign change on
+    [lo, hi].
 
-    Returns (x, f(x), evaluations).  ``COARSE`` bounds the relative width
-    reached by pure bisection before secant steps take over; secant
-    iterates falling outside the current bracket, or stepping farther
-    than half the step before the last one, are replaced by midpoints.
+    Returns (x, f(x), evaluations).  Secant iterates falling outside the
+    current bracket, or stepping farther than half the step before the
+    last one, are replaced by midpoints.
     It stops once a secant step or the bracket falls below ``XTOL_REL``
     relative, or after ``MAX_ITER`` evaluations.
     """
@@ -44,20 +43,6 @@ def bracketed_root(fn: Callable[[float], float], lo: float, hi: float,
         return hi, 0.0, evals
     if (f_lo > 0.0) == (f_hi > 0.0):
         raise ValueError(f"no sign change on [{lo}, {hi}]")
-    # an infinite value keeps its sign for the bracket; the secant steps
-    # it yields (nan, or an end of the bracket) fall back to midpoints
-
-    scale = max(1.0, abs(lo), abs(hi))
-    while hi - lo > COARSE * scale and evals < MAX_ITER:
-        mid = 0.5 * (lo + hi)
-        f_mid = fn(mid)
-        evals += 1
-        if f_mid == 0.0:
-            return mid, 0.0, evals
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
 
     x_prev, f_prev = lo, f_lo
     x_cur, f_cur = hi, f_hi
@@ -69,8 +54,7 @@ def bracketed_root(fn: Callable[[float], float], lo: float, hi: float,
         denom = f_cur - f_prev
         if denom != 0.0:
             x_next = x_cur - f_cur * (x_cur - x_prev) / denom
-            if abs(x_next - x_cur) <= XTOL_REL * max(1.0, abs(x_cur)) \
-                    and math.isfinite(denom):
+            if abs(x_next - x_cur) <= XTOL_REL * max(1.0, abs(x_cur)):
                 break  # the secant correction is below resolution
         else:
             x_next = 0.5 * (lo + hi)
@@ -97,34 +81,44 @@ def bracketed_root(fn: Callable[[float], float], lo: float, hi: float,
     return best[0], best[1], evals
 
 
-def root_above(fn: Callable[[float], float], base: float
-               ) -> tuple[float, float, int, float | None]:
-    """Root above ``base`` of a function that is negative between
-    ``base`` and the root and positive above the root, such as an
-    increasing defining equation whose series converge only above
-    ``base``; ``fn`` may raise DivergentSeries close to ``base``.
+def root_above(radius: Callable[[float], float], base: float
+               ) -> tuple[float, float, int]:
+    """Root above ``base`` of radius(t) = 1, for a nonnegative radius
+    that exceeds 1 between ``base`` and the root and stays below 1 above
+    it, such as the spectral radius of a matrix of series that converge
+    only above ``base``; ``radius`` may raise DivergentSeries close to
+    ``base``.
 
-    The lower end
-    starts at ``base + REL_MARGIN * max(base, 1)``, grows on divergence
-    and shrinks while fn >= 0; once both a divergent and a non-negative
-    offset are known it bisects between them.  When the non-negative end
+    The search runs on fn = (1 - r)/(1 + r) = -tanh(log(r)/2), r the
+    radius: the root of 1 - r, but bounded in [-1, 1], near-linear where
+    r has its pole at ``base``, and -1 in the limit there, the value a
+    divergent evaluation counts as.
+
+    The lower end starts at ``base + REL_MARGIN * max(base, 1)``, grows
+    on divergence and shrinks while fn >= 0; once both a divergent and a
+    non-negative offset are known it bisects between them.  When the non-negative end
     comes within 1e-16 * max(base, 1) of ``base``, of the divergent end
     or of the negative end, or is the float next to the negative end,
     the root is pinched and that end is returned.  The upper end is the
     non-negative offset when one was met; otherwise it doubles its gap
     until fn > 0.  Then ``bracketed_root`` finishes.
-    Returns (x, fn(x), evaluations, pinch), counting every call of
-    ``fn``; ``pinch`` is None, or for a pinched root the width of the
-    certified bracket relative to max(base, 1), at most
-    max(1e-16, one ulp of the root relative to max(base, 1)).
+    Returns (x, residual, evaluations), counting every call of
+    ``radius``.  The residual is |1 - r(x)|, or for a pinched root the
+    width of the certified bracket relative to max(base, 1), at most
+    max(1e-16, one ulp of the root relative to max(base, 1)), where the
+    radius carries no information.
 
     Just above ``base`` the equation is rounding noise: a ``base`` from an
     earlier solve may sit a few ulps below the true pole, and the noise
     band can be wider than the gap to a root that is nearly pinched (a
     long edge).  So DivergentSeries may also come from a point above the
-    found lower end; ``bracketed_root`` then sees -inf, the limit of the
-    equation at its pole, which keeps that point below the root.
+    found lower end; ``bracketed_root`` then sees -1, the limit of fn at
+    the pole, which keeps that point below the root.
     """
+    def fn(t: float) -> float:
+        r = radius(t)
+        return (1.0 - r) / (1.0 + r)
+
     evals = 0
     scale = max(base, 1.0)
     floor = 1e-16 * scale
@@ -143,8 +137,7 @@ def root_above(fn: Callable[[float], float], base: float
                 break
             nonneg, f_nonneg = off, f_try
             if nonneg - divergent <= floor:
-                return (base + nonneg, f_nonneg, evals,
-                        (nonneg - divergent) / scale)
+                return base + nonneg, (nonneg - divergent) / scale, evals
         if nonneg is None:
             off *= 2.0
         elif divergent == 0.0:
@@ -157,7 +150,7 @@ def root_above(fn: Callable[[float], float], base: float
     if nonneg is not None:
         if nonneg - off <= floor \
                 or math.nextafter(base + off, math.inf) >= base + nonneg:
-            return base + nonneg, f_nonneg, evals, (nonneg - off) / scale
+            return base + nonneg, (nonneg - off) / scale, evals
         t_hi, f_hi = base + nonneg, f_nonneg
     else:
         gap = max(4.0 * (t_lo - base), 0.25)
@@ -175,8 +168,8 @@ def root_above(fn: Callable[[float], float], base: float
         try:
             return fn(t)
         except DivergentSeries:
-            return -math.inf
+            return -1.0
 
-    root, f_root, evals_root = bracketed_root(fn_or_pole, t_lo, t_hi,
-                                              f_lo, f_hi)
-    return root, f_root, evals + evals_root, None
+    root, q, evals_root = bracketed_root(fn_or_pole, t_lo, t_hi, f_lo, f_hi)
+    # |1 - r| = 2|q| / (1 + q) for q = (1 - r)/(1 + r)
+    return root, 2.0 * abs(q) / (1.0 + q), evals + evals_root

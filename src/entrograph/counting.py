@@ -666,10 +666,9 @@ def backtracking_entropy(graph: MetricGraph, v: str) -> BacktrackingEntropy:
     h1, resid1 = _backtracking_root(comp)
     base, _ = _backtracking_root(delete_vertex(comp, v))
 
-    def one_minus_g(t: float) -> float:
+    def g(t: float) -> float:
         g_mat = primitive_matrix(comp, v, t, TransferMode.BACKTRACKING)
-        return 1.0 - float(g_mat.sum())
+        return float(g_mat.sum())
 
-    h2, f2, _, pinch = root_above(one_minus_g, base)
-    return BacktrackingEntropy(h1, h2, resid1,
-                               abs(f2) if pinch is None else pinch)
+    h2, resid2, _ = root_above(g, base)
+    return BacktrackingEntropy(h1, h2, resid1, resid2)

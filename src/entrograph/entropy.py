@@ -14,9 +14,9 @@ or to a single cycle have entropy 0 exactly and are never solved for.
 A second, private solver (``_vertex_root``) finds the same h as the
 largest root of lambda_min(M(t)) = 0 on the symmetric vertex matrix M(t)
 of ``spectral.vertex_form``, which is positive definite exactly above
-the entropy.  Each evaluation is one ``eigh`` of the smallest eigenpair,
-the eigenvalue refined as the Rayleigh quotient in the edge form, and
-its slope v^T M'(t) v makes safeguarded Newton steps down from
+the entropy.  Each evaluation is one LAPACK ``dsyevr`` of the smallest
+eigenpair, the eigenvalue refined as the Rayleigh quotient in the edge
+form, and its slope v^T M'(t) v makes safeguarded Newton steps down from
 log(k) / l_min; no power iteration is involved, so it also solves the
 wide-length graphs where the dart iteration does not converge.  Besides
 h it gives the null vector and slope that the asymptotic constants
@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg.lapack import dsyevr
 
 from .errors import InsufficientData, NonConvergence, ValidationFailed
 from .graph import ComponentKind, MetricGraph, components, reduce, validate
@@ -191,7 +191,7 @@ class _VertexRoot:
     stands in for 0, and ``dlambda`` = v^T M'(h) v its slope.  In
     ``bracket`` = (lo, hi), lambda_min < 0 at lo or lo is the unevaluated
     lower end 0, and lambda_min >= 0 at hi.  ``evals`` counts the
-    ``eigh`` calls.
+    ``dsyevr`` calls.
     """
 
     h: float
@@ -203,15 +203,30 @@ class _VertexRoot:
 
 
 _NEWTON_CAP = 200
+_EPS = float(np.finfo(float).eps)
 
 
 def _lambda_min(graph: MetricGraph, t: float, mode: TransferMode):
-    """(lambda_min(M(t)), its unit eigenvector, its slope v^T M'(t) v)."""
+    """(lambda_min(M(t)), its unit eigenvector, its slope v^T M'(t) v,
+    the rounding scale of lambda_min).
+
+    lambda_min and its slope are Rayleigh quotients in the edge form,
+    sum_u shift_u v_u^2 + sum_e w_e (v_u - v_w)^2, and the rounding scale
+    is 4 eps times the sum of the absolute values of the terms of
+    lambda_min: below it the sign of lambda_min says nothing.
+    """
     form = vertex_form(graph, t, mode)
-    _, vecs = eigh(form.matrix(), subset_by_index=[0, 0])
+    _, vecs, _, _, info = dsyevr(form.matrix(), range="I", il=1, iu=1,
+                                 lower=1, overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsyevr failed with info = {info}")
     v = vecs[:, 0]
-    return (float(v @ form.apply(v)), v,
-            float(v @ vertex_form_dt(graph, t, mode).apply(v)))
+    sq, diff2 = v * v, (v[form.tails] - v[form.heads]) ** 2
+    flow = float(form.weights @ diff2)
+    slope = vertex_form_dt(graph, t, mode)  # same edge layout as form
+    return (float(form.shift @ sq) + flow, v,
+            float(slope.shift @ sq + slope.weights @ diff2),
+            4.0 * _EPS * (float(np.abs(form.shift) @ sq) + flow))
 
 
 def _newton_down(graph: MetricGraph, mode: TransferMode, lo: float,
@@ -219,27 +234,32 @@ def _newton_down(graph: MetricGraph, mode: TransferMode, lo: float,
     """Safeguarded Newton on lambda_min(M(t)) down from the upper start
     log(max(k, 2)) / l_min, k the largest number of continuations of a
     dart, where rho(B(t)) <= 1; ``lo`` is a lower end, ``evals`` the
-    evaluations made so far."""
+    evaluations made so far.
+
+    M(t) depends on t l alone, so the stop is relative: a Newton step or
+    bracket of at most 1e-15 t, or |lambda_min| within its rounding scale
+    (``_lambda_min``), where further steps would follow rounding noise.
+    """
     k = graph.max_degree() - (mode is TransferMode.NON_BACKTRACKING)
     t = hi = math.log(max(k, 2)) / graph.min_length()
-    lam, v, dlam = _lambda_min(graph, t, mode)
+    lam, v, dlam, noise = _lambda_min(graph, t, mode)
     evals += 1
     if lam <= 0.0:  # a root on the bound, lam < 0 only by rounding
         return _VertexRoot(t, v, lam, dlam, (t, t), evals)
-    while True:
+    while abs(lam) > noise:
         t_next = t - lam / dlam if dlam > 0.0 else math.nan
-        if abs(t_next - t) <= 1e-15 * max(1.0, t):
+        if abs(t_next - t) <= 1e-15 * t:
             break
         if not lo < t_next < hi:
             t_next = 0.5 * (lo + hi)
         t = t_next
-        lam, v, dlam = _lambda_min(graph, t, mode)
+        lam, v, dlam, noise = _lambda_min(graph, t, mode)
         evals += 1
         if lam < 0.0:
             lo = t
         else:
             hi = t
-        if hi - lo <= 1e-15 * max(1.0, t):
+        if hi - lo <= 1e-15 * t:
             break
         if evals >= _NEWTON_CAP:
             exc = NonConvergence(
@@ -267,7 +287,7 @@ def _vertex_root(graph: MetricGraph,
     if mode is TransferMode.BACKTRACKING:
         if not graph.darts:
             return zero
-        lam0, _, _ = _lambda_min(graph, 0.0, mode)
+        lam0 = _lambda_min(graph, 0.0, mode)[0]
         if lam0 >= 0.0:
             return replace(zero, evals=1)
         return _newton_down(graph, mode, 0.0, 1)

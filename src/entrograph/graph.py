@@ -17,6 +17,8 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import NonPositiveLength, UnknownVertex
 
 
@@ -89,6 +91,19 @@ class MetricGraph:
             table[d.tail].append(d.id)
         return {v: tuple(ids) for v, ids in table.items()}
 
+    @cached_property
+    def edge_arrays(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+        """Vertex count, then tail and head indices (``vertices`` order)
+        and lengths of the edges of ``edge_darts``, as read-only arrays."""
+        index = {v: i for i, v in enumerate(self.vertices)}
+        edges = self.edge_darts()
+        u = np.array([index[d.tail] for d in edges], dtype=np.intp)
+        w = np.array([index[d.head] for d in edges], dtype=np.intp)
+        lengths = np.array([d.length for d in edges], dtype=float)
+        for arr in (u, w, lengths):
+            arr.flags.writeable = False
+        return len(index), u, w, lengths
+
     def out_darts(self, v: str) -> tuple[int, ...]:
         """Ids of darts leaving v, in dart-id order."""
         try:
@@ -159,7 +174,8 @@ def validate(graph: MetricGraph) -> tuple[str, ...]:
 def components(graph: MetricGraph) -> list[MetricGraph]:
     """Split into connected components, ordered by smallest vertex id.
 
-    Each component keeps the vertex identifiers of the input graph.
+    Each component keeps the vertex identifiers of the input graph; a
+    connected graph is its own single component, returned as it is.
     """
     adj: dict[str, set[str]] = {v: set() for v in graph.vertices}
     for d in graph.darts:
@@ -178,6 +194,8 @@ def components(graph: MetricGraph) -> list[MetricGraph]:
                     comp.add(w)
                     seen.add(w)
                     stack.append(w)
+        if len(comp) == len(graph.vertices):
+            return [graph]
         verts = tuple(v for v in graph.vertices if v in comp)
         edges = tuple((d.tail, d.head, d.length)
                       for d in graph.edge_darts() if d.tail in comp)

@@ -10,12 +10,17 @@ the first-return matrix
 is the Schur complement of the new graph's dart matrix B(t): f sums the
 nonempty non-backtracking paths of G_0, the bracket is the direct step.
 Above the entropy h_base of G_0, rho(B(t)) < 1 exactly when
-rho(T(t)) < 1, so the new entropy is the root above h_base of the
-nondecreasing 1 - rho(T(t)) (``_rootutil.root_above``).  Each evaluation
-takes f among the ends of the new edges from one Cholesky factorization
-of the vertex matrix M(t) of G_0 (``genfun._Resolvent``; f = 0 between
-its components and at an isolated vertex), and rho from the dense
-eigenvalues of T(t).  The paper's formulas are the small cases:
+rho(T(t)) < 1, so the new entropy is the root above h_base of
+rho(T(t)) = 1 (``_rootutil.root_above``), solved as the nondecreasing
+(1 - rho)/(1 + rho) = -tanh(log(rho)/2) = 0.  This bounded form of
+1 - rho = 0 has the same root, lies in (-1, 1], is near-linear in t
+where rho has its pole at h_base and tends to -1 there, so secant steps
+resolve roots close to the pole and a divergent evaluation counts as
+-1.  Each evaluation takes f among the ends of the new edges from one
+Cholesky factorization of the vertex matrix M(t) of G_0
+(``genfun._Resolvent``; f = 0 between its components and at an
+isolated vertex), and rho from the dense eigenvalues of T(t).  The
+paper's formulas are the small cases:
 
 - an edge of length l0 between x != y, adjacent or not:
   rho(T) = e^{-l0 t} (f_xy + sqrt(f_xx f_yy)), which is
@@ -163,13 +168,13 @@ def _extend(parts: Sequence[MetricGraph],
     step = (head_at == tail_at) & (darts != darts[:, None] ^ 1)
     lengths = np.repeat([l for _, _, l in new_edges], 2)
 
-    def one_minus_rho(t: float) -> float:
+    def rho(t: float) -> float:
         f = _Resolvent(base, t).block(ends)
         trans = (f[head_at, tail_at] + step) * np.exp(-lengths * t)
-        return 1.0 - float(np.abs(np.linalg.eigvals(trans)).max())
+        return float(np.abs(np.linalg.eigvals(trans)).max())
 
-    root, f_root, evals, pinch = root_above(one_minus_rho, h_base)
-    return root, h_base, abs(f_root) if pinch is None else pinch, evals
+    root, residual, evals = root_above(rho, h_base)
+    return root, h_base, residual, evals
 
 
 def entropy_after_edge(graph: MetricGraph, x: str, y: str, l0: float,

@@ -130,22 +130,17 @@ class VertexForm:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """The matrix times x, a vector or a matrix of columns."""
-        col = (slice(None),) + (None,) * (x.ndim - 1)
-        flow = self.weights[col] * (x[self.tails] - x[self.heads])
-        out = self.shift[col] * x
+        if x.ndim == 1:
+            n = x.size
+            flow = self.weights * (x[self.tails] - x[self.heads])
+            return (self.shift * x + np.bincount(self.tails, flow, n)
+                    - np.bincount(self.heads, flow, n))
+        # columns keep np.add.at: a bincount per column is slower
+        flow = self.weights[:, None] * (x[self.tails] - x[self.heads])
+        out = self.shift[:, None] * x
         np.add.at(out, self.tails, flow)
         np.subtract.at(out, self.heads, flow)
         return out
-
-
-def _edge_arrays(graph: MetricGraph):
-    """Vertex count, then tail and head indices (``graph.vertices``
-    order) and lengths of the edges."""
-    index = {v: i for i, v in enumerate(graph.vertices)}
-    edges = graph.edge_darts()
-    u = np.array([index[d.tail] for d in edges], dtype=np.intp)
-    w = np.array([index[d.head] for d in edges], dtype=np.intp)
-    return len(index), u, w, np.array([d.length for d in edges], dtype=float)
 
 
 def vertex_form(graph: MetricGraph, t: float,
@@ -153,7 +148,7 @@ def vertex_form(graph: MetricGraph, t: float,
                 ) -> VertexForm:
     """Vertex matrix at parameter t > 0, indexed in ``graph.vertices``
     order (see ``vertex_matrix``)."""
-    n, u, w, lengths = _edge_arrays(graph)
+    n, u, w, lengths = graph.edge_arrays
     z = np.exp(-t * lengths)
     loop = u == w
     shift = np.ones(n)
@@ -167,11 +162,12 @@ def vertex_form(graph: MetricGraph, t: float,
         weights = z[~loop] / -np.expm1(-2.0 * t * lengths[~loop])
         drop = z / (1.0 + z)
         if loop.any():
-            np.subtract.at(shift, u[loop], 1.0)
-            np.add.at(shift, u[loop], np.tanh(0.5 * t * lengths[loop]))
+            shift -= np.bincount(u[loop], minlength=n)
+            shift += np.bincount(u[loop], np.tanh(0.5 * t * lengths[loop]),
+                                 n)
             drop[loop] = 0.0
-    np.subtract.at(shift, u, drop)
-    np.subtract.at(shift, w, drop)
+    shift -= np.bincount(u, drop, n)
+    shift -= np.bincount(w, drop, n)
     return VertexForm(shift, u[~loop], w[~loop], weights)
 
 
@@ -186,7 +182,7 @@ def vertex_form_dt(graph: MetricGraph, t: float,
     ``vertex_form``.  With v the unit null vector of M(h), the smallest
     eigenvalue has slope lambda'(h) = v @ vertex_form_dt(graph, h).apply(v).
     """
-    n, u, w, lengths = _edge_arrays(graph)
+    n, u, w, lengths = graph.edge_arrays
     z = np.exp(-t * lengths)
     loop = u == w
     if mode is TransferMode.BACKTRACKING:
@@ -196,9 +192,7 @@ def vertex_form_dt(graph: MetricGraph, t: float,
         zl = z[~loop]
         weights = -lengths[~loop] * zl * (1.0 + zl * zl) / (q * q)
         rise = lengths * z / (1.0 + z) ** 2
-    shift = np.zeros(n)
-    np.add.at(shift, u, rise)
-    np.add.at(shift, w, rise)
+    shift = np.bincount(u, rise, n) + np.bincount(w, rise, n)
     return VertexForm(shift, u[~loop], w[~loop], weights)
 
 

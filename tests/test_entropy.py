@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import eigh
 
 from entrograph import (EnumerationSpec, InsufficientData, MetricGraph,
                         NonConvergence, PathKind, TransferMode,
@@ -279,7 +281,8 @@ def test_vertex_root_wide_length_graphs():
         ("v1", "v2", 103.01997790846774)])
     for g in (theta((1.0, 1.0, 0.01)), core):
         ref = eig_entropy(g, rel_tol=1e-15)
-        assert entropy._vertex_root(g).h == pytest.approx(ref, rel=1e-12)
+        assert entropy._vertex_root(g).h == pytest.approx(ref, rel=1e-12,
+                                                          abs=0.0)
 
 
 def test_vertex_root_short_loop_core():
@@ -292,7 +295,38 @@ def test_vertex_root_short_loop_core():
         ("v2", "v2", 0.0022097536943248616), ("v1", "v1", 214.01592686401),
         ("v1", "v2", 103.01997790846774)])
     ref = 0.02650810829636056848358827255669643048656
-    assert entropy._vertex_root(core).h == pytest.approx(ref, rel=5e-14)
+    assert entropy._vertex_root(core).h == pytest.approx(ref, rel=5e-14,
+                                                         abs=0.0)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@settings(max_examples=60, deadline=None)
+@given(g=multigraphs(), s=st.floats(0.1, 3.0))
+def test_lambda_min_eigenpair_matches_eigh(mode, g, s):
+    # the direct LAPACK dsyevr call returns the eigenpair of
+    # scipy.linalg.eigh(subset_by_index=[0, 0]), its eigenvalue as the
+    # edge-form Rayleigh quotient
+    t = s * entropy._vertex_root(g, mode).h
+    m = vertex_form(g, t, mode).matrix()
+    w, vecs = eigh(m, subset_by_index=[0, 0])
+    lam, v, _, noise = entropy._lambda_min(g, t, mode)
+    ref = vecs[:, 0] * np.sign(vecs[:, 0] @ v)
+    assert np.abs(v - ref).max() <= 1e-12
+    scale = np.abs(m).sum(axis=1).max()
+    assert abs(lam - w[0]) <= 1e-12 * scale
+    assert 0.0 < noise <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("scale", [1e4, 1e5])
+def test_vertex_root_relative_accuracy_with_scaled_lengths(scale):
+    # M(t) depends on t l alone, so h scales as 1/scale; an absolute stop
+    # of 1e-15 on the bracket left h 9.2e-12 relative off at h ~ 7e-5
+    g = generate_graph(1, 10, 20)
+    g = MetricGraph.from_edges(
+        g.vertices, [(u, w, l * scale) for u, w, l in g.edge_list()])
+    ref = eig_entropy(g, rel_tol=1e-15)
+    assert entropy._vertex_root(g).h == pytest.approx(ref, rel=1e-14,
+                                                      abs=0.0)
 
 
 def test_vertex_root_components_and_edge_cases():

@@ -55,22 +55,38 @@ def test_degree_counts_loops_twice():
 
 
 def test_components_connected_identity():
-    g = complete4()
-    comps = components(g)
-    assert len(comps) == 1
-    assert same_graph(comps[0], g)
-    assert comps[0].vertices == g.vertices
+    # a connected graph is its own component, not a rebuilt copy
+    for g in (complete4(), rose(2), segment()):
+        assert components(g) == [g]
+        assert components(g)[0] is g
 
 
 def test_components_two_triangles():
     g = MetricGraph.from_edges(
-        ["a", "b", "c", "p", "q", "r"],
-        [("a", "b", 1.0), ("b", "c", 1.0), ("c", "a", 1.0),
-         ("p", "q", 1.0), ("q", "r", 1.0), ("r", "p", 1.0)])
+        ["p", "b", "c", "a", "q", "r"],
+        [("a", "b", 1.0), ("p", "q", 2.0), ("b", "c", 1.5),
+         ("q", "r", 2.5), ("c", "a", 1.25), ("r", "p", 3.0)])
     comps = components(g)
-    assert len(comps) == 2
-    assert all(len(comp.vertices) == 3 for comp in comps)
     assert all(validate(comp) == () for comp in comps)
+    # ordered by smallest vertex id, each in the vertex and edge order
+    # of the input graph
+    assert [c.vertices for c in comps] == [("b", "c", "a"),
+                                           ("p", "q", "r")]
+    assert [c.edge_list() for c in comps] == [
+        (("a", "b", 1.0), ("b", "c", 1.5), ("c", "a", 1.25)),
+        (("p", "q", 2.0), ("q", "r", 2.5), ("r", "p", 3.0))]
+
+
+def test_edge_arrays_cached_and_read_only():
+    g = MetricGraph.from_edges(["x", "y"], [("y", "x", 2.0), ("x", "x", 0.5)])
+    n, u, w, lengths = g.edge_arrays
+    assert g.edge_arrays is g.edge_arrays
+    assert n == 2
+    assert u.tolist() == [1, 0] and w.tolist() == [0, 0]
+    assert lengths.tolist() == [2.0, 0.5]
+    for arr in (u, w, lengths):
+        with pytest.raises(ValueError):
+            arr[0] = 1
 
 
 def test_components_empty_graph():

@@ -13,7 +13,7 @@ from entrograph import (DisconnectedPair, MetricGraph, PreconditionError,
                         generate_graph, predict_edge_asymptotic,
                         predict_vertex_asymptotic, vertex_matrix,
                         volume_entropy)
-from entrograph import incremental
+from entrograph import _rootutil, incremental
 from entrograph.entropy import _vertex_root
 from entrograph.graph import disjoint_union
 from entrograph.spectral import vertex_form_dt
@@ -184,6 +184,19 @@ def test_iterations_count_each_equation_evaluation(monkeypatch):
     counting.made = 0
     res = entropy_after_vertex(c4(), [("a", 1.0), ("b", 1.0), ("c", 1.0)])
     assert res.iterations == counting.made > 0
+
+
+def test_residual_is_one_minus_rho_at_the_returned_root(monkeypatch):
+    # the root search solves (1 - rho)/(1 + rho) = 0, the residual reports
+    # |1 - rho(T(h'))|; a search stopped short of the root tells them apart
+    monkeypatch.setattr(_rootutil, "MAX_ITER", 2)
+    res = entropy_after_edge(c4(), "a", "c", 1.0)
+    t = res.h_prime
+    f_ac, f_aa, f_cc = (f_path(c4(), x, y, t).value
+                        for x, y in (("a", "c"), ("a", "a"), ("c", "c")))
+    rho = math.exp(-t) * (f_ac + math.sqrt(f_aa * f_cc))
+    assert 1e-10 < abs(1.0 - rho) < 0.1
+    assert res.residual == pytest.approx(abs(1.0 - rho), rel=1e-9, abs=0.0)
 
 
 def test_resolvent_solve_that_loses_its_sign_diverges():
