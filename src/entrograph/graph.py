@@ -92,7 +92,7 @@ class MetricGraph:
         return {v: tuple(ids) for v, ids in table.items()}
 
     @cached_property
-    def edge_arrays(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    def _edge_arrays(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
         """Vertex count, then tail and head indices (``vertices`` order)
         and lengths of the edges of ``edge_darts``, as read-only arrays."""
         index = {v: i for i, v in enumerate(self.vertices)}

@@ -130,14 +130,9 @@ class VertexForm:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """The matrix times x, a vector or a matrix of columns."""
-        if x.ndim == 1:
-            n = x.size
-            flow = self.weights * (x[self.tails] - x[self.heads])
-            return (self.shift * x + np.bincount(self.tails, flow, n)
-                    - np.bincount(self.heads, flow, n))
-        # columns keep np.add.at: a bincount per column is slower
-        flow = self.weights[:, None] * (x[self.tails] - x[self.heads])
-        out = self.shift[:, None] * x
+        col = (slice(None),) + (None,) * (x.ndim - 1)
+        flow = self.weights[col] * (x[self.tails] - x[self.heads])
+        out = self.shift[col] * x
         np.add.at(out, self.tails, flow)
         np.subtract.at(out, self.heads, flow)
         return out
@@ -148,7 +143,7 @@ def vertex_form(graph: MetricGraph, t: float,
                 ) -> VertexForm:
     """Vertex matrix at parameter t > 0, indexed in ``graph.vertices``
     order (see ``vertex_matrix``)."""
-    n, u, w, lengths = graph.edge_arrays
+    n, u, w, lengths = graph._edge_arrays
     z = np.exp(-t * lengths)
     loop = u == w
     shift = np.ones(n)
@@ -182,7 +177,7 @@ def vertex_form_dt(graph: MetricGraph, t: float,
     ``vertex_form``.  With v the unit null vector of M(h), the smallest
     eigenvalue has slope lambda'(h) = v @ vertex_form_dt(graph, h).apply(v).
     """
-    n, u, w, lengths = graph.edge_arrays
+    n, u, w, lengths = graph._edge_arrays
     z = np.exp(-t * lengths)
     loop = u == w
     if mode is TransferMode.BACKTRACKING:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import eigh
 
 from entrograph import (EnumerationSpec, InsufficientData, MetricGraph,
                         NonConvergence, PathKind, TransferMode,
@@ -303,18 +302,20 @@ def test_vertex_root_short_loop_core():
 @settings(max_examples=60, deadline=None)
 @given(g=multigraphs(), s=st.floats(0.1, 3.0))
 def test_lambda_min_eigenpair_matches_eigh(mode, g, s):
-    # the direct LAPACK dsyevr call returns the eigenpair of
-    # scipy.linalg.eigh(subset_by_index=[0, 0]), its eigenvalue as the
-    # edge-form Rayleigh quotient
+    # the direct LAPACK dsyevr call agrees with numpy's eigh (the dsyevd
+    # driver): its eigenvalue, taken as the edge-form Rayleigh quotient,
+    # its residual, and its eigenvector where the spectral gap fixes it
     t = s * entropy._vertex_root(g, mode).h
     m = vertex_form(g, t, mode).matrix()
-    w, vecs = eigh(m, subset_by_index=[0, 0])
+    w, vecs = np.linalg.eigh(m)
     lam, v, _, noise = entropy._lambda_min(g, t, mode)
-    ref = vecs[:, 0] * np.sign(vecs[:, 0] @ v)
-    assert np.abs(v - ref).max() <= 1e-12
     scale = np.abs(m).sum(axis=1).max()
     assert abs(lam - w[0]) <= 1e-12 * scale
     assert 0.0 < noise <= 1e-14 * scale
+    assert np.abs(m @ v - w[0] * v).max() <= 1e-12 * scale
+    if w.size > 1 and w[1] - w[0] > 1e-3 * scale:  # v is unique up to sign
+        ref = vecs[:, 0] * np.sign(vecs[:, 0] @ v)
+        assert np.abs(v - ref).max() <= 1e-9
 
 
 @pytest.mark.parametrize("scale", [1e4, 1e5])

@@ -79,8 +79,8 @@ def test_components_two_triangles():
 
 def test_edge_arrays_cached_and_read_only():
     g = MetricGraph.from_edges(["x", "y"], [("y", "x", 2.0), ("x", "x", 0.5)])
-    n, u, w, lengths = g.edge_arrays
-    assert g.edge_arrays is g.edge_arrays
+    n, u, w, lengths = g._edge_arrays
+    assert g._edge_arrays is g._edge_arrays
     assert n == 2
     assert u.tolist() == [1, 0] and w.tolist() == [0, 0]
     assert lengths.tolist() == [2.0, 0.5]
