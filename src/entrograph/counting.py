@@ -4,9 +4,15 @@ The enumeration is the ground-truth oracle of the package: a walk over
 the dart sequences shorter than a horizon, exact and duplicate-free.  It
 goes level by level, the sequences of one length in darts held as numpy
 arrays grouped by their last dart, and extends a whole group by each
-successor dart at once; it builds neither M(t) nor B(t).  Counts use the
-strict convention N(r) = #{lengths < r} throughout; ties at a grid
-radius belong to the open side.
+successor dart at once; it builds neither M(t) nor B(t).  With a target
+vertex (paths x..y, cycles, primitive cycles) it keeps a sequence only
+while it can still end in a dart into the target below the horizon: the
+shortest such continuation of every dart comes from one Dijkstra over
+the reversed transition relation, and the bound carries a 1e-9 r_max
+slack that exceeds the rounding of any fold the bound applies to, so no
+recorded length is lost.  Counts use the strict convention
+N(r) = #{lengths < r} throughout; ties at a grid radius belong to the
+open side.
 
 The identity checks query a finished profile with arrays: one
 ``np.searchsorted`` per profile row and check radius r over the inner
@@ -28,6 +34,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from ._rootutil import root_above
 from .entropy import _vertex_root, volume_entropy
@@ -36,7 +44,8 @@ from .errors import (DivergentSeries, HorizonTooLarge, MarginTooSmall,
 from .genfun import attachment_darts, f_from, f_path, primitive_matrix
 from .graph import (MetricGraph, component_of, components, delete_vertex,
                     first_betti, validate)
-from .spectral import TransferMode, build_transfer, spectral_radius
+from .spectral import (TransferMode, build_transfer, spectral_radius,
+                       transitions)
 
 DEFAULT_CAP = 10_000_000
 
@@ -128,33 +137,72 @@ def horizon_for_budget(graph: MetricGraph, x: str, target: int,
     return _series_horizon(b, l_mean, n_starts, target)
 
 
+def _return_bounds(rows: np.ndarray, cols: np.ndarray, lengths: np.ndarray,
+                   r_max: float, into: np.ndarray | None) -> np.ndarray:
+    """Per dart d2, the bound a sequence ending in d2 must stay below.
+
+    ``into`` holds the darts heading into the target, None without one.
+    R(d2) is the shortest continuation after d2 that ends in one of them
+    (0 for those darts, inf where none exists), from Dijkstra on the
+    reversed transition relation weighted by the length of the entered
+    dart, and the bound is min(r_max, r_max - R(d2) + 1e-9 r_max).
+    Without a target, or when a continuation may have 10^6 darts or more
+    (r_max >= 10^6 l_min), it is r_max.
+
+    Why the slack loses nothing: the walk folds a sequence left to right
+    and Dijkstra folds a continuation from its far end; float addition is
+    monotone, so R(d2) is at most the fold of any one continuation.  A
+    continuation shorter than r_max has j < r_max / l_min < 10^6 darts
+    and all its partial sums below r_max, so each fold rounds by at most
+    j u r_max < 1.2e-10 r_max (u = 2^-53).  A sequence whose fold ends
+    below r_max therefore has a prefix c at d2 with c < r_max - R(d2) +
+    2.4e-10 r_max (plus two roundings of the bound itself), well inside
+    the slack.
+    """
+    n = len(lengths)
+    if into is None or r_max >= 1e6 * lengths.min(initial=math.inf):
+        return np.full(n, r_max)
+    back = csr_matrix((lengths[cols], (cols, rows)), shape=(n, n))
+    reach = dijkstra(back, indices=into, min_only=True)
+    return np.minimum(r_max, r_max - reach + 1e-9 * r_max)
+
+
 def _walk(comp: MetricGraph, mode: TransferMode, starts, r_max: float,
           target: str | None, stop: bool, limit: int, keep_starts: bool):
     """Level-synchronous walk over the dart sequences that begin with one
-    of ``starts`` and stay shorter than ``r_max``.
+    of ``starts``, stay shorter than ``r_max`` and, with a ``target``, can
+    still end in a dart heading into it below r_max.
 
     Level n holds the sequences of n darts as {last dart: parts}, a part
     being (start indices, cumulative lengths), the start indices 1-based
     in ``starts`` in a narrow dtype, or None unless ``keep_starts``.  A
     group d is popped, its parts joined, and extended by all successors
-    d2 at once (not by the reverse of d when non-backtracking): a child
-    cum + l(d2) is kept when below r_max, so every length is the left fold
-    of its dart lengths, and becomes a part of group d2 of the next level.
-    Yields (start indices, d, cum) for every group whose last dart heads
-    into the vertex ``target`` (every group when it is None); with
-    ``stop`` those groups are not expanded.  Raises HorizonTooLarge once
-    more than ``limit`` nodes have been made.
+    d2 at once (``spectral.transitions``, so not by the reverse of d when
+    non-backtracking): a child cum + l(d2) is kept when below the bound
+    of d2 (``_return_bounds``), at most r_max, so every length is the
+    left fold of its dart lengths, and becomes a part of group d2 of the
+    next level.  The bound drops the children that cannot reach the
+    target in time; it is r_max for darts into the target and without a
+    target, so no recorded sequence is lost.  Yields (start indices, d,
+    cum) for every group whose last dart heads into the vertex ``target``
+    (every group when it is None); with ``stop`` those groups are not
+    expanded.  Raises HorizonTooLarge once more than ``limit`` nodes have
+    been made (kept nodes, pruned children are not counted).
     """
-    lengths = [d.length for d in comp.darts]
-    succ = [[d2 for d2 in comp.out_darts(d.head)
-             if not (mode is TransferMode.NON_BACKTRACKING
-                     and d2 == d.reverse)] for d in comp.darts]
-    steps = [np.array([lengths[d2] for d2 in row])[:, None] for row in succ]
+    n = len(comp.darts)
+    lengths = np.array([d.length for d in comp.darts], dtype=float)
+    rows, cols = transitions(comp, mode)
     hits = [target is None or d.head == target for d in comp.darts]
+    bound = _return_bounds(rows, cols, lengths, r_max,
+                           None if target is None else np.flatnonzero(hits))
+    nexts = np.split(cols, np.searchsorted(rows, np.arange(1, n)))
+    succ = [row.tolist() for row in nexts]
+    steps = [lengths[row][:, None] for row in nexts]
+    bounds = [bound[row][:, None] for row in nexts]
     narrow = np.min_scalar_type(len(starts))
     level = {s: [(np.full(1, i, narrow) if keep_starts else None,
                   np.full(1, lengths[s]))]
-             for i, s in enumerate(starts, 1) if lengths[s] < r_max}
+             for i, s in enumerate(starts, 1) if lengths[s] < bound[s]}
     made = len(level)
     while level:
         later: dict[int, list] = {}
@@ -179,7 +227,7 @@ def _walk(comp: MetricGraph, mode: TransferMode, starts, r_max: float,
                 if stop:
                     continue
             child = cum + steps[d]  # one row per successor
-            fit = child < r_max
+            fit = child < bounds[d]
             for d2, row, keep in zip(succ[d], child, fit):
                 size = np.count_nonzero(keep)
                 made += size
@@ -200,12 +248,20 @@ def enumerate_paths(graph: MetricGraph, spec: EnumerationSpec
     length, grouped by last dart, with numpy, and records the groups the
     kind asks for: every group (paths from x), arrivals at y (paths x..y)
     or at v (cycles), or first returns to v, which end the sequence
-    (primitive cycles).  The profile is sorted, so it does not depend on
-    the order of the walk.
+    (primitive cycles).  For the kinds with a target (y or v) a sequence
+    ending in dart d is kept only while its length is below r_max - R(d)
+    + 1e-9 r_max (and below r_max), R(d) the shortest continuation into
+    the target (``_return_bounds``); the slack is far above the rounding
+    of any fold it applies to, so the profile is the same as without
+    pruning.  The profile is sorted, so it does not depend on the order
+    of the walk.
 
     Raises HorizonTooLarge (with a safe achievable horizon) when the
     projected count, or the number of nodes walked, exceeds ``spec.cap``
-    (the latter with a 25% + 1024 allowance).
+    (the latter with a 25% + 1024 allowance).  The walk counts only the
+    nodes it keeps, while the projection models every sequence from the
+    base, so the projection can refuse a horizon the pruned walk would
+    finish.
     """
     report = validate(graph)
     if report:

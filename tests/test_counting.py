@@ -89,13 +89,17 @@ ORACLE_KINDS = {PathKind.PATHS_FROM: "from", PathKind.PATHS_XY: "xy",
 @given(g=multigraphs())
 def test_walk_matches_bfs_oracle_on_multigraphs(kind, mode, g):
     # lengths span 10^-3..10^3, so the projected horizon alone often
-    # overflows the cap; retry at the suggested safe horizon
+    # overflows the cap; retry at the suggested safe horizon.  The walk
+    # prunes sequences that cannot reach y or x in time, the BFS oracle
+    # does not: the horizon must also fit the unpruned paths from x.
     tmode = NB if mode == "nb" else BT
     x, y = g.vertices[0], g.vertices[-1]
     r_max = horizon_for_budget(g, x, 2000, tmode)
     for _ in range(100):
         spec = EnumerationSpec(kind, r_max, tmode, x=x, y=y, v=x, cap=2000)
         try:
+            enumerate_paths(g, EnumerationSpec(PathKind.PATHS_FROM, r_max,
+                                               tmode, x=x, cap=2000))
             prof = enumerate_paths(g, spec)
             break
         except HorizonTooLarge as exc:
@@ -161,10 +165,52 @@ def test_walk_cap_fires_below_the_projection():
     spec = EnumerationSpec(PathKind.PATHS_FROM, 0.1, x="v", cap=1000)
     with pytest.raises(HorizonTooLarge, match="exceeded its cap") as err:
         enumerate_paths(g, spec)
-    assert err.value.safe_horizon == pytest.approx(0.08, rel=1e-12)
+    assert err.value.safe_horizon == pytest.approx(0.08, rel=1e-12, abs=0.0)
     prof = enumerate_paths(g, EnumerationSpec(PathKind.PATHS_FROM, 0.05,
                                               x="v", cap=1000))
     assert prof.lengths.tolist() == bfs_enumerate(g, "from", 0.05, x="v")
+
+
+def test_walk_prunes_excursions_that_cannot_return():
+    # from v, a 10 edge leads to w with two 0.01 loops; with the 100 loop
+    # at v the projection stays quiet.  Below 20.045 a cycle at v spends
+    # at most four loops at w, but a walk that keeps every sequence below
+    # the horizon would go on looping there past any cap.
+    g = MetricGraph.from_edges(["v", "w"], [
+        ("v", "v", 100.0), ("v", "w", 10.0), ("w", "w", 0.01),
+        ("w", "w", 0.01)])
+    prof = enumerate_paths(g, EnumerationSpec(PathKind.CYCLES_AT, 20.045,
+                                              v="v", cap=1000))
+    # out along the edge, k >= 1 reduced loop darts (4 * 3^(k-1) words),
+    # back along the edge, each length the left fold of its darts
+    want = []
+    for k in range(1, 5):
+        cum = 10.0
+        for _ in range(k):
+            cum += 0.01
+        want += [cum + 10.0] * (4 * 3 ** (k - 1))
+    assert prof.lengths.tolist() == sorted(want)
+
+
+@pytest.mark.parametrize("mode", ["nb", "bt"])
+@pytest.mark.parametrize("kind", list(ORACLE_KINDS),
+                         ids=[k.value for k in ORACLE_KINDS])
+def test_walk_matches_bfs_oracle_at_attained_horizons(kind, mode):
+    # inexact commensurate lengths: folds of 0.1, 0.2 and 0.3 land on or
+    # a few ulps beside each other, and every horizon is itself a cycle
+    # length, so a prefix plus its shortest return often ties the horizon
+    tmode = NB if mode == "nb" else BT
+    g = MetricGraph.from_edges(["a", "b"], [
+        ("a", "b", 0.1), ("a", "b", 0.2), ("b", "b", 0.3), ("a", "a", 0.1)])
+    cycles = enumerate_paths(g, EnumerationSpec(PathKind.CYCLES_AT, 0.75,
+                                                tmode, v="a"))
+    radii = np.unique(cycles.lengths)
+    assert radii.size >= 5
+    for r_max in radii.tolist():
+        prof = enumerate_paths(g, EnumerationSpec(kind, r_max, tmode, x="a",
+                                                  y="b", v="a"))
+        assert prof.lengths.tolist() == bfs_enumerate(
+            g, ORACLE_KINDS[kind], r_max, mode=mode, x="a", y="b", v="a")
 
 
 def test_walk_cap_boundary():
@@ -310,7 +356,7 @@ def test_growth_bounds_constant_on_rose_with_a_long_loop():
     want = (n - 1) / (n - 2) / min(1.0 / (1.0 + math.exp(h * l))
                                    for l in loops)
     rep = growth_bounds(g, "v", 1e-9, h=h)
-    assert rep.m_formula == pytest.approx(want, rel=1e-12)
+    assert rep.m_formula == pytest.approx(want, rel=1e-12, abs=0.0)
     assert abs(rep.rho_a - 1.0) <= 1e-12
 
 
@@ -353,7 +399,7 @@ def test_backtracking_bound_both_branches():
     rep2 = backtracking_bound(g, "x", 40.0)
     assert rep2.m_formula > 2.0
     assert rep2.m_formula == pytest.approx(
-        3.0 * math.exp(-rep2.h * rep2.l1), rel=1e-9)
+        3.0 * math.exp(-rep2.h * rep2.l1), rel=1e-9, abs=0.0)
     assert rep2.violations == ()
 
 
@@ -396,8 +442,8 @@ def test_backtracking_entropy_pinched_at_interior_entropy():
         ("v1", "v1", 0.01)])
     res = backtracking_entropy(g, "v0")
     h = math.log(2) / 0.01
-    assert res.h_transfer == pytest.approx(h, rel=1e-13)
-    assert res.h_g_root == pytest.approx(h, rel=1e-13)
+    assert res.h_transfer == pytest.approx(h, rel=1e-13, abs=0.0)
+    assert res.h_g_root == pytest.approx(h, rel=1e-13, abs=0.0)
     assert res.residual_g <= 1e-16
 
 
@@ -407,7 +453,8 @@ def test_backtracking_entropy_root_an_ulp_above_interior_entropy():
     g = MetricGraph.from_edges(["v0", "v1", "v2"], [
         ("v0", "v0", 0.001), ("v0", "v2", 0.34), ("v0", "v1", 1.0)])
     res = backtracking_entropy(g, "v2")
-    assert res.h_transfer == pytest.approx(math.log(2) / 0.001, rel=1e-13)
+    assert res.h_transfer == pytest.approx(math.log(2) / 0.001, rel=1e-13,
+                                           abs=0.0)
     assert abs(res.h_g_root - res.h_transfer) <= 1e-12 * res.h_transfer
 
 
@@ -436,10 +483,10 @@ def test_bracketed_root_does_not_stall_on_one_side():
 
     hi = math.log(g.max_degree()) / g.min_length()
     root, _, evals = bracketed_root(lam_min, 0.0, hi)
-    assert root == pytest.approx(0.0677780297621380, rel=1e-12)
+    assert root == pytest.approx(0.0677780297621380, rel=1e-12, abs=0.0)
     assert evals <= 60
     assert backtracking_entropy(g, "v0").h_transfer == \
-        pytest.approx(0.0677780297621380, rel=1e-12)
+        pytest.approx(0.0677780297621380, rel=1e-12, abs=0.0)
 
 
 def test_tree_backtracking_entropy_positive():
@@ -454,10 +501,14 @@ def test_tree_backtracking_entropy_positive():
 def _fitted_profile(g, kind, mode, target, v, cap):
     """A profile of ``kind`` at v whose horizon fits ``cap``: start at the
     projected horizon for ``target`` paths and retry at half of it, or at
-    the safe horizon when that is shorter."""
+    the safe horizon when that is shorter.  The horizon must also fit the
+    paths from v, which the walk does not prune, so that a paths-from
+    profile can be taken at it too."""
     r_max = horizon_for_budget(g, v, target, mode)
     for _ in range(100):
         try:
+            enumerate_paths(g, EnumerationSpec(PathKind.PATHS_FROM, r_max,
+                                               mode, x=v, cap=cap))
             return enumerate_paths(g, EnumerationSpec(kind, r_max, mode,
                                                       v=v, x=v, cap=cap))
         except HorizonTooLarge as exc:
