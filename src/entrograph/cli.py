@@ -56,7 +56,7 @@ def _load(path: str) -> MetricGraph:
 
 def cmd_entropy(args) -> int:
     graph = _load(args.file)
-    res = volume_entropy(graph, tol=args.tol, max_iter=args.max_iter)
+    res = volume_entropy(graph)
     print(f"h = {res.h:.12g}")
     print(f"residual = {res.residual:.3e}")
     print(f"method = {res.method}  iterations = {res.iterations}")
@@ -65,19 +65,18 @@ def cmd_entropy(args) -> int:
     return EXIT_OK
 
 
-def _direct_gap(edited: MetricGraph, x: str, h_prime: float,
-                tol: float) -> tuple[float, float]:
+def _direct_gap(edited: MetricGraph, x: str,
+                h_prime: float) -> tuple[float, float]:
     """Entropy of the component of x in the edited graph by a direct
     solve, and its distance to the incremental h' of that component."""
-    direct = volume_entropy(component_of(edited, x), tol=tol).h
+    direct = volume_entropy(component_of(edited, x)).h
     return direct, abs(h_prime - direct)
 
 
-def _print_cross_check(inc, residual: float, edited: MetricGraph, x: str,
-                       tol: float):
+def _print_cross_check(inc, residual: float, edited: MetricGraph, x: str):
     """Print an incremental result beside the direct solve of the
     component of x in the edited graph."""
-    direct, gap = _direct_gap(edited, x, inc.h_prime, tol)
+    direct, gap = _direct_gap(edited, x, inc.h_prime)
     print(f"h_base = {inc.h_base:.12g}")
     print(f"incremental h' = {inc.h_prime:.12g}  "
           f"(residual {residual:.3e}, {inc.iterations} evaluations)")
@@ -89,8 +88,7 @@ def cmd_add_edge(args) -> int:
     graph = _load(args.file)
     inc = entropy_after_edge(graph, args.x, args.y, args.length)
     _print_cross_check(inc, inc.residual,
-                       add_edge(graph, args.x, args.y, args.length), args.x,
-                       args.tol)
+                       add_edge(graph, args.x, args.y, args.length), args.x)
     return EXIT_OK
 
 
@@ -99,8 +97,7 @@ def cmd_add_vertex(args) -> int:
     attachments = _parse_attachments(args.attach)
     inc = entropy_after_vertex(graph, attachments)
     _print_cross_check(inc, inc.spectral_residual,
-                       add_vertex(graph, attachments), attachments[0][0],
-                       args.tol)
+                       add_vertex(graph, attachments), attachments[0][0])
     return EXIT_OK
 
 
@@ -152,7 +149,7 @@ def cmd_verify(args) -> int:
     def record(name, status, detail=""):
         results.append((name, status, detail))
 
-    res = volume_entropy(graph, tol=args.tol)
+    res = volume_entropy(graph)
     h = res.h
     h_comp = dict(res.per_component)
     record("entropy-solve", "PASS", f"h={h:.9g} residual={res.residual:.2e}")
@@ -223,8 +220,7 @@ def cmd_verify(args) -> int:
         comp = component_of(graph, x)
         inc = entropy_after_edge(graph, x, y, 1.0,
                                  h_base=h_comp[min(comp.vertices)])
-        _, diff = _direct_gap(add_edge(graph, x, y, 1.0), x, inc.h_prime,
-                              args.tol)
+        _, diff = _direct_gap(add_edge(graph, x, y, 1.0), x, inc.h_prime)
         record("edge-cross-method", "PASS" if diff <= 1e-8 else "FAIL",
                f"|inc-direct|={diff:.2e}")
     else:
@@ -284,8 +280,6 @@ def cmd_count(args) -> int:
 
 
 _OPTIONS = {
-    "tol": dict(type=float, default=1e-10),
-    "max-iter": dict(type=int, default=10_000),
     "cap": dict(type=float, default=10_000_000,
                 help="enumeration node cap"),
     "format": dict(choices=("csv", "json"), default="csv"),
@@ -309,12 +303,11 @@ def _build_parser() -> argparse.ArgumentParser:
                     "incremental formulas, counting checks, persistence.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("entropy", parents=[_options("tol", "max-iter")],
-                       help="volume entropy of a graph file")
+    p = sub.add_parser("entropy", help="volume entropy of a graph file")
     p.add_argument("file")
     p.set_defaults(fn=cmd_entropy)
 
-    p = sub.add_parser("add-edge", parents=[_options("tol")],
+    p = sub.add_parser("add-edge",
                        help="incremental vs direct entropy after one edge")
     p.add_argument("file")
     p.add_argument("x")
@@ -322,7 +315,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("length", type=float)
     p.set_defaults(fn=cmd_add_edge)
 
-    p = sub.add_parser("add-vertex", parents=[_options("tol")],
+    p = sub.add_parser("add-vertex",
                        help="incremental vs direct entropy after a vertex")
     p.add_argument("file")
     p.add_argument("--attach", action="append", required=True,
@@ -338,7 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bench", action="store_true")
     p.set_defaults(fn=cmd_persistence)
 
-    p = sub.add_parser("verify", parents=[_options("tol", "cap")],
+    p = sub.add_parser("verify", parents=[_options("cap")],
                        help="run the property suite on one graph")
     p.add_argument("file")
     p.set_defaults(fn=cmd_verify)

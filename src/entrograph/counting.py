@@ -19,12 +19,13 @@ The identity checks query a finished profile with arrays: one
 radii r - l, and one ``np.exp`` over the jumps of N.  The step integral
 is exact for the step function N, its segments summed with ``math.fsum``.
 
-Both routes of ``backtracking_entropy`` run on the symmetric V x V
-matrix I - W(t) of ``spectral.vertex_form``: the Newton root of its
-smallest eigenvalue (``entropy._vertex_root``) and a Cholesky-based
-primitive-cycle series.  Of this module only the
-geometric-series estimate behind ``horizon_for_budget`` and the
-enumeration cap still reads the dart matrix B(0).
+The count model behind ``horizon_for_budget`` and the enumeration cap
+(``_count_model``, the simple pole of f at h) and both routes of
+``backtracking_entropy`` run on the symmetric V x V vertex matrix of
+``spectral.vertex_form``: the Newton root of its smallest eigenvalue
+(``entropy._vertex_root``) and, for the second route, a Cholesky-based
+primitive-cycle series.  Only the default h of ``laplace_check`` and
+``growth_bounds`` still comes from the dart solver (``volume_entropy``).
 """
 
 from __future__ import annotations
@@ -38,14 +39,13 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from ._rootutil import root_above
-from .entropy import _vertex_root, volume_entropy
+from .entropy import _EPS, _vertex_root, volume_entropy
 from .errors import (DivergentSeries, HorizonTooLarge, MarginTooSmall,
                      NonConvergence, PreconditionError, UnknownVertex)
 from .genfun import attachment_darts, f_from, f_path, primitive_matrix
 from .graph import (MetricGraph, component_of, components, delete_vertex,
                     first_betti, validate)
-from .spectral import (TransferMode, build_transfer, spectral_radius,
-                       transitions)
+from .spectral import TransferMode, transitions
 
 DEFAULT_CAP = 10_000_000
 
@@ -110,31 +110,41 @@ class CountProfile:
         return "\n".join(lines) + "\n"
 
 
-def _series(comp: MetricGraph, mode: TransferMode) -> tuple[float, float]:
-    """Branching factor b = rho(B(0)) and mean dart length l_mean of a
-    component.  They model the dart sequences from n start darts as a
-    geometric series: about n (b^{r/l_mean} - 1)/(b - 1) of them are
-    shorter than r (linear growth when b <= 1.05)."""
-    b = spectral_radius(build_transfer(comp, 0.0, mode)).rho
-    return b, float(np.mean([d.length for d in comp.darts]))
+_LINEAR_A = 2.0 ** 60
 
 
-def _series_horizon(b: float, l_mean: float, n_starts: int,
-                    target: float) -> float:
-    """The horizon at which the geometric series reaches ``target``."""
-    return l_mean * math.log(target * (b - 1.0) / n_starts + 1.0) / math.log(b)
+def _count_model(comp: MetricGraph, mode: TransferMode, base: str,
+                 target: str | None) -> tuple[float, float]:
+    """(A, h) of the count model N(r) ~ A (e^{hr} - 1) of the walks from
+    ``base`` in ``comp``, its component: all of them, or those ending at
+    ``target``.
+
+    f_xy(t) has the simple pole C_xy t/(t - h), C_xy = v_x v_y /
+    (h lambda'(h)), v the unit null vector of M(h) (``_vertex_root``), so
+    A = v_base s / (h lambda'(h)) with s = sum v, or v_target.  A = 0 when
+    the target lies outside ``comp`` or its entry underflows; |v_base| is
+    at least eps, its rounding, so that A > 0 for all walks from base.
+    Entropy-0 components grow at most linearly, N(r) ~ D r / l_mean with
+    D darts for any target: the pole model as h -> 0 with A h = D / l_mean
+    and A = ``_LINEAR_A``, so far above any count a walk reaches that
+    A (e^{hr} - 1) = A h r to rounding.
+    """
+    root = _vertex_root(comp, mode)
+    if root.v is None:
+        l_mean = float(np.mean([d.length for d in comp.darts]))
+        return _LINEAR_A, len(comp.darts) / (_LINEAR_A * l_mean)
+    v = dict(zip(comp.vertices, root.v.tolist()))
+    s = float(root.v.sum()) if target is None else v.get(target, 0.0)
+    return max(abs(v[base]), _EPS) * abs(s) / (root.h * root.dlambda), root.h
 
 
 def horizon_for_budget(graph: MetricGraph, x: str, target: int,
                        mode: TransferMode = TransferMode.NON_BACKTRACKING
                        ) -> float:
-    """Horizon at which roughly ``target`` dart sequences from x exist."""
-    comp = component_of(graph, x)
-    n_starts = max(len(comp.out_darts(x)), 1)
-    b, l_mean = _series(comp, mode)
-    if b <= 1.05:
-        return target / n_starts * l_mean
-    return _series_horizon(b, l_mean, n_starts, target)
+    """Horizon at which about ``target`` walks from x exist: the r with
+    A (e^{hr} - 1) = target in the count model of ``_count_model``."""
+    a, h = _count_model(component_of(graph, x), mode, x, None)
+    return math.log1p(target / a) / h
 
 
 def _return_bounds(rows: np.ndarray, cols: np.ndarray, lengths: np.ndarray,
@@ -243,7 +253,7 @@ def enumerate_paths(graph: MetricGraph, spec: EnumerationSpec
                     ) -> CountProfile:
     """Exhaustively enumerate paths or cycles below ``spec.r_max``.
 
-    A geometric-series projection of the count runs first; then a
+    The count model of ``_count_model`` projects the count first; then a
     level-synchronous walk (``_walk``) extends the dart sequences of one
     length, grouped by last dart, with numpy, and records the groups the
     kind asks for: every group (paths from x), arrivals at y (paths x..y)
@@ -257,11 +267,12 @@ def enumerate_paths(graph: MetricGraph, spec: EnumerationSpec
     of the walk.
 
     Raises HorizonTooLarge (with a safe achievable horizon) when the
-    projected count, or the number of nodes walked, exceeds ``spec.cap``
-    (the latter with a 25% + 1024 allowance).  The walk counts only the
-    nodes it keeps, while the projection models every sequence from the
-    base, so the projection can refuse a horizon the pruned walk would
-    finish.
+    projected count A expm1(h r_max), or the number of nodes walked,
+    exceeds ``spec.cap`` (the latter with a 25% + 1024 allowance).  The
+    suggestion aims the model at 0.8 cap (1 - e^{-x})/x, x = h l_min: on
+    equal lengths N is a step function whose tops, just past each jump,
+    are x/(1 - e^{-x}) times the model; after the walk's cap it is
+    0.8 r_max.
     """
     report = validate(graph)
     if report:
@@ -281,15 +292,12 @@ def enumerate_paths(graph: MetricGraph, spec: EnumerationSpec
 
     starts = comp.out_darts(base)
     if comp.darts:
-        b, l_mean = _series(comp, spec.mode)
-        levels = spec.r_max / l_mean
-        if b <= 1.05:
-            projected = len(starts) * (levels + 1.0) * len(comp.darts)
-        else:
-            projected = len(starts) * (b ** levels - 1.0) / (b - 1.0)
+        a, h = _count_model(comp, spec.mode, base, target)
+        with np.errstate(over="ignore"):  # inf past the float range
+            projected = float(a * np.expm1(h * spec.r_max)) if a else 0.0
         if projected > spec.cap:
-            safe = _series_horizon(b, l_mean, len(starts), 0.8 * spec.cap) \
-                if b > 1.05 else 0.8 * spec.r_max
+            x = h * comp.min_length()
+            safe = math.log1p(0.8 * spec.cap * -math.expm1(-x) / x / a) / h
             raise HorizonTooLarge(
                 f"projected count {projected:.3g} exceeds cap {spec.cap:g}; "
                 f"a horizon of about {safe:.6g} is achievable",

@@ -22,8 +22,8 @@ wide-length graphs where the dart iteration does not converge.  Besides
 h it gives the null vector and slope that the asymptotic constants
 need, and it serves the backtracking mode (I - W(t)) as well.  It is
 the base solve of the incremental formulas, the step solve of the
-"direct" persistence strategy and the backtracking root of
-``counting``.  ``volume_entropy`` keeps the dart solver for now: moving
+"direct" persistence strategy, and the backtracking root and count model
+of ``counting``.  ``volume_entropy`` keeps the dart solver for now: moving
 it over changes which benchmark inputs fail, and so goes with a change
 of the benchmark's pinned failures.
 """
@@ -73,19 +73,20 @@ class CountSlopeEstimate:
     n_samples: int
 
 
+_RHO_TOL = 1e-10
+
+
 class _RhoRootProblem:
     """rho(B(t)) = 1 root finding on the non-backtracking transfer
-    matrices of a graph."""
+    matrices of a graph, to |rho - 1| <= ``_RHO_TOL``."""
 
-    def __init__(self, graph: MetricGraph, tol: float, max_iter: int):
+    def __init__(self, graph: MetricGraph):
         self.graph = graph
         self.lengths = np.array([d.length for d in graph.darts])
         self.reverse = np.array([d.reverse for d in graph.darts])
         # the transition pattern is fixed; an evaluation fills in weights
         self.rows, self.cols = transitions(graph)
         self.l_min = float(np.min(self.lengths))
-        self.tol = tol
-        self.max_iter = max_iter
         self.evals = 0
 
     def eval(self, t: float):
@@ -96,8 +97,7 @@ class _RhoRootProblem:
         weights = np.exp(-t * self.lengths)
         mat = np.zeros((n, n))
         mat[self.rows, self.cols] = weights[self.cols]
-        data = spectral_radius(mat, tol=min(1e-12, self.tol / 10),
-                               max_iter=self.max_iter)
+        data = spectral_radius(mat)
         rho, right = data.rho, data.right
         if rho <= 0.0:
             return 0.0, None
@@ -122,7 +122,7 @@ class _RhoRootProblem:
         t_hi = max(math.log(max(k, 2)) / self.l_min, self.l_min, 1e-6)
         rho_hi, g_hi = self.eval(t_hi)
         guard = 0
-        while rho_hi > 1.0 + self.tol:
+        while rho_hi > 1.0 + _RHO_TOL:
             t_lo = t_hi
             t_hi = 2.0 * t_hi
             rho_hi, g_hi = self.eval(t_hi)
@@ -138,21 +138,20 @@ class _RhoRootProblem:
 
         Returns (t, residual, method, bracket).
         """
-        tol = self.tol
         lo, t, rho, dlog = self._upper_start()
         hi = t
-        if abs(rho - 1.0) <= tol:
+        if abs(rho - 1.0) <= _RHO_TOL:
             return t, abs(rho - 1.0), "exact", (lo, hi)
 
         # Residual target tight enough that the derivative bound
-        # |d log rho / dt| >= l_min certifies a bracket of width <= tol.
-        g_target = tol * min(1.0, 0.45 * self.l_min)
+        # |d log rho / dt| >= l_min certifies a bracket of width <= _RHO_TOL.
+        g_target = _RHO_TOL * min(1.0, 0.45 * self.l_min)
         hybrid = False
         best = (t, abs(rho - 1.0))
         steps = 0
         while steps < 120:
             g = math.log(rho) if rho > 0 else -math.inf
-            if abs(g) <= g_target and abs(rho - 1.0) <= tol:
+            if abs(g) <= g_target and abs(rho - 1.0) <= _RHO_TOL:
                 break
             t_next = None
             if dlog is not None and dlog < 0 and math.isfinite(g):
@@ -307,8 +306,7 @@ def _vertex_root(graph: MetricGraph,
     return replace(best, v=v, evals=evals)
 
 
-def volume_entropy(graph: MetricGraph, tol: float = 1e-10,
-                   max_iter: int = 10_000) -> EntropyResult:
+def volume_entropy(graph: MetricGraph) -> EntropyResult:
     """Volume entropy of a metric graph.
 
     Each connected component is reduced first; trivial and single-cycle
@@ -332,7 +330,7 @@ def volume_entropy(graph: MetricGraph, tol: float = 1e-10,
         if red.kinds[0] is not ComponentKind.HYPERBOLIC:
             per.append((cid, 0.0))
             continue
-        problem = _RhoRootProblem(red.graph, tol, max_iter)
+        problem = _RhoRootProblem(red.graph)
         try:
             t, resid, method, bracket = problem.solve()
         except NonConvergence as exc:

@@ -257,6 +257,11 @@ def test_count_cap_exit_code(tmp_path, capsys):
      "--margin", "0.1"],
     ["add-edge", "K4", "a", "b", "1.0", "--margin", "0.1"],
     ["persistence", "K4", "--tol", "1e-9"],
+    ["entropy", "K4", "--tol", "1e-9"],
+    ["entropy", "K4", "--max-iter", "5"],
+    ["add-edge", "K4", "a", "b", "1.0", "--tol", "1e-9"],
+    ["add-vertex", "K4", "--attach", "a:1", "--tol", "1e-9"],
+    ["verify", "K4", "--tol", "1e-9"],
 ])
 def test_option_a_command_does_not_read_exits_2(argv, k4_file, capsys):
     with pytest.raises(SystemExit) as info:

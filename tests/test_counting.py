@@ -15,7 +15,7 @@ from entrograph import (EnumerationSpec, HorizonTooLarge, MarginTooSmall,
                         laplace_check, reduce, verify_recursions,
                         volume_entropy)
 from entrograph._rootutil import bracketed_root
-from entrograph.counting import _over_bound, _step_integral
+from entrograph.counting import _count_model, _over_bound, _step_integral
 from entrograph.spectral import vertex_form
 from helpers import (bfs_enumerate, c4, complete4, dumbbell, eig_entropy,
                      multigraphs, path3, rose, scalar_laplace_constant,
@@ -157,23 +157,56 @@ def test_horizon_cap_raises_with_safe_horizon():
     assert prof.lengths.size <= 100_000
 
 
+@pytest.mark.parametrize("mode,target", [(NB, 700_000), (BT, 500_000)],
+                         ids=["nb", "bt"])
+def test_horizon_projects_the_count_on_criterion_02_graphs(mode, target):
+    # the graphs of acceptance criterion 02, at its budget when
+    # non-backtracking
+    for seed in range(1, 11):
+        nv = 4 + seed % 3
+        g = generate_graph(seed, nv, nv + 2 + seed % 2)
+        x = min(g.vertices)
+        r = horizon_for_budget(g, x, target, mode)
+        prof = enumerate_paths(g, EnumerationSpec(PathKind.PATHS_FROM, r,
+                                                  mode, x=x))
+        assert 0.9 * target <= prof.lengths.size <= 1.1 * target, seed
+
+
+@pytest.mark.parametrize("mode", [NB, BT], ids=["nb", "bt"])
+@settings(max_examples=50, deadline=None)
+@given(g=multigraphs())
+@example(g=MetricGraph.from_edges(["v0", "v1"], [
+    ("v0", "v1", 1.0), ("v0", "v0", 100.0), ("v0", "v0", 0.001)]))
+def test_horizon_is_finite_and_positive_on_multigraphs(mode, g):
+    # the example is pre-asymptotic: non-backtracking, A = 3122 and
+    # h = 0.105, so log(target / A) / h would be negative
+    r = horizon_for_budget(g, g.vertices[0], 2000, mode)
+    assert math.isfinite(r) and r > 0.0
+
+
 def test_walk_cap_fires_below_the_projection():
-    # two 0.01 loops make over 10^4 sequences below 0.1, but the 100 loop
-    # drags the mean dart length up, so the projection sees almost none
-    g = MetricGraph.from_edges(
-        ["v"], [("v", "v", 0.01), ("v", "v", 0.01), ("v", "v", 100.0)])
-    spec = EnumerationSpec(PathKind.PATHS_FROM, 0.1, x="v", cap=1000)
+    # pre-asymptotic: the 0.001 loop has non-backtracking entropy 0 and
+    # adds two sequences per 0.001 of horizon, long before the pole of the
+    # theta-like core (h = 0.105) dominates.  At r = 2 the projection is
+    # about 730, under the cap, while the walk meets about 4000 sequences.
+    g = MetricGraph.from_edges(["v0", "v1"], [
+        ("v0", "v1", 1.0), ("v0", "v0", 100.0), ("v0", "v0", 0.001)])
+    a, h = _count_model(g, NB, "v0", None)
+    assert a * math.expm1(2.0 * h) < 1000
+    spec = EnumerationSpec(PathKind.PATHS_FROM, 2.0, x="v0", cap=1000)
     with pytest.raises(HorizonTooLarge, match="exceeded its cap") as err:
         enumerate_paths(g, spec)
-    assert err.value.safe_horizon == pytest.approx(0.08, rel=1e-12, abs=0.0)
-    prof = enumerate_paths(g, EnumerationSpec(PathKind.PATHS_FROM, 0.05,
-                                              x="v", cap=1000))
-    assert prof.lengths.tolist() == bfs_enumerate(g, "from", 0.05, x="v")
+    assert err.value.safe_horizon == pytest.approx(0.8 * 2.0, rel=1e-12,
+                                                   abs=0.0)
+    prof = enumerate_paths(g, EnumerationSpec(PathKind.PATHS_FROM, 1.0,
+                                              x="v0", cap=1000))
+    assert prof.lengths.tolist() == bfs_enumerate(g, "from", 1.0, x="v0")
 
 
 def test_walk_prunes_excursions_that_cannot_return():
-    # from v, a 10 edge leads to w with two 0.01 loops; with the 100 loop
-    # at v the projection stays quiet.  Below 20.045 a cycle at v spends
+    # from v, a 10 edge leads to w with two 0.01 loops; v's entry of the
+    # null vector, e^{-10 h} with h = 110, underflows, so the projection
+    # stays quiet.  Below 20.045 a cycle at v spends
     # at most four loops at w, but a walk that keeps every sequence below
     # the horizon would go on looping there past any cap.
     g = MetricGraph.from_edges(["v", "w"], [
@@ -214,8 +247,11 @@ def test_walk_matches_bfs_oracle_at_attained_horizons(kind, mode):
 
 
 def test_walk_cap_boundary():
-    # the graph above, where the projection stays quiet: the walk raises
-    # exactly when its node count exceeds int(1.25 cap) + 1024
+    # ten 0.01 loop darts fold to just below 0.1, so the walk meets
+    # 118 096 sequences there, at the top of a step of N.  The projection
+    # is the mean of the step function, 71 664, and stays under the caps
+    # tried here (about 93 700).  The walk raises exactly when its node
+    # count exceeds int(1.25 cap) + 1024
     g = MetricGraph.from_edges(
         ["v"], [("v", "v", 0.01), ("v", "v", 0.01), ("v", "v", 100.0)])
     nodes = len(bfs_enumerate(g, "from", 0.1, x="v"))

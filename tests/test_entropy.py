@@ -103,11 +103,11 @@ def test_newton_slope_matches_finite_difference(mode):
 
     for g in (complete4(), dumbbell(), theta((1.0, 1.4, 2.2)),
               generate_graph(1, 8, 16)):
-        problem = entropy._RhoRootProblem(g, 1e-10, 10_000)
+        problem = entropy._RhoRootProblem(g)
         for t in (0.3, 0.9):
             d = 1e-5
             fd = (log_rho(g, t + d) - log_rho(g, t - d)) / (2.0 * d)
-            assert problem.eval(t)[1] == pytest.approx(fd, rel=1e-7)
+            assert problem.eval(t)[1] == pytest.approx(fd, rel=1e-7, abs=0.0)
 
 
 def test_cold_solve_never_evaluates_t0(monkeypatch):
@@ -128,13 +128,12 @@ def test_cold_solve_never_evaluates_t0(monkeypatch):
 
 
 def test_nonconvergence_carries_t_and_component():
-    g = generate_graph(1, 10, 20)
-    core = reduce(g).graph
-    t_hi0 = math.log(core.max_degree() - 1) / core.min_length()
+    # the dart power iteration does not converge at the upper start
+    # log(2) / 0.01 of this theta
     with pytest.raises(NonConvergence) as info:
-        volume_entropy(g, max_iter=5)
-    assert info.value.t == t_hi0
-    assert info.value.component == "v0"
+        volume_entropy(theta((1.0, 1.0, 0.01)))
+    assert info.value.t == math.log(2) / 0.01
+    assert info.value.component == "x"
     assert info.value.threshold is None
 
 
@@ -162,7 +161,7 @@ def test_rho_curve_short_edge_far_above_entropy():
     # a 60-digit mpmath.eig of the same matrix gives 8.88178419700124887e-16
     t = math.log(2) / 0.01
     assert rho_curve(theta((1.0, 1.0, 0.01)), [t])[0][1] == pytest.approx(
-        8.88178419700124887e-16, rel=1e-12)
+        8.88178419700124887e-16, rel=1e-12, abs=0.0)
 
 
 def test_entropy_from_counts_rose2():
@@ -262,14 +261,14 @@ def test_vertex_root_null_vector_and_slope(mode, g):
                 - _lambda_min(g, root.h - d, mode)) / (2.0 * d)
     d = 1e-5 * root.h
     fd = (4.0 * central(0.5 * d) - central(d)) / 3.0
-    assert root.dlambda == pytest.approx(fd, rel=1e-6)
+    assert root.dlambda == pytest.approx(fd, rel=1e-6, abs=0.0)
 
 
 @settings(max_examples=60, deadline=None)
 @given(g=multigraphs())
 def test_vertex_root_lim_metric_closed_form(g):
     lim, h = lim_metric(reduce(g).graph)
-    assert entropy._vertex_root(lim).h == pytest.approx(h, rel=1e-12)
+    assert entropy._vertex_root(lim).h == pytest.approx(h, rel=1e-12, abs=0.0)
 
 
 def test_vertex_root_wide_length_graphs():
@@ -338,7 +337,7 @@ def test_vertex_root_components_and_edge_cases():
         [("c0", "c1", 1.0), ("c1", "c0", 2.0), ("v", "v", 1.0),
          ("v", "v", 1.0)])
     root = entropy._vertex_root(g)
-    assert root.h == pytest.approx(math.log(3.0), rel=1e-15)
+    assert root.h == pytest.approx(math.log(3.0), rel=1e-15, abs=0.0)
     assert np.abs(root.v[:3]).max() == 0.0 and abs(root.v[3]) == 1.0
     assert root.evals == entropy._vertex_root(rose(2)).evals
     for tree in (path3(), c4(), MetricGraph.from_edges(["x"], [])):

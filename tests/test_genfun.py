@@ -33,7 +33,7 @@ def test_two_parallel_edges_closed_form():
     for t in (0.4, 1.0):
         val = f_path(g, "x", "y", t).value
         expected = 2 * math.exp(-t) / (1 - math.exp(-2 * t))
-        assert val == pytest.approx(expected, rel=1e-11)
+        assert val == pytest.approx(expected, rel=1e-11, abs=0.0)
 
 
 def test_c4_opposite_and_return_closed_forms():
@@ -41,9 +41,9 @@ def test_c4_opposite_and_return_closed_forms():
     for t in (0.5, 1.0, 1.7):
         q = math.exp(-t)
         assert f_path(g, "a", "c", t).value == pytest.approx(
-            2 * q ** 2 / (1 - q ** 4), rel=1e-11)
+            2 * q ** 2 / (1 - q ** 4), rel=1e-11, abs=0.0)
         assert f_path(g, "a", "a", t).value == pytest.approx(
-            2 * q ** 4 / (1 - q ** 4), rel=1e-11)
+            2 * q ** 4 / (1 - q ** 4), rel=1e-11, abs=0.0)
 
 
 def test_segment_f_from():
@@ -55,7 +55,7 @@ def test_rose2_f_from_closed_form():
     for t in (math.log(3) + 0.2, 1.7, 2.4):
         val = f_from(rose(2), "v", t).value
         expected = 4 * math.exp(-t) / (1 - 3 * math.exp(-t))
-        assert val == pytest.approx(expected, rel=1e-10)
+        assert val == pytest.approx(expected, rel=1e-10, abs=0.0)
 
 
 def test_divergence_at_and_below_entropy():
@@ -119,7 +119,7 @@ def test_empty_path_convention_min_exponent():
     assert float(prof.lengths[0]) == pytest.approx(4.0)
     t = 5.0
     assert f_path(g, "a", "a", t).value == pytest.approx(
-        2 * math.exp(-4 * t), rel=1e-6)
+        2 * math.exp(-4 * t), rel=1e-6, abs=0.0)
 
 
 def test_symmetry_residuals():
@@ -143,7 +143,8 @@ def test_g_primitive_star_into_triangle():
     t = 1.2
     val = g_primitive(g, "hub", i, j, t)
     inner = f_path(tri_only, "p", "q", t).value
-    assert val.value == pytest.approx(math.exp(-2 * t) * inner, rel=1e-11)
+    assert val.value == pytest.approx(math.exp(-2 * t) * inner, rel=1e-11,
+                                      abs=0.0)
 
 
 def test_g_primitive_parallel_edges_bigon():
@@ -151,7 +152,7 @@ def test_g_primitive_parallel_edges_bigon():
                                [("v", "w", 1.0), ("v", "w", 1.0)])
     t = 0.9
     assert g_primitive(g, "v", 1, 2, t).value == pytest.approx(
-        math.exp(-2 * t), rel=1e-12)
+        math.exp(-2 * t), rel=1e-12, abs=0.0)
     assert g_primitive(g, "v", 1, 1, t).value == 0.0
 
 
@@ -181,7 +182,7 @@ def test_g_primitive_loop_darts_at_vertex():
         for j, dj in enumerate(darts, 1):
             val = g_primitive(g, "v", i, j, t).value
             if dj.id == di.reverse:
-                assert val == pytest.approx(math.exp(-t), rel=1e-12)
+                assert val == pytest.approx(math.exp(-t), rel=1e-12, abs=0.0)
             else:
                 assert val == 0.0
 
@@ -194,7 +195,7 @@ def test_primitive_matrix_matches_scalar_and_enumeration():
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             assert mat[i - 1, j - 1] == pytest.approx(
-                g_primitive(g, "a", i, j, t).value, rel=1e-10)
+                g_primitive(g, "a", i, j, t).value, rel=1e-10, abs=0.0)
     prof = enumerate_paths(g, EnumerationSpec(
         PathKind.PRIMITIVE_CYCLES_AT, 12.0, v="a"))
     for (i, j), lengths in prof.by_pair.items():
@@ -290,5 +291,5 @@ def test_f_path_on_wide_length_spread():
     val = f_path(g, x, y, h + 1.0)
     assert val.converged
     assert val.value == pytest.approx(dart_lu_path(g, x, y, h + 1.0),
-                                      rel=1e-9)
+                                      rel=1e-9, abs=0.0)
     assert not f_path(g, x, y, 0.99 * h).converged

@@ -265,12 +265,13 @@ def test_estimate_constant_rose2_methods_agree():
     # closed form: f_vv(t) = 4 e^{-t} / (1 - 3 e^{-t}) has residue-based
     # constant 4 e^{-h} / h at h = ln 3, so C = 2 c h = 8/3
     c_pair = 4.0 * math.exp(-math.log(3.0)) / math.log(3.0)
-    assert est.per_pair["xy"] == pytest.approx(c_pair, rel=1e-9)
-    assert combined == pytest.approx(2.0 * c_pair * math.log(3.0), rel=1e-9)
+    assert est.per_pair["xy"] == pytest.approx(c_pair, rel=1e-9, abs=0.0)
+    assert combined == pytest.approx(2.0 * c_pair * math.log(3.0), rel=1e-9,
+                                     abs=0.0)
     # K4: on the all-ones vector M(t) = (1 - 2z)/(1 + z), z = e^{-t}, so
     # lambda'(ln 2) = 2/3 and C = 2 v_x v_y / lambda' = 2 (1/4) / (2/3)
     assert estimate_constant_C(complete4(), "a", "b").combined == \
-        pytest.approx(0.75, rel=1e-9)
+        pytest.approx(0.75, rel=1e-9, abs=0.0)
 
 
 def test_estimate_constant_warns_on_poor_horizon():
@@ -317,7 +318,7 @@ def test_predict_vertex_closed_form_on_generic_graph():
     delta = volume_entropy(add_vertex(g, att)).h - h
     assert pred.h_base == _vertex_root(g).h
     assert abs(pred.h_base - h) <= 1e-12 * h
-    assert pred.h_predicted - h == pytest.approx(delta, rel=2e-2)
+    assert pred.h_predicted - h == pytest.approx(delta, rel=2e-2, abs=0.0)
 
 
 def test_predict_vertex_requires_attachments():
@@ -364,4 +365,4 @@ def test_wide_length_theta_edits_and_constant():
     v = np.linalg.eigh(vertex_matrix(g, h))[1][:, 0]
     dlambda = v @ vertex_form_dt(g, h).matrix() @ v
     assert estimate_constant_C(g, "a", "b").combined == \
-        pytest.approx(2.0 * v[0] * v[1] / dlambda, rel=1e-8)
+        pytest.approx(2.0 * v[0] * v[1] / dlambda, rel=1e-8, abs=0.0)
