@@ -23,9 +23,10 @@ The count model behind ``horizon_for_budget`` and the enumeration cap
 (``_count_model``, the simple pole of f at h) and both routes of
 ``backtracking_entropy`` run on the symmetric V x V vertex matrix of
 ``spectral.vertex_form``: the Newton root of its smallest eigenvalue
-(``entropy._vertex_root``) and, for the second route, a Cholesky-based
-primitive-cycle series.  Only the default h of ``laplace_check`` and
-``growth_bounds`` still comes from the dart solver (``volume_entropy``).
+(``entropy._vertex_root``) and, for the second route, the same Newton
+solve on a Schur complement of it (``entropy._schur_root``).  Only the
+default h of ``laplace_check`` and ``growth_bounds`` still comes from
+the dart solver (``volume_entropy``).
 """
 
 from __future__ import annotations
@@ -38,8 +39,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from ._rootutil import root_above
-from .entropy import _EPS, _vertex_root, volume_entropy
+from .entropy import _EPS, _schur_root, _vertex_root, volume_entropy
 from .errors import (DivergentSeries, HorizonTooLarge, MarginTooSmall,
                      NonConvergence, PreconditionError, UnknownVertex)
 from .genfun import attachment_darts, f_from, f_path, primitive_matrix
@@ -142,8 +142,12 @@ def horizon_for_budget(graph: MetricGraph, x: str, target: int,
                        mode: TransferMode = TransferMode.NON_BACKTRACKING
                        ) -> float:
     """Horizon at which about ``target`` walks from x exist: the r with
-    A (e^{hr} - 1) = target in the count model of ``_count_model``."""
-    a, h = _count_model(component_of(graph, x), mode, x, None)
+    A (e^{hr} - 1) = target in the count model of ``_count_model``.
+    Raises PreconditionError when no walk leaves x."""
+    comp = component_of(graph, x)
+    if not comp.darts:
+        raise PreconditionError(f"no walk leaves {x!r}: it has no edge")
+    a, h = _count_model(comp, mode, x, None)
     return math.log1p(target / a) / h
 
 
@@ -713,26 +717,24 @@ def backtracking_entropy(graph: MetricGraph, v: str) -> BacktrackingEntropy:
     the symmetric vertex matrix I - W(t) of the component of v.
 
     Route 1 (``h_transfer``) is the largest root of lambda_min(I - W(t))
-    = 0, where rho(B_bt(t)) = 1.  Route 2 (``h_g_root``) solves g(t) = 1
-    for the primitive-cycle generating function g, the sum of
-    ``primitive_matrix`` in backtracking mode, from the route-1 entropy of
-    G - v upward (``root_above``); g diverges where the Cholesky
-    factorization of I - W_{G-v}(t) fails.  ``residual_transfer`` is
-    |lambda_min| at h_transfer.  ``residual_g`` is |1 - g| at h_g_root,
-    or, when the root is pinched against the interior entropy, the width
-    of the certified bracket relative to max(1, that entropy), at most
-    max(1e-16, one ulp of the root relative to it).  The two roots agree
+    = 0, where rho(B_bt(t)) = 1.  Route 2 (``h_g_root``) adds v's edges
+    (a loop once) to G - v and an isolated v, and solves the incremental
+    formula of that edit in backtracking mode (``entropy._schur_root``):
+    the largest root of lambda_min(K(t)) = 0, K the Schur complement of
+    I - W(t) on v and its neighbours, at least the route-1 entropy of
+    G - v.  The complement of K onto v alone is 1 - g(t), g the
+    primitive-cycle generating function at v (the sum of
+    ``primitive_matrix`` in backtracking mode), so the root is that of
+    g(t) = 1.  ``residual_transfer`` is |lambda_min| at h_transfer, and
+    ``residual_g`` is |lambda_min(K)| at h_g_root.  The two roots agree
     within solver tolerance.
     """
     comp = component_of(graph, v)
     if not comp.darts:
         return BacktrackingEntropy(0.0, 0.0, 0.0, 0.0)
     h1, resid1 = _backtracking_root(comp)
-    base, _ = _backtracking_root(delete_vertex(comp, v))
-
-    def g(t: float) -> float:
-        g_mat = primitive_matrix(comp, v, t, TransferMode.BACKTRACKING)
-        return float(g_mat.sum())
-
-    h2, resid2, _ = root_above(g, base)
+    ends = {u for e in comp.edge_list() if v in e[:2] for u in e[:2]}
+    h2, resid2, _ = _schur_root(
+        comp, ends, _backtracking_root(delete_vertex(comp, v))[0],
+        TransferMode.BACKTRACKING)
     return BacktrackingEntropy(h1, h2, resid1, resid2)

@@ -23,24 +23,28 @@ h it gives the null vector and slope that the asymptotic constants
 need, and it serves the backtracking mode (I - W(t)) as well.  It is
 the base solve of the incremental formulas, the step solve of the
 "direct" persistence strategy, and the backtracking root and count model
-of ``counting``.  ``volume_entropy`` keeps the dart solver for now: moving
-it over changes which benchmark inputs fail, and so goes with a change
-of the benchmark's pinned failures.
+of ``counting``.  Its Newton loop (``_newton_down``) takes the equation
+as a callable and also solves the incremental formulas and route 2 of
+``counting.backtracking_entropy``, on a Schur complement of M(t) on the
+ends of added edges (``_schur_root``).  ``volume_entropy`` keeps the
+dart solver for now: moving it over changes which benchmark inputs
+fail, and so goes with a change of the benchmark's pinned failures.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Collection, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dsyevr
+from scipy.linalg.lapack import dpotrf, dpotrs, dsyevr
 
 from .errors import InsufficientData, NonConvergence, ValidationFailed
 from .graph import ComponentKind, MetricGraph, components, reduce, validate
-from .spectral import (TransferMode, build_transfer, spectral_radius,
-                       transitions, vertex_form, vertex_form_dt)
+from .spectral import (TransferMode, VertexForm, build_transfer,
+                       spectral_radius, transitions, vertex_form,
+                       vertex_form_dt)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .counting import CountProfile
@@ -190,7 +194,7 @@ class _VertexRoot:
     stands in for 0, and ``dlambda`` = v^T M'(h) v its slope.  In
     ``bracket`` = (lo, hi), lambda_min < 0 at lo or lo is the unevaluated
     lower end 0, and lambda_min >= 0 at hi.  ``evals`` counts the
-    ``dsyevr`` calls.
+    evaluations.
     """
 
     h: float
@@ -205,67 +209,92 @@ _NEWTON_CAP = 200
 _EPS = float(np.finfo(float).eps)
 
 
-def _lambda_min(graph: MetricGraph, t: float, mode: TransferMode):
-    """(lambda_min(M(t)), its unit eigenvector, its slope v^T M'(t) v,
-    the rounding scale of lambda_min).
-
-    lambda_min and its slope are Rayleigh quotients in the edge form,
-    sum_u shift_u v_u^2 + sum_e w_e (v_u - v_w)^2, and the rounding scale
-    is 4 eps times the sum of the absolute values of the terms of
-    lambda_min: below it the sign of lambda_min says nothing.
-    """
-    form = vertex_form(graph, t, mode)
-    _, vecs, _, _, info = dsyevr(form.matrix(), range="I", il=1, iu=1,
-                                 lower=1, overwrite_a=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dsyevr failed with info = {info}")
-    v = vecs[:, 0]
+def _edge_quotients(graph: MetricGraph, t: float, mode: TransferMode,
+                    form: VertexForm, v: np.ndarray):
+    """(v^T M(t) v, v^T M'(t) v, the rounding scale of v^T M(t) v) in
+    the edge form sum_u shift_u v_u^2 + sum_e w_e (v_u - v_w)^2, with
+    ``form`` = ``vertex_form(graph, t, mode)``.  The rounding scale is
+    4 eps times the sum of the absolute values of the terms: below it
+    the sign of v^T M(t) v says nothing."""
     sq, diff2 = v * v, (v[form.tails] - v[form.heads]) ** 2
     flow = float(form.weights @ diff2)
     slope = vertex_form_dt(graph, t, mode)  # same edge layout as form
-    return (float(form.shift @ sq) + flow, v,
+    return (float(form.shift @ sq) + flow,
             float(slope.shift @ sq + slope.weights @ diff2),
             4.0 * _EPS * (float(np.abs(form.shift) @ sq) + flow))
 
 
-def _newton_down(graph: MetricGraph, mode: TransferMode, lo: float,
-                 evals: int) -> _VertexRoot:
-    """Safeguarded Newton on lambda_min(M(t)) down from the upper start
-    log(max(k, 2)) / l_min, k the largest number of continuations of a
-    dart, where rho(B(t)) <= 1; ``lo`` is a lower end, ``evals`` the
-    evaluations made so far.
+def _lowest_vector(mat: np.ndarray) -> np.ndarray:
+    """Unit eigenvector of the smallest eigenvalue of a symmetric matrix,
+    from one LAPACK ``dsyevr`` (which overwrites ``mat``)."""
+    _, vecs, _, _, info = dsyevr(mat, range="I", il=1, iu=1, lower=1,
+                                 overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsyevr failed with info = {info}")
+    return vecs[:, 0]
+
+
+def _lambda_min(graph: MetricGraph, t: float, mode: TransferMode):
+    """(lambda_min(M(t)), its unit eigenvector, its slope v^T M'(t) v,
+    the rounding scale of lambda_min), the eigenvalue and slope as the
+    edge-form quotients of the eigenvector (``_edge_quotients``)."""
+    form = vertex_form(graph, t, mode)
+    v = _lowest_vector(form.matrix())
+    lam, dlam, noise = _edge_quotients(graph, t, mode, form, v)
+    return lam, v, dlam, noise
+
+
+def _upper_start(graph: MetricGraph, mode: TransferMode) -> float:
+    """log(max(k, 2)) / l_min, k the largest number of continuations of
+    a dart: rho(B(t)) <= 1 there, so no root of ``graph`` lies above."""
+    k = graph.max_degree() - (mode is TransferMode.NON_BACKTRACKING)
+    return math.log(max(k, 2)) / graph.min_length()
+
+
+def _newton_down(evaluate, t: float, lo: float, hi: float,
+                 component: str) -> _VertexRoot:
+    """Safeguarded Newton on the largest root of lambda(t) = 0, where
+    lambda < 0 below that root and lambda >= 0 from it up to ``hi``,
+    started at t in [lo, hi].  ``evaluate(t)`` gives (lambda, its
+    vector, its slope, its rounding scale), or lambda = -inf where t is
+    certified below the root; ``component`` names the graph in errors.
+    A start at hi with lambda <= 0 there is a root on the bound, lambda
+    < 0 only by rounding.  A step that would leave the bracket bisects,
+    and a solve that ends on a point certified below returns its
+    evaluated upper end instead.
 
     M(t) depends on t l alone, so the stop is relative: a Newton step or
-    bracket of at most 1e-15 t, or |lambda_min| within its rounding scale
-    (``_lambda_min``), where further steps would follow rounding noise.
+    bracket of at most 1e-15 t, or |lambda| within its rounding scale
+    (``_edge_quotients``), where further steps would follow rounding
+    noise.
     """
-    k = graph.max_degree() - (mode is TransferMode.NON_BACKTRACKING)
-    t = hi = math.log(max(k, 2)) / graph.min_length()
-    lam, v, dlam, noise = _lambda_min(graph, t, mode)
-    evals += 1
-    if lam <= 0.0:  # a root on the bound, lam < 0 only by rounding
+    lam, v, dlam, noise = evaluate(t)
+    evals, upper = 1, None
+    if t >= hi and lam <= 0.0:
         return _VertexRoot(t, v, lam, dlam, (t, t), evals)
-    while abs(lam) > noise:
+    while True:
+        if lam < 0.0:
+            lo = t
+        else:
+            hi, upper = t, (t, v, lam, dlam)
+        if abs(lam) <= noise or hi - lo <= 1e-15 * t:
+            break
+        if evals >= _NEWTON_CAP:
+            exc = NonConvergence(
+                f"lambda_min = 0 unresolved after {evals} evaluations "
+                f"on [{lo!r}, {hi!r}]")
+            exc.t, exc.component = t, component
+            raise exc
         t_next = t - lam / dlam if dlam > 0.0 else math.nan
         if abs(t_next - t) <= 1e-15 * t:
             break
         if not lo < t_next < hi:
             t_next = 0.5 * (lo + hi)
         t = t_next
-        lam, v, dlam, noise = _lambda_min(graph, t, mode)
+        lam, v, dlam, noise = evaluate(t)
         evals += 1
-        if lam < 0.0:
-            lo = t
-        else:
-            hi = t
-        if hi - lo <= 1e-15 * t:
-            break
-        if evals >= _NEWTON_CAP:
-            exc = NonConvergence(
-                f"lambda_min(M(t)) = 0 unresolved after {evals} evaluations "
-                f"on [{lo!r}, {hi!r}]")
-            exc.t, exc.component = t, min(graph.vertices)
-            raise exc
+    if lam == -math.inf and upper is not None:  # end on a value, not below
+        t, v, lam, dlam = upper
     return _VertexRoot(t, v, lam, dlam, (lo, hi), evals)
 
 
@@ -286,15 +315,17 @@ def _vertex_root(graph: MetricGraph,
     if mode is TransferMode.BACKTRACKING:
         if not graph.darts:
             return zero
-        lam0 = _lambda_min(graph, 0.0, mode)[0]
-        if lam0 >= 0.0:
+        if _lambda_min(graph, 0.0, mode)[0] >= 0.0:
             return replace(zero, evals=1)
-        return _newton_down(graph, mode, 0.0, 1)
-    best, comp_best, evals = zero, graph, 0
-    for comp in components(graph):
-        if comp.edge_count - len(comp.vertices) + 1 <= 1:
-            continue
-        root = _newton_down(comp, mode, 0.0, 0)
+        comps, evals = [graph], 1
+    else:
+        comps, evals = [c for c in components(graph)
+                        if c.edge_count - len(c.vertices) + 1 > 1], 0
+    best, comp_best = zero, graph
+    for comp in comps:
+        hi = _upper_start(comp, mode)
+        root = _newton_down(lambda t, c=comp: _lambda_min(c, t, mode), hi,
+                            0.0, hi, min(comp.vertices))
         evals += root.evals
         if root.h > best.h:
             best, comp_best = root, comp
@@ -304,6 +335,56 @@ def _vertex_root(graph: MetricGraph,
         v = np.zeros(len(index))
         v[[index[u] for u in comp_best.vertices]] = best.v
     return replace(best, v=v, evals=evals)
+
+
+def _schur_root(graph: MetricGraph, ends: Collection[str], h_base: float,
+                mode: TransferMode = TransferMode.NON_BACKTRACKING
+                ) -> tuple[float, float, int]:
+    """Largest root h' of lambda_min(M_G(t)) = 0 for a graph G made of a
+    base of entropy ``h_base`` and new edges with the ends S (``ends``).
+    Returns (h', |lambda_min(K(h'))|, evaluations).
+
+    h' is the largest root of lambda_min(K(t)) = 0 for the Schur
+    complement K = M_SS - M_SR M_RR^{-1} M_RS of M_G(t), R the other
+    vertices (Haynsworth's inertia theorem, ``incremental`` module
+    docstring).  Each evaluation is one Cholesky factorization of M_RR,
+    the block of the base; a failed one certifies t <= h_base.  With u
+    the unit eigenvector of lambda_min(K), w = (u, -M_RR^{-1} M_RS u) has
+    w^T M_G w = u^T K u and w^T M_G' w = u^T K' u, so lambda and its slope
+    are the edge-form quotients of w (``_edge_quotients``), which keep
+    their digits where the assembled K has lost them.
+
+    K(t) is smooth across h_base, so Newton steps may go below it: they
+    start at h_base (1 + 1e-6) in the bracket [h_base (1 - 1e-6), hi],
+    and h' is at least h_base.  Where the entropy of the base is attained
+    away from S, K has a pole where M_RR turns singular, at most h_base,
+    and the root can lie within an ulp above it: there the solve bisects
+    down to the Cholesky boundary, and |lambda_min(K(h'))| need not be
+    small.
+    """
+    on_s = np.array([v in ends for v in graph.vertices])
+    s, r = np.flatnonzero(on_s), np.flatnonzero(~on_s)
+    rr, rs, ss = np.ix_(r, r), np.ix_(r, s), np.ix_(s, s)
+
+    def evaluate(t: float):
+        form = vertex_form(graph, t, mode)
+        mat = form.matrix()
+        factor, info = dpotrf(mat[rr])
+        if info != 0:  # M_RR is not positive definite: t <= h_base
+            return -math.inf, None, math.nan, 0.0
+        m_rs = mat[rs]
+        x = dpotrs(factor, m_rs)[0] if r.size else m_rs
+        u = _lowest_vector(mat[ss] - m_rs.T @ x)
+        w = np.empty(on_s.size)
+        w[s], w[r] = u, -x @ u
+        lam, dlam, noise = _edge_quotients(graph, t, mode, form, w)
+        return lam, w, dlam, noise
+
+    hi = _upper_start(graph, mode)
+    start = min(h_base * (1.0 + 1e-6), hi) if h_base > 0.0 else hi
+    root = _newton_down(evaluate, start, h_base * (1.0 - 1e-6), hi,
+                        min(graph.vertices))
+    return max(root.h, h_base), abs(root.null_eigenvalue), root.evals
 
 
 def volume_entropy(graph: MetricGraph) -> EntropyResult:

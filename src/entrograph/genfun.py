@@ -30,10 +30,12 @@ agree within 3e-12 * max(1, |f|) when t * l_min >= 1e-3 and within
 
 Every f_ab comes from one query, the block of f over a vertex list
 (``_Resolvent.block``, one multi-column solve): ``f_path`` reads f_xy
-from the block over (x, y), ``primitive_matrix`` takes the block over
-the heads of the attachment darts in G - v, and the incremental formulas
-the block over the endpoints of the new edges.  ``f_from`` is the one
-all-ones solve.
+from the block over (x, y), and ``primitive_matrix`` takes the block over
+the heads of the attachment darts in G - v.  ``f_from`` is the one
+all-ones solve.  The incremental formulas take no block: their equation
+is the Schur complement (I + F)^{-1} of M(t) on the ends of the new
+edges, F the block of f there, which ``entropy._schur_root`` forms from
+M(t) itself.
 
 The empty path is never counted, including for x = y: paths are edge
 concatenations, so f_xx starts at the shortest nonempty cycle through x.

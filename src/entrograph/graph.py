@@ -211,13 +211,14 @@ def component_of(graph: MetricGraph, x: str) -> MetricGraph:
     raise UnknownVertex(f"unknown vertex {x!r}")
 
 
-def disjoint_union(parts: Sequence[MetricGraph]) -> MetricGraph:
-    """One graph holding vertex-disjoint parts side by side (a single part
-    is returned as it is)."""
-    if len(parts) == 1:
-        return parts[0]
-    return MetricGraph.from_edges([v for p in parts for v in p.vertices],
-                                  [e for p in parts for e in p.edge_list()])
+def disjoint_union(parts: Sequence[MetricGraph],
+                   edges: Sequence[tuple[str, str, float]] = ()
+                   ) -> MetricGraph:
+    """One graph holding vertex-disjoint parts side by side, with
+    ``edges`` added between their vertices."""
+    return MetricGraph.from_edges(
+        [v for p in parts for v in p.vertices],
+        [e for p in parts for e in p.edge_list()] + list(edges))
 
 
 def first_betti(graph: MetricGraph) -> tuple[int, ...]:

@@ -1,26 +1,31 @@
 """Entropy change when edges, or a vertex with its edges, are added.
 
 Add k edges to a graph G_0, the disjoint union of the components they
-touch; a new vertex is an isolated vertex of G_0.  Over the 2k new darts
-the first-return matrix
+touch; a new vertex is an isolated vertex of G_0.  Let S be the ends of
+the new edges and R the other vertices.  The vertex matrix M_G(t) of the
+new graph differs from M_0(t), that of G_0, on S x S alone, so its block
+on R is M_0's, positive definite above the entropy h_base of G_0.  By
+Haynsworth's inertia theorem (Linear Algebra Appl. 1 (1968) 73-81) M_G(t)
+is then positive definite exactly when the |S| x |S| Schur complement
+
+    K(t) = M_G/R = (I + F(t))^{-1} + Delta_S(t)
+
+is, with F the block among S of the path generating functions f_ab of
+G_0 (M_0/R = (I + F)^{-1}, ``genfun``) and Delta_S the terms of the new
+edges.  So the new entropy h' is the largest root of lambda_min(K(t)) =
+0, found by the package's one Newton solver (``entropy._schur_root``).
+K is formed from M_G(t) and one Cholesky factorization of its block on
+R, not by inverting I + F, which is near-singular at the pole of F at
+h_base, and lambda_min(K) is an edge-form quotient of M_G, not the
+eigenvalue of the assembled K, whose rounding grows with the weights
+1/(2 t l) of short edges.  The root is that of the paper's
+rho(T(t)) = 1, T the first-return matrix over the 2k new darts,
 
     T(t)[d, d'] = e^{-l(d') t} (f_{head d, tail d'}(t)
-                                + [head d = tail d' and d' != rev d])
+                                + [head d = tail d' and d' != rev d]),
 
-is the Schur complement of the new graph's dart matrix B(t): f sums the
-nonempty non-backtracking paths of G_0, the bracket is the direct step.
-Above the entropy h_base of G_0, rho(B(t)) < 1 exactly when
-rho(T(t)) < 1, so the new entropy is the root above h_base of
-rho(T(t)) = 1 (``_rootutil.root_above``), solved as the nondecreasing
-(1 - rho)/(1 + rho) = -tanh(log(rho)/2) = 0.  This bounded form of
-1 - rho = 0 has the same root, lies in (-1, 1], is near-linear in t
-where rho has its pole at h_base and tends to -1 there, so secant steps
-resolve roots close to the pole and a divergent evaluation counts as
--1.  Each evaluation takes f among the ends of the new edges from one
-Cholesky factorization of the vertex matrix M(t) of G_0
-(``genfun._Resolvent``; f = 0 between its components and at an
-isolated vertex), and rho from the dense eigenvalues of T(t).  The
-paper's formulas are the small cases:
+the Schur complement of the new graph's dart matrix B(t) on the new
+darts.  The paper's formulas are its small cases:
 
 - an edge of length l0 between x != y, adjacent or not:
   rho(T) = e^{-l0 t} (f_xy + sqrt(f_xx f_yy)), which is
@@ -33,8 +38,7 @@ paper's formulas are the small cases:
   A = ones - identity.
 
 h_base, when the caller does not supply it, comes from the
-vertex-matrix solve of G_0 (``entropy._vertex_root``), the same root of
-lambda_min(M(t)) = 0 that the Cholesky of M(t) certifies above.
+vertex-matrix solve of each part of G_0 (``entropy._vertex_root``).
 
 Let b be the first Betti number of the new component.  If b <= 1 its
 entropy is 0.  If b equals the largest Betti number among the parts, the
@@ -56,13 +60,11 @@ from typing import Sequence
 
 import numpy as np
 
-from ._rootutil import root_above
 from .counting import (DEFAULT_CAP, EnumerationSpec, PathKind,
                        _step_integral, enumerate_paths, horizon_for_budget)
-from .entropy import _vertex_root
+from .entropy import _schur_root, _vertex_root
 from .errors import (DisconnectedPair, NonConvergence,
                      PreconditionError, TooFewAttachments, UnknownVertex)
-from .genfun import _Resolvent
 from .graph import MetricGraph, component_of, components, disjoint_union
 
 
@@ -70,12 +72,11 @@ from .graph import MetricGraph, component_of, components, disjoint_union
 class EdgeAdditionResult:
     """Entropy after adding one edge.
 
-    ``residual`` is |1 - rho(T(h'))| = |Phi(h')| e^{-l0 h'} (module
-    docstring), meaningful also for long edges where Phi is huge.  When
-    the root is pinched against h_base (h' - h_base below float
-    resolution, as for a long edge), it is the width of the certified
-    bracket of h' relative to max(h_base, 1), at most max(1e-16, one
-    ulp).  ``iterations`` counts the evaluations of rho(T).
+    ``residual`` is |lambda_min(K(h'))| (module docstring), meaningful
+    also for a long edge, whose h' - h_base lies below float resolution,
+    but not small where h' sits on a pole of K (``entropy._schur_root``).
+    ``iterations`` counts the evaluations of lambda_min(K), each one
+    Cholesky factorization.
     """
 
     h_prime: float
@@ -89,10 +90,9 @@ class EdgeAdditionResult:
 class VertexAdditionResult:
     """Entropy after adding one vertex.
 
-    ``spectral_residual`` is |1 - rho(T(h'))|, or, when the root is
-    pinched against h_base, the width of the certified bracket of h'
-    relative to max(h_base, 1) (as for ``EdgeAdditionResult``).
-    ``iterations`` counts the evaluations of rho(T).
+    ``spectral_residual`` is |lambda_min(K(h'))| and ``iterations``
+    counts the evaluations of lambda_min(K), as for
+    ``EdgeAdditionResult``.
     """
 
     h_prime: float
@@ -141,40 +141,25 @@ def _betti(graph: MetricGraph) -> int:
     return graph.edge_count - len(graph.vertices) + 1
 
 
-def _extend(parts: Sequence[MetricGraph],
-            new_edges: Sequence[tuple[str, str, float]],
-            h_base: float | None) -> tuple[float, float, float, int]:
-    """Entropy of the connected graph made of the vertex-disjoint
-    ``parts`` and ``new_edges`` (module docstring).
+def _extend(graph: MetricGraph, parts: Sequence[MetricGraph],
+            ends: set[str], h_base: float | None
+            ) -> tuple[float, float, float, int]:
+    """Entropy of the connected ``graph``, its vertex-disjoint ``parts``
+    joined by new edges with the ends ``ends`` (module docstring).
 
     ``h_base`` is the entropy of the union of the parts, solved on the
     vertex matrix when None and needed.  Returns (h', h_base, residual,
     evaluations), the residual as in ``EdgeAdditionResult``.
     """
-    betti = sum(map(_betti, parts)) + len(new_edges) - len(parts) + 1
+    betti = _betti(graph)
     if betti <= 1:
         return 0.0, 0.0, 0.0, 0
-    base = disjoint_union(parts)
     if h_base is None:
-        h_base = _vertex_root(base).h
+        h_base = max(_vertex_root(p).h for p in parts)
     if betti == max(map(_betti, parts)):
         return h_base, h_base, 0.0, 0
-    # dart 2i runs along new edge i, its reversal 2i ^ 1 back
-    tails = [v for u, w, _ in new_edges for v in (u, w)]
-    ends = list(dict.fromkeys(tails))
-    tail_at = np.array([ends.index(v) for v in tails])
-    darts = np.arange(len(tails))
-    head_at = tail_at[darts ^ 1][:, None]
-    step = (head_at == tail_at) & (darts != darts[:, None] ^ 1)
-    lengths = np.repeat([l for _, _, l in new_edges], 2)
-
-    def rho(t: float) -> float:
-        f = _Resolvent(base, t).block(ends)
-        trans = (f[head_at, tail_at] + step) * np.exp(-lengths * t)
-        return float(np.abs(np.linalg.eigvals(trans)).max())
-
-    root, residual, evals = root_above(rho, h_base)
-    return root, h_base, residual, evals
+    h_prime, residual, evals = _schur_root(graph, ends, h_base)
+    return h_prime, h_base, residual, evals
 
 
 def entropy_after_edge(graph: MetricGraph, x: str, y: str, l0: float,
@@ -196,7 +181,7 @@ def entropy_after_edge(graph: MetricGraph, x: str, y: str, l0: float,
             raise UnknownVertex(f"unknown vertex {v!r}")
     parts = [c for c in components(graph) if c.vertex_set & {x, y}]
     h_prime, h_base, residual, evals = _extend(
-        parts, [(x, y, float(l0))], h_base)
+        disjoint_union(parts, [(x, y, float(l0))]), parts, {x, y}, h_base)
     return EdgeAdditionResult(h_prime, h_base, float(l0), residual, evals)
 
 
@@ -204,9 +189,10 @@ def entropy_after_vertex(graph: MetricGraph,
                          attachments: Sequence[tuple[str, float]],
                          h_base: float | None = None) -> VertexAdditionResult:
     """Entropy after adding a new vertex with n >= 3 edges into one
-    component, as the root of rho(T(t)) = 1 over the 2n new darts, which
-    is rho((D A)(t)) = 1 (module docstring).  ``h_base`` is the entropy
-    of that component, solved on the vertex matrix when None."""
+    component, the root of lambda_min(K(t)) = 0 on the new vertex and its
+    targets, where rho((D A)(t)) = 1 (module docstring).  ``h_base`` is
+    the entropy of that component, solved on the vertex matrix when
+    None."""
     n = len(attachments)
     if n < 3:
         raise TooFewAttachments(f"need at least 3 attachment edges, got {n}")
@@ -214,9 +200,11 @@ def entropy_after_vertex(graph: MetricGraph,
         raise PreconditionError("attachment lengths must be positive")
     comp = _shared_component(graph, [v for v, _ in attachments])
     hub = max(comp.vertices, key=len) + "+"  # longer than any name in comp
+    parts = [comp, MetricGraph.from_edges([hub], [])]
+    edges = [(hub, v, float(l)) for v, l in attachments]
     return VertexAdditionResult(*_extend(
-        [comp, MetricGraph.from_edges([hub], [])],
-        [(hub, v, float(l)) for v, l in attachments], h_base))
+        disjoint_union(parts, edges), parts,
+        {hub} | {v for v, _ in attachments}, h_base))
 
 
 def predict_edge_asymptotic(h: float, c: float, l: float) -> float:

@@ -15,12 +15,11 @@ Strategy "direct" solves it again, cold, on its vertex matrix
 h_base: entropy is monotone under inclusion, so h_base is a certified
 lower bound, and a cold root can round below it by ~1e-13 relative,
 which would make the curve decrease.  "incremental" finds it as the
-root of 1 - rho(T(t)) over the new darts (``incremental._extend``): one
-edge, a loop, a merge, a new vertex of any degree and a batch of
+largest root of lambda_min(K(t)) = 0, K the Schur complement of the
+vertex matrix on the ends of the added edges (``incremental._extend``):
+one edge, a loop, a merge, a new vertex of any degree and a batch of
 equal-length edges are all this one equation, so no step falls back to
-a direct solve.  "auto" is accepted and means "incremental", although
-on ``generate_graph`` filtrations of 6 to 40 vertices the direct curve
-is the faster one, by x1.5 to x1.9 (median of 11, one BLAS thread).
+a direct solve.  "auto" is accepted and means "incremental".
 All strategies produce the same curve up to solver tolerance, and every
 step records the strategy it used: a formula step is labelled
 "incremental-vertex" when one of its parts has no edge (a new vertex),
@@ -36,7 +35,7 @@ from enum import Enum
 
 from .entropy import _vertex_root
 from .errors import EntrographError, UnknownFormat, ValidationFailed
-from .graph import MetricGraph, validate
+from .graph import MetricGraph, disjoint_union, validate
 from .incremental import _extend
 
 
@@ -124,16 +123,16 @@ def persistent_entropy(graph: MetricGraph,
                 parts = [comps.pop(k) for k in keys]
                 graphs = [g for g, _ in parts]
                 h_base = max(h for _, h in parts)
-                comp = MetricGraph.from_edges(
-                    [v for g in graphs for v in g.vertices],
-                    [e for g in graphs for e in g.edge_list()] + new_edges)
+                comp = disjoint_union(graphs, new_edges)
                 if strategy == "direct":
                     # h_base is a certified lower bound; the max keeps
                     # the curve monotone where the cold root rounds below
                     root = _vertex_root(comp)
                     h, evals = max(h_base, root.h), root.evals
                 else:
-                    h, _, _, evals = _extend(graphs, new_edges, h_base)
+                    h, _, _, evals = _extend(
+                        comp, graphs, {v for e in new_edges for v in e[:2]},
+                        h_base)
                     if any(g.edge_count == 0 for g in graphs):
                         used = StepStrategy.INCREMENTAL_VERTEX
                 iterations += evals

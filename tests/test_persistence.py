@@ -123,9 +123,9 @@ def test_generated_filtrations_take_no_direct_step(args):
     for sa, sd in zip(inc.steps, direct.steps):
         assert abs(sa.h - sd.h) <= 1e-14 * sd.h
     if args == (1, 40, 80):
-        # evaluations of the bounded first-return equation over the curve;
-        # 1 - rho = 0 after a coarse bisection took 560
-        assert sum(s.iterations for s in inc.steps) <= 504
+        # evaluations of lambda_min(K(t)) over the curve; the bounded
+        # first-return equation (1 - rho)/(1 + rho) = 0 took 504
+        assert sum(s.iterations for s in inc.steps) <= 228
 
 
 @settings(max_examples=40, deadline=None)
@@ -206,8 +206,8 @@ def test_degree_three_vertex_spanning_two_components():
 def test_long_loop_on_a_base_from_an_earlier_step():
     # the last step adds a loop of length 65 whose root lies ~1e-13 above
     # the base entropy, inside the rounding noise of the resolvent, and
-    # the base h comes from the previous incremental step: root_above
-    # meets a divergent evaluation above its lower end
+    # the base h comes from the previous incremental step: a root search
+    # on 1 - rho(T) met a divergent evaluation above its lower end
     g = MetricGraph.from_edges(
         ["v0", "v1"],
         [("v1", "v0", 8.058421877614817), ("v1", "v0", 0.0031622776601683794),
