@@ -59,7 +59,7 @@ def cmd_entropy(args) -> int:
     res = volume_entropy(graph)
     print(f"h = {res.h:.12g}")
     print(f"residual = {res.residual:.3e}")
-    print(f"method = {res.method}  iterations = {res.iterations}")
+    print(f"iterations = {res.iterations}")
     for cid, h in res.per_component:
         print(f"component {cid}: h = {h:.12g}")
     return EXIT_OK

@@ -696,34 +696,21 @@ class BacktrackingEntropy:
     residual_g: float
 
 
-def _backtracking_root(graph: MetricGraph) -> tuple[float, float]:
-    """Largest root of lambda_min(I - W(t)) = 0 and |lambda_min| there,
-    from the vertex-matrix solver of ``entropy`` in backtracking mode.
-
-    With H the dart-head incidence and T the dart-tail incidence weighted
-    by z = e^{-t l}, B_bt(t) = H T and W(t) = T H, so W(t) has the nonzero
-    spectrum of B_bt(t), and on a disconnected graph the root is the
-    largest over its components.  The growth rate is 0 when
-    lambda_min(I - W(0)) >= 0 (no edge, or a single edge), and a root on
-    the upper start log(k)/l_min, k the largest degree, is returned as
-    that bound.
-    """
-    root = _vertex_root(graph, TransferMode.BACKTRACKING)
-    return root.h, abs(root.null_eigenvalue)
-
-
 def backtracking_entropy(graph: MetricGraph, v: str) -> BacktrackingEntropy:
     """Growth rate of backtracking cycles at v, computed two ways, both on
     the symmetric vertex matrix I - W(t) of the component of v.
 
     Route 1 (``h_transfer``) is the largest root of lambda_min(I - W(t))
-    = 0, where rho(B_bt(t)) = 1.  Route 2 (``h_g_root``) adds v's edges
-    (a loop once) to G - v and an isolated v, and solves the incremental
-    formula of that edit in backtracking mode (``entropy._schur_root``):
-    the largest root of lambda_min(K(t)) = 0, K the Schur complement of
-    I - W(t) on v and its neighbours, at least the route-1 entropy of
-    G - v.  The complement of K onto v alone is 1 - g(t), g the
-    primitive-cycle generating function at v (the sum of
+    = 0 (``entropy._vertex_root`` in backtracking mode), where
+    rho(B_bt(t)) = 1: with H the dart-head incidence and T the dart-tail
+    incidence weighted by z = e^{-t l}, B_bt(t) = H T and W(t) = T H, so
+    W(t) has the nonzero spectrum of B_bt(t).  Route 2 (``h_g_root``)
+    adds v's edges (a loop once) to G - v and an isolated v, and solves
+    the incremental formula of that edit in backtracking mode
+    (``entropy._schur_root``): the largest root of lambda_min(K(t)) = 0,
+    K the Schur complement of I - W(t) on v and its neighbours, at least
+    the route-1 entropy of G - v.  The complement of K onto v alone is
+    1 - g(t), g the primitive-cycle generating function at v (the sum of
     ``primitive_matrix`` in backtracking mode), so the root is that of
     g(t) = 1.  ``residual_transfer`` is |lambda_min| at h_transfer, and
     ``residual_g`` is |lambda_min(K)| at h_g_root.  The two roots agree
@@ -732,9 +719,11 @@ def backtracking_entropy(graph: MetricGraph, v: str) -> BacktrackingEntropy:
     comp = component_of(graph, v)
     if not comp.darts:
         return BacktrackingEntropy(0.0, 0.0, 0.0, 0.0)
-    h1, resid1 = _backtracking_root(comp)
+    route1 = _vertex_root(comp, TransferMode.BACKTRACKING)
     ends = {u for e in comp.edge_list() if v in e[:2] for u in e[:2]}
     h2, resid2, _ = _schur_root(
-        comp, ends, _backtracking_root(delete_vertex(comp, v))[0],
+        comp, ends,
+        _vertex_root(delete_vertex(comp, v), TransferMode.BACKTRACKING).h,
         TransferMode.BACKTRACKING)
-    return BacktrackingEntropy(h1, h2, resid1, resid2)
+    return BacktrackingEntropy(route1.h, h2, abs(route1.null_eigenvalue),
+                               resid2)

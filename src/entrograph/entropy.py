@@ -1,34 +1,40 @@
 """Volume entropy of metric graphs.
 
-The entropy of a component with at least two independent cycles is the
-unique t* > 0 with rho(B(t*)) = 1, found by safeguarded Newton iteration
-on the convex function log rho(B(t)).  The Newton step uses the exact
-eigenvalue derivative through the right Perron vector r and the left
-one e^{-t l_d} r_{rev d} that the dart reversal gives (see ``spectral``);
-whenever an iterate would leave the maintained sign bracket, a bisection
-step is taken instead.  A solve starts at t = 0 unevaluated, as
-rho(B(0)) > 1 on a hyperbolic core, and brackets the root from the
-trivial upper bound log(k) / l_min.  Components that reduce to a tree
-or to a single cycle have entropy 0 exactly and are never solved for.
+Every entropy in the package is the largest root of one equation
+lambda(t) = 0, with lambda < 0 below it and lambda >= 0 above, solved by
+one safeguarded Newton loop (``_newton_down``).  A solve of a whole
+graph starts at the trivial upper bound log(k) / l_min, k the largest
+number of continuations of a dart, where rho(B(t)) <= 1, with t = 0 its
+unevaluated lower end; it takes Newton steps down with the exact slope
+of lambda, and bisects wherever a step would leave the maintained sign
+bracket.  The loop takes the equation as a callable and serves two
+evaluations:
 
-A second, private solver (``_vertex_root``) finds the same h as the
-largest root of lambda_min(M(t)) = 0 on the symmetric vertex matrix M(t)
-of ``spectral.vertex_form``, which is positive definite exactly above
-the entropy.  Each evaluation is one LAPACK ``dsyevr`` of the smallest
-eigenpair, the eigenvalue refined as the Rayleigh quotient in the edge
-form, and its slope v^T M'(t) v makes safeguarded Newton steps down from
-log(k) / l_min; no power iteration is involved, so it also solves the
-wide-length graphs where the dart iteration does not converge.  Besides
-h it gives the null vector and slope that the asymptotic constants
-need, and it serves the backtracking mode (I - W(t)) as well.  It is
-the base solve of the incremental formulas, the step solve of the
-"direct" persistence strategy, and the backtracking root and count model
-of ``counting``.  Its Newton loop (``_newton_down``) takes the equation
-as a callable and also solves the incremental formulas and route 2 of
-``counting.backtracking_entropy``, on a Schur complement of M(t) on the
-ends of added edges (``_schur_root``).  ``volume_entropy`` keeps the
-dart solver for now: moving it over changes which benchmark inputs
-fail, and so goes with a change of the benchmark's pinned failures.
+- ``_log_rho``: lambda = -log rho(B(t)) on the dart matrix of a reduced
+  hyperbolic core, the paper's rho(B(t)) = 1 (``volume_entropy``).  Each
+  evaluation is one power iteration for the right Perron vector r; the
+  slope uses the left vector e^{-t l_d} r_{rev d} that the dart reversal
+  gives (see ``spectral``).  Components that reduce to a tree or to a
+  single cycle have entropy 0 exactly and are never solved for.
+- ``_lambda_min``: lambda = lambda_min(M(t)) on the symmetric vertex
+  matrix M(t) of ``spectral.vertex_form``, positive definite exactly
+  above the entropy (``_vertex_root``).  Each evaluation is one LAPACK
+  ``dsyevr`` of the smallest eigenpair, the eigenvalue refined as the
+  Rayleigh quotient in the edge form, and its slope is v^T M'(t) v.  No
+  power iteration is involved, so it also solves the wide-length graphs
+  where the dart iteration does not converge.  Besides h it gives the
+  null vector and slope that the asymptotic constants need, and it
+  serves the backtracking mode (I - W(t)) as well.  It is the base solve
+  of the incremental formulas, the step solve of the "direct"
+  persistence strategy, and the backtracking root and count model of
+  ``counting``.  The smallest eigenpair of a Schur complement of M(t) on
+  the ends of added edges (``_schur_root``), started just above the
+  entropy of the base, solves the incremental formulas and route 2 of
+  ``counting.backtracking_entropy``.
+
+``volume_entropy`` keeps the dart evaluation for now: moving it to the
+vertex matrix changes which benchmark inputs fail, and so goes with a
+change of the benchmark's pinned failures.
 """
 
 from __future__ import annotations
@@ -43,8 +49,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs, dsyevr
 from .errors import InsufficientData, NonConvergence, ValidationFailed
 from .graph import ComponentKind, MetricGraph, components, reduce, validate
 from .spectral import (TransferMode, VertexForm, build_transfer,
-                       spectral_radius, transitions, vertex_form,
-                       vertex_form_dt)
+                       spectral_radius, vertex_form, vertex_form_dt)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .counting import CountProfile
@@ -52,13 +57,21 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass(frozen=True)
 class EntropyResult:
-    """Volume entropy of a graph (max over connected components)."""
+    """Volume entropy of a graph (max over connected components).
+
+    ``residual`` is |rho(B(h)) - 1| at the returned h of the component
+    that attains it, and ``bracket`` narrows the solver's sign bracket
+    around h by |log rho(B(h))| / l_min, the least slope of log rho.  Both
+    are only as good as the power iteration's rho, so the bracket is not
+    a precision of h.  ``iterations`` counts the evaluations, one power
+    iteration each, over all components.  All fields are 0 where every
+    component has entropy 0.
+    """
 
     h: float
     residual: float
     iterations: int
     bracket: tuple[float, float]
-    method: str  # "newton" | "bisection" | "hybrid" | "exact"
     per_component: tuple[tuple[str, float], ...]
 
 
@@ -77,124 +90,17 @@ class CountSlopeEstimate:
     n_samples: int
 
 
-_RHO_TOL = 1e-10
-
-
-class _RhoRootProblem:
-    """rho(B(t)) = 1 root finding on the non-backtracking transfer
-    matrices of a graph, to |rho - 1| <= ``_RHO_TOL``."""
-
-    def __init__(self, graph: MetricGraph):
-        self.graph = graph
-        self.lengths = np.array([d.length for d in graph.darts])
-        self.reverse = np.array([d.reverse for d in graph.darts])
-        # the transition pattern is fixed; an evaluation fills in weights
-        self.rows, self.cols = transitions(graph)
-        self.l_min = float(np.min(self.lengths))
-        self.evals = 0
-
-    def eval(self, t: float):
-        """Return (rho, d(log rho)/dt) at t, recorded as ``self.t``."""
-        self.evals += 1
-        self.t = t
-        n = self.lengths.size
-        weights = np.exp(-t * self.lengths)
-        mat = np.zeros((n, n))
-        mat[self.rows, self.cols] = weights[self.cols]
-        data = spectral_radius(mat)
-        rho, right = data.rho, data.right
-        if rho <= 0.0:
-            return 0.0, None
-        # left @ right = 0, so bisect, if the block is not closed under
-        # reversal (possible only where weights underflow).
-        left = weights * right[self.reverse]
-        denom = float(left @ right) * rho
-        if denom <= 0.0:
-            return rho, None
-        drho = -float(left @ (mat @ (self.lengths * right)))
-        return rho, drho / denom
-
-    def _upper_start(self):
-        """Evaluate the trivial upper bound log(k) / l_min, k the largest
-        number of continuations of a dart, doubling it while rho > 1.
-
-        Returns (t_lo, t_hi, rho_hi, dlog_hi), t_lo the last doubled
-        point, or 0.
-        """
-        k = self.graph.max_degree() - 1
-        t_lo = 0.0
-        t_hi = max(math.log(max(k, 2)) / self.l_min, self.l_min, 1e-6)
-        rho_hi, g_hi = self.eval(t_hi)
-        guard = 0
-        while rho_hi > 1.0 + _RHO_TOL:
-            t_lo = t_hi
-            t_hi = 2.0 * t_hi
-            rho_hi, g_hi = self.eval(t_hi)
-            guard += 1
-            if guard > 200:
-                raise ValueError("failed to bracket rho(t) = 1 from above")
-        return t_lo, t_hi, rho_hi, g_hi
-
-    def solve(self):
-        """Root of rho(t) = 1 on (0, inf), where rho(B(0)) > 1 on a
-        hyperbolic core: Newton steps down from the upper start, with a
-        bisection step wherever one would leave the bracket.
-
-        Returns (t, residual, method, bracket).
-        """
-        lo, t, rho, dlog = self._upper_start()
-        hi = t
-        if abs(rho - 1.0) <= _RHO_TOL:
-            return t, abs(rho - 1.0), "exact", (lo, hi)
-
-        # Residual target tight enough that the derivative bound
-        # |d log rho / dt| >= l_min certifies a bracket of width <= _RHO_TOL.
-        g_target = _RHO_TOL * min(1.0, 0.45 * self.l_min)
-        hybrid = False
-        best = (t, abs(rho - 1.0))
-        steps = 0
-        while steps < 120:
-            g = math.log(rho) if rho > 0 else -math.inf
-            if abs(g) <= g_target and abs(rho - 1.0) <= _RHO_TOL:
-                break
-            t_next = None
-            if dlog is not None and dlog < 0 and math.isfinite(g):
-                t_next = t - g / dlog
-            if t_next is None or not (lo < t_next < hi):
-                t_next = 0.5 * (lo + hi)
-                hybrid = True
-            t = t_next
-            steps += 1
-            rho, dlog = self.eval(t)
-            if rho >= 1.0:
-                lo = t
-            else:
-                hi = t
-            if abs(rho - 1.0) < best[1]:
-                best = (t, abs(rho - 1.0))
-            if hi - lo <= 1e-15 * max(1.0, t):
-                break
-        else:  # pragma: no cover - iteration cap
-            t, _ = best
-            rho, dlog = self.eval(t)
-        # Certify the bracket around the final iterate.
-        delta = abs(math.log(max(rho, 1e-300))) / self.l_min
-        bracket = (max(lo, t - delta), min(hi, t + delta))
-        method = "hybrid" if hybrid else "newton"
-        return t, abs(rho - 1.0), method, bracket
-
-
 @dataclass(frozen=True)
 class _VertexRoot:
-    """Largest root h of lambda_min(M(t)) = 0 (``_vertex_root``).
+    """Largest root h of lambda(t) = 0 (``_newton_down``).
 
-    ``v`` is the unit eigenvector of lambda_min(M(h)) in ``graph.vertices``
-    order, zero off the component that attains h, and None when h = 0
-    was not solved for; ``null_eigenvalue`` is lambda_min(M(h)), which
-    stands in for 0, and ``dlambda`` = v^T M'(h) v its slope.  In
-    ``bracket`` = (lo, hi), lambda_min < 0 at lo or lo is the unevaluated
-    lower end 0, and lambda_min >= 0 at hi.  ``evals`` counts the
-    evaluations.
+    For lambda_min(M(t)) (``_vertex_root``), ``v`` is the unit eigenvector
+    of lambda_min(M(h)) in ``graph.vertices`` order, zero off the
+    component that attains h, and None when h = 0 was not solved for;
+    ``null_eigenvalue`` is lambda_min(M(h)), which stands in for 0, and
+    ``dlambda`` = v^T M'(h) v its slope.  In ``bracket`` = (lo, hi),
+    lambda < 0 at lo or lo is the unevaluated lower end, and lambda >= 0
+    at hi.  ``evals`` counts the evaluations.
     """
 
     h: float
@@ -244,6 +150,39 @@ def _lambda_min(graph: MetricGraph, t: float, mode: TransferMode):
     return lam, v, dlam, noise
 
 
+_RHO_TOL = 1e-10
+
+
+def _log_rho(graph: MetricGraph, t: float):
+    """(-log rho(B(t)), the right Perron vector r, the slope
+    -d log rho / dt, the stop scale) on the non-backtracking dart matrix.
+
+    The slope takes e^{-t l_d} r_{rev d} as the left vector.  Where it is
+    not positive it is nan, so that ``_newton_down`` bisects: the left
+    vector is orthogonal to r if the Perron block is not closed under
+    reversal, possible only where weights underflow.  The stop scale
+    ``_RHO_TOL`` min(1, 0.45 l_min) is small enough that the least slope
+    l_min of log rho certifies a bracket of width at most ``_RHO_TOL``.
+    A NonConvergence of the power iteration carries t.
+    """
+    transfer = build_transfer(graph, t)
+    try:
+        data = spectral_radius(transfer)
+    except NonConvergence as exc:
+        exc.t = t
+        raise
+    rho, right = data.rho, data.right
+    stop = _RHO_TOL * min(1.0, 0.45 * graph.min_length())
+    if rho <= 0.0:
+        return math.inf, right, math.nan, stop
+    lengths = transfer.dart_lengths
+    left = np.exp(-t * lengths) * right[[d.reverse for d in graph.darts]]
+    denom = float(left @ right) * rho
+    slope = (float(left @ (transfer.matrix @ (lengths * right))) / denom
+             if denom > 0.0 else math.nan)
+    return -math.log(rho), right, slope if slope > 0.0 else math.nan, stop
+
+
 def _upper_start(graph: MetricGraph, mode: TransferMode) -> float:
     """log(max(k, 2)) / l_min, k the largest number of continuations of
     a dart: rho(B(t)) <= 1 there, so no root of ``graph`` lies above."""
@@ -256,16 +195,17 @@ def _newton_down(evaluate, t: float, lo: float, hi: float,
     """Safeguarded Newton on the largest root of lambda(t) = 0, where
     lambda < 0 below that root and lambda >= 0 from it up to ``hi``,
     started at t in [lo, hi].  ``evaluate(t)`` gives (lambda, its
-    vector, its slope, its rounding scale), or lambda = -inf where t is
+    vector, its slope, its stop scale), or lambda = -inf where t is
     certified below the root; ``component`` names the graph in errors.
     A start at hi with lambda <= 0 there is a root on the bound, lambda
     < 0 only by rounding.  A step that would leave the bracket bisects,
     and a solve that ends on a point certified below returns its
     evaluated upper end instead.
 
-    M(t) depends on t l alone, so the stop is relative: a Newton step or
-    bracket of at most 1e-15 t, or |lambda| within its rounding scale
-    (``_edge_quotients``), where further steps would follow rounding
+    M(t) and B(t) depend on t l alone, so the stop is relative: a Newton
+    step or bracket of at most 1e-15 t, or |lambda| within the scale that
+    ``evaluate`` gives (the rounding scale of ``_edge_quotients``, the
+    tolerance of ``_log_rho``), where further steps would follow rounding
     noise.
     """
     lam, v, dlam, noise = evaluate(t)
@@ -281,7 +221,7 @@ def _newton_down(evaluate, t: float, lo: float, hi: float,
             break
         if evals >= _NEWTON_CAP:
             exc = NonConvergence(
-                f"lambda_min = 0 unresolved after {evals} evaluations "
+                f"lambda = 0 unresolved after {evals} evaluations "
                 f"on [{lo!r}, {hi!r}]")
             exc.t, exc.component = t, component
             raise exc
@@ -392,8 +332,10 @@ def volume_entropy(graph: MetricGraph) -> EntropyResult:
 
     Each connected component is reduced first; trivial and single-cycle
     components contribute exactly 0, hyperbolic components are solved for
-    rho(B(t)) = 1.  The entropy of the graph is the maximum over
-    components.
+    rho(B(t)) = 1 by ``_newton_down`` on ``_log_rho`` down from
+    log(k) / l_min.  The entropy of the graph is the maximum over
+    components.  A NonConvergence of the power iteration carries the t
+    and the component (its least vertex) it was met at.
 
     Raises ValidationFailed on invalid input: no entropy is ever reported
     for a non-validated graph.
@@ -403,32 +345,33 @@ def volume_entropy(graph: MetricGraph) -> EntropyResult:
         raise ValidationFailed(report)
 
     per: list[tuple[str, float]] = []
-    best = None  # (h, residual, iterations, bracket, method)
-    total_iters = 0
+    best, best_l_min, evals = None, 0.0, 0
     for comp in components(graph):
         cid = min(comp.vertices)
         red = reduce(comp)
         if red.kinds[0] is not ComponentKind.HYPERBOLIC:
             per.append((cid, 0.0))
             continue
-        problem = _RhoRootProblem(red.graph)
+        core = red.graph
+        hi = _upper_start(core, TransferMode.NON_BACKTRACKING)
         try:
-            t, resid, method, bracket = problem.solve()
+            root = _newton_down(lambda t: _log_rho(core, t), hi, 0.0, hi,
+                                cid)
         except NonConvergence as exc:
-            exc.t, exc.component = problem.t, cid
+            exc.component = cid
             raise
-        total_iters += problem.evals
-        per.append((cid, t))
-        if best is None or t > best[0]:
-            best = (t, resid, problem.evals, bracket, method)
+        evals += root.evals
+        per.append((cid, root.h))
+        if best is None or root.h > best.h:
+            best, best_l_min = root, core.min_length()
 
     if best is None:
-        result = EntropyResult(0.0, 0.0, total_iters, (0.0, 0.0), "exact",
-                               tuple(per))
-    else:
-        result = EntropyResult(best[0], best[1], total_iters, best[3],
-                               best[4], tuple(per))
-    return result
+        return EntropyResult(0.0, 0.0, evals, (0.0, 0.0), tuple(per))
+    lo, hi = best.bracket
+    delta = abs(best.null_eigenvalue) / best_l_min
+    bracket = (max(lo, best.h - delta), min(hi, best.h + delta))
+    return EntropyResult(best.h, abs(math.expm1(-best.null_eigenvalue)),
+                         evals, bracket, tuple(per))
 
 
 def rho_curve(graph: MetricGraph, t_values: Sequence[float],

@@ -205,6 +205,10 @@ def primitive_matrix(graph: MetricGraph, v: str, t: float,
     of v is factored, so a component of G that v does not touch cannot
     make the series diverge.  Raises DivergentSeries when t is at or below
     the entropy of that component with v removed.
+
+    No solver calls the backtracking mode: ``backtracking_entropy`` solves
+    g(t) = 1 on a Schur complement of I - W(t).  It is kept as the
+    independent reference that the sum of its entries is 1 at that root.
     """
     darts = attachment_darts(graph, v)
     z = np.exp(-t * np.array([d.length for d in darts]))

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from entrograph import (EnumerationSpec, InsufficientData, MetricGraph,
                         NonConvergence, PathKind, TransferMode,
-                        ValidationFailed, build_transfer, entropy_from_counts,
-                        enumerate_paths, generate_graph, reduce, rho_curve,
-                        vertex_matrix, volume_entropy)
+                        ValidationFailed, build_transfer, components,
+                        entropy_from_counts, enumerate_paths, generate_graph,
+                        reduce, rho_curve, vertex_matrix, volume_entropy)
 from entrograph import entropy
 from entrograph.graph import Dart
 from entrograph.spectral import vertex_form
@@ -93,38 +93,62 @@ def test_reduction_invariance():
     assert h1 == pytest.approx(h2, abs=2e-10)
 
 
-@pytest.mark.parametrize("mode", [TransferMode.NON_BACKTRACKING])
-def test_newton_slope_matches_finite_difference(mode):
+def test_newton_slope_matches_finite_difference():
     # the slope's left vector is e^{-t l} r[rev], not a second iteration;
     # the backtracking root is the vertex-matrix solve
     # (test_vertex_root_null_vector_and_slope)
     def log_rho(g, t):
-        return math.log(eig_rho(build_transfer(g, t, mode).matrix))
+        return math.log(eig_rho(build_transfer(g, t).matrix))
 
     for g in (complete4(), dumbbell(), theta((1.0, 1.4, 2.2)),
               generate_graph(1, 8, 16)):
-        problem = entropy._RhoRootProblem(g)
         for t in (0.3, 0.9):
             d = 1e-5
             fd = (log_rho(g, t + d) - log_rho(g, t - d)) / (2.0 * d)
-            assert problem.eval(t)[1] == pytest.approx(fd, rel=1e-7, abs=0.0)
+            assert entropy._log_rho(g, t)[2] == pytest.approx(
+                -fd, rel=1e-7, abs=0.0)
 
 
 def test_cold_solve_never_evaluates_t0(monkeypatch):
     # rho(B(0)) > 1 on a hyperbolic core, so t = 0 is a known lower end
     seen = []
-    eval_rho = entropy._RhoRootProblem.eval
+    log_rho = entropy._log_rho
 
-    def recording(self, t):
+    def recording(graph, t):
         seen.append(t)
-        return eval_rho(self, t)
+        return log_rho(graph, t)
 
-    monkeypatch.setattr(entropy._RhoRootProblem, "eval", recording)
+    monkeypatch.setattr(entropy, "_log_rho", recording)
     for g in (rose(2), complete4(), dumbbell(), generate_graph(1, 8, 16)):
         seen.clear()
         res = volume_entropy(g)
         assert seen and 0.0 not in seen
         assert res.iterations == len(seen)
+
+
+def test_solve_starts_at_the_upper_bound_log_k_over_l_min():
+    # l_min exceeds the start log(k) / l_min on these graphs, so the
+    # solve must not start from l_min (5 evaluations on each)
+    for g in (theta((3.0, 4.0, 5.0)), dumbbell()):
+        res = volume_entropy(g)
+        assert res.iterations <= 4
+        assert res.h == pytest.approx(eig_entropy(g), rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(multigraphs())
+def test_volume_entropy_matches_dense_or_fails_located(g):
+    # either h agrees with a bisection on dense eigenvalues within the
+    # tolerance of criteria 03/04, or the power iteration fails at a
+    # located t on a named component
+    try:
+        h = volume_entropy(g).h
+    except NonConvergence as exc:
+        assert exc.t is not None and math.isfinite(exc.t) and exc.t > 0.0
+        assert exc.component in {min(c.vertices) for c in components(g)}
+        return
+    ref = eig_entropy(g, rel_tol=1e-15)
+    assert abs(h - ref) <= 1e-8 * max(1.0, ref)
 
 
 def test_nonconvergence_carries_t_and_component():
