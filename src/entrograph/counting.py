@@ -24,9 +24,10 @@ The count model behind ``horizon_for_budget`` and the enumeration cap
 ``backtracking_entropy`` run on the symmetric V x V vertex matrix of
 ``spectral.vertex_form``: the Newton root of its smallest eigenvalue
 (``entropy._vertex_root``) and, for the second route, the same Newton
-solve on a Schur complement of it (``entropy._schur_root``).  Only the
-default h of ``laplace_check`` and ``growth_bounds`` still comes from
-the dart solver (``volume_entropy``).
+solve on a Schur complement of it (``entropy._schur_root``).
+``_vertex_root`` also gives ``growth_bounds`` its default h and the
+entropy of G - v.  Only the default h of ``laplace_check`` still comes
+from the dart solver (``volume_entropy``).
 """
 
 from __future__ import annotations
@@ -204,7 +205,7 @@ def _walk(comp: MetricGraph, mode: TransferMode, starts, r_max: float,
     been made (kept nodes, pruned children are not counted).
     """
     n = len(comp.darts)
-    lengths = np.array([d.length for d in comp.darts], dtype=float)
+    lengths = comp._dart_arrays[0]
     rows, cols = transitions(comp, mode)
     hits = [target is None or d.head == target for d in comp.darts]
     bound = _return_bounds(rows, cols, lengths, r_max,
@@ -595,7 +596,9 @@ def growth_bounds(graph: MetricGraph, v: str, r_max: float,
     every entry accurate relative to its size, and an underflowed row of
     A(h) exactly 0.  The lower constant is reported empirically as
     the minimum of N_v(r) e^{-hr} over the enumerated range.  ``h`` is
-    the entropy of the graph when the caller already holds it.  Raises
+    the entropy of the graph when the caller already holds it; by
+    default it is the vertex-matrix root (``entropy._vertex_root``),
+    which also gives the entropy of the graph without v.  Raises
     PreconditionError when the entropy of the graph without v reaches h
     in floating point, so that A(h) diverges or its Perron root misses
     1; NonConvergence when the root misses 1 for another reason.
@@ -603,7 +606,7 @@ def growth_bounds(graph: MetricGraph, v: str, r_max: float,
     _require_reduced_hyperbolic(graph)
     n = graph.degree(v)
     if h is None:
-        h = volume_entropy(graph).h
+        h = _vertex_root(graph).h
     interior = (f"A(h) is not usable at h = {h!r}: the entropy of the "
                 f"graph without {v!r} is not below h in floating point")
     try:
@@ -616,7 +619,7 @@ def growth_bounds(graph: MetricGraph, v: str, r_max: float,
     rho_a = float(vals[k].real)
     if abs(rho_a - 1.0) > tol:
         # the interior entropy reaching h can also show as a finite A(h)
-        if volume_entropy(delete_vertex(graph, v)).h >= h:
+        if _vertex_root(delete_vertex(graph, v)).h >= h:
             raise PreconditionError(interior)
         raise NonConvergence(
             f"pipeline consistency failure: rho(A(h)) = {rho_a:.12g} "

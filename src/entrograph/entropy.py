@@ -12,10 +12,12 @@ evaluations:
 
 - ``_log_rho``: lambda = -log rho(B(t)) on the dart matrix of a reduced
   hyperbolic core, the paper's rho(B(t)) = 1 (``volume_entropy``).  Each
-  evaluation is one power iteration for the right Perron vector r; the
-  slope uses the left vector e^{-t l_d} r_{rev d} that the dart reversal
-  gives (see ``spectral``).  Components that reduce to a tree or to a
-  single cycle have entropy 0 exactly and are never solved for.
+  evaluation fills a CSR B(t) from the graph's cached transition pattern
+  and runs one power iteration for the right Perron vector r, as CSR on
+  large blocks and dense on small ones (``spectral.spectral_radius``);
+  the slope uses the left vector e^{-t l_d} r_{rev d} that the dart
+  reversal gives (see ``spectral``).  Components that reduce to a tree or
+  to a single cycle have entropy 0 exactly and are never solved for.
 - ``_lambda_min``: lambda = lambda_min(M(t)) on the symmetric vertex
   matrix M(t) of ``spectral.vertex_form``, positive definite exactly
   above the entropy (``_vertex_root``).  Each evaluation is one LAPACK
@@ -48,8 +50,9 @@ from scipy.linalg.lapack import dpotrf, dpotrs, dsyevr
 
 from .errors import InsufficientData, NonConvergence, ValidationFailed
 from .graph import ComponentKind, MetricGraph, components, reduce, validate
-from .spectral import (TransferMode, VertexForm, build_transfer,
-                       spectral_radius, vertex_form, vertex_form_dt)
+from .spectral import (TransferMode, VertexForm, _sparse_transfer,
+                       build_transfer, spectral_radius, vertex_form,
+                       vertex_form_dt)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .counting import CountProfile
@@ -155,7 +158,8 @@ _RHO_TOL = 1e-10
 
 def _log_rho(graph: MetricGraph, t: float):
     """(-log rho(B(t)), the right Perron vector r, the slope
-    -d log rho / dt, the stop scale) on the non-backtracking dart matrix.
+    -d log rho / dt, the stop scale) on the non-backtracking dart matrix,
+    built as CSR (``spectral._sparse_transfer``).
 
     The slope takes e^{-t l_d} r_{rev d} as the left vector.  Where it is
     not positive it is nan, so that ``_newton_down`` bisects: the left
@@ -165,7 +169,7 @@ def _log_rho(graph: MetricGraph, t: float):
     l_min of log rho certifies a bracket of width at most ``_RHO_TOL``.
     A NonConvergence of the power iteration carries t.
     """
-    transfer = build_transfer(graph, t)
+    transfer = _sparse_transfer(graph, t)
     try:
         data = spectral_radius(transfer)
     except NonConvergence as exc:
@@ -175,10 +179,10 @@ def _log_rho(graph: MetricGraph, t: float):
     stop = _RHO_TOL * min(1.0, 0.45 * graph.min_length())
     if rho <= 0.0:
         return math.inf, right, math.nan, stop
-    lengths = transfer.dart_lengths
-    left = np.exp(-t * lengths) * right[[d.reverse for d in graph.darts]]
+    lengths, reverse = graph._dart_arrays
+    left = np.exp(-t * lengths) * right[reverse]
     denom = float(left @ right) * rho
-    slope = (float(left @ (transfer.matrix @ (lengths * right))) / denom
+    slope = (float(left @ (transfer @ (lengths * right))) / denom
              if denom > 0.0 else math.nan)
     return -math.log(rho), right, slope if slope > 0.0 else math.nan, stop
 

@@ -104,6 +104,42 @@ class MetricGraph:
             arr.flags.writeable = False
         return len(index), u, w, lengths
 
+    @cached_property
+    def _dart_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Lengths and reversal ids of ``darts``, as read-only arrays."""
+        lengths = np.array([d.length for d in self.darts], dtype=float)
+        reverse = np.array([d.reverse for d in self.darts], dtype=np.intp)
+        for arr in (lengths, reverse):
+            arr.flags.writeable = False
+        return lengths, reverse
+
+    @cached_property
+    def _bt_transitions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The backtracking dart-transition relation head(d) = tail(d') as
+        read-only index arrays: rows d, columns d' and the CSR row
+        offsets.  Pairs come in row-major order, the successors of d in
+        dart-id order."""
+        index = {v: i for i, v in enumerate(self.vertices)}
+        tails = np.array([index[d.tail] for d in self.darts], dtype=np.intp)
+        heads = np.array([index[d.head] for d in self.darts], dtype=np.intp)
+        by_tail = np.argsort(tails, kind="stable")
+        sorted_tails = tails[by_tail]
+        first = np.searchsorted(sorted_tails, heads, side="left")
+        count = np.searchsorted(sorted_tails, heads, side="right") - first
+        rows = np.repeat(np.arange(len(self.darts)), count)
+        # pair k is successor k - start[d] of its row d, start[d] the row's
+        # first pair, and that successor sits at first[d] + k - start[d]
+        start = np.cumsum(count) - count
+        cols = by_tail[np.arange(rows.size) + np.repeat(first - start, count)]
+        return _csr_pattern(len(self.darts), rows, cols)
+
+    @cached_property
+    def _nb_transitions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``_bt_transitions`` without the pairs d' = reverse(d)."""
+        rows, cols, _ = self._bt_transitions
+        keep = cols != self._dart_arrays[1][rows]
+        return _csr_pattern(len(self.darts), rows[keep], cols[keep])
+
     def out_darts(self, v: str) -> tuple[int, ...]:
         """Ids of darts leaving v, in dart-id order."""
         try:
@@ -131,6 +167,16 @@ class MetricGraph:
 
     def max_degree(self) -> int:
         return max((self.degree(v) for v in self.vertices), default=0)
+
+
+def _csr_pattern(n: int, rows: np.ndarray, cols: np.ndarray):
+    """(rows, cols, CSR row offsets) of a relation on n darts whose pairs
+    are in row-major order, as read-only arrays."""
+    offsets = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=n), out=offsets[1:])
+    for arr in (rows, cols, offsets):
+        arr.flags.writeable = False
+    return rows, cols, offsets
 
 
 def validate(graph: MetricGraph) -> tuple[str, ...]:

@@ -2,11 +2,16 @@
 
 The weighted transfer matrix B(t) carries weight e^{-t*l(d')} on the
 entered dart d' (column-weight convention, fixed project-wide so the
-resolvent formulas for path generating functions are unambiguous).  The
-spectral radius is computed per strongly connected component of the
-support digraph with power iteration on (I + M), which neutralizes
-periodic supports such as the dart graph of an even cycle.  Only the
-right vector r is iterated: B(t) = S W with W = diag(e^{-t l}) and
+resolvent formulas for path generating functions are unambiguous).  Its
+pattern, the dart-transition relation of each mode, is cached on the
+graph; ``build_transfer`` fills it into a dense matrix and
+``_sparse_transfer`` into a CSR one.  The spectral radius is computed per
+strongly connected component of the support digraph with power
+iteration on (s I + B), which neutralizes periodic supports such as the
+dart graph of an even cycle.  Its residual is tested every
+``_CHECK_EVERY`` steps, and a CSR matrix is iterated as CSR on blocks of
+``_SPARSE_MIN`` darts and more, dense on smaller ones.  Only the right
+vector r is iterated: B(t) = S W with W = diag(e^{-t l}) and
 S^T = J S J for the dart reversal J, so B^T (W J r) = W J (B r) and
 e^{-t l_d} r_{rev d} is a left vector with at most the residual of r.
 
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, issparse
 from scipy.sparse.csgraph import connected_components
 
 from .errors import NonConvergence
@@ -62,30 +67,22 @@ class PerronData:
     iterations: int
 
 
+def _pattern(graph: MetricGraph, mode: TransferMode):
+    """The cached (rows, cols, CSR row offsets) of the relation of
+    ``transitions``."""
+    return (graph._bt_transitions if mode is TransferMode.BACKTRACKING
+            else graph._nb_transitions)
+
+
 def transitions(graph: MetricGraph,
                 mode: TransferMode = TransferMode.NON_BACKTRACKING
                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays (d, d') of the dart-transition relation: head(d) =
-    tail(d'), without d' = reverse(d) in non-backtracking mode.  Pairs
-    come in row-major order, the successors of d in dart-id order.
+    """Read-only index arrays (d, d') of the dart-transition relation:
+    head(d) = tail(d'), without d' = reverse(d) in non-backtracking mode.
+    Pairs come in row-major order, the successors of d in dart-id order.
+    The graph caches them.
     """
-    index = {v: i for i, v in enumerate(graph.vertices)}
-    tails = np.array([index[d.tail] for d in graph.darts], dtype=np.intp)
-    heads = np.array([index[d.head] for d in graph.darts], dtype=np.intp)
-    by_tail = np.argsort(tails, kind="stable")
-    sorted_tails = tails[by_tail]
-    first = np.searchsorted(sorted_tails, heads, side="left")
-    count = np.searchsorted(sorted_tails, heads, side="right") - first
-    rows = np.repeat(np.arange(len(graph.darts)), count)
-    # pair k is successor k - start[d] of its row d, start[d] the row's
-    # first pair, and that successor sits at first[d] + k - start[d]
-    start = np.cumsum(count) - count
-    cols = by_tail[np.arange(rows.size) + np.repeat(first - start, count)]
-    if mode is TransferMode.NON_BACKTRACKING:
-        reverse = np.array([d.reverse for d in graph.darts], dtype=np.intp)
-        keep = cols != reverse[rows]
-        rows, cols = rows[keep], cols[keep]
-    return rows, cols
+    return _pattern(graph, mode)[:2]
 
 
 def build_transfer(graph: MetricGraph, t: float,
@@ -97,11 +94,22 @@ def build_transfer(graph: MetricGraph, t: float,
     d' = reverse(d) in non-backtracking mode; all other entries are 0.
     """
     n = len(graph.darts)
-    lengths = np.array([d.length for d in graph.darts], dtype=float)
+    lengths = graph._dart_arrays[0]
     rows, cols = transitions(graph, mode)
     mat = np.zeros((n, n))
     mat[rows, cols] = np.exp(-t * lengths)[cols]
     return TransferMatrix(mat, lengths, float(t), mode)
+
+
+def _sparse_transfer(graph: MetricGraph, t: float,
+                     mode: TransferMode = TransferMode.NON_BACKTRACKING
+                     ) -> csr_matrix:
+    """The matrix of ``build_transfer`` as a CSR matrix, filled from the
+    graph's cached transition pattern without a dense n x n array."""
+    n = len(graph.darts)
+    _, cols, offsets = _pattern(graph, mode)
+    weights = np.exp(-t * graph._dart_arrays[0])[cols]
+    return csr_matrix((weights, cols, offsets), shape=(n, n))
 
 
 @dataclass(frozen=True)
@@ -211,36 +219,62 @@ def vertex_matrix(graph: MetricGraph, t: float,
     return vertex_form(graph, t, mode).matrix()
 
 
-def _as_array(matrix) -> np.ndarray:
+# Power steps per residual test.  A test costs about as much as a step
+# and a converged block takes up to _CHECK_EVERY - 1 steps more; of 4, 8
+# and 16, 16 ran volume_entropy fastest on generate_graph at V = 10, 40
+# and 100 and on five wide-length graphs (one BLAS thread).
+_CHECK_EVERY = 16
+# Block size from which a CSR block is iterated as CSR.  One step took
+# 8.0 (dense) / 8.4 (CSR) us at n = 150 and 11.0 / 9.8 us at n = 214;
+# 22 / 9.7 us at n = 354 and 469 / 22 us at n = 1056 (same host).
+_SPARSE_MIN = 160
+
+
+def _as_matrix(matrix):
     if isinstance(matrix, TransferMatrix):
         return matrix.matrix
+    if issparse(matrix):
+        return csr_matrix(matrix, dtype=float)
     return np.asarray(matrix, dtype=float)
 
 
-def _power_block(block: np.ndarray, tol: float, max_iter: int):
-    """Perron value/vector of an irreducible nonnegative block.
+def _power_block(block, tol: float, max_iter: int):
+    """Perron value/vector of an irreducible nonnegative block, dense or
+    CSR.
 
     Iterates x <- (s I + B) x with unit-sum normalization, where the
     shift s matches the row-sum scale of B: it makes the iteration
     primitive regardless of the block's period without drowning
     small-norm blocks.  Convergence is declared at
     ||B x - rho x||_inf <= tol ||B||_inf ||x||_inf, the scale-invariant
-    residual floating point can reach.
+    residual floating point can reach.  It is tested at every
+    ``_CHECK_EVERY``-th step and at step ``max_iter``, the steps between
+    being plain ones of the same arithmetic.  So the iterates are those
+    of a test at every step: a block that such a test would stop at step
+    k stops at the first tested step from k on (the residual keeps
+    falling), and one it would fail fails too.
     """
     n = block.shape[0]
     x = np.full(n, 1.0 / n)
-    scale = max(float(np.abs(block).sum(axis=1).max()), 1e-300)
-    for it in range(1, max_iter + 1):
+    scale = max(float(abs(block).sum(axis=1).max()), 1e-300)
+    it = 0
+    while True:
+        check = min(it + _CHECK_EVERY, max_iter)
+        for _ in range(check - it - 1):
+            y = scale * x + block @ x
+            x = y / y.sum()
+        it = check
         bx = block @ x
         rho = float(bx.sum())  # x has unit sum: Rayleigh value without
         resid = np.abs(bx - rho * x).max()  # a 1 + rho cancellation
         if resid <= tol * scale * max(x.max(), 1e-300):
             return rho, x, it
+        if it >= max_iter:
+            raise NonConvergence(
+                f"power iteration residual {resid:.3e} above tol "
+                f"{tol:.1e} after {max_iter} iterations (n={n})")
         y = scale * x + bx
         x = y / y.sum()
-    raise NonConvergence(
-        f"power iteration residual {resid:.3e} above tol {tol:.1e} "
-        f"after {max_iter} iterations (n={n})")
 
 
 def spectral_radius(matrix, tol: float = 1e-12,
@@ -248,12 +282,16 @@ def spectral_radius(matrix, tol: float = 1e-12,
     """Spectral radius of a square nonnegative matrix with its right
     Perron vector.
 
-    The radius is the maximum over the strongly connected components of
-    the support digraph; the right vector belongs to the maximizing
-    component and is extended by zeros.  Raises NonConvergence when the
-    power-iteration residual fails to reach ``tol`` within ``max_iter``.
+    ``matrix`` is dense (an array or a ``TransferMatrix``) or a scipy
+    sparse matrix.  The radius is the maximum over the strongly connected
+    components of the support digraph; the right vector belongs to the
+    maximizing component and is extended by zeros.  A dense matrix is
+    iterated dense; a sparse one block by block, as CSR from
+    ``_SPARSE_MIN`` rows on and dense below, where a dense product is the
+    faster.  Raises NonConvergence when the power-iteration residual
+    fails to reach ``tol`` within ``max_iter``.
     """
-    mat = _as_array(matrix)
+    mat = _as_matrix(matrix)
     n = mat.shape[0]
     if n == 0:
         return PerronData(0.0, np.zeros(0), 0)
@@ -270,6 +308,8 @@ def spectral_radius(matrix, tol: float = 1e-12,
             continue  # trivial component, eigenvalue 0
         # one component covering the matrix is iterated without a copy
         block = mat if idx.size == n else mat[np.ix_(idx, idx)]
+        if issparse(block) and idx.size < _SPARSE_MIN:
+            block = block.toarray()
         rho, right, its = _power_block(block, tol, max_iter)
         total_iters += its
         if rho > best_rho:

@@ -67,6 +67,16 @@ def dumbbell(l1=1.0, l2=GOLDEN, bar=(1.0, 1.0)):
          ("m", "b", bar[1])])
 
 
+def short_loop_core():
+    """The reduced core of a seeded multigraph (seed 181): loops of
+    0.0022 at v2 and 214 at v1, joined by an edge of 103.  h = 0.0265, so
+    the loop at v2 has t l ~ 6e-5 and log(k)/l_min lies 1e4 times above
+    h."""
+    return MetricGraph.from_edges(["v1", "v2"], [
+        ("v2", "v2", 0.0022097536943248616), ("v1", "v1", 214.01592686401),
+        ("v1", "v2", 103.01997790846774)])
+
+
 def bfs_enumerate(graph, kind, r_max, mode="nb", x=None, y=None, v=None):
     """Breadth-first enumeration oracle; returns sorted lengths < r_max.
 

@@ -20,7 +20,7 @@ from helpers import (bfs_enumerate, c4, complete4, dumbbell, eig_entropy,
                      multigraphs, path3, rose, scalar_laplace_constant,
                      scalar_lower_constant, scalar_recursions,
                      scalar_step_integral, scalar_tail_average,
-                     scalar_violations, segment, theta)
+                     scalar_violations, segment, short_loop_core, theta)
 
 NB = TransferMode.NON_BACKTRACKING
 BT = TransferMode.BACKTRACKING
@@ -419,14 +419,24 @@ def test_growth_bounds_names_underflow():
 
 
 def test_growth_bounds_names_interior_entropy_at_h():
-    # G - v1 solves about 1.3e-11 above h: A(h) does not diverge in
-    # floating point, but its Perron root is 2.0e-8, not 1
+    # G - v1 solves 18 ulps (4.0e-15) above h, the vertex-matrix root:
+    # the primitive-cycle series at v1 diverge at h
     g = MetricGraph.from_edges(["v0", "v1"], [
         ("v0", "v0", 0.011487227450209346), ("v0", "v0", 2.603212119000015),
         ("v1", "v1", 86.0231507443473), ("v1", "v1", 48.40959018764339),
         ("v0", "v1", 0.11681437785115541), ("v0", "v1", 22.599269700245685)])
     with pytest.raises(PreconditionError, match="without 'v1' is not below"):
         growth_bounds(g, "v1", 10.0)
+
+
+def test_growth_bounds_on_a_short_loop_core():
+    # rho(A(h)) - 1 follows the error of h: an h 3.8e-9 off gives -2.3e-8,
+    # beyond tol, so the check needs h to about 1e-12
+    rep = growth_bounds(short_loop_core(), "v1", 300.0)
+    assert rep.h == pytest.approx(eig_entropy(short_loop_core(), 1e-15),
+                                  rel=1e-12, abs=0.0)
+    assert abs(rep.rho_a - 1.0) <= 1e-12
+    assert rep.violations == ()
 
 
 def test_growth_bounds_requires_reduced_hyperbolic():

@@ -17,7 +17,8 @@ from entrograph.graph import Dart
 from entrograph.spectral import vertex_form
 from helpers import (c4, complete4, dumbbell, eig_entropy, eig_rho,
                      lim_metric, multigraphs, path3, rose,
-                     scalar_entropy_from_counts, segment, theta)
+                     scalar_entropy_from_counts, segment, short_loop_core,
+                     theta)
 
 
 def test_rose_closed_forms():
@@ -298,10 +299,7 @@ def test_vertex_root_lim_metric_closed_form(g):
 def test_vertex_root_wide_length_graphs():
     # log(k)/l_min lies far above h here: the dart power iteration does not
     # converge at that start, the vertex matrix needs no iteration
-    core = MetricGraph.from_edges(["v1", "v2"], [
-        ("v2", "v2", 0.0022097536943248616), ("v1", "v1", 214.01592686401),
-        ("v1", "v2", 103.01997790846774)])
-    for g in (theta((1.0, 1.0, 0.01)), core):
+    for g in (theta((1.0, 1.0, 0.01)), short_loop_core()):
         ref = eig_entropy(g, rel_tol=1e-15)
         assert entropy._vertex_root(g).h == pytest.approx(ref, rel=1e-12,
                                                           abs=0.0)
@@ -313,12 +311,9 @@ def test_vertex_root_short_loop_core():
     # The reference is a 40-digit mpmath root of lambda_min(M(t)) = 0.
     # Rounding of the O(0.1) terms of v^T M v limits any float root to
     # ~eps * 0.12 / (h lambda') = 7.6e-14 relative here.
-    core = MetricGraph.from_edges(["v1", "v2"], [
-        ("v2", "v2", 0.0022097536943248616), ("v1", "v1", 214.01592686401),
-        ("v1", "v2", 103.01997790846774)])
     ref = 0.02650810829636056848358827255669643048656
-    assert entropy._vertex_root(core).h == pytest.approx(ref, rel=5e-14,
-                                                         abs=0.0)
+    assert entropy._vertex_root(short_loop_core()).h == pytest.approx(
+        ref, rel=5e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -1,6 +1,7 @@
 """Transfer matrices, Perron data and the vertex matrix."""
 
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.sparse.csgraph import connected_components
 
 from entrograph import (MetricGraph, NonConvergence, TransferMode,
                         build_transfer, spectral_radius, vertex_matrix)
+from entrograph import spectral
 from entrograph.spectral import vertex_form_dt
 from helpers import (c4, complete4, dumbbell, eig_entropy, eig_rho,
                      multigraphs, rose, segment, theta)
@@ -136,6 +138,38 @@ def test_reversed_right_vector_is_left_perron_vector(g):
                                  (left, mat.T, block[rev])):
                 resid = np.max(np.abs(m @ vec - data.rho * vec)[rows])
                 assert resid <= 1e-12 * scale * np.max(vec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(multigraphs())
+def test_sparse_transfer_matches_dense(g):
+    # the CSR B(t) of _sparse_transfer, iterated as CSR at every block
+    # size, against the dense matrix, iterated dense
+    for mode in (NB, BT):
+        h = eig_entropy(g, 1e-6, mode)
+        for t in (0.0, h, 2.0 * h):
+            mat = build_transfer(g, t, mode).matrix
+            csr = spectral._sparse_transfer(g, t, mode)
+            assert np.array_equal(csr.toarray(), mat)
+            runs = []
+            with patch.object(spectral, "_SPARSE_MIN", 1):
+                for m in (mat, csr):
+                    try:
+                        runs.append(spectral_radius(m))
+                    except NonConvergence:
+                        runs.append(None)
+            dense, sparse = runs
+            assert (dense is None) == (sparse is None)
+            if sparse is None:
+                continue
+            assert sparse.rho == pytest.approx(dense.rho, rel=1e-12, abs=0.0)
+            _, labels = connected_components(mat > 0, directed=True,
+                                             connection="strong")
+            block = labels == labels[np.argmax(sparse.right)]
+            scale = np.max(np.abs(mat).sum(axis=1))
+            resid = np.abs(mat @ sparse.right - sparse.rho * sparse.right)
+            assert np.max(resid[block]) <= \
+                1e-12 * scale * np.max(sparse.right)
 
 
 def test_periodic_support_converges():
