@@ -97,12 +97,14 @@ class CountProfile:
         return int(np.searchsorted(self.lengths, r, side="right"))
 
     def jump_radii(self) -> np.ndarray:
-        return np.unique(self.lengths)
+        return self.steps()[0]
 
     def steps(self) -> tuple[np.ndarray, np.ndarray]:
-        """The jump radii a_k of N and N just past each, ``count_le(a_k)``."""
-        jumps, mult = np.unique(self.lengths, return_counts=True)
-        return jumps, np.cumsum(mult)
+        """The jump radii a_k of N and N just past each, ``count_le(a_k)``,
+        at the last copy of each value."""
+        lengths = np.asarray(self.lengths)
+        last = np.append(lengths[1:] != lengths[:-1], True)[:lengths.size]
+        return lengths[last], np.flatnonzero(last) + 1
 
     def to_csv(self) -> str:
         lines = ["length,cumulative"]
@@ -112,6 +114,7 @@ class CountProfile:
 
 
 _LINEAR_A = 2.0 ** 60
+_GRID_BLOCK = 1 << 20  # (radius, length) pairs verify_recursions holds
 
 
 def _count_model(comp: MetricGraph, mode: TransferMode, base: str,
@@ -352,11 +355,12 @@ class LaplaceReport:
 
 
 def _step_integral(profile: CountProfile, weight: float,
-                   start: float = 0.0) -> float:
+                   start: float = 0.0, steps=None) -> float:
     """weight * integral_start^R N(r) e^{-weight r} dr, exact for the step
     function N: N(a) (e^{-weight a} - e^{-weight b}) over each segment
-    [a, b) between start, the later jumps and R, summed with math.fsum."""
-    jumps, n_le = profile.steps()
+    [a, b) between start, the later jumps and R, summed with math.fsum.
+    ``steps`` is ``profile.steps()`` where the caller has it already."""
+    jumps, n_le = profile.steps() if steps is None else steps
     k = int(np.searchsorted(jumps, start, side="right"))
     edges = np.concatenate(([start], jumps[k:], [profile.r_max]))
     counts = np.concatenate(([n_le[k - 1] if k else 0], n_le[k:]))
@@ -400,14 +404,14 @@ def laplace_check(profile: CountProfile, graph: MetricGraph, t: float,
     if t < h + margin:
         raise MarginTooSmall(
             f"t = {t} is within {margin} of the growth rate {h:.6g}")
+    jumps, n_le = steps = profile.steps()
     if m_const is None:
-        jumps, n_le = profile.steps()
         tail = jumps >= 0.5 * profile.r_max
         if not tail.any():
             tail[:] = True
         scaled = n_le[tail] * np.exp(-h * jumps[tail])
         m_const = 2.0 * (float(scaled.max()) if scaled.size else 1.0)
-    truncated = _step_integral(profile, t)
+    truncated = _step_integral(profile, t, steps=steps)
     tail_upper = t * m_const * math.exp((h - t) * profile.r_max) / (t - h)
     f_val = _genfun_for_profile(profile, graph, t)
     if not f_val.converged:
@@ -508,33 +512,39 @@ def verify_recursions(graph: MetricGraph, v: str,
     n = graph.degree(v)
     empty = np.array([])
     starts = [nb_cyc.by_start.get(k, empty) for k in range(1, n + 1)]
+    radii = np.asarray(r_grid)
+    q = radii - tie_guard
 
-    def below(arr, q):
-        return arr[:np.searchsorted(arr, q)]
+    def shifted(prim, *arrays):
+        """Per radius r: the number of l in ``prim`` below r - tie_guard,
+        and per array the sum over those l of its count below (r - l) -
+        tie_guard, from grids of at most _GRID_BLOCK (r, l) or one r."""
+        taken = np.searchsorted(prim, q)
+        prim = prim[:taken.max(initial=0)]
+        sums = np.zeros((len(arrays), radii.size), dtype=np.int64)
+        rows = max(_GRID_BLOCK // max(prim.size, 1), 1)
+        for part in (slice(lo, lo + rows) for lo in range(0, q.size, rows)):
+            inner = (radii[part, None] - prim) - tie_guard
+            mask = np.arange(prim.size) < taken[part, None]
+            for k, arr in enumerate(arrays):
+                sums[k, part] = (np.searchsorted(arr, inner) * mask).sum(1)
+        return taken, sums
 
-    def n_sum(arr, inner):
-        return int(np.searchsorted(arr, inner).sum())
-
-    bt_bad: list[tuple[float, int, int]] = []
-    nb_bad: list[tuple[float, int, int, int]] = []
-    for r, q in zip(r_grid, np.asarray(r_grid) - tie_guard):
-        lhs = int(np.searchsorted(bt_cyc.lengths, q))
-        inner = (r - below(bt_prim.lengths, q)) - tie_guard
-        rhs = inner.size + n_sum(bt_cyc.lengths, inner)
-        if lhs != rhs:
-            bt_bad.append((r, lhs, rhs))
-        for i in range(1, n + 1):
-            lhs = int(np.searchsorted(starts[i - 1], q))
-            rhs = 0
-            for j in range(1, n + 1):
-                # the rows of the other starts k != j partition the rest
-                # of the cycle lengths
-                inner = (r - below(nb_prim.by_pair.get((i, j), empty), q)) \
-                    - tie_guard
-                rhs += inner.size + n_sum(nb_cyc.lengths, inner) \
-                    - n_sum(starts[j - 1], inner)
-            if lhs != rhs:
-                nb_bad.append((r, i, lhs, rhs))
+    taken, (bt_sum,) = shifted(bt_prim.lengths, bt_cyc.lengths)
+    bt_lhs, bt_rhs = np.searchsorted(bt_cyc.lengths, q), taken + bt_sum
+    nb_lhs = np.array([np.searchsorted(s, q) for s in starts])
+    nb_rhs = np.zeros_like(nb_lhs)
+    for i in range(n):
+        for j in range(n):
+            # the rows of the other starts k != j partition the rest of
+            # the cycle lengths
+            taken, (all_sum, own_sum) = shifted(nb_prim.by_pair.get(
+                (i + 1, j + 1), empty), nb_cyc.lengths, starts[j])
+            nb_rhs[i] += taken + all_sum - own_sum
+    bt_bad = [(r, int(a), int(b))
+              for r, a, b in zip(r_grid, bt_lhs, bt_rhs) if a != b]
+    nb_bad = [(r_grid[k], i + 1, int(nb_lhs[i, k]), int(nb_rhs[i, k]))
+              for k, i in np.argwhere((nb_lhs != nb_rhs).T).tolist()]
     return RecursionReport(tuple(r_grid), tuple(bt_bad), tuple(nb_bad))
 
 

@@ -20,7 +20,8 @@ evaluations:
   to a single cycle have entropy 0 exactly and are never solved for.
 - ``_lambda_min``: lambda = lambda_min(M(t)) on the symmetric vertex
   matrix M(t) of ``spectral.vertex_form``, positive definite exactly
-  above the entropy (``_vertex_root``).  Each evaluation is one LAPACK
+  above the entropy (``_vertex_root``).  Each evaluation is one pass
+  over the cached edge arrays for M(t) and M'(t) and one LAPACK
   ``dsyevr`` of the smallest eigenpair, the eigenvalue refined as the
   Rayleigh quotient in the edge form, and its slope is v^T M'(t) v.  No
   power iteration is involved, so it also solves the wide-length graphs
@@ -51,8 +52,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs, dsyevr
 from .errors import InsufficientData, NonConvergence, ValidationFailed
 from .graph import ComponentKind, MetricGraph, components, reduce, validate
 from .spectral import (TransferMode, VertexForm, _sparse_transfer,
-                       build_transfer, spectral_radius, vertex_form,
-                       vertex_form_dt)
+                       _vertex_forms, build_transfer, spectral_radius)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .counting import CountProfile
@@ -118,16 +118,14 @@ _NEWTON_CAP = 200
 _EPS = float(np.finfo(float).eps)
 
 
-def _edge_quotients(graph: MetricGraph, t: float, mode: TransferMode,
-                    form: VertexForm, v: np.ndarray):
+def _edge_quotients(form: VertexForm, slope: VertexForm, v: np.ndarray):
     """(v^T M(t) v, v^T M'(t) v, the rounding scale of v^T M(t) v) in
     the edge form sum_u shift_u v_u^2 + sum_e w_e (v_u - v_w)^2, with
-    ``form`` = ``vertex_form(graph, t, mode)``.  The rounding scale is
-    4 eps times the sum of the absolute values of the terms: below it
-    the sign of v^T M(t) v says nothing."""
+    (``form``, ``slope``) = ``spectral._vertex_forms(graph, t, mode)``.
+    The rounding scale is 4 eps times the sum of the absolute values of
+    the terms: below it the sign of v^T M(t) v says nothing."""
     sq, diff2 = v * v, (v[form.tails] - v[form.heads]) ** 2
     flow = float(form.weights @ diff2)
-    slope = vertex_form_dt(graph, t, mode)  # same edge layout as form
     return (float(form.shift @ sq) + flow,
             float(slope.shift @ sq + slope.weights @ diff2),
             4.0 * _EPS * (float(np.abs(form.shift) @ sq) + flow))
@@ -147,9 +145,9 @@ def _lambda_min(graph: MetricGraph, t: float, mode: TransferMode):
     """(lambda_min(M(t)), its unit eigenvector, its slope v^T M'(t) v,
     the rounding scale of lambda_min), the eigenvalue and slope as the
     edge-form quotients of the eigenvector (``_edge_quotients``)."""
-    form = vertex_form(graph, t, mode)
+    form, slope = _vertex_forms(graph, t, mode)
     v = _lowest_vector(form.matrix())
-    lam, dlam, noise = _edge_quotients(graph, t, mode, form, v)
+    lam, dlam, noise = _edge_quotients(form, slope, v)
     return lam, v, dlam, noise
 
 
@@ -308,20 +306,21 @@ def _schur_root(graph: MetricGraph, ends: Collection[str], h_base: float,
     """
     on_s = np.array([v in ends for v in graph.vertices])
     s, r = np.flatnonzero(on_s), np.flatnonzero(~on_s)
-    rr, rs, ss = np.ix_(r, r), np.ix_(r, s), np.ix_(s, s)
+    rr, rs, ss = (a[:, None] * on_s.size + b  # flat block indices
+                  for a, b in ((r, r), (r, s), (s, s)))
 
     def evaluate(t: float):
-        form = vertex_form(graph, t, mode)
+        form, slope = _vertex_forms(graph, t, mode)
         mat = form.matrix()
-        factor, info = dpotrf(mat[rr])
+        factor, info = dpotrf(mat.take(rr))
         if info != 0:  # M_RR is not positive definite: t <= h_base
             return -math.inf, None, math.nan, 0.0
-        m_rs = mat[rs]
+        m_rs = mat.take(rs)
         x = dpotrs(factor, m_rs)[0] if r.size else m_rs
-        u = _lowest_vector(mat[ss] - m_rs.T @ x)
+        u = _lowest_vector(mat.take(ss) - m_rs.T @ x)
         w = np.empty(on_s.size)
         w[s], w[r] = u, -x @ u
-        lam, dlam, noise = _edge_quotients(graph, t, mode, form, w)
+        lam, dlam, noise = _edge_quotients(form, slope, w)
         return lam, w, dlam, noise
 
     hi = _upper_start(graph, mode)

@@ -105,6 +105,21 @@ class MetricGraph:
         return len(index), u, w, lengths
 
     @cached_property
+    def _vertex_pattern(self):
+        """Read-only arrays: the non-loop edges of ``_edge_arrays``, their
+        tails, heads and lengths; the loop edges; the flat V x V index
+        that ``VertexForm.matrix`` fills: diagonal, uu, ww, uw and wu."""
+        n, u, w, lengths = self._edge_arrays
+        keep = np.flatnonzero(u != w)
+        tails, heads = u[keep], w[keep]
+        diag = np.concatenate((np.arange(n), tails, heads)) * (n + 1)
+        arrays = (keep, tails, heads, lengths[keep], np.flatnonzero(u == w),
+                  np.concatenate((diag, tails * n + heads, heads * n + tails)))
+        for arr in arrays:
+            arr.flags.writeable = False
+        return arrays
+
+    @cached_property
     def _dart_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Lengths and reversal ids of ``darts``, as read-only arrays."""
         lengths = np.array([d.length for d in self.darts], dtype=float)
@@ -163,10 +178,11 @@ class MetricGraph:
         return tuple((d.tail, d.head, d.length) for d in self.edge_darts())
 
     def min_length(self) -> float:
-        return min((d.length for d in self.darts), default=0.0)
+        return float(self._edge_arrays[3].min()) if self.darts else 0.0
 
     def max_degree(self) -> int:
-        return max((self.degree(v) for v in self.vertices), default=0)
+        n, u, w, _ = self._edge_arrays
+        return int(np.bincount(np.append(u, w), minlength=n).max(initial=0))
 
 
 def _csr_pattern(n: int, rows: np.ndarray, cols: np.ndarray):

@@ -18,7 +18,11 @@ e^{-t l_d} r_{rev d} is a left vector with at most the residual of r.
 The symmetric V x V vertex matrix of the weighted Ihara-Bass identity,
 det(I - B(t)) = det M(t) * prod_e (1 - z_e^2) with z_e = e^{-t l_e},
 carries the same information for the path generating functions: M(t)
-is positive definite exactly when t lies above the entropy.
+is positive definite exactly when t lies above the entropy.  One pass
+over the graph's cached edge arrays gives M(t) and M'(t) together
+(``_vertex_forms``), and one ``np.bincount`` over a cached flat index
+assembles either (``VertexForm.matrix``), so an evaluation of
+lambda_min(M(t)) is that pass plus one LAPACK ``dsyevr``.
 """
 
 from __future__ import annotations
@@ -119,22 +123,21 @@ class VertexForm:
 
     Applying the matrix in this form (``apply``) keeps the large weights
     1/(2 t l) of short edges on differences x_u - x_w, so its residuals
-    stay accurate where the assembled matrix has lost digits.
+    stay accurate where the assembled matrix (``matrix``, scattered into
+    the graph's flat index ``scatter``) has lost digits.
     """
 
     shift: np.ndarray
     tails: np.ndarray
     heads: np.ndarray
     weights: np.ndarray
+    scatter: np.ndarray
 
     def matrix(self) -> np.ndarray:
-        mat = np.diag(self.shift)
-        u, w, c = self.tails, self.heads, self.weights
-        np.add.at(mat, (u, u), c)
-        np.add.at(mat, (w, w), c)
-        np.add.at(mat, (u, w), -c)
-        np.add.at(mat, (w, u), -c)
-        return mat
+        """The matrix: each entry its shift, then uu, ww, uw, wu terms."""
+        n, c = self.shift.size, self.weights
+        values = np.concatenate((self.shift, c, c, -c, -c))
+        return np.bincount(self.scatter, values, n * n).reshape(n, n)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """The matrix times x, a vector or a matrix of columns."""
@@ -146,57 +149,54 @@ class VertexForm:
         return out
 
 
+def _vertex_forms(graph: MetricGraph, t: float, mode: TransferMode
+                  ) -> tuple[VertexForm, VertexForm]:
+    """M(t) and M'(t) at t > 0 from one z = e^{-t l} and one 1 - z^2 =
+    -expm1(-2 t l) over the graph's cached edge arrays.  Non-backtracking:
+    weights z/(1-z^2) and -l z(1+z^2)/(1-z^2)^2, endpoint terms -z/(1+z)
+    and l z/(1+z)^2; a loop's net diagonal term in M(t) is -2z/(1+z) =
+    tanh(t l/2) - 1, whose 1 cancels the identity before any other term,
+    so a short loop keeps its digits.  Backtracking (I - W(t)): weights z
+    and -l z, endpoint terms -z and l z.  Other terms count a loop twice.
+    """
+    n, u, w, lengths = graph._edge_arrays
+    keep, tails, heads, l_keep, loop, scatter = graph._vertex_pattern
+    z = np.exp(-t * lengths)
+    zk, shift = z[keep], 1.0  # the first update makes it an array
+    if mode is TransferMode.BACKTRACKING:
+        weights, drop, d_weights, rise = zk, z, -l_keep * zk, lengths * z
+    else:
+        q = -np.expm1(-2.0 * t * l_keep)
+        weights = zk / q
+        d_weights = -l_keep * zk * (1.0 + zk * zk) / (q * q)
+        drop = z / (1.0 + z)
+        rise = lengths * z / (1.0 + z) ** 2
+        if loop.size:
+            shift -= np.bincount(u[loop], minlength=n)
+            shift += np.bincount(u[loop], np.tanh(0.5 * t * lengths[loop]), n)
+            drop[loop] = 0.0
+    shift -= np.bincount(u, drop, n)
+    shift -= np.bincount(w, drop, n)
+    d_shift = np.bincount(u, rise, n) + np.bincount(w, rise, n)
+    return (VertexForm(shift, tails, heads, weights, scatter),
+            VertexForm(d_shift, tails, heads, d_weights, scatter))
+
+
 def vertex_form(graph: MetricGraph, t: float,
                 mode: TransferMode = TransferMode.NON_BACKTRACKING
                 ) -> VertexForm:
     """Vertex matrix at parameter t > 0, indexed in ``graph.vertices``
     order (see ``vertex_matrix``)."""
-    n, u, w, lengths = graph._edge_arrays
-    z = np.exp(-t * lengths)
-    loop = u == w
-    shift = np.ones(n)
-    if mode is TransferMode.BACKTRACKING:
-        weights, drop = z[~loop], z
-    else:
-        # z/(1-z^2) on L_e leaves z/(1+z) to remove from each endpoint;
-        # a loop's net diagonal term is -2z/(1+z) = tanh(t l/2) - 1.  Its
-        # 1 cancels the identity exactly, before any other term, so a
-        # short loop keeps its digits.
-        weights = z[~loop] / -np.expm1(-2.0 * t * lengths[~loop])
-        drop = z / (1.0 + z)
-        if loop.any():
-            shift -= np.bincount(u[loop], minlength=n)
-            shift += np.bincount(u[loop], np.tanh(0.5 * t * lengths[loop]),
-                                 n)
-            drop[loop] = 0.0
-    shift -= np.bincount(u, drop, n)
-    shift -= np.bincount(w, drop, n)
-    return VertexForm(shift, u[~loop], w[~loop], weights)
+    return _vertex_forms(graph, t, mode)[0]
 
 
 def vertex_form_dt(graph: MetricGraph, t: float,
                    mode: TransferMode = TransferMode.NON_BACKTRACKING
                    ) -> VertexForm:
-    """t-derivative M'(t) of the vertex matrix, in the layout of
-    ``vertex_form``.  Non-backtracking: weights
-    d/dt z/(1-z^2) = -l z(1+z^2)/(1-z^2)^2 and endpoint terms
-    d/dt -z/(1+z) = l z/(1+z)^2.  Backtracking (I - W(t)): weights -l z
-    and endpoint terms l z.  A loop counts at both of its ends, as in
-    ``vertex_form``.  With v the unit null vector of M(h), the smallest
-    eigenvalue has slope lambda'(h) = v @ vertex_form_dt(graph, h).apply(v).
-    """
-    n, u, w, lengths = graph._edge_arrays
-    z = np.exp(-t * lengths)
-    loop = u == w
-    if mode is TransferMode.BACKTRACKING:
-        weights, rise = -lengths[~loop] * z[~loop], lengths * z
-    else:
-        q = -np.expm1(-2.0 * t * lengths[~loop])
-        zl = z[~loop]
-        weights = -lengths[~loop] * zl * (1.0 + zl * zl) / (q * q)
-        rise = lengths * z / (1.0 + z) ** 2
-    shift = np.bincount(u, rise, n) + np.bincount(w, rise, n)
-    return VertexForm(shift, u[~loop], w[~loop], weights)
+    """t-derivative M'(t) of the vertex matrix, laid out as ``vertex_form``:
+    lambda_min(M(t)) has slope v @ vertex_form_dt(graph, h).apply(v) at h,
+    v the unit null vector of M(h)."""
+    return _vertex_forms(graph, t, mode)[1]
 
 
 def vertex_matrix(graph: MetricGraph, t: float,
@@ -209,10 +209,9 @@ def vertex_matrix(graph: MetricGraph, t: float,
     and D_vv = sum_{e at v} z^2/(1-z^2), z = e^{-t l_e} (weighted
     Ihara-Bass; Watanabe & Fukumizu, NeurIPS 2009).  A loop at v enters
     as its net diagonal term -2z/(1+z), which avoids the cancellation of
-    2z^2/(1-z^2) - 2z/(1-z^2) for short loops, written tanh(tl/2) - 1
-    so that the 1 cancels the identity exactly; 1 - z^2 is computed as
-    -expm1(-2tl).  Backtracking: I - W(t) with W_uv = sum_{e=uv} z, so a
-    loop contributes 2z.  In both modes the matrix is positive definite
+    2z^2/(1-z^2) - 2z/(1-z^2) for short loops (``_vertex_forms``).
+    Backtracking: I - W(t) with W_uv = sum_{e=uv} z, so a loop
+    contributes 2z.  In both modes the matrix is positive definite
     exactly when t exceeds the entropy of the mode, and
     f_xy(t) = (M^{-1})_xy - delta_xy.
     """

@@ -193,6 +193,51 @@ def multigraphs(draw):
         names, [(u, v, 10.0 ** e) for (u, v), e in zip(ends, exps)])
 
 
+def reference_vertex_forms(graph, t, mode=TransferMode.NON_BACKTRACKING):
+    """M(t) and M'(t) as (shift, tails, heads, weights), each form built
+    on its own from the edge arrays, the way the package built them
+    before one pass served both.  ``spectral._vertex_forms`` must match
+    them bit for bit."""
+    n, u, w, lengths = graph._edge_arrays
+    z = np.exp(-t * lengths)
+    loop = u == w
+    shift = np.ones(n)
+    if mode is TransferMode.BACKTRACKING:
+        weights, drop = z[~loop], z
+    else:
+        weights = z[~loop] / -np.expm1(-2.0 * t * lengths[~loop])
+        drop = z / (1.0 + z)
+        if loop.any():
+            shift -= np.bincount(u[loop], minlength=n)
+            shift += np.bincount(u[loop], np.tanh(0.5 * t * lengths[loop]),
+                                 n)
+            drop[loop] = 0.0
+    shift -= np.bincount(u, drop, n)
+    shift -= np.bincount(w, drop, n)
+    form = (shift, u[~loop], w[~loop], weights)
+
+    if mode is TransferMode.BACKTRACKING:
+        weights, rise = -lengths[~loop] * z[~loop], lengths * z
+    else:
+        q = -np.expm1(-2.0 * t * lengths[~loop])
+        zl = z[~loop]
+        weights = -lengths[~loop] * zl * (1.0 + zl * zl) / (q * q)
+        rise = lengths * z / (1.0 + z) ** 2
+    shift = np.bincount(u, rise, n) + np.bincount(w, rise, n)
+    return form, (shift, u[~loop], w[~loop], weights)
+
+
+def reference_matrix(shift, tails, heads, weights):
+    """The assembled matrix of a (shift, tails, heads, weights) form by
+    ``np.diag`` and four ``np.add.at``."""
+    mat = np.diag(shift)
+    np.add.at(mat, (tails, tails), weights)
+    np.add.at(mat, (heads, heads), weights)
+    np.add.at(mat, (tails, heads), -weights)
+    np.add.at(mat, (heads, tails), -weights)
+    return mat
+
+
 def counting_resolvent():
     """A subclass of the vertex-matrix factorization context that counts
     its instances in ``made``, for monkeypatching over ``_Resolvent``."""

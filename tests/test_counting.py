@@ -3,18 +3,20 @@
 import collections
 import math
 import warnings
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from entrograph import (EnumerationSpec, HorizonTooLarge, MarginTooSmall,
-                        MetricGraph, NonConvergence, PathKind,
-                        PreconditionError, TransferMode, backtracking_bound,
-                        backtracking_entropy, enumerate_paths,
-                        generate_graph, growth_bounds, horizon_for_budget,
-                        laplace_check, reduce, verify_recursions,
-                        volume_entropy)
+from entrograph import (CountProfile, EnumerationSpec, HorizonTooLarge,
+                        MarginTooSmall, MetricGraph, NonConvergence,
+                        PathKind, PreconditionError, TransferMode,
+                        backtracking_bound, backtracking_entropy,
+                        enumerate_paths, generate_graph, growth_bounds,
+                        horizon_for_budget, laplace_check, reduce,
+                        verify_recursions, volume_entropy)
+from entrograph import counting
 from entrograph.counting import _count_model, _over_bound, _step_integral
 from helpers import (bfs_enumerate, c4, complete4, dumbbell, eig_entropy,
                      multigraphs, path3, rose, scalar_laplace_constant,
@@ -649,6 +651,26 @@ def test_array_checks_match_scalar_reference(g):
                         rel_tol=5e-16)
 
 
+@settings(max_examples=25, deadline=None)
+@given(g=multigraphs(), block=st.sampled_from([1, 7, 1 << 20]))
+def test_recursions_match_scalar_on_cores(g, block):
+    # the whole-grid identity checks against the one-count-at-a-time
+    # loop, on blocks of down to one (radius, length) pair; with no tie
+    # guard at attained lengths the mismatch tuples are compared too
+    core = reduce(g).graph
+    v = max(core.vertex_set, key=lambda w: (core.degree(w), w))
+    bt_cyc = _fitted_profile(core, PathKind.CYCLES_AT, BT, 300, v, 2000)
+    r_max, ties = bt_cyc.r_max, bt_cyc.jump_radii()[::3]
+    with patch.object(counting, "_GRID_BLOCK", block):
+        assert verify_recursions(core, v, r_max=r_max, cap=2000) \
+            == scalar_recursions(core, v, r_max=r_max, cap=2000)
+        if ties.size:  # repr also tells a numpy integer from an int
+            assert repr(verify_recursions(core, v, r_grid=ties, cap=2000,
+                                          tie_guard=0.0)) \
+                == repr(scalar_recursions(core, v, r_grid=ties, cap=2000,
+                                          tie_guard=0.0))
+
+
 @pytest.mark.parametrize("unit", [1.0, 0.1])
 def test_recursions_on_commensurate_rose_hit_ties(unit):
     # loops l and 2l: every cycle length is a multiple of l, so at the
@@ -677,3 +699,18 @@ def test_empty_profile_step_integral_and_laplace_constant():
     assert rep.truncated == 0.0
     assert rep.m_used == 2.0
     assert rep.passed
+
+
+@pytest.mark.parametrize("lengths", [[], [1.0], [1.0, 1.0, 2.5, 3.0, 3.0, 3.0],
+                                     [0.1 + 0.2, 0.3, 0.3]])
+def test_steps_match_unique_counts(lengths):
+    # jumps and N past each jump read off the sorted lengths equal
+    # np.unique with its counts, dtypes included, also when empty
+    prof = CountProfile(PathKind.PATHS_FROM, NB, 4.0,
+                        np.array(sorted(lengths), dtype=float), ("v",))
+    jumps, n_le = prof.steps()
+    want, mult = np.unique(prof.lengths, return_counts=True)
+    assert jumps.dtype == want.dtype and np.array_equal(jumps, want)
+    assert n_le.dtype == np.cumsum(mult).dtype
+    assert np.array_equal(n_le, np.cumsum(mult))
+    assert np.array_equal(prof.jump_radii(), want)

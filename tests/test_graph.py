@@ -87,6 +87,23 @@ def test_edge_arrays_cached_and_read_only():
     for arr in (u, w, lengths):
         with pytest.raises(ValueError):
             arr[0] = 1
+    keep, tails, heads, l_keep, loop, scatter = g._vertex_pattern
+    assert g._vertex_pattern is g._vertex_pattern
+    assert keep.tolist() == [0] and loop.tolist() == [1]
+    assert tails.tolist() == [1] and heads.tolist() == [0]
+    assert l_keep.tolist() == [2.0]
+    # diagonal, then uu, ww, uw and wu of the non-loop edge y-x
+    assert scatter.tolist() == [0, 3, 3, 0, 2, 1]
+    for arr in (keep, tails, heads, l_keep, loop, scatter):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    assert g.max_degree() == 3 and g.min_length() == 0.5
+
+
+def test_max_degree_and_min_length_of_an_edgeless_graph():
+    g = MetricGraph.from_edges(["x", "y"], [])
+    assert g.max_degree() == 0 and g.min_length() == 0.0
+    assert MetricGraph.from_edges([], []).max_degree() == 0
 
 
 def test_components_empty_graph():

@@ -11,9 +11,11 @@ from scipy.sparse.csgraph import connected_components
 from entrograph import (MetricGraph, NonConvergence, TransferMode,
                         build_transfer, spectral_radius, vertex_matrix)
 from entrograph import spectral
+from entrograph.entropy import _vertex_root
 from entrograph.spectral import vertex_form_dt
 from helpers import (c4, complete4, dumbbell, eig_entropy, eig_rho,
-                     multigraphs, rose, segment, theta)
+                     multigraphs, reference_matrix, reference_vertex_forms,
+                     rose, segment, theta)
 
 NB = TransferMode.NON_BACKTRACKING
 BT = TransferMode.BACKTRACKING
@@ -243,3 +245,19 @@ def test_vertex_form_dt_matches_central_differences(g, s):
     fd = (vertex_matrix(g, t + step) - vertex_matrix(g, t - step)) / (2 * step)
     exact = vertex_form_dt(g, t).matrix()
     assert np.max(np.abs(fd - exact)) <= 1e-7 * np.max(np.abs(exact))
+
+
+@settings(max_examples=100, deadline=None)
+@given(multigraphs(), st.sampled_from([NB, BT]))
+def test_vertex_forms_match_reference_on_multigraphs(g, mode):
+    # M(t) and M'(t), both halves of one pass, and their one-bincount
+    # assembly equal the separately built forms and their np.add.at
+    # assembly bit for bit, loops and parallel edges included
+    h = _vertex_root(g, mode).h or 1.0 / g.min_length()
+    for t in (0.5 * h, h, 2.0 * h):
+        forms = (spectral.vertex_form(g, t, mode), vertex_form_dt(g, t, mode))
+        for form, ref in zip(forms, reference_vertex_forms(g, t, mode)):
+            for got, want in zip((form.shift, form.tails, form.heads,
+                                  form.weights), ref):
+                assert np.array_equal(got, want)
+            assert np.array_equal(form.matrix(), reference_matrix(*ref))
