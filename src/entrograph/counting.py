@@ -735,7 +735,7 @@ def backtracking_entropy(graph: MetricGraph, v: str) -> BacktrackingEntropy:
     route1 = _vertex_root(comp, TransferMode.BACKTRACKING)
     ends = {u for e in comp.edge_list() if v in e[:2] for u in e[:2]}
     h2, resid2, _ = _schur_root(
-        comp, ends,
+        comp._edge_arrays, np.flatnonzero([u in ends for u in comp.vertices]),
         _vertex_root(delete_vertex(comp, v), TransferMode.BACKTRACKING).h,
         TransferMode.BACKTRACKING)
     return BacktrackingEntropy(route1.h, h2, abs(route1.null_eigenvalue),

@@ -44,13 +44,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Collection, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dsyevr
 
 from .errors import InsufficientData, NonConvergence, ValidationFailed
-from .graph import ComponentKind, MetricGraph, components, reduce, validate
+from .graph import (ComponentKind, EdgeSet, MetricGraph, components, reduce,
+                    validate)
 from .spectral import (TransferMode, VertexForm, _sparse_transfer,
                        _vertex_forms, build_transfer, spectral_radius)
 
@@ -121,7 +122,7 @@ _EPS = float(np.finfo(float).eps)
 def _edge_quotients(form: VertexForm, slope: VertexForm, v: np.ndarray):
     """(v^T M(t) v, v^T M'(t) v, the rounding scale of v^T M(t) v) in
     the edge form sum_u shift_u v_u^2 + sum_e w_e (v_u - v_w)^2, with
-    (``form``, ``slope``) = ``spectral._vertex_forms(graph, t, mode)``.
+    (``form``, ``slope``) = ``spectral._vertex_forms(edges, t, mode)``.
     The rounding scale is 4 eps times the sum of the absolute values of
     the terms: below it the sign of v^T M(t) v says nothing."""
     sq, diff2 = v * v, (v[form.tails] - v[form.heads]) ** 2
@@ -141,11 +142,11 @@ def _lowest_vector(mat: np.ndarray) -> np.ndarray:
     return vecs[:, 0]
 
 
-def _lambda_min(graph: MetricGraph, t: float, mode: TransferMode):
+def _lambda_min(edges: EdgeSet, t: float, mode: TransferMode):
     """(lambda_min(M(t)), its unit eigenvector, its slope v^T M'(t) v,
     the rounding scale of lambda_min), the eigenvalue and slope as the
     edge-form quotients of the eigenvector (``_edge_quotients``)."""
-    form, slope = _vertex_forms(graph, t, mode)
+    form, slope = _vertex_forms(edges, t, mode)
     v = _lowest_vector(form.matrix())
     lam, dlam, noise = _edge_quotients(form, slope, v)
     return lam, v, dlam, noise
@@ -185,11 +186,11 @@ def _log_rho(graph: MetricGraph, t: float):
     return -math.log(rho), right, slope if slope > 0.0 else math.nan, stop
 
 
-def _upper_start(graph: MetricGraph, mode: TransferMode) -> float:
+def _upper_start(edges: EdgeSet, mode: TransferMode) -> float:
     """log(max(k, 2)) / l_min, k the largest number of continuations of
-    a dart: rho(B(t)) <= 1 there, so no root of ``graph`` lies above."""
-    k = graph.max_degree() - (mode is TransferMode.NON_BACKTRACKING)
-    return math.log(max(k, 2)) / graph.min_length()
+    a dart: rho(B(t)) <= 1 there, so no root of the edge set lies above."""
+    k = edges.max_degree - (mode is TransferMode.NON_BACKTRACKING)
+    return math.log(max(k, 2)) / edges.min_length
 
 
 def _newton_down(evaluate, t: float, lo: float, hi: float,
@@ -257,7 +258,7 @@ def _vertex_root(graph: MetricGraph,
     if mode is TransferMode.BACKTRACKING:
         if not graph.darts:
             return zero
-        if _lambda_min(graph, 0.0, mode)[0] >= 0.0:
+        if _lambda_min(graph._edge_arrays, 0.0, mode)[0] >= 0.0:
             return replace(zero, evals=1)
         comps, evals = [graph], 1
     else:
@@ -265,9 +266,7 @@ def _vertex_root(graph: MetricGraph,
                         if c.edge_count - len(c.vertices) + 1 > 1], 0
     best, comp_best = zero, graph
     for comp in comps:
-        hi = _upper_start(comp, mode)
-        root = _newton_down(lambda t, c=comp: _lambda_min(c, t, mode), hi,
-                            0.0, hi, min(comp.vertices))
+        root = _cold_root(comp._edge_arrays, mode)
         evals += root.evals
         if root.h > best.h:
             best, comp_best = root, comp
@@ -279,12 +278,22 @@ def _vertex_root(graph: MetricGraph,
     return replace(best, v=v, evals=evals)
 
 
-def _schur_root(graph: MetricGraph, ends: Collection[str], h_base: float,
+def _cold_root(edges: EdgeSet,
+               mode: TransferMode = TransferMode.NON_BACKTRACKING
+               ) -> _VertexRoot:
+    """Largest root of lambda_min(M(t)) = 0 on an edge set, solved from
+    ``_upper_start`` down with nothing known below it."""
+    hi = _upper_start(edges, mode)
+    return _newton_down(lambda t: _lambda_min(edges, t, mode), hi, 0.0, hi,
+                        edges.name)
+
+
+def _schur_root(edges: EdgeSet, ends: np.ndarray, h_base: float,
                 mode: TransferMode = TransferMode.NON_BACKTRACKING
                 ) -> tuple[float, float, int]:
     """Largest root h' of lambda_min(M_G(t)) = 0 for a graph G made of a
-    base of entropy ``h_base`` and new edges with the ends S (``ends``).
-    Returns (h', |lambda_min(K(h'))|, evaluations).
+    base of entropy ``h_base`` and new edges with the ends S (vertex
+    indices ``ends``).  Returns (h', |lambda_min(K(h'))|, evaluations).
 
     h' is the largest root of lambda_min(K(t)) = 0 for the Schur
     complement K = M_SS - M_SR M_RR^{-1} M_RS of M_G(t), R the other
@@ -304,13 +313,14 @@ def _schur_root(graph: MetricGraph, ends: Collection[str], h_base: float,
     down to the Cholesky boundary, and |lambda_min(K(h'))| need not be
     small.
     """
-    on_s = np.array([v in ends for v in graph.vertices])
-    s, r = np.flatnonzero(on_s), np.flatnonzero(~on_s)
+    on_s = np.zeros(edges.n, dtype=bool)
+    on_s[ends] = True
+    s, r = on_s.nonzero()[0], (~on_s).nonzero()[0]
     rr, rs, ss = (a[:, None] * on_s.size + b  # flat block indices
                   for a, b in ((r, r), (r, s), (s, s)))
 
     def evaluate(t: float):
-        form, slope = _vertex_forms(graph, t, mode)
+        form, slope = _vertex_forms(edges, t, mode)
         mat = form.matrix()
         factor, info = dpotrf(mat.take(rr))
         if info != 0:  # M_RR is not positive definite: t <= h_base
@@ -323,10 +333,10 @@ def _schur_root(graph: MetricGraph, ends: Collection[str], h_base: float,
         lam, dlam, noise = _edge_quotients(form, slope, w)
         return lam, w, dlam, noise
 
-    hi = _upper_start(graph, mode)
+    hi = _upper_start(edges, mode)
     start = min(h_base * (1.0 + 1e-6), hi) if h_base > 0.0 else hi
     root = _newton_down(evaluate, start, h_base * (1.0 - 1e-6), hi,
-                        min(graph.vertices))
+                        edges.name)
     return max(root.h, h_base), abs(root.null_eigenvalue), root.evals
 
 
@@ -356,7 +366,7 @@ def volume_entropy(graph: MetricGraph) -> EntropyResult:
             per.append((cid, 0.0))
             continue
         core = red.graph
-        hi = _upper_start(core, TransferMode.NON_BACKTRACKING)
+        hi = _upper_start(core._edge_arrays, TransferMode.NON_BACKTRACKING)
         try:
             root = _newton_down(lambda t: _log_rho(core, t), hi, 0.0, hi,
                                 cid)

@@ -92,32 +92,16 @@ class MetricGraph:
         return {v: tuple(ids) for v, ids in table.items()}
 
     @cached_property
-    def _edge_arrays(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-        """Vertex count, then tail and head indices (``vertices`` order)
-        and lengths of the edges of ``edge_darts``, as read-only arrays."""
+    def _edge_arrays(self) -> EdgeSet:
+        """The edges of ``edge_darts``, vertices indexed in ``vertices``
+        order."""
         index = {v: i for i, v in enumerate(self.vertices)}
         edges = self.edge_darts()
-        u = np.array([index[d.tail] for d in edges], dtype=np.intp)
-        w = np.array([index[d.head] for d in edges], dtype=np.intp)
-        lengths = np.array([d.length for d in edges], dtype=float)
-        for arr in (u, w, lengths):
-            arr.flags.writeable = False
-        return len(index), u, w, lengths
-
-    @cached_property
-    def _vertex_pattern(self):
-        """Read-only arrays: the non-loop edges of ``_edge_arrays``, their
-        tails, heads and lengths; the loop edges; the flat V x V index
-        that ``VertexForm.matrix`` fills: diagonal, uu, ww, uw and wu."""
-        n, u, w, lengths = self._edge_arrays
-        keep = np.flatnonzero(u != w)
-        tails, heads = u[keep], w[keep]
-        diag = np.concatenate((np.arange(n), tails, heads)) * (n + 1)
-        arrays = (keep, tails, heads, lengths[keep], np.flatnonzero(u == w),
-                  np.concatenate((diag, tails * n + heads, heads * n + tails)))
-        for arr in arrays:
-            arr.flags.writeable = False
-        return arrays
+        return EdgeSet(len(index),
+                       np.array([index[d.tail] for d in edges], dtype=np.intp),
+                       np.array([index[d.head] for d in edges], dtype=np.intp),
+                       np.array([d.length for d in edges], dtype=float),
+                       min(self.vertices, default=""))
 
     @cached_property
     def _dart_arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -178,11 +162,55 @@ class MetricGraph:
         return tuple((d.tail, d.head, d.length) for d in self.edge_darts())
 
     def min_length(self) -> float:
-        return float(self._edge_arrays[3].min()) if self.darts else 0.0
+        return self._edge_arrays.min_length
 
     def max_degree(self) -> int:
-        n, u, w, _ = self._edge_arrays
-        return int(np.bincount(np.append(u, w), minlength=n).max(initial=0))
+        return self._edge_arrays.max_degree
+
+
+@dataclass(frozen=True, eq=False)
+class EdgeSet:
+    """Vertices 0..n-1 and edges tails[i]-heads[i] of length lengths[i],
+    read-only; ``name``, the least vertex name, names them in errors.
+    Unpacks as (n, tails, heads, lengths)."""
+
+    n: int
+    tails: np.ndarray
+    heads: np.ndarray
+    lengths: np.ndarray
+    name: str
+
+    def __post_init__(self):
+        for arr in (self.tails, self.heads, self.lengths):
+            arr.setflags(write=False)
+
+    def __iter__(self):
+        return iter((self.n, self.tails, self.heads, self.lengths))
+
+    @cached_property
+    def _vertex_pattern(self):
+        """Read-only arrays: the non-loop edges, their tails, heads and
+        lengths; the loop edges; the flat n x n index that
+        ``VertexForm.matrix`` fills: diagonal, uu, ww, uw and wu."""
+        n, u, w, lengths = self
+        keep = (u != w).nonzero()[0]
+        tails, heads = u[keep], w[keep]
+        diag = np.concatenate((np.arange(n), tails, heads)) * (n + 1)
+        arrays = (keep, tails, heads, lengths[keep], (u == w).nonzero()[0],
+                  np.concatenate((diag, tails * n + heads, heads * n + tails)))
+        for arr in arrays:
+            arr.setflags(write=False)
+        return arrays
+
+    @cached_property
+    def max_degree(self) -> int:
+        """The largest vertex degree; a loop counts 2."""
+        return int(np.bincount(np.concatenate((self.tails, self.heads)),
+                               minlength=self.n).max(initial=0))
+
+    @cached_property
+    def min_length(self) -> float:
+        return float(self.lengths.min()) if self.lengths.size else 0.0
 
 
 def _csr_pattern(n: int, rows: np.ndarray, cols: np.ndarray):

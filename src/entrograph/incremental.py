@@ -158,7 +158,9 @@ def _extend(graph: MetricGraph, parts: Sequence[MetricGraph],
         h_base = max(_vertex_root(p).h for p in parts)
     if betti == max(map(_betti, parts)):
         return h_base, h_base, 0.0, 0
-    h_prime, residual, evals = _schur_root(graph, ends, h_base)
+    h_prime, residual, evals = _schur_root(
+        graph._edge_arrays,
+        np.flatnonzero([v in ends for v in graph.vertices]), h_base)
     return h_prime, h_base, residual, evals
 
 

@@ -6,24 +6,25 @@ over components, components with at most one independent cycle counting
 as 0).  Entropy is monotone along the filtration, which makes the
 previous value a lower bound for every later solve.
 
-Each step adds the edges of one length.  A component of G_eps that no
-added edge touches keeps its entropy.  Every other component is made of
-the previous components inside it (its parts) and the added edges that
-land in it, and starts from h_base, the largest entropy of its parts.
-Strategy "direct" solves it again, cold, on its vertex matrix
-(``entropy._vertex_root``), and keeps the larger of that root and
-h_base: entropy is monotone under inclusion, so h_base is a certified
-lower bound, and a cold root can round below it by ~1e-13 relative,
-which would make the curve decrease.  "incremental" finds it as the
-largest root of lambda_min(K(t)) = 0, K the Schur complement of the
-vertex matrix on the ends of the added edges (``incremental._extend``):
-one edge, a loop, a merge, a new vertex of any degree and a batch of
-equal-length edges are all this one equation, so no step falls back to
-a direct solve.  "auto" is accepted and means "incremental".
-All strategies produce the same curve up to solver tolerance, and every
-step records the strategy it used: a formula step is labelled
-"incremental-vertex" when one of its parts has no edge (a new vertex),
-else "incremental-edge".
+The walk runs on index arrays of the full graph: its edges sorted by
+length once, and each component of G_eps kept as its vertex and edge
+indices with its entropy.  Each step adds the edges of one length.  A
+component that no added edge touches keeps its entropy.  Every other one
+is its parts, the previous components inside it, joined by the added
+edges that land in it, and starts from h_base, the largest entropy of
+its parts.  Its edge set (``graph.EdgeSet``) is gathered only to be
+solved: first Betti number 2 or more, and for "incremental" more than
+that of each part (else h_base stays).  "direct" solves it cold
+(``entropy._cold_root``) and keeps the larger of that root and h_base:
+h_base is a certified lower bound, and a cold root can round below it
+by ~1e-13 relative.  "incremental" finds it as the largest root of
+lambda_min(K(t)) = 0, K the Schur complement of the vertex matrix on the
+ends of the added edges (``entropy._schur_root``): one edge, a loop, a
+merge, a new vertex of any degree and a batch of equal-length edges are
+all this one equation.  "auto" means "incremental".  All strategies give
+the same curve up to solver tolerance; a formula step is labelled
+"incremental-vertex" when one of its parts has no edge, else
+"incremental-edge".
 """
 
 from __future__ import annotations
@@ -33,10 +34,11 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 
-from .entropy import _vertex_root
+import numpy as np
+
+from .entropy import _cold_root, _schur_root
 from .errors import EntrographError, UnknownFormat, ValidationFailed
-from .graph import MetricGraph, disjoint_union, validate
-from .incremental import _extend
+from .graph import EdgeSet, MetricGraph, validate
 
 
 class StepStrategy(Enum):
@@ -62,7 +64,7 @@ class EntropyCurve:
 
 def thresholds(graph: MetricGraph) -> tuple[float, ...]:
     """Strictly increasing distinct edge lengths (exact-value dedup)."""
-    return tuple(sorted({d.length for d in graph.edge_darts()}))
+    return tuple(np.unique(graph._edge_arrays.lengths).tolist())
 
 
 def filter_at(graph: MetricGraph, epsilon: float) -> MetricGraph:
@@ -71,14 +73,13 @@ def filter_at(graph: MetricGraph, epsilon: float) -> MetricGraph:
     return MetricGraph.from_edges(graph.vertices, edges)
 
 
-def _step_groups(added, owner):
+def _step_groups(added, tail_keys, head_keys):
     """The components of G_eps that the edges ``added`` at eps touch, as
-    (keys of their parts, their added edges); ``owner`` maps a vertex to
-    the key of its previous component."""
+    (keys of their parts, their added edges), given the key of the
+    previous component of the tail and of the head of each edge."""
     group: dict = {}  # part key -> ({part key: None}, edges) of its group
-    for e in added:
-        a, b = (group.setdefault(owner[v], ({owner[v]: None}, []))
-                for v in e[:2])
+    for e, *ends in zip(added, tail_keys, head_keys):
+        a, b = (group.setdefault(k, ({k: None}, [])) for k in ends)
         if a is not b:
             a[0].update(b[0])
             a[1].extend(b[1])
@@ -103,46 +104,57 @@ def persistent_entropy(graph: MetricGraph,
     if strategy not in ("direct", "incremental", "auto"):
         raise ValueError(f"unknown strategy {strategy!r}")
 
+    n, tails, heads, lengths = graph._edge_arrays
     eps_list = thresholds(graph)
-    by_length: dict = {}
-    for e in graph.edge_list():
-        by_length.setdefault(e[2], []).append(e)
-    # the components of G_eps by vertex set, each with its entropy
-    owner = {v: frozenset((v,)) for v in graph.vertices}
-    comps = {key: (MetricGraph.from_edges(key, []), 0.0)
-             for key in owner.values()}
-    steps: list[CurveStep] = []
+    by_length = np.argsort(lengths, kind="stable")
+    cuts = np.searchsorted(lengths[by_length], eps_list, side="right")
+    # the components of G_eps by key: vertex and edge indices, entropy
+    comps = {v: (np.array([v]), np.empty(0, np.intp), 0.0) for v in range(n)}
+    owner = np.arange(n)  # the key of the component of each vertex
+    local = np.empty(n, dtype=np.intp)  # index in a component's EdgeSet
+    h_eps, steps = 0.0, []
 
-    for eps in eps_list:
+    for eps, added in zip(eps_list, np.split(by_length, cuts[:-1])):
         t0 = time.perf_counter()
         used = StepStrategy.DIRECT if strategy == "direct" \
             else StepStrategy.INCREMENTAL_EDGE
         iterations = 0
         try:
-            for keys, new_edges in _step_groups(by_length[eps], owner):
+            for keys, new in _step_groups(added.tolist(),
+                                          owner[tails[added]].tolist(),
+                                          owner[heads[added]].tolist()):
                 parts = [comps.pop(k) for k in keys]
-                graphs = [g for g, _ in parts]
-                h_base = max(h for _, h in parts)
-                comp = disjoint_union(graphs, new_edges)
-                if strategy == "direct":
-                    # h_base is a certified lower bound; the max keeps
-                    # the curve monotone where the cold root rounds below
-                    root = _vertex_root(comp)
-                    h, evals = max(h_base, root.h), root.evals
-                else:
-                    h, _, _, evals = _extend(
-                        comp, graphs, {v for e in new_edges for v in e[:2]},
-                        h_base)
-                    if any(g.edge_count == 0 for g in graphs):
-                        used = StepStrategy.INCREMENTAL_VERTEX
-                iterations += evals
-                comps[comp.vertex_set] = (comp, h)
-                owner.update(dict.fromkeys(comp.vertices, comp.vertex_set))
+                # parts in group order, then the new edges: the vertex
+                # and edge order, and so every M(t), of a rebuilt graph
+                verts = np.concatenate([p[0] for p in parts])
+                edges = np.concatenate([p[1] for p in parts] + [new])
+                h = h_base = max(p[2] for p in parts)
+                betti = edges.size - verts.size + 1
+                if betti > 1 and (strategy == "direct" or betti > max(
+                        p[1].size - p[0].size + 1 for p in parts)):
+                    local[verts] = np.arange(verts.size)
+                    comp = EdgeSet(verts.size, local[tails[edges]],
+                                   local[heads[edges]], lengths[edges],
+                                   min(map(graph.vertices.__getitem__,
+                                           verts.tolist())))
+                    if strategy == "direct":
+                        # h_base is a certified lower bound; the max keeps
+                        # the curve monotone where the cold root rounds below
+                        root = _cold_root(comp)
+                        h, evals = max(h_base, root.h), root.evals
+                    else:
+                        ends = local[np.concatenate((tails[new], heads[new]))]
+                        h, _, evals = _schur_root(comp, ends, h_base)
+                    iterations += evals
+                if strategy != "direct" and any(p[1].size == 0
+                                                for p in parts):
+                    used = StepStrategy.INCREMENTAL_VERTEX
+                comps[keys[0]] = (verts, edges, h)
+                owner[verts] = keys[0]
+                h_eps = max(h_eps, h)
         except EntrographError as exc:
             exc.threshold = eps
             raise
-
-        h_eps = max(h for _, h in comps.values())
         ms = (time.perf_counter() - t0) * 1e3
         steps.append(CurveStep(eps, h_eps, used, iterations, ms))
 

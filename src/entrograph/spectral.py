@@ -19,8 +19,8 @@ The symmetric V x V vertex matrix of the weighted Ihara-Bass identity,
 det(I - B(t)) = det M(t) * prod_e (1 - z_e^2) with z_e = e^{-t l_e},
 carries the same information for the path generating functions: M(t)
 is positive definite exactly when t lies above the entropy.  One pass
-over the graph's cached edge arrays gives M(t) and M'(t) together
-(``_vertex_forms``), and one ``np.bincount`` over a cached flat index
+over an edge set (``graph.EdgeSet``) gives M(t) and M'(t) together
+(``_vertex_forms``), and one ``np.bincount`` over its cached flat index
 assembles either (``VertexForm.matrix``), so an evaluation of
 lambda_min(M(t)) is that pass plus one LAPACK ``dsyevr``.
 """
@@ -35,7 +35,7 @@ from scipy.sparse import csr_matrix, issparse
 from scipy.sparse.csgraph import connected_components
 
 from .errors import NonConvergence
-from .graph import MetricGraph
+from .graph import EdgeSet, MetricGraph
 
 
 class TransferMode(Enum):
@@ -149,18 +149,18 @@ class VertexForm:
         return out
 
 
-def _vertex_forms(graph: MetricGraph, t: float, mode: TransferMode
+def _vertex_forms(edges: EdgeSet, t: float, mode: TransferMode
                   ) -> tuple[VertexForm, VertexForm]:
     """M(t) and M'(t) at t > 0 from one z = e^{-t l} and one 1 - z^2 =
-    -expm1(-2 t l) over the graph's cached edge arrays.  Non-backtracking:
-    weights z/(1-z^2) and -l z(1+z^2)/(1-z^2)^2, endpoint terms -z/(1+z)
+    -expm1(-2 t l) over an edge set.  Non-backtracking: weights
+    z/(1-z^2) and -l z(1+z^2)/(1-z^2)^2, endpoint terms -z/(1+z)
     and l z/(1+z)^2; a loop's net diagonal term in M(t) is -2z/(1+z) =
     tanh(t l/2) - 1, whose 1 cancels the identity before any other term,
     so a short loop keeps its digits.  Backtracking (I - W(t)): weights z
     and -l z, endpoint terms -z and l z.  Other terms count a loop twice.
     """
-    n, u, w, lengths = graph._edge_arrays
-    keep, tails, heads, l_keep, loop, scatter = graph._vertex_pattern
+    n, u, w, lengths = edges
+    keep, tails, heads, l_keep, loop, scatter = edges._vertex_pattern
     z = np.exp(-t * lengths)
     zk, shift = z[keep], 1.0  # the first update makes it an array
     if mode is TransferMode.BACKTRACKING:
@@ -187,7 +187,7 @@ def vertex_form(graph: MetricGraph, t: float,
                 ) -> VertexForm:
     """Vertex matrix at parameter t > 0, indexed in ``graph.vertices``
     order (see ``vertex_matrix``)."""
-    return _vertex_forms(graph, t, mode)[0]
+    return _vertex_forms(graph._edge_arrays, t, mode)[0]
 
 
 def vertex_form_dt(graph: MetricGraph, t: float,
@@ -196,7 +196,7 @@ def vertex_form_dt(graph: MetricGraph, t: float,
     """t-derivative M'(t) of the vertex matrix, laid out as ``vertex_form``:
     lambda_min(M(t)) has slope v @ vertex_form_dt(graph, h).apply(v) at h,
     v the unit null vector of M(h)."""
-    return _vertex_forms(graph, t, mode)[1]
+    return _vertex_forms(graph._edge_arrays, t, mode)[1]
 
 
 def vertex_matrix(graph: MetricGraph, t: float,

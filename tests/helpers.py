@@ -193,6 +193,67 @@ def multigraphs(draw):
         names, [(u, v, 10.0 ** e) for (u, v), e in zip(ends, exps)])
 
 
+def _rebuild_groups(added, owner):
+    """The components of G_eps that the edges ``added`` touch, as (keys
+    of their parts, their added edges); ``owner`` maps a vertex to the
+    key of its previous component."""
+    group = {}  # part key -> ({part key: None}, edges) of its group
+    for e in added:
+        a, b = (group.setdefault(owner[v], ({owner[v]: None}, []))
+                for v in e[:2])
+        if a is not b:
+            a[0].update(b[0])
+            a[1].extend(b[1])
+            group.update(dict.fromkeys(b[0], a))
+        a[1].append(e)
+    return [(list(keys), edges) for keys, edges
+            in {id(g): g for g in group.values()}.values()]
+
+
+def rebuild_curve(graph, strategy):
+    """(h, iterations, strategy) of each step of ``persistent_entropy``,
+    from a loop that rebuilds each changed component as a ``MetricGraph``
+    (``disjoint_union`` of its parts and its new edges) and solves it with
+    ``entropy._vertex_root`` ("direct") or ``incremental._extend``.  The
+    package walks the full graph's edge arrays instead and must give the
+    same steps bit for bit."""
+    from entrograph import StepStrategy
+    from entrograph.entropy import _vertex_root
+    from entrograph.graph import disjoint_union
+    from entrograph.incremental import _extend
+
+    by_length = {}
+    for e in graph.edge_list():
+        by_length.setdefault(e[2], []).append(e)
+    owner = {v: frozenset((v,)) for v in graph.vertices}
+    comps = {key: (MetricGraph.from_edges(key, []), 0.0)
+             for key in owner.values()}
+    out = []
+    for eps in sorted(by_length):
+        used = StepStrategy.DIRECT if strategy == "direct" \
+            else StepStrategy.INCREMENTAL_EDGE
+        iterations = 0
+        for keys, new_edges in _rebuild_groups(by_length[eps], owner):
+            parts = [comps.pop(k) for k in keys]
+            graphs = [g for g, _ in parts]
+            h_base = max(h for _, h in parts)
+            comp = disjoint_union(graphs, new_edges)
+            if strategy == "direct":
+                root = _vertex_root(comp)
+                h, evals = max(h_base, root.h), root.evals
+            else:
+                h, _, _, evals = _extend(
+                    comp, graphs, {v for e in new_edges for v in e[:2]},
+                    h_base)
+                if any(g.edge_count == 0 for g in graphs):
+                    used = StepStrategy.INCREMENTAL_VERTEX
+            iterations += evals
+            comps[comp.vertex_set] = (comp, h)
+            owner.update(dict.fromkeys(comp.vertices, comp.vertex_set))
+        out.append((max(h for _, h in comps.values()), iterations, used))
+    return out
+
+
 def reference_vertex_forms(graph, t, mode=TransferMode.NON_BACKTRACKING):
     """M(t) and M'(t) as (shift, tails, heads, weights), each form built
     on its own from the edge arrays, the way the package built them
@@ -293,7 +354,8 @@ def scalar_default_radii(attained, r_max, tie_guard, want=20):
     if attained.size == 0:
         return (r_max,)
     floor = 200.0 * tie_guard
-    gaps = [(a, b) for a, b in zip(attained[:-1], attained[1:])
+    gaps = [(a, b) for a, b in zip(attained[:-1].tolist(),
+                                   attained[1:].tolist())
             if b - a > floor]
     gaps.append((float(attained[-1]), r_max))
     candidates = []

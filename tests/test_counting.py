@@ -662,9 +662,10 @@ def test_recursions_match_scalar_on_cores(g, block):
     bt_cyc = _fitted_profile(core, PathKind.CYCLES_AT, BT, 300, v, 2000)
     r_max, ties = bt_cyc.r_max, bt_cyc.jump_radii()[::3]
     with patch.object(counting, "_GRID_BLOCK", block):
-        assert verify_recursions(core, v, r_max=r_max, cap=2000) \
-            == scalar_recursions(core, v, r_max=r_max, cap=2000)
-        if ties.size:  # repr also tells a numpy integer from an int
+        # repr also tells a numpy scalar from a Python one
+        assert repr(verify_recursions(core, v, r_max=r_max, cap=2000)) \
+            == repr(scalar_recursions(core, v, r_max=r_max, cap=2000))
+        if ties.size:
             assert repr(verify_recursions(core, v, r_grid=ties, cap=2000,
                                           tie_guard=0.0)) \
                 == repr(scalar_recursions(core, v, r_grid=ties, cap=2000,

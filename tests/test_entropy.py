@@ -326,7 +326,7 @@ def test_lambda_min_eigenpair_matches_eigh(mode, g, s):
     t = s * entropy._vertex_root(g, mode).h
     m = vertex_form(g, t, mode).matrix()
     w, vecs = np.linalg.eigh(m)
-    lam, v, _, noise = entropy._lambda_min(g, t, mode)
+    lam, v, _, noise = entropy._lambda_min(g._edge_arrays, t, mode)
     scale = np.abs(m).sum(axis=1).max()
     assert abs(lam - w[0]) <= 1e-12 * scale
     assert 0.0 < noise <= 1e-14 * scale

@@ -87,8 +87,8 @@ def test_edge_arrays_cached_and_read_only():
     for arr in (u, w, lengths):
         with pytest.raises(ValueError):
             arr[0] = 1
-    keep, tails, heads, l_keep, loop, scatter = g._vertex_pattern
-    assert g._vertex_pattern is g._vertex_pattern
+    keep, tails, heads, l_keep, loop, scatter = g._edge_arrays._vertex_pattern
+    assert g._edge_arrays._vertex_pattern is g._edge_arrays._vertex_pattern
     assert keep.tolist() == [0] and loop.tolist() == [1]
     assert tails.tolist() == [1] and heads.tolist() == [0]
     assert l_keep.tolist() == [2.0]

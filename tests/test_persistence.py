@@ -1,6 +1,7 @@
 """Persistent entropy curves and their strategy independence."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,10 +9,11 @@ from hypothesis import given, settings, strategies as st
 from entrograph import (EntropyCurve, MetricGraph, NonConvergence,
                         StepStrategy, UnknownFormat, add_edge,
                         curve_from_json, delete_edge, export_curve,
-                        filter_at, first_betti, generate_graph, persistence,
-                        persistent_entropy, same_graph, thresholds,
-                        volume_entropy)
-from helpers import c4, complete4, eig_entropy, multigraphs, theta
+                        filter_at, first_betti, generate_graph, graph,
+                        persistence, persistent_entropy, same_graph,
+                        thresholds, volume_entropy)
+from helpers import (c4, complete4, eig_entropy, multigraphs, rebuild_curve,
+                     theta)
 
 
 def k4_with_long_chord():
@@ -150,6 +152,48 @@ def batched_multigraphs(draw):
         for u, v, _ in g.edge_list()])
 
 
+def _steps(curve):
+    return [(s.h, s.iterations, s.strategy) for s in curve.steps]
+
+
+@pytest.mark.parametrize("strategy", ["direct", "incremental"])
+@pytest.mark.parametrize("args", [(1, 8, 16), (3, 6, 12), (3, 12, 24),
+                                  (1, 20, 40), (1, 40, 80), (2, 60, 120)])
+def test_curve_equals_the_rebuild_reference(args, strategy):
+    g = generate_graph(*args)
+    assert _steps(persistent_entropy(g, strategy)) \
+        == rebuild_curve(g, strategy)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(multigraphs(), batched_multigraphs()))
+def test_curve_equals_the_rebuild_reference_on_multigraphs(g):
+    for strategy in ("direct", "incremental"):
+        assert _steps(persistent_entropy(g, strategy)) \
+            == rebuild_curve(g, strategy)
+
+
+@pytest.mark.parametrize("strategy", ["direct", "incremental", "auto"])
+def test_steps_build_no_graph(monkeypatch, strategy):
+    # the curve walks the full graph's edge arrays: no step makes a
+    # MetricGraph or splits one into components
+    calls = []
+    from_edges = MetricGraph.from_edges.__func__
+    monkeypatch.setattr(MetricGraph, "from_edges", classmethod(
+        lambda cls, *args: calls.append("from_edges")
+        or from_edges(cls, *args)))
+    components = graph.components
+    counted = lambda g: calls.append("components") or components(g)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("entrograph") \
+                and getattr(module, "components", None) is components:
+            monkeypatch.setattr(module, "components", counted)
+    g = generate_graph(1, 40, 80)
+    calls.clear()
+    assert len(persistent_entropy(g, strategy).steps) == 80
+    assert calls == []
+
+
 def _matches_eig_oracle(g):
     """The incremental curve takes no direct step and agrees with the
     dense-eigenvalue entropy of every G_eps that has a component of
@@ -250,7 +294,7 @@ def test_package_error_carries_its_threshold(monkeypatch):
     def fail(*args, **kwargs):
         raise NonConvergence("no root")
 
-    monkeypatch.setattr(persistence, "_vertex_root", fail)
+    monkeypatch.setattr(persistence, "_cold_root", fail)
     with pytest.raises(NonConvergence) as info:
         persistent_entropy(complete4(), strategy="direct")
     assert info.value.threshold == 1.0
@@ -261,7 +305,7 @@ def test_other_errors_propagate_untouched(monkeypatch):
     def fail(*args, **kwargs):
         raise ZeroDivisionError("division by zero")
 
-    monkeypatch.setattr(persistence, "_vertex_root", fail)
+    monkeypatch.setattr(persistence, "_cold_root", fail)
     with pytest.raises(ZeroDivisionError) as info:
         persistent_entropy(complete4(), strategy="direct")
     assert info.value.args == ("division by zero",)
