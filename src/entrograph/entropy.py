@@ -247,34 +247,36 @@ def _vertex_root(graph: MetricGraph,
     """Entropy of a graph as the largest root of lambda_min(M(t)) = 0,
     with M(t) the vertex matrix of ``mode`` (module docstring).
 
-    Non-backtracking: a component with first Betti number <= 1 has h = 0,
-    and every other component is solved as it is, unreduced: its M(t)
-    has the largest root of its core, and v lives on its own vertices.
-    The graph's h is the maximum over components.  Backtracking: one
-    solve of I - W(t) over the whole graph, whose lambda_min is the
-    smallest over its components; h = 0 where lambda_min(I - W(0)) >= 0.
+    Non-backtracking: a component of ``graph._split`` with first Betti
+    number <= 1 has h = 0, and every other one is solved as it is,
+    unreduced, on its gathered edge set: its M(t) has the largest root of
+    its core, and v lives on its own vertices.  The graph's h is the
+    maximum over components.  Backtracking: one solve of I - W(t) over
+    the whole graph, whose lambda_min is the smallest over its
+    components; h = 0 where lambda_min(I - W(0)) >= 0.
     """
     zero = _VertexRoot(0.0, None, 0.0, 0.0, (0.0, 0.0), 0)
+    n, whole = len(graph.vertices), graph._edge_arrays
     if mode is TransferMode.BACKTRACKING:
         if not graph.darts:
             return zero
-        if _lambda_min(graph._edge_arrays, 0.0, mode)[0] >= 0.0:
+        if _lambda_min(whole, 0.0, mode)[0] >= 0.0:
             return replace(zero, evals=1)
-        comps, evals = [graph], 1
+        parts, evals = [(np.arange(n), None)], 1
     else:
-        comps, evals = [c for c in components(graph)
-                        if c.edge_count - len(c.vertices) + 1 > 1], 0
-    best, comp_best = zero, graph
-    for comp in comps:
-        root = _cold_root(comp._edge_arrays, mode)
+        parts, evals = [(v, e) for v, e in graph._split[1]
+                        if e.size - v.size + 1 > 1], 0
+    best, best_verts = zero, None
+    for verts, edges in parts:
+        root = _cold_root(whole if verts.size == n
+                          else whole.take(verts, edges, graph.vertices), mode)
         evals += root.evals
         if root.h > best.h:
-            best, comp_best = root, comp
+            best, best_verts = root, verts
     v = best.v
-    if v is not None and comp_best.vertices != graph.vertices:
-        index = {u: i for i, u in enumerate(graph.vertices)}
-        v = np.zeros(len(index))
-        v[[index[u] for u in comp_best.vertices]] = best.v
+    if v is not None and best_verts.size != n:
+        v = np.zeros(n)
+        v[best_verts] = best.v
     return replace(best, v=v, evals=evals)
 
 

@@ -6,6 +6,9 @@ transition relation a relation on dart ids, which keeps every transfer
 matrix index-stable.  Parallel edges and loops are permitted; a loop
 contributes a dart pair with equal tail and head and counts 2 toward the
 degree of its vertex.
+
+Connected components come from one cached split of the edge arrays
+(``MetricGraph._split``) into each component's vertex and edge indices.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy.sparse import coo_array
+from scipy.sparse.csgraph import connected_components
 
 from .errors import NonPositiveLength, UnknownVertex
 
@@ -72,7 +77,7 @@ class MetricGraph:
             length = float(length)
             if not (length > 0.0) or not math.isfinite(length):
                 raise NonPositiveLength(
-                    f"edge [{u}, {v}] has non-positive length {length!r}")
+                    f"edge [{u}, {v}] has length {length!r}, not in (0, inf)")
             k = len(darts)
             darts.append(Dart(k, u, v, length, k + 1))
             darts.append(Dart(k + 1, v, u, length, k))
@@ -92,10 +97,15 @@ class MetricGraph:
         return {v: tuple(ids) for v, ids in table.items()}
 
     @cached_property
+    def _index(self) -> dict[str, int]:
+        """The position of each vertex in ``vertices``."""
+        return {v: i for i, v in enumerate(self.vertices)}
+
+    @cached_property
     def _edge_arrays(self) -> EdgeSet:
         """The edges of ``edge_darts``, vertices indexed in ``vertices``
         order."""
-        index = {v: i for i, v in enumerate(self.vertices)}
+        index = self._index
         edges = self.edge_darts()
         return EdgeSet(len(index),
                        np.array([index[d.tail] for d in edges], dtype=np.intp),
@@ -118,7 +128,7 @@ class MetricGraph:
         read-only index arrays: rows d, columns d' and the CSR row
         offsets.  Pairs come in row-major order, the successors of d in
         dart-id order."""
-        index = {v: i for i, v in enumerate(self.vertices)}
+        index = self._index
         tails = np.array([index[d.tail] for d in self.darts], dtype=np.intp)
         heads = np.array([index[d.head] for d in self.darts], dtype=np.intp)
         by_tail = np.argsort(tails, kind="stable")
@@ -138,6 +148,25 @@ class MetricGraph:
         rows, cols, _ = self._bt_transitions
         keep = cols != self._dart_arrays[1][rows]
         return _csr_pattern(len(self.darts), rows[keep], cols[keep])
+
+    @cached_property
+    def _split(self) -> tuple[np.ndarray, list]:
+        """The component of each vertex, and each component's vertex and
+        edge indices in ascending order, components ordered by least
+        vertex name; read-only arrays."""
+        n, tails, heads, _ = self._edge_arrays
+        count, labels = connected_components(
+            coo_array((np.ones(tails.size), (tails, heads)), shape=(n, n)),
+            directed=False)
+        by_name = sorted(range(n), key=self.vertices.__getitem__)
+        first = np.unique(labels[by_name], return_index=True)[1]
+        labels = np.argsort(np.argsort(first))[labels]  # least-name order
+        verts, edges = (np.split(np.argsort(label, kind="stable"), np.cumsum(
+            np.bincount(label, minlength=count)))[:-1]  # drop the empty tail
+            for label in (labels, labels[tails]))
+        for arr in (labels, *verts, *edges):
+            arr.flags.writeable = False
+        return labels, list(zip(verts, edges))
 
     def out_darts(self, v: str) -> tuple[int, ...]:
         """Ids of darts leaving v, in dart-id order."""
@@ -202,6 +231,18 @@ class EdgeSet:
             arr.setflags(write=False)
         return arrays
 
+    def take(self, verts: np.ndarray, edges: np.ndarray,
+             names: Sequence[str]) -> "EdgeSet":
+        """The edge set of the vertices ``verts``, renumbered 0.. in that
+        order, and of the edges ``edges`` among them.  ``names`` names
+        the vertices; an index past it is a new vertex, which has none."""
+        local = np.empty(self.n, dtype=np.intp)
+        local[verts] = np.arange(verts.size)
+        return EdgeSet(verts.size, local[self.tails[edges]],
+                       local[self.heads[edges]], self.lengths[edges],
+                       min(map(names.__getitem__,
+                               verts[verts < len(names)].tolist())))
+
     @cached_property
     def max_degree(self) -> int:
         """The largest vertex degree; a loop counts 2."""
@@ -264,57 +305,28 @@ def validate(graph: MetricGraph) -> tuple[str, ...]:
 def components(graph: MetricGraph) -> list[MetricGraph]:
     """Split into connected components, ordered by smallest vertex id.
 
-    Each component keeps the vertex identifiers of the input graph; a
-    connected graph is its own single component, returned as it is.
+    Each component keeps the identifiers and order of the input graph's
+    vertices and edges; a connected graph is returned as it is.
     """
-    adj: dict[str, set[str]] = {v: set() for v in graph.vertices}
-    for d in graph.darts:
-        adj[d.tail].add(d.head)
-    seen: set[str] = set()
-    out: list[MetricGraph] = []
-    for start in sorted(graph.vertices):
-        if start in seen:
-            continue
-        stack, comp = [start], {start}
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in comp:
-                    comp.add(w)
-                    seen.add(w)
-                    stack.append(w)
-        if len(comp) == len(graph.vertices):
-            return [graph]
-        verts = tuple(v for v in graph.vertices if v in comp)
-        edges = tuple((d.tail, d.head, d.length)
-                      for d in graph.edge_darts() if d.tail in comp)
-        out.append(MetricGraph.from_edges(verts, edges))
-    return out
+    parts = graph._split[1]
+    if len(parts) == 1:
+        return [graph]
+    edges = graph.edge_list()
+    return [MetricGraph.from_edges(
+        map(graph.vertices.__getitem__, v.tolist()),
+        map(edges.__getitem__, e.tolist())) for v, e in parts]
 
 
 def component_of(graph: MetricGraph, x: str) -> MetricGraph:
     """The connected component containing vertex x."""
-    for comp in components(graph):
-        if x in comp.vertex_set:
-            return comp
-    raise UnknownVertex(f"unknown vertex {x!r}")
-
-
-def disjoint_union(parts: Sequence[MetricGraph],
-                   edges: Sequence[tuple[str, str, float]] = ()
-                   ) -> MetricGraph:
-    """One graph holding vertex-disjoint parts side by side, with
-    ``edges`` added between their vertices."""
-    return MetricGraph.from_edges(
-        [v for p in parts for v in p.vertices],
-        [e for p in parts for e in p.edge_list()] + list(edges))
+    if x not in graph.vertex_set:
+        raise UnknownVertex(f"unknown vertex {x!r}")
+    return components(graph)[graph._split[0][graph._index[x]]]
 
 
 def first_betti(graph: MetricGraph) -> tuple[int, ...]:
     """First Betti number |E| - |V| + 1 of each connected component."""
-    return tuple(comp.edge_count - len(comp.vertices) + 1
-                 for comp in components(graph))
+    return tuple(e.size - v.size + 1 for v, e in graph._split[1])
 
 
 @dataclass(frozen=True)
@@ -337,23 +349,17 @@ def reduce(graph: MetricGraph) -> ReduceResult:
     HYPERBOLIC).  Kinds align with the ``components`` order, and the
     surviving vertices keep their identifiers.
     """
-    pieces: list[tuple[tuple[str, ...], list[tuple[str, str, float]]]] = []
-    kinds: list[ComponentKind] = []
+    verts, edges, kinds = [], [], []  # of the reduced graph, per component
     for comp in components(graph):
         betti = comp.edge_count - len(comp.vertices) + 1
-        if betti == 0:
-            kinds.append(ComponentKind.TRIVIAL)
-            continue
-        kinds.append(ComponentKind.SINGLE_CYCLE if betti == 1
+        kinds.append(ComponentKind.TRIVIAL if betti == 0
+                     else ComponentKind.SINGLE_CYCLE if betti == 1
                      else ComponentKind.HYPERBOLIC)
-        pieces.append(_reduce_component(comp))
-    verts: list[str] = []
-    edges: list[tuple[str, str, float]] = []
-    for pv, pe in pieces:
-        verts.extend(pv)
-        edges.extend(pe)
-    reduced = MetricGraph.from_edges(verts, edges)
-    return ReduceResult(reduced, tuple(kinds))
+        if betti > 0:
+            pv, pe = _reduce_component(comp)
+            verts.extend(pv)
+            edges.extend(pe)
+    return ReduceResult(MetricGraph.from_edges(verts, edges), tuple(kinds))
 
 
 def _reduce_component(comp: MetricGraph):
@@ -410,14 +416,9 @@ def add_edge(graph: MetricGraph, x: str, y: str, l0: float) -> MetricGraph:
     """Return a new graph with one extra edge [x, y] of length l0.
 
     x == y produces a loop.  The input graph is unchanged.
+    ``from_edges`` rejects an unknown end and a length that is not
+    positive and finite.
     """
-    if x not in graph.vertex_set:
-        raise UnknownVertex(f"unknown vertex {x!r}")
-    if y not in graph.vertex_set:
-        raise UnknownVertex(f"unknown vertex {y!r}")
-    l0 = float(l0)
-    if not (l0 > 0.0) or not math.isfinite(l0):
-        raise NonPositiveLength(f"edge length must be positive, got {l0!r}")
     return MetricGraph.from_edges(graph.vertices,
                                   graph.edge_list() + ((x, y, l0),))
 
@@ -429,16 +430,11 @@ def add_vertex(graph: MetricGraph,
 
     ``attachments`` lists (v_i, l_i) pairs: one new edge of length l_i per
     entry from the new vertex to v_i.  The new vertex id is generated
-    deterministically unless ``new_id`` is given.
+    deterministically unless ``new_id`` is given.  Targets and lengths
+    are checked as in ``add_edge``.
     """
     if not attachments:
         raise ValueError("attachment list must not be empty")
-    for v, _ in attachments:
-        if v not in graph.vertex_set:
-            raise UnknownVertex(f"unknown vertex {v!r}")
-    for _, l in attachments:
-        if not (float(l) > 0.0) or not math.isfinite(float(l)):
-            raise NonPositiveLength(f"edge length must be positive, got {l!r}")
     if new_id is None:
         k = len(graph.vertices)
         new_id = f"v{k}"
@@ -447,8 +443,7 @@ def add_vertex(graph: MetricGraph,
             new_id = f"v{k}"
     elif new_id in graph.vertex_set:
         raise ValueError(f"vertex {new_id!r} already exists")
-    edges = graph.edge_list() + tuple(
-        (new_id, v, float(l)) for v, l in attachments)
+    edges = graph.edge_list() + tuple((new_id, v, l) for v, l in attachments)
     return MetricGraph.from_edges(graph.vertices + (new_id,), edges)
 
 

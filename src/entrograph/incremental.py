@@ -13,13 +13,10 @@ is then positive definite exactly when the |S| x |S| Schur complement
 is, with F the block among S of the path generating functions f_ab of
 G_0 (M_0/R = (I + F)^{-1}, ``genfun``) and Delta_S the terms of the new
 edges.  So the new entropy h' is the largest root of lambda_min(K(t)) =
-0, found by the package's one Newton solver (``entropy._schur_root``).
-K is formed from M_G(t) and one Cholesky factorization of its block on
-R, not by inverting I + F, which is near-singular at the pole of F at
-h_base, and lambda_min(K) is an edge-form quotient of M_G, not the
-eigenvalue of the assembled K, whose rounding grows with the weights
-1/(2 t l) of short edges.  The root is that of the paper's
-rho(T(t)) = 1, T the first-return matrix over the 2k new darts,
+0, found by the package's one Newton solver (``entropy._schur_root``,
+which forms K from M_G(t), not by inverting I + F).  The root is that of
+the paper's rho(T(t)) = 1, T the first-return matrix over the 2k new
+darts,
 
     T(t)[d, d'] = e^{-l(d') t} (f_{head d, tail d'}(t)
                                 + [head d = tail d' and d' != rev d]),
@@ -37,13 +34,15 @@ darts.  The paper's formulas are its small cases:
   e^{-(l_i + l_j) t} (f_{v_i v_j} + [v_i = v_j, i != j]) and
   A = ones - identity.
 
-h_base, when the caller does not supply it, comes from the
-vertex-matrix solve of each part of G_0 (``entropy._vertex_root``).
-
-Let b be the first Betti number of the new component.  If b <= 1 its
-entropy is 0.  If b equals the largest Betti number among the parts, the
-new edges join that part to trees along a tree (a pendant edge, say) and
-the entropy stays h_base exactly.
+One join (``_join``) serves both edits and the persistence walk: the
+parts' vertex and edge indices in the full graph's edge set, to which an
+edit appends its edges (a new vertex is index n), then the new edges,
+gathered once as an ``EdgeSet``.  Let b be its first Betti number.  If b
+<= 1 its entropy is 0.  Else h_base is the largest entropy of the parts,
+solved cold (``entropy._cold_root``) where not given and b >= 2 for the
+part.  If b equals the largest Betti number among the parts, the new
+edges join that part to trees along a tree (a pendant edge, say) and the
+entropy stays h_base exactly.
 
 The asymptotic constants of the pole f_ab(t) ~ C_ab t / (t - h) have the
 closed form C_ab = v_a v_b / (h lambda'(h)), with v the unit null vector
@@ -62,10 +61,10 @@ import numpy as np
 
 from .counting import (DEFAULT_CAP, EnumerationSpec, PathKind,
                        _step_integral, enumerate_paths, horizon_for_budget)
-from .entropy import _schur_root, _vertex_root
-from .errors import (DisconnectedPair, NonConvergence,
+from .entropy import _cold_root, _schur_root, _vertex_root
+from .errors import (DisconnectedPair, NonConvergence, NonPositiveLength,
                      PreconditionError, TooFewAttachments, UnknownVertex)
-from .graph import MetricGraph, component_of, components, disjoint_union
+from .graph import EdgeSet, MetricGraph, components
 
 
 @dataclass(frozen=True)
@@ -125,43 +124,82 @@ class VertexPrediction:
     h_base: float
 
 
-def _shared_component(graph: MetricGraph, verts: Sequence[str]) -> MetricGraph:
+def _shared_part(graph: MetricGraph, verts: Sequence[str]) -> int:
+    """The position in ``graph._split`` of the component of all of
+    ``verts``."""
     for v in verts:
         if v not in graph.vertex_set:
             raise UnknownVertex(f"unknown vertex {v!r}")
-    comp = component_of(graph, verts[0])
-    missing = [v for v in verts if v not in comp.vertex_set]
+    labels = graph._split[0][[graph._index[v] for v in verts]]
+    missing = [v for v, k in zip(verts, labels) if k != labels[0]]
     if missing:
         raise DisconnectedPair(
             f"vertices {missing} lie outside the component of {verts[0]!r}")
-    return comp
+    return int(labels[0])
 
 
-def _betti(graph: MetricGraph) -> int:
-    return graph.edge_count - len(graph.vertices) + 1
+def _check_length(length: float, edge: str) -> float:
+    """``length`` as a float, else PreconditionError or NonPositiveLength."""
+    length = float(length)
+    if not (length > 0.0 and math.isfinite(length)):
+        raise (PreconditionError if length <= 0.0 else NonPositiveLength)(
+            f"{edge} has length {length!r}; it must be positive and finite")
+    return length
 
 
-def _extend(graph: MetricGraph, parts: Sequence[MetricGraph],
-            ends: set[str], h_base: float | None
-            ) -> tuple[float, float, float, int]:
-    """Entropy of the connected ``graph``, its vertex-disjoint ``parts``
-    joined by new edges with the ends ``ends`` (module docstring).
+def _attachment_lengths(attachments) -> list[float]:
+    if len(attachments) < 3:
+        raise TooFewAttachments(
+            f"need at least 3 attachment edges, got {len(attachments)}")
+    return [_check_length(l, f"attachment edge to {v!r}")
+            for v, l in attachments]
 
-    ``h_base`` is the entropy of the union of the parts, solved on the
-    vertex matrix when None and needed.  Returns (h', h_base, residual,
-    evaluations), the residual as in ``EdgeAdditionResult``.
+
+def _join(full: EdgeSet, names: Sequence[str], parts, new,
+          direct: bool = False):
+    """The component of ``full`` made of ``parts``, each (vertex indices,
+    edge indices, entropy or None), and the edges ``new`` (module
+    docstring): (vertex indices, edge indices, h', h_base, residual,
+    evaluations), the residual as in ``EdgeAdditionResult``.  ``direct``
+    solves it cold instead, and keeps h_base where the cold root rounds
+    below that certified lower bound.  ``names`` as in ``EdgeSet.take``.
     """
-    betti = _betti(graph)
+    verts = np.concatenate([p[0] for p in parts])
+    edges = np.concatenate([p[1] for p in parts] + [new])
+    betti = edges.size - verts.size + 1
     if betti <= 1:
-        return 0.0, 0.0, 0.0, 0
-    if h_base is None:
-        h_base = max(_vertex_root(p).h for p in parts)
-    if betti == max(map(_betti, parts)):
-        return h_base, h_base, 0.0, 0
-    h_prime, residual, evals = _schur_root(
-        graph._edge_arrays,
-        np.flatnonzero([v in ends for v in graph.vertices]), h_base)
-    return h_prime, h_base, residual, evals
+        return verts, edges, 0.0, 0.0, 0.0, 0
+    h_base = max(h if h is not None
+                 else _cold_root(full.take(v, e, names)).h if e.size > v.size
+                 else 0.0 for v, e, h in parts)
+    if not direct and betti == max(e.size - v.size + 1 for v, e, _ in parts):
+        return verts, edges, h_base, h_base, 0.0, 0
+    comp = full.take(verts, edges, names)
+    if direct:
+        root = _cold_root(comp)
+        return (verts, edges, max(h_base, root.h), h_base,
+                abs(root.null_eigenvalue), root.evals)
+    ends = np.concatenate((comp.tails[-len(new):], comp.heads[-len(new):]))
+    h_prime, residual, evals = _schur_root(comp, ends, h_base)
+    return verts, edges, h_prime, h_base, residual, evals
+
+
+def _edit(graph: MetricGraph, tails: list[int], heads: list[int],
+          lengths: list[float], h_base: float | None):
+    """(h', h_base, residual, evaluations) after adding the edges
+    tails[i]-heads[i] of lengths[i] to ``graph``, tail n a new vertex: the
+    join of the components they touch, of entropy ``h_base`` if given."""
+    n, u, w, l = old = graph._edge_arrays
+    labels, split = graph._split
+    ends = np.array(tails + heads)
+    keys = sorted(set(labels[ends[ends < n]].tolist()))
+    parts = [split[k] + (h_base,) for k in keys]
+    if n in tails:
+        parts.append((np.array([n]), np.empty(0, dtype=np.intp), h_base))
+    full = EdgeSet(n + (n in tails), np.append(u, tails), np.append(w, heads),
+                   np.append(l, lengths), old.name)
+    return _join(full, graph.vertices, parts,
+                 np.arange(u.size, full.tails.size))[2:]
 
 
 def entropy_after_edge(graph: MetricGraph, x: str, y: str, l0: float,
@@ -176,15 +214,13 @@ def entropy_after_edge(graph: MetricGraph, x: str, y: str, l0: float,
     tree (a pendant edge, say) keeps h' = h_base; both report 0
     iterations (module docstring).
     """
-    if l0 <= 0:
-        raise PreconditionError("edge length must be positive")
+    l0 = _check_length(l0, f"edge [{x}, {y}]")
     for v in (x, y):
         if v not in graph.vertex_set:
             raise UnknownVertex(f"unknown vertex {v!r}")
-    parts = [c for c in components(graph) if c.vertex_set & {x, y}]
-    h_prime, h_base, residual, evals = _extend(
-        disjoint_union(parts, [(x, y, float(l0))]), parts, {x, y}, h_base)
-    return EdgeAdditionResult(h_prime, h_base, float(l0), residual, evals)
+    h_prime, h_base, residual, evals = _edit(
+        graph, [graph._index[x]], [graph._index[y]], [l0], h_base)
+    return EdgeAdditionResult(h_prime, h_base, l0, residual, evals)
 
 
 def entropy_after_vertex(graph: MetricGraph,
@@ -195,18 +231,12 @@ def entropy_after_vertex(graph: MetricGraph,
     targets, where rho((D A)(t)) = 1 (module docstring).  ``h_base`` is
     the entropy of that component, solved on the vertex matrix when
     None."""
-    n = len(attachments)
-    if n < 3:
-        raise TooFewAttachments(f"need at least 3 attachment edges, got {n}")
-    if any(float(l) <= 0 for _, l in attachments):
-        raise PreconditionError("attachment lengths must be positive")
-    comp = _shared_component(graph, [v for v, _ in attachments])
-    hub = max(comp.vertices, key=len) + "+"  # longer than any name in comp
-    parts = [comp, MetricGraph.from_edges([hub], [])]
-    edges = [(hub, v, float(l)) for v, l in attachments]
-    return VertexAdditionResult(*_extend(
-        disjoint_union(parts, edges), parts,
-        {hub} | {v for v, _ in attachments}, h_base))
+    lengths = _attachment_lengths(attachments)
+    targets = [v for v, _ in attachments]
+    _shared_part(graph, targets)  # all targets in one component
+    return VertexAdditionResult(*_edit(
+        graph, [len(graph.vertices)] * len(targets),
+        [graph._index[v] for v in targets], lengths, h_base))
 
 
 def predict_edge_asymptotic(h: float, c: float, l: float) -> float:
@@ -218,7 +248,7 @@ def fit_edge_asymptotic(graph: MetricGraph, x: str, y: str,
                         l_values: Sequence[float]) -> AsymptoticFit:
     """Sweep edge lengths and fit the scaled corrections
     a_l = (h'(l) - h) e^{h l}; their limit is the asymptotic constant."""
-    comp = _shared_component(graph, (x, y))
+    comp = components(graph)[_shared_part(graph, (x, y))]
     h = _vertex_root(comp).h
     ls = sorted(float(l) for l in l_values)
     a_vals = []
@@ -247,19 +277,15 @@ def predict_vertex_asymptotic(graph: MetricGraph,
     h' - h = w^T (J - I) w / lambda'(h), with w_i = e^{-h l_i} v_{t_i}, v
     the unit null vector of M(h) and J the all-ones matrix.
     """
-    if len(attachments) < 3:
-        raise TooFewAttachments(
-            f"need at least 3 attachment edges, got {len(attachments)}")
+    lengths = np.array(_attachment_lengths(attachments))
     targets = [v for v, _ in attachments]
-    lengths = np.array([float(l) for _, l in attachments])
-    comp = _shared_component(graph, targets)
+    comp = components(graph)[_shared_part(graph, targets)]
     root = _vertex_root(comp)
     h = root.h
     if h <= 0:
         raise PreconditionError(
             "vertex-addition asymptotics require a positive base entropy")
-    index = {v: i for i, v in enumerate(comp.vertices)}
-    w = np.exp(-h * lengths) * root.v[[index[t] for t in targets]]
+    w = np.exp(-h * lengths) * root.v[[comp._index[t] for t in targets]]
     return VertexPrediction(float(h + (w.sum() ** 2 - w @ w) / root.dlambda),
                             h)
 
@@ -284,7 +310,7 @@ def estimate_constant_C(graph: MetricGraph, x: str, y: str,
     """
     if method not in ("resolvent", "counting", "both"):
         raise ValueError(f"unknown method {method!r}")
-    comp = _shared_component(graph, (x,))
+    comp = components(graph)[_shared_part(graph, (x,))]
     root = _vertex_root(comp)
     h = root.h
     if h <= 0:
@@ -301,8 +327,7 @@ def estimate_constant_C(graph: MetricGraph, x: str, y: str,
     per_cnt = dict.fromkeys(pairs, 0.0)
     details: dict = {}
     if method in ("resolvent", "both"):
-        index = {v: i for i, v in enumerate(comp.vertices)}
-        v, dlambda = root.v, root.dlambda
+        index, v, dlambda = comp._index, root.v, root.dlambda
         details.update(null_eigenvalue=root.null_eigenvalue, dlambda=dlambda)
         for name, (a, b) in live.items():
             per_res[name] = float(v[index[a]] * v[index[b]]) / (h * dlambda)

@@ -11,20 +11,16 @@ length once, and each component of G_eps kept as its vertex and edge
 indices with its entropy.  Each step adds the edges of one length.  A
 component that no added edge touches keeps its entropy.  Every other one
 is its parts, the previous components inside it, joined by the added
-edges that land in it, and starts from h_base, the largest entropy of
-its parts.  Its edge set (``graph.EdgeSet``) is gathered only to be
-solved: first Betti number 2 or more, and for "incremental" more than
-that of each part (else h_base stays).  "direct" solves it cold
-(``entropy._cold_root``) and keeps the larger of that root and h_base:
-h_base is a certified lower bound, and a cold root can round below it
-by ~1e-13 relative.  "incremental" finds it as the largest root of
-lambda_min(K(t)) = 0, K the Schur complement of the vertex matrix on the
-ends of the added edges (``entropy._schur_root``): one edge, a loop, a
-merge, a new vertex of any degree and a batch of equal-length edges are
-all this one equation.  "auto" means "incremental".  All strategies give
-the same curve up to solver tolerance; a formula step is labelled
-"incremental-vertex" when one of its parts has no edge, else
-"incremental-edge".
+edges that land in it: the step of the edge and vertex formulas
+(``incremental._join``), from h_base, the largest entropy of its parts.
+"incremental" solves it on the Schur complement of the vertex matrix on
+the ends of the added edges, for one edge, a loop, a merge, a new vertex
+or a batch of equal-length edges alike.  "direct" solves it cold
+(``entropy._cold_root``) and keeps h_base, a certified lower bound, where
+the cold root rounds below it (by ~1e-13 relative).  "auto" means
+"incremental".  All strategies give the same curve up to solver
+tolerance; a formula step is labelled "incremental-vertex" when one of
+its parts has no edge, else "incremental-edge".
 """
 
 from __future__ import annotations
@@ -36,9 +32,9 @@ from enum import Enum
 
 import numpy as np
 
-from .entropy import _cold_root, _schur_root
 from .errors import EntrographError, UnknownFormat, ValidationFailed
-from .graph import EdgeSet, MetricGraph, validate
+from .graph import MetricGraph, validate
+from .incremental import _join
 
 
 class StepStrategy(Enum):
@@ -104,14 +100,13 @@ def persistent_entropy(graph: MetricGraph,
     if strategy not in ("direct", "incremental", "auto"):
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    n, tails, heads, lengths = graph._edge_arrays
+    n, tails, heads, lengths = edge_set = graph._edge_arrays
     eps_list = thresholds(graph)
     by_length = np.argsort(lengths, kind="stable")
     cuts = np.searchsorted(lengths[by_length], eps_list, side="right")
     # the components of G_eps by key: vertex and edge indices, entropy
     comps = {v: (np.array([v]), np.empty(0, np.intp), 0.0) for v in range(n)}
     owner = np.arange(n)  # the key of the component of each vertex
-    local = np.empty(n, dtype=np.intp)  # index in a component's EdgeSet
     h_eps, steps = 0.0, []
 
     for eps, added in zip(eps_list, np.split(by_length, cuts[:-1])):
@@ -124,28 +119,10 @@ def persistent_entropy(graph: MetricGraph,
                                           owner[tails[added]].tolist(),
                                           owner[heads[added]].tolist()):
                 parts = [comps.pop(k) for k in keys]
-                # parts in group order, then the new edges: the vertex
-                # and edge order, and so every M(t), of a rebuilt graph
-                verts = np.concatenate([p[0] for p in parts])
-                edges = np.concatenate([p[1] for p in parts] + [new])
-                h = h_base = max(p[2] for p in parts)
-                betti = edges.size - verts.size + 1
-                if betti > 1 and (strategy == "direct" or betti > max(
-                        p[1].size - p[0].size + 1 for p in parts)):
-                    local[verts] = np.arange(verts.size)
-                    comp = EdgeSet(verts.size, local[tails[edges]],
-                                   local[heads[edges]], lengths[edges],
-                                   min(map(graph.vertices.__getitem__,
-                                           verts.tolist())))
-                    if strategy == "direct":
-                        # h_base is a certified lower bound; the max keeps
-                        # the curve monotone where the cold root rounds below
-                        root = _cold_root(comp)
-                        h, evals = max(h_base, root.h), root.evals
-                    else:
-                        ends = local[np.concatenate((tails[new], heads[new]))]
-                        h, _, evals = _schur_root(comp, ends, h_base)
-                    iterations += evals
+                verts, edges, h, _, _, evals = _join(
+                    edge_set, graph.vertices, parts, new,
+                    direct=strategy == "direct")
+                iterations += evals
                 if strategy != "direct" and any(p[1].size == 0
                                                 for p in parts):
                     used = StepStrategy.INCREMENTAL_VERTEX

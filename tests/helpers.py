@@ -120,8 +120,7 @@ def eig_rho(matrix):
 
 def nonadjacent_pair(graph):
     """First non-adjacent vertex pair inside one component, or None."""
-    from entrograph import components
-    for comp in components(graph):
+    for comp in dfs_components(graph):
         verts = sorted(comp.vertex_set)
         for i, a in enumerate(verts):
             nbrs = {comp.darts[d].head for d in comp.out_darts(a)}
@@ -193,6 +192,164 @@ def multigraphs(draw):
         names, [(u, v, 10.0 ** e) for (u, v), e in zip(ends, exps)])
 
 
+@st.composite
+def split_multigraphs(draw):
+    """Disjoint unions of one to three ``multigraphs()`` and zero to two
+    isolated vertices, with the names, the vertex order and the edge
+    order each shuffled, so that components interleave in all three."""
+    graphs = draw(st.lists(multigraphs(), min_size=1, max_size=3))
+    isolated = draw(st.integers(0, 2))
+    total = sum(len(g.vertices) for g in graphs) + isolated
+    names = iter(draw(st.permutations([f"v{i}" for i in range(total)])))
+    verts, edges = [], []
+    for g in graphs:
+        rename = {v: next(names) for v in g.vertices}
+        verts += rename.values()
+        edges += [(rename[u], rename[w], l) for u, w, l in g.edge_list()]
+    verts += names
+    return MetricGraph.from_edges(draw(st.permutations(verts)),
+                                  draw(st.permutations(edges)))
+
+
+# -- the MetricGraph rebuild, for the component, edit and curve references --
+#
+# The package splits a graph into components once, on its edge arrays
+# (``MetricGraph._split``), and joins components with new edges on index
+# arrays (``incremental._join``).  These are the loops it replaced: a DFS
+# over the darts, each component and each joined graph built as a
+# ``MetricGraph``.  The properties compare the two bit for bit.
+
+def dfs_components(graph):
+    """The connected components of a graph by a DFS from each unseen
+    vertex in name order, each a ``MetricGraph`` in the vertex and edge
+    order of the input; a connected graph is returned as it is."""
+    adj = {v: set() for v in graph.vertices}
+    for d in graph.darts:
+        adj[d.tail].add(d.head)
+    seen, out = set(), []
+    for start in sorted(graph.vertices):
+        if start in seen:
+            continue
+        stack, comp = [start], {start}
+        seen.add(start)
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in comp:
+                    comp.add(w)
+                    seen.add(w)
+                    stack.append(w)
+        if len(comp) == len(graph.vertices):
+            return [graph]
+        out.append(MetricGraph.from_edges(
+            [v for v in graph.vertices if v in comp],
+            [(d.tail, d.head, d.length) for d in graph.edge_darts()
+             if d.tail in comp]))
+    return out
+
+
+def disjoint_union(parts, edges=()):
+    """One graph holding vertex-disjoint parts side by side, with
+    ``edges`` added between their vertices."""
+    return MetricGraph.from_edges(
+        [v for p in parts for v in p.vertices],
+        [e for p in parts for e in p.edge_list()] + list(edges))
+
+
+def reference_vertex_root(graph, mode=TransferMode.NON_BACKTRACKING):
+    """``entropy._vertex_root`` as a loop over ``dfs_components``, each
+    solved on its own ``_edge_arrays`` and its null vector placed back by
+    vertex name."""
+    from dataclasses import replace
+    from entrograph.entropy import _VertexRoot, _cold_root, _lambda_min
+    zero = _VertexRoot(0.0, None, 0.0, 0.0, (0.0, 0.0), 0)
+    if mode is TransferMode.BACKTRACKING:
+        if not graph.darts:
+            return zero
+        if _lambda_min(graph._edge_arrays, 0.0, mode)[0] >= 0.0:
+            return replace(zero, evals=1)
+        comps, evals = [graph], 1
+    else:
+        comps, evals = [c for c in dfs_components(graph)
+                        if c.edge_count - len(c.vertices) + 1 > 1], 0
+    best, comp_best = zero, graph
+    for comp in comps:
+        root = _cold_root(comp._edge_arrays, mode)
+        evals += root.evals
+        if root.h > best.h:
+            best, comp_best = root, comp
+    v = best.v
+    if v is not None and comp_best.vertices != graph.vertices:
+        index = {u: i for i, u in enumerate(graph.vertices)}
+        v = np.zeros(len(index))
+        v[[index[u] for u in comp_best.vertices]] = best.v
+    return replace(best, v=v, evals=evals)
+
+
+def _betti(graph):
+    return graph.edge_count - len(graph.vertices) + 1
+
+
+def reference_extend(graph, parts, ends, h_base):
+    """(h', h_base, residual, evaluations) of the connected ``graph``,
+    its vertex-disjoint ``parts`` (``MetricGraph``s) joined by new edges
+    with the ends ``ends`` (vertex names), by the Betti rule and
+    ``entropy._schur_root`` on the rebuilt graph's ``_edge_arrays``."""
+    from entrograph.entropy import _schur_root
+    betti = _betti(graph)
+    if betti <= 1:
+        return 0.0, 0.0, 0.0, 0
+    if h_base is None:
+        h_base = max(reference_vertex_root(p).h for p in parts)
+    if betti == max(map(_betti, parts)):
+        return h_base, h_base, 0.0, 0
+    h_prime, residual, evals = _schur_root(
+        graph._edge_arrays,
+        np.flatnonzero([v in ends for v in graph.vertices]), h_base)
+    return h_prime, h_base, residual, evals
+
+
+def reference_edge(graph, x, y, l0, h_base=None):
+    """``entropy_after_edge`` on a rebuilt ``disjoint_union`` of the
+    components of x and y and the new edge."""
+    from entrograph import EdgeAdditionResult, PreconditionError
+    from entrograph import UnknownVertex
+    if l0 <= 0:
+        raise PreconditionError("edge length must be positive")
+    for v in (x, y):
+        if v not in graph.vertex_set:
+            raise UnknownVertex(f"unknown vertex {v!r}")
+    parts = [c for c in dfs_components(graph) if c.vertex_set & {x, y}]
+    h_prime, h_base, residual, evals = reference_extend(
+        disjoint_union(parts, [(x, y, float(l0))]), parts, {x, y}, h_base)
+    return EdgeAdditionResult(h_prime, h_base, float(l0), residual, evals)
+
+
+def reference_vertex(graph, attachments, h_base=None):
+    """``entropy_after_vertex`` on a rebuilt ``disjoint_union`` of the
+    component of the targets and a hub vertex named longer than any of
+    its vertices."""
+    from entrograph import (DisconnectedPair, PreconditionError,
+                            TooFewAttachments, UnknownVertex,
+                            VertexAdditionResult)
+    if len(attachments) < 3:
+        raise TooFewAttachments("need at least 3 attachment edges")
+    if any(float(l) <= 0 for _, l in attachments):
+        raise PreconditionError("attachment lengths must be positive")
+    targets = [v for v, _ in attachments]
+    for v in targets:
+        if v not in graph.vertex_set:
+            raise UnknownVertex(f"unknown vertex {v!r}")
+    comp = next(c for c in dfs_components(graph)
+                if targets[0] in c.vertex_set)
+    if any(v not in comp.vertex_set for v in targets):
+        raise DisconnectedPair("targets in two components")
+    hub = max(comp.vertices, key=len) + "+"
+    parts = [comp, MetricGraph.from_edges([hub], [])]
+    edges = [(hub, v, float(l)) for v, l in attachments]
+    return VertexAdditionResult(*reference_extend(
+        disjoint_union(parts, edges), parts, {hub, *targets}, h_base))
+
+
 def _rebuild_groups(added, owner):
     """The components of G_eps that the edges ``added`` touch, as (keys
     of their parts, their added edges); ``owner`` maps a vertex to the
@@ -214,13 +371,10 @@ def rebuild_curve(graph, strategy):
     """(h, iterations, strategy) of each step of ``persistent_entropy``,
     from a loop that rebuilds each changed component as a ``MetricGraph``
     (``disjoint_union`` of its parts and its new edges) and solves it with
-    ``entropy._vertex_root`` ("direct") or ``incremental._extend``.  The
+    ``reference_vertex_root`` ("direct") or ``reference_extend``.  The
     package walks the full graph's edge arrays instead and must give the
     same steps bit for bit."""
     from entrograph import StepStrategy
-    from entrograph.entropy import _vertex_root
-    from entrograph.graph import disjoint_union
-    from entrograph.incremental import _extend
 
     by_length = {}
     for e in graph.edge_list():
@@ -239,10 +393,10 @@ def rebuild_curve(graph, strategy):
             h_base = max(h for _, h in parts)
             comp = disjoint_union(graphs, new_edges)
             if strategy == "direct":
-                root = _vertex_root(comp)
+                root = reference_vertex_root(comp)
                 h, evals = max(h_base, root.h), root.evals
             else:
-                h, _, _, evals = _extend(
+                h, _, _, evals = reference_extend(
                     comp, graphs, {v for e in new_edges for v in e[:2]},
                     h_base)
                 if any(g.edge_count == 0 for g in graphs):

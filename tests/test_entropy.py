@@ -16,9 +16,9 @@ from entrograph import entropy
 from entrograph.graph import Dart
 from entrograph.spectral import vertex_form
 from helpers import (c4, complete4, dumbbell, eig_entropy, eig_rho,
-                     lim_metric, multigraphs, path3, rose,
-                     scalar_entropy_from_counts, segment, short_loop_core,
-                     theta)
+                     lim_metric, multigraphs, path3, reference_vertex_root,
+                     rose, scalar_entropy_from_counts, segment,
+                     short_loop_core, split_multigraphs, theta)
 
 
 def test_rose_closed_forms():
@@ -294,6 +294,21 @@ def test_vertex_root_null_vector_and_slope(mode, g):
 def test_vertex_root_lim_metric_closed_form(g):
     lim, h = lim_metric(reduce(g).graph)
     assert entropy._vertex_root(lim).h == pytest.approx(h, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@settings(max_examples=100, deadline=None)
+@given(g=split_multigraphs())
+def test_vertex_root_equals_the_component_loop_on_multigraphs(mode, g):
+    # the components of the graph's split, each solved on its gathered
+    # edge set, give the result of a loop over rebuilt components
+    root = entropy._vertex_root(g, mode)
+    ref = reference_vertex_root(g, mode)
+    assert (root.h, root.evals, root.bracket, root.dlambda,
+            root.null_eigenvalue) == (ref.h, ref.evals, ref.bracket,
+                                      ref.dlambda, ref.null_eigenvalue)
+    assert (root.v is None and ref.v is None) \
+        or np.array_equal(root.v, ref.v)
 
 
 def test_vertex_root_wide_length_graphs():

@@ -14,10 +14,9 @@ from entrograph import (DivergentSeries, EnumerationSpec, InvalidDartIndex,
                         primitive_matrix, volume_entropy)
 from entrograph import genfun
 from entrograph.genfun import _Resolvent
-from entrograph.graph import disjoint_union
 from helpers import (c4, complete4, counting_resolvent, dart_lu_path,
-                     dumbbell, eig_entropy, multigraphs, rose,
-                     scalar_primitive_matrix, segment, theta)
+                     disjoint_union, dumbbell, eig_entropy, multigraphs,
+                     rose, scalar_primitive_matrix, segment, theta)
 
 
 def test_segment_single_path():

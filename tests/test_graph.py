@@ -3,12 +3,15 @@
 import math
 
 import pytest
+from hypothesis import given, settings
 
 from entrograph import (ComponentKind, Dart, MetricGraph, NonPositiveLength,
                         UnknownVertex, add_edge, add_vertex, components,
                         delete_edge, delete_vertex, first_betti, reduce,
                         same_graph, validate)
-from helpers import c4, complete4, cycle, path3, rose, segment, theta
+from entrograph.graph import component_of
+from helpers import (c4, complete4, cycle, dfs_components, path3, rose,
+                     segment, split_multigraphs, theta)
 
 
 def test_validate_well_formed_c4():
@@ -75,6 +78,24 @@ def test_components_two_triangles():
     assert [c.edge_list() for c in comps] == [
         (("a", "b", 1.0), ("b", "c", 1.5), ("c", "a", 1.25)),
         (("p", "q", 2.0), ("q", "r", 2.5), ("r", "p", 3.0))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(split_multigraphs())
+def test_components_equal_the_dfs_on_multigraphs(g):
+    # the split of the edge arrays gives the components of a DFS over the
+    # darts: the same order, vertices and edges, and g itself when
+    # connected
+    comps, ref = components(g), dfs_components(g)
+    assert [(c.vertices, c.edge_list()) for c in comps] \
+        == [(c.vertices, c.edge_list()) for c in ref]
+    if len(ref) == 1:
+        assert comps[0] is g
+    assert first_betti(g) == tuple(
+        c.edge_count - len(c.vertices) + 1 for c in ref)
+    for c in ref:
+        for v in c.vertices:
+            assert component_of(g, v).edge_list() == c.edge_list()
 
 
 def test_edge_arrays_cached_and_read_only():

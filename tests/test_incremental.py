@@ -5,10 +5,11 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg.lapack import dpotrf
 
-from entrograph import (DisconnectedPair, MetricGraph, PreconditionError,
+from entrograph import (DisconnectedPair, EntrographError, MetricGraph,
+                        NonPositiveLength, PreconditionError,
                         TooFewAttachments, TransferMode, UnknownVertex,
                         add_edge, add_vertex, backtracking_entropy,
                         entropy_after_edge, entropy_after_vertex,
@@ -18,10 +19,11 @@ from entrograph import (DisconnectedPair, MetricGraph, PreconditionError,
                         vertex_matrix, volume_entropy)
 from entrograph import entropy
 from entrograph.entropy import _vertex_root
-from entrograph.graph import disjoint_union
 from entrograph.spectral import vertex_form_dt
-from helpers import (c4, complete4, cycle, dumbbell, eig_entropy,
-                     multigraphs, path3, rose, theta)
+from helpers import (c4, complete4, cycle, dfs_components, disjoint_union,
+                     dumbbell, eig_entropy, multigraphs, path3,
+                     reference_edge, reference_vertex, rose,
+                     split_multigraphs, theta)
 
 
 def quintic_root_h():
@@ -267,6 +269,77 @@ def test_edits_match_the_vertex_root_on_multigraphs(edit):
         ref = _vertex_root(add_vertex(g, attachments)).h
     assert abs(res.h_prime - ref) <= 1e-11 * ref
     assert res.h_prime >= res.h_base
+
+
+@st.composite
+def split_edits(draw):
+    """A ``split_multigraphs()`` graph with an edge to add between any two
+    of its vertices (a loop, a parallel edge, a merge, a pendant edge from
+    an isolated vertex), or a vertex of 3 or 4 edges whose targets lie,
+    most of the time, in one component; h_base given or not."""
+    g = draw(split_multigraphs())
+    lengths = st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)
+    h_base = draw(st.one_of(st.none(), st.floats(0.01, 3.0)))
+    if draw(st.booleans()):
+        x, y = draw(st.sampled_from(g.vertices)), \
+            draw(st.sampled_from(g.vertices))
+        return g, (x, y, draw(lengths)), None, h_base
+    first = draw(st.sampled_from(g.vertices))
+    pool = next(c for c in dfs_components(g) if first in c.vertex_set) \
+        if draw(st.integers(0, 3)) else g
+    targets = [first] + [draw(st.sampled_from(pool.vertices))
+                         for _ in range(draw(st.integers(2, 3)))]
+    return g, None, [(v, draw(lengths)) for v in targets], h_base
+
+
+def _outcome(call):
+    try:
+        return call()
+    except EntrographError as exc:  # the class is the outcome
+        return type(exc)
+
+
+# a rose, a theta and an isolated vertex w: a pendant edge from w, a
+# merge, a loop at w, and a vertex across two components
+_SPLIT = disjoint_union([rose(2), theta(),
+                         MetricGraph.from_edges(["w"], [])])
+
+
+@settings(max_examples=150, deadline=None)
+@given(split_edits())
+@example((_SPLIT, ("w", "v", 2.0), None, None))
+@example((_SPLIT, ("v", "x", 1.5), None, None))
+@example((_SPLIT, ("w", "w", 0.5), None, None))
+@example((_SPLIT, None, [("v", 1.0), ("x", 1.0), ("y", 1.0)], None))
+def test_edits_equal_the_rebuild_on_multigraphs(edit):
+    # the join on the full graph's index arrays gives the rebuilt graph's
+    # result on every field, bit for bit, or raises the same class
+    g, edge, attachments, h_base = edit
+    if edge is not None:
+        res = _outcome(lambda: entropy_after_edge(g, *edge, h_base=h_base))
+        ref = _outcome(lambda: reference_edge(g, *edge, h_base=h_base))
+    else:
+        res = _outcome(lambda: entropy_after_vertex(g, attachments, h_base))
+        ref = _outcome(lambda: reference_vertex(g, attachments, h_base))
+    assert res == ref
+
+
+@pytest.mark.parametrize("length, error", [
+    (0.0, PreconditionError), (-1.0, PreconditionError),
+    (math.nan, NonPositiveLength), (math.inf, NonPositiveLength)])
+def test_edit_lengths_are_checked(length, error):
+    # each length is checked before the edit is built, and the message
+    # names the real vertices of the new edge
+    g = generate_graph(1, 10, 20)
+    att = [("v0", 1.0), ("v1", length), ("v2", 1.0)]
+    for call, names in (
+            (lambda: entropy_after_edge(g, "v0", "v3", length), "[v0, v3]"),
+            (lambda: entropy_after_vertex(g, att), "'v1'"),
+            (lambda: predict_vertex_asymptotic(g, att), "'v1'")):
+        with pytest.raises(error) as info:
+            call()
+        assert type(info.value) is error
+        assert names in str(info.value) and "+" not in str(info.value)
 
 
 def test_edge_addition_tree_base_gives_zero():

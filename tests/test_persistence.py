@@ -10,7 +10,7 @@ from entrograph import (EntropyCurve, MetricGraph, NonConvergence,
                         StepStrategy, UnknownFormat, add_edge,
                         curve_from_json, delete_edge, export_curve,
                         filter_at, first_betti, generate_graph, graph,
-                        persistence, persistent_entropy, same_graph,
+                        incremental, persistent_entropy, same_graph,
                         thresholds, volume_entropy)
 from helpers import (c4, complete4, eig_entropy, multigraphs, rebuild_curve,
                      theta)
@@ -294,7 +294,7 @@ def test_package_error_carries_its_threshold(monkeypatch):
     def fail(*args, **kwargs):
         raise NonConvergence("no root")
 
-    monkeypatch.setattr(persistence, "_cold_root", fail)
+    monkeypatch.setattr(incremental, "_cold_root", fail)
     with pytest.raises(NonConvergence) as info:
         persistent_entropy(complete4(), strategy="direct")
     assert info.value.threshold == 1.0
@@ -305,7 +305,7 @@ def test_other_errors_propagate_untouched(monkeypatch):
     def fail(*args, **kwargs):
         raise ZeroDivisionError("division by zero")
 
-    monkeypatch.setattr(persistence, "_cold_root", fail)
+    monkeypatch.setattr(incremental, "_cold_root", fail)
     with pytest.raises(ZeroDivisionError) as info:
         persistent_entropy(complete4(), strategy="direct")
     assert info.value.args == ("division by zero",)
