@@ -38,11 +38,11 @@ One join (``_join``) serves both edits and the persistence walk: the
 parts' vertex and edge indices in the full graph's edge set, to which an
 edit appends its edges (a new vertex is index n), then the new edges,
 gathered once as an ``EdgeSet``.  Let b be its first Betti number.  If b
-<= 1 its entropy is 0.  Else h_base is the largest entropy of the parts,
-solved cold (``entropy._cold_root``) where not given and b >= 2 for the
-part.  If b equals the largest Betti number among the parts, the new
-edges join that part to trees along a tree (a pendant edge, say) and the
-entropy stays h_base exactly.
+<= 1 its entropy is 0.  Else h_base is the largest entropy of the parts;
+one not given is solved cold (``entropy._cold_root``) if the part's own
+b is 2 or more, else 0.  If b equals the largest Betti number among the
+parts, the new edges join that part to trees along a tree (a pendant
+edge, say) and the entropy stays h_base exactly.
 
 The asymptotic constants of the pole f_ab(t) ~ C_ab t / (t - h) have the
 closed form C_ab = v_a v_b / (h lambda'(h)), with v the unit null vector
