@@ -31,8 +31,7 @@ from .graph import (ComponentKind, Dart, MetricGraph, ReduceResult, add_edge,
 from .graphio import (ParseError, generate_graph, load_graph, parse_graph,
                       parse_graph_edgelist, parse_graph_json,
                       serialize_edgelist, serialize_json)
-from .incremental import (AsymptoticFit, ConstantEstimate,
-                          EdgeAdditionResult, VertexAdditionResult,
+from .incremental import (AsymptoticFit, ConstantEstimate, EditResult,
                           VertexPrediction, entropy_after_edge,
                           entropy_after_vertex, estimate_constant_C,
                           fit_edge_asymptotic, predict_edge_asymptotic,

@@ -22,7 +22,7 @@ from .genfun import check_symmetry
 from .graph import (MetricGraph, add_edge, add_vertex, component_of,
                     components, reduce, validate)
 from .graphio import ParseError, generate_graph, load_graph, serialize_json
-from .incremental import entropy_after_edge, entropy_after_vertex
+from .incremental import EditResult, entropy_after_edge, entropy_after_vertex
 from .spectral import TransferMode
 
 EXIT_OK = 0
@@ -73,13 +73,13 @@ def _direct_gap(edited: MetricGraph, x: str,
     return direct, abs(h_prime - direct)
 
 
-def _print_cross_check(inc, residual: float, edited: MetricGraph, x: str):
+def _print_cross_check(inc: EditResult, edited: MetricGraph, x: str):
     """Print an incremental result beside the direct solve of the
     component of x in the edited graph."""
     direct, gap = _direct_gap(edited, x, inc.h_prime)
     print(f"h_base = {inc.h_base:.12g}")
     print(f"incremental h' = {inc.h_prime:.12g}  "
-          f"(residual {residual:.3e}, {inc.iterations} evaluations)")
+          f"(residual {inc.residual:.3e}, {inc.iterations} evaluations)")
     print(f"direct h' = {direct:.12g}")
     print(f"|incremental - direct| = {gap:.3e}")
 
@@ -87,8 +87,8 @@ def _print_cross_check(inc, residual: float, edited: MetricGraph, x: str):
 def cmd_add_edge(args) -> int:
     graph = _load(args.file)
     inc = entropy_after_edge(graph, args.x, args.y, args.length)
-    _print_cross_check(inc, inc.residual,
-                       add_edge(graph, args.x, args.y, args.length), args.x)
+    _print_cross_check(inc, add_edge(graph, args.x, args.y, args.length),
+                       args.x)
     return EXIT_OK
 
 
@@ -96,8 +96,8 @@ def cmd_add_vertex(args) -> int:
     graph = _load(args.file)
     attachments = _parse_attachments(args.attach)
     inc = entropy_after_vertex(graph, attachments)
-    _print_cross_check(inc, inc.spectral_residual,
-                       add_vertex(graph, attachments), attachments[0][0])
+    _print_cross_check(inc, add_vertex(graph, attachments),
+                       attachments[0][0])
     return EXIT_OK
 
 

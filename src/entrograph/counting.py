@@ -26,8 +26,9 @@ The count model behind ``horizon_for_budget`` and the enumeration cap
 (``entropy._vertex_root``) and, for the second route, the same Newton
 solve on a Schur complement of it (``entropy._schur_root``).
 ``_vertex_root`` also gives ``growth_bounds`` its default h and the
-entropy of G - v.  Only the default h of ``laplace_check`` still comes
-from the dart solver (``volume_entropy``).
+entropy of G - v, and ``backtracking_bound`` and ``laplace_check`` the
+first route's h alone.  Only the default non-backtracking h of
+``laplace_check`` still comes from the dart solver (``volume_entropy``).
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ from .entropy import _EPS, _schur_root, _vertex_root, volume_entropy
 from .errors import (DivergentSeries, HorizonTooLarge, MarginTooSmall,
                      NonConvergence, PreconditionError, UnknownVertex)
 from .genfun import attachment_darts, f_from, f_path, primitive_matrix
-from .graph import (MetricGraph, component_of, components, delete_vertex,
-                    first_betti, validate)
+from .graph import (MetricGraph, component_of, delete_vertex, first_betti,
+                    validate)
 from .spectral import TransferMode, transitions
 
 DEFAULT_CAP = 10_000_000
@@ -338,7 +339,8 @@ def enumerate_paths(graph: MetricGraph, spec: EnumerationSpec
         groups = {"by_start": rows}
     lengths.sort()
     return CountProfile(spec.kind, spec.mode, spec.r_max, lengths,
-                        endpoints, attachment_ids=tuple(starts), **groups)
+                        endpoints, attachment_ids=graph.out_darts(base),
+                        **groups)
 
 
 # -- Laplace transform check (truncated integral plus tail bracket) -------
@@ -382,8 +384,9 @@ def _genfun_for_profile(profile: CountProfile, graph: MetricGraph, t: float):
 
 
 def _growth_rate(profile: CountProfile, graph: MetricGraph) -> float:
-    if profile.mode is TransferMode.BACKTRACKING:
-        return backtracking_entropy(graph, profile.endpoints[0]).h_transfer
+    if profile.mode is TransferMode.BACKTRACKING:  # route 1's h_transfer
+        return _vertex_root(component_of(graph, profile.endpoints[0]),
+                            profile.mode).h
     return volume_entropy(graph).h
 
 
@@ -572,7 +575,7 @@ class BoundsReport:
 def _require_reduced_hyperbolic(graph: MetricGraph):
     if validate(graph):
         raise PreconditionError("graph is not valid")
-    if len(components(graph)) != 1:
+    if len(first_betti(graph)) != 1:
         raise PreconditionError("a connected graph is required")
     if first_betti(graph)[0] < 2:
         raise PreconditionError("at least two independent cycles required")
@@ -691,7 +694,7 @@ def backtracking_bound(graph: MetricGraph, v: str, r_max: float,
         raise PreconditionError(
             "the backtracking bound needs at least two primitive cycles")
     l1 = float(prim.lengths[0])
-    h = backtracking_entropy(graph, v).h_transfer
+    h = _vertex_root(component_of(graph, v), TransferMode.BACKTRACKING).h
     m_formula = max(2.0, 3.0 * math.exp(-h * l1))
     profile = enumerate_paths(graph, EnumerationSpec(
         PathKind.CYCLES_AT, r_max, TransferMode.BACKTRACKING, v=v, cap=cap))

@@ -8,7 +8,9 @@ contributes a dart pair with equal tail and head and counts 2 toward the
 degree of its vertex.
 
 Connected components come from one cached split of the edge arrays
-(``MetricGraph._split``) into each component's vertex and edge indices.
+(``MetricGraph._split``, a union-find rooted at least vertex names) into
+each component's vertex and edge indices.  ``component_of`` builds only
+the component it names; a connected graph is its own component.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.sparse import coo_array
-from scipy.sparse.csgraph import connected_components
 
 from .errors import NonPositiveLength, UnknownVertex
 
@@ -118,9 +118,7 @@ class MetricGraph:
         """Lengths and reversal ids of ``darts``, as read-only arrays."""
         lengths = np.array([d.length for d in self.darts], dtype=float)
         reverse = np.array([d.reverse for d in self.darts], dtype=np.intp)
-        for arr in (lengths, reverse):
-            arr.flags.writeable = False
-        return lengths, reverse
+        return _read_only(lengths), _read_only(reverse)
 
     @cached_property
     def _bt_transitions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -155,18 +153,19 @@ class MetricGraph:
         edge indices in ascending order, components ordered by least
         vertex name; read-only arrays."""
         n, tails, heads, _ = self._edge_arrays
-        count, labels = connected_components(
-            coo_array((np.ones(tails.size), (tails, heads)), shape=(n, n)),
-            directed=False)
-        by_name = sorted(range(n), key=self.vertices.__getitem__)
-        first = np.unique(labels[by_name], return_index=True)[1]
-        labels = np.argsort(np.argsort(first))[labels]  # least-name order
-        verts, edges = (np.split(np.argsort(label, kind="stable"), np.cumsum(
-            np.bincount(label, minlength=count)))[:-1]  # drop the empty tail
-            for label in (labels, labels[tails]))
-        for arr in (labels, *verts, *edges):
-            arr.flags.writeable = False
-        return labels, list(zip(verts, edges))
+        rank = np.argsort(sorted(range(n), key=self.vertices.__getitem__))
+        root = list(range(n))  # union-find on name ranks, roots the least
+        for a, b in zip(rank[tails].tolist(), rank[heads].tolist()):
+            while root[a] != root[b]:  # Rem's union, with splicing
+                a, b = (a, b) if root[a] > root[b] else (b, a)
+                root[a], a = root[b], root[a]
+        for r, p in enumerate(root):  # p <= r: one ascending pass flattens
+            root[r] = root[p]
+        keys, labels = np.unique(np.array(root)[rank], return_inverse=True)
+        verts, edges = (np.split(_read_only(np.argsort(label, kind="stable")),
+            np.cumsum(np.bincount(label, minlength=keys.size)))[:-1]
+            for label in (labels, labels[tails]))  # [:-1]: the empty tail
+        return _read_only(labels), list(zip(verts, edges))
 
     def out_darts(self, v: str) -> tuple[int, ...]:
         """Ids of darts leaving v, in dart-id order."""
@@ -254,14 +253,18 @@ class EdgeSet:
         return float(self.lengths.min()) if self.lengths.size else 0.0
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr``, made read-only; so are the views later taken of it."""
+    arr.setflags(write=False)
+    return arr
+
+
 def _csr_pattern(n: int, rows: np.ndarray, cols: np.ndarray):
     """(rows, cols, CSR row offsets) of a relation on n darts whose pairs
     are in row-major order, as read-only arrays."""
     offsets = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(np.bincount(rows, minlength=n), out=offsets[1:])
-    for arr in (rows, cols, offsets):
-        arr.flags.writeable = False
-    return rows, cols, offsets
+    return _read_only(rows), _read_only(cols), _read_only(offsets)
 
 
 def validate(graph: MetricGraph) -> tuple[str, ...]:
@@ -302,26 +305,35 @@ def validate(graph: MetricGraph) -> tuple[str, ...]:
     return tuple(report)
 
 
+def _component(graph: MetricGraph, k: int) -> MetricGraph:
+    """Component k of ``graph._split``, built from the edge arrays in the
+    vertex and edge order of ``graph``; a connected graph is itself."""
+    parts = graph._split[1]
+    if len(parts) == 1:
+        return graph
+    verts, edges = parts[k]
+    _, tails, heads, lengths = graph._edge_arrays
+    name = graph.vertices.__getitem__
+    return MetricGraph.from_edges(map(name, verts.tolist()), zip(
+        map(name, tails[edges].tolist()), map(name, heads[edges].tolist()),
+        lengths[edges].tolist()))
+
+
 def components(graph: MetricGraph) -> list[MetricGraph]:
     """Split into connected components, ordered by smallest vertex id.
 
     Each component keeps the identifiers and order of the input graph's
     vertices and edges; a connected graph is returned as it is.
     """
-    parts = graph._split[1]
-    if len(parts) == 1:
-        return [graph]
-    edges = graph.edge_list()
-    return [MetricGraph.from_edges(
-        map(graph.vertices.__getitem__, v.tolist()),
-        map(edges.__getitem__, e.tolist())) for v, e in parts]
+    return [_component(graph, k) for k in range(len(graph._split[1]))]
 
 
 def component_of(graph: MetricGraph, x: str) -> MetricGraph:
-    """The connected component containing vertex x."""
+    """The connected component containing vertex x, as in ``components``;
+    only that component is built."""
     if x not in graph.vertex_set:
         raise UnknownVertex(f"unknown vertex {x!r}")
-    return components(graph)[graph._split[0][graph._index[x]]]
+    return _component(graph, graph._split[0][graph._index[x]])
 
 
 def first_betti(graph: MetricGraph) -> tuple[int, ...]:
@@ -350,8 +362,7 @@ def reduce(graph: MetricGraph) -> ReduceResult:
     surviving vertices keep their identifiers.
     """
     verts, edges, kinds = [], [], []  # of the reduced graph, per component
-    for comp in components(graph):
-        betti = comp.edge_count - len(comp.vertices) + 1
+    for comp, betti in zip(components(graph), first_betti(graph)):
         kinds.append(ComponentKind.TRIVIAL if betti == 0
                      else ComponentKind.SINGLE_CYCLE if betti == 1
                      else ComponentKind.HYPERBOLIC)

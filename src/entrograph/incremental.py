@@ -42,13 +42,15 @@ gathered once as an ``EdgeSet``.  Let b be its first Betti number.  If b
 one not given is solved cold (``entropy._cold_root``) if the part's own
 b is 2 or more, else 0.  If b equals the largest Betti number among the
 parts, the new edges join that part to trees along a tree (a pendant
-edge, say) and the entropy stays h_base exactly.
+edge, say) and the entropy stays h_base exactly.  Both edits return one
+``EditResult``.
 
 The asymptotic constants of the pole f_ab(t) ~ C_ab t / (t - h) have the
 closed form C_ab = v_a v_b / (h lambda'(h)), with v the unit null vector
 of M(h) and lambda'(h) = v^T M'(h) v the slope of its smallest
 eigenvalue; h, v and lambda'(h) come from one vertex-matrix solve of
-the component.
+the component, which ``graph.component_of`` builds alone.  The long-edge
+fit reads h off its first edit's h_base.
 """
 
 from __future__ import annotations
@@ -64,12 +66,12 @@ from .counting import (DEFAULT_CAP, EnumerationSpec, PathKind,
 from .entropy import _cold_root, _schur_root, _vertex_root
 from .errors import (DisconnectedPair, NonConvergence, NonPositiveLength,
                      PreconditionError, TooFewAttachments, UnknownVertex)
-from .graph import EdgeSet, MetricGraph, components
+from .graph import EdgeSet, MetricGraph, component_of
 
 
 @dataclass(frozen=True)
-class EdgeAdditionResult:
-    """Entropy after adding one edge.
+class EditResult:
+    """Entropy after adding an edge, or a vertex with its edges.
 
     ``residual`` is |lambda_min(K(h'))| (module docstring), meaningful
     also for a long edge, whose h' - h_base lies below float resolution,
@@ -80,23 +82,7 @@ class EdgeAdditionResult:
 
     h_prime: float
     h_base: float
-    l0: float
     residual: float
-    iterations: int
-
-
-@dataclass(frozen=True)
-class VertexAdditionResult:
-    """Entropy after adding one vertex.
-
-    ``spectral_residual`` is |lambda_min(K(h'))| and ``iterations``
-    counts the evaluations of lambda_min(K), as for
-    ``EdgeAdditionResult``.
-    """
-
-    h_prime: float
-    h_base: float
-    spectral_residual: float
     iterations: int
 
 
@@ -124,9 +110,9 @@ class VertexPrediction:
     h_base: float
 
 
-def _shared_part(graph: MetricGraph, verts: Sequence[str]) -> int:
-    """The position in ``graph._split`` of the component of all of
-    ``verts``."""
+def _one_component(graph: MetricGraph, verts: Sequence[str]) -> None:
+    """Raise UnknownVertex or DisconnectedPair unless ``verts`` are
+    vertices of one component."""
     for v in verts:
         if v not in graph.vertex_set:
             raise UnknownVertex(f"unknown vertex {v!r}")
@@ -135,7 +121,6 @@ def _shared_part(graph: MetricGraph, verts: Sequence[str]) -> int:
     if missing:
         raise DisconnectedPair(
             f"vertices {missing} lie outside the component of {verts[0]!r}")
-    return int(labels[0])
 
 
 def _check_length(length: float, edge: str) -> float:
@@ -160,7 +145,7 @@ def _join(full: EdgeSet, names: Sequence[str], parts, new,
     """The component of ``full`` made of ``parts``, each (vertex indices,
     edge indices, entropy or None), and the edges ``new`` (module
     docstring): (vertex indices, edge indices, h', h_base, residual,
-    evaluations), the residual as in ``EdgeAdditionResult``.  ``direct``
+    evaluations), the residual as in ``EditResult``.  ``direct``
     solves it cold instead, and keeps h_base where the cold root rounds
     below that certified lower bound.  ``names`` as in ``EdgeSet.take``.
     """
@@ -203,7 +188,7 @@ def _edit(graph: MetricGraph, tails: list[int], heads: list[int],
 
 
 def entropy_after_edge(graph: MetricGraph, x: str, y: str, l0: float,
-                       h_base: float | None = None) -> EdgeAdditionResult:
+                       h_base: float | None = None) -> EditResult:
     """Entropy of the component of {x, y} after adding an edge [x, y].
 
     The base is the component of x, joined by the component of y when the
@@ -218,14 +203,13 @@ def entropy_after_edge(graph: MetricGraph, x: str, y: str, l0: float,
     for v in (x, y):
         if v not in graph.vertex_set:
             raise UnknownVertex(f"unknown vertex {v!r}")
-    h_prime, h_base, residual, evals = _edit(
-        graph, [graph._index[x]], [graph._index[y]], [l0], h_base)
-    return EdgeAdditionResult(h_prime, h_base, l0, residual, evals)
+    return EditResult(*_edit(graph, [graph._index[x]], [graph._index[y]],
+                             [l0], h_base))
 
 
 def entropy_after_vertex(graph: MetricGraph,
                          attachments: Sequence[tuple[str, float]],
-                         h_base: float | None = None) -> VertexAdditionResult:
+                         h_base: float | None = None) -> EditResult:
     """Entropy after adding a new vertex with n >= 3 edges into one
     component, the root of lambda_min(K(t)) = 0 on the new vertex and its
     targets, where rho((D A)(t)) = 1 (module docstring).  ``h_base`` is
@@ -233,8 +217,8 @@ def entropy_after_vertex(graph: MetricGraph,
     None."""
     lengths = _attachment_lengths(attachments)
     targets = [v for v, _ in attachments]
-    _shared_part(graph, targets)  # all targets in one component
-    return VertexAdditionResult(*_edit(
+    _one_component(graph, targets)
+    return EditResult(*_edit(
         graph, [len(graph.vertices)] * len(targets),
         [graph._index[v] for v in targets], lengths, h_base))
 
@@ -247,13 +231,14 @@ def predict_edge_asymptotic(h: float, c: float, l: float) -> float:
 def fit_edge_asymptotic(graph: MetricGraph, x: str, y: str,
                         l_values: Sequence[float]) -> AsymptoticFit:
     """Sweep edge lengths and fit the scaled corrections
-    a_l = (h'(l) - h) e^{h l}; their limit is the asymptotic constant."""
-    comp = components(graph)[_shared_part(graph, (x, y))]
-    h = _vertex_root(comp).h
+    a_l = (h'(l) - h) e^{h l}; their limit is the asymptotic constant.
+    h is the h_base of the first edit, which the later ones reuse."""
+    _one_component(graph, (x, y))
     ls = sorted(float(l) for l in l_values)
-    a_vals = []
+    h, a_vals = None, []
     for l in ls:
         res = entropy_after_edge(graph, x, y, l, h_base=h)
+        h = res.h_base
         a_vals.append((res.h_prime - h) * math.exp(h * l))
     c = a_vals[-1]
     gamma = 0.5
@@ -279,7 +264,8 @@ def predict_vertex_asymptotic(graph: MetricGraph,
     """
     lengths = np.array(_attachment_lengths(attachments))
     targets = [v for v, _ in attachments]
-    comp = components(graph)[_shared_part(graph, targets)]
+    _one_component(graph, targets)
+    comp = component_of(graph, targets[0])
     root = _vertex_root(comp)
     h = root.h
     if h <= 0:
@@ -310,7 +296,7 @@ def estimate_constant_C(graph: MetricGraph, x: str, y: str,
     """
     if method not in ("resolvent", "counting", "both"):
         raise ValueError(f"unknown method {method!r}")
-    comp = components(graph)[_shared_part(graph, (x,))]
+    comp = component_of(graph, x)
     root = _vertex_root(comp)
     h = root.h
     if h <= 0:

@@ -311,26 +311,23 @@ def reference_extend(graph, parts, ends, h_base):
 def reference_edge(graph, x, y, l0, h_base=None):
     """``entropy_after_edge`` on a rebuilt ``disjoint_union`` of the
     components of x and y and the new edge."""
-    from entrograph import EdgeAdditionResult, PreconditionError
-    from entrograph import UnknownVertex
+    from entrograph import EditResult, PreconditionError, UnknownVertex
     if l0 <= 0:
         raise PreconditionError("edge length must be positive")
     for v in (x, y):
         if v not in graph.vertex_set:
             raise UnknownVertex(f"unknown vertex {v!r}")
     parts = [c for c in dfs_components(graph) if c.vertex_set & {x, y}]
-    h_prime, h_base, residual, evals = reference_extend(
-        disjoint_union(parts, [(x, y, float(l0))]), parts, {x, y}, h_base)
-    return EdgeAdditionResult(h_prime, h_base, float(l0), residual, evals)
+    return EditResult(*reference_extend(
+        disjoint_union(parts, [(x, y, float(l0))]), parts, {x, y}, h_base))
 
 
 def reference_vertex(graph, attachments, h_base=None):
     """``entropy_after_vertex`` on a rebuilt ``disjoint_union`` of the
     component of the targets and a hub vertex named longer than any of
     its vertices."""
-    from entrograph import (DisconnectedPair, PreconditionError,
-                            TooFewAttachments, UnknownVertex,
-                            VertexAdditionResult)
+    from entrograph import (DisconnectedPair, EditResult, PreconditionError,
+                            TooFewAttachments, UnknownVertex)
     if len(attachments) < 3:
         raise TooFewAttachments("need at least 3 attachment edges")
     if any(float(l) <= 0 for _, l in attachments):
@@ -346,7 +343,7 @@ def reference_vertex(graph, attachments, h_base=None):
     hub = max(comp.vertices, key=len) + "+"
     parts = [comp, MetricGraph.from_edges([hub], [])]
     edges = [(hub, v, float(l)) for v, l in attachments]
-    return VertexAdditionResult(*reference_extend(
+    return EditResult(*reference_extend(
         disjoint_union(parts, edges), parts, {hub, *targets}, h_base))
 
 

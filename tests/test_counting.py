@@ -12,17 +12,20 @@ from hypothesis import example, given, settings, strategies as st
 from entrograph import (CountProfile, EnumerationSpec, HorizonTooLarge,
                         MarginTooSmall, MetricGraph, NonConvergence,
                         PathKind, PreconditionError, TransferMode,
-                        backtracking_bound, backtracking_entropy,
+                        attachment_darts, backtracking_bound,
+                        backtracking_entropy,
                         enumerate_paths, generate_graph, growth_bounds,
                         horizon_for_budget, laplace_check, reduce,
                         verify_recursions, volume_entropy)
 from entrograph import counting
 from entrograph.counting import _count_model, _over_bound, _step_integral
-from helpers import (bfs_enumerate, c4, complete4, dumbbell, eig_entropy,
-                     multigraphs, path3, rose, scalar_laplace_constant,
+from helpers import (bfs_enumerate, c4, complete4, dfs_components,
+                     disjoint_union, dumbbell, eig_entropy, multigraphs,
+                     path3, rose, scalar_laplace_constant,
                      scalar_lower_constant, scalar_recursions,
                      scalar_step_integral, scalar_tail_average,
-                     scalar_violations, segment, short_loop_core, theta)
+                     scalar_violations, segment, short_loop_core,
+                     split_multigraphs, theta)
 
 NB = TransferMode.NON_BACKTRACKING
 BT = TransferMode.BACKTRACKING
@@ -115,6 +118,49 @@ def test_walk_matches_bfs_oracle_on_multigraphs(kind, mode, g):
     if rows is not None:
         merged = np.sort(np.concatenate([np.array([])] + list(rows.values())))
         assert merged.tolist() == oracle
+
+
+def test_attachment_ids_name_the_callers_darts():
+    # the walk runs on the component of x; the ids are darts of g
+    g = MetricGraph.from_edges(["a", "b", "x"], [
+        ("a", "a", 1.0), ("a", "a", 1.5), ("b", "x", 2.0),
+        ("x", "x", 0.7), ("x", "x", 1.1)])
+    for kind in (PathKind.CYCLES_AT, PathKind.PRIMITIVE_CYCLES_AT):
+        prof = enumerate_paths(g, EnumerationSpec(kind, 6.0, v="x"))
+        assert prof.attachment_ids == (5, 6, 7, 8, 9)
+        assert prof.attachment_ids == g.out_darts("x") == tuple(
+            d.id for d in attachment_darts(g, "x"))
+
+
+@pytest.mark.parametrize("mode", [NB, BT], ids=["nb", "bt"])
+@pytest.mark.parametrize("kind", [PathKind.CYCLES_AT,
+                                  PathKind.PRIMITIVE_CYCLES_AT],
+                         ids=["cycles", "primitive"])
+@settings(max_examples=25, deadline=None)
+@given(g=split_multigraphs(), data=st.data())
+def test_attachment_ids_on_split_multigraphs(kind, mode, g, data):
+    # on a graph of several components the ids are the darts of g that
+    # leave v, and the profile is that of v's component built alone
+    v = data.draw(st.sampled_from(g.vertices))
+    comp = next(c for c in dfs_components(g) if v in c.vertex_set)
+    r_max = horizon_for_budget(comp, v, 500, mode) if comp.darts else 1.0
+    for _ in range(100):
+        spec = EnumerationSpec(kind, r_max, mode, v=v, cap=2000)
+        try:
+            prof = enumerate_paths(g, spec)
+            break
+        except HorizonTooLarge as exc:
+            r_max = exc.safe_horizon
+    else:
+        pytest.fail("no horizon fits the cap")
+    assert prof.attachment_ids == g.out_darts(v)
+    assert all(g.darts[d].tail == v for d in prof.attachment_ids)
+    ref = enumerate_paths(comp, spec)
+    assert prof.lengths.tolist() == ref.lengths.tolist()
+    for rows, ref_rows in ((prof.by_start, ref.by_start),
+                           (prof.by_pair, ref.by_pair)):
+        assert {k: r.tolist() for k, r in rows.items()} \
+            == {k: r.tolist() for k, r in ref_rows.items()}
 
 
 def test_nonbacktracking_counts_below_backtracking():
@@ -460,6 +506,19 @@ def test_backtracking_bound_both_branches():
     assert rep2.m_formula == pytest.approx(
         3.0 * math.exp(-rep2.h * rep2.l1), rel=1e-9, abs=0.0)
     assert rep2.violations == ()
+
+
+def test_backtracking_rates_are_route_one_to_the_bit():
+    # laplace_check's default h in backtracking mode and
+    # backtracking_bound solve route 1 of backtracking_entropy alone
+    beside = disjoint_union([path3(1.0, 5.0), dumbbell()])
+    for g, v, r in ((path3(), "y", 14.0), (path3(1.0, 5.0), "x", 40.0),
+                    (beside, "x", 40.0), (beside, "m", 8.0)):
+        h = backtracking_entropy(g, v).h_transfer
+        prof = enumerate_paths(g, EnumerationSpec(
+            PathKind.CYCLES_AT, r, BT, v=v))
+        assert laplace_check(prof, g, h + 0.5).h_used == h
+        assert backtracking_bound(g, v, r).h == h
 
 
 def test_backtracking_bound_needs_two_primitives():

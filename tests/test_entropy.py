@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from entrograph import (EnumerationSpec, InsufficientData, MetricGraph,
                         NonConvergence, PathKind, TransferMode,
                         ValidationFailed, build_transfer, components,
-                        entropy_from_counts, enumerate_paths, generate_graph,
-                        reduce, rho_curve, vertex_matrix, volume_entropy)
+                        entropy_after_edge, entropy_from_counts,
+                        enumerate_paths, generate_graph, persistent_entropy,
+                        reduce, rho_curve, thresholds, vertex_matrix,
+                        volume_entropy)
 from entrograph import entropy
 from entrograph.graph import Dart
 from entrograph.spectral import vertex_form
@@ -160,6 +162,26 @@ def test_nonconvergence_carries_t_and_component():
     assert info.value.t == math.log(2) / 0.01
     assert info.value.component == "x"
     assert info.value.threshold is None
+
+
+@pytest.mark.parametrize("solve", ["edge", "direct curve"])
+def test_newton_cap_raises_a_located_nonconvergence(monkeypatch, solve):
+    # two evaluations resolve neither root: the Newton loop's own cap
+    # raises, with the t it stopped at and the component it solved
+    monkeypatch.setattr(entropy, "_NEWTON_CAP", 2)
+    g = generate_graph(1, 10, 20)
+    with pytest.raises(NonConvergence) as info:
+        if solve == "edge":
+            entropy_after_edge(g, "v0", "v3", 1.0)
+        else:
+            persistent_entropy(g, "direct")
+    exc = info.value
+    assert "unresolved after 2 evaluations" in str(exc)
+    assert math.isfinite(exc.t) and exc.component == "v0"
+    if solve == "edge":
+        assert exc.threshold is None
+    else:
+        assert exc.threshold in thresholds(g)
 
 
 def test_wide_ladder_graph_solves_to_unit_radius():

@@ -98,6 +98,27 @@ def test_components_equal_the_dfs_on_multigraphs(g):
             assert component_of(g, v).edge_list() == c.edge_list()
 
 
+def test_component_of_builds_only_its_component(monkeypatch):
+    # four components: one graph is built, the one asked for; a connected
+    # graph is its own component, and nothing is built
+    parts = [complete4(), rose(2), theta(), cycle(3)]
+    g = MetricGraph.from_edges(
+        [f"{k}{v}" for k, p in enumerate(parts) for v in p.vertices],
+        [(f"{k}{u}", f"{k}{w}", l) for k, p in enumerate(parts)
+         for u, w, l in p.edge_list()])
+    connected = complete4()
+    built = []
+    from_edges = MetricGraph.from_edges.__func__
+    monkeypatch.setattr(MetricGraph, "from_edges", classmethod(
+        lambda cls, *args: built.append(args) or from_edges(cls, *args)))
+    comp = component_of(g, "2x")
+    assert len(built) == 1
+    assert comp.vertices == ("2x", "2y")
+    assert comp.edge_list() == (("2x", "2y", 1.0),) * 3
+    assert component_of(connected, "c") is connected
+    assert len(built) == 1
+
+
 def test_edge_arrays_cached_and_read_only():
     g = MetricGraph.from_edges(["x", "y"], [("y", "x", 2.0), ("x", "x", 0.5)])
     n, u, w, lengths = g._edge_arrays

@@ -215,7 +215,7 @@ def test_paper_equations_hold_at_the_returned_roots():
     a = np.ones_like(d) - np.eye(len(d))
     assert np.abs(np.linalg.eigvals(d @ a)).max() == \
         pytest.approx(1.0, rel=1e-12, abs=0.0)
-    assert res.spectral_residual <= 1e-12
+    assert res.residual <= 1e-12
     # g(h) = 1 for the backtracking primitive cycles at x, route 2 of
     # backtracking_entropy
     g = theta((1.0, 1.3, 0.7))
@@ -352,7 +352,7 @@ def test_vertex_addition_matches_direct():
     res = entropy_after_vertex(c4(), att)
     direct = volume_entropy(add_vertex(c4(), att)).h
     assert abs(res.h_prime - direct) <= 1e-8
-    assert res.spectral_residual <= 1e-10
+    assert res.residual <= 1e-10
 
 
 def test_vertex_addition_repeated_targets_bigon():
@@ -459,7 +459,19 @@ def test_vertex_with_long_edges_matches_the_closed_form():
     pred = predict_vertex_asymptotic(g, att)
     assert res.h_base == pred.h_base
     assert abs(res.h_prime - pred.h_predicted) <= 3 * math.ulp(res.h_base)
-    assert res.spectral_residual <= 1e-12
+    assert res.residual <= 1e-12
+
+
+def test_asymptotics_need_positive_entropy_and_a_known_method():
+    # the triangle beside the theta has entropy 0: no pole to expand
+    g = disjoint_union([cycle(3), theta()])
+    with pytest.raises(PreconditionError, match="positive base entropy"):
+        predict_vertex_asymptotic(g, [("c0", 5.0), ("c1", 5.0),
+                                      ("c2", 5.0)])
+    with pytest.raises(PreconditionError, match="positive entropy"):
+        estimate_constant_C(g, "c0", "c1")
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        estimate_constant_C(g, "x", "y", method="bogus")
 
 
 def test_predict_vertex_requires_attachments():
