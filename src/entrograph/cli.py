@@ -19,8 +19,8 @@ from .errors import (DisconnectedPair, DivergentSeries, EntrographError,
                      NonPositiveLength, PreconditionError, TooFewAttachments,
                      UnknownFormat, UnknownVertex, ValidationFailed)
 from .genfun import check_symmetry
-from .graph import (MetricGraph, add_edge, add_vertex, component_of,
-                    components, reduce, validate)
+from .graph import (MetricGraph, _require_valid, add_edge, add_vertex,
+                    component_of, first_betti, reduce)
 from .graphio import ParseError, generate_graph, load_graph, serialize_json
 from .incremental import EditResult, entropy_after_edge, entropy_after_vertex
 from .spectral import TransferMode
@@ -48,9 +48,7 @@ def _emit(text: str, out_path: str | None):
 
 def _load(path: str) -> MetricGraph:
     graph = load_graph(path)
-    report = validate(graph)
-    if report:
-        raise ValidationFailed(report)
+    _require_valid(graph)
     return graph
 
 
@@ -151,25 +149,26 @@ def cmd_verify(args) -> int:
 
     res = volume_entropy(graph)
     h = res.h
-    h_comp = dict(res.per_component)
     record("entropy-solve", "PASS", f"h={h:.9g} residual={res.residual:.2e}")
 
-    comps = [c for c in components(graph) if len(c.vertex_set) >= 2]
+    def h_of(x):  # the entropy of the component of x
+        return res.per_component[graph._split[0][graph._position(x)]][1]
+
+    comps = [verts for verts, _ in graph._split[1] if verts.size >= 2]
     if comps:
-        comp = comps[0]
-        a, b = sorted(comp.vertex_set)[:2]
-        resid = check_symmetry(comp, a, b, h + 0.5)
+        a, b = sorted(map(graph.vertices.__getitem__, comps[0].tolist()))[:2]
+        resid = check_symmetry(graph, a, b, h + 0.5)
         status = "PASS" if resid <= 1e-10 else "FAIL"
         record("genfun-symmetry", status, f"|f_xy-f_yx|={resid:.2e}")
     else:
         record("genfun-symmetry", "SKIPPED", "no 2-vertex component")
 
-    red = reduce(graph)
-    core = red.graph
-    hyper = components(core)
+    core = reduce(graph).graph  # keeps the names of the graph's vertices
+    hyper = [verts[0] for (verts, _), betti
+             in zip(core._split[1], first_betti(core)) if betti >= 2]
     skip_reason = "no hyperbolic component" if not hyper else None
     if hyper:
-        core0 = hyper[0]
+        core0 = component_of(core, core.vertices[hyper[0]])
         v = max(core0.vertex_set, key=lambda w: (core0.degree(w), w))
         r_cap = counting.horizon_for_budget(core0, v, min(cap, 200_000))
         longest = max(d.length for d in core0.darts)
@@ -177,8 +176,7 @@ def cmd_verify(args) -> int:
             skip_reason = (f"cap {cap:g} allows horizon "
                            f"{r_cap:.3g} only")
     if skip_reason is None:
-        # the core keeps the names of its component's vertices
-        h_core = h_comp[min(component_of(graph, v).vertices)]
+        h_core = h_of(v)
         try:
             rep = counting.growth_bounds(core0, v, r_cap, cap=cap,
                                          h=h_core)
@@ -217,9 +215,7 @@ def cmd_verify(args) -> int:
     pair = _first_nonadjacent_pair(graph)
     if pair:
         x, y = pair
-        comp = component_of(graph, x)
-        inc = entropy_after_edge(graph, x, y, 1.0,
-                                 h_base=h_comp[min(comp.vertices)])
+        inc = entropy_after_edge(graph, x, y, 1.0, h_base=h_of(x))
         _, diff = _direct_gap(add_edge(graph, x, y, 1.0), x, inc.h_prime)
         record("edge-cross-method", "PASS" if diff <= 1e-8 else "FAIL",
                f"|inc-direct|={diff:.2e}")
@@ -236,10 +232,10 @@ def cmd_verify(args) -> int:
 
 
 def _first_nonadjacent_pair(graph: MetricGraph):
-    for comp in components(graph):
-        verts = sorted(comp.vertex_set)
+    for indices, _ in graph._split[1]:
+        verts = sorted(map(graph.vertices.__getitem__, indices.tolist()))
         for i, x in enumerate(verts):
-            neighbors = {comp.darts[d].head for d in comp.out_darts(x)}
+            neighbors = {graph.darts[d].head for d in graph.out_darts(x)}
             for y in verts[i + 1:]:
                 if y not in neighbors:
                     return x, y

@@ -43,7 +43,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from .entropy import _EPS, _schur_root, _vertex_root, volume_entropy
 from .errors import (DivergentSeries, HorizonTooLarge, MarginTooSmall,
-                     NonConvergence, PreconditionError, UnknownVertex)
+                     NonConvergence, PreconditionError)
 from .genfun import attachment_darts, f_from, f_path, primitive_matrix
 from .graph import (MetricGraph, component_of, delete_vertex, first_betti,
                     validate)
@@ -186,7 +186,7 @@ def _return_bounds(rows: np.ndarray, cols: np.ndarray, lengths: np.ndarray,
     return np.minimum(r_max, r_max - reach + 1e-9 * r_max)
 
 
-def _walk(comp: MetricGraph, mode: TransferMode, starts, r_max: float,
+def _walk(graph: MetricGraph, mode: TransferMode, starts, r_max: float,
           target: str | None, stop: bool, limit: int, keep_starts: bool):
     """Level-synchronous walk over the dart sequences that begin with one
     of ``starts``, stay shorter than ``r_max`` and, with a ``target``, can
@@ -208,10 +208,10 @@ def _walk(comp: MetricGraph, mode: TransferMode, starts, r_max: float,
     expanded.  Raises HorizonTooLarge once more than ``limit`` nodes have
     been made (kept nodes, pruned children are not counted).
     """
-    n = len(comp.darts)
-    lengths = comp._dart_arrays[0]
-    rows, cols = transitions(comp, mode)
-    hits = [target is None or d.head == target for d in comp.darts]
+    n = len(graph.darts)
+    lengths = graph._dart_arrays[0]
+    rows, cols = transitions(graph, mode)
+    hits = [target is None or d.head == target for d in graph.darts]
     bound = _return_bounds(rows, cols, lengths, r_max,
                            None if target is None else np.flatnonzero(hits))
     nexts = np.split(cols, np.searchsorted(rows, np.arange(1, n)))
@@ -262,12 +262,14 @@ def enumerate_paths(graph: MetricGraph, spec: EnumerationSpec
                     ) -> CountProfile:
     """Exhaustively enumerate paths or cycles below ``spec.r_max``.
 
-    The count model of ``_count_model`` projects the count first; then a
-    level-synchronous walk (``_walk``) extends the dart sequences of one
-    length, grouped by last dart, with numpy, and records the groups the
-    kind asks for: every group (paths from x), arrivals at y (paths x..y)
-    or at v (cycles), or first returns to v, which end the sequence
-    (primitive cycles).  For the kinds with a target (y or v) a sequence
+    The count model of ``_count_model`` projects the count on the base's
+    component first; then a level-synchronous walk (``_walk``) over the
+    darts of ``graph`` itself, so that the row keys index
+    ``attachment_ids``, extends the dart sequences of one length, grouped
+    by last dart, with numpy, and records the groups the kind asks for:
+    every group (paths from x), arrivals at y (paths x..y) or at v
+    (cycles), or first returns to v, which end the sequence (primitive
+    cycles).  For the kinds with a target (y or v) a sequence
     ending in dart d is kept only while its length is below r_max - R(d)
     + 1e-9 r_max (and below r_max), R(d) the shortest continuation into
     the target (``_return_bounds``); the slack is far above the rounding
@@ -291,15 +293,14 @@ def enumerate_paths(graph: MetricGraph, spec: EnumerationSpec
 
     if spec.kind is PathKind.PATHS_XY:
         base, target, endpoints = spec.x, spec.y, (spec.x, spec.y)
-        if spec.y not in graph.vertex_set:
-            raise UnknownVertex(f"unknown vertex {spec.y!r}")
+        graph._position(spec.y)
     elif spec.kind is PathKind.PATHS_FROM:
         base, target, endpoints = spec.x, None, (spec.x,)
     else:
         base, target, endpoints = spec.v, spec.v, (spec.v,)
     comp = component_of(graph, base)
 
-    starts = comp.out_darts(base)
+    starts = graph.out_darts(base)
     if comp.darts:
         a, h = _count_model(comp, spec.mode, base, target)
         with np.errstate(over="ignore"):  # inf past the float range
@@ -314,7 +315,7 @@ def enumerate_paths(graph: MetricGraph, spec: EnumerationSpec
 
     primitive = spec.kind is PathKind.PRIMITIVE_CYCLES_AT
     paths = spec.kind in (PathKind.PATHS_XY, PathKind.PATHS_FROM)
-    walk = _walk(comp, spec.mode, starts, spec.r_max, target, primitive,
+    walk = _walk(graph, spec.mode, starts, spec.r_max, target, primitive,
                  int(1.25 * spec.cap) + 1024, not paths)
     if paths:
         lengths = np.concatenate([cum for _, _, cum in walk] or [np.empty(0)])
@@ -324,7 +325,7 @@ def enumerate_paths(graph: MetricGraph, spec: EnumerationSpec
     # key k * width + j: out along start k, back along the reverse of
     # start j (primitive cycles); k alone for cycles
     width = len(starts) + 1
-    rev_pos = {comp.darts[s].reverse: j for j, s in enumerate(starts, 1)}
+    rev_pos = {graph.darts[s].reverse: j for j, s in enumerate(starts, 1)}
     parts = [(cum, k.astype(np.intp) * width + rev_pos[last] if primitive
               else k) for k, last, cum in walk]
     lengths = np.concatenate([cum for cum, _ in parts] or [np.empty(0)])
@@ -339,7 +340,7 @@ def enumerate_paths(graph: MetricGraph, spec: EnumerationSpec
         groups = {"by_start": rows}
     lengths.sort()
     return CountProfile(spec.kind, spec.mode, spec.r_max, lengths,
-                        endpoints, attachment_ids=graph.out_darts(base),
+                        endpoints, attachment_ids=starts,
                         **groups)
 
 

@@ -49,9 +49,9 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dsyevr
 
-from .errors import InsufficientData, NonConvergence, ValidationFailed
-from .graph import (ComponentKind, EdgeSet, MetricGraph, components, reduce,
-                    validate)
+from .errors import InsufficientData, NonConvergence
+from .graph import (ComponentKind, EdgeSet, MetricGraph, _require_valid,
+                    components, reduce)
 from .spectral import (TransferMode, VertexForm, _sparse_transfer,
                        _vertex_forms, build_transfer, spectral_radius)
 
@@ -355,9 +355,7 @@ def volume_entropy(graph: MetricGraph) -> EntropyResult:
     Raises ValidationFailed on invalid input: no entropy is ever reported
     for a non-validated graph.
     """
-    report = validate(graph)
-    if report:
-        raise ValidationFailed(report)
+    _require_valid(graph)
 
     per: list[tuple[str, float]] = []
     best, best_l_min, evals = None, 0.0, 0
@@ -394,9 +392,7 @@ def rho_curve(graph: MetricGraph, t_values: Sequence[float],
               ) -> list[tuple[float, float]]:
     """Sample (t, rho(B(t))) along a parameter grid, each radius from the
     dense eigenvalues of B(t); diagnostic helper."""
-    report = validate(graph)
-    if report:
-        raise ValidationFailed(report)
+    _require_valid(graph)
     return [(float(t), float(np.abs(np.linalg.eigvals(
         build_transfer(graph, float(t), mode).matrix)).max(initial=0.0)))
         for t in t_values]

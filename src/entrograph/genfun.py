@@ -50,7 +50,7 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .errors import DivergentSeries, InvalidDartIndex, UnknownVertex
+from .errors import DivergentSeries, InvalidDartIndex
 from .graph import Dart, MetricGraph, component_of, delete_vertex
 from .spectral import TransferMode, vertex_form
 
@@ -127,8 +127,7 @@ def f_path(graph: MetricGraph, x: str, y: str, t: float,
     different components (the path set is empty); the value inf when t is
     at or below the component entropy.
     """
-    if y not in graph.vertex_set:
-        raise UnknownVertex(f"unknown vertex {y!r}")
+    graph._position(y)
     comp = component_of(graph, x)
     if y not in comp.vertex_set:
         return GenFunValue(0.0, disconnected=True)

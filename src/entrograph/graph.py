@@ -11,6 +11,11 @@ Connected components come from one cached split of the edge arrays
 (``MetricGraph._split``, a union-find rooted at least vertex names) into
 each component's vertex and edge indices.  ``component_of`` builds only
 the component it names; a connected graph is its own component.
+
+Every entry point of the package names its vertices through
+``MetricGraph._position``, the one lookup that raises UnknownVertex, and
+refuses an invalid graph through ``_require_valid``, the one gate that
+raises ValidationFailed with the report of ``validate``.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import NonPositiveLength, UnknownVertex
+from .errors import NonPositiveLength, UnknownVertex, ValidationFailed
 
 
 @dataclass(frozen=True)
@@ -70,10 +75,9 @@ class MetricGraph:
         darts: list[Dart] = []
         for u, v, length in edges:
             u, v = str(u), str(v)
-            if u not in vset:
-                raise UnknownVertex(f"unknown vertex {u!r}")
-            if v not in vset:
-                raise UnknownVertex(f"unknown vertex {v!r}")
+            for w in (u, v):
+                if w not in vset:
+                    raise UnknownVertex(f"unknown vertex {w!r}")
             length = float(length)
             if not (length > 0.0) or not math.isfinite(length):
                 raise NonPositiveLength(
@@ -100,6 +104,14 @@ class MetricGraph:
     def _index(self) -> dict[str, int]:
         """The position of each vertex in ``vertices``."""
         return {v: i for i, v in enumerate(self.vertices)}
+
+    def _position(self, v: str) -> int:
+        """The position of vertex v in ``vertices``; UnknownVertex for a
+        name the graph does not have."""
+        try:
+            return self._index[v]
+        except KeyError:
+            raise UnknownVertex(f"unknown vertex {v!r}") from None
 
     @cached_property
     def _edge_arrays(self) -> EdgeSet:
@@ -305,6 +317,14 @@ def validate(graph: MetricGraph) -> tuple[str, ...]:
     return tuple(report)
 
 
+def _require_valid(graph: MetricGraph) -> None:
+    """Raise ValidationFailed with the report of ``validate`` unless the
+    graph is valid."""
+    report = validate(graph)
+    if report:
+        raise ValidationFailed(report)
+
+
 def _component(graph: MetricGraph, k: int) -> MetricGraph:
     """Component k of ``graph._split``, built from the edge arrays in the
     vertex and edge order of ``graph``; a connected graph is itself."""
@@ -331,9 +351,7 @@ def components(graph: MetricGraph) -> list[MetricGraph]:
 def component_of(graph: MetricGraph, x: str) -> MetricGraph:
     """The connected component containing vertex x, as in ``components``;
     only that component is built."""
-    if x not in graph.vertex_set:
-        raise UnknownVertex(f"unknown vertex {x!r}")
-    return _component(graph, graph._split[0][graph._index[x]])
+    return _component(graph, graph._split[0][graph._position(x)])
 
 
 def first_betti(graph: MetricGraph) -> tuple[int, ...]:
@@ -470,8 +488,7 @@ def delete_edge(graph: MetricGraph, dart_id: int) -> MetricGraph:
 
 def delete_vertex(graph: MetricGraph, v: str) -> MetricGraph:
     """Return a new graph without v and without all edges incident to v."""
-    if v not in graph.vertex_set:
-        raise UnknownVertex(f"unknown vertex {v!r}")
+    graph._position(v)
     verts = tuple(w for w in graph.vertices if w != v)
     edges = tuple(e for e in graph.edge_list() if v not in (e[0], e[1]))
     return MetricGraph.from_edges(verts, edges)

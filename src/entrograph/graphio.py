@@ -6,9 +6,12 @@ Primary interchange is a JSON document
 
 with duplicate edges (multigraph) and u == v (loop) allowed.  A plain
 edge list with one "u v length" triple per line and '#' comments is
-accepted for quick experiments.  Lengths are parsed as decimal and
-stored as binary floats; filtration thresholds compare the stored
-values exactly, so serialization uses shortest round-trip floats.
+accepted for quick experiments.  Both parsers hand their edges to one
+builder: the vertices are those listed, then the edge ends by first
+appearance, and every error of ``MetricGraph.from_edges`` becomes a
+ParseError.  Lengths are parsed as decimal and stored as binary floats;
+filtration thresholds compare the stored values exactly, so
+serialization uses shortest round-trip floats.
 """
 
 from __future__ import annotations
@@ -24,39 +27,38 @@ class ParseError(ValueError):
     pass
 
 
+def _build(vertices, edges) -> MetricGraph:
+    """The graph of ``edges``; its vertices are ``vertices``, then the
+    edge ends not among them, by first appearance (``from_edges`` keeps
+    the first copy of each).  Its errors become ParseError."""
+    try:
+        return MetricGraph.from_edges(
+            [*vertices, *(w for u, v, _ in edges for w in (u, v))], edges)
+    except Exception as exc:
+        raise ParseError(str(exc)) from exc
+
+
 def parse_graph_json(text: str) -> MetricGraph:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "edges" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("edges"), list):
         raise ParseError('expected an object with "vertices" and "edges"')
     vertices = doc.get("vertices", [])
     if not isinstance(vertices, list):
         raise ParseError('"vertices" must be a list of ids')
     edges = []
-    names = [str(v) for v in vertices]
-    seen = set(names)
     for rec in doc["edges"]:
         try:
-            u, v, length = str(rec["u"]), str(rec["v"]), float(rec["length"])
+            edges.append((str(rec["u"]), str(rec["v"]), float(rec["length"])))
         except (TypeError, KeyError, ValueError) as exc:
             raise ParseError(f"bad edge record {rec!r}") from exc
-        for w in (u, v):
-            if w not in seen:
-                seen.add(w)
-                names.append(w)
-        edges.append((u, v, length))
-    try:
-        return MetricGraph.from_edges(names, edges)
-    except Exception as exc:
-        raise ParseError(str(exc)) from exc
+    return _build(vertices, edges)
 
 
 def parse_graph_edgelist(text: str) -> MetricGraph:
     edges = []
-    names: list[str] = []
-    seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -65,21 +67,12 @@ def parse_graph_edgelist(text: str) -> MetricGraph:
         if len(parts) != 3:
             raise ParseError(
                 f"line {lineno}: expected 'u v length', got {raw!r}")
-        u, v = parts[0], parts[1]
         try:
-            length = float(parts[2])
+            edges.append((parts[0], parts[1], float(parts[2])))
         except ValueError as exc:
             raise ParseError(f"line {lineno}: bad length {parts[2]!r}") \
                 from exc
-        for w in (u, v):
-            if w not in seen:
-                seen.add(w)
-                names.append(w)
-        edges.append((u, v, length))
-    try:
-        return MetricGraph.from_edges(names, edges)
-    except Exception as exc:
-        raise ParseError(str(exc)) from exc
+    return _build([], edges)
 
 
 def parse_graph(text: str) -> MetricGraph:

@@ -65,7 +65,7 @@ from .counting import (DEFAULT_CAP, EnumerationSpec, PathKind,
                        _step_integral, enumerate_paths, horizon_for_budget)
 from .entropy import _cold_root, _schur_root, _vertex_root
 from .errors import (DisconnectedPair, NonConvergence, NonPositiveLength,
-                     PreconditionError, TooFewAttachments, UnknownVertex)
+                     PreconditionError, TooFewAttachments)
 from .graph import EdgeSet, MetricGraph, component_of
 
 
@@ -113,10 +113,7 @@ class VertexPrediction:
 def _one_component(graph: MetricGraph, verts: Sequence[str]) -> None:
     """Raise UnknownVertex or DisconnectedPair unless ``verts`` are
     vertices of one component."""
-    for v in verts:
-        if v not in graph.vertex_set:
-            raise UnknownVertex(f"unknown vertex {v!r}")
-    labels = graph._split[0][[graph._index[v] for v in verts]]
+    labels = graph._split[0][[graph._position(v) for v in verts]]
     missing = [v for v, k in zip(verts, labels) if k != labels[0]]
     if missing:
         raise DisconnectedPair(
@@ -200,11 +197,8 @@ def entropy_after_edge(graph: MetricGraph, x: str, y: str, l0: float,
     iterations (module docstring).
     """
     l0 = _check_length(l0, f"edge [{x}, {y}]")
-    for v in (x, y):
-        if v not in graph.vertex_set:
-            raise UnknownVertex(f"unknown vertex {v!r}")
-    return EditResult(*_edit(graph, [graph._index[x]], [graph._index[y]],
-                             [l0], h_base))
+    return EditResult(*_edit(graph, [graph._position(x)],
+                             [graph._position(y)], [l0], h_base))
 
 
 def entropy_after_vertex(graph: MetricGraph,
@@ -296,6 +290,7 @@ def estimate_constant_C(graph: MetricGraph, x: str, y: str,
     """
     if method not in ("resolvent", "counting", "both"):
         raise ValueError(f"unknown method {method!r}")
+    graph._position(y)  # an unknown y is an error, not a disconnected one
     comp = component_of(graph, x)
     root = _vertex_root(comp)
     h = root.h

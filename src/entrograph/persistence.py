@@ -32,8 +32,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import EntrographError, UnknownFormat, ValidationFailed
-from .graph import MetricGraph, validate
+from .errors import EntrographError, UnknownFormat
+from .graph import MetricGraph, _require_valid
 from .incremental import _join
 
 
@@ -94,9 +94,7 @@ def persistent_entropy(graph: MetricGraph,
     with its ``threshold`` attribute set to the offending threshold;
     other exceptions propagate untouched.
     """
-    report = validate(graph)
-    if report:
-        raise ValidationFailed(report)
+    _require_valid(graph)
     if strategy not in ("direct", "incremental", "auto"):
         raise ValueError(f"unknown strategy {strategy!r}")
 

@@ -1,11 +1,14 @@
 """CLI commands, file formats and exit codes."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
-from entrograph import (MetricGraph, parse_graph, same_graph,
+from entrograph import (MetricGraph, NonConvergence, ParseError, parse_graph,
+                        parse_graph_edgelist, parse_graph_json, same_graph,
                         serialize_edgelist, serialize_json)
+from entrograph import cli, counting
 from entrograph.cli import main
 from entrograph.graphio import generate_graph
 from helpers import c4, complete4, rose
@@ -37,6 +40,31 @@ def test_round_trip_json_and_edgelist():
         assert same_graph(parse_graph(serialize_json(g)), g)
         if all(g.out_darts(v) for v in g.vertices):
             assert same_graph(parse_graph(serialize_edgelist(g)), g)
+
+
+def test_parsers_order_listed_vertices_then_edge_ends():
+    g = parse_graph_json(json.dumps({"vertices": [3, "a"], "edges": [
+        {"u": "b", "v": 3, "length": 1.0}, {"u": "c", "v": "b", "length": 2},
+        {"u": "a", "v": "c", "length": 1.5}]}))
+    assert g.vertices == ("3", "a", "b", "c")
+    assert g.edge_list()[0] == ("b", "3", 1.0)
+    g = parse_graph_edgelist("b a 1.0\n# c first here\na c 2\nc b 1.5\n")
+    assert g.vertices == ("b", "a", "c")
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_graph_json, '{"vertices": ["a"]}'),
+    (parse_graph_json, '{"vertices": ["a"], "edges": null}'),
+    (parse_graph_json, '{"vertices": "ab", "edges": []}'),
+    (parse_graph_json, '{"edges": [{"u": "a", "length": 1.0}]}'),
+    (parse_graph_edgelist, "a b 1.0\na b\n"),
+    (parse_graph_edgelist, "a b one\n"),
+    (parse_graph_edgelist, "a b 1.0\nb c 0\n"),
+], ids=["no-edges", "edges-not-list", "vertices-not-list", "bad-record",
+        "field-count", "bad-length", "non-positive-length"])
+def test_parsers_raise_parse_error(parse, text):
+    with pytest.raises(ParseError):
+        parse(text)
 
 
 def test_entropy_command(k4_file, capsys):
@@ -179,6 +207,53 @@ def test_verify_deterministic_output(tmp_path, capsys):
     main(["verify", str(path)])
     second = capsys.readouterr().out
     assert first == second
+
+
+@pytest.mark.parametrize("text", ["a b 1.0\nb c 0.7\nc a 1.1\n",
+                                  "a a 1.0\n"], ids=["triangle", "loop"])
+def test_verify_skips_a_single_cycle(text, tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    assert main(["verify", str(path)]) == 0
+    skipped = [line for line in capsys.readouterr().out.splitlines()
+               if line.endswith("no hyperbolic component")]
+    assert [line.split()[:2] for line in skipped] == [
+        ["SKIPPED", name] for name in ("growth-bounds", "recursions",
+                                       "laplace")]
+
+
+def test_verify_checks_the_theta_beside_a_triangle(tmp_path, capsys):
+    # the triangle reduces to a loop that sorts first; the theta is
+    # the first component with two independent cycles
+    path = tmp_path / "g.txt"
+    path.write_text("a b 1.0\nb c 0.7\nc a 1.1\n"
+                    "x y 0.2\nx y 0.3\nx y 0.25\n")
+    assert main(["verify", str(path)]) == 0
+    assert "PASS    growth-bounds  M=6.607 m=0.491 rho(A)=1.000000000\n" \
+        in capsys.readouterr().out
+
+
+def test_verify_solver_error_exits_3(k4_file, monkeypatch, capsys):
+    def fail(graph):
+        raise NonConvergence("no root")
+    monkeypatch.setattr(cli, "volume_entropy", fail)
+    assert main(["verify", k4_file]) == 3
+    assert "no root" in capsys.readouterr().err
+
+
+def test_verify_failed_property_exits_5(k4_file, monkeypatch, capsys):
+    monkeypatch.setattr(counting, "growth_bounds", lambda *a, **k: (
+        SimpleNamespace(passed=False, m_formula=1.0, m_empirical=2.0,
+                        rho_a=1.0)))
+    assert main(["verify", k4_file]) == 5
+    captured = capsys.readouterr()
+    assert "FAIL    growth-bounds" in captured.out
+    assert "failed properties: growth-bounds" in captured.err
+
+
+def test_attachment_without_length_exits_4(c4_file, capsys):
+    assert main(["add-vertex", c4_file, "--attach", "a"]) == 4
+    assert "VERTEX:LENGTH" in capsys.readouterr().err
 
 
 def test_generate_deterministic_bytes(tmp_path):

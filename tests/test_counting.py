@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from entrograph import (CountProfile, EnumerationSpec, HorizonTooLarge,
+from entrograph import (CountProfile, Dart, EnumerationSpec, HorizonTooLarge,
                         MarginTooSmall, MetricGraph, NonConvergence,
                         PathKind, PreconditionError, TransferMode,
                         attachment_darts, backtracking_bound,
@@ -182,6 +182,20 @@ def test_primitive_profile_rose2_pairs():
     assert set(prof.by_pair) == {(1, 2), (2, 1), (3, 4), (4, 3)}
     for lengths in prof.by_pair.values():
         assert lengths.tolist() == [1.0]
+
+
+def test_primitive_rows_index_the_callers_darts():
+    # loops at x on the dart pairs (0, 3) and (1, 2), beside an isolated
+    # z: the keys index the out-darts of this graph, not of a rebuilt
+    # component whose pairs are consecutive
+    darts = (Dart(0, "x", "x", 1.0, 3), Dart(1, "x", "x", 1.5, 2),
+             Dart(2, "x", "x", 1.5, 1), Dart(3, "x", "x", 1.0, 0))
+    spec = EnumerationSpec(PathKind.PRIMITIVE_CYCLES_AT, 3.2, v="x")
+    rows = [{k: r.tolist() for k, r in enumerate_paths(g, spec).by_pair
+             .items()} for g in (MetricGraph(("x", "z"), darts),
+                                 MetricGraph(("x",), darts))]
+    assert rows[0] == rows[1] == {(1, 4): [1.0], (2, 3): [1.5],
+                                  (3, 2): [1.5], (4, 1): [1.0]}
 
 
 def test_primitive_interior_avoids_vertex():
