@@ -14,6 +14,15 @@ recorded length is lost.  Counts use the strict convention
 N(r) = #{lengths < r} throughout; ties at a grid radius belong to the
 open side.
 
+Each enumeration is one walk and one linear-time grouping: the rows of
+a cycle profile come from one stable (radix) sort of the walk's narrow
+start keys and one in-place sort per row (``_grouped``).
+``verify_recursions`` takes the cycles and the primitive cycles of a
+mode from one walk, in which a sequence carries a returned flag in its
+start key after its first arrival at v, and ``growth_bounds``, which
+reads no rows, enumerates the paths v..v: the cycle lengths without
+start keys.
+
 The identity checks query a finished profile with arrays: one
 ``np.searchsorted`` per profile row and check radius r over the inner
 radii r - l, and one ``np.exp`` over the jumps of N.  The step integral
@@ -187,14 +196,18 @@ def _return_bounds(rows: np.ndarray, cols: np.ndarray, lengths: np.ndarray,
 
 
 def _walk(graph: MetricGraph, mode: TransferMode, starts, r_max: float,
-          target: str | None, stop: bool, limit: int, keep_starts: bool):
+          target: str | None, stop: bool, limit: int, keep_starts: bool,
+          flag: int = 0):
     """Level-synchronous walk over the dart sequences that begin with one
     of ``starts``, stay shorter than ``r_max`` and, with a ``target``, can
     still end in a dart heading into it below r_max.
 
     Level n holds the sequences of n darts as {last dart: parts}, a part
-    being (start indices, cumulative lengths), the start indices 1-based
-    in ``starts`` in a narrow dtype, or None unless ``keep_starts``.  A
+    being (start keys, cumulative lengths), the start keys the 1-based
+    indices in ``starts`` in a narrow dtype, or None unless
+    ``keep_starts``.  A nonzero ``flag``, a power of two above the
+    indices, is or-ed into the key of a sequence once it has arrived at
+    the target, so that its later arrivals tell themselves apart.  A
     group d is popped, its parts joined, and extended by all successors
     d2 at once (``spectral.transitions``, so not by the reverse of d when
     non-backtracking): a child cum + l(d2) is kept when below the bound
@@ -218,7 +231,7 @@ def _walk(graph: MetricGraph, mode: TransferMode, starts, r_max: float,
     succ = [row.tolist() for row in nexts]
     steps = [lengths[row][:, None] for row in nexts]
     bounds = [bound[row][:, None] for row in nexts]
-    narrow = np.min_scalar_type(len(starts))
+    narrow = np.min_scalar_type(len(starts) | flag)
     level = {s: [(np.full(1, i, narrow) if keep_starts else None,
                   np.full(1, lengths[s]))]
              for i, s in enumerate(starts, 1) if lengths[s] < bound[s]}
@@ -245,6 +258,8 @@ def _walk(graph: MetricGraph, mode: TransferMode, starts, r_max: float,
                 yield k, d, cum
                 if stop:
                     continue
+                if flag:
+                    k = k | flag  # a new array: k may be shared by parts
             child = cum + steps[d]  # one row per successor
             fit = child < bounds[d]
             for d2, row, keep in zip(succ[d], child, fit):
@@ -275,7 +290,8 @@ def enumerate_paths(graph: MetricGraph, spec: EnumerationSpec
     the target (``_return_bounds``); the slack is far above the rounding
     of any fold it applies to, so the profile is the same as without
     pruning.  The profile is sorted, so it does not depend on the order
-    of the walk.
+    of the walk.  The rows of the cycle kinds come from one counting
+    sort of the walk's narrow start keys (``_grouped``).
 
     Raises HorizonTooLarge (with a safe achievable horizon) when the
     projected count A expm1(h r_max), or the number of nodes walked,
@@ -283,12 +299,28 @@ def enumerate_paths(graph: MetricGraph, spec: EnumerationSpec
     suggestion aims the model at 0.8 cap (1 - e^{-x})/x, x = h l_min: on
     equal lengths N is a step function whose tops, just past each jump,
     are x/(1 - e^{-x}) times the model; after the walk's cap it is
-    0.8 r_max.
+    0.8 r_max.  Raises PreconditionError for a horizon that is not
+    positive, nan included.
+    """
+    return _enumerate(graph, spec)[0]
+
+
+def _enumerate(graph: MetricGraph, spec: EnumerationSpec,
+               with_primitive: bool = False) -> tuple[CountProfile, ...]:
+    """The profile of ``enumerate_paths(graph, spec)`` and, for cycles
+    ``with_primitive``, the primitive-cycle profile at the same v and
+    horizon from the same walk.
+
+    That walk does not stop at v: it flags a sequence in its start key
+    once it has arrived at v (``_walk``), so an arrival without the flag
+    is a first return, the same sequence, with the same left-fold length,
+    as the separate primitive walk records.  Its node count is the
+    cycles walk's, so the cap check and its message are those of cycles.
     """
     report = validate(graph)
     if report:
         raise PreconditionError("enumerate requires a valid graph")
-    if spec.r_max <= 0:
+    if not spec.r_max > 0:  # nan is not a horizon either
         raise PreconditionError("horizon must be positive")
 
     if spec.kind is PathKind.PATHS_XY:
@@ -313,35 +345,67 @@ def enumerate_paths(graph: MetricGraph, spec: EnumerationSpec
                 f"a horizon of about {safe:.6g} is achievable",
                 safe_horizon=safe)
 
-    primitive = spec.kind is PathKind.PRIMITIVE_CYCLES_AT
-    paths = spec.kind in (PathKind.PATHS_XY, PathKind.PATHS_FROM)
-    walk = _walk(graph, spec.mode, starts, spec.r_max, target, primitive,
-                 int(1.25 * spec.cap) + 1024, not paths)
-    if paths:
+    limit = int(1.25 * spec.cap) + 1024
+    if spec.kind in (PathKind.PATHS_XY, PathKind.PATHS_FROM):
+        walk = _walk(graph, spec.mode, starts, spec.r_max, target, False,
+                     limit, False)
         lengths = np.concatenate([cum for _, _, cum in walk] or [np.empty(0)])
         lengths.sort()
-        return CountProfile(spec.kind, spec.mode, spec.r_max, lengths,
-                            endpoints)
-    # key k * width + j: out along start k, back along the reverse of
-    # start j (primitive cycles); k alone for cycles
+        return (CountProfile(spec.kind, spec.mode, spec.r_max, lengths,
+                             endpoints),)
+    cycles = spec.kind is PathKind.CYCLES_AT
+    primitive = not cycles or with_primitive
+    flag = 1 << len(starts).bit_length() if cycles and primitive else 0
+    walk = _walk(graph, spec.mode, starts, spec.r_max, target, not cycles,
+                 limit, True, flag)
+    # primitive key k * width + j: out along start k, back along the
+    # reverse of start j, in the narrowest dtype that holds them
     width = len(starts) + 1
+    pair = np.min_scalar_type(width * width)
     rev_pos = {graph.darts[s].reverse: j for j, s in enumerate(starts, 1)}
-    parts = [(cum, k.astype(np.intp) * width + rev_pos[last] if primitive
-              else k) for k, last, cum in walk]
+    cyc, prim = [], []
+    for k, last, cum in walk:
+        if cycles:
+            cyc.append((cum, k & (flag - 1) if flag else k))
+        if primitive:
+            if flag:
+                first = k < flag
+                k, cum = k[first], cum[first]
+            prim.append((cum, k.astype(pair) * width + rev_pos[last]))
+    profiles = []
+    if cycles:
+        lengths, rows = _grouped(cyc)
+        profiles.append(CountProfile(
+            PathKind.CYCLES_AT, spec.mode, spec.r_max, lengths, endpoints,
+            by_start=rows, attachment_ids=starts))
+    if primitive:
+        lengths, rows = _grouped(prim)
+        profiles.append(CountProfile(
+            PathKind.PRIMITIVE_CYCLES_AT, spec.mode, spec.r_max, lengths,
+            endpoints, by_pair={divmod(key, width): row
+                                for key, row in rows.items()},
+            attachment_ids=starts))
+    return tuple(profiles)
+
+
+def _grouped(parts) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """The sorted lengths of (lengths, keys) ``parts``, and {key: the
+    sorted lengths under it}: one stable sort of the narrow nonnegative
+    integer keys (a linear-time radix sort for 8- and 16-bit dtypes),
+    then one in-place sort per row, each row a slice of one array."""
     lengths = np.concatenate([cum for cum, _ in parts] or [np.empty(0)])
     keys = np.concatenate([key for _, key in parts]
-                          or [np.empty(0, np.intp)])
-    rows = {int(key): np.sort(lengths[keys == key])
-            for key in np.flatnonzero(np.bincount(keys))}
-    if primitive:
-        groups = {"by_pair": {divmod(key, width): row
-                              for key, row in rows.items()}}
-    else:
-        groups = {"by_start": rows}
+                          or [np.empty(0, np.uint8)])
+    grouped = lengths[np.argsort(keys, kind="stable")]
+    rows, end = {}, 0
+    for key, size in enumerate(np.bincount(keys).tolist()):
+        if size:
+            row = grouped[end:end + size]
+            row.sort()
+            rows[key] = row
+            end += size
     lengths.sort()
-    return CountProfile(spec.kind, spec.mode, spec.r_max, lengths,
-                        endpoints, attachment_ids=starts,
-                        **groups)
+    return lengths, rows
 
 
 # -- Laplace transform check (truncated integral plus tail bracket) -------
@@ -489,24 +553,29 @@ def verify_recursions(graph: MetricGraph, v: str,
     the exact integer identity (the inner queries r - l only ever
     approach attained values that recompose to full cycle lengths, which
     the grid already avoids).
+
+    Each mode's cycles and primitive cycles come from one walk that does
+    not stop at v (``_enumerate`` with_primitive): the primitive cycles
+    are its arrivals at v before a first return flags the sequence, the
+    same profile, rows included, as ``enumerate_paths`` gives for
+    either kind.  Raises PreconditionError for an empty ``r_grid``, a
+    nan radius in it, or a horizon that is not positive.
     """
     if r_grid is not None:
         r_grid = tuple(float(r) for r in r_grid)
+        if not r_grid or any(map(math.isnan, r_grid)):
+            raise PreconditionError(
+                "r_grid must hold at least one radius and no nan")
         r_max = max(r_grid)
     if r_max is None:
         raise PreconditionError("either r_grid or r_max is required")
 
-    bt_cyc = enumerate_paths(graph, EnumerationSpec(
-        PathKind.CYCLES_AT, r_max, TransferMode.BACKTRACKING, v=v, cap=cap))
-    bt_prim = enumerate_paths(graph, EnumerationSpec(
-        PathKind.PRIMITIVE_CYCLES_AT, r_max, TransferMode.BACKTRACKING,
-        v=v, cap=cap))
-    nb_cyc = enumerate_paths(graph, EnumerationSpec(
+    bt_cyc, bt_prim = _enumerate(graph, EnumerationSpec(
+        PathKind.CYCLES_AT, r_max, TransferMode.BACKTRACKING, v=v, cap=cap),
+        with_primitive=True)
+    nb_cyc, nb_prim = _enumerate(graph, EnumerationSpec(
         PathKind.CYCLES_AT, r_max, TransferMode.NON_BACKTRACKING, v=v,
-        cap=cap))
-    nb_prim = enumerate_paths(graph, EnumerationSpec(
-        PathKind.PRIMITIVE_CYCLES_AT, r_max, TransferMode.NON_BACKTRACKING,
-        v=v, cap=cap))
+        cap=cap), with_primitive=True)
 
     if r_grid is None:
         r_grid = _default_radii(
@@ -612,11 +681,15 @@ def growth_bounds(graph: MetricGraph, v: str, r_max: float,
     the minimum of N_v(r) e^{-hr} over the enumerated range.  ``h`` is
     the entropy of the graph when the caller already holds it; by
     default it is the vertex-matrix root (``entropy._vertex_root``),
-    which also gives the entropy of the graph without v.  Raises
+    which also gives the entropy of the graph without v.  N_v(r) comes
+    from the paths v..v (``PathKind.PATHS_XY``, x = y = v): the lengths
+    and the cap check of the cycles at v, without their per-start rows.
+    Raises UnknownVertex for an unknown v before any other check;
     PreconditionError when the entropy of the graph without v reaches h
     in floating point, so that A(h) diverges or its Perron root misses
     1; NonConvergence when the root misses 1 for another reason.
     """
+    graph._position(v)
     _require_reduced_hyperbolic(graph)
     n = graph.degree(v)
     if h is None:
@@ -657,8 +730,9 @@ def growth_bounds(graph: MetricGraph, v: str, r_max: float,
         raise PreconditionError("Perron vector is not strictly positive")
     m_formula = (n - 1) / (n - 2) * float(np.sum(w) / np.min(w))
 
+    # the cycles at v without their rows: the paths v..v
     profile = enumerate_paths(graph, EnumerationSpec(
-        PathKind.CYCLES_AT, r_max, TransferMode.NON_BACKTRACKING, v=v,
+        PathKind.PATHS_XY, r_max, TransferMode.NON_BACKTRACKING, x=v, y=v,
         cap=cap))
     jumps, n_le = profile.steps()
     # N(r) e^{-hr} just below every jump after the first, and at r_max

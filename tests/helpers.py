@@ -109,6 +109,31 @@ def bfs_enumerate(graph, kind, r_max, mode="nb", x=None, y=None, v=None):
     return sorted(out)
 
 
+def mask_sort_rows(graph, spec):
+    """The rows of a cycle (``by_start``) or primitive-cycle (``by_pair``)
+    profile as the package grouped them before its counting sort: the
+    walk of that kind alone, whose primitive walk stops at v, then one
+    mask and one sort per key."""
+    from entrograph import PathKind
+    from entrograph.counting import _walk
+    primitive = spec.kind is PathKind.PRIMITIVE_CYCLES_AT
+    starts = graph.out_darts(spec.v)
+    walk = _walk(graph, spec.mode, starts, spec.r_max, spec.v, primitive,
+                 int(1.25 * spec.cap) + 1024, True)
+    width = len(starts) + 1
+    rev_pos = {graph.darts[s].reverse: j for j, s in enumerate(starts, 1)}
+    parts = [(cum, k.astype(np.intp) * width + rev_pos[last] if primitive
+              else k) for k, last, cum in walk]
+    lengths = np.concatenate([cum for cum, _ in parts] or [np.empty(0)])
+    keys = np.concatenate([key for _, key in parts]
+                          or [np.empty(0, np.intp)])
+    rows = {int(key): np.sort(lengths[keys == key])
+            for key in np.flatnonzero(np.bincount(keys))}
+    if primitive:
+        return {divmod(key, width): row for key, row in rows.items()}
+    return rows
+
+
 def eig_rho(matrix):
     """Spectral radius via dense eigenvalues (independent of power
     iteration)."""

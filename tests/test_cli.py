@@ -323,6 +323,15 @@ def test_count_cap_exit_code(tmp_path, capsys):
         assert "horizon" in capsys.readouterr().err
 
 
+def test_count_nan_horizon_exit_code(c4_file, capsys):
+    # the nan horizon used to print an empty CSV and exit 0
+    assert main(["count", c4_file, "--kind", "cycles", "--v", "a",
+                 "--r", "nan"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "horizon must be positive" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "K4", "--format", "json"],
     ["generate", "--vertices", "5", "--edges", "8", "--tol", "1e-9"],

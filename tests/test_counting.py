@@ -1,6 +1,7 @@
 """Enumeration oracle and the counting identities."""
 
 import collections
+import dataclasses
 import math
 import warnings
 from unittest.mock import patch
@@ -20,8 +21,8 @@ from entrograph import (CountProfile, Dart, EnumerationSpec, HorizonTooLarge,
 from entrograph import counting
 from entrograph.counting import _count_model, _over_bound, _step_integral
 from helpers import (bfs_enumerate, c4, complete4, dfs_components,
-                     disjoint_union, dumbbell, eig_entropy, multigraphs,
-                     path3, rose, scalar_laplace_constant,
+                     disjoint_union, dumbbell, eig_entropy, mask_sort_rows,
+                     multigraphs, path3, rose, scalar_laplace_constant,
                      scalar_lower_constant, scalar_recursions,
                      scalar_step_integral, scalar_tail_average,
                      scalar_violations, segment, short_loop_core,
@@ -161,6 +162,56 @@ def test_attachment_ids_on_split_multigraphs(kind, mode, g, data):
                            (prof.by_pair, ref.by_pair)):
         assert {k: r.tolist() for k, r in rows.items()} \
             == {k: r.tolist() for k, r in ref_rows.items()}
+
+
+def _bits(profile):
+    """Every field of a profile, each array as its dtype and bytes."""
+    def raw(arr):
+        return arr.dtype.str, arr.tobytes()
+    return (profile.kind, profile.mode, profile.r_max, raw(profile.lengths),
+            profile.endpoints, profile.attachment_ids,
+            {k: raw(r) for k, r in profile.by_start.items()},
+            {k: raw(r) for k, r in profile.by_pair.items()})
+
+
+@pytest.mark.parametrize("mode", [NB, BT], ids=["nb", "bt"])
+@settings(max_examples=25, deadline=None)
+@given(g=multigraphs(), data=st.data())
+def test_one_walk_matches_both_profiles_on_multigraphs(mode, g, data):
+    # verify_recursions takes the cycles and the primitive cycles at v
+    # from one walk that flags each sequence after its first return;
+    # both must be the separate profiles to the bit, their rows those of
+    # the mask-and-sort grouping, and its cap that of the cycles walk
+    v = data.draw(st.sampled_from(g.vertices))
+    cyc = _fitted_profile(g, PathKind.CYCLES_AT, mode, 300, v, 2000)
+    spec = EnumerationSpec(PathKind.CYCLES_AT, cyc.r_max, mode, v=v,
+                           cap=2000)
+    prim_spec = dataclasses.replace(spec, kind=PathKind.PRIMITIVE_CYCLES_AT)
+    prim = enumerate_paths(g, prim_spec)
+    both = counting._enumerate(g, spec, with_primitive=True)
+    assert [_bits(p) for p in both] == [_bits(cyc), _bits(prim)]
+    for rows, ref in ((cyc.by_start, mask_sort_rows(g, spec)),
+                      (prim.by_pair, mask_sort_rows(g, prim_spec))):
+        assert {k: r.tolist() for k, r in rows.items()} \
+            == {k: r.tolist() for k, r in ref.items()}
+    # without the count model's pre-check, double the horizon until the
+    # walk's own cap (1024 nodes at cap 0) stops both enumerations
+    spec = dataclasses.replace(spec, cap=0)
+    with patch.object(counting, "_count_model", return_value=(0.0, 1.0)):
+        for _ in range(200):
+            try:
+                one = enumerate_paths(g, spec)
+            except HorizonTooLarge as exc:
+                with pytest.raises(HorizonTooLarge) as err:
+                    counting._enumerate(g, spec, with_primitive=True)
+                assert str(err.value) == str(exc)
+                assert err.value.safe_horizon == exc.safe_horizon
+                break
+            assert _bits(counting._enumerate(
+                g, spec, with_primitive=True)[0]) == _bits(one)
+            spec = dataclasses.replace(spec, r_max=2.0 * spec.r_max)
+        else:
+            pytest.fail("the walk never reached its cap")
 
 
 def test_nonbacktracking_counts_below_backtracking():
@@ -499,6 +550,34 @@ def test_growth_bounds_on_a_short_loop_core():
                                   rel=1e-12, abs=0.0)
     assert abs(rep.rho_a - 1.0) <= 1e-12
     assert rep.violations == ()
+
+
+@pytest.mark.parametrize("kind", list(ORACLE_KINDS),
+                         ids=[k.value for k in ORACLE_KINDS])
+def test_nan_horizon_is_refused(kind):
+    # a nan horizon failed the old r_max <= 0 test and gave no paths
+    with pytest.raises(PreconditionError, match="horizon must be positive"):
+        enumerate_paths(complete4(), EnumerationSpec(
+            kind, math.nan, x="a", y="c", v="a"))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: verify_recursions(complete4(), "a", r_max=math.nan),
+    lambda: growth_bounds(complete4(), "a", math.nan),
+], ids=["verify_recursions", "growth_bounds"])
+def test_nan_horizon_is_refused_by_the_checks(call):
+    # both used to report passed, with r_grid (nan,) or m_empirical inf
+    with pytest.raises(PreconditionError, match="horizon must be positive"):
+        call()
+
+
+@pytest.mark.parametrize("grid", [[], [4.0, math.nan], [math.nan, 4.0]],
+                         ids=["empty", "nan-last", "nan-first"])
+def test_recursion_grid_must_be_radii(grid):
+    # max() of an empty grid was a bare ValueError, and a nan radius
+    # passed or not by its place in the grid
+    with pytest.raises(PreconditionError, match="r_grid"):
+        verify_recursions(complete4(), "a", r_grid=grid)
 
 
 def test_growth_bounds_requires_reduced_hyperbolic():

@@ -45,8 +45,10 @@ UNKNOWN = {
         G, _spec(PathKind.CYCLES_AT, v="nope")),
     "backtracking_entropy": lambda: backtracking_entropy(G, "nope"),
     "backtracking_bound": lambda: backtracking_bound(G, "nope", 5.0),
-    # growth_bounds asks for a reduced graph before it reads v
-    "growth_bounds": lambda: growth_bounds(reduce(G).graph, "nope", 5.0),
+    # v is looked up before G is found not to be reduced
+    "growth_bounds": lambda: growth_bounds(G, "nope", 5.0),
+    "growth_bounds-reduced": lambda: growth_bounds(
+        reduce(G).graph, "nope", 5.0),
     "verify_recursions": lambda: verify_recursions(G, "nope", r_max=5.0),
     "entropy_after_edge-x": lambda: entropy_after_edge(G, "nope", "v0", 1.0),
     "entropy_after_edge-y": lambda: entropy_after_edge(G, "v0", "nope", 1.0),
