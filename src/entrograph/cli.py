@@ -4,11 +4,14 @@ Commands: entropy | add-edge | add-vertex | persistence | verify |
 generate | count.  Data goes to standard output, diagnostics to the
 error stream.  Exit codes: 0 success, 2 parse/validation failure,
 3 solver failure, 4 precondition violation, 5 failed verify properties.
+The argparse parser is built once per process, at the first ``main``
+call, and reused by every later call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -292,6 +295,7 @@ def _options(*names: str) -> argparse.ArgumentParser:
     return parent
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="entrograph",

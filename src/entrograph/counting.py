@@ -17,11 +17,14 @@ open side.
 Each enumeration is one walk and one linear-time grouping: the rows of
 a cycle profile come from one stable (radix) sort of the walk's narrow
 start keys and one in-place sort per row (``_grouped``).
-``verify_recursions`` takes the cycles and the primitive cycles of a
-mode from one walk, in which a sequence carries a returned flag in its
-start key after its first arrival at v, and ``growth_bounds``, which
-reads no rows, enumerates the paths v..v: the cycle lengths without
-start keys.
+``verify_recursions`` takes its four profiles, the cycles and the
+primitive cycles of both modes, from one backtracking walk.  A sequence
+carries two flag bits in its start key: a returned bit once it has
+arrived at v, and a turned bit once it has stepped back along the dart
+it arrived by.  The arrivals without the returned bit are the primitive
+cycles, and those without the turned bit the non-backtracking
+sequences.  ``growth_bounds``, which reads no rows, enumerates the paths
+v..v: the cycle lengths without start keys.
 
 The identity checks query a finished profile with arrays: one
 ``np.searchsorted`` per profile row and check radius r over the inner
@@ -43,7 +46,7 @@ first route's h alone.  Only the default non-backtracking h of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -56,7 +59,7 @@ from .errors import (DivergentSeries, HorizonTooLarge, MarginTooSmall,
 from .genfun import attachment_darts, f_from, f_path, primitive_matrix
 from .graph import (MetricGraph, component_of, delete_vertex, first_betti,
                     validate)
-from .spectral import TransferMode, transitions
+from .spectral import TransferMode, _pattern, transitions
 
 DEFAULT_CAP = 10_000_000
 
@@ -128,7 +131,7 @@ _GRID_BLOCK = 1 << 20  # (radius, length) pairs verify_recursions holds
 
 
 def _count_model(comp: MetricGraph, mode: TransferMode, base: str,
-                 target: str | None) -> tuple[float, float]:
+                 target: str | None, root=None) -> tuple[float, float]:
     """(A, h) of the count model N(r) ~ A (e^{hr} - 1) of the walks from
     ``base`` in ``comp``, its component: all of them, or those ending at
     ``target``.
@@ -141,9 +144,11 @@ def _count_model(comp: MetricGraph, mode: TransferMode, base: str,
     Entropy-0 components grow at most linearly, N(r) ~ D r / l_mean with
     D darts for any target: the pole model as h -> 0 with A h = D / l_mean
     and A = ``_LINEAR_A``, so far above any count a walk reaches that
-    A (e^{hr} - 1) = A h r to rounding.
+    A (e^{hr} - 1) = A h r to rounding.  ``root`` is
+    ``_vertex_root(comp, mode)`` where the caller holds it already.
     """
-    root = _vertex_root(comp, mode)
+    if root is None:
+        root = _vertex_root(comp, mode)
     if root.v is None:
         l_mean = float(np.mean([d.length for d in comp.darts]))
         return _LINEAR_A, len(comp.darts) / (_LINEAR_A * l_mean)
@@ -165,17 +170,20 @@ def horizon_for_budget(graph: MetricGraph, x: str, target: int,
     return math.log1p(target / a) / h
 
 
-def _return_bounds(rows: np.ndarray, cols: np.ndarray, lengths: np.ndarray,
-                   r_max: float, into: np.ndarray | None) -> np.ndarray:
+def _return_bounds(graph: MetricGraph, mode: TransferMode, r_max: float,
+                   into: np.ndarray | None) -> np.ndarray:
     """Per dart d2, the bound a sequence ending in d2 must stay below.
 
     ``into`` holds the darts heading into the target, None without one.
     R(d2) is the shortest continuation after d2 that ends in one of them
-    (0 for those darts, inf where none exists), from Dijkstra on the
-    reversed transition relation weighted by the length of the entered
-    dart, and the bound is min(r_max, r_max - R(d2) + 1e-9 r_max).
-    Without a target, or when a continuation may have 10^6 darts or more
-    (r_max >= 10^6 l_min), it is r_max.
+    (0 for those darts, inf where none exists), and the bound is
+    min(r_max, r_max - R(d2) + 1e-9 r_max).  R comes from one Dijkstra
+    on the graph's cached CSR transition pattern (``spectral._pattern``)
+    weighted by the length of the dart left: the dart reversal J maps the
+    reversed relation d2 -> d, weighted by l(d2), onto the relation
+    itself, J d2 -> J d, so R(d2) is the distance of J d2 from the
+    sources J ``into``.  Without a target, or when a continuation may
+    have 10^6 darts or more (r_max >= 10^6 l_min), the bound is r_max.
 
     Why the slack loses nothing: the walk folds a sequence left to right
     and Dijkstra folds a continuation from its far end; float addition is
@@ -187,17 +195,19 @@ def _return_bounds(rows: np.ndarray, cols: np.ndarray, lengths: np.ndarray,
     2.4e-10 r_max (plus two roundings of the bound itself), well inside
     the slack.
     """
+    lengths, reverse = graph._dart_arrays
     n = len(lengths)
     if into is None or r_max >= 1e6 * lengths.min(initial=math.inf):
         return np.full(n, r_max)
-    back = csr_matrix((lengths[cols], (cols, rows)), shape=(n, n))
-    reach = dijkstra(back, indices=into, min_only=True)
+    rows, cols, offsets = _pattern(graph, mode)
+    forward = csr_matrix((lengths[rows], cols, offsets), shape=(n, n))
+    reach = dijkstra(forward, indices=reverse[into], min_only=True)[reverse]
     return np.minimum(r_max, r_max - reach + 1e-9 * r_max)
 
 
 def _walk(graph: MetricGraph, mode: TransferMode, starts, r_max: float,
           target: str | None, stop: bool, limit: int, keep_starts: bool,
-          flag: int = 0):
+          returned: int = 0, turned: int = 0):
     """Level-synchronous walk over the dart sequences that begin with one
     of ``starts``, stay shorter than ``r_max`` and, with a ``target``, can
     still end in a dart heading into it below r_max.
@@ -205,33 +215,36 @@ def _walk(graph: MetricGraph, mode: TransferMode, starts, r_max: float,
     Level n holds the sequences of n darts as {last dart: parts}, a part
     being (start keys, cumulative lengths), the start keys the 1-based
     indices in ``starts`` in a narrow dtype, or None unless
-    ``keep_starts``.  A nonzero ``flag``, a power of two above the
-    indices, is or-ed into the key of a sequence once it has arrived at
-    the target, so that its later arrivals tell themselves apart.  A
-    group d is popped, its parts joined, and extended by all successors
-    d2 at once (``spectral.transitions``, so not by the reverse of d when
+    ``keep_starts``.  Two flag bits, powers of two above the indices, may
+    be or-ed into the keys: ``returned`` into a sequence once it has
+    arrived at the target, so that its later arrivals tell themselves
+    apart, and ``turned`` into the child along reverse(d) of a group d, so
+    that the sequences without it are the non-backtracking ones.  A group
+    d is popped, its parts joined, and extended by all successors d2 at
+    once (``spectral.transitions``, so not by the reverse of d when
     non-backtracking): a child cum + l(d2) is kept when below the bound
     of d2 (``_return_bounds``), at most r_max, so every length is the
     left fold of its dart lengths, and becomes a part of group d2 of the
     next level.  The bound drops the children that cannot reach the
     target in time; it is r_max for darts into the target and without a
-    target, so no recorded sequence is lost.  Yields (start indices, d,
+    target, so no recorded sequence is lost.  Yields (start keys, d,
     cum) for every group whose last dart heads into the vertex ``target``
     (every group when it is None); with ``stop`` those groups are not
     expanded.  Raises HorizonTooLarge once more than ``limit`` nodes have
     been made (kept nodes, pruned children are not counted).
     """
     n = len(graph.darts)
-    lengths = graph._dart_arrays[0]
+    lengths, reverse = graph._dart_arrays
     rows, cols = transitions(graph, mode)
     hits = [target is None or d.head == target for d in graph.darts]
-    bound = _return_bounds(rows, cols, lengths, r_max,
+    bound = _return_bounds(graph, mode, r_max,
                            None if target is None else np.flatnonzero(hits))
     nexts = np.split(cols, np.searchsorted(rows, np.arange(1, n)))
     succ = [row.tolist() for row in nexts]
     steps = [lengths[row][:, None] for row in nexts]
     bounds = [bound[row][:, None] for row in nexts]
-    narrow = np.min_scalar_type(len(starts) | flag)
+    turns = reverse.tolist() if turned else [-1] * n
+    narrow = np.min_scalar_type(len(starts) | returned | turned)
     level = {s: [(np.full(1, i, narrow) if keep_starts else None,
                   np.full(1, lengths[s]))]
              for i, s in enumerate(starts, 1) if lengths[s] < bound[s]}
@@ -258,18 +271,20 @@ def _walk(graph: MetricGraph, mode: TransferMode, starts, r_max: float,
                 yield k, d, cum
                 if stop:
                     continue
-                if flag:
-                    k = k | flag  # a new array: k may be shared by parts
+                if returned:
+                    k = k | returned  # a new array: k may be shared by parts
             child = cum + steps[d]  # one row per successor
             fit = child < bounds[d]
+            turn = turns[d]
             for d2, row, keep in zip(succ[d], child, fit):
                 size = np.count_nonzero(keep)
+                if not size:
+                    continue
                 made += size
-                if size == row.size:
-                    later.setdefault(d2, []).append((k, row))
-                elif size:
-                    later.setdefault(d2, []).append(
-                        (None if k is None else k[keep], row[keep]))
+                key = k | turned if d2 == turn else k
+                if size < row.size:
+                    key, row = None if key is None else key[keep], row[keep]
+                later.setdefault(d2, []).append((key, row))
         level = later
 
 
@@ -305,17 +320,41 @@ def enumerate_paths(graph: MetricGraph, spec: EnumerationSpec
     return _enumerate(graph, spec)[0]
 
 
-def _enumerate(graph: MetricGraph, spec: EnumerationSpec,
-               with_primitive: bool = False) -> tuple[CountProfile, ...]:
-    """The profile of ``enumerate_paths(graph, spec)`` and, for cycles
-    ``with_primitive``, the primitive-cycle profile at the same v and
-    horizon from the same walk.
+def _check_projection(comp: MetricGraph, spec: EnumerationSpec, base: str,
+                      target: str | None, root=None):
+    """Raise HorizonTooLarge when the count model of ``_count_model``
+    projects more than ``spec.cap`` walks below ``spec.r_max`` in the
+    base's component ``comp`` (see ``enumerate_paths``)."""
+    if not comp.darts:
+        return
+    a, h = _count_model(comp, spec.mode, base, target, root)
+    with np.errstate(over="ignore"):  # inf past the float range
+        projected = float(a * np.expm1(h * spec.r_max)) if a else 0.0
+    if projected > spec.cap:
+        x = h * comp.min_length()
+        safe = math.log1p(0.8 * spec.cap * -math.expm1(-x) / x / a) / h
+        raise HorizonTooLarge(
+            f"projected count {projected:.3g} exceeds cap {spec.cap:g}; "
+            f"a horizon of about {safe:.6g} is achievable",
+            safe_horizon=safe)
 
-    That walk does not stop at v: it flags a sequence in its start key
-    once it has arrived at v (``_walk``), so an arrival without the flag
-    is a first return, the same sequence, with the same left-fold length,
-    as the separate primitive walk records.  Its node count is the
-    cycles walk's, so the cap check and its message are those of cycles.
+
+def _enumerate(graph: MetricGraph, spec: EnumerationSpec, root=None,
+               recursions: bool = False) -> tuple[CountProfile, ...]:
+    """The profile of ``enumerate_paths(graph, spec)``; ``root`` is the
+    ``entropy._vertex_root`` of the base's component in ``spec.mode``
+    where the caller holds it already.
+
+    With ``recursions``, ``spec`` being the backtracking cycles at v, the
+    walk does not stop at v and flags its start keys (``_walk``), and
+    returns the cycles and the primitive cycles of backtracking, then of
+    non-backtracking mode (module docstring).  Each is the profile of its
+    separate walk: the non-backtracking relation is the backtracking one
+    without the pairs (d, reverse(d)), and its return bounds are no
+    looser, so the walk keeps every sequence of both, with the same
+    left-fold length.  Its node count is that of the backtracking cycles,
+    and the non-backtracking count model is checked after it, so every
+    refusal is the one the four separate enumerations make.
     """
     report = validate(graph)
     if report:
@@ -333,17 +372,7 @@ def _enumerate(graph: MetricGraph, spec: EnumerationSpec,
     comp = component_of(graph, base)
 
     starts = graph.out_darts(base)
-    if comp.darts:
-        a, h = _count_model(comp, spec.mode, base, target)
-        with np.errstate(over="ignore"):  # inf past the float range
-            projected = float(a * np.expm1(h * spec.r_max)) if a else 0.0
-        if projected > spec.cap:
-            x = h * comp.min_length()
-            safe = math.log1p(0.8 * spec.cap * -math.expm1(-x) / x / a) / h
-            raise HorizonTooLarge(
-                f"projected count {projected:.3g} exceeds cap {spec.cap:g}; "
-                f"a horizon of about {safe:.6g} is achievable",
-                safe_horizon=safe)
+    _check_projection(comp, spec, base, target, root)
 
     limit = int(1.25 * spec.cap) + 1024
     if spec.kind in (PathKind.PATHS_XY, PathKind.PATHS_FROM):
@@ -354,48 +383,56 @@ def _enumerate(graph: MetricGraph, spec: EnumerationSpec,
         return (CountProfile(spec.kind, spec.mode, spec.r_max, lengths,
                              endpoints),)
     cycles = spec.kind is PathKind.CYCLES_AT
-    primitive = not cycles or with_primitive
-    flag = 1 << len(starts).bit_length() if cycles and primitive else 0
+    low = (1 << len(starts).bit_length()) - 1  # the start index bits
+    returned, turned = (low + 1, 2 * low + 2) if recursions else (0, 0)
+    # (kind, mode, the flags an arrival must not carry)
+    wanted = [(spec.kind, spec.mode, 0)]
+    if recursions:
+        wanted += [(PathKind.PRIMITIVE_CYCLES_AT, spec.mode, returned),
+                   (PathKind.CYCLES_AT, TransferMode.NON_BACKTRACKING,
+                    turned),
+                   (PathKind.PRIMITIVE_CYCLES_AT,
+                    TransferMode.NON_BACKTRACKING, returned | turned)]
     walk = _walk(graph, spec.mode, starts, spec.r_max, target, not cycles,
-                 limit, True, flag)
+                 limit, True, returned, turned)
+    arrivals = list(walk)
+    if recursions:
+        _check_projection(comp, replace(
+            spec, mode=TransferMode.NON_BACKTRACKING), base, target)
+    keys = np.concatenate([k for k, _, _ in arrivals]
+                          or [np.empty(0, np.uint8)])
+    cum = np.concatenate([c for _, _, c in arrivals] or [np.empty(0)])
     # primitive key k * width + j: out along start k, back along the
     # reverse of start j, in the narrowest dtype that holds them
     width = len(starts) + 1
     pair = np.min_scalar_type(width * width)
     rev_pos = {graph.darts[s].reverse: j for j, s in enumerate(starts, 1)}
-    cyc, prim = [], []
-    for k, last, cum in walk:
-        if cycles:
-            cyc.append((cum, k & (flag - 1) if flag else k))
-        if primitive:
-            if flag:
-                first = k < flag
-                k, cum = k[first], cum[first]
-            prim.append((cum, k.astype(pair) * width + rev_pos[last]))
+    ends = np.repeat([rev_pos[d] for _, d, _ in arrivals],
+                     [c.size for _, _, c in arrivals]).astype(pair)
+
     profiles = []
-    if cycles:
-        lengths, rows = _grouped(cyc)
-        profiles.append(CountProfile(
-            PathKind.CYCLES_AT, spec.mode, spec.r_max, lengths, endpoints,
-            by_start=rows, attachment_ids=starts))
-    if primitive:
-        lengths, rows = _grouped(prim)
-        profiles.append(CountProfile(
-            PathKind.PRIMITIVE_CYCLES_AT, spec.mode, spec.r_max, lengths,
-            endpoints, by_pair={divmod(key, width): row
-                                for key, row in rows.items()},
-            attachment_ids=starts))
+    for kind, mode, barred in wanted:
+        free = (keys & barred) == 0 if barred else slice(None)
+        key = keys[free] & low
+        if kind is PathKind.CYCLES_AT:
+            lengths, rows = _grouped(cum[free], key)
+            by = {"by_start": rows}
+        else:
+            lengths, rows = _grouped(
+                cum[free], key.astype(pair) * width + ends[free])
+            by = {"by_pair": {divmod(k, width): row
+                              for k, row in rows.items()}}
+        profiles.append(CountProfile(kind, mode, spec.r_max, lengths,
+                                     endpoints, attachment_ids=starts, **by))
     return tuple(profiles)
 
 
-def _grouped(parts) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """The sorted lengths of (lengths, keys) ``parts``, and {key: the
-    sorted lengths under it}: one stable sort of the narrow nonnegative
-    integer keys (a linear-time radix sort for 8- and 16-bit dtypes),
-    then one in-place sort per row, each row a slice of one array."""
-    lengths = np.concatenate([cum for cum, _ in parts] or [np.empty(0)])
-    keys = np.concatenate([key for _, key in parts]
-                          or [np.empty(0, np.uint8)])
+def _grouped(lengths: np.ndarray, keys: np.ndarray
+             ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """The sorted ``lengths``, and {key: the sorted lengths under it}:
+    one stable sort of the narrow nonnegative integer ``keys`` (a
+    linear-time radix sort for 8- and 16-bit dtypes), then one in-place
+    sort per row, each row a slice of one array."""
     grouped = lengths[np.argsort(keys, kind="stable")]
     rows, end = {}, 0
     for key, size in enumerate(np.bincount(keys).tolist()):
@@ -404,8 +441,7 @@ def _grouped(parts) -> tuple[np.ndarray, dict[int, np.ndarray]]:
             row.sort()
             rows[key] = row
             end += size
-    lengths.sort()
-    return lengths, rows
+    return np.sort(lengths), rows
 
 
 # -- Laplace transform check (truncated integral plus tail bracket) -------
@@ -554,12 +590,17 @@ def verify_recursions(graph: MetricGraph, v: str,
     approach attained values that recompose to full cycle lengths, which
     the grid already avoids).
 
-    Each mode's cycles and primitive cycles come from one walk that does
-    not stop at v (``_enumerate`` with_primitive): the primitive cycles
-    are its arrivals at v before a first return flags the sequence, the
-    same profile, rows included, as ``enumerate_paths`` gives for
-    either kind.  Raises PreconditionError for an empty ``r_grid``, a
-    nan radius in it, or a horizon that is not positive.
+    All four profiles, the cycles and the primitive cycles of both
+    modes, come from one backtracking walk that does not stop at v
+    (``_enumerate`` with ``recursions``).  It carries two flag bits in
+    each start key: a returned bit from a sequence's first arrival at v
+    on, and a turned bit from its first step back along the dart it
+    arrived by.  The primitive cycles are the arrivals without the
+    returned bit, the non-backtracking ones those without the turned
+    bit: the same profiles, rows included, as ``enumerate_paths`` gives
+    for each kind and mode, and the same HorizonTooLarge refusals.
+    Raises PreconditionError for an empty ``r_grid``, a nan radius in it,
+    or a horizon that is not positive.
     """
     if r_grid is not None:
         r_grid = tuple(float(r) for r in r_grid)
@@ -570,12 +611,9 @@ def verify_recursions(graph: MetricGraph, v: str,
     if r_max is None:
         raise PreconditionError("either r_grid or r_max is required")
 
-    bt_cyc, bt_prim = _enumerate(graph, EnumerationSpec(
+    bt_cyc, bt_prim, nb_cyc, nb_prim = _enumerate(graph, EnumerationSpec(
         PathKind.CYCLES_AT, r_max, TransferMode.BACKTRACKING, v=v, cap=cap),
-        with_primitive=True)
-    nb_cyc, nb_prim = _enumerate(graph, EnumerationSpec(
-        PathKind.CYCLES_AT, r_max, TransferMode.NON_BACKTRACKING, v=v,
-        cap=cap), with_primitive=True)
+        recursions=True)
 
     if r_grid is None:
         r_grid = _default_radii(
@@ -683,17 +721,24 @@ def growth_bounds(graph: MetricGraph, v: str, r_max: float,
     default it is the vertex-matrix root (``entropy._vertex_root``),
     which also gives the entropy of the graph without v.  N_v(r) comes
     from the paths v..v (``PathKind.PATHS_XY``, x = y = v): the lengths
-    and the cap check of the cycles at v, without their per-start rows.
-    Raises UnknownVertex for an unknown v before any other check;
+    and the cap check of the cycles at v, without their per-start rows;
+    the count model of that check reuses the default h's root.
+    Raises UnknownVertex for an unknown v before any other check, then
+    PreconditionError, before A(h) is built, for a graph that is not
+    reduced, connected and hyperbolic or a horizon that is not positive;
     PreconditionError when the entropy of the graph without v reaches h
     in floating point, so that A(h) diverges or its Perron root misses
     1; NonConvergence when the root misses 1 for another reason.
     """
     graph._position(v)
     _require_reduced_hyperbolic(graph)
+    if not r_max > 0:  # nan is not a horizon either
+        raise PreconditionError("horizon must be positive")
     n = graph.degree(v)
+    root = None
     if h is None:
-        h = _vertex_root(graph).h
+        root = _vertex_root(graph)
+        h = root.h
     interior = (f"A(h) is not usable at h = {h!r}: the entropy of the "
                 f"graph without {v!r} is not below h in floating point")
     try:
@@ -731,9 +776,9 @@ def growth_bounds(graph: MetricGraph, v: str, r_max: float,
     m_formula = (n - 1) / (n - 2) * float(np.sum(w) / np.min(w))
 
     # the cycles at v without their rows: the paths v..v
-    profile = enumerate_paths(graph, EnumerationSpec(
+    profile, = _enumerate(graph, EnumerationSpec(
         PathKind.PATHS_XY, r_max, TransferMode.NON_BACKTRACKING, x=v, y=v,
-        cap=cap))
+        cap=cap), root)
     jumps, n_le = profile.steps()
     # N(r) e^{-hr} just below every jump after the first, and at r_max
     m_emp = min(float((n_le[:-1] * np.exp(-h * jumps[1:])).min(

@@ -134,6 +134,24 @@ def mask_sort_rows(graph, spec):
     return rows
 
 
+def coo_return_bounds(graph, mode, r_max, into):
+    """``counting._return_bounds`` as the package built it before it read
+    the graph's cached CSR transition pattern: the reversed relation d2 ->
+    d, weighted by the length of d2, converted from COO on every call,
+    and Dijkstra from ``into`` itself."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+    from entrograph.spectral import transitions
+    lengths = graph._dart_arrays[0]
+    n = len(lengths)
+    if into is None or r_max >= 1e6 * lengths.min(initial=math.inf):
+        return np.full(n, r_max)
+    rows, cols = transitions(graph, mode)
+    back = csr_matrix((lengths[cols], (cols, rows)), shape=(n, n))
+    reach = dijkstra(back, indices=into, min_only=True)
+    return np.minimum(r_max, r_max - reach + 1e-9 * r_max)
+
+
 def eig_rho(matrix):
     """Spectral radius via dense eigenvalues (independent of power
     iteration)."""

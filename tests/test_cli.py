@@ -1,6 +1,10 @@
 """CLI commands, file formats and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -352,3 +356,23 @@ def test_option_a_command_does_not_read_exits_2(argv, k4_file, capsys):
         main([k4_file if arg == "K4" else arg for arg in argv])
     assert info.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_verify_calls_build_one_parser(k4_file, capsys):
+    # the parser is built at the first main call and reused by the next
+    cli._build_parser.cache_clear()
+    assert main(["verify", k4_file]) == 0
+    first = capsys.readouterr().out
+    assert main(["verify", k4_file]) == 0
+    assert capsys.readouterr().out == first
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_import_builds_no_parser():
+    code = ("import entrograph.cli as c; "
+            "print(c._build_parser.cache_info().misses)")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "0\n"

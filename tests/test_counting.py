@@ -20,13 +20,13 @@ from entrograph import (CountProfile, Dart, EnumerationSpec, HorizonTooLarge,
                         verify_recursions, volume_entropy)
 from entrograph import counting
 from entrograph.counting import _count_model, _over_bound, _step_integral
-from helpers import (bfs_enumerate, c4, complete4, dfs_components,
-                     disjoint_union, dumbbell, eig_entropy, mask_sort_rows,
-                     multigraphs, path3, rose, scalar_laplace_constant,
-                     scalar_lower_constant, scalar_recursions,
-                     scalar_step_integral, scalar_tail_average,
-                     scalar_violations, segment, short_loop_core,
-                     split_multigraphs, theta)
+from helpers import (bfs_enumerate, c4, complete4, coo_return_bounds,
+                     dfs_components, disjoint_union, dumbbell, eig_entropy,
+                     mask_sort_rows, multigraphs, path3, rose,
+                     scalar_laplace_constant, scalar_lower_constant,
+                     scalar_recursions, scalar_step_integral,
+                     scalar_tail_average, scalar_violations, segment,
+                     short_loop_core, split_multigraphs, theta)
 
 NB = TransferMode.NON_BACKTRACKING
 BT = TransferMode.BACKTRACKING
@@ -174,44 +174,77 @@ def _bits(profile):
             {k: raw(r) for k, r in profile.by_pair.items()})
 
 
-@pytest.mark.parametrize("mode", [NB, BT], ids=["nb", "bt"])
+def _four_separate(g, spec):
+    """The cycles and primitive cycles of ``spec`` in backtracking, then
+    in non-backtracking mode, each from its own ``enumerate_paths``."""
+    return [enumerate_paths(g, dataclasses.replace(spec, kind=kind,
+                                                   mode=mode))
+            for mode in (BT, NB)
+            for kind in (PathKind.CYCLES_AT, PathKind.PRIMITIVE_CYCLES_AT)]
+
+
 @settings(max_examples=25, deadline=None)
 @given(g=multigraphs(), data=st.data())
-def test_one_walk_matches_both_profiles_on_multigraphs(mode, g, data):
-    # verify_recursions takes the cycles and the primitive cycles at v
-    # from one walk that flags each sequence after its first return;
-    # both must be the separate profiles to the bit, their rows those of
-    # the mask-and-sort grouping, and its cap that of the cycles walk
+def test_one_walk_matches_four_profiles_on_multigraphs(g, data):
+    # verify_recursions takes the cycles and the primitive cycles of both
+    # modes from one backtracking walk that flags each sequence after its
+    # first return and after its first step back; all four must be the
+    # separate profiles to the bit, their rows those of the mask-and-sort
+    # grouping, and its cap that of the backtracking cycles walk
     v = data.draw(st.sampled_from(g.vertices))
-    cyc = _fitted_profile(g, PathKind.CYCLES_AT, mode, 300, v, 2000)
-    spec = EnumerationSpec(PathKind.CYCLES_AT, cyc.r_max, mode, v=v,
-                           cap=2000)
-    prim_spec = dataclasses.replace(spec, kind=PathKind.PRIMITIVE_CYCLES_AT)
-    prim = enumerate_paths(g, prim_spec)
-    both = counting._enumerate(g, spec, with_primitive=True)
-    assert [_bits(p) for p in both] == [_bits(cyc), _bits(prim)]
-    for rows, ref in ((cyc.by_start, mask_sort_rows(g, spec)),
-                      (prim.by_pair, mask_sort_rows(g, prim_spec))):
-        assert {k: r.tolist() for k, r in rows.items()} \
-            == {k: r.tolist() for k, r in ref.items()}
+    bt = _fitted_profile(g, PathKind.CYCLES_AT, BT, 300, v, 2000)
+    spec = EnumerationSpec(PathKind.CYCLES_AT, bt.r_max, BT, v=v, cap=2000)
+    try:
+        separate = _four_separate(g, spec)
+    except HorizonTooLarge as exc:  # the non-backtracking count model
+        with pytest.raises(HorizonTooLarge) as err:
+            counting._enumerate(g, spec, recursions=True)
+        assert (str(err.value), err.value.safe_horizon) \
+            == (str(exc), exc.safe_horizon)
+    else:
+        one = counting._enumerate(g, spec, recursions=True)
+        assert [_bits(p) for p in one] == [_bits(p) for p in separate]
+        for p in separate:
+            rows = p.by_start if p.kind is PathKind.CYCLES_AT else p.by_pair
+            ref = mask_sort_rows(g, dataclasses.replace(
+                spec, kind=p.kind, mode=p.mode))
+            assert {k: r.tolist() for k, r in rows.items()} \
+                == {k: r.tolist() for k, r in ref.items()}
     # without the count model's pre-check, double the horizon until the
-    # walk's own cap (1024 nodes at cap 0) stops both enumerations
+    # walk's own cap (1024 nodes at cap 0) stops the backtracking cycles
     spec = dataclasses.replace(spec, cap=0)
     with patch.object(counting, "_count_model", return_value=(0.0, 1.0)):
         for _ in range(200):
             try:
-                one = enumerate_paths(g, spec)
+                separate = _four_separate(g, spec)
             except HorizonTooLarge as exc:
                 with pytest.raises(HorizonTooLarge) as err:
-                    counting._enumerate(g, spec, with_primitive=True)
+                    counting._enumerate(g, spec, recursions=True)
                 assert str(err.value) == str(exc)
                 assert err.value.safe_horizon == exc.safe_horizon
+                with pytest.raises(HorizonTooLarge) as err:
+                    enumerate_paths(g, spec)  # the backtracking cycles
+                assert str(err.value) == str(exc)
                 break
-            assert _bits(counting._enumerate(
-                g, spec, with_primitive=True)[0]) == _bits(one)
+            assert [_bits(p) for p in counting._enumerate(
+                g, spec, recursions=True)] == [_bits(p) for p in separate]
             spec = dataclasses.replace(spec, r_max=2.0 * spec.r_max)
         else:
             pytest.fail("the walk never reached its cap")
+
+
+@pytest.mark.parametrize("mode", [NB, BT], ids=["nb", "bt"])
+@settings(max_examples=50, deadline=None)
+@given(g=multigraphs(), data=st.data())
+def test_return_bounds_match_coo_reference_on_multigraphs(mode, g, data):
+    # the bounds read through the dart reversal from the cached CSR
+    # pattern are those of Dijkstra on the reversed relation, to the bit
+    v = data.draw(st.sampled_from(g.vertices))
+    r_max = data.draw(st.floats(1e-3, 1e4))
+    into = np.flatnonzero([d.head == v for d in g.darts])
+    got = counting._return_bounds(g, mode, r_max, into)
+    want = coo_return_bounds(g, mode, r_max, into)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_nonbacktracking_counts_below_backtracking():
@@ -569,6 +602,39 @@ def test_nan_horizon_is_refused_by_the_checks(call):
     # both used to report passed, with r_grid (nan,) or m_empirical inf
     with pytest.raises(PreconditionError, match="horizon must be positive"):
         call()
+
+
+@pytest.mark.parametrize("r_max", [math.nan, 0.0, -1.0],
+                         ids=["nan", "zero", "negative"])
+def test_growth_bounds_refuses_a_bad_horizon_before_building_a(r_max):
+    # the horizon is checked before A(h), its eigen-decomposition and
+    # the Perron vector are built, not by the enumeration after them
+    core = reduce(generate_graph(2, 10, 18)).graph
+    v = max(core.vertex_set, key=lambda w: (core.degree(w), w))
+    with patch.object(counting, "primitive_matrix",
+                      side_effect=AssertionError("A(h) was built")):
+        with pytest.raises(PreconditionError,
+                           match="horizon must be positive"):
+            growth_bounds(core, v, r_max)
+
+
+def _report_bits(rep):
+    return tuple(
+        (value.dtype.str, value.tobytes()) if isinstance(value, np.ndarray)
+        else value for value in dataclasses.astuple(rep))
+
+
+def test_growth_bounds_solves_the_vertex_matrix_once():
+    # the default h's root also gives the count model of the enumeration
+    core = reduce(generate_graph(2, 10, 18)).graph
+    v = max(core.vertex_set, key=lambda w: (core.degree(w), w))
+    with patch.object(counting, "_vertex_root",
+                      wraps=counting._vertex_root) as spy:
+        rep = growth_bounds(core, v, 14.0)
+    assert spy.call_count == 1
+    # given h, the enumeration solves its own root: the same report
+    ref = growth_bounds(core, v, 14.0, h=counting._vertex_root(core).h)
+    assert _report_bits(rep) == _report_bits(ref)
 
 
 @pytest.mark.parametrize("grid", [[], [4.0, math.nan], [math.nan, 4.0]],
