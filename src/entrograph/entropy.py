@@ -5,10 +5,14 @@ lambda(t) = 0, with lambda < 0 below it and lambda >= 0 above, solved by
 one safeguarded Newton loop (``_newton_down``).  A solve of a whole
 graph starts at the trivial upper bound log(k) / l_min, k the largest
 number of continuations of a dart, where rho(B(t)) <= 1, with t = 0 its
-unevaluated lower end; it takes Newton steps down with the exact slope
-of lambda, and bisects wherever a step would leave the maintained sign
-bracket.  The loop takes the equation as a callable and serves two
-evaluations:
+unevaluated lower end; one with a certified lower bound, such as the
+entropy of a subgraph, starts there instead and climbs.  It takes Newton
+steps with the exact slope of lambda; once a step is at most 0.1 t, it
+takes the zero of the inverse cubic Hermite interpolant through the
+last two evaluations instead (value and slope at each, order about 2.7)
+wherever that zero lies in the maintained sign bracket, and it bisects
+wherever a step would leave that bracket.  The loop takes the equation
+as a callable and serves two evaluations:
 
 - ``_log_rho``: lambda = -log rho(B(t)) on the dart matrix of a reduced
   hyperbolic core, the paper's rho(B(t)) = 1 (``volume_entropy``).  Each
@@ -37,7 +41,9 @@ evaluations:
 
 ``volume_entropy`` keeps the dart evaluation for now: moving it to the
 vertex matrix changes which benchmark inputs fail, and so goes with a
-change of the benchmark's pinned failures.
+change of the benchmark's pinned failures.  Its solve also keeps plain
+Newton steps (``_newton_down(..., interpolate=False)``): its coarse stop
+scale ``_RHO_TOL`` would let the interpolated steps move h by ~1e-12.
 """
 
 from __future__ import annotations
@@ -193,17 +199,39 @@ def _upper_start(edges: EdgeSet, mode: TransferMode) -> float:
     return math.log(max(k, 2)) / edges.min_length
 
 
+def _inverse_hermite(prev, t: float, lam: float, dlam: float) -> float:
+    """Zero of the inverse cubic Hermite interpolant of t(lambda) through
+    two evaluations, ``prev`` = (t0, lambda0, slope0) and (t, lam, dlam):
+    the cubic in lambda that takes the value t_i with slope 1 / slope_i
+    at lambda_i, in the Hermite basis on s = (lambda - lambda0) / (lam -
+    lambda0), at lambda = 0.  Nan where the two values of lambda
+    coincide."""
+    t0, lam0, dlam0 = prev
+    span = lam - lam0
+    if span == 0.0:
+        return math.nan
+    s = -lam0 / span
+    h00, h10 = 2 * s**3 - 3 * s**2 + 1, s**3 - 2 * s**2 + s
+    h01, h11 = -2 * s**3 + 3 * s**2, s**3 - s**2
+    return h00 * t0 + h10 * span / dlam0 + h01 * t + h11 * span / dlam
+
+
 def _newton_down(evaluate, t: float, lo: float, hi: float,
-                 component: str) -> _VertexRoot:
+                 component: str, interpolate: bool = True) -> _VertexRoot:
     """Safeguarded Newton on the largest root of lambda(t) = 0, where
     lambda < 0 below that root and lambda >= 0 from it up to ``hi``,
     started at t in [lo, hi].  ``evaluate(t)`` gives (lambda, its
     vector, its slope, its stop scale), or lambda = -inf where t is
     certified below the root; ``component`` names the graph in errors.
     A start at hi with lambda <= 0 there is a root on the bound, lambda
-    < 0 only by rounding.  A step that would leave the bracket bisects,
-    and a solve that ends on a point certified below returns its
-    evaluated upper end instead.
+    < 0 only by rounding.  Once a Newton step is at most 0.1 t, it is
+    replaced by the zero of the inverse cubic Hermite interpolant through
+    the last two evaluations (``_inverse_hermite``, order 1 + sqrt 3
+    against Newton's 2) wherever that zero lies inside the bracket.  A
+    step that would leave the bracket bisects, and a solve that ends on a
+    point certified below returns its evaluated upper end instead.
+    ``interpolate=False`` takes plain Newton steps, for the dart solve of
+    ``volume_entropy`` (module docstring).
 
     M(t) and B(t) depend on t l alone, so the stop is relative: a Newton
     step or bracket of at most 1e-15 t, or |lambda| within the scale that
@@ -212,7 +240,7 @@ def _newton_down(evaluate, t: float, lo: float, hi: float,
     noise.
     """
     lam, v, dlam, noise = evaluate(t)
-    evals, upper = 1, None
+    evals, upper, prev = 1, None, None
     if t >= hi and lam <= 0.0:
         return _VertexRoot(t, v, lam, dlam, (t, t), evals)
     while True:
@@ -231,8 +259,13 @@ def _newton_down(evaluate, t: float, lo: float, hi: float,
         t_next = t - lam / dlam if dlam > 0.0 else math.nan
         if abs(t_next - t) <= 1e-15 * t:
             break
+        if prev is not None and abs(t_next - t) <= 0.1 * t:
+            t_cubic = _inverse_hermite(prev, t, lam, dlam)
+            if lo < t_cubic < hi:
+                t_next = t_cubic
         if not lo < t_next < hi:
             t_next = 0.5 * (lo + hi)
+        prev = (t, lam, dlam) if interpolate and dlam > 0.0 else None
         t = t_next
         lam, v, dlam, noise = evaluate(t)
         evals += 1
@@ -281,13 +314,15 @@ def _vertex_root(graph: MetricGraph,
 
 
 def _cold_root(edges: EdgeSet,
-               mode: TransferMode = TransferMode.NON_BACKTRACKING
-               ) -> _VertexRoot:
+               mode: TransferMode = TransferMode.NON_BACKTRACKING,
+               lo: float = 0.0) -> _VertexRoot:
     """Largest root of lambda_min(M(t)) = 0 on an edge set, solved from
-    ``_upper_start`` down with nothing known below it."""
+    ``_upper_start`` down, or up from ``lo`` where 0 < lo < that bound:
+    ``lo`` must be certified at most the root, such as the entropy of a
+    subgraph."""
     hi = _upper_start(edges, mode)
-    return _newton_down(lambda t: _lambda_min(edges, t, mode), hi, 0.0, hi,
-                        edges.name)
+    return _newton_down(lambda t: _lambda_min(edges, t, mode),
+                        lo if 0.0 < lo < hi else hi, lo, hi, edges.name)
 
 
 def _schur_root(edges: EdgeSet, ends: np.ndarray, h_base: float,
@@ -369,7 +404,7 @@ def volume_entropy(graph: MetricGraph) -> EntropyResult:
         hi = _upper_start(core._edge_arrays, TransferMode.NON_BACKTRACKING)
         try:
             root = _newton_down(lambda t: _log_rho(core, t), hi, 0.0, hi,
-                                cid)
+                                cid, interpolate=False)
         except NonConvergence as exc:
             exc.component = cid
             raise

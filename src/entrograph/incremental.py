@@ -143,8 +143,9 @@ def _join(full: EdgeSet, names: Sequence[str], parts, new,
     edge indices, entropy or None), and the edges ``new`` (module
     docstring): (vertex indices, edge indices, h', h_base, residual,
     evaluations), the residual as in ``EditResult``.  ``direct``
-    solves it cold instead, and keeps h_base where the cold root rounds
-    below that certified lower bound.  ``names`` as in ``EdgeSet.take``.
+    solves it whole instead (``entropy._cold_root``), up from h_base, a
+    certified lower bound, and keeps h_base where the root rounds below
+    it.  ``names`` as in ``EdgeSet.take``.
     """
     verts = np.concatenate([p[0] for p in parts])
     edges = np.concatenate([p[1] for p in parts] + [new])
@@ -158,7 +159,7 @@ def _join(full: EdgeSet, names: Sequence[str], parts, new,
         return verts, edges, h_base, h_base, 0.0, 0
     comp = full.take(verts, edges, names)
     if direct:
-        root = _cold_root(comp)
+        root = _cold_root(comp, lo=h_base)
         return (verts, edges, max(h_base, root.h), h_base,
                 abs(root.null_eigenvalue), root.evals)
     ends = np.concatenate((comp.tails[-len(new):], comp.heads[-len(new):]))

@@ -15,12 +15,13 @@ edges that land in it: the step of the edge and vertex formulas
 (``incremental._join``), from h_base, the largest entropy of its parts.
 "incremental" solves it on the Schur complement of the vertex matrix on
 the ends of the added edges, for one edge, a loop, a merge, a new vertex
-or a batch of equal-length edges alike.  "direct" solves it cold
-(``entropy._cold_root``) and keeps h_base, a certified lower bound, where
-the cold root rounds below it (by ~1e-13 relative).  "auto" means
-"incremental".  All strategies give the same curve up to solver
-tolerance; a formula step is labelled "incremental-vertex" when one of
-its parts has no edge, else "incremental-edge".
+or a batch of equal-length edges alike.  "direct" solves the whole
+component on its vertex matrix (``entropy._cold_root``), climbing from
+h_base, a certified lower bound, and keeps h_base where the root rounds
+below it.  "auto" means "incremental".  All strategies give the same
+curve up to solver tolerance; a formula step is labelled
+"incremental-vertex" when one of its parts has no edge, else
+"incremental-edge".
 """
 
 from __future__ import annotations

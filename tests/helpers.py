@@ -191,6 +191,72 @@ def eig_entropy(graph, rel_tol=1e-12, mode=TransferMode.NON_BACKTRACKING):
     return 0.5 * (lo + hi)
 
 
+def mp_root(graph, mode=TransferMode.NON_BACKTRACKING, h=None, dps=50):
+    """Entropy of a graph to ``dps`` digits: bisection on whether
+    ``mpmath.cholesky`` factors the vertex matrix M(t) of ``mode``, built
+    entry by entry at that precision (positive definite exactly above the
+    entropy).  The bracket starts at h (1 -+ 1e-6), widened until it holds
+    the root, and ends 1e-30 relative wide; an ``mpf``."""
+    import mpmath
+    with mpmath.workdps(dps):
+        index = {v: i for i, v in enumerate(graph.vertices)}
+        edges = [(index[u], index[w], mpmath.mpf(l))
+                 for u, w, l in graph.edge_list()]
+
+        def definite(t):
+            m = mpmath.eye(len(index))
+            for u, w, l in edges:
+                z = mpmath.exp(-t * l)
+                if mode is TransferMode.BACKTRACKING:  # a loop: 2z
+                    m[u, w] -= z
+                    m[w, u] -= z
+                elif u == w:
+                    m[u, u] -= 2 * z / (1 + z)
+                else:
+                    a = z / (1 - z * z)
+                    m[u, w] -= a
+                    m[w, u] -= a
+                    m[u, u] += a * z
+                    m[w, w] += a * z
+            try:
+                mpmath.cholesky(m)
+            except ValueError:
+                return False
+            return True
+
+        h = mpmath.mpf(h if h is not None else 1.0)
+        lo, hi = h * (1 - mpmath.mpf("1e-6")), h * (1 + mpmath.mpf("1e-6"))
+        while definite(lo):
+            lo /= 2
+        while not definite(hi):
+            hi *= 2
+        while hi - lo > mpmath.mpf("1e-30") * hi:
+            mid = (lo + hi) / 2
+            lo, hi = (lo, mid) if definite(mid) else (mid, hi)
+        return (lo + hi) / 2
+
+
+def sweep_graphs(seed=11, count=150):
+    """Connected multigraphs on the north star's length range, from
+    ``random.Random(seed)``: 2-12 vertices, a random spanning tree (vertex
+    i to a random earlier one) plus 2 to n + 3 random extra edges, loops
+    allowed, so first Betti number >= 2, and lengths 10^U(-6, 3), each
+    drawn right after its ends."""
+    import random
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(2, 12)
+        names = [f"v{i}" for i in range(n)]
+        edges = [(names[i], names[rng.randrange(i)],
+                  10.0 ** rng.uniform(-6.0, 3.0)) for i in range(1, n)]
+        edges += [(names[rng.randrange(n)], names[rng.randrange(n)],
+                   10.0 ** rng.uniform(-6.0, 3.0))
+                  for _ in range(rng.randint(2, n + 3))]
+        out.append(MetricGraph.from_edges(names, edges))
+    return out
+
+
 def lim_metric(graph):
     """Lim's minimal-entropy metric on a graph whose vertices all have
     degree >= 3 (a loop counts 2), such as a reduced core: the graph with
@@ -328,6 +394,66 @@ def reference_vertex_root(graph, mode=TransferMode.NON_BACKTRACKING):
     return replace(best, v=v, evals=evals)
 
 
+def reference_newton_down(evaluate, t, lo, hi, component):
+    """``entropy._newton_down`` with plain Newton steps, as it was before
+    the interpolated step: the reference for its root and its number of
+    evaluations."""
+    from entrograph import NonConvergence
+    from entrograph.entropy import _NEWTON_CAP, _VertexRoot
+    lam, v, dlam, noise = evaluate(t)
+    evals, upper = 1, None
+    if t >= hi and lam <= 0.0:
+        return _VertexRoot(t, v, lam, dlam, (t, t), evals)
+    while True:
+        if lam < 0.0:
+            lo = t
+        else:
+            hi, upper = t, (t, v, lam, dlam)
+        if abs(lam) <= noise or hi - lo <= 1e-15 * t:
+            break
+        if evals >= _NEWTON_CAP:
+            exc = NonConvergence(
+                f"lambda = 0 unresolved after {evals} evaluations "
+                f"on [{lo!r}, {hi!r}]")
+            exc.t, exc.component = t, component
+            raise exc
+        t_next = t - lam / dlam if dlam > 0.0 else math.nan
+        if abs(t_next - t) <= 1e-15 * t:
+            break
+        if not lo < t_next < hi:
+            t_next = 0.5 * (lo + hi)
+        t = t_next
+        lam, v, dlam, noise = evaluate(t)
+        evals += 1
+    if lam == -math.inf and upper is not None:  # end on a value, not below
+        t, v, lam, dlam = upper
+    return _VertexRoot(t, v, lam, dlam, (lo, hi), evals)
+
+
+def rounding_scale(edges, t, v, mode=TransferMode.NON_BACKTRACKING):
+    """4 eps times the sum of the absolute values of the terms of
+    v^T M(t) v in the edge form, each diagonal shift counted as the terms
+    it is summed from (1, z/(1+z) or z at each end of an edge, 1 and
+    tanh(t l/2) at a loop) before they cancel.  ``entropy._edge_quotients``
+    takes its scale after that cancellation, so where a shift cancels to
+    near 0 its scale can lie orders of magnitude below the rounding of
+    lambda."""
+    n, u, w, lengths = edges
+    z = np.exp(-t * lengths)
+    loop = u == w
+    if mode is TransferMode.BACKTRACKING:
+        drop, weights = z, z[~loop]
+    else:
+        drop = np.where(loop, 0.0, z / (1.0 + z))
+        weights = z[~loop] / -np.expm1(-2.0 * t * lengths[~loop])
+    terms = 1.0 + np.bincount(u, drop, n) + np.bincount(w, drop, n)
+    if mode is TransferMode.NON_BACKTRACKING:
+        terms += np.bincount(u[loop], 1.0 + np.tanh(0.5 * t * lengths[loop]),
+                             n)
+    flow = weights @ (v[u[~loop]] - v[w[~loop]]) ** 2
+    return 4.0 * np.finfo(float).eps * float(terms @ (v * v) + flow)
+
+
 def _betti(graph):
     return graph.edge_count - len(graph.vertices) + 1
 
@@ -407,14 +533,17 @@ def _rebuild_groups(added, owner):
             in {id(g): g for g in group.values()}.values()]
 
 
-def rebuild_curve(graph, strategy):
+def rebuild_curve(graph, strategy, floor=True):
     """(h, iterations, strategy) of each step of ``persistent_entropy``,
     from a loop that rebuilds each changed component as a ``MetricGraph``
     (``disjoint_union`` of its parts and its new edges) and solves it with
-    ``reference_vertex_root`` ("direct") or ``reference_extend``.  The
-    package walks the full graph's edge arrays instead and must give the
-    same steps bit for bit."""
+    ``reference_extend`` or, "direct", where its first Betti number is 2
+    or more, with ``entropy._cold_root`` up from h_base, the largest
+    entropy of its parts (down from the upper start where ``floor`` is
+    false).  The package walks the full graph's edge arrays instead and
+    must give the same steps bit for bit."""
     from entrograph import StepStrategy
+    from entrograph.entropy import _cold_root
 
     by_length = {}
     for e in graph.edge_list():
@@ -433,8 +562,11 @@ def rebuild_curve(graph, strategy):
             h_base = max(h for _, h in parts)
             comp = disjoint_union(graphs, new_edges)
             if strategy == "direct":
-                root = reference_vertex_root(comp)
-                h, evals = max(h_base, root.h), root.evals
+                h, evals = h_base, 0
+                if _betti(comp) >= 2:
+                    root = _cold_root(comp._edge_arrays,
+                                      lo=h_base if floor else 0.0)
+                    h, evals = max(h_base, root.h), root.evals
             else:
                 h, _, _, evals = reference_extend(
                     comp, graphs, {v for e in new_edges for v in e[:2]},

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entrograph import (EnumerationSpec, InsufficientData, MetricGraph,
@@ -18,9 +18,10 @@ from entrograph import entropy
 from entrograph.graph import Dart
 from entrograph.spectral import vertex_form
 from helpers import (c4, complete4, dumbbell, eig_entropy, eig_rho,
-                     lim_metric, multigraphs, path3, reference_vertex_root,
-                     rose, scalar_entropy_from_counts, segment,
-                     short_loop_core, split_multigraphs, theta)
+                     lim_metric, mp_root, multigraphs, path3,
+                     reference_newton_down, reference_vertex_root, rose,
+                     rounding_scale, scalar_entropy_from_counts, segment,
+                     short_loop_core, split_multigraphs, sweep_graphs, theta)
 
 
 def test_rose_closed_forms():
@@ -353,9 +354,71 @@ def test_vertex_root_short_loop_core():
         ref, rel=5e-14, abs=0.0)
 
 
+def _solve_to_floor(newton, edges, mode):
+    # the root of ``newton`` on lambda_min(M(t)) from the upper start, and
+    # its evaluations up to the first with |lambda| within the rounding
+    # scale of its terms (``helpers.rounding_scale``)
+    floor = []
+
+    def evaluate(t):
+        out = entropy._lambda_min(edges, t, mode)
+        floor.append(abs(out[0]) <= rounding_scale(edges, t, out[1], mode))
+        return out
+    hi = entropy._upper_start(edges, mode)
+    root = newton(evaluate, hi, 0.0, hi, edges.name)
+    return root, floor.index(True) + 1 if True in floor else len(floor)
+
+
+@pytest.mark.parametrize("mode", MODES, ids=["nb", "bt"])
+@settings(max_examples=60, deadline=None)
+@given(g=multigraphs())
+def test_newton_matches_reference_on_multigraphs(mode, g):
+    # the interpolated steps land on the plain Newton loop's root within
+    # the stop band of the two, and reach the rounding floor of lambda in
+    # at most one evaluation more.  Both are taken on the scale of the
+    # terms before the diagonal cancels: on 1-2 % of draws the solver's own
+    # scale lies far below the rounding of lambda, both loops wander inside
+    # the floor until the bracket closes, and their counts part by chance
+    edges = g._edge_arrays
+    new, to_floor = _solve_to_floor(entropy._newton_down, edges, mode)
+    ref, ref_to_floor = _solve_to_floor(reference_newton_down, edges, mode)
+    assert entropy._cold_root(edges, mode).h == new.h
+    band = sum(rounding_scale(edges, r.h, r.v, mode) for r in (new, ref))
+    assert abs(new.h - ref.h) <= band / new.dlambda + 1e-15 * new.h
+    assert to_floor <= ref_to_floor + 1
+
+
+def test_newton_takes_fewer_evaluations_than_the_reference_on_the_sweep():
+    # ROADMAP item 12's 150 graphs, lengths 10^U(-6, 3); the plain Newton
+    # loop took 2891 + 1730 evaluations
+    edge_sets = [g._edge_arrays for g in sweep_graphs()]
+    for mode in MODES:
+        new = sum(entropy._cold_root(e, mode).evals for e in edge_sets)
+        ref = sum(_solve_to_floor(reference_newton_down, e, mode)[0].evals
+                  for e in edge_sets)
+        assert new < ref
+
+
+# the largest relative error of the plain Newton loop (``helpers.
+# reference_newton_down``) against the 50-digit root on these draws; the
+# non-backtracking one is a graph with loops of 665.6 and 4.5e-6 at one
+# vertex (ROADMAP item 3)
+MP_BOUNDS = {TransferMode.NON_BACKTRACKING: 1.3e-10,
+             TransferMode.BACKTRACKING: 1.3e-14}
+
+
+@pytest.mark.parametrize("mode", MODES, ids=["nb", "bt"])
+def test_vertex_root_matches_a_50_digit_root(mode):
+    for g in sweep_graphs(count=12):
+        h = entropy._vertex_root(g, mode).h
+        ref = mp_root(g, mode, h)
+        assert abs(h - ref) <= MP_BOUNDS[mode] * ref
+
+
 @pytest.mark.parametrize("mode", MODES)
 @settings(max_examples=60, deadline=None)
 @given(g=multigraphs(), s=st.floats(0.1, 3.0))
+@example(g=rose(2), s=1.0)
 def test_lambda_min_eigenpair_matches_eigh(mode, g, s):
     # the direct LAPACK dsyevr call agrees with numpy's eigh (the dsyevd
     # driver): its eigenvalue, taken as the edge-form Rayleigh quotient,
@@ -365,6 +428,13 @@ def test_lambda_min_eigenpair_matches_eigh(mode, g, s):
     w, vecs = np.linalg.eigh(m)
     lam, v, _, noise = entropy._lambda_min(g._edge_arrays, t, mode)
     scale = np.abs(m).sum(axis=1).max()
+    if scale == 0.0:
+        # M(h) is exactly [0.0] on a one-vertex rose whose root rounds so
+        # that its loop terms cancel the identity (two unit loops at
+        # log 3, or at log 4 backtracking): no scale to bound against, and
+        # every value is exact
+        assert lam == noise == 0.0 and not (m @ v).any()
+        return
     assert abs(lam - w[0]) <= 1e-12 * scale
     assert 0.0 < noise <= 1e-14 * scale
     assert np.abs(m @ v - w[0] * v).max() <= 1e-12 * scale

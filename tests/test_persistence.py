@@ -165,6 +165,17 @@ def test_curve_equals_the_rebuild_reference(args, strategy):
         == rebuild_curve(g, strategy)
 
 
+@pytest.mark.parametrize("args", [(1, 8, 16), (3, 6, 12), (3, 12, 24),
+                                  (1, 20, 40), (1, 40, 80), (2, 60, 120)])
+def test_direct_steps_from_the_floor_match_cold_solves(args):
+    # a direct step climbs from h_base, the entropy of its parts; the same
+    # steps solved down from the upper start log(k) / l_min agree
+    g = generate_graph(*args)
+    cold = rebuild_curve(g, "direct", floor=False)
+    for step, (h, _, _) in zip(persistent_entropy(g, "direct").steps, cold):
+        assert abs(step.h - h) <= 1e-14 * h
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(multigraphs(), batched_multigraphs()))
 def test_curve_equals_the_rebuild_reference_on_multigraphs(g):
