@@ -40,7 +40,8 @@ solve on a Schur complement of it (``entropy._schur_root``).
 ``_vertex_root`` also gives ``growth_bounds`` its default h and the
 entropy of G - v, and ``backtracking_bound`` and ``laplace_check`` the
 first route's h alone.  Only the default non-backtracking h of
-``laplace_check`` still comes from the dart solver (``volume_entropy``).
+``laplace_check``, that of the profile base's component, still comes
+from the dart solver (``volume_entropy``).
 """
 
 from __future__ import annotations
@@ -128,6 +129,7 @@ class CountProfile:
 
 _LINEAR_A = 2.0 ** 60
 _GRID_BLOCK = 1 << 20  # (radius, length) pairs verify_recursions holds
+_RADII = 20  # the check radii verify_recursions places by default
 
 
 def _count_model(comp: MetricGraph, mode: TransferMode, base: str,
@@ -152,9 +154,10 @@ def _count_model(comp: MetricGraph, mode: TransferMode, base: str,
     if root.v is None:
         l_mean = float(np.mean([d.length for d in comp.darts]))
         return _LINEAR_A, len(comp.darts) / (_LINEAR_A * l_mean)
-    v = dict(zip(comp.vertices, root.v.tolist()))
-    s = float(root.v.sum()) if target is None else v.get(target, 0.0)
-    return max(abs(v[base]), _EPS) * abs(s) / (root.h * root.dlambda), root.h
+    v, index = root.v.tolist() + [0.0], comp._index  # [-1]: outside comp
+    s = float(root.v.sum()) if target is None else v[index.get(target, -1)]
+    a = max(abs(v[index[base]]), _EPS) * abs(s) / (root.h * root.dlambda)
+    return a, root.h
 
 
 def horizon_for_budget(graph: MetricGraph, x: str, target: int,
@@ -485,10 +488,10 @@ def _genfun_for_profile(profile: CountProfile, graph: MetricGraph, t: float):
 
 
 def _growth_rate(profile: CountProfile, graph: MetricGraph) -> float:
+    comp = component_of(graph, profile.endpoints[0])
     if profile.mode is TransferMode.BACKTRACKING:  # route 1's h_transfer
-        return _vertex_root(component_of(graph, profile.endpoints[0]),
-                            profile.mode).h
-    return volume_entropy(graph).h
+        return _vertex_root(comp, profile.mode).h
+    return volume_entropy(comp).h
 
 
 def laplace_check(profile: CountProfile, graph: MetricGraph, t: float,
@@ -501,7 +504,8 @@ def laplace_check(profile: CountProfile, graph: MetricGraph, t: float,
     when the resolvent value of f lies inside the bracketed interval.
     ``m_const`` defaults to twice the largest N(r) e^{-hr} seen over the
     profile's upper half, an empirical stand-in for the proven constant
-    when no BoundsReport is supplied.
+    when no BoundsReport is supplied.  ``h`` defaults to the entropy of
+    the component of the profile's base, in the profile's mode.
     """
     if h is None:
         h = _growth_rate(profile, graph)
@@ -529,9 +533,9 @@ def laplace_check(profile: CountProfile, graph: MetricGraph, t: float,
 
 # -- recursion checks ------------------------------------------------------
 
-def _default_radii(attained: np.ndarray, r_max: float, tie_guard: float,
-                   want: int = 20) -> tuple[float, ...]:
-    """Up to ``want`` check radii placed inside the gaps between attained
+def _default_radii(attained: np.ndarray, r_max: float,
+                   tie_guard: float) -> tuple[float, ...]:
+    """Up to ``_RADII`` radii placed inside the gaps between attained
     cycle lengths, subdividing gaps evenly when there are fewer gaps than
     radii; every radius keeps a safe distance from attained values."""
     if attained.size == 0:
@@ -543,7 +547,7 @@ def _default_radii(attained: np.ndarray, r_max: float, tie_guard: float,
     width = np.append(gap[wide], r_max - attained[-1])
     candidates = np.empty(0)
     parts = 2
-    while candidates.size < want and parts <= 4096:
+    while candidates.size < _RADII and parts <= 4096:
         step = width / parts
         narrow = step <= floor
         step = np.where(narrow, width / 2.0, step)
@@ -552,9 +556,9 @@ def _default_radii(attained: np.ndarray, r_max: float, tie_guard: float,
                                                       n_sub)
         candidates = np.sort(np.repeat(lo, n_sub) + np.repeat(step, n_sub) * i)
         parts *= 2
-    if candidates.size > want:
+    if candidates.size > _RADII:
         candidates = candidates[np.unique(
-            np.linspace(0, candidates.size - 1, want).astype(int))]
+            np.linspace(0, candidates.size - 1, _RADII).astype(int))]
     return tuple(candidates.tolist())
 
 

@@ -83,7 +83,7 @@ class _Resolvent:
 
     def __init__(self, comp: MetricGraph, t: float,
                  mode: TransferMode = TransferMode.NON_BACKTRACKING):
-        self.index = {v: i for i, v in enumerate(comp.vertices)}
+        self.index = comp._index
         self._form = self._factor = None
         if t > 0.0:  # z = 1 at t = 0 puts 1/(1 - z^2) = inf in M
             self._form = vertex_form(comp, float(t), mode)

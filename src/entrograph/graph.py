@@ -8,9 +8,12 @@ contributes a dart pair with equal tail and head and counts 2 toward the
 degree of its vertex.
 
 Connected components come from one cached split of the edge arrays
-(``MetricGraph._split``, a union-find rooted at least vertex names) into
-each component's vertex and edge indices.  ``component_of`` builds only
-the component it names; a connected graph is its own component.
+(``MetricGraph._split``) into each component's vertex and edge indices;
+``component_of`` builds only the component it names, and a connected
+graph is its own component.  ``reduce`` cuts the same arrays to their
+core (``_core``): leaves are peeled by degree counts, and the chains of
+degree-2 vertices are joined by the union-find that also gives the
+split (``_least_roots``, each class rooted at its least member).
 
 Every entry point of the package names its vertices through
 ``MetricGraph._position``, the one lookup that raises UnknownVertex, and
@@ -21,7 +24,6 @@ raises ValidationFailed with the report of ``validate``.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -166,14 +168,8 @@ class MetricGraph:
         vertex name; read-only arrays."""
         n, tails, heads, _ = self._edge_arrays
         rank = np.argsort(sorted(range(n), key=self.vertices.__getitem__))
-        root = list(range(n))  # union-find on name ranks, roots the least
-        for a, b in zip(rank[tails].tolist(), rank[heads].tolist()):
-            while root[a] != root[b]:  # Rem's union, with splicing
-                a, b = (a, b) if root[a] > root[b] else (b, a)
-                root[a], a = root[b], root[a]
-        for r, p in enumerate(root):  # p <= r: one ascending pass flattens
-            root[r] = root[p]
-        keys, labels = np.unique(np.array(root)[rank], return_inverse=True)
+        root = _least_roots(n, rank[tails], rank[heads])[rank]  # name ranks
+        keys, labels = np.unique(root, return_inverse=True)
         verts, edges = (np.split(_read_only(np.argsort(label, kind="stable")),
             np.cumsum(np.bincount(label, minlength=keys.size)))[:-1]
             for label in (labels, labels[tails]))  # [:-1]: the empty tail
@@ -269,6 +265,19 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     """``arr``, made read-only; so are the views later taken of it."""
     arr.setflags(write=False)
     return arr
+
+
+def _least_roots(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Union-find on 0..n-1 joining a[i] with b[i]: the least member of
+    the class of each element."""
+    root = list(range(n))
+    for x, y in zip(a.tolist(), b.tolist()):
+        while root[x] != root[y]:  # Rem's union, with splicing
+            x, y = (x, y) if root[x] > root[y] else (y, x)
+            root[x], x = root[y], root[x]
+    for r, p in enumerate(root):  # p <= r: one ascending pass flattens
+        root[r] = root[p]
+    return np.array(root, dtype=np.intp)
 
 
 def _csr_pattern(n: int, rows: np.ndarray, cols: np.ndarray):
@@ -371,74 +380,59 @@ def reduce(graph: MetricGraph) -> ReduceResult:
     Per component: degree-1 vertices are deleted with their edge and
     degree-2 vertices are suppressed (their two edges merge into one of
     summed length), repeatedly; both operations leave the volume entropy
-    unchanged.  A Betti-0 component disappears
-    entirely (kind TRIVIAL); a Betti-1 component collapses to one vertex
-    carrying one loop (kind SINGLE_CYCLE; that vertex is kept even though
-    its degree is 2 because suppressing it would erase the component);
+    unchanged.  A Betti-0 component disappears entirely (kind TRIVIAL); a
+    Betti-1 component collapses to one loop at the first vertex of its
+    cycle in ``graph.vertices`` (kind SINGLE_CYCLE; that vertex is kept
+    though its degree is 2, as suppressing it would erase the component);
     a Betti >= 2 component reduces to a core of minimum degree 3 (kind
-    HYPERBOLIC).  Kinds align with the ``components`` order, and the
-    surviving vertices keep their identifiers.
+    HYPERBOLIC).  Kinds align with the ``components`` order; surviving
+    vertices keep their identifiers and their order.
     """
-    verts, edges, kinds = [], [], []  # of the reduced graph, per component
-    for comp, betti in zip(components(graph), first_betti(graph)):
-        kinds.append(ComponentKind.TRIVIAL if betti == 0
-                     else ComponentKind.SINGLE_CYCLE if betti == 1
-                     else ComponentKind.HYPERBOLIC)
-        if betti > 0:
-            pv, pe = _reduce_component(comp)
-            verts.extend(pv)
-            edges.extend(pe)
-    return ReduceResult(MetricGraph.from_edges(verts, edges), tuple(kinds))
+    kept, tails, heads, lengths = _core(graph._edge_arrays)
+    names = np.array(graph.vertices, dtype=object)[kept]
+    kinds = tuple(ComponentKind.TRIVIAL if b == 0
+                  else ComponentKind.SINGLE_CYCLE if b == 1
+                  else ComponentKind.HYPERBOLIC for b in first_betti(graph))
+    return ReduceResult(MetricGraph.from_edges(names, zip(
+        names[tails], names[heads], lengths.tolist())), kinds)
 
 
-def _reduce_component(comp: MetricGraph):
-    """Peel degree-<=1 vertices and suppress degree-2 vertices of one
-    connected component with Betti number >= 1."""
-    edges: dict[int, tuple[str, str, float]] = {
-        i: e for i, e in enumerate(comp.edge_list())}
-    incident: dict[str, list[int]] = defaultdict(list)
-    verts = set(comp.vertices)
-    for eid, (u, v, _) in edges.items():
-        incident[u].append(eid)
-        incident[v].append(eid)  # loops appear twice: degree 2
-    next_eid = len(edges)
+def _core(edges: EdgeSet):
+    """The core of an edge set: the kept vertex indices, and the tails,
+    heads (positions among the kept vertices) and lengths of its edges.
 
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(verts):
-            inc = incident[v]
-            if len(inc) == 0:
-                verts.discard(v)
-                changed = True
-            elif len(inc) == 1:
-                eid = inc[0]
-                u, w, _ = edges.pop(eid)
-                other = w if u == v else u
-                incident[other].remove(eid)
-                incident.pop(v, None)
-                verts.discard(v)
-                changed = True
-            elif len(inc) == 2:
-                e1, e2 = inc
-                if e1 == e2:
-                    continue  # lone loop: SINGLE_CYCLE normal form
-                u1, w1, l1 = edges.pop(e1)
-                u2, w2, l2 = edges.pop(e2)
-                a = w1 if u1 == v else u1
-                b = w2 if u2 == v else u2
-                incident[a].remove(e1)
-                incident[b].remove(e2)
-                incident.pop(v, None)
-                verts.discard(v)
-                eid = next_eid
-                next_eid += 1
-                edges[eid] = (a, b, l1 + l2)
-                incident[a].append(eid)
-                incident[b].append(eid)
-                changed = True
-    kept = tuple(v for v in comp.vertices if v in verts)
-    return kept, [edges[eid] for eid in sorted(edges)]
+    Edges at a degree-1 vertex are peeled until none is left; the two
+    edges at each degree-2 vertex are joined, and each joined class
+    becomes one edge, of its lengths summed in edge order, between the
+    vertices of degree >= 3 it meets, or, a whole cycle, a loop at its
+    least vertex.  Unjoined edges keep their order and joined classes
+    follow by least edge; a class's first end, tails before heads, is
+    its tail.
+    """
+    n, tails, heads, lengths = edges
+    m = tails.size
+    ends = np.concatenate((tails, heads))  # end k is one of edge k % m
+    alive = np.ones(m, dtype=bool)
+    degree = np.bincount(ends, minlength=n)
+    while (cut := alive & (degree[ends] == 1).reshape(2, m).any(0)).any():
+        alive &= ~cut
+        degree -= np.bincount(ends[np.concatenate((cut, cut))], minlength=n)
+    live = np.concatenate((alive, alive))
+    inner = (live & (degree[ends] == 2)).nonzero()[0]
+    inner = inner[np.argsort(ends[inner], kind="stable")]  # pairs by vertex
+    root = _least_roots(m, inner[0::2] % m, inner[1::2] % m)
+    cls = np.concatenate((root, root))  # the class of each end
+    size = np.bincount(root[alive], minlength=m)
+    kept = degree >= 3
+    c, first, count = np.unique(cls[inner], return_index=True,
+                                return_counts=True)  # first: least vertex
+    kept[ends[inner[first[count == 2 * size[c]]]]] = True  # whole cycles
+    at = (live & kept[ends]).nonzero()[0]  # two per class, joined ones last
+    at = at[np.argsort(cls[at] + m * (size[cls[at]] > 1), kind="stable")]
+    local = np.cumsum(kept) - 1
+    summed = np.bincount(root[alive], weights=lengths[alive], minlength=m)
+    return (kept.nonzero()[0], local[ends[at[0::2]]],
+            local[ends[at[1::2]]], summed[cls[at[0::2]]])
 
 
 def add_edge(graph: MetricGraph, x: str, y: str, l0: float) -> MetricGraph:

@@ -7,12 +7,13 @@ rely on.
 """
 
 import math
-from collections import deque
+from collections import defaultdict, deque
 
 import numpy as np
 from hypothesis import strategies as st
 
-from entrograph import MetricGraph, TransferMode
+from entrograph import (ComponentKind, MetricGraph, ReduceResult,
+                        TransferMode, components, first_betti, reduce)
 
 
 def rose(k, length=1.0):
@@ -285,29 +286,50 @@ def dart_lu_path(graph, x, y, t):
 
 
 @st.composite
-def multigraphs(draw):
+def multigraphs(draw, max_vertices=5, min_exp=-3.0):
     """Connected multigraphs with loops and parallel edges, first Betti
-    number 2..4, and lengths 10^U(-3, 3)."""
-    n = draw(st.integers(1, 5))
+    number 2..4, up to ``max_vertices`` vertices and lengths
+    10^U(min_exp, 3)."""
+    n = draw(st.integers(1, max_vertices))
     names = [f"v{i}" for i in range(n)]
     ends = [(names[i], names[draw(st.integers(0, i - 1))])
             for i in range(1, n)]
     ends += [(names[draw(st.integers(0, n - 1))],
               names[draw(st.integers(0, n - 1))])
              for _ in range(draw(st.integers(2, 4)))]
+    exps = draw(st.lists(st.floats(min_exp, 3.0), min_size=len(ends),
+                         max_size=len(ends)))
+    return MetricGraph.from_edges(
+        names, [(u, v, 10.0 ** e) for (u, v), e in zip(ends, exps)])
+
+
+def extreme_multigraphs():
+    """``multigraphs()`` on up to 8 vertices with lengths 10^U(-6, 3),
+    the length range of the north star."""
+    return multigraphs(max_vertices=8, min_exp=-6.0)
+
+
+@st.composite
+def sparse_components(draw):
+    """A tree with at least one edge, or a single cycle of one to four
+    vertices (a loop, two parallel edges, ...) with trees hanging on it;
+    lengths 10^U(-3, 3)."""
+    cyc = draw(st.integers(0, 4))  # 0: a tree
+    n = max(cyc, 1) + draw(st.integers(1 if cyc == 0 else 0, 4))
+    names = [f"v{i}" for i in range(n)]
+    ends = [(names[i], names[(i + 1) % cyc]) for i in range(cyc)]
+    ends += [(names[i], names[draw(st.integers(0, i - 1))])
+             for i in range(max(cyc, 1), n)]
     exps = draw(st.lists(st.floats(-3.0, 3.0), min_size=len(ends),
                          max_size=len(ends)))
     return MetricGraph.from_edges(
         names, [(u, v, 10.0 ** e) for (u, v), e in zip(ends, exps)])
 
 
-@st.composite
-def split_multigraphs(draw):
-    """Disjoint unions of one to three ``multigraphs()`` and zero to two
-    isolated vertices, with the names, the vertex order and the edge
-    order each shuffled, so that components interleave in all three."""
-    graphs = draw(st.lists(multigraphs(), min_size=1, max_size=3))
-    isolated = draw(st.integers(0, 2))
+def _shuffled_union(draw, graphs, isolated):
+    """The disjoint union of ``graphs`` and ``isolated`` isolated
+    vertices, with the names, the vertex order and the edge order each
+    shuffled."""
     total = sum(len(g.vertices) for g in graphs) + isolated
     names = iter(draw(st.permutations([f"v{i}" for i in range(total)])))
     verts, edges = [], []
@@ -318,6 +340,25 @@ def split_multigraphs(draw):
     verts += names
     return MetricGraph.from_edges(draw(st.permutations(verts)),
                                   draw(st.permutations(edges)))
+
+
+@st.composite
+def split_multigraphs(draw):
+    """Disjoint unions of one to three ``multigraphs()`` and zero to two
+    isolated vertices, with the names, the vertex order and the edge
+    order each shuffled, so that components interleave in all three."""
+    graphs = draw(st.lists(multigraphs(), min_size=1, max_size=3))
+    return _shuffled_union(draw, graphs, draw(st.integers(0, 2)))
+
+
+@st.composite
+def mixed_graphs(draw):
+    """Disjoint unions of one to four components, each a
+    ``sparse_components()`` or a ``multigraphs()``, and zero to two
+    isolated vertices, shuffled as in ``split_multigraphs``."""
+    graphs = draw(st.lists(st.one_of(sparse_components(), multigraphs()),
+                           min_size=1, max_size=4))
+    return _shuffled_union(draw, graphs, draw(st.integers(0, 2)))
 
 
 # -- the MetricGraph rebuild, for the component, edit and curve references --
@@ -362,6 +403,137 @@ def disjoint_union(parts, edges=()):
     return MetricGraph.from_edges(
         [v for p in parts for v in p.vertices],
         [e for p in parts for e in p.edge_list()] + list(edges))
+
+
+# -- the reducer the package replaced: a sweep over each component --------
+
+def reference_reduce(graph: MetricGraph) -> ReduceResult:
+    """Entropy-preserving reduction of a graph.
+
+    Per component: degree-1 vertices are deleted with their edge and
+    degree-2 vertices are suppressed (their two edges merge into one of
+    summed length), repeatedly; both operations leave the volume entropy
+    unchanged.  A Betti-0 component disappears
+    entirely (kind TRIVIAL); a Betti-1 component collapses to one vertex
+    carrying one loop (kind SINGLE_CYCLE; that vertex is kept even though
+    its degree is 2 because suppressing it would erase the component);
+    a Betti >= 2 component reduces to a core of minimum degree 3 (kind
+    HYPERBOLIC).  Kinds align with the ``components`` order, and the
+    surviving vertices keep their identifiers.
+    """
+    verts, edges, kinds = [], [], []  # of the reduced graph, per component
+    for comp, betti in zip(components(graph), first_betti(graph)):
+        kinds.append(ComponentKind.TRIVIAL if betti == 0
+                     else ComponentKind.SINGLE_CYCLE if betti == 1
+                     else ComponentKind.HYPERBOLIC)
+        if betti > 0:
+            pv, pe = _reduce_component(comp)
+            verts.extend(pv)
+            edges.extend(pe)
+    return ReduceResult(MetricGraph.from_edges(verts, edges), tuple(kinds))
+
+
+def _reduce_component(comp: MetricGraph):
+    """Peel degree-<=1 vertices and suppress degree-2 vertices of one
+    connected component with Betti number >= 1."""
+    edges: dict[int, tuple[str, str, float]] = {
+        i: e for i, e in enumerate(comp.edge_list())}
+    incident: dict[str, list[int]] = defaultdict(list)
+    verts = set(comp.vertices)
+    for eid, (u, v, _) in edges.items():
+        incident[u].append(eid)
+        incident[v].append(eid)  # loops appear twice: degree 2
+    next_eid = len(edges)
+
+    changed = True
+    while changed:
+        changed = False
+        for v in sorted(verts):
+            inc = incident[v]
+            if len(inc) == 0:
+                verts.discard(v)
+                changed = True
+            elif len(inc) == 1:
+                eid = inc[0]
+                u, w, _ = edges.pop(eid)
+                other = w if u == v else u
+                incident[other].remove(eid)
+                incident.pop(v, None)
+                verts.discard(v)
+                changed = True
+            elif len(inc) == 2:
+                e1, e2 = inc
+                if e1 == e2:
+                    continue  # lone loop: SINGLE_CYCLE normal form
+                u1, w1, l1 = edges.pop(e1)
+                u2, w2, l2 = edges.pop(e2)
+                a = w1 if u1 == v else u1
+                b = w2 if u2 == v else u2
+                incident[a].remove(e1)
+                incident[b].remove(e2)
+                incident.pop(v, None)
+                verts.discard(v)
+                eid = next_eid
+                next_eid += 1
+                edges[eid] = (a, b, l1 + l2)
+                incident[a].append(eid)
+                incident[b].append(eid)
+                changed = True
+    kept = tuple(v for v in comp.vertices if v in verts)
+    return kept, [edges[eid] for eid in sorted(edges)]
+
+
+def check_reduce(graph):
+    """Assert that ``reduce(graph)`` is the core of ``reference_reduce``.
+
+    Lengths 2^i on edge i make each core edge's length the exact set of
+    the edges merged into it, in both reducers; a core edge is matched
+    to the reference's by that set, and both reducers order their core
+    edges by the graph's structure alone.  Kinds are equal; the kept
+    vertices of each component of first Betti number >= 2 are the
+    reference's, in ``graph.vertices`` order; each core edge has the
+    reference's ends up to orientation, and its length is within
+    (k - 1) eps relative of the reference's, k the number of edges it
+    merges.  A single cycle keeps its first vertex in ``graph.vertices``
+    with one loop, a tree vanishes, and the core reduces to itself.
+    """
+    labelled = MetricGraph.from_edges(graph.vertices, [
+        (u, w, 2.0 ** i) for i, (u, w, _) in enumerate(graph.edge_list())])
+    new, ref = reduce(graph), reference_reduce(graph)
+    assert new.kinds == ref.kinds
+    cores = []  # per reducer: merged edge set -> (ends, length)
+    for result, plain in ((new, reduce(labelled)),
+                          (ref, reference_reduce(labelled))):
+        pairs = list(zip(result.graph.edge_list(), plain.graph.edge_list()))
+        assert result.graph.edge_count == plain.graph.edge_count
+        assert all(e[:2] == p[:2] for e, p in pairs)
+        cores.append({int(label): ({u, w}, length)
+                      for (u, w, length), (_, _, label) in pairs})
+        assert len(cores[-1]) == len(pairs)
+    assert cores[0].keys() == cores[1].keys()
+    edges, labels = graph.edge_list(), graph._split[0]
+    betti = first_betti(graph)
+    for label, (ends, length) in cores[0].items():
+        merged = [i for i in range(len(edges)) if label >> i & 1]
+        verts = [v for v in graph.vertices
+                 if any(v in edges[i][:2] for i in merged)]
+        ref_ends, ref_length = cores[1][label]
+        if betti[labels[graph._position(verts[0])]] == 1:
+            assert ends == {verts[0]} and len(ref_ends) == 1
+        else:
+            assert ends == ref_ends
+        assert abs(length - ref_length) <= (len(merged) - 1) \
+            * np.finfo(float).eps * ref_length
+    kept, ref_kept = set(new.graph.vertices), set(ref.graph.vertices)
+    assert list(new.graph.vertices) == [v for v in graph.vertices
+                                        if v in kept]
+    for (verts, _), b in zip(graph._split[1], betti):
+        names = {graph.vertices[i] for i in verts.tolist()}
+        if b >= 2:
+            assert kept & names == ref_kept & names
+        else:  # a tree keeps no vertex, a single cycle one
+            assert len(kept & names) == b
+    assert reduce(new.graph).graph == new.graph
 
 
 def reference_vertex_root(graph, mode=TransferMode.NON_BACKTRACKING):

@@ -20,6 +20,7 @@ from entrograph import (CountProfile, Dart, EnumerationSpec, HorizonTooLarge,
                         verify_recursions, volume_entropy)
 from entrograph import counting
 from entrograph.counting import _count_model, _over_bound, _step_integral
+from entrograph.graph import component_of
 from helpers import (bfs_enumerate, c4, complete4, coo_return_bounds,
                      dfs_components, disjoint_union, dumbbell, eig_entropy,
                      mask_sort_rows, multigraphs, path3, rose,
@@ -463,6 +464,22 @@ def test_laplace_margin_too_small():
         PathKind.PATHS_FROM, 8.0, x="v"))
     with pytest.raises(MarginTooSmall):
         laplace_check(prof, rose(2), math.log(3))
+
+
+def test_laplace_default_rate_is_that_of_the_base_component():
+    # a theta beside a theta of higher entropy: the default h is the
+    # entropy of the component of the profile's base, whose f and N(r)
+    # the check compares, not the larger entropy of the whole graph
+    g = MetricGraph.from_edges("abxy", [
+        ("a", "b", 1.0), ("a", "b", 1.3), ("a", "b", 0.7),
+        ("x", "y", 0.2), ("x", "y", 0.3), ("x", "y", 0.25)])
+    prof = enumerate_paths(g, EnumerationSpec(
+        PathKind.PATHS_FROM, 12.0, x="a"))
+    h_a = volume_entropy(component_of(g, "a")).h
+    rep = laplace_check(prof, g, h_a + 1.0)
+    assert rep.passed
+    assert rep.h_used == h_a
+    assert rep == laplace_check(prof, g, h_a + 1.0, h=h_a)
 
 
 def test_laplace_backtracking_mode():

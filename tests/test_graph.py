@@ -10,8 +10,9 @@ from entrograph import (ComponentKind, Dart, MetricGraph, NonPositiveLength,
                         delete_edge, delete_vertex, first_betti, reduce,
                         same_graph, validate)
 from entrograph.graph import component_of
-from helpers import (c4, complete4, cycle, dfs_components, path3, rose,
-                     segment, split_multigraphs, theta)
+from helpers import (c4, check_reduce, complete4, cycle, dfs_components,
+                     mixed_graphs, path3, rose, segment, split_multigraphs,
+                     theta)
 
 
 def test_validate_well_formed_c4():
@@ -220,6 +221,15 @@ def test_reduce_mixed_disjoint_graph():
     assert res.kinds == (ComponentKind.SINGLE_CYCLE, ComponentKind.HYPERBOLIC,
                          ComponentKind.TRIVIAL)
     assert first_betti(res.graph) == (1, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_graphs())
+def test_reduce_matches_reference_on_mixed_graphs(g):
+    # trees, single cycles with hanging trees and multigraphs side by
+    # side: the core of reference_reduce, up to edge order, orientation
+    # and the rounding of each merged length
+    check_reduce(g)
 
 
 def test_add_edge_chord():
