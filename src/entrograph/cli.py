@@ -16,7 +16,7 @@ import json
 import sys
 
 from . import counting, persistence
-from .entropy import volume_entropy
+from .entropy import _vertex_root, volume_entropy
 from .errors import (DisconnectedPair, DivergentSeries, EntrographError,
                      HorizonTooLarge, MarginTooSmall, NonConvergence,
                      NonPositiveLength, PreconditionError, TooFewAttachments,
@@ -68,9 +68,10 @@ def cmd_entropy(args) -> int:
 
 def _direct_gap(edited: MetricGraph, x: str,
                 h_prime: float) -> tuple[float, float]:
-    """Entropy of the component of x in the edited graph by a direct
-    solve, and its distance to the incremental h' of that component."""
-    direct = volume_entropy(component_of(edited, x)).h
+    """Entropy of the component of x in the edited graph by the direct
+    vertex-matrix solve (``entropy._vertex_root``), and its distance to
+    the incremental h' of that component."""
+    direct = _vertex_root(component_of(edited, x)).h
     return direct, abs(h_prime - direct)
 
 
@@ -173,47 +174,42 @@ def cmd_verify(args) -> int:
     if hyper:
         core0 = component_of(core, core.vertices[hyper[0]])
         v = max(core0.vertex_set, key=lambda w: (core0.degree(w), w))
+        h_core = h_of(v)
         r_cap = counting.horizon_for_budget(core0, v, min(cap, 200_000))
         longest = max(d.length for d in core0.darts)
         if r_cap < 3.0 * longest:
             skip_reason = (f"cap {cap:g} allows horizon "
                            f"{r_cap:.3g} only")
-    if skip_reason is None:
-        h_core = h_of(v)
-        try:
-            rep = counting.growth_bounds(core0, v, r_cap, cap=cap,
-                                         h=h_core)
-            record("growth-bounds",
-                   "PASS" if rep.passed else "FAIL",
-                   f"M={rep.m_formula:.4g} m={rep.m_empirical:.4g} "
-                   f"rho(A)={rep.rho_a:.9f}")
-        except HorizonTooLarge as exc:
-            record("growth-bounds", "SKIPPED", str(exc))
-        try:
-            rec = counting.verify_recursions(core0, v, r_max=0.6 * r_cap,
-                                             cap=cap)
-            record("recursions", "PASS" if rec.passed else "FAIL",
-                   f"{len(rec.r_grid)} radii")
-        except HorizonTooLarge as exc:
-            record("recursions", "SKIPPED", str(exc))
-        try:
-            x0 = sorted(core0.vertex_set)[0]
-            prof = counting.enumerate_paths(core0, counting.EnumerationSpec(
-                counting.PathKind.PATHS_FROM, 0.8 * r_cap, x=x0,
-                cap=cap))
-            ok = True
-            worst = 0.0
-            for tt in (h + 0.2, h + 0.6, h + 1.0, h + 1.4, h + 2.0):
-                rep_l = counting.laplace_check(prof, core0, tt, h=h_core)
-                ok = ok and rep_l.passed
-                worst = max(worst, abs(rep_l.f_value - rep_l.truncated))
-            record("laplace", "PASS" if ok else "FAIL",
-                   f"max truncation {worst:.2e}")
-        except HorizonTooLarge as exc:
-            record("laplace", "SKIPPED", str(exc))
-    else:
-        for name in ("growth-bounds", "recursions", "laplace"):
+
+    def growth_bounds():
+        rep = counting.growth_bounds(core0, v, r_cap, cap=cap, h=h_core)
+        return rep.passed, (f"M={rep.m_formula:.4g} m={rep.m_empirical:.4g} "
+                            f"rho(A)={rep.rho_a:.9f}")
+
+    def recursions():
+        rec = counting.verify_recursions(core0, v, r_max=0.6 * r_cap,
+                                         cap=cap)
+        return rec.passed, f"{len(rec.r_grid)} radii"
+
+    def laplace():
+        prof = counting.enumerate_paths(core0, counting.EnumerationSpec(
+            counting.PathKind.PATHS_FROM, 0.8 * r_cap, x=min(core0.vertex_set),
+            cap=cap))
+        reps = [counting.laplace_check(prof, core0, h + dt, h=h_core)
+                for dt in (0.2, 0.6, 1.0, 1.4, 2.0)]
+        worst = max(abs(r.f_value - r.truncated) for r in reps)
+        return all(r.passed for r in reps), f"max truncation {worst:.2e}"
+
+    for name, check in (("growth-bounds", growth_bounds),
+                        ("recursions", recursions), ("laplace", laplace)):
+        if skip_reason is not None:
             record(name, "SKIPPED", skip_reason)
+            continue
+        try:
+            passed, detail = check()
+            record(name, "PASS" if passed else "FAIL", detail)
+        except HorizonTooLarge as exc:
+            record(name, "SKIPPED", str(exc))
 
     pair = _first_nonadjacent_pair(graph)
     if pair:

@@ -58,8 +58,8 @@ from .entropy import _EPS, _schur_root, _vertex_root, volume_entropy
 from .errors import (DivergentSeries, HorizonTooLarge, MarginTooSmall,
                      NonConvergence, PreconditionError)
 from .genfun import attachment_darts, f_from, f_path, primitive_matrix
-from .graph import (MetricGraph, component_of, delete_vertex, first_betti,
-                    validate)
+from .graph import (MetricGraph, _require_valid, component_of, delete_vertex,
+                    first_betti)
 from .spectral import TransferMode, _pattern, transitions
 
 DEFAULT_CAP = 10_000_000
@@ -166,6 +166,7 @@ def horizon_for_budget(graph: MetricGraph, x: str, target: int,
     """Horizon at which about ``target`` walks from x exist: the r with
     A (e^{hr} - 1) = target in the count model of ``_count_model``.
     Raises PreconditionError when no walk leaves x."""
+    _require_valid(graph)
     comp = component_of(graph, x)
     if not comp.darts:
         raise PreconditionError(f"no walk leaves {x!r}: it has no edge")
@@ -359,9 +360,7 @@ def _enumerate(graph: MetricGraph, spec: EnumerationSpec, root=None,
     and the non-backtracking count model is checked after it, so every
     refusal is the one the four separate enumerations make.
     """
-    report = validate(graph)
-    if report:
-        raise PreconditionError("enumerate requires a valid graph")
+    _require_valid(graph)
     if not spec.r_max > 0:  # nan is not a horizon either
         raise PreconditionError("horizon must be positive")
 
@@ -507,6 +506,7 @@ def laplace_check(profile: CountProfile, graph: MetricGraph, t: float,
     when no BoundsReport is supplied.  ``h`` defaults to the entropy of
     the component of the profile's base, in the profile's mode.
     """
+    _require_valid(graph)
     if h is None:
         h = _growth_rate(profile, graph)
     if t < h + margin:
@@ -685,8 +685,7 @@ class BoundsReport:
 
 
 def _require_reduced_hyperbolic(graph: MetricGraph):
-    if validate(graph):
-        raise PreconditionError("graph is not valid")
+    _require_valid(graph)
     if len(first_betti(graph)) != 1:
         raise PreconditionError("a connected graph is required")
     if first_betti(graph)[0] < 2:
@@ -856,6 +855,7 @@ def backtracking_entropy(graph: MetricGraph, v: str) -> BacktrackingEntropy:
     ``residual_g`` is |lambda_min(K)| at h_g_root.  The two roots agree
     within solver tolerance.
     """
+    _require_valid(graph)
     comp = component_of(graph, v)
     if not comp.darts:
         return BacktrackingEntropy(0.0, 0.0, 0.0, 0.0)

@@ -17,7 +17,11 @@ class EntrographError(Exception):
     component: str | None = None
 
 
-class ValidationFailed(EntrographError):
+class PreconditionError(EntrographError):
+    """An operation was called outside its documented preconditions."""
+
+
+class ValidationFailed(PreconditionError):
     """A graph failed invariant validation; carries the report lines."""
 
     def __init__(self, report):
@@ -71,7 +75,3 @@ class MarginTooSmall(EntrographError):
 
 class UnknownFormat(EntrographError):
     pass
-
-
-class PreconditionError(EntrographError):
-    """An operation was called outside its documented preconditions."""

@@ -28,8 +28,9 @@ edges and lengths 10^U(-3, 3), at t in {1.01h, 1.5h, 3h}, the values
 agree within 3e-12 * max(1, |f|) when t * l_min >= 1e-3 and within
 3e-11 * max(1, |f|) down to t * l_min = 2e-6.
 
-Every f_ab comes from one query, the block of f over a vertex list
-(``_Resolvent.block``, one multi-column solve): ``f_path`` reads f_xy
+Every solve is one ``_solve``: a fresh factorization of M(t), since each
+query has its own (graph, t).  Every f_ab comes from the block of f over
+a vertex list (``_block``, one multi-column solve): ``f_path`` reads f_xy
 from the block over (x, y), and ``primitive_matrix`` takes the block over
 the heads of the attachment darts in G - v.  ``f_from`` is the one
 all-ones solve.  The incremental formulas take no block: their equation
@@ -51,7 +52,8 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import DivergentSeries, InvalidDartIndex
-from .graph import Dart, MetricGraph, component_of, delete_vertex
+from .graph import (Dart, MetricGraph, _require_valid, component_of,
+                    delete_vertex)
 from .spectral import TransferMode, vertex_form
 
 
@@ -68,55 +70,38 @@ class GenFunValue:
         return math.isfinite(self.value)
 
 
-class _Resolvent:
-    """Shared (graph component, t) factorization context.
+def _solve(comp: MetricGraph, t: float, mode: TransferMode,
+           rhs: np.ndarray) -> np.ndarray:
+    """M(t)^{-1} rhs for rhs >= 0 over the vertices of ``comp``: one
+    Cholesky factorization and one refinement step (module docstring).
+    Raises DivergentSeries when the factorization fails, t at or below
+    the component entropy, or when a column has an entry below -1e-9
+    max(1, |column|_inf): M^{-1} >= 0 for the positive definite Z-matrix
+    M(t), so that shows a numerically singular M(t)."""
+    info = 1  # z = 1 at t = 0 puts 1/(1 - z^2) = inf in M
+    if t > 0.0:
+        form = vertex_form(comp, float(t), mode)
+        factor, info = dpotrf(form.matrix())  # info > 0: not PD
+    if info:
+        raise DivergentSeries("series diverges at this parameter")
+    u = dpotrs(factor, rhs)[0]
+    u += dpotrs(factor, rhs - form.apply(u))[0]
+    if np.any(u.min(axis=0)
+              < -1e-9 * np.maximum(1.0, np.abs(u).max(axis=0))):
+        raise DivergentSeries("the resolvent solve lost its sign: "
+                              "series diverges at this parameter")
+    return u
 
-    Factors the vertex matrix M(t) once by Cholesky.  ``block`` is the one
-    query for path values: every f_ab over a vertex list from one
-    multi-column refined solve; ``from_value(x)`` = (M^{-1} 1)_x - 1 is
-    the all-ones solve.  ``ok`` is True when the factorization succeeds:
-    M(t) is positive definite exactly when t exceeds the component
-    entropy, so a failed factorization means the series diverges.  Values
-    agree with the dart-matrix resolvent within 3e-12 * max(1, |f|) for
-    t * l_min >= 1e-3 (module docstring).
-    """
 
-    def __init__(self, comp: MetricGraph, t: float,
-                 mode: TransferMode = TransferMode.NON_BACKTRACKING):
-        self.index = comp._index
-        self._form = self._factor = None
-        if t > 0.0:  # z = 1 at t = 0 puts 1/(1 - z^2) = inf in M
-            self._form = vertex_form(comp, float(t), mode)
-            factor, info = dpotrf(self._form.matrix())  # info > 0: not PD
-            if info == 0:
-                self._factor = factor
-        self.ok = self._factor is not None
-
-    def _solve(self, rhs: np.ndarray) -> np.ndarray:
-        """M^{-1} rhs for rhs >= 0, with one refinement step.  M^{-1} >= 0
-        for the positive definite Z-matrix M(t), so a column with an entry
-        below -1e-9 max(1, |column|_inf) shows a numerically singular
-        M(t), and counts as divergence."""
-        if not self.ok:
-            raise DivergentSeries("series diverges at this parameter")
-        u = dpotrs(self._factor, rhs)[0]
-        u += dpotrs(self._factor, rhs - self._form.apply(u))[0]
-        if np.any(u.min(axis=0)
-                  < -1e-9 * np.maximum(1.0, np.abs(u).max(axis=0))):
-            raise DivergentSeries("the resolvent solve lost its sign: "
-                                  "series diverges at this parameter")
-        return u
-
-    def from_value(self, x: str) -> float:
-        u = self._solve(np.ones(len(self.index)))
-        return max(float(u[self.index[x]]) - 1.0, 0.0)
-
-    def block(self, verts: Sequence[str]) -> np.ndarray:
-        """The matrix (f_ab) for a, b in ``verts`` (distinct vertices)."""
-        idx = [self.index[v] for v in verts]
-        rhs = np.zeros((len(self.index), len(idx)))
-        rhs[idx, range(len(idx))] = 1.0
-        return np.maximum(self._solve(rhs)[idx] - np.eye(len(idx)), 0.0)
+def _block(comp: MetricGraph, t: float, mode: TransferMode,
+           verts: Sequence[str]) -> np.ndarray:
+    """The matrix (f_ab(t)) for a, b in ``verts`` (distinct vertices of
+    ``comp``), from one multi-column ``_solve``."""
+    idx = [comp._index[v] for v in verts]
+    rhs = np.zeros((len(comp.vertices), len(idx)))
+    rhs[idx, range(len(idx))] = 1.0
+    return np.maximum(_solve(comp, t, mode, rhs)[idx] - np.eye(len(idx)),
+                      0.0)
 
 
 def f_path(graph: MetricGraph, x: str, y: str, t: float,
@@ -127,13 +112,14 @@ def f_path(graph: MetricGraph, x: str, y: str, t: float,
     different components (the path set is empty); the value inf when t is
     at or below the component entropy.
     """
+    _require_valid(graph)
     graph._position(y)
     comp = component_of(graph, x)
     if y not in comp.vertex_set:
         return GenFunValue(0.0, disconnected=True)
     try:
-        return GenFunValue(float(_Resolvent(comp, t, mode).block(
-            list(dict.fromkeys((x, y))))[0, -1]))
+        return GenFunValue(float(_block(comp, t, mode,
+                                        list(dict.fromkeys((x, y))))[0, -1]))
     except DivergentSeries:
         return GenFunValue(math.inf)
 
@@ -141,9 +127,11 @@ def f_path(graph: MetricGraph, x: str, y: str, t: float,
 def f_from(graph: MetricGraph, x: str, t: float,
            mode: TransferMode = TransferMode.NON_BACKTRACKING) -> GenFunValue:
     """Generating function f_x(t) = sum_y f_xy(t); one resolvent solve."""
+    _require_valid(graph)
     comp = component_of(graph, x)
     try:
-        return GenFunValue(_Resolvent(comp, t, mode).from_value(x))
+        u = _solve(comp, t, mode, np.ones(len(comp.vertices)))
+        return GenFunValue(max(float(u[comp._index[x]]) - 1.0, 0.0))
     except DivergentSeries:
         return GenFunValue(math.inf)
 
@@ -171,6 +159,7 @@ def g_primitive(graph: MetricGraph, v: str, i: int, j: int,
     contributes e^{-l_i t} to g_ij exactly when e_j is its reversal, and
     cannot occur inside any longer primitive cycle.
     """
+    _require_valid(graph)
     darts = attachment_darts(graph, v)
     n = len(darts)
     if not (1 <= i <= n) or not (1 <= j <= n):
@@ -209,6 +198,7 @@ def primitive_matrix(graph: MetricGraph, v: str, t: float,
     g(t) = 1 on a Schur complement of I - W(t).  It is kept as the
     independent reference that the sum of its entries is 1 at that root.
     """
+    _require_valid(graph)
     darts = attachment_darts(graph, v)
     z = np.exp(-t * np.array([d.length for d in darts]))
     out = np.zeros((len(darts), len(darts)))
@@ -220,8 +210,8 @@ def primitive_matrix(graph: MetricGraph, v: str, t: float,
         return out
     verts = list(dict.fromkeys(darts[k].head for k in inner))
     slot = [verts.index(darts[k].head) for k in inner]
-    f = _Resolvent(delete_vertex(component_of(graph, v), v), t,
-                   mode).block(verts)[np.ix_(slot, slot)]
+    f = _block(delete_vertex(component_of(graph, v), v), t, mode,
+               verts)[np.ix_(slot, slot)]
     bigon = np.equal.outer(slot, slot)
     if mode is not TransferMode.BACKTRACKING:
         np.fill_diagonal(bigon, False)

@@ -16,9 +16,12 @@ degree-2 vertices are joined by the union-find that also gives the
 split (``_least_roots``, each class rooted at its least member).
 
 Every entry point of the package names its vertices through
-``MetricGraph._position``, the one lookup that raises UnknownVertex, and
-refuses an invalid graph through ``_require_valid``, the one gate that
-raises ValidationFailed with the report of ``validate``.
+``MetricGraph._position``, the one lookup that raises UnknownVertex.
+Every query that computes from a graph refuses an invalid one through
+``_require_valid``, the one gate: it raises ValidationFailed, a
+PreconditionError, with the report of ``validate``, cached on the
+immutable graph (``MetricGraph._report``).  The edits and views of this
+module only rebuild or read the darts, and take no gate.
 """
 
 from __future__ import annotations
@@ -106,6 +109,11 @@ class MetricGraph:
     def _index(self) -> dict[str, int]:
         """The position of each vertex in ``vertices``."""
         return {v: i for i, v in enumerate(self.vertices)}
+
+    @cached_property
+    def _report(self) -> tuple[str, ...]:
+        """The report of ``validate``, made once: the graph is immutable."""
+        return validate(self)
 
     def _position(self, v: str) -> int:
         """The position of vertex v in ``vertices``; UnknownVertex for a
@@ -328,10 +336,9 @@ def validate(graph: MetricGraph) -> tuple[str, ...]:
 
 def _require_valid(graph: MetricGraph) -> None:
     """Raise ValidationFailed with the report of ``validate`` unless the
-    graph is valid."""
-    report = validate(graph)
-    if report:
-        raise ValidationFailed(report)
+    graph is valid; one O(E) pass per graph object (``_report``)."""
+    if graph._report:
+        raise ValidationFailed(graph._report)
 
 
 def _component(graph: MetricGraph, k: int) -> MetricGraph:

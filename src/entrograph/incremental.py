@@ -66,7 +66,7 @@ from .counting import (DEFAULT_CAP, EnumerationSpec, PathKind,
 from .entropy import _cold_root, _schur_root, _vertex_root
 from .errors import (DisconnectedPair, NonConvergence, NonPositiveLength,
                      PreconditionError, TooFewAttachments)
-from .graph import EdgeSet, MetricGraph, component_of
+from .graph import EdgeSet, MetricGraph, _require_valid, component_of
 
 
 @dataclass(frozen=True)
@@ -197,6 +197,7 @@ def entropy_after_edge(graph: MetricGraph, x: str, y: str, l0: float,
     tree (a pendant edge, say) keeps h' = h_base; both report 0
     iterations (module docstring).
     """
+    _require_valid(graph)
     l0 = _check_length(l0, f"edge [{x}, {y}]")
     return EditResult(*_edit(graph, [graph._position(x)],
                              [graph._position(y)], [l0], h_base))
@@ -210,6 +211,7 @@ def entropy_after_vertex(graph: MetricGraph,
     targets, where rho((D A)(t)) = 1 (module docstring).  ``h_base`` is
     the entropy of that component, solved on the vertex matrix when
     None."""
+    _require_valid(graph)
     lengths = _attachment_lengths(attachments)
     targets = [v for v, _ in attachments]
     _one_component(graph, targets)
@@ -228,6 +230,7 @@ def fit_edge_asymptotic(graph: MetricGraph, x: str, y: str,
     """Sweep edge lengths and fit the scaled corrections
     a_l = (h'(l) - h) e^{h l}; their limit is the asymptotic constant.
     h is the h_base of the first edit, which the later ones reuse."""
+    _require_valid(graph)
     _one_component(graph, (x, y))
     ls = sorted(float(l) for l in l_values)
     h, a_vals = None, []
@@ -257,6 +260,7 @@ def predict_vertex_asymptotic(graph: MetricGraph,
     h' - h = w^T (J - I) w / lambda'(h), with w_i = e^{-h l_i} v_{t_i}, v
     the unit null vector of M(h) and J the all-ones matrix.
     """
+    _require_valid(graph)
     lengths = np.array(_attachment_lengths(attachments))
     targets = [v for v, _ in attachments]
     _one_component(graph, targets)
@@ -289,6 +293,7 @@ def estimate_constant_C(graph: MetricGraph, x: str, y: str,
     20% (a hint that the length spectrum may not be Diophantine, e.g. all
     lengths equal).
     """
+    _require_valid(graph)
     if method not in ("resolvent", "counting", "both"):
         raise ValueError(f"unknown method {method!r}")
     graph._position(y)  # an unknown y is an error, not a disconnected one
@@ -327,12 +332,9 @@ def estimate_constant_C(graph: MetricGraph, x: str, y: str,
             details[f"horizon_{name}"] = profile.r_max
 
     per = per_res if method in ("resolvent", "both") else per_cnt
-    combined = (math.sqrt(max(per["xx"], 0.0) * max(per["yy"], 0.0))
-                + per["xy"]) * h
+    combined, comb_cnt = ((math.sqrt(max(c["xx"], 0.0) * max(c["yy"], 0.0))
+                           + c["xy"]) * h for c in (per, per_cnt))
     if method == "both":
-        comb_cnt = (math.sqrt(max(per_cnt["xx"], 0.0)
-                              * max(per_cnt["yy"], 0.0))
-                    + per_cnt["xy"]) * h
         details["combined_counting"] = comb_cnt
         if combined > 0 and abs(comb_cnt - combined) > 0.2 * abs(combined):
             warnings.append(

@@ -11,6 +11,7 @@ from collections import defaultdict, deque
 
 import numpy as np
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dpotrf
 
 from entrograph import (ComponentKind, MetricGraph, ReduceResult,
                         TransferMode, components, first_betti, reduce)
@@ -797,18 +798,19 @@ def reference_matrix(shift, tails, heads, weights):
     return mat
 
 
-def counting_resolvent():
-    """A subclass of the vertex-matrix factorization context that counts
-    its instances in ``made``, for monkeypatching over ``_Resolvent``."""
-    from entrograph.genfun import _Resolvent
+def counting_resolvent(monkeypatch):
+    """Patch ``genfun.dpotrf`` to count the factorizations of the vertex
+    matrix behind the resolvent solves; the returned list grows by one
+    per call."""
+    from entrograph import genfun
 
-    class CountingResolvent(_Resolvent):
-        made = 0
+    made = []
 
-        def __init__(self, *args, **kwargs):
-            type(self).made += 1
-            super().__init__(*args, **kwargs)
-    return CountingResolvent
+    def counting_dpotrf(*args, **kwargs):
+        made.append(1)
+        return dpotrf(*args, **kwargs)
+    monkeypatch.setattr(genfun, "dpotrf", counting_dpotrf)
+    return made
 
 
 def scalar_primitive_matrix(graph, v, t,

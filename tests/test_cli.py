@@ -143,6 +143,20 @@ def test_edit_compares_with_the_edited_component(edit, tmp_path, capsys):
     assert float(out.split("|incremental - direct| = ")[1]) <= 1e-8
 
 
+@pytest.mark.parametrize("edit", [
+    ["add-edge", "a", "a", "0.5"],
+    ["add-vertex", "--attach", "a:1", "--attach", "b:1", "--attach", "a:2"],
+])
+def test_edit_commands_on_wide_lengths(edit, tmp_path, capsys):
+    # the theta with lengths 1, 1, 0.01, where a dart power iteration
+    # does not converge: direct h' is the vertex-matrix solve
+    path = tmp_path / "theta.txt"
+    path.write_text("a b 1.0\na b 1.0\na b 0.01\n")
+    assert main([edit[0], str(path), *edit[1:]]) == 0
+    out = capsys.readouterr().out
+    assert float(out.split("|incremental - direct| = ")[1]) <= 1e-8
+
+
 def test_add_vertex_too_few_exit_code(c4_file):
     assert main(["add-vertex", c4_file, "--attach", "a:1",
                  "--attach", "b:1"]) == 4

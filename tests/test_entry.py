@@ -6,11 +6,11 @@ import pytest
 from entrograph import (Dart, EnumerationSpec, MetricGraph, PathKind,
                         PreconditionError, UnknownVertex, ValidationFailed,
                         add_edge, add_vertex, backtracking_bound,
-                        backtracking_entropy, delete_vertex,
+                        backtracking_entropy, check_symmetry, delete_vertex,
                         entropy_after_edge, entropy_after_vertex,
                         enumerate_paths, estimate_constant_C, f_from, f_path,
                         fit_edge_asymptotic, g_primitive, generate_graph,
-                        growth_bounds, horizon_for_budget,
+                        growth_bounds, horizon_for_budget, laplace_check,
                         persistent_entropy, predict_vertex_asymptotic,
                         primitive_matrix, reduce, rho_curve, validate,
                         verify_recursions, volume_entropy)
@@ -76,11 +76,37 @@ BAD = MetricGraph(("x", "y"), (Dart(0, "x", "y", 1.0, 0),
                                Dart(1, "y", "x", 1.0, 1)))
 
 
-@pytest.mark.parametrize("call", [
-    lambda: volume_entropy(BAD),
-    lambda: rho_curve(BAD, [1.0]),
-    lambda: persistent_entropy(BAD),
-], ids=["volume_entropy", "rho_curve", "persistent_entropy"])
+# every public query that takes a graph, on vertices BAD has
+INVALID = {
+    "volume_entropy": lambda: volume_entropy(BAD),
+    "rho_curve": lambda: rho_curve(BAD, [1.0]),
+    "persistent_entropy": lambda: persistent_entropy(BAD),
+    "f_path": lambda: f_path(BAD, "x", "y", 2.0),
+    "f_from": lambda: f_from(BAD, "x", 2.0),
+    "g_primitive": lambda: g_primitive(BAD, "x", 1, 1, 2.0),
+    "primitive_matrix": lambda: primitive_matrix(BAD, "x", 2.0),
+    "check_symmetry": lambda: check_symmetry(BAD, "x", "y", 2.0),
+    "enumerate_paths": lambda: enumerate_paths(
+        BAD, _spec(PathKind.CYCLES_AT, v="x")),
+    "horizon_for_budget": lambda: horizon_for_budget(BAD, "x", 100),
+    "laplace_check": lambda: laplace_check(enumerate_paths(
+        G, _spec(PathKind.PATHS_FROM, x="v0")), BAD, 2.0),
+    "verify_recursions": lambda: verify_recursions(BAD, "x", r_max=5.0),
+    "growth_bounds": lambda: growth_bounds(BAD, "x", 5.0),
+    "backtracking_bound": lambda: backtracking_bound(BAD, "x", 5.0),
+    "backtracking_entropy": lambda: backtracking_entropy(BAD, "x"),
+    "entropy_after_edge": lambda: entropy_after_edge(BAD, "x", "y", 1.0),
+    "entropy_after_vertex": lambda: entropy_after_vertex(
+        BAD, [("x", 1.0), ("y", 1.0), ("x", 1.0)]),
+    "fit_edge_asymptotic": lambda: fit_edge_asymptotic(
+        BAD, "x", "y", [4.0, 5.0, 6.0]),
+    "predict_vertex_asymptotic": lambda: predict_vertex_asymptotic(
+        BAD, [("x", 9.0), ("y", 9.0), ("x", 9.0)]),
+    "estimate_constant_C": lambda: estimate_constant_C(BAD, "x", "y"),
+}
+
+
+@pytest.mark.parametrize("call", INVALID.values(), ids=INVALID.keys())
 def test_solvers_reject_an_invalid_graph_with_its_report(call):
     with pytest.raises(ValidationFailed) as info:
         call()

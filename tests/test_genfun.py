@@ -12,8 +12,7 @@ from entrograph import (DivergentSeries, EnumerationSpec, InvalidDartIndex,
                         attachment_darts, check_symmetry, enumerate_paths,
                         f_from, f_path, g_primitive, generate_graph,
                         primitive_matrix, volume_entropy)
-from entrograph import genfun
-from entrograph.genfun import _Resolvent
+from entrograph.genfun import _block
 from helpers import (c4, complete4, counting_resolvent, dart_lu_path,
                      disjoint_union, dumbbell, eig_entropy, multigraphs,
                      rose, scalar_primitive_matrix, segment, theta)
@@ -238,10 +237,9 @@ def test_primitive_matrix_ignores_components_away_from_v():
 def test_primitive_matrix_factors_once(monkeypatch):
     # G - m is the two loops at a and at b, two components: one
     # factorization of the block-diagonal vertex matrix serves both
-    counting = counting_resolvent()
-    monkeypatch.setattr(genfun, "_Resolvent", counting)
+    made = counting_resolvent(monkeypatch)
     mat = primitive_matrix(dumbbell(), "m", 0.8)
-    assert counting.made == 1
+    assert len(made) == 1
     assert np.allclose(mat, scalar_primitive_matrix(dumbbell(), "m", 0.8),
                        rtol=1e-12, atol=0.0)
 
@@ -249,9 +247,7 @@ def test_primitive_matrix_factors_once(monkeypatch):
 # -- vertex-matrix resolvent against the dart-matrix LU -------------------
 
 def _assert_matches_dart_lu(g, t):
-    ctx = _Resolvent(g, t)
-    assert ctx.ok
-    block = ctx.block(g.vertices)
+    block = _block(g, t, TransferMode.NON_BACKTRACKING, g.vertices)
     for i, x in enumerate(g.vertices):
         for j, y in enumerate(g.vertices):
             want = dart_lu_path(g, x, y, t)
@@ -266,7 +262,8 @@ def test_path_value_matches_dart_lu_on_random_multigraphs(g):
     h = eig_entropy(g)
     for factor in (1.01, 1.5, 3.0):
         _assert_matches_dart_lu(g, factor * h)
-    assert not _Resolvent(g, 0.99 * h).ok
+    with pytest.raises(DivergentSeries):
+        _block(g, 0.99 * h, TransferMode.NON_BACKTRACKING, g.vertices)
 
 
 def test_rose_with_short_loop_matches_dart_lu():
