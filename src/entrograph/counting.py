@@ -133,7 +133,7 @@ _RADII = 20  # the check radii verify_recursions places by default
 
 
 def _count_model(comp: MetricGraph, mode: TransferMode, base: str,
-                 target: str | None, root=None) -> tuple[float, float]:
+                 target: str | None) -> tuple[float, float]:
     """(A, h) of the count model N(r) ~ A (e^{hr} - 1) of the walks from
     ``base`` in ``comp``, its component: all of them, or those ending at
     ``target``.
@@ -146,11 +146,9 @@ def _count_model(comp: MetricGraph, mode: TransferMode, base: str,
     Entropy-0 components grow at most linearly, N(r) ~ D r / l_mean with
     D darts for any target: the pole model as h -> 0 with A h = D / l_mean
     and A = ``_LINEAR_A``, so far above any count a walk reaches that
-    A (e^{hr} - 1) = A h r to rounding.  ``root`` is
-    ``_vertex_root(comp, mode)`` where the caller holds it already.
+    A (e^{hr} - 1) = A h r to rounding.  The root is the one comp caches.
     """
-    if root is None:
-        root = _vertex_root(comp, mode)
+    root = _vertex_root(comp, mode)
     if root.v is None:
         l_mean = float(np.mean([d.length for d in comp.darts]))
         return _LINEAR_A, len(comp.darts) / (_LINEAR_A * l_mean)
@@ -325,13 +323,13 @@ def enumerate_paths(graph: MetricGraph, spec: EnumerationSpec
 
 
 def _check_projection(comp: MetricGraph, spec: EnumerationSpec, base: str,
-                      target: str | None, root=None):
+                      target: str | None):
     """Raise HorizonTooLarge when the count model of ``_count_model``
     projects more than ``spec.cap`` walks below ``spec.r_max`` in the
     base's component ``comp`` (see ``enumerate_paths``)."""
     if not comp.darts:
         return
-    a, h = _count_model(comp, spec.mode, base, target, root)
+    a, h = _count_model(comp, spec.mode, base, target)
     with np.errstate(over="ignore"):  # inf past the float range
         projected = float(a * np.expm1(h * spec.r_max)) if a else 0.0
     if projected > spec.cap:
@@ -343,11 +341,9 @@ def _check_projection(comp: MetricGraph, spec: EnumerationSpec, base: str,
             safe_horizon=safe)
 
 
-def _enumerate(graph: MetricGraph, spec: EnumerationSpec, root=None,
+def _enumerate(graph: MetricGraph, spec: EnumerationSpec,
                recursions: bool = False) -> tuple[CountProfile, ...]:
-    """The profile of ``enumerate_paths(graph, spec)``; ``root`` is the
-    ``entropy._vertex_root`` of the base's component in ``spec.mode``
-    where the caller holds it already.
+    """The profile of ``enumerate_paths(graph, spec)``.
 
     With ``recursions``, ``spec`` being the backtracking cycles at v, the
     walk does not stop at v and flags its start keys (``_walk``), and
@@ -374,7 +370,7 @@ def _enumerate(graph: MetricGraph, spec: EnumerationSpec, root=None,
     comp = component_of(graph, base)
 
     starts = graph.out_darts(base)
-    _check_projection(comp, spec, base, target, root)
+    _check_projection(comp, spec, base, target)
 
     limit = int(1.25 * spec.cap) + 1024
     if spec.kind in (PathKind.PATHS_XY, PathKind.PATHS_FROM):
@@ -725,7 +721,7 @@ def growth_bounds(graph: MetricGraph, v: str, r_max: float,
     which also gives the entropy of the graph without v.  N_v(r) comes
     from the paths v..v (``PathKind.PATHS_XY``, x = y = v): the lengths
     and the cap check of the cycles at v, without their per-start rows;
-    the count model of that check reuses the default h's root.
+    the count model of that check reads the graph's cached root.
     Raises UnknownVertex for an unknown v before any other check, then
     PreconditionError, before A(h) is built, for a graph that is not
     reduced, connected and hyperbolic or a horizon that is not positive;
@@ -738,10 +734,8 @@ def growth_bounds(graph: MetricGraph, v: str, r_max: float,
     if not r_max > 0:  # nan is not a horizon either
         raise PreconditionError("horizon must be positive")
     n = graph.degree(v)
-    root = None
     if h is None:
-        root = _vertex_root(graph)
-        h = root.h
+        h = _vertex_root(graph).h
     interior = (f"A(h) is not usable at h = {h!r}: the entropy of the "
                 f"graph without {v!r} is not below h in floating point")
     try:
@@ -781,7 +775,7 @@ def growth_bounds(graph: MetricGraph, v: str, r_max: float,
     # the cycles at v without their rows: the paths v..v
     profile, = _enumerate(graph, EnumerationSpec(
         PathKind.PATHS_XY, r_max, TransferMode.NON_BACKTRACKING, x=v, y=v,
-        cap=cap), root)
+        cap=cap))
     jumps, n_le = profile.steps()
     # N(r) e^{-hr} just below every jump after the first, and at r_max
     m_emp = min(float((n_le[:-1] * np.exp(-h * jumps[1:])).min(

@@ -56,8 +56,8 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dsyevr
 
 from .errors import InsufficientData, NonConvergence
-from .graph import (ComponentKind, EdgeSet, MetricGraph, _require_valid,
-                    components, reduce)
+from .graph import (ComponentKind, EdgeSet, MetricGraph, _component,
+                    _require_valid, components, reduce)
 from .spectral import (TransferMode, VertexForm, _sparse_transfer,
                        _vertex_forms, build_transfer, spectral_radius)
 
@@ -104,9 +104,9 @@ class CountSlopeEstimate:
 class _VertexRoot:
     """Largest root h of lambda(t) = 0 (``_newton_down``).
 
-    For lambda_min(M(t)) (``_vertex_root``), ``v`` is the unit eigenvector
-    of lambda_min(M(h)) in ``graph.vertices`` order, zero off the
-    component that attains h, and None when h = 0 was not solved for;
+    For lambda_min(M(t)) (``_vertex_root``), ``v`` is the read-only unit
+    eigenvector of lambda_min(M(h)) in ``graph.vertices`` order, zero off
+    the component that attains h, and None when h = 0 was not solved for;
     ``null_eigenvalue`` is lambda_min(M(h)), which stands in for 0, and
     ``dlambda`` = v^T M'(h) v its slope.  In ``bracket`` = (lo, hi),
     lambda < 0 at lo or lo is the unevaluated lower end, and lambda >= 0
@@ -278,39 +278,39 @@ def _vertex_root(graph: MetricGraph,
                  mode: TransferMode = TransferMode.NON_BACKTRACKING
                  ) -> _VertexRoot:
     """Entropy of a graph as the largest root of lambda_min(M(t)) = 0,
-    with M(t) the vertex matrix of ``mode`` (module docstring).
+    with M(t) the vertex matrix of ``mode`` (module docstring), solved
+    once per graph and mode and kept, read-only, in ``graph._memo``.
 
-    Non-backtracking: a component of ``graph._split`` with first Betti
-    number <= 1 has h = 0, and every other one is solved as it is,
-    unreduced, on its gathered edge set: its M(t) has the largest root of
-    its core, and v lives on its own vertices.  The graph's h is the
-    maximum over components.  Backtracking: one solve of I - W(t) over
-    the whole graph, whose lambda_min is the smallest over its
-    components; h = 0 where lambda_min(I - W(0)) >= 0.
+    Non-backtracking: a connected graph of first Betti number >= 2 is
+    solved as it is, unreduced (its M(t) has the largest root of its
+    core), any other has h = 0; a disconnected graph takes the roots of
+    its components (``graph._component``, each built once): h is their
+    maximum.  Backtracking: one solve of I - W(t) over the whole graph;
+    h = 0 where lambda_min(I - W(0)) >= 0, an evaluation ``evals`` counts.
     """
+    if mode in graph._memo:
+        return graph._memo[mode]
     zero = _VertexRoot(0.0, None, 0.0, 0.0, (0.0, 0.0), 0)
-    n, whole = len(graph.vertices), graph._edge_arrays
+    whole, split = graph._edge_arrays, graph._split[1]
     if mode is TransferMode.BACKTRACKING:
-        if not graph.darts:
-            return zero
-        if _lambda_min(whole, 0.0, mode)[0] >= 0.0:
-            return replace(zero, evals=1)
-        parts, evals = [(np.arange(n), None)], 1
-    else:
-        parts, evals = [(v, e) for v, e in graph._split[1]
-                        if e.size - v.size + 1 > 1], 0
-    best, best_verts = zero, None
-    for verts, edges in parts:
-        root = _cold_root(whole if verts.size == n
-                          else whole.take(verts, edges, graph.vertices), mode)
-        evals += root.evals
-        if root.h > best.h:
-            best, best_verts = root, verts
-    v = best.v
-    if v is not None and best_verts.size != n:
-        v = np.zeros(n)
-        v[best_verts] = best.v
-    return replace(best, v=v, evals=evals)
+        gate = bool(graph.darts) and _lambda_min(whole, 0.0, mode)[0] < 0.0
+        root = _cold_root(whole, mode) if gate else zero
+        root = replace(root, evals=root.evals + bool(graph.darts))
+    elif len(split) == 1:
+        root = _cold_root(whole) if whole.tails.size > whole.n else zero
+    else:  # the first component of the largest h; every h here is > 0
+        roots = [(_vertex_root(_component(graph, k)), k)
+                 for k, (v, e) in enumerate(split) if e.size > v.size]
+        best, k = max(roots, key=lambda r: r[0].h, default=(zero, None))
+        v = best.v
+        if k is not None:
+            v = np.zeros(whole.n)
+            v[split[k][0]] = best.v
+        root = replace(best, v=v, evals=sum(r.evals for r, _ in roots))
+    if root.v is not None:
+        root.v.setflags(write=False)
+    graph._memo[mode] = root
+    return root
 
 
 def _cold_root(edges: EdgeSet,
@@ -336,7 +336,8 @@ def _schur_root(edges: EdgeSet, ends: np.ndarray, h_base: float,
     complement K = M_SS - M_SR M_RR^{-1} M_RS of M_G(t), R the other
     vertices (Haynsworth's inertia theorem, ``incremental`` module
     docstring).  Each evaluation is one Cholesky factorization of M_RR,
-    the block of the base; a failed one certifies t <= h_base.  With u
+    the block of the base; a failed one certifies t <= h_base, and one
+    above h_base is rounding and takes lambda_min(M_G(t)) instead.  With u
     the unit eigenvector of lambda_min(K), w = (u, -M_RR^{-1} M_RS u) has
     w^T M_G w = u^T K u and w^T M_G' w = u^T K' u, so lambda and its slope
     are the edge-form quotients of w (``_edge_quotients``), which keep
@@ -360,8 +361,9 @@ def _schur_root(edges: EdgeSet, ends: np.ndarray, h_base: float,
         form, slope = _vertex_forms(edges, t, mode)
         mat = form.matrix()
         factor, info = dpotrf(mat.take(rr))
-        if info != 0:  # M_RR is not positive definite: t <= h_base
-            return -math.inf, None, math.nan, 0.0
+        if info != 0:  # t <= h_base, or rounding above it (docstring)
+            return (_lambda_min(edges, t, mode) if t > h_base
+                    else (-math.inf, None, math.nan, 0.0))
         m_rs = mat.take(rs)
         x = dpotrs(factor, m_rs)[0] if r.size else m_rs
         u = _lowest_vector(mat.take(ss) - m_rs.T @ x)

@@ -9,11 +9,11 @@ degree of its vertex.
 
 Connected components come from one cached split of the edge arrays
 (``MetricGraph._split``) into each component's vertex and edge indices;
-``component_of`` builds only the component it names, and a connected
-graph is its own component.  ``reduce`` cuts the same arrays to their
-core (``_core``): leaves are peeled by degree counts, and the chains of
-degree-2 vertices are joined by the union-find that also gives the
-split (``_least_roots``, each class rooted at its least member).
+``component_of`` builds the component it names once per graph, and a
+connected graph is its own component.  ``reduce`` cuts the same arrays
+to their core (``_core``): leaves are peeled by degree counts, and the
+chains of degree-2 vertices are joined by the union-find that also
+gives the split (``_least_roots``, each class rooted at its least member).
 
 Every entry point of the package names its vertices through
 ``MetricGraph._position``, the one lookup that raises UnknownVertex.
@@ -114,6 +114,13 @@ class MetricGraph:
     def _report(self) -> tuple[str, ...]:
         """The report of ``validate``, made once: the graph is immutable."""
         return validate(self)
+
+    @cached_property
+    def _memo(self) -> dict:
+        """Objects made on demand, once: the graph is immutable.  Built
+        components by index (``_component``), roots by mode
+        (``entropy._vertex_root``)."""
+        return {}
 
     def _position(self, v: str) -> int:
         """The position of vertex v in ``vertices``; UnknownVertex for a
@@ -342,17 +349,17 @@ def _require_valid(graph: MetricGraph) -> None:
 
 
 def _component(graph: MetricGraph, k: int) -> MetricGraph:
-    """Component k of ``graph._split``, built from the edge arrays in the
-    vertex and edge order of ``graph``; a connected graph is itself."""
-    parts = graph._split[1]
-    if len(parts) == 1:
-        return graph
-    verts, edges = parts[k]
-    _, tails, heads, lengths = graph._edge_arrays
-    name = graph.vertices.__getitem__
-    return MetricGraph.from_edges(map(name, verts.tolist()), zip(
-        map(name, tails[edges].tolist()), map(name, heads[edges].tolist()),
-        lengths[edges].tolist()))
+    """Component k of ``graph._split``, built once from the edge arrays in
+    the vertex and edge order of ``graph``; a connected graph is itself."""
+    parts, built = graph._split[1], graph._memo
+    if len(parts) > 1 and k not in built:
+        verts, edges = parts[k]
+        _, tails, heads, lengths = graph._edge_arrays
+        name = graph.vertices.__getitem__
+        built[k] = MetricGraph.from_edges(map(name, verts.tolist()), zip(
+            map(name, tails[edges].tolist()),
+            map(name, heads[edges].tolist()), lengths[edges].tolist()))
+    return built.get(k, graph)
 
 
 def components(graph: MetricGraph) -> list[MetricGraph]:

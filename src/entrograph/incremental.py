@@ -39,18 +39,17 @@ parts' vertex and edge indices in the full graph's edge set, to which an
 edit appends its edges (a new vertex is index n), then the new edges,
 gathered once as an ``EdgeSet``.  Let b be its first Betti number.  If b
 <= 1 its entropy is 0.  Else h_base is the largest entropy of the parts;
-one not given is solved cold (``entropy._cold_root``) if the part's own
-b is 2 or more, else 0.  If b equals the largest Betti number among the
-parts, the new edges join that part to trees along a tree (a pendant
-edge, say) and the entropy stays h_base exactly.  Both edits return one
-``EditResult``.
+an edit not given it reads each part's from the root that the graph
+caches for that component (``entropy._vertex_root``).  If b equals the
+largest Betti number among the parts, the new edges join that part to
+trees along a tree (a pendant edge, say) and the entropy stays h_base
+exactly.  Both edits return one ``EditResult``.
 
 The asymptotic constants of the pole f_ab(t) ~ C_ab t / (t - h) have the
 closed form C_ab = v_a v_b / (h lambda'(h)), with v the unit null vector
 of M(h) and lambda'(h) = v^T M'(h) v the slope of its smallest
-eigenvalue; h, v and lambda'(h) come from one vertex-matrix solve of
-the component, which ``graph.component_of`` builds alone.  The long-edge
-fit reads h off its first edit's h_base.
+eigenvalue; h, v and lambda'(h) come from that cached root of the
+component, which ``graph.component_of`` builds alone.
 """
 
 from __future__ import annotations
@@ -66,7 +65,8 @@ from .counting import (DEFAULT_CAP, EnumerationSpec, PathKind,
 from .entropy import _cold_root, _schur_root, _vertex_root
 from .errors import (DisconnectedPair, NonConvergence, NonPositiveLength,
                      PreconditionError, TooFewAttachments)
-from .graph import EdgeSet, MetricGraph, _require_valid, component_of
+from .graph import (EdgeSet, MetricGraph, _component, _require_valid,
+                    component_of)
 
 
 @dataclass(frozen=True)
@@ -140,21 +140,19 @@ def _attachment_lengths(attachments) -> list[float]:
 def _join(full: EdgeSet, names: Sequence[str], parts, new,
           direct: bool = False):
     """The component of ``full`` made of ``parts``, each (vertex indices,
-    edge indices, entropy or None), and the edges ``new`` (module
-    docstring): (vertex indices, edge indices, h', h_base, residual,
-    evaluations), the residual as in ``EditResult``.  ``direct``
-    solves it whole instead (``entropy._cold_root``), up from h_base, a
-    certified lower bound, and keeps h_base where the root rounds below
-    it.  ``names`` as in ``EdgeSet.take``.
+    edge indices, entropy), and the edges ``new`` (module docstring):
+    (vertex indices, edge indices, h', h_base, residual, evaluations),
+    the residual as in ``EditResult``.  ``direct`` solves it whole
+    instead (``entropy._cold_root``), up from h_base, a certified lower
+    bound, and keeps h_base where the root rounds below it.  ``names`` as
+    in ``EdgeSet.take``.
     """
     verts = np.concatenate([p[0] for p in parts])
     edges = np.concatenate([p[1] for p in parts] + [new])
     betti = edges.size - verts.size + 1
     if betti <= 1:
         return verts, edges, 0.0, 0.0, 0.0, 0
-    h_base = max(h if h is not None
-                 else _cold_root(full.take(v, e, names)).h if e.size > v.size
-                 else 0.0 for v, e, h in parts)
+    h_base = max(h for _, _, h in parts)
     if not direct and betti == max(e.size - v.size + 1 for v, e, _ in parts):
         return verts, edges, h_base, h_base, 0.0, 0
     comp = full.take(verts, edges, names)
@@ -176,9 +174,10 @@ def _edit(graph: MetricGraph, tails: list[int], heads: list[int],
     labels, split = graph._split
     ends = np.array(tails + heads)
     keys = sorted(set(labels[ends[ends < n]].tolist()))
-    parts = [split[k] + (h_base,) for k in keys]
+    parts = [split[k] + (_vertex_root(_component(graph, k)).h
+                         if h_base is None else h_base,) for k in keys]
     if n in tails:
-        parts.append((np.array([n]), np.empty(0, dtype=np.intp), h_base))
+        parts.append((np.array([n]), np.empty(0, np.intp), h_base or 0.0))
     full = EdgeSet(n + (n in tails), np.append(u, tails), np.append(w, heads),
                    np.append(l, lengths), old.name)
     return _join(full, graph.vertices, parts,
@@ -229,15 +228,13 @@ def fit_edge_asymptotic(graph: MetricGraph, x: str, y: str,
                         l_values: Sequence[float]) -> AsymptoticFit:
     """Sweep edge lengths and fit the scaled corrections
     a_l = (h'(l) - h) e^{h l}; their limit is the asymptotic constant.
-    h is the h_base of the first edit, which the later ones reuse."""
+    h is the cached root of the component, every edit's h_base."""
     _require_valid(graph)
     _one_component(graph, (x, y))
     ls = sorted(float(l) for l in l_values)
-    h, a_vals = None, []
-    for l in ls:
-        res = entropy_after_edge(graph, x, y, l, h_base=h)
-        h = res.h_base
-        a_vals.append((res.h_prime - h) * math.exp(h * l))
+    h = _vertex_root(component_of(graph, x)).h
+    a_vals = [(entropy_after_edge(graph, x, y, l).h_prime - h)
+              * math.exp(h * l) for l in ls]
     c = a_vals[-1]
     gamma = 0.5
     if len(a_vals) >= 3:

@@ -18,7 +18,7 @@ from entrograph import (CountProfile, Dart, EnumerationSpec, HorizonTooLarge,
                         enumerate_paths, generate_graph, growth_bounds,
                         horizon_for_budget, laplace_check, reduce,
                         verify_recursions, volume_entropy)
-from entrograph import counting
+from entrograph import counting, entropy
 from entrograph.counting import _count_model, _over_bound, _step_integral
 from entrograph.graph import component_of
 from helpers import (bfs_enumerate, c4, complete4, coo_return_bounds,
@@ -649,12 +649,13 @@ def test_growth_bounds_solves_the_vertex_matrix_once():
     # the default h's root also gives the count model of the enumeration
     core = reduce(generate_graph(2, 10, 18)).graph
     v = max(core.vertex_set, key=lambda w: (core.degree(w), w))
-    with patch.object(counting, "_vertex_root",
-                      wraps=counting._vertex_root) as spy:
+    with patch.object(entropy, "_cold_root",
+                      wraps=entropy._cold_root) as spy:
         rep = growth_bounds(core, v, 14.0)
     assert spy.call_count == 1
-    # given h, the enumeration solves its own root: the same report
-    ref = growth_bounds(core, v, 14.0, h=counting._vertex_root(core).h)
+    # given h, on a graph object that has solved nothing: the same report
+    fresh = reduce(generate_graph(2, 10, 18)).graph
+    ref = growth_bounds(fresh, v, 14.0, h=counting._vertex_root(fresh).h)
     assert _report_bits(rep) == _report_bits(ref)
 
 

@@ -10,15 +10,17 @@ from hypothesis import strategies as st
 from entrograph import (EnumerationSpec, InsufficientData, MetricGraph,
                         NonConvergence, PathKind, TransferMode,
                         ValidationFailed, build_transfer, components,
-                        entropy_after_edge, entropy_from_counts,
-                        enumerate_paths, generate_graph, persistent_entropy,
-                        reduce, rho_curve, thresholds, vertex_matrix,
-                        volume_entropy)
-from entrograph import entropy
-from entrograph.graph import Dart
+                        entropy_after_edge, entropy_after_vertex,
+                        entropy_from_counts, enumerate_paths,
+                        estimate_constant_C, generate_graph,
+                        persistent_entropy, predict_vertex_asymptotic,
+                        reduce, rho_curve, serialize_json, thresholds,
+                        vertex_matrix, volume_entropy)
+from entrograph import cli, entropy, incremental
+from entrograph.graph import Dart, component_of
 from entrograph.spectral import vertex_form
 from helpers import (c4, complete4, dumbbell, eig_entropy, eig_rho,
-                     lim_metric, mp_root, multigraphs, path3,
+                     lim_metric, mixed_graphs, mp_root, multigraphs, path3,
                      reference_newton_down, reference_vertex_root, rose,
                      rounding_scale, scalar_entropy_from_counts, segment,
                      short_loop_core, split_multigraphs, sweep_graphs, theta)
@@ -332,6 +334,79 @@ def test_vertex_root_equals_the_component_loop_on_multigraphs(mode, g):
                                       ref.dlambda, ref.null_eigenvalue)
     assert (root.v is None and ref.v is None) \
         or np.array_equal(root.v, ref.v)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@settings(max_examples=60, deadline=None)
+@given(g=st.one_of(multigraphs(), mixed_graphs()))
+def test_cached_roots_equal_cold_solves(mode, g):
+    # the record of each component, built once, and in backtracking mode
+    # that of the whole graph: a cold solve of the edge set it was solved
+    # on before the cache, bit for bit (backtracking counts its
+    # lambda_min(M(0)) gate as one more evaluation), shared, read-only
+    whole, gate = g._edge_arrays, int(mode is TransferMode.BACKTRACKING)
+    cases = []
+    for verts, edges in g._split[1]:
+        comp = component_of(g, g.vertices[verts[0]])
+        assert all(component_of(g, v) is comp for v in comp.vertices)
+        cases.append((comp, whole.take(verts, edges, g.vertices)))
+    if gate:
+        cases.append((g, whole))
+    for graph, edges in cases:
+        root = entropy._vertex_root(graph, mode)
+        assert entropy._vertex_root(graph, mode) is root
+        if root.v is None:
+            assert (root.h, root.null_eigenvalue, root.bracket) == (
+                0.0, 0.0, (0.0, 0.0))
+            continue
+        ref = entropy._cold_root(edges, mode)
+        assert (root.h, root.null_eigenvalue, root.dlambda, root.bracket,
+                root.evals) == (ref.h, ref.null_eigenvalue, ref.dlambda,
+                                ref.bracket, ref.evals + gate)
+        assert root.v.tobytes() == ref.v.tobytes()
+        with pytest.raises(ValueError):
+            root.v[0] = 1.0
+
+
+def _count_cold_solves(monkeypatch):
+    """A list that grows by one per ``entropy._cold_root`` call, from
+    ``entropy`` or from ``incremental``."""
+    calls, cold_root = [], entropy._cold_root
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return cold_root(*args, **kwargs)
+    for module in (entropy, incremental):
+        monkeypatch.setattr(module, "_cold_root", spy)
+    return calls
+
+
+def test_verify_solves_each_root_once(monkeypatch, tmp_path, capsys):
+    # the core's two roots (count model and recursions' backtracking) and
+    # the edited graph's direct h'; solved per query, they were 6
+    path = tmp_path / "g.json"
+    path.write_text(serialize_json(generate_graph(1, 6, 10)))
+    calls = _count_cold_solves(monkeypatch)
+    assert cli.main(["verify", str(path)]) == 0
+    assert len(calls) == 3
+
+
+def test_queries_on_one_graph_share_its_root(monkeypatch):
+    g = generate_graph(1, 10, 20)
+    calls = _count_cold_solves(monkeypatch)
+    entropy_after_edge(g, "v0", "v3", 1.0)
+    entropy_after_vertex(g, [("v0", 1.0), ("v1", 1.0), ("v2", 1.0)])
+    estimate_constant_C(g, "v0", "v3")
+    predict_vertex_asymptotic(g, [("v0", 5.0), ("v1", 5.0), ("v2", 5.0)])
+    assert len(calls) == 1  # solved per query, 4
+    # the theta of a graph of two components: one record for both queries
+    two = MetricGraph.from_edges(
+        ["a", "b", "c", "x", "y"],
+        [("a", "b", 1.0), ("a", "b", 1.3), ("b", "c", 0.7), ("c", "a", 1.1),
+         ("x", "y", 0.2), ("x", "y", 0.3), ("x", "y", 0.25)])
+    entropy_after_edge(two, "x", "x", 1.0)
+    estimate_constant_C(two, "x", "y")
+    assert len(calls) == 2
 
 
 def test_vertex_root_wide_length_graphs():

@@ -146,12 +146,7 @@ def test_incremental_matches_direct_on_multigraphs(g):
 @example(g=MetricGraph.from_edges([f"v{i}" for i in range(5)], [
     ("v1", "v0", 1e-05), ("v2", "v0", 10.0), ("v3", "v0", 1.0),
     ("v4", "v0", 1.0), ("v2", "v2", 100.0), ("v0", "v0", 1e-06),
-    ("v1", "v0", 1.0)])).xfail(raises=AssertionError, reason=(
-        "the incremental step that adds the length-100 loop returns "
-        "h_base + 2.0e-7: M_RR's Cholesky fails and succeeds at random "
-        "within ~1e-6 relative of h_base, and _schur_root bisects to one "
-        "such failure; the direct step is within 4e-13 relative of the "
-        "50-digit root"))
+    ("v1", "v0", 1.0)]))  # M_RR's Cholesky fails by rounding above h_base
 def test_entry_points_return_on_extreme_lengths(g):
     # lengths 10^U(-6, 3): the reducer matches its reference, the vertex
     # root returns in both modes, and both curve strategies return and
