@@ -151,12 +151,10 @@ def cmd_verify(args) -> int:
     def record(name, status, detail=""):
         results.append((name, status, detail))
 
-    res = volume_entropy(graph)
-    h = res.h
-    record("entropy-solve", "PASS", f"h={h:.9g} residual={res.residual:.2e}")
-
-    def h_of(x):  # the entropy of the component of x
-        return res.per_component[graph._split[0][graph._position(x)]][1]
+    root = _vertex_root(graph)
+    h = root.h
+    record("entropy-solve", "PASS",
+           f"h={h:.9g} residual={abs(root.null_eigenvalue):.2e}")
 
     comps = [verts for verts, _ in graph._split[1] if verts.size >= 2]
     if comps:
@@ -174,7 +172,8 @@ def cmd_verify(args) -> int:
     if hyper:
         core0 = component_of(core, core.vertices[hyper[0]])
         v = max(core0.vertex_set, key=lambda w: (core0.degree(w), w))
-        h_core = h_of(v)
+        # the cached vertex root of the component of v in the graph
+        h_core = _vertex_root(component_of(graph, v)).h
         r_cap = counting.horizon_for_budget(core0, v, min(cap, 200_000))
         longest = max(d.length for d in core0.darts)
         if r_cap < 3.0 * longest:
@@ -214,7 +213,7 @@ def cmd_verify(args) -> int:
     pair = _first_nonadjacent_pair(graph)
     if pair:
         x, y = pair
-        inc = entropy_after_edge(graph, x, y, 1.0, h_base=h_of(x))
+        inc = entropy_after_edge(graph, x, y, 1.0)
         _, diff = _direct_gap(add_edge(graph, x, y, 1.0), x, inc.h_prime)
         record("edge-cross-method", "PASS" if diff <= 1e-8 else "FAIL",
                f"|inc-direct|={diff:.2e}")

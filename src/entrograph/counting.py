@@ -626,32 +626,35 @@ def verify_recursions(graph: MetricGraph, v: str,
     radii = np.asarray(r_grid)
     q = radii - tie_guard
 
-    def shifted(prim, *arrays):
-        """Per radius r: the number of l in ``prim`` below r - tie_guard,
-        and per array the sum over those l of its count below (r - l) -
-        tie_guard, from grids of at most _GRID_BLOCK (r, l) or one r."""
-        taken = np.searchsorted(prim, q)
-        prim = prim[:taken.max(initial=0)]
-        sums = np.zeros((len(arrays), radii.size), dtype=np.int64)
-        rows = max(_GRID_BLOCK // max(prim.size, 1), 1)
-        for part in (slice(lo, lo + rows) for lo in range(0, q.size, rows)):
+    def shifted(rows, arr, other=None):
+        """Per row of ``rows`` (sorted lengths) and per radius r: the sum
+        over the l in the row below r - tie_guard of 1 + the count of
+        ``arr`` below (r - l) - tie_guard, less that of ``other``, from
+        grids of at most _GRID_BLOCK (r, l) or one r."""
+        rows = [row[:np.searchsorted(row, q).max(initial=0)] for row in rows]
+        prim, sizes = np.concatenate(rows), np.array([r.size for r in rows])
+        nonempty = sizes > 0
+        at = (np.cumsum(sizes) - sizes)[nonempty]  # their first positions
+        sums = np.zeros((len(rows), radii.size), dtype=np.int64)
+        block = max(_GRID_BLOCK // max(prim.size, 1), 1)
+        for part in (slice(lo, lo + block) for lo in range(0, q.size, block)):
             inner = (radii[part, None] - prim) - tie_guard
-            mask = np.arange(prim.size) < taken[part, None]
-            for k, arr in enumerate(arrays):
-                sums[k, part] = (np.searchsorted(arr, inner) * mask).sum(1)
-        return taken, sums
+            terms = np.searchsorted(arr, inner) + 1
+            if other is not None:
+                terms -= np.searchsorted(other, inner)
+            terms *= prim < q[part, None]
+            sums[nonempty, part] = np.add.reduceat(terms, at, axis=1).T
+        return sums
 
-    taken, (bt_sum,) = shifted(bt_prim.lengths, bt_cyc.lengths)
-    bt_lhs, bt_rhs = np.searchsorted(bt_cyc.lengths, q), taken + bt_sum
+    bt_lhs = np.searchsorted(bt_cyc.lengths, q)
+    bt_rhs = shifted([bt_prim.lengths], bt_cyc.lengths)[0]
     nb_lhs = np.array([np.searchsorted(s, q) for s in starts])
     nb_rhs = np.zeros_like(nb_lhs)
-    for i in range(n):
-        for j in range(n):
-            # the rows of the other starts k != j partition the rest of
-            # the cycle lengths
-            taken, (all_sum, own_sum) = shifted(nb_prim.by_pair.get(
-                (i + 1, j + 1), empty), nb_cyc.lengths, starts[j])
-            nb_rhs[i] += taken + all_sum - own_sum
+    for j in range(n):
+        # each start's rows toward j; the rows of the other starts k != j
+        # partition the rest of the cycle lengths
+        nb_rhs += shifted([nb_prim.by_pair.get((i + 1, j + 1), empty)
+                           for i in range(n)], nb_cyc.lengths, starts[j])
     bt_bad = [(r, int(a), int(b))
               for r, a, b in zip(r_grid, bt_lhs, bt_rhs) if a != b]
     nb_bad = [(r_grid[k], i + 1, int(nb_lhs[i, k]), int(nb_rhs[i, k]))

@@ -926,6 +926,59 @@ def scalar_recursions(graph, v, r_grid=None, r_max=None, cap=10_000_000,
     return RecursionReport(tuple(r_grid), tuple(bt_bad), tuple(nb_bad))
 
 
+def reference_verify_recursions(graph, v, r_grid=None, r_max=None,
+                                 cap=10_000_000, tie_guard=1e-9):
+    """``verify_recursions`` as it was before the non-backtracking sums
+    were taken once per end j: one ``shifted`` grid per pair (i, j)."""
+    from entrograph import EnumerationSpec, PathKind, RecursionReport
+    from entrograph.counting import _GRID_BLOCK, _default_radii, _enumerate
+    if r_grid is not None:
+        r_grid = tuple(float(r) for r in r_grid)
+        r_max = max(r_grid)
+
+    bt_cyc, bt_prim, nb_cyc, nb_prim = _enumerate(graph, EnumerationSpec(
+        PathKind.CYCLES_AT, r_max, TransferMode.BACKTRACKING, v=v, cap=cap),
+        recursions=True)
+
+    if r_grid is None:
+        r_grid = _default_radii(
+            np.unique(np.concatenate([nb_cyc.lengths, bt_cyc.lengths]))
+            if bt_cyc.lengths.size else np.array([]), r_max, tie_guard)
+
+    n = graph.degree(v)
+    empty = np.array([])
+    starts = [nb_cyc.by_start.get(k, empty) for k in range(1, n + 1)]
+    radii = np.asarray(r_grid)
+    q = radii - tie_guard
+
+    def shifted(prim, *arrays):
+        taken = np.searchsorted(prim, q)
+        prim = prim[:taken.max(initial=0)]
+        sums = np.zeros((len(arrays), radii.size), dtype=np.int64)
+        rows = max(_GRID_BLOCK // max(prim.size, 1), 1)
+        for part in (slice(lo, lo + rows) for lo in range(0, q.size, rows)):
+            inner = (radii[part, None] - prim) - tie_guard
+            mask = np.arange(prim.size) < taken[part, None]
+            for k, arr in enumerate(arrays):
+                sums[k, part] = (np.searchsorted(arr, inner) * mask).sum(1)
+        return taken, sums
+
+    taken, (bt_sum,) = shifted(bt_prim.lengths, bt_cyc.lengths)
+    bt_lhs, bt_rhs = np.searchsorted(bt_cyc.lengths, q), taken + bt_sum
+    nb_lhs = np.array([np.searchsorted(s, q) for s in starts])
+    nb_rhs = np.zeros_like(nb_lhs)
+    for i in range(n):
+        for j in range(n):
+            taken, (all_sum, own_sum) = shifted(nb_prim.by_pair.get(
+                (i + 1, j + 1), empty), nb_cyc.lengths, starts[j])
+            nb_rhs[i] += taken + all_sum - own_sum
+    bt_bad = [(r, int(a), int(b))
+              for r, a, b in zip(r_grid, bt_lhs, bt_rhs) if a != b]
+    nb_bad = [(r_grid[k], i + 1, int(nb_lhs[i, k]), int(nb_rhs[i, k]))
+              for k, i in np.argwhere((nb_lhs != nb_rhs).T).tolist()]
+    return RecursionReport(tuple(r_grid), tuple(bt_bad), tuple(nb_bad))
+
+
 def scalar_violations(profile, m_const, h):
     """(radius, N, bound) where N just past a jump exceeds M e^{hr}."""
     out = []

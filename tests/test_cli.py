@@ -9,10 +9,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from entrograph import (MetricGraph, NonConvergence, ParseError, parse_graph,
+from entrograph import (MetricGraph, ParseError, parse_graph,
                         parse_graph_edgelist, parse_graph_json, same_graph,
                         serialize_edgelist, serialize_json)
-from entrograph import cli, counting
+from entrograph import cli, counting, entropy
 from entrograph.cli import main
 from entrograph.graphio import generate_graph
 from helpers import c4, complete4, rose
@@ -251,12 +251,24 @@ def test_verify_checks_the_theta_beside_a_triangle(tmp_path, capsys):
         in capsys.readouterr().out
 
 
+def test_verify_on_wide_lengths(tmp_path, capsys):
+    # the theta with lengths 1, 1, 0.01, where a dart power iteration
+    # does not converge: every entropy verify reads is a vertex root
+    path = tmp_path / "theta.txt"
+    path.write_text("a b 1.0\na b 1.0\na b 0.01\n")
+    assert main(["verify", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("PASS    entropy-solve  h=")
+    assert not [line for line in out.splitlines()
+                if line.startswith("FAIL")]
+
+
 def test_verify_solver_error_exits_3(k4_file, monkeypatch, capsys):
-    def fail(graph):
-        raise NonConvergence("no root")
-    monkeypatch.setattr(cli, "volume_entropy", fail)
+    # one evaluation per vertex solve: the first root verify reads fails
+    monkeypatch.setattr(entropy, "_NEWTON_CAP", 1)
     assert main(["verify", k4_file]) == 3
-    assert "no root" in capsys.readouterr().err
+    assert "lambda = 0 unresolved after 1 evaluations" \
+        in capsys.readouterr().err
 
 
 def test_verify_failed_property_exits_5(k4_file, monkeypatch, capsys):

@@ -23,7 +23,8 @@ from entrograph.counting import _count_model, _over_bound, _step_integral
 from entrograph.graph import component_of
 from helpers import (bfs_enumerate, c4, complete4, coo_return_bounds,
                      dfs_components, disjoint_union, dumbbell, eig_entropy,
-                     mask_sort_rows, multigraphs, path3, rose,
+                     mask_sort_rows, multigraphs, path3,
+                     reference_verify_recursions, rose,
                      scalar_laplace_constant, scalar_lower_constant,
                      scalar_recursions, scalar_step_integral,
                      scalar_tail_average, scalar_violations, segment,
@@ -910,6 +911,25 @@ def test_recursions_match_scalar_on_cores(g, block):
                                           tie_guard=0.0)) \
                 == repr(scalar_recursions(core, v, r_grid=ties, cap=2000,
                                           tie_guard=0.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=multigraphs())
+def test_recursions_match_pair_loop_on_multigraphs(g):
+    # the sums taken once per end j against the loop over each pair
+    # (i, j) of starting and ending darts, bit for bit; with no tie guard
+    # at attained cycle lengths the mismatch tuples are compared too
+    v = max(g.vertex_set, key=lambda w: (g.degree(w), w))
+    bt_cyc = _fitted_profile(g, PathKind.CYCLES_AT, BT, 300, v, 2000)
+    ties = bt_cyc.jump_radii()[::2]
+    assert repr(verify_recursions(g, v, r_max=bt_cyc.r_max, cap=2000)) \
+        == repr(reference_verify_recursions(g, v, r_max=bt_cyc.r_max,
+                                            cap=2000))
+    if ties.size:
+        assert repr(verify_recursions(g, v, r_grid=ties, cap=2000,
+                                      tie_guard=0.0)) \
+            == repr(reference_verify_recursions(g, v, r_grid=ties, cap=2000,
+                                                tie_guard=0.0))
 
 
 @pytest.mark.parametrize("unit", [1.0, 0.1])

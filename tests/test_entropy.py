@@ -382,13 +382,16 @@ def _count_cold_solves(monkeypatch):
 
 
 def test_verify_solves_each_root_once(monkeypatch, tmp_path, capsys):
-    # the core's two roots (count model and recursions' backtracking) and
-    # the edited graph's direct h'; solved per query, they were 6
+    # the graph's root, the core's two roots (count model and recursions'
+    # backtracking) and the edited graph's direct h'; no dart evaluation
     path = tmp_path / "g.json"
     path.write_text(serialize_json(generate_graph(1, 6, 10)))
     calls = _count_cold_solves(monkeypatch)
+    darts = []
+    monkeypatch.setattr(entropy, "_log_rho",
+                        lambda *args: darts.append(args))
     assert cli.main(["verify", str(path)]) == 0
-    assert len(calls) == 3
+    assert (len(calls), len(darts)) == (4, 0)
 
 
 def test_queries_on_one_graph_share_its_root(monkeypatch):
