@@ -186,8 +186,10 @@ def cmd_verify(args) -> int:
                             f"rho(A)={rep.rho_a:.9f}")
 
     def recursions():
-        rec = counting.verify_recursions(core0, v, r_max=0.6 * r_cap,
-                                         cap=cap)
+        # the walk counts backtracking cycles, which outgrow the others
+        r_max = min(0.6 * r_cap, counting.horizon_for_budget(
+            core0, v, min(cap, 200_000), TransferMode.BACKTRACKING))
+        rec = counting.verify_recursions(core0, v, r_max=r_max, cap=cap)
         return rec.passed, f"{len(rec.r_grid)} radii"
 
     def laplace():

@@ -7,13 +7,14 @@ pattern, the dart-transition relation of each mode, is cached on the
 graph; ``build_transfer`` fills it into a dense matrix and
 ``_sparse_transfer`` into a CSR one.  The spectral radius is computed per
 strongly connected component of the support digraph with power
-iteration on (s I + B), which neutralizes periodic supports such as the
-dart graph of an even cycle.  Its residual is tested every
-``_CHECK_EVERY`` steps, and a CSR matrix is iterated as CSR on blocks of
-``_SPARSE_MIN`` darts and more, dense on smaller ones.  Only the right
-vector r is iterated: B(t) = S W with W = diag(e^{-t l}) and
-S^T = J S J for the dart reversal J, so B^T (W J r) = W J (B r) and
-e^{-t l_d} r_{rev d} is a left vector with at most the residual of r.
+iteration on I + B/s, s the block's largest row sum, which neutralizes
+periodic supports such as the dart graph of an even cycle: one product
+a step, the residual tested every ``_CHECK_EVERY`` steps.  A CSR matrix
+is iterated as CSR on blocks of ``_SPARSE_MIN`` darts and more, dense on
+smaller ones.  Only the right vector r is iterated: B(t) = S W with
+W = diag(e^{-t l}) and S^T = J S J for the dart reversal J, so
+B^T (W J r) = W J (B r) and e^{-t l_d} r_{rev d} is a left vector with
+at most the residual of r.
 
 The symmetric V x V vertex matrix of the weighted Ihara-Bass identity,
 det(I - B(t)) = det M(t) * prod_e (1 - z_e^2) with z_e = e^{-t l_e},
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.sparse import csr_matrix, issparse
+from scipy.sparse import csr_matrix, identity, issparse
 from scipy.sparse.csgraph import connected_components
 
 from .errors import NonConvergence
@@ -218,14 +219,15 @@ def vertex_matrix(graph: MetricGraph, t: float,
     return vertex_form(graph, t, mode).matrix()
 
 
-# Power steps per residual test.  A test costs about as much as a step
-# and a converged block takes up to _CHECK_EVERY - 1 steps more; of 4, 8
-# and 16, 16 ran volume_entropy fastest on generate_graph at V = 10, 40
-# and 100 and on five wide-length graphs (one BLAS thread).
+# Power steps per residual test.  A test took 9.3 / 12.7 / 13.4 us and a
+# step 1.0 / 4.0 / 4.7 us at 36 (dense) / 150 (dense) / 354 (CSR) darts;
+# a converged block takes up to _CHECK_EVERY - 1 steps more.  16 ran
+# volume_entropy fastest of 4, 8, 16 when a test cost about one step, and
+# any other value moves the step counts (one BLAS thread).
 _CHECK_EVERY = 16
 # Block size from which a CSR block is iterated as CSR.  One step took
-# 8.0 (dense) / 8.4 (CSR) us at n = 150 and 11.0 / 9.8 us at n = 214;
-# 22 / 9.7 us at n = 354 and 469 / 22 us at n = 1056 (same host).
+# about 4 us either way at n = 150, 6.4 (dense) / 4.3 (CSR) us at 214,
+# 16 / 5.2 us at n = 354 and 396 / 7.2 us at n = 1056 (same host).
 _SPARSE_MIN = 160
 
 
@@ -241,28 +243,35 @@ def _power_block(block, tol: float, max_iter: int):
     """Perron value/vector of an irreducible nonnegative block, dense or
     CSR.
 
-    Iterates x <- (s I + B) x with unit-sum normalization, where the
-    shift s matches the row-sum scale of B: it makes the iteration
-    primitive regardless of the block's period without drowning
-    small-norm blocks.  Convergence is declared at
-    ||B x - rho x||_inf <= tol ||B||_inf ||x||_inf, the scale-invariant
-    residual floating point can reach.  It is tested at every
-    ``_CHECK_EVERY``-th step and at step ``max_iter``, the steps between
-    being plain ones of the same arithmetic.  So the iterates are those
-    of a test at every step: a block that such a test would stop at step
-    k stops at the first tested step from k on (the residual keeps
+    Iterates x <- (I + B/s) x, one product with a matrix built once in
+    the block's format, s > 0 its largest row sum: the shift makes the
+    iteration primitive regardless of the block's period without
+    drowning small-norm blocks.  x is scaled to unit sum only where it
+    is tested, at every ``_CHECK_EVERY``-th step and at step
+    ``max_iter``; in between no entry shrinks and the sum grows by at
+    most (1 + k)^16, k the largest in-degree of the support (each column
+    sum of B/s is at most k).  The test is ||B x - rho x||_inf <=
+    tol ||B||_inf ||x||_inf, the scale-invariant residual floating point
+    can reach.  The iterates are those of a test at every step up to
+    scale and rounding: a block that such a test would stop at step k
+    stops at the first tested step from k on (the residual keeps
     falling), and one it would fail fails too.
     """
     n = block.shape[0]
+    scale = float(abs(block).sum(axis=1).max())
+    if issparse(block):  # B/s entry by entry: scipy's B / s takes 1/s,
+        step = identity(n, format="csr") + csr_matrix(  # inf below 2^-1024
+            (block.data / scale, block.indices, block.indptr), shape=(n, n))
+    else:
+        step = np.eye(n) + block / scale
     x = np.full(n, 1.0 / n)
-    scale = max(float(abs(block).sum(axis=1).max()), 1e-300)
     it = 0
     while True:
         check = min(it + _CHECK_EVERY, max_iter)
         for _ in range(check - it - 1):
-            y = scale * x + block @ x
-            x = y / y.sum()
+            x = step @ x
         it = check
+        x /= x.sum()
         bx = block @ x
         rho = float(bx.sum())  # x has unit sum: Rayleigh value without
         resid = np.abs(bx - rho * x).max()  # a 1 + rho cancellation
@@ -272,8 +281,7 @@ def _power_block(block, tol: float, max_iter: int):
             raise NonConvergence(
                 f"power iteration residual {resid:.3e} above tol "
                 f"{tol:.1e} after {max_iter} iterations (n={n})")
-        y = scale * x + bx
-        x = y / y.sum()
+        x = x + bx / scale
 
 
 def spectral_radius(matrix, tol: float = 1e-12,

@@ -163,6 +163,35 @@ def eig_rho(matrix):
     return float(np.max(np.abs(np.linalg.eigvals(m))))
 
 
+def reference_power_block(block, tol, max_iter):
+    """``spectral._power_block`` as it was before the step matrix
+    I + B/s: x <- (s x + B x) / sum, normalized at every step (without
+    the 1e-300 floor its s then had)."""
+    from entrograph.errors import NonConvergence
+    from entrograph.spectral import _CHECK_EVERY
+    n = block.shape[0]
+    x = np.full(n, 1.0 / n)
+    scale = float(abs(block).sum(axis=1).max())
+    it = 0
+    while True:
+        check = min(it + _CHECK_EVERY, max_iter)
+        for _ in range(check - it - 1):
+            y = scale * x + block @ x
+            x = y / y.sum()
+        it = check
+        bx = block @ x
+        rho = float(bx.sum())  # x has unit sum: Rayleigh value without
+        resid = np.abs(bx - rho * x).max()  # a 1 + rho cancellation
+        if resid <= tol * scale * max(x.max(), 1e-300):
+            return rho, x, it
+        if it >= max_iter:
+            raise NonConvergence(
+                f"power iteration residual {resid:.3e} above tol "
+                f"{tol:.1e} after {max_iter} iterations (n={n})")
+        y = scale * x + bx
+        x = y / y.sum()
+
+
 def nonadjacent_pair(graph):
     """First non-adjacent vertex pair inside one component, or None."""
     for comp in dfs_components(graph):
@@ -257,6 +286,19 @@ def sweep_graphs(seed=11, count=150):
                   for _ in range(rng.randint(2, n + 3))]
         out.append(MetricGraph.from_edges(names, edges))
     return out
+
+
+def spread_graph(k):
+    """``generate_graph(2, 10, 18)`` with every length redrawn, in
+    ``edge_list()`` order, as 10^U(-3, 3) from ``random.Random(k)``: the
+    benchmark's wide-length graphs, where the dart power iteration fails
+    for k = 0..4."""
+    import random
+    from entrograph import generate_graph
+    g = generate_graph(2, 10, 18)
+    rng = random.Random(k)
+    return MetricGraph.from_edges(g.vertices, [
+        (u, v, 10 ** rng.uniform(-3, 3)) for u, v, _ in g.edge_list()])
 
 
 def lim_metric(graph):

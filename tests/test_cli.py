@@ -261,6 +261,9 @@ def test_verify_on_wide_lengths(tmp_path, capsys):
     assert out.startswith("PASS    entropy-solve  h=")
     assert not [line for line in out.splitlines()
                 if line.startswith("FAIL")]
+    # its recursions horizon comes from the backtracking count model,
+    # which the walk grows by: the check runs instead of being refused
+    assert "PASS    recursions  20 radii\n" in out
 
 
 def test_verify_solver_error_exits_3(k4_file, monkeypatch, capsys):
