@@ -2,17 +2,20 @@
 
 Every entropy in the package is the largest root of one equation
 lambda(t) = 0, with lambda < 0 below it and lambda >= 0 above, solved by
-one safeguarded Newton loop (``_newton_down``).  A solve of a whole
-graph starts at the trivial upper bound log(k) / l_min, k the largest
-number of continuations of a dart, where rho(B(t)) <= 1, with t = 0 its
-unevaluated lower end; one with a certified lower bound, such as the
-entropy of a subgraph, starts there instead and climbs.  It takes Newton
-steps with the exact slope of lambda; once a step is at most 0.1 t, it
-takes the zero of the inverse cubic Hermite interpolant through the
-last two evaluations instead (value and slope at each, order about 2.7)
-wherever that zero lies in the maintained sign bracket, and it bisects
-wherever a step would leave that bracket.  The loop takes the equation
-as a callable and serves two evaluations:
+one safeguarded Newton loop (``_newton_down``).  A vertex solve of a
+whole graph starts at the trivial upper bound log(k) / l_min, k the
+largest number of continuations of a dart, where rho(B(t)) <= 1, with
+t = 0 its unevaluated lower end; one with a certified lower bound, such
+as the entropy of a subgraph, starts there instead and climbs.  The dart
+solve of ``volume_entropy`` starts lower, at the certified row-sum bound
+max_v t_v (``_row_sum_bound``), near h where log(k) / l_min lies far
+above it and the power iteration stalls.  The loop takes Newton steps
+with the exact slope of lambda; once a step is at most 0.1 t, it takes
+the zero of the inverse cubic Hermite interpolant through the last two
+evaluations instead (value and slope at each, order about 2.7) wherever
+that zero lies in the maintained sign bracket, and it bisects wherever
+a step would leave that bracket.  The loop takes the equation as a
+callable and serves two evaluations:
 
 - ``_log_rho``: lambda = -log rho(B(t)) on the dart matrix of a reduced
   hyperbolic core, the paper's rho(B(t)) = 1 (``volume_entropy``).  Each
@@ -44,6 +47,9 @@ vertex matrix changes which benchmark inputs fail, and so goes with a
 change of the benchmark's pinned failures.  Its solve also keeps plain
 Newton steps (``_newton_down(..., interpolate=False)``): its coarse stop
 scale ``_RHO_TOL`` would let the interpolated steps move h by ~1e-12.
+It returns the Newton update of its last evaluation, which that stop
+leaves unused: on ``generate_graph``'s seed ladder up to V = 100, h then
+lies within 2e-13 relative of the vertex root.
 """
 
 from __future__ import annotations
@@ -69,13 +75,14 @@ if TYPE_CHECKING:  # pragma: no cover
 class EntropyResult:
     """Volume entropy of a graph (max over connected components).
 
-    ``residual`` is |rho(B(h)) - 1| at the returned h of the component
-    that attains it, and ``bracket`` narrows the solver's sign bracket
-    around h by |log rho(B(h))| / l_min, the least slope of log rho.  Both
-    are only as good as the power iteration's rho, so the bracket is not
-    a precision of h.  ``iterations`` counts the evaluations, one power
-    iteration each, over all components.  All fields are 0 where every
-    component has entropy 0.
+    For the component that attains h, ``residual`` is |rho(B(t)) - 1| at
+    the last evaluation t of its solve, from which h is one Newton update
+    (``volume_entropy``), and ``bracket`` narrows the solver's sign
+    bracket around t by |log rho(B(t))| / l_min, the least slope of log
+    rho; h lies in it.  Both are only as good as the power iteration's
+    rho, so the bracket is not a precision of h.  ``iterations`` counts
+    the evaluations, one power iteration each, over all components.  All
+    fields are 0 where every component has entropy 0.
     """
 
     h: float
@@ -194,9 +201,49 @@ def _log_rho(graph: MetricGraph, t: float):
 
 def _upper_start(edges: EdgeSet, mode: TransferMode) -> float:
     """log(max(k, 2)) / l_min, k the largest number of continuations of
-    a dart: rho(B(t)) <= 1 there, so no root of the edge set lies above."""
+    a dart: rho(B(t)) <= 1 there, so no root of the edge set lies above.
+    The top of the bracket of vertex solves and of ``_row_sum_bound``."""
     k = edges.max_degree - (mode is TransferMode.NON_BACKTRACKING)
     return math.log(max(k, 2)) / edges.min_length
+
+
+def _row_sum_bound(edges: EdgeSet, mode: TransferMode) -> float:
+    """A certified upper bound on max_v t_v, and so on the entropy of the
+    edge set, where t_v is the root of the row sum S_v(t) = sum over the
+    ends at v (a loop counted twice) of z / (1 + z), or of z in the
+    backtracking mode, with z = e^{-t l}.
+
+    (M(t) 1)_v = 1 - S_v(t), and M(t) is a symmetric Z-matrix, so by
+    Collatz-Wielandt with x = 1 lambda_min(M(T)) >= 1 - max_v S_v(T):
+    no root lies above a T with max_v S_v(T) <= 1 (A. Berman and R.
+    Plemmons, Nonnegative Matrices in the Mathematical Sciences, SIAM
+    1994).  A bisection on [0, ``_upper_start``], where that check holds
+    in exact arithmetic, keeps as its top the least T that passes it, to
+    1e-3 relative: a closer bound saves no dart evaluation on
+    ``generate_graph``'s seed ladder.  Each probe is one ``np.bincount``
+    of the terms.
+
+    The check allows for rounding.  Rounding x = t l moves a term by at
+    most eps / (2e), as x |f'(x)| <= 1/e; e^{-x}, taken within 4 ulps,
+    and the division move it by at most 5 eps relative, and a term is at
+    most 1.  So each term is within 4.2 eps, and the sum of the d_v terms
+    at v adds at most d_v eps / 2 while it is at most 1: a computed S_v
+    at most 1 - 8 d_v eps certifies S_v <= 1.  Without that slack, a
+    start below h would be taken for a root on the bound.
+    """
+    n, tails, heads, lengths = edges
+    ends = np.concatenate((tails, heads))
+    ls = np.concatenate((lengths, lengths))
+    limit = 1.0 - 8.0 * _EPS * np.bincount(ends, minlength=n)
+    lo, hi = 0.0, _upper_start(edges, mode)
+    while hi - lo > 1e-3 * hi:
+        mid = 0.5 * (lo + hi)
+        z = np.exp(-mid * ls)
+        if mode is TransferMode.NON_BACKTRACKING:
+            z /= 1.0 + z
+        passes = (np.bincount(ends, z, n) <= limit).all()
+        lo, hi = (lo, mid) if passes else (mid, hi)
+    return hi
 
 
 def _inverse_hermite(prev, t: float, lam: float, dlam: float) -> float:
@@ -384,10 +431,14 @@ def volume_entropy(graph: MetricGraph) -> EntropyResult:
 
     Each connected component is reduced first; trivial and single-cycle
     components contribute exactly 0, hyperbolic components are solved for
-    rho(B(t)) = 1 by ``_newton_down`` on ``_log_rho`` down from
-    log(k) / l_min.  The entropy of the graph is the maximum over
-    components.  A NonConvergence of the power iteration carries the t
-    and the component (its least vertex) it was met at.
+    rho(B(t)) = 1 by ``_newton_down`` on ``_log_rho``, started at the
+    row-sum bound of the core (``_row_sum_bound``), which is also the top
+    of its bracket.  Once the loop stops, the entropy of the component is
+    the Newton update t - lambda / lambda' of its last evaluation, clamped
+    to the bracket that ``EntropyResult`` reports; it costs no evaluation.
+    The entropy of the graph is the maximum over components.  A
+    NonConvergence of the power iteration carries the t and the component
+    (its least vertex) it was met at.
 
     Raises ValidationFailed on invalid input: no entropy is ever reported
     for a non-validated graph.
@@ -395,7 +446,7 @@ def volume_entropy(graph: MetricGraph) -> EntropyResult:
     _require_valid(graph)
 
     per: list[tuple[str, float]] = []
-    best, best_l_min, evals = None, 0.0, 0
+    best, evals = EntropyResult(0.0, 0.0, 0, (0.0, 0.0), ()), 0
     for comp in components(graph):
         cid = min(comp.vertices)
         red = reduce(comp)
@@ -403,7 +454,7 @@ def volume_entropy(graph: MetricGraph) -> EntropyResult:
             per.append((cid, 0.0))
             continue
         core = red.graph
-        hi = _upper_start(core._edge_arrays, TransferMode.NON_BACKTRACKING)
+        hi = _row_sum_bound(core._edge_arrays, TransferMode.NON_BACKTRACKING)
         try:
             root = _newton_down(lambda t: _log_rho(core, t), hi, 0.0, hi,
                                 cid, interpolate=False)
@@ -411,17 +462,16 @@ def volume_entropy(graph: MetricGraph) -> EntropyResult:
             exc.component = cid
             raise
         evals += root.evals
-        per.append((cid, root.h))
-        if best is None or root.h > best.h:
-            best, best_l_min = root, core.min_length()
+        t, lam, lo, hi = root.h, root.null_eigenvalue, *root.bracket
+        delta = abs(lam) / core.min_length()
+        lo, hi = max(lo, t - delta), min(hi, t + delta)
+        step = lam / root.dlambda if root.dlambda > 0.0 else 0.0
+        h = min(max(t - step, lo), hi)
+        per.append((cid, h))
+        if h > best.h:
+            best = EntropyResult(h, abs(math.expm1(-lam)), 0, (lo, hi), ())
 
-    if best is None:
-        return EntropyResult(0.0, 0.0, evals, (0.0, 0.0), tuple(per))
-    lo, hi = best.bracket
-    delta = abs(best.null_eigenvalue) / best_l_min
-    bracket = (max(lo, best.h - delta), min(hi, best.h + delta))
-    return EntropyResult(best.h, abs(math.expm1(-best.null_eigenvalue)),
-                         evals, bracket, tuple(per))
+    return replace(best, iterations=evals, per_component=tuple(per))
 
 
 def rho_curve(graph: MetricGraph, t_values: Sequence[float],

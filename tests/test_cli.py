@@ -15,7 +15,7 @@ from entrograph import (MetricGraph, ParseError, parse_graph,
 from entrograph import cli, counting, entropy
 from entrograph.cli import main
 from entrograph.graphio import generate_graph
-from helpers import c4, complete4, rose
+from helpers import c4, complete4, rose, theta
 
 
 @pytest.fixture
@@ -148,8 +148,8 @@ def test_edit_compares_with_the_edited_component(edit, tmp_path, capsys):
     ["add-vertex", "--attach", "a:1", "--attach", "b:1", "--attach", "a:2"],
 ])
 def test_edit_commands_on_wide_lengths(edit, tmp_path, capsys):
-    # the theta with lengths 1, 1, 0.01, where a dart power iteration
-    # does not converge: direct h' is the vertex-matrix solve
+    # the theta with lengths 1, 1, 0.01, where a dart power iteration at
+    # log(2) / 0.01 does not converge: direct h' is the vertex-matrix solve
     path = tmp_path / "theta.txt"
     path.write_text("a b 1.0\na b 1.0\na b 0.01\n")
     assert main([edit[0], str(path), *edit[1:]]) == 0
@@ -252,8 +252,9 @@ def test_verify_checks_the_theta_beside_a_triangle(tmp_path, capsys):
 
 
 def test_verify_on_wide_lengths(tmp_path, capsys):
-    # the theta with lengths 1, 1, 0.01, where a dart power iteration
-    # does not converge: every entropy verify reads is a vertex root
+    # the theta with lengths 1, 1, 0.01, where a dart power iteration at
+    # log(2) / 0.01 does not converge: every entropy verify reads is a
+    # vertex root
     path = tmp_path / "theta.txt"
     path.write_text("a b 1.0\na b 1.0\na b 0.01\n")
     assert main(["verify", str(path)]) == 0
@@ -264,6 +265,17 @@ def test_verify_on_wide_lengths(tmp_path, capsys):
     # its recursions horizon comes from the backtracking count model,
     # which the walk grows by: the check runs instead of being refused
     assert "PASS    recursions  20 radii\n" in out
+
+
+def test_entropy_command_on_wide_lengths(tmp_path, capsys):
+    # the same theta: the dart solve starts at the row-sum bound, where
+    # its power iteration converges, and agrees with verify's vertex root
+    path = tmp_path / "theta.txt"
+    path.write_text("a b 1.0\na b 1.0\na b 0.01\n")
+    assert main(["entropy", str(path)]) == 0
+    h = float(capsys.readouterr().out.split("h = ")[1].split()[0])
+    ref = entropy._vertex_root(theta((1.0, 1.0, 0.01))).h
+    assert abs(h - ref) <= 1e-8
 
 
 def test_verify_solver_error_exits_3(k4_file, monkeypatch, capsys):

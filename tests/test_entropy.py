@@ -23,7 +23,8 @@ from helpers import (c4, complete4, dumbbell, eig_entropy, eig_rho,
                      lim_metric, mixed_graphs, mp_root, multigraphs, path3,
                      reference_newton_down, reference_vertex_root, rose,
                      rounding_scale, scalar_entropy_from_counts, segment,
-                     short_loop_core, split_multigraphs, sweep_graphs, theta)
+                     short_loop_core, split_multigraphs, spread_graph,
+                     sweep_graphs, theta)
 
 
 def test_rose_closed_forms():
@@ -132,11 +133,22 @@ def test_cold_solve_never_evaluates_t0(monkeypatch):
         assert res.iterations == len(seen)
 
 
-def test_solve_starts_at_the_upper_bound_log_k_over_l_min():
-    # l_min exceeds the start log(k) / l_min on these graphs, so the
-    # solve must not start from l_min (5 evaluations on each)
+def test_solve_starts_at_the_row_sum_bound(monkeypatch):
+    # the first evaluation is at the certified bound max_v t_v of the core
+    # (within 1e-3 above it), not at log(k) / l_min
+    seen = []
+    log_rho = entropy._log_rho
+
+    def recording(graph, t):
+        seen.append(t)
+        return log_rho(graph, t)
+
+    monkeypatch.setattr(entropy, "_log_rho", recording)
     for g in (theta((3.0, 4.0, 5.0)), dumbbell()):
+        seen.clear()
         res = volume_entropy(g)
+        assert seen[0] == entropy._row_sum_bound(
+            reduce(g).graph._edge_arrays, TransferMode.NON_BACKTRACKING)
         assert res.iterations <= 4
         assert res.h == pytest.approx(eig_entropy(g), rel=1e-12, abs=0.0)
 
@@ -158,13 +170,32 @@ def test_volume_entropy_matches_dense_or_fails_located(g):
 
 
 def test_nonconvergence_carries_t_and_component():
-    # the dart power iteration does not converge at the upper start
-    # log(2) / 0.01 of this theta
+    # the dart power iteration does not converge at the row-sum bound
+    # t = 1.29 of this core: it fails for t in about [1.0, 3.75] there
+    g = spread_graph(0)
+    start = entropy._row_sum_bound(reduce(g).graph._edge_arrays,
+                                   TransferMode.NON_BACKTRACKING)
     with pytest.raises(NonConvergence) as info:
-        volume_entropy(theta((1.0, 1.0, 0.01)))
-    assert info.value.t == math.log(2) / 0.01
-    assert info.value.component == "x"
+        volume_entropy(g)
+    assert info.value.t == start
+    assert info.value.component == "v0"
     assert info.value.threshold is None
+
+
+def test_short_edge_theta_solves_from_the_row_sum_bound():
+    # the power iteration does not converge at log(2) / 0.01; the
+    # row-sum bound lies within 1e-3 above h, where it does
+    g = theta((1.0, 1.0, 0.01))
+    h = volume_entropy(g).h
+    assert abs(h - entropy._vertex_root(g).h) <= 1e-12 * h
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_spread_graphs_solve_from_the_row_sum_bound(k):
+    # these raised NonConvergence from log(k) / l_min
+    g = spread_graph(k)
+    h, ref = volume_entropy(g).h, entropy._vertex_root(g).h
+    assert abs(h - ref) <= 1e-8 * max(1.0, ref)
 
 
 @pytest.mark.parametrize("solve", ["edge", "direct curve"])
@@ -292,6 +323,24 @@ def test_vertex_root_matches_dense_dart_entropy(mode, g):
     lo, hi = root.bracket
     assert lo <= root.h <= hi
     assert lo - tol <= ref <= hi + tol
+
+
+@pytest.mark.parametrize("mode", MODES)
+@settings(max_examples=60, deadline=None)
+@given(g=multigraphs())
+@example(g=rose(2))
+@example(g=theta((1.0, 1.0, 0.01)))
+def test_row_sum_bound_lies_between_h_and_the_upper_start(mode, g):
+    # Collatz-Wielandt with x = 1, sharp where the all-ones vector is the
+    # null vector of M(h): the rose, whose bound is the top of its bracket,
+    # and this theta, bisected to 1e-3 above h; the slack is the accuracy
+    # of the vertex root against dense dart eigenvalues on these draws
+    # (test_vertex_root_matches_dense_dart_entropy)
+    edges = g._edge_arrays
+    bound = entropy._row_sum_bound(edges, mode)
+    h = entropy._vertex_root(g, mode).h
+    assert h <= bound + 1e-12 * max(1.0, h)
+    assert bound <= entropy._upper_start(edges, mode)
 
 
 @pytest.mark.parametrize("mode", MODES)
