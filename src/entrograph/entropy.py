@@ -18,13 +18,16 @@ a step would leave that bracket.  The loop takes the equation as a
 callable and serves two evaluations:
 
 - ``_log_rho``: lambda = -log rho(B(t)) on the dart matrix of a reduced
-  hyperbolic core, the paper's rho(B(t)) = 1 (``volume_entropy``).  Each
-  evaluation fills a CSR B(t) from the graph's cached transition pattern
-  and runs one power iteration for the right Perron vector r, as CSR on
-  large blocks and dense on small ones (``spectral.spectral_radius``);
-  the slope uses the left vector e^{-t l_d} r_{rev d} that the dart
-  reversal gives (see ``spectral``).  Components that reduce to a tree or
-  to a single cycle have entropy 0 exactly and are never solved for.
+  hyperbolic core, the paper's rho(B(t)) = 1 (``volume_entropy``).  The
+  core is built once per graph object (``_dart_core``).  Each evaluation
+  fills a CSR B(t) from the core's cached transition pattern and runs
+  one power iteration for the right Perron vector r, as CSR on large
+  blocks and dense on small ones (``spectral.spectral_radius``), handed
+  the core's cached strongly connected split wherever no weight
+  underflows, so that it pays for its power steps alone; the slope uses
+  the left vector e^{-t l_d} r_{rev d} that the dart reversal gives (see
+  ``spectral``).  Components that reduce to a tree or to a single cycle
+  have entropy 0 exactly and are never solved for.
 - ``_lambda_min``: lambda = lambda_min(M(t)) on the symmetric vertex
   matrix M(t) of ``spectral.vertex_form``, positive definite exactly
   above the entropy (``_vertex_root``).  Each evaluation is one pass
@@ -171,7 +174,10 @@ _RHO_TOL = 1e-10
 def _log_rho(graph: MetricGraph, t: float):
     """(-log rho(B(t)), the right Perron vector r, the slope
     -d log rho / dt, the stop scale) on the non-backtracking dart matrix,
-    built as CSR (``spectral._sparse_transfer``).
+    built as CSR (``spectral._sparse_transfer``).  Where no weight
+    e^{-t l} underflows to 0, the support of B(t) is the transition
+    pattern, and ``spectral_radius`` takes its split from the graph's
+    cache (``MetricGraph._nb_blocks``) instead of splitting the support.
 
     The slope takes e^{-t l_d} r_{rev d} as the left vector.  Where it is
     not positive it is nan, so that ``_newton_down`` bisects: the left
@@ -182,8 +188,9 @@ def _log_rho(graph: MetricGraph, t: float):
     A NonConvergence of the power iteration carries t.
     """
     transfer = _sparse_transfer(graph, t)
+    blocks = graph._nb_blocks if transfer.data.all() else None
     try:
-        data = spectral_radius(transfer)
+        data = spectral_radius(transfer, blocks=blocks)
     except NonConvergence as exc:
         exc.t = t
         raise
@@ -426,11 +433,28 @@ def _schur_root(edges: EdgeSet, ends: np.ndarray, h_base: float,
     return max(root.h, h_base), abs(root.null_eigenvalue), root.evals
 
 
+def _dart_core(comp: MetricGraph) -> tuple[MetricGraph | None, float]:
+    """(reduced core, ``_row_sum_bound`` of the core) of a connected
+    graph whose core is hyperbolic, (None, 0) for any other; made once per
+    graph and kept in ``comp._memo``, so that repeated solves on one graph
+    reuse the core with its transition pattern and its strongly connected
+    split (``MetricGraph._nb_blocks``)."""
+    if "dart core" not in comp._memo:
+        red, core, start = reduce(comp), None, 0.0
+        if red.kinds[0] is ComponentKind.HYPERBOLIC:
+            core = red.graph
+            start = _row_sum_bound(core._edge_arrays,
+                                   TransferMode.NON_BACKTRACKING)
+        comp._memo["dart core"] = core, start
+    return comp._memo["dart core"]
+
+
 def volume_entropy(graph: MetricGraph) -> EntropyResult:
     """Volume entropy of a metric graph.
 
-    Each connected component is reduced first; trivial and single-cycle
-    components contribute exactly 0, hyperbolic components are solved for
+    Each connected component is reduced first, once per graph object
+    (``_dart_core``); trivial and single-cycle components contribute
+    exactly 0, hyperbolic components are solved for
     rho(B(t)) = 1 by ``_newton_down`` on ``_log_rho``, started at the
     row-sum bound of the core (``_row_sum_bound``), which is also the top
     of its bracket.  Once the loop stops, the entropy of the component is
@@ -449,12 +473,10 @@ def volume_entropy(graph: MetricGraph) -> EntropyResult:
     best, evals = EntropyResult(0.0, 0.0, 0, (0.0, 0.0), ()), 0
     for comp in components(graph):
         cid = min(comp.vertices)
-        red = reduce(comp)
-        if red.kinds[0] is not ComponentKind.HYPERBOLIC:
+        core, hi = _dart_core(comp)
+        if core is None:
             per.append((cid, 0.0))
             continue
-        core = red.graph
-        hi = _row_sum_bound(core._edge_arrays, TransferMode.NON_BACKTRACKING)
         try:
             root = _newton_down(lambda t: _log_rho(core, t), hi, 0.0, hi,
                                 cid, interpolate=False)

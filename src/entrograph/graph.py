@@ -33,6 +33,8 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .errors import NonPositiveLength, UnknownVertex, ValidationFailed
 
@@ -119,7 +121,8 @@ class MetricGraph:
     def _memo(self) -> dict:
         """Objects made on demand, once: the graph is immutable.  Built
         components by index (``_component``), roots by mode
-        (``entropy._vertex_root``)."""
+        (``entropy._vertex_root``), the reduced core of the dart solve
+        (``entropy._dart_core``)."""
         return {}
 
     def _position(self, v: str) -> int:
@@ -175,6 +178,16 @@ class MetricGraph:
         rows, cols, _ = self._bt_transitions
         keep = cols != self._dart_arrays[1][rows]
         return _csr_pattern(len(self.darts), rows[keep], cols[keep])
+
+    @cached_property
+    def _nb_blocks(self) -> tuple[np.ndarray, ...]:
+        """The strongly connected components of ``_nb_transitions`` as a
+        digraph on the darts (``_strong_blocks``): those of the support
+        of B(t) wherever no weight e^{-t l} underflows to 0."""
+        n = len(self.darts)
+        _, cols, offsets = self._nb_transitions
+        return _strong_blocks(csr_matrix(
+            (np.ones(cols.size, dtype=bool), cols, offsets), shape=(n, n)))
 
     @cached_property
     def _split(self) -> tuple[np.ndarray, list]:
@@ -301,6 +314,17 @@ def _csr_pattern(n: int, rows: np.ndarray, cols: np.ndarray):
     offsets = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(np.bincount(rows, minlength=n), out=offsets[1:])
     return _read_only(rows), _read_only(cols), _read_only(offsets)
+
+
+def _strong_blocks(support) -> tuple[np.ndarray, ...]:
+    """The strongly connected components of the digraph of the entries
+    of a square CSR matrix, each as its read-only ascending indices, in
+    order of least index."""
+    _, labels = connected_components(support, directed=True,
+                                     connection="strong")
+    by_label = _read_only(np.argsort(labels, kind="stable"))
+    blocks = np.split(by_label, np.cumsum(np.bincount(labels))[:-1])
+    return tuple(sorted(blocks, key=lambda idx: idx[0]))
 
 
 def validate(graph: MetricGraph) -> tuple[str, ...]:

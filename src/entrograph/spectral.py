@@ -9,12 +9,16 @@ graph; ``build_transfer`` fills it into a dense matrix and
 strongly connected component of the support digraph with power
 iteration on I + B/s, s the block's largest row sum, which neutralizes
 periodic supports such as the dart graph of an even cycle: one product
-a step, the residual tested every ``_CHECK_EVERY`` steps.  A CSR matrix
-is iterated as CSR on blocks of ``_SPARSE_MIN`` darts and more, dense on
-smaller ones.  Only the right vector r is iterated: B(t) = S W with
-W = diag(e^{-t l}) and S^T = J S J for the dart reversal J, so
-B^T (W J r) = W J (B r) and e^{-t l_d} r_{rev d} is a left vector with
-at most the residual of r.
+a step, the residual tested every ``_CHECK_EVERY`` steps.  Where no
+weight underflows to 0, the support of B(t) is the non-backtracking
+pattern itself, whose split the graph caches (``MetricGraph._nb_blocks``)
+and a caller hands over.  A CSR matrix is iterated as CSR on blocks of
+``_SPARSE_MIN`` darts and more, dense on smaller ones, and a dense block
+that has taken ``_STRIDE_AFTER`` n steps takes the steps between two
+tests as one product with (I + B/s)^15.  Only the right vector r is
+iterated: B(t) = S W with W = diag(e^{-t l}) and S^T = J S J for the
+dart reversal J, so B^T (W J r) = W J (B r) and e^{-t l_d} r_{rev d} is
+a left vector with at most the residual of r.
 
 The symmetric V x V vertex matrix of the weighted Ihara-Bass identity,
 det(I - B(t)) = det M(t) * prod_e (1 - z_e^2) with z_e = e^{-t l_e},
@@ -33,10 +37,9 @@ from enum import Enum
 
 import numpy as np
 from scipy.sparse import csr_matrix, identity, issparse
-from scipy.sparse.csgraph import connected_components
 
 from .errors import NonConvergence
-from .graph import EdgeSet, MetricGraph
+from .graph import EdgeSet, MetricGraph, _strong_blocks
 
 
 class TransferMode(Enum):
@@ -227,15 +230,25 @@ def vertex_matrix(graph: MetricGraph, t: float,
 _CHECK_EVERY = 16
 # Block size from which a CSR block is iterated as CSR.  One step took
 # about 4 us either way at n = 150, 6.4 (dense) / 4.3 (CSR) us at 214,
-# 16 / 5.2 us at n = 354 and 396 / 7.2 us at n = 1056 (same host).
+# 16 / 5.2 us at n = 354 and 396 / 7.2 us at n = 1056 (same host).  A
+# CSR block keeps single steps throughout: its (I + B/s)^15 fills in.
 _SPARSE_MIN = 160
+# Steps per row after which a dense block forms P = (I + B/s)^15.
+# Forming P (six n x n products) and the slower steps right after it cost
+# as much as 1.4n to 2.2n steps saved by P x, at n = 22 to 150 (one BLAS
+# thread, a shared 2-core host).  volume_entropy over generate_graph's
+# ladder and the spread graphs ran equally fast from 3n to 8n and slower
+# at n and 2n, where the V = 10 ladder blocks, done in 3n to 5n steps,
+# pay for P and use it once or twice.
+_STRIDE_AFTER = 4
 
 
 def _as_matrix(matrix):
     if isinstance(matrix, TransferMatrix):
         return matrix.matrix
     if issparse(matrix):
-        return csr_matrix(matrix, dtype=float)
+        return (matrix if matrix.format == "csr" and matrix.dtype == float
+                else csr_matrix(matrix, dtype=float))
     return np.asarray(matrix, dtype=float)
 
 
@@ -256,20 +269,31 @@ def _power_block(block, tol: float, max_iter: int):
     scale and rounding: a block that such a test would stop at step k
     stops at the first tested step from k on (the residual keeps
     falling), and one it would fail fails too.
+
+    A dense block that has taken ``_STRIDE_AFTER`` n steps forms
+    P = (I + B/s)^15 once and from then on takes the 15 steps from one
+    test to the step before the next as the one product P x; the steps,
+    the tests and the step counts stay those above, and only the
+    rounding of x differs.  The switch depends on the step count alone.
     """
     n = block.shape[0]
     scale = float(abs(block).sum(axis=1).max())
     if issparse(block):  # B/s entry by entry: scipy's B / s takes 1/s,
         step = identity(n, format="csr") + csr_matrix(  # inf below 2^-1024
             (block.data / scale, block.indices, block.indptr), shape=(n, n))
+        switch = max_iter  # never: P fills in
     else:
         step = np.eye(n) + block / scale
+        switch = _STRIDE_AFTER * n
     x = np.full(n, 1.0 / n)
-    it = 0
+    it, stride = 0, None
     while True:
         check = min(it + _CHECK_EVERY, max_iter)
-        for _ in range(check - it - 1):
-            x = step @ x
+        if stride is not None and check - it == _CHECK_EVERY:
+            x = stride @ x
+        else:
+            for _ in range(check - it - 1):
+                x = step @ x
         it = check
         x /= x.sum()
         bx = block @ x
@@ -282,10 +306,13 @@ def _power_block(block, tol: float, max_iter: int):
                 f"power iteration residual {resid:.3e} above tol "
                 f"{tol:.1e} after {max_iter} iterations (n={n})")
         x = x + bx / scale
+        if stride is None and it >= switch:
+            stride = np.linalg.matrix_power(step, _CHECK_EVERY - 1)
 
 
-def spectral_radius(matrix, tol: float = 1e-12,
-                    max_iter: int = 10_000) -> PerronData:
+def spectral_radius(matrix, tol: float = 1e-12, max_iter: int = 10_000,
+                    *, blocks: tuple[np.ndarray, ...] | None = None
+                    ) -> PerronData:
     """Spectral radius of a square nonnegative matrix with its right
     Perron vector.
 
@@ -297,20 +324,21 @@ def spectral_radius(matrix, tol: float = 1e-12,
     ``_SPARSE_MIN`` rows on and dense below, where a dense product is the
     faster.  Raises NonConvergence when the power-iteration residual
     fails to reach ``tol`` within ``max_iter``.
+
+    ``blocks`` is derived data, not a choice: the components of the
+    support as ``graph._strong_blocks`` gives them, which a caller that
+    has them cached (``MetricGraph._nb_blocks``) passes in place of
+    their computation.  The result is the same bit for bit.
     """
     mat = _as_matrix(matrix)
     n = mat.shape[0]
     if n == 0:
         return PerronData(0.0, np.zeros(0), 0)
-    support = csr_matrix(mat > 0)
-    n_comp, labels = connected_components(support, directed=True,
-                                          connection="strong")
-    by_label = np.argsort(labels, kind="stable")
-    groups = np.split(by_label, np.cumsum(np.bincount(labels))[:-1])
-    groups.sort(key=lambda idx: idx[0])  # in order of first index
+    if blocks is None:
+        blocks = _strong_blocks(csr_matrix(mat > 0))
 
     best_rho, best_idx, best_right, total_iters = 0.0, None, None, 0
-    for idx in groups:
+    for idx in blocks:
         if idx.size == 1 and mat[idx[0], idx[0]] == 0.0:
             continue  # trivial component, eigenvalue 0
         # one component covering the matrix is iterated without a copy

@@ -291,8 +291,10 @@ def sweep_graphs(seed=11, count=150):
 def spread_graph(k):
     """``generate_graph(2, 10, 18)`` with every length redrawn, in
     ``edge_list()`` order, as 10^U(-3, 3) from ``random.Random(k)``: the
-    benchmark's wide-length graphs, where the dart power iteration fails
-    for k = 0..4."""
+    benchmark's wide-length graphs.  ``volume_entropy`` fails on k = 0
+    alone: its start, the row-sum bound 1.29, lies in the band of t,
+    about [1.0, 3.75], where the dart power iteration does not converge;
+    k = 1..4 return."""
     import random
     from entrograph import generate_graph
     g = generate_graph(2, 10, 18)

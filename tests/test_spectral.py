@@ -12,13 +12,16 @@ from scipy.sparse.csgraph import connected_components
 from entrograph import (MetricGraph, NonConvergence, TransferMode,
                         build_transfer, generate_graph, reduce,
                         spectral_radius, vertex_matrix)
-from entrograph import spectral
-from entrograph.entropy import _upper_start, _vertex_root
+from entrograph import entropy, spectral
+from entrograph.entropy import (_dart_core, _log_rho, _row_sum_bound,
+                                _upper_start, _vertex_root)
+from entrograph.graph import _strong_blocks
 from entrograph.spectral import vertex_form_dt
 from helpers import (c4, complete4, dumbbell, eig_entropy, eig_rho,
-                     multigraphs, reference_matrix, reference_power_block,
+                     extreme_multigraphs, mp_root, multigraphs,
+                     reference_matrix, reference_power_block,
                      reference_vertex_forms, rose, segment, spread_graph,
-                     theta)
+                     sweep_graphs, theta)
 
 NB = TransferMode.NON_BACKTRACKING
 BT = TransferMode.BACKTRACKING
@@ -177,7 +180,7 @@ def test_sparse_transfer_matches_dense(g):
                 1e-12 * scale * np.max(sparse.right)
 
 
-def _both_loops(matrix):
+def _both_loops(matrix, max_iter=10_000):
     """[(rho, iterations) or None on NonConvergence] of spectral_radius
     with ``_power_block`` and with ``reference_power_block``, every block
     iterated in the matrix's own format."""
@@ -186,35 +189,59 @@ def _both_loops(matrix):
         for loop in (spectral._power_block, reference_power_block):
             with patch.object(spectral, "_power_block", loop):
                 try:
-                    data = spectral_radius(matrix)
+                    data = spectral_radius(matrix, max_iter=max_iter)
                     runs.append((data.rho, data.iterations))
                 except NonConvergence:
                     runs.append(None)
     return runs
 
 
+def _assert_same_run(new, ref):
+    """The same decision and step count, rho to rounding."""
+    assert (new is None) == (ref is None)
+    if ref is not None:
+        assert new[1] == ref[1]
+        assert new[0] == pytest.approx(ref[0], rel=1e-15, abs=0.0)
+
+
 def test_power_block_matches_reference_on_ladder_and_spread():
-    # the step matrix I + B/s against the loop that normalized at every
-    # step, on the benchmark's ladder cores and wide-length graphs around
-    # their roots: the same decision and step count, rho to rounding
+    # the step matrix I + B/s, and past _STRIDE_AFTER n steps its 15th
+    # power, against the loop that normalized at every step, on the
+    # benchmark's ladder cores and wide-length graphs around their roots
+    # and at the row-sum start of volume_entropy: the same decision and
+    # step count, rho to rounding
     graphs = [generate_graph(s, v, 2 * v)
               for v in (10, 40, 100) for s in range(1, 6)]
+    spread = [spread_graph(k) for k in range(5)]
     failed = 0
-    for g in graphs + [spread_graph(k) for k in range(5)]:
+    for g in graphs + spread:
         core = reduce(g).graph
         h = _vertex_root(core).h
+        start = _row_sum_bound(core._edge_arrays, NB)
         for t in (0.5 * h, 0.9 * h, h, 1.1 * h, 2.0 * h,
-                  _upper_start(core._edge_arrays, NB)):
+                  _upper_start(core._edge_arrays, NB), start):
             csr = spectral._sparse_transfer(core, t)
             for m in (csr.toarray(), csr):
-                new, ref = _both_loops(m)
-                assert (new is None) == (ref is None)
-                if ref is None:
-                    failed += 1
-                    continue
-                assert new[1] == ref[1]
-                assert new[0] == pytest.approx(ref[0], rel=1e-15, abs=0.0)
+                with patch.object(np.linalg, "matrix_power",
+                                  wraps=np.linalg.matrix_power) as power:
+                    new, ref = _both_loops(m)
+                _assert_same_run(new, ref)
+                failed += ref is None
+                if g in spread and t == start and m is not csr:
+                    assert power.called  # the dense blocks ran strided
+                    assert (ref is None) == (g is spread[0])
     assert failed  # the spread graphs' NonConvergence is among the cases
+
+    # a max_iter that is no multiple of _CHECK_EVERY ends on single steps
+    # after the strided ones: spread(1) at its start takes 304 steps
+    core = reduce(spread[1]).graph
+    mat = spectral._sparse_transfer(
+        core, _row_sum_bound(core._edge_arrays, NB)).toarray()
+    runs = [_both_loops(mat, max_iter) for max_iter in (297, 300)]
+    for new, ref in runs:
+        _assert_same_run(new, ref)
+    (_, raised), (_, ended) = runs
+    assert raised is None and ended[1] == 300
 
 
 @settings(max_examples=60, deadline=None)
@@ -244,6 +271,58 @@ def test_power_block_matches_reference_on_multigraphs(g):
                 assert abs(new[1] - ref[1]) == spectral._CHECK_EVERY
                 scale = np.max(np.abs(mat).sum(axis=1))
                 assert abs(new[0] - ref[0]) <= 1e-12 * scale
+
+
+def _radius(matrix, **kwargs):
+    """spectral_radius, or None where it raises NonConvergence."""
+    try:
+        return spectral_radius(matrix, **kwargs)
+    except NonConvergence:
+        return None
+
+
+def _check_cached_split(g):
+    """``_log_rho`` on the dart core of g hands spectral_radius the core's
+    cached split exactly where no weight e^{-t l} underflows to 0, and
+    that evaluation equals spectral_radius splitting the support of B(t)
+    itself bit for bit, or raises where that raises."""
+    core, start = _dart_core(g)
+    h = _vertex_root(core).h
+    underflow = 800.0 / core._dart_arrays[0].max()  # e^{-800} is 0
+    for t in (0.5 * h, h, 2.0 * h, start, underflow):
+        transfer = spectral._sparse_transfer(core, t)
+        positive = bool(transfer.data.all())
+        assert not (positive and t == underflow)
+        with patch.object(entropy, "spectral_radius",
+                          wraps=spectral_radius) as spy:
+            try:
+                _log_rho(core, t)
+            except NonConvergence:
+                pass
+        (matrix,), kwargs = spy.call_args
+        assert kwargs["blocks"] is (core._nb_blocks if positive else None)
+        if positive:  # the support of B(t) is the transition pattern
+            support = _strong_blocks(csr_matrix(transfer > 0))
+            assert len(support) == len(core._nb_blocks)
+            assert all(map(np.array_equal, support, core._nb_blocks))
+        cached = _radius(matrix, blocks=kwargs["blocks"])
+        split = _radius(transfer)
+        assert (cached is None) == (split is None)
+        if split is not None:
+            assert cached.rho == split.rho
+            assert cached.iterations == split.iterations
+            assert np.array_equal(cached.right, split.right)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(multigraphs(), extreme_multigraphs()))
+def test_cached_split_matches_support_split(g):
+    _check_cached_split(g)
+
+
+def test_cached_split_matches_support_split_on_spread_cores():
+    for k in range(5):
+        _check_cached_split(spread_graph(k))
 
 
 def test_spectral_radius_of_blocks_with_tiny_row_sums():
@@ -306,6 +385,45 @@ def test_vertex_matrix_ihara_bass_determinant():
                                 - build_transfer(g, t, NB).matrix)
             rhs = np.linalg.det(vertex_matrix(g, t, NB)) * np.prod(1 - z * z)
             assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
+
+
+def _det_root(graph, h, dps=50):
+    """The sign change of det(I - B(t)) next to h: a bisection at ``dps``
+    digits on [h (1 - 1e-6), h (1 + 1e-6)], where the mpmath determinant
+    of the dense non-backtracking dart matrix, built entry by entry from
+    the darts, must be negative at the lower end and positive at the
+    upper one, down to a bracket 1e-30 relative wide; its midpoint."""
+    import mpmath
+    with mpmath.workdps(dps):
+        lengths = [mpmath.mpf(d.length) for d in graph.darts]
+
+        def det(t):
+            m = mpmath.eye(len(graph.darts))
+            for d in graph.darts:
+                for e in graph.out_darts(d.head):
+                    if e != d.reverse:
+                        m[d.id, e] -= mpmath.exp(-t * lengths[e])
+            return mpmath.det(m)
+
+        lo, hi = h * (1 - mpmath.mpf("1e-6")), h * (1 + mpmath.mpf("1e-6"))
+        assert det(lo) < 0 < det(hi)
+        while hi - lo > mpmath.mpf("1e-30") * hi:
+            mid = (lo + hi) / 2
+            lo, hi = (lo, mid) if det(mid) > 0 else (mid, hi)
+        return (lo + hi) / 2
+
+
+def test_mp_root_is_the_sign_change_of_det_i_minus_b():
+    # the 50-digit root of the vertex matrix is that of the dart matrix:
+    # the weighted Ihara-Bass identity behind vertex_matrix, with neither
+    # float solver involved, on three small sweep cores (a rose of three
+    # loops, a theta and four parallel edges), their lengths 1e-6 to 1e3
+    # apart
+    graphs = sweep_graphs()
+    for i in (111, 8, 19):
+        core = reduce(graphs[i]).graph
+        root = mp_root(core)
+        assert abs(_det_root(core, root) - root) <= 1e-30 * root
 
 
 def test_vertex_matrix_backtracking_radius():
