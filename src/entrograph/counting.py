@@ -130,6 +130,8 @@ class CountProfile:
 _LINEAR_A = 2.0 ** 60
 _GRID_BLOCK = 1 << 20  # (radius, length) pairs verify_recursions holds
 _RADII = 20  # the check radii verify_recursions places by default
+_LAPLACE_MARGIN = 0.2  # the least t - h laplace_check accepts
+_RHO_A_TOL = 1e-8  # how far growth_bounds lets rho(A(h)) miss 1
 
 
 def _count_model(comp: MetricGraph, mode: TransferMode, base: str,
@@ -163,8 +165,10 @@ def horizon_for_budget(graph: MetricGraph, x: str, target: int,
                        ) -> float:
     """Horizon at which about ``target`` walks from x exist: the r with
     A (e^{hr} - 1) = target in the count model of ``_count_model``.
-    Raises PreconditionError when no walk leaves x."""
+    Raises PreconditionError unless target > 0 and a walk leaves x."""
     _require_valid(graph)
+    if not target > 0:  # nan is not a target either
+        raise PreconditionError("target must be positive")
     comp = component_of(graph, x)
     if not comp.darts:
         raise PreconditionError(f"no walk leaves {x!r}: it has no edge")
@@ -490,31 +494,29 @@ def _growth_rate(profile: CountProfile, graph: MetricGraph) -> float:
 
 
 def laplace_check(profile: CountProfile, graph: MetricGraph, t: float,
-                  margin: float = 0.2, m_const: float | None = None,
                   h: float | None = None) -> LaplaceReport:
     """Check that f(t) equals t * integral N(r) e^{-tr} dr.
 
     The integral is truncated at the profile horizon R and the missing
     tail is bracketed by [0, t * M e^{(h-t)R} / (t-h)]; the report passes
     when the resolvent value of f lies inside the bracketed interval.
-    ``m_const`` defaults to twice the largest N(r) e^{-hr} seen over the
-    profile's upper half, an empirical stand-in for the proven constant
-    when no BoundsReport is supplied.  ``h`` defaults to the entropy of
-    the component of the profile's base, in the profile's mode.
+    M is twice the largest N(r) e^{-hr} over the profile's upper half,
+    an empirical stand-in for the proven constant.  ``h`` defaults to
+    the entropy of the component of the profile's base, in the profile's
+    mode; t below h + ``_LAPLACE_MARGIN`` raises MarginTooSmall.
     """
     _require_valid(graph)
     if h is None:
         h = _growth_rate(profile, graph)
-    if t < h + margin:
-        raise MarginTooSmall(
-            f"t = {t} is within {margin} of the growth rate {h:.6g}")
+    if t < h + _LAPLACE_MARGIN:
+        raise MarginTooSmall(f"t = {t} is within {_LAPLACE_MARGIN} of the "
+                             f"growth rate {h:.6g}")
     jumps, n_le = steps = profile.steps()
-    if m_const is None:
-        tail = jumps >= 0.5 * profile.r_max
-        if not tail.any():
-            tail[:] = True
-        scaled = n_le[tail] * np.exp(-h * jumps[tail])
-        m_const = 2.0 * (float(scaled.max()) if scaled.size else 1.0)
+    tail = jumps >= 0.5 * profile.r_max
+    if not tail.any():
+        tail[:] = True
+    scaled = n_le[tail] * np.exp(-h * jumps[tail])
+    m_const = 2.0 * (float(scaled.max()) if scaled.size else 1.0)
     truncated = _step_integral(profile, t, steps=steps)
     tail_upper = t * m_const * math.exp((h - t) * profile.r_max) / (t - h)
     f_val = _genfun_for_profile(profile, graph, t)
@@ -705,26 +707,27 @@ def _over_bound(jumps: np.ndarray, n_le: np.ndarray, m_const: float,
 
 
 def growth_bounds(graph: MetricGraph, v: str, r_max: float,
-                  tol: float = 1e-8, cap: int = DEFAULT_CAP,
-                  h: float | None = None) -> BoundsReport:
+                  cap: int = DEFAULT_CAP, h: float | None = None
+                  ) -> BoundsReport:
     """Verify m e^{hr} <= N_v(r) <= M e^{hr} with the explicit constant
     M = (n-1)/(n-2) * (sum w_i) / (min w_i).
 
     A(h) is assembled from primitive-cycle generating functions at v
     (``primitive_matrix``).  Its Perron root, the eigenvalue of largest
-    real part from dense ``np.linalg.eig``, must come out as 1, tying the
-    generating-function, spectral and entropy pipelines together.  Its
-    Perron vector w, which gives the constant, is A(h) |x| for the
-    eigenvector x of that root, normalised to unit sum: the product keeps
-    every entry accurate relative to its size, and an underflowed row of
-    A(h) exactly 0.  The lower constant is reported empirically as
-    the minimum of N_v(r) e^{-hr} over the enumerated range.  ``h`` is
-    the entropy of the graph when the caller already holds it; by
-    default it is the vertex-matrix root (``entropy._vertex_root``),
-    which also gives the entropy of the graph without v.  N_v(r) comes
-    from the paths v..v (``PathKind.PATHS_XY``, x = y = v): the lengths
-    and the cap check of the cycles at v, without their per-start rows;
-    the count model of that check reads the graph's cached root.
+    real part from dense ``np.linalg.eig``, must be 1 to ``_RHO_A_TOL``,
+    tying the generating-function, spectral and entropy pipelines
+    together.  Its Perron vector w, which gives the constant, is A(h) |x|
+    for the eigenvector x of that root, normalised to unit sum: the
+    product keeps every entry accurate relative to its size, and an
+    underflowed row of A(h) exactly 0.  The lower constant is reported
+    empirically as the minimum of N_v(r) e^{-hr} over the enumerated
+    range.  ``h`` is the entropy of the graph when the caller already
+    holds it; by default it is the vertex-matrix root
+    (``entropy._vertex_root``), which also gives the entropy of the graph
+    without v.  N_v(r) comes from the paths v..v (``PathKind.PATHS_XY``,
+    x = y = v): the lengths and the cap check of the cycles at v, without
+    their per-start rows; the count model of that check reads the graph's
+    cached root.
     Raises UnknownVertex for an unknown v before any other check, then
     PreconditionError, before A(h) is built, for a graph that is not
     reduced, connected and hyperbolic or a horizon that is not positive;
@@ -749,13 +752,13 @@ def growth_bounds(graph: MetricGraph, v: str, r_max: float,
     vals, vecs = np.linalg.eig(a_mat)
     k = int(np.argmax(vals.real))
     rho_a = float(vals[k].real)
-    if abs(rho_a - 1.0) > tol:
+    if abs(rho_a - 1.0) > _RHO_A_TOL:
         # the interior entropy reaching h can also show as a finite A(h)
         if _vertex_root(delete_vertex(graph, v)).h >= h:
             raise PreconditionError(interior)
         raise NonConvergence(
             f"pipeline consistency failure: rho(A(h)) = {rho_a:.12g} "
-            f"differs from 1 by more than {tol:g}")
+            f"differs from 1 by more than {_RHO_A_TOL:g}")
     # eig gives the vector to absolute accuracy only; one product with
     # the nonnegative A(h) gives every entry to relative accuracy
     w = a_mat @ np.abs(vecs[:, k])
@@ -858,9 +861,10 @@ def backtracking_entropy(graph: MetricGraph, v: str) -> BacktrackingEntropy:
         return BacktrackingEntropy(0.0, 0.0, 0.0, 0.0)
     route1 = _vertex_root(comp, TransferMode.BACKTRACKING)
     ends = {u for e in comp.edge_list() if v in e[:2] for u in e[:2]}
-    h2, resid2, _ = _schur_root(
+    h_base = _vertex_root(delete_vertex(comp, v), TransferMode.BACKTRACKING).h
+    route2 = _schur_root(
         comp._edge_arrays, np.flatnonzero([u in ends for u in comp.vertices]),
-        _vertex_root(delete_vertex(comp, v), TransferMode.BACKTRACKING).h,
-        TransferMode.BACKTRACKING)
-    return BacktrackingEntropy(route1.h, h2, abs(route1.null_eigenvalue),
-                               resid2)
+        h_base, TransferMode.BACKTRACKING)
+    return BacktrackingEntropy(route1.h, max(route2.h, h_base),
+                               abs(route1.null_eigenvalue),
+                               abs(route2.null_eigenvalue))

@@ -118,9 +118,10 @@ class _VertexRoot:
     eigenvector of lambda_min(M(h)) in ``graph.vertices`` order, zero off
     the component that attains h, and None when h = 0 was not solved for;
     ``null_eigenvalue`` is lambda_min(M(h)), which stands in for 0, and
-    ``dlambda`` = v^T M'(h) v its slope.  In ``bracket`` = (lo, hi),
-    lambda < 0 at lo or lo is the unevaluated lower end, and lambda >= 0
-    at hi.  ``evals`` counts the evaluations.
+    ``dlambda`` = v^T M'(h) v its slope (``_schur_root``: those of K(h),
+    with its lift w).  In ``bracket`` = (lo, hi), lambda < 0 at lo or lo
+    is the unevaluated lower end, and lambda >= 0 at hi.  ``evals``
+    counts the evaluations.
     """
 
     h: float
@@ -381,10 +382,10 @@ def _cold_root(edges: EdgeSet,
 
 def _schur_root(edges: EdgeSet, ends: np.ndarray, h_base: float,
                 mode: TransferMode = TransferMode.NON_BACKTRACKING
-                ) -> tuple[float, float, int]:
+                ) -> _VertexRoot:
     """Largest root h' of lambda_min(M_G(t)) = 0 for a graph G made of a
     base of entropy ``h_base`` and new edges with the ends S (vertex
-    indices ``ends``).  Returns (h', |lambda_min(K(h'))|, evaluations).
+    indices ``ends``), as the ``_VertexRoot`` of K(t) described below.
 
     h' is the largest root of lambda_min(K(t)) = 0 for the Schur
     complement K = M_SS - M_SR M_RR^{-1} M_RS of M_G(t), R the other
@@ -399,7 +400,7 @@ def _schur_root(edges: EdgeSet, ends: np.ndarray, h_base: float,
 
     K(t) is smooth across h_base, so Newton steps may go below it: they
     start at h_base (1 + 1e-6) in the bracket [h_base (1 - 1e-6), hi],
-    and h' is at least h_base.  Where the entropy of the base is attained
+    and h' can end below h_base.  Where the entropy of the base is attained
     away from S, K has a pole where M_RR turns singular, at most h_base,
     and the root can lie within an ulp above it: there the solve bisects
     down to the Cholesky boundary, and |lambda_min(K(h'))| need not be
@@ -428,9 +429,8 @@ def _schur_root(edges: EdgeSet, ends: np.ndarray, h_base: float,
 
     hi = _upper_start(edges, mode)
     start = min(h_base * (1.0 + 1e-6), hi) if h_base > 0.0 else hi
-    root = _newton_down(evaluate, start, h_base * (1.0 - 1e-6), hi,
+    return _newton_down(evaluate, start, h_base * (1.0 - 1e-6), hi,
                         edges.name)
-    return max(root.h, h_base), abs(root.null_eigenvalue), root.evals
 
 
 def _dart_core(comp: MetricGraph) -> tuple[MetricGraph | None, float]:

@@ -8,8 +8,9 @@ class EntrographError(Exception):
 
     ``threshold`` is the filtration threshold at which
     ``persistent_entropy`` met the error, or None outside a filtration.
-    ``t`` and ``component`` (its least vertex) locate an evaluation that
-    failed inside ``volume_entropy``, or are None.
+    ``t`` and ``component`` (its least vertex) locate a failed evaluation
+    of any ``entropy._newton_down`` solve (``volume_entropy``,
+    ``_vertex_root``, ``_schur_root``, direct steps), or are None.
     """
 
     threshold: float | None = None

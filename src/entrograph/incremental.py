@@ -38,12 +38,12 @@ One join (``_join``) serves both edits and the persistence walk: the
 parts' vertex and edge indices in the full graph's edge set, to which an
 edit appends its edges (a new vertex is index n), then the new edges,
 gathered once as an ``EdgeSet``.  Let b be its first Betti number.  If b
-<= 1 its entropy is 0.  Else h_base is the largest entropy of the parts;
-an edit not given it reads each part's from the root that the graph
-caches for that component (``entropy._vertex_root``).  If b equals the
-largest Betti number among the parts, the new edges join that part to
-trees along a tree (a pendant edge, say) and the entropy stays h_base
-exactly.  Both edits return one ``EditResult``.
+<= 1 its entropy is 0.  Else h_base is the largest entropy of the parts,
+which an edit reads from the root that the graph caches for each
+component (``entropy._vertex_root``), 0 for a new vertex.  If b equals
+the largest Betti number among the parts, the new edges join that part
+to trees along a tree (a pendant edge, say) and the entropy stays
+h_base exactly.  The join gives the one ``EditResult`` both edits return.
 
 The asymptotic constants of the pole f_ab(t) ~ C_ab t / (t - h) have the
 closed form C_ab = v_a v_b / (h lambda'(h)), with v the unit null vector
@@ -60,13 +60,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .counting import (DEFAULT_CAP, EnumerationSpec, PathKind,
-                       _step_integral, enumerate_paths, horizon_for_budget)
+from .counting import (EnumerationSpec, PathKind, _step_integral,
+                       enumerate_paths, horizon_for_budget)
 from .entropy import _cold_root, _schur_root, _vertex_root
 from .errors import (DisconnectedPair, NonConvergence, NonPositiveLength,
                      PreconditionError, TooFewAttachments)
 from .graph import (EdgeSet, MetricGraph, _component, _require_valid,
                     component_of)
+
+_NODE_BUDGET = 300_000  # paths of each counting estimate by default
 
 
 @dataclass(frozen=True)
@@ -138,85 +140,77 @@ def _attachment_lengths(attachments) -> list[float]:
 
 
 def _join(full: EdgeSet, names: Sequence[str], parts, new,
-          direct: bool = False):
+          direct: bool = False) -> tuple[np.ndarray, np.ndarray, EditResult]:
     """The component of ``full`` made of ``parts``, each (vertex indices,
     edge indices, entropy), and the edges ``new`` (module docstring):
-    (vertex indices, edge indices, h', h_base, residual, evaluations),
-    the residual as in ``EditResult``.  ``direct`` solves it whole
-    instead (``entropy._cold_root``), up from h_base, a certified lower
-    bound, and keeps h_base where the root rounds below it.  ``names`` as
-    in ``EdgeSet.take``.
+    (vertex indices, edge indices, its ``EditResult``).  ``direct``
+    solves it whole instead (``entropy._cold_root``), up from h_base, a
+    certified lower bound.  Either root is kept at least h_base, where
+    it rounds below.  ``names`` as in ``EdgeSet.take``.
     """
     verts = np.concatenate([p[0] for p in parts])
     edges = np.concatenate([p[1] for p in parts] + [new])
     betti = edges.size - verts.size + 1
     if betti <= 1:
-        return verts, edges, 0.0, 0.0, 0.0, 0
+        return verts, edges, EditResult(0.0, 0.0, 0.0, 0)
     h_base = max(h for _, _, h in parts)
     if not direct and betti == max(e.size - v.size + 1 for v, e, _ in parts):
-        return verts, edges, h_base, h_base, 0.0, 0
+        return verts, edges, EditResult(h_base, h_base, 0.0, 0)
     comp = full.take(verts, edges, names)
-    if direct:
-        root = _cold_root(comp, lo=h_base)
-        return (verts, edges, max(h_base, root.h), h_base,
-                abs(root.null_eigenvalue), root.evals)
-    ends = np.concatenate((comp.tails[-len(new):], comp.heads[-len(new):]))
-    h_prime, residual, evals = _schur_root(comp, ends, h_base)
-    return verts, edges, h_prime, h_base, residual, evals
+    root = _cold_root(comp, lo=h_base) if direct else _schur_root(
+        comp, np.concatenate((comp.tails[-len(new):],
+                              comp.heads[-len(new):])), h_base)
+    return verts, edges, EditResult(max(h_base, root.h), h_base,
+                                    abs(root.null_eigenvalue), root.evals)
 
 
 def _edit(graph: MetricGraph, tails: list[int], heads: list[int],
-          lengths: list[float], h_base: float | None):
-    """(h', h_base, residual, evaluations) after adding the edges
-    tails[i]-heads[i] of lengths[i] to ``graph``, tail n a new vertex: the
-    join of the components they touch, of entropy ``h_base`` if given."""
+          lengths: list[float]) -> EditResult:
+    """The ``EditResult`` of adding the edges tails[i]-heads[i] of
+    lengths[i] to ``graph``, tail n a new vertex (module docstring)."""
     n, u, w, l = old = graph._edge_arrays
     labels, split = graph._split
     ends = np.array(tails + heads)
     keys = sorted(set(labels[ends[ends < n]].tolist()))
-    parts = [split[k] + (_vertex_root(_component(graph, k)).h
-                         if h_base is None else h_base,) for k in keys]
+    parts = [split[k] + (_vertex_root(_component(graph, k)).h,)
+             for k in keys]
     if n in tails:
-        parts.append((np.array([n]), np.empty(0, np.intp), h_base or 0.0))
+        parts.append((np.array([n]), np.empty(0, np.intp), 0.0))
     full = EdgeSet(n + (n in tails), np.append(u, tails), np.append(w, heads),
                    np.append(l, lengths), old.name)
     return _join(full, graph.vertices, parts,
-                 np.arange(u.size, full.tails.size))[2:]
+                 np.arange(u.size, full.tails.size))[2]
 
 
-def entropy_after_edge(graph: MetricGraph, x: str, y: str, l0: float,
-                       h_base: float | None = None) -> EditResult:
+def entropy_after_edge(graph: MetricGraph, x: str, y: str,
+                       l0: float) -> EditResult:
     """Entropy of the component of {x, y} after adding an edge [x, y].
 
     The base is the component of x, joined by the component of y when the
-    edge merges two components; ``h_base`` is its entropy, which for a
-    merge is max(h_A, h_B), solved on the vertex matrix when None
-    (module docstring).  x = y adds a loop.  A new component
-    with at most one independent cycle has h' = 0, and a merge with a
-    tree (a pendant edge, say) keeps h' = h_base; both report 0
+    edge merges two components; h_base is its entropy, which for a merge
+    is max(h_A, h_B) (module docstring).  x = y adds a loop.  A new
+    component with at most one independent cycle has h' = 0, and a merge
+    with a tree (a pendant edge, say) keeps h' = h_base; both report 0
     iterations (module docstring).
     """
     _require_valid(graph)
     l0 = _check_length(l0, f"edge [{x}, {y}]")
-    return EditResult(*_edit(graph, [graph._position(x)],
-                             [graph._position(y)], [l0], h_base))
+    return _edit(graph, [graph._position(x)], [graph._position(y)], [l0])
 
 
 def entropy_after_vertex(graph: MetricGraph,
-                         attachments: Sequence[tuple[str, float]],
-                         h_base: float | None = None) -> EditResult:
+                         attachments: Sequence[tuple[str, float]]
+                         ) -> EditResult:
     """Entropy after adding a new vertex with n >= 3 edges into one
     component, the root of lambda_min(K(t)) = 0 on the new vertex and its
-    targets, where rho((D A)(t)) = 1 (module docstring).  ``h_base`` is
-    the entropy of that component, solved on the vertex matrix when
-    None."""
+    targets, where rho((D A)(t)) = 1 (module docstring); h_base is the
+    entropy of that component."""
     _require_valid(graph)
     lengths = _attachment_lengths(attachments)
     targets = [v for v, _ in attachments]
     _one_component(graph, targets)
-    return EditResult(*_edit(
-        graph, [len(graph.vertices)] * len(targets),
-        [graph._index[v] for v in targets], lengths, h_base))
+    return _edit(graph, [len(graph.vertices)] * len(targets),
+                 [graph._index[v] for v in targets], lengths)
 
 
 def predict_edge_asymptotic(h: float, c: float, l: float) -> float:
@@ -232,6 +226,8 @@ def fit_edge_asymptotic(graph: MetricGraph, x: str, y: str,
     _require_valid(graph)
     _one_component(graph, (x, y))
     ls = sorted(float(l) for l in l_values)
+    if not ls:
+        raise PreconditionError("the sweep needs at least one edge length")
     h = _vertex_root(component_of(graph, x)).h
     a_vals = [(entropy_after_edge(graph, x, y, l).h_prime - h)
               * math.exp(h * l) for l in ls]
@@ -274,9 +270,7 @@ def predict_vertex_asymptotic(graph: MetricGraph,
 
 def estimate_constant_C(graph: MetricGraph, x: str, y: str,
                         method: str = "resolvent",
-                        horizon: float | None = None,
-                        node_budget: int = 300_000,
-                        cap: int = DEFAULT_CAP) -> ConstantEstimate:
+                        horizon: float | None = None) -> ConstantEstimate:
     """Per-pair constants C_xx, C_yy, C_xy of the simple-pole behavior
     f(t) ~ C t / (t - h), combined into C = (sqrt(C_xx C_yy) + C_xy) h.
 
@@ -285,7 +279,8 @@ def estimate_constant_C(graph: MetricGraph, x: str, y: str,
     (``spectral.vertex_form_dt``), all from the vertex-matrix solve that
     gives h (module docstring); ``details`` records the eigenvalue of
     M(h) that stands in for 0 (``null_eigenvalue``) and ``dlambda``.
-    method "counting": average N(r) e^{-hr} over the enumerated tail.
+    method "counting": average N(r) e^{-hr} over the enumerated tail, up
+    to ``horizon`` or else to about ``_NODE_BUDGET`` paths.
     method "both" runs the two and warns when they disagree by more than
     20% (a hint that the length spectrum may not be Diophantine, e.g. all
     lengths equal).
@@ -318,9 +313,9 @@ def estimate_constant_C(graph: MetricGraph, x: str, y: str,
     if method in ("counting", "both"):
         for name, (a, b) in live.items():
             r_max = horizon if horizon is not None else \
-                horizon_for_budget(comp, a, node_budget)
+                horizon_for_budget(comp, a, _NODE_BUDGET)
             profile = enumerate_paths(comp, EnumerationSpec(
-                PathKind.PATHS_XY, r_max, x=a, y=b, cap=cap))
+                PathKind.PATHS_XY, r_max, x=a, y=b))
             if profile.lengths.size < 8:
                 raise NonConvergence("too few enumerated paths for a fit")
             # average of N(r) e^{-hr} over [R/2, R]

@@ -118,16 +118,15 @@ def persistent_entropy(graph: MetricGraph,
                                           owner[tails[added]].tolist(),
                                           owner[heads[added]].tolist()):
                 parts = [comps.pop(k) for k in keys]
-                verts, edges, h, _, _, evals = _join(
-                    edge_set, graph.vertices, parts, new,
-                    direct=strategy == "direct")
-                iterations += evals
+                verts, edges, res = _join(edge_set, graph.vertices, parts,
+                                          new, direct=strategy == "direct")
+                iterations += res.iterations
                 if strategy != "direct" and any(p[1].size == 0
                                                 for p in parts):
                     used = StepStrategy.INCREMENTAL_VERTEX
-                comps[keys[0]] = (verts, edges, h)
+                comps[keys[0]] = (verts, edges, res.h_prime)
                 owner[verts] = keys[0]
-                h_eps = max(h_eps, h)
+                h_eps = max(h_eps, res.h_prime)
         except EntrographError as exc:
             exc.threshold = eps
             raise

@@ -675,11 +675,12 @@ def _betti(graph):
     return graph.edge_count - len(graph.vertices) + 1
 
 
-def reference_extend(graph, parts, ends, h_base):
+def reference_extend(graph, parts, ends, h_base=None):
     """(h', h_base, residual, evaluations) of the connected ``graph``,
     its vertex-disjoint ``parts`` (``MetricGraph``s) joined by new edges
     with the ends ``ends`` (vertex names), by the Betti rule and
-    ``entropy._schur_root`` on the rebuilt graph's ``_edge_arrays``."""
+    ``entropy._schur_root`` on the rebuilt graph's ``_edge_arrays``;
+    ``h_base`` by default the largest root of the parts."""
     from entrograph.entropy import _schur_root
     betti = _betti(graph)
     if betti <= 1:
@@ -688,13 +689,14 @@ def reference_extend(graph, parts, ends, h_base):
         h_base = max(reference_vertex_root(p).h for p in parts)
     if betti == max(map(_betti, parts)):
         return h_base, h_base, 0.0, 0
-    h_prime, residual, evals = _schur_root(
+    root = _schur_root(
         graph._edge_arrays,
         np.flatnonzero([v in ends for v in graph.vertices]), h_base)
-    return h_prime, h_base, residual, evals
+    return max(root.h, h_base), h_base, abs(root.null_eigenvalue), \
+        root.evals
 
 
-def reference_edge(graph, x, y, l0, h_base=None):
+def reference_edge(graph, x, y, l0):
     """``entropy_after_edge`` on a rebuilt ``disjoint_union`` of the
     components of x and y and the new edge."""
     from entrograph import EditResult, PreconditionError, UnknownVertex
@@ -705,10 +707,10 @@ def reference_edge(graph, x, y, l0, h_base=None):
             raise UnknownVertex(f"unknown vertex {v!r}")
     parts = [c for c in dfs_components(graph) if c.vertex_set & {x, y}]
     return EditResult(*reference_extend(
-        disjoint_union(parts, [(x, y, float(l0))]), parts, {x, y}, h_base))
+        disjoint_union(parts, [(x, y, float(l0))]), parts, {x, y}))
 
 
-def reference_vertex(graph, attachments, h_base=None):
+def reference_vertex(graph, attachments):
     """``entropy_after_vertex`` on a rebuilt ``disjoint_union`` of the
     component of the targets and a hub vertex named longer than any of
     its vertices."""
@@ -730,7 +732,7 @@ def reference_vertex(graph, attachments, h_base=None):
     parts = [comp, MetricGraph.from_edges([hub], [])]
     edges = [(hub, v, float(l)) for v, l in attachments]
     return EditResult(*reference_extend(
-        disjoint_union(parts, edges), parts, {hub, *targets}, h_base))
+        disjoint_union(parts, edges), parts, {hub, *targets}))
 
 
 def _rebuild_groups(added, owner):

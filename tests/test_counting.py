@@ -347,6 +347,13 @@ def test_horizon_of_an_edgeless_vertex_raises(mode):
             horizon_for_budget(g, "a", 2000, mode)
 
 
+@pytest.mark.parametrize("target", [0, -0.5, math.nan, -5])
+def test_budget_target_must_be_positive(target):
+    # these gave a horizon of 0.0, -0.34 and nan, and a math domain error
+    with pytest.raises(PreconditionError, match="target must be positive"):
+        horizon_for_budget(dumbbell(), "a", target)
+
+
 def test_walk_cap_fires_below_the_projection():
     # pre-asymptotic: the 0.001 loop has non-backtracking entropy 0 and
     # adds two sequences per 0.001 of horizon, long before the pole of the
@@ -465,6 +472,9 @@ def test_laplace_margin_too_small():
         PathKind.PATHS_FROM, 8.0, x="v"))
     with pytest.raises(MarginTooSmall):
         laplace_check(prof, rose(2), math.log(3))
+    with pytest.raises(MarginTooSmall):  # the margin is 0.2
+        laplace_check(prof, rose(2), math.log(3) + 0.15)
+    laplace_check(prof, rose(2), math.log(3) + 0.25)
 
 
 def test_laplace_default_rate_is_that_of_the_base_component():
@@ -605,6 +615,18 @@ def test_growth_bounds_on_a_short_loop_core():
                                   rel=1e-12, abs=0.0)
     assert abs(rep.rho_a - 1.0) <= 1e-12
     assert rep.violations == ()
+
+
+@pytest.mark.parametrize("rel", [3.8e-9, -3.8e-9])
+def test_growth_bounds_refuses_an_h_off_the_root(rel):
+    # rho(A(h)) - 1 is -+2.3e-8 here, beyond the tolerance of 1e-8; an h
+    # 1e-10 off gives 6.1e-10 and passes
+    g = short_loop_core()
+    h = counting._vertex_root(g).h
+    with pytest.raises(NonConvergence, match="pipeline consistency failure"):
+        growth_bounds(g, "v1", 300.0, h=h * (1.0 + rel))
+    rep = growth_bounds(g, "v1", 300.0, h=h * (1.0 + rel / 38.0))
+    assert 1e-10 < abs(rep.rho_a - 1.0) <= 1e-9
 
 
 @pytest.mark.parametrize("kind", list(ORACLE_KINDS),
