@@ -3,8 +3,9 @@
 The enumeration is the ground-truth oracle of the package: a walk over
 the dart sequences shorter than a horizon, exact and duplicate-free.  It
 goes level by level, the sequences of one length in darts held as numpy
-arrays grouped by their last dart, and extends a whole group by each
-successor dart at once; it builds neither M(t) nor B(t).  With a target
+arrays grouped by their last dart, and pulls each group of the next
+level from the groups of its dart's predecessors with one concatenation,
+one add and one compare; it builds neither M(t) nor B(t).  With a target
 vertex (paths x..y, cycles, primitive cycles) it keeps a sequence only
 while it can still end in a dart into the target below the horizon: the
 shortest such continuation of every dart comes from one Dijkstra over
@@ -165,10 +166,10 @@ def horizon_for_budget(graph: MetricGraph, x: str, target: int,
                        ) -> float:
     """Horizon at which about ``target`` walks from x exist: the r with
     A (e^{hr} - 1) = target in the count model of ``_count_model``.
-    Raises PreconditionError unless target > 0 and a walk leaves x."""
+    Raises PreconditionError unless 0 < target < inf and a walk leaves x."""
     _require_valid(graph)
-    if not target > 0:  # nan is not a target either
-        raise PreconditionError("target must be positive")
+    if not 0 < target < math.inf:  # nan is not a target either
+        raise PreconditionError("target must be positive and finite")
     comp = component_of(graph, x)
     if not comp.darts:
         raise PreconditionError(f"no walk leaves {x!r}: it has no edge")
@@ -218,26 +219,26 @@ def _walk(graph: MetricGraph, mode: TransferMode, starts, r_max: float,
     of ``starts``, stay shorter than ``r_max`` and, with a ``target``, can
     still end in a dart heading into it below r_max.
 
-    Level n holds the sequences of n darts as {last dart: parts}, a part
-    being (start keys, cumulative lengths), the start keys the 1-based
-    indices in ``starts`` in a narrow dtype, or None unless
-    ``keep_starts``.  Two flag bits, powers of two above the indices, may
-    be or-ed into the keys: ``returned`` into a sequence once it has
-    arrived at the target, so that its later arrivals tell themselves
-    apart, and ``turned`` into the child along reverse(d) of a group d, so
-    that the sequences without it are the non-backtracking ones.  A group
-    d is popped, its parts joined, and extended by all successors d2 at
-    once (``spectral.transitions``, so not by the reverse of d when
-    non-backtracking): a child cum + l(d2) is kept when below the bound
-    of d2 (``_return_bounds``), at most r_max, so every length is the
-    left fold of its dart lengths, and becomes a part of group d2 of the
-    next level.  The bound drops the children that cannot reach the
-    target in time; it is r_max for darts into the target and without a
-    target, so no recorded sequence is lost.  Yields (start keys, d,
-    cum) for every group whose last dart heads into the vertex ``target``
-    (every group when it is None); with ``stop`` those groups are not
-    expanded.  Raises HorizonTooLarge once more than ``limit`` nodes have
-    been made (kept nodes, pruned children are not counted).
+    Level n holds the sequences of n darts as one group per last dart:
+    an array of cumulative lengths and, with ``keep_starts``, one of
+    start keys, the 1-based indices in ``starts`` in a narrow dtype (None
+    without).  Two flag bits, powers of two above the indices, may be
+    or-ed into the keys: ``returned`` into a sequence once it has arrived
+    at the target, so that its later arrivals tell themselves apart, and
+    ``turned`` into a sequence of group d as it steps on along reverse(d),
+    so that the sequences without it are the non-backtracking ones.  The
+    next level is pulled, dart by dart: group d2 joins the groups of the
+    predecessors of d2 (``spectral.transitions`` read by column, so not
+    reverse(d2) when non-backtracking) in one concatenation, adds l(d2)
+    in place and keeps the sums below the bound of d2 (``_return_bounds``,
+    at most r_max) with one compare, one count and a mask only where one
+    is dropped.  Every length is thus the left fold of its dart lengths.
+    The bound drops the sequences that cannot reach the target in time;
+    it is r_max for darts into the target and without a target, so no
+    recorded sequence is lost.  Yields (start keys, d, cum) for every
+    group whose last dart heads into the vertex ``target`` (every group
+    when it is None); with ``stop`` those groups are not extended.
+    Raises HorizonTooLarge once more than ``limit`` sequences are kept.
     """
     n = len(graph.darts)
     lengths, reverse = graph._dart_arrays
@@ -245,53 +246,52 @@ def _walk(graph: MetricGraph, mode: TransferMode, starts, r_max: float,
     hits = [target is None or d.head == target for d in graph.darts]
     bound = _return_bounds(graph, mode, r_max,
                            None if target is None else np.flatnonzero(hits))
-    nexts = np.split(cols, np.searchsorted(rows, np.arange(1, n)))
-    succ = [row.tolist() for row in nexts]
-    steps = [lengths[row][:, None] for row in nexts]
-    bounds = [bound[row][:, None] for row in nexts]
+    by_col = np.argsort(cols, kind="stable")
+    preds = [row.tolist() for row in np.split(
+        rows[by_col], np.searchsorted(cols[by_col], np.arange(1, n)))]
+    steps, bounds = lengths.tolist(), bound.tolist()
     turns = reverse.tolist() if turned else [-1] * n
     narrow = np.min_scalar_type(len(starts) | returned | turned)
-    level = {s: [(np.full(1, i, narrow) if keep_starts else None,
-                  np.full(1, lengths[s]))]
-             for i, s in enumerate(starts, 1) if lengths[s] < bound[s]}
-    made = len(level)
-    while level:
-        later: dict[int, list] = {}
-        while level:
-            # every node made lands in a level that is popped from, so
-            # this one test sees each count
+    keys, cums = [None] * n, [None] * n
+    for i, s in enumerate(starts, 1):
+        if steps[s] < bounds[s]:
+            keys[s] = np.full(1, i, narrow) if keep_starts else None
+            cums[s] = np.full(1, steps[s])
+    made = live = sum(c is not None for c in cums)
+    while live:
+        for d in range(n):
+            if hits[d] and cums[d] is not None:
+                yield keys[d], d, cums[d]
+                if stop:
+                    cums[d] = None
+                elif returned:
+                    keys[d] = keys[d] | returned  # a new array: yielded
+        later_keys, later_cums, live = [None] * n, [None] * n, 0
+        for d2 in range(n):
+            # each count is tested before the next group or the walk's end
             if made > limit:
                 raise HorizonTooLarge(
                     f"enumeration exceeded its cap; retry with a smaller "
                     f"horizon (suggestion: {0.8 * r_max:.6g})",
                     safe_horizon=0.8 * r_max)
-            d, parts = level.popitem()
-            if len(parts) == 1:
-                (k, cum), = parts
-            else:
-                cum = np.concatenate([c for _, c in parts])
-                k = np.concatenate([k for k, _ in parts]) \
-                    if keep_starts else None
-            del parts
-            if hits[d]:
-                yield k, d, cum
-                if stop:
-                    continue
-                if returned:
-                    k = k | returned  # a new array: k may be shared by parts
-            child = cum + steps[d]  # one row per successor
-            fit = child < bounds[d]
-            turn = turns[d]
-            for d2, row, keep in zip(succ[d], child, fit):
-                size = np.count_nonzero(keep)
-                if not size:
-                    continue
-                made += size
-                key = k | turned if d2 == turn else k
-                if size < row.size:
-                    key, row = None if key is None else key[keep], row[keep]
-                later.setdefault(d2, []).append((key, row))
-        level = later
+            parts = [d for d in preds[d2] if cums[d] is not None]
+            if not parts:
+                continue
+            cum = np.concatenate([cums[d] for d in parts])
+            cum += steps[d2]
+            fit = cum < bounds[d2]
+            size = np.count_nonzero(fit)
+            if not size:
+                continue
+            key = np.concatenate([keys[d] | turned if d == turns[d2]
+                                  else keys[d] for d in parts]) \
+                if keep_starts else None
+            if size < cum.size:
+                cum = cum.compress(fit)
+                key = None if key is None else key.compress(fit)
+            later_keys[d2], later_cums[d2] = key, cum
+            made, live = made + size, live + 1
+        keys, cums = later_keys, later_cums
 
 
 def enumerate_paths(graph: MetricGraph, spec: EnumerationSpec

@@ -111,6 +111,49 @@ def bfs_enumerate(graph, kind, r_max, mode="nb", x=None, y=None, v=None):
     return sorted(out)
 
 
+def exact_counts(graph, kind, mode, r_max, base):
+    """Exact counts by total length of the dart sequences from ``base``
+    shorter than ``r_max``, on a graph with positive integer lengths:
+    all of them (``PathKind.PATHS_FROM``) or those ending at base
+    (``PathKind.CYCLES_AT``).
+
+    The Python-integer recursion over (last dart, length),
+    a[d'][m + l(d')] += a[d][m], in increasing m, run from each start
+    dart on its own.  It scans graph.darts directly and shares no code
+    and no floating point with the walk.  Returns ({length: count},
+    {start: {length: count}}), the starts numbered from 1 in the order of
+    ``graph.out_darts(base)``, as the rows of ``by_start`` are; a start
+    without a sequence has no row.
+    """
+    from entrograph import PathKind
+    darts = graph.darts
+    steps = [int(d.length) for d in darts]
+    assert all(d.length == l > 0 for d, l in zip(darts, steps))
+    succ = [[d2.id for d2 in darts if d2.tail == d.head
+             and (mode is TransferMode.BACKTRACKING or d2.id != d.reverse)]
+            for d in darts]
+    totals, rows = defaultdict(int), {}
+    for k, s in enumerate(graph.out_darts(base), 1):
+        a = [defaultdict(int) for _ in darts]
+        a[s][steps[s]] = 1
+        row = defaultdict(int)
+        for m in range(1, math.ceil(r_max)):
+            for d in darts:
+                count = a[d.id].pop(m, 0)
+                if not count:
+                    continue
+                if kind is PathKind.PATHS_FROM or d.head == base:
+                    row[m] += count
+                for d2 in succ[d.id]:
+                    if m + steps[d2] < r_max:
+                        a[d2][m + steps[d2]] += count
+        if row:
+            rows[k] = dict(row)
+        for m, count in row.items():
+            totals[m] += count
+    return dict(totals), rows
+
+
 def mask_sort_rows(graph, spec):
     """The rows of a cycle (``by_start``) or primitive-cycle (``by_pair``)
     profile as the package grouped them before its counting sort: the

@@ -8,7 +8,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from entrograph import (CountProfile, Dart, EnumerationSpec, HorizonTooLarge,
                         MarginTooSmall, MetricGraph, NonConvergence,
@@ -23,7 +23,7 @@ from entrograph.counting import _count_model, _over_bound, _step_integral
 from entrograph.graph import component_of
 from helpers import (bfs_enumerate, c4, complete4, coo_return_bounds,
                      dfs_components, disjoint_union, dumbbell, eig_entropy,
-                     mask_sort_rows, multigraphs, path3,
+                     exact_counts, mask_sort_rows, multigraphs, path3,
                      reference_verify_recursions, rose,
                      scalar_laplace_constant, scalar_lower_constant,
                      scalar_recursions, scalar_step_integral,
@@ -32,6 +32,7 @@ from helpers import (bfs_enumerate, c4, complete4, coo_return_bounds,
 
 NB = TransferMode.NON_BACKTRACKING
 BT = TransferMode.BACKTRACKING
+MODES = {NB: "nb", BT: "bt"}  # the modes of the BFS oracle
 
 
 def test_rose2_paths_from_counts():
@@ -347,9 +348,10 @@ def test_horizon_of_an_edgeless_vertex_raises(mode):
             horizon_for_budget(g, "a", 2000, mode)
 
 
-@pytest.mark.parametrize("target", [0, -0.5, math.nan, -5])
+@pytest.mark.parametrize("target", [0, -0.5, math.nan, -5, math.inf])
 def test_budget_target_must_be_positive(target):
-    # these gave a horizon of 0.0, -0.34 and nan, and a math domain error
+    # these gave a horizon of 0.0, -0.34 and nan, a math domain error and
+    # an infinite horizon
     with pytest.raises(PreconditionError, match="target must be positive"):
         horizon_for_budget(dumbbell(), "a", target)
 
@@ -437,6 +439,66 @@ def test_walk_cap_boundary():
         else:
             assert enumerate_paths(g, spec).lengths.size == nodes
     assert outcomes == {False, True}
+
+
+def _fitting_horizon(g, kind, mode, x, cap):
+    """The horizon of ``horizon_for_budget(g, x, cap, mode)``, lowered to
+    the suggested safe horizon until the enumeration of ``kind`` from x
+    (at x) fits ``cap``: (r_max, profile)."""
+    r_max = horizon_for_budget(g, x, cap, mode)
+    for _ in range(100):
+        try:
+            return r_max, enumerate_paths(g, EnumerationSpec(
+                kind, r_max, mode, x=x, v=x, cap=cap))
+        except HorizonTooLarge as exc:
+            r_max = exc.safe_horizon
+    pytest.fail("no horizon fits the cap")
+
+
+@pytest.mark.parametrize("mode", [NB, BT], ids=["nb", "bt"])
+@settings(max_examples=25, deadline=None)
+@given(g=multigraphs())
+def test_walk_node_count_is_the_cap_rule_on_multigraphs(mode, g):
+    # the walk of the paths from x makes one node per path below the
+    # horizon: it raises with a limit of N - 1 and not with N.  The cap
+    # keeps N at most int(1.25 * 2000) + 1024 for the BFS oracle
+    x = g.vertices[0]
+    r_max, _ = _fitting_horizon(g, PathKind.PATHS_FROM, mode, x, 2000)
+    nodes = len(bfs_enumerate(g, "from", r_max, mode=MODES[mode], x=x))
+    assume(nodes > 0)
+
+    def walk(limit):
+        return list(counting._walk(g, mode, g.out_darts(x), r_max, None,
+                                   False, limit, False))
+
+    with pytest.raises(HorizonTooLarge, match="exceeded its cap"):
+        walk(nodes - 1)
+    assert sum(cum.size for _, _, cum in walk(nodes)) == nodes
+
+
+@pytest.mark.parametrize("mode", [NB, BT], ids=["nb", "bt"])
+@pytest.mark.parametrize("kind", [PathKind.PATHS_FROM, PathKind.CYCLES_AT],
+                         ids=["paths-from", "cycles-at"])
+@settings(max_examples=25, deadline=None)
+@given(g=multigraphs(), data=st.data())
+def test_walk_matches_exact_counts_on_integer_multigraphs(kind, mode, g,
+                                                          data):
+    # lengths in {1, 2, 3}: every count by length is an exact integer, at
+    # horizons of up to about 10^5 sequences, where the BFS oracle is too
+    # slow.  The horizon is an integer, so that sequences tie with it and
+    # must be left out; the rows of the cycles are checked start by start
+    g = MetricGraph.from_edges(g.vertices, [
+        (u, v, float(data.draw(st.integers(1, 3))))
+        for u, v, _ in g.edge_list()])
+    x = g.vertices[0]
+    r_max = max(math.floor(_fitting_horizon(g, kind, mode, x, 100_000)[0]),
+                1)
+    prof = enumerate_paths(g, EnumerationSpec(kind, r_max, mode, x=x, v=x))
+    totals, rows = exact_counts(g, kind, mode, r_max, x)
+    assert dict(collections.Counter(prof.lengths.tolist())) == totals
+    if kind is PathKind.CYCLES_AT:
+        assert {k: dict(collections.Counter(row.tolist()))
+                for k, row in prof.by_start.items()} == rows
 
 
 def test_profile_csv_export():
