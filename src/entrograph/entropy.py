@@ -30,10 +30,10 @@ callable and serves two evaluations:
   have entropy 0 exactly and are never solved for.
 - ``_lambda_min``: lambda = lambda_min(M(t)) on the symmetric vertex
   matrix M(t) of ``spectral.vertex_form``, positive definite exactly
-  above the entropy (``_vertex_root``).  Each evaluation is one pass
-  over the cached edge arrays for M(t) and M'(t) and one LAPACK
-  ``dsyevr`` of the smallest eigenpair, the eigenvalue refined as the
-  Rayleigh quotient in the edge form, and its slope is v^T M'(t) v.  No
+  above the entropy (``_vertex_root``).  Each evaluation takes the terms
+  of M(t) and M'(t) (``spectral._vertex_terms``), one LAPACK ``dsyevr``
+  of the smallest eigenpair of M(t), and the eigenvalue and its slope
+  v^T M'(t) v as Rayleigh quotients in the edge form (``ndarray.dot``).  No
   power iteration is involved, so it also solves the wide-length graphs
   where the dart iteration does not converge.  Besides h it gives the
   null vector and slope that the asymptotic constants need, and it
@@ -43,7 +43,7 @@ callable and serves two evaluations:
   ``counting``.  The smallest eigenpair of a Schur complement of M(t) on
   the ends of added edges (``_schur_root``), started just above the
   entropy of the base, solves the incremental formulas and route 2 of
-  ``counting.backtracking_entropy``.
+  ``counting.backtracking_entropy``; its blocks are slices of M(t).
 
 ``volume_entropy`` keeps the dart evaluation for now: moving it to the
 vertex matrix changes which benchmark inputs fail, and so goes with a
@@ -67,8 +67,8 @@ from scipy.linalg.lapack import dpotrf, dpotrs, dsyevr
 from .errors import InsufficientData, NonConvergence
 from .graph import (ComponentKind, EdgeSet, MetricGraph, _component,
                     _require_valid, components, reduce)
-from .spectral import (TransferMode, VertexForm, _sparse_transfer,
-                       _vertex_forms, build_transfer, spectral_radius)
+from .spectral import (TransferMode, _assemble, _sparse_transfer,
+                       _vertex_terms, build_transfer, spectral_radius)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .counting import CountProfile
@@ -136,17 +136,17 @@ _NEWTON_CAP = 200
 _EPS = float(np.finfo(float).eps)
 
 
-def _edge_quotients(form: VertexForm, slope: VertexForm, v: np.ndarray):
-    """(v^T M(t) v, v^T M'(t) v, the rounding scale of v^T M(t) v) in
-    the edge form sum_u shift_u v_u^2 + sum_e w_e (v_u - v_w)^2, with
-    (``form``, ``slope``) = ``spectral._vertex_forms(edges, t, mode)``.
-    The rounding scale is 4 eps times the sum of the absolute values of
-    the terms: below it the sign of v^T M(t) v says nothing."""
-    sq, diff2 = v * v, (v[form.tails] - v[form.heads]) ** 2
-    flow = float(form.weights @ diff2)
-    return (float(form.shift @ sq) + flow,
-            float(slope.shift @ sq + slope.weights @ diff2),
-            4.0 * _EPS * (float(np.abs(form.shift) @ sq) + flow))
+def _edge_quotients(edges: EdgeSet, shift, weights, d_shift, d_weights, v):
+    """(v^T M(t) v, v^T M'(t) v, the rounding scale of v^T M(t) v) in the
+    edge form sum_u shift_u v_u^2 + sum_e w_e (v_u - v_w)^2 of the terms
+    of ``spectral._vertex_terms``.  The scale is 4 eps times the sum of
+    the absolute values of the terms: below it the sign says nothing."""
+    _, tails, heads, _, _, _ = edges._vertex_pattern
+    sq, diff2 = v * v, np.square(v[tails] - v[heads])
+    flow = float(weights.dot(diff2))
+    return (float(shift.dot(sq)) + flow,
+            float(d_shift.dot(sq) + d_weights.dot(diff2)),
+            4.0 * _EPS * (float(np.abs(shift).dot(sq)) + flow))
 
 
 def _lowest_vector(mat: np.ndarray) -> np.ndarray:
@@ -163,9 +163,9 @@ def _lambda_min(edges: EdgeSet, t: float, mode: TransferMode):
     """(lambda_min(M(t)), its unit eigenvector, its slope v^T M'(t) v,
     the rounding scale of lambda_min), the eigenvalue and slope as the
     edge-form quotients of the eigenvector (``_edge_quotients``)."""
-    form, slope = _vertex_forms(edges, t, mode)
-    v = _lowest_vector(form.matrix())
-    lam, dlam, noise = _edge_quotients(form, slope, v)
+    terms = _vertex_terms(edges, t, mode, True)
+    v = _lowest_vector(_assemble(edges._vertex_pattern[5], *terms[:2]))
+    lam, dlam, noise = _edge_quotients(edges, *terms, v)
     return lam, v, dlam, noise
 
 
@@ -390,10 +390,11 @@ def _schur_root(edges: EdgeSet, ends: np.ndarray, h_base: float,
     h' is the largest root of lambda_min(K(t)) = 0 for the Schur
     complement K = M_SS - M_SR M_RR^{-1} M_RS of M_G(t), R the other
     vertices (Haynsworth's inertia theorem, ``incremental`` module
-    docstring).  Each evaluation is one Cholesky factorization of M_RR,
-    the block of the base; a failed one certifies t <= h_base, and one
-    above h_base is rounding and takes lambda_min(M_G(t)) instead.  With u
-    the unit eigenvector of lambda_min(K), w = (u, -M_RR^{-1} M_RS u) has
+    docstring).  Each evaluation assembles M_G(t) with R first, so that
+    its blocks are slices, and factors M_RR, the block of the base; a
+    failed Cholesky certifies t <= h_base, and one above h_base is
+    rounding and takes lambda_min(M_G(t)) instead.  With u the unit
+    eigenvector of lambda_min(K), w = (u, -M_RR^{-1} M_RS u) has
     w^T M_G w = u^T K u and w^T M_G' w = u^T K' u, so lambda and its slope
     are the edge-form quotients of w (``_edge_quotients``), which keep
     their digits where the assembled K has lost them.
@@ -406,25 +407,24 @@ def _schur_root(edges: EdgeSet, ends: np.ndarray, h_base: float,
     down to the Cholesky boundary, and |lambda_min(K(h'))| need not be
     small.
     """
-    on_s = np.zeros(edges.n, dtype=bool)
+    n, on_s = edges.n, np.zeros(edges.n, dtype=bool)
     on_s[ends] = True
-    s, r = on_s.nonzero()[0], (~on_s).nonzero()[0]
-    rr, rs, ss = (a[:, None] * on_s.size + b  # flat block indices
-                  for a, b in ((r, r), (r, s), (s, s)))
+    place = np.argsort(np.argsort(on_s, kind="stable"))  # R first, then S
+    k = n - np.count_nonzero(on_s)  # |R|
+    scatter = (place[:, None] * n + place).ravel()[edges._vertex_pattern[5]]
 
     def evaluate(t: float):
-        form, slope = _vertex_forms(edges, t, mode)
-        mat = form.matrix()
-        factor, info = dpotrf(mat.take(rr))
+        terms = _vertex_terms(edges, t, mode, True)
+        mat = _assemble(scatter, *terms[:2])
+        factor, info = dpotrf(mat[:k, :k])
         if info != 0:  # t <= h_base, or rounding above it (docstring)
             return (_lambda_min(edges, t, mode) if t > h_base
                     else (-math.inf, None, math.nan, 0.0))
-        m_rs = mat.take(rs)
-        x = dpotrs(factor, m_rs)[0] if r.size else m_rs
-        u = _lowest_vector(mat.take(ss) - m_rs.T @ x)
-        w = np.empty(on_s.size)
-        w[s], w[r] = u, -x @ u
-        lam, dlam, noise = _edge_quotients(form, slope, w)
+        m_rs = mat[:k, k:].copy()  # strided, BLAS sums in another order
+        x = dpotrs(factor, m_rs)[0] if k else m_rs
+        u = _lowest_vector(mat[k:, k:] - m_rs.T.dot(x))
+        w = np.concatenate((-x.dot(u), u))[place]
+        lam, dlam, noise = _edge_quotients(edges, *terms, w)
         return lam, w, dlam, noise
 
     hi = _upper_start(edges, mode)

@@ -220,9 +220,14 @@ def primitive_matrix(graph: MetricGraph, v: str, t: float,
 
 
 def check_symmetry(graph: MetricGraph, x: str, y: str, t: float) -> float:
-    """|f_xy(t) - f_yx(t)|; path reversal makes this 0 up to float error."""
-    fxy = f_path(graph, x, y, t)
-    fyx = f_path(graph, y, x, t)
-    if not (fxy.converged and fyx.converged):
-        raise DivergentSeries(f"f_xy diverges at t={t}")
-    return abs(fxy.value - fyx.value)
+    """|f_xy(t) - f_yx(t)| from one ``_block``, 0 up to float error."""
+    _require_valid(graph)
+    graph._position(y)
+    comp = component_of(graph, x)
+    if y not in comp.vertex_set:
+        return 0.0
+    try:
+        f = _block(comp, t, TransferMode.NON_BACKTRACKING, sorted({x, y}))
+    except DivergentSeries:
+        raise DivergentSeries(f"f_xy diverges at t={t}") from None
+    return abs(float(f[0, -1]) - float(f[-1, 0]))

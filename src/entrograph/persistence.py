@@ -102,27 +102,27 @@ def persistent_entropy(graph: MetricGraph,
     n, tails, heads, lengths = edge_set = graph._edge_arrays
     eps_list = thresholds(graph)
     by_length = np.argsort(lengths, kind="stable")
-    cuts = np.searchsorted(lengths[by_length], eps_list, side="right")
+    cuts = np.searchsorted(lengths[by_length], eps_list, side="right").tolist()
+    by_tail, by_head = tails[by_length], heads[by_length]  # steps: slices
     # the components of G_eps by key: vertex and edge indices, entropy
     comps = {v: (np.array([v]), np.empty(0, np.intp), 0.0) for v in range(n)}
     owner = np.arange(n)  # the key of the component of each vertex
-    h_eps, steps = 0.0, []
+    direct, names, h_eps, steps = strategy == "direct", graph.vertices, 0.0, []
 
-    for eps, added in zip(eps_list, np.split(by_length, cuts[:-1])):
+    for eps, a, b in zip(eps_list, [0] + cuts, cuts):
         t0 = time.perf_counter()
-        used = StepStrategy.DIRECT if strategy == "direct" \
+        used = StepStrategy.DIRECT if direct \
             else StepStrategy.INCREMENTAL_EDGE
         iterations = 0
         try:
-            for keys, new in _step_groups(added.tolist(),
-                                          owner[tails[added]].tolist(),
-                                          owner[heads[added]].tolist()):
+            for keys, new in _step_groups(by_length[a:b].tolist(),
+                                          owner[by_tail[a:b]].tolist(),
+                                          owner[by_head[a:b]].tolist()):
                 parts = [comps.pop(k) for k in keys]
-                verts, edges, res = _join(edge_set, graph.vertices, parts,
-                                          new, direct=strategy == "direct")
+                verts, edges, res = _join(edge_set, names, parts, new,
+                                          direct=direct)
                 iterations += res.iterations
-                if strategy != "direct" and any(p[1].size == 0
-                                                for p in parts):
+                if not direct and any(p[1].size == 0 for p in parts):
                     used = StepStrategy.INCREMENTAL_VERTEX
                 comps[keys[0]] = (verts, edges, res.h_prime)
                 owner[verts] = keys[0]

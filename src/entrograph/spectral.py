@@ -23,11 +23,11 @@ a left vector with at most the residual of r.
 The symmetric V x V vertex matrix of the weighted Ihara-Bass identity,
 det(I - B(t)) = det M(t) * prod_e (1 - z_e^2) with z_e = e^{-t l_e},
 carries the same information for the path generating functions: M(t)
-is positive definite exactly when t lies above the entropy.  One pass
-over an edge set (``graph.EdgeSet``) gives M(t) and M'(t) together
-(``_vertex_forms``), and one ``np.bincount`` over its cached flat index
-assembles either (``VertexForm.matrix``), so an evaluation of
-lambda_min(M(t)) is that pass plus one LAPACK ``dsyevr``.
+is positive definite exactly when t lies above the entropy.  One kernel
+gives the terms of M(t) over an edge set (``graph.EdgeSet``), and of
+M'(t) where a slope is needed, as plain arrays (``_vertex_terms``); one
+``np.bincount`` over the set's cached flat index assembles M(t)
+(``_assemble``), and one LAPACK ``dsyevr`` gives lambda_min(M(t)).
 """
 
 from __future__ import annotations
@@ -138,10 +138,7 @@ class VertexForm:
     scatter: np.ndarray
 
     def matrix(self) -> np.ndarray:
-        """The matrix: each entry its shift, then uu, ww, uw, wu terms."""
-        n, c = self.shift.size, self.weights
-        values = np.concatenate((self.shift, c, c, -c, -c))
-        return np.bincount(self.scatter, values, n * n).reshape(n, n)
+        return _assemble(self.scatter, self.shift, self.weights)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """The matrix times x, a vector or a matrix of columns."""
@@ -153,37 +150,47 @@ class VertexForm:
         return out
 
 
-def _vertex_forms(edges: EdgeSet, t: float, mode: TransferMode
-                  ) -> tuple[VertexForm, VertexForm]:
-    """M(t) and M'(t) at t > 0 from one z = e^{-t l} and one 1 - z^2 =
-    -expm1(-2 t l) over an edge set.  Non-backtracking: weights
-    z/(1-z^2) and -l z(1+z^2)/(1-z^2)^2, endpoint terms -z/(1+z)
+def _assemble(scatter: np.ndarray, shift: np.ndarray, weights: np.ndarray):
+    """diag(shift) + sum_e weights_e L_e by one ``np.bincount`` over the
+    flat index ``scatter``: each entry its shift, then uu, ww, uw, wu."""
+    n, neg = shift.size, -weights
+    values = np.concatenate((shift, weights, weights, neg, neg))
+    return np.bincount(scatter, values, n * n).reshape(n, n)
+
+
+def _vertex_terms(edges: EdgeSet, t: float, mode: TransferMode, slope: bool):
+    """(shift, weights) of M(t) and, with ``slope``, of M'(t) (else None,
+    None) as in ``VertexForm``, at t > 0 (t >= 0 backtracking), from one
+    x = -t l and z = e^x.  Non-backtracking: weights z/(1-z^2) and
+    -l z(1+z^2)/(1-z^2)^2, z^2 - 1 = expm1(2x), endpoint terms -z/(1+z)
     and l z/(1+z)^2; a loop's net diagonal term in M(t) is -2z/(1+z) =
-    tanh(t l/2) - 1, whose 1 cancels the identity before any other term,
-    so a short loop keeps its digits.  Backtracking (I - W(t)): weights z
-    and -l z, endpoint terms -z and l z.  Other terms count a loop twice.
-    """
-    n, u, w, lengths = edges
-    keep, tails, heads, l_keep, loop, scatter = edges._vertex_pattern
-    z = np.exp(-t * lengths)
-    zk, shift = z[keep], 1.0  # the first update makes it an array
+    tanh(t l/2) - 1, whose 1 cancels the identity first, so a short loop
+    keeps its digits.  Backtracking (I - W(t)): weights z and -l z,
+    endpoint terms -z and l z.  Other terms count a loop twice."""
+    n, u, w, lengths = edges.n, edges.tails, edges.heads, edges.lengths
+    keep, _, _, l_keep, loop, _ = edges._vertex_pattern
+    z = np.exp(x := lengths * -t)  # array * float: float * array is slower
+    xk, zk = (x[keep], z[keep]) if loop.size else (x, z)
+    shift, d_shift, d_weights = 1.0, None, None  # shift: an array below
     if mode is TransferMode.BACKTRACKING:
-        weights, drop, d_weights, rise = zk, z, -l_keep * zk, lengths * z
+        weights, drop, rise = zk, z, lengths * z
+        d_weights = -(l_keep * zk) if slope else None
     else:
-        q = -np.expm1(-2.0 * t * l_keep)
-        weights = zk / q
-        d_weights = -l_keep * zk * (1.0 + zk * zk) / (q * q)
-        drop = z / (1.0 + z)
-        rise = lengths * z / (1.0 + z) ** 2
+        q = np.expm1(xk + xk)  # z^2 - 1
+        weights, zp = -(zk / q), z + 1.0
+        drop = z / zp
+        if slope:
+            d_weights = -(l_keep * zk * (zk * zk + 1.0) / (q * q))
+            rise = lengths * z / (zp * zp)
         if loop.size:
             shift -= np.bincount(u[loop], minlength=n)
             shift += np.bincount(u[loop], np.tanh(0.5 * t * lengths[loop]), n)
             drop[loop] = 0.0
-    shift -= np.bincount(u, drop, n)
+    shift = np.subtract(shift, np.bincount(u, drop, n))
     shift -= np.bincount(w, drop, n)
-    d_shift = np.bincount(u, rise, n) + np.bincount(w, rise, n)
-    return (VertexForm(shift, tails, heads, weights, scatter),
-            VertexForm(d_shift, tails, heads, d_weights, scatter))
+    if slope:
+        d_shift = np.bincount(u, rise, n) + np.bincount(w, rise, n)
+    return shift, weights, d_shift, d_weights
 
 
 def vertex_form(graph: MetricGraph, t: float,
@@ -191,7 +198,10 @@ def vertex_form(graph: MetricGraph, t: float,
                 ) -> VertexForm:
     """Vertex matrix at parameter t > 0, indexed in ``graph.vertices``
     order (see ``vertex_matrix``)."""
-    return _vertex_forms(graph._edge_arrays, t, mode)[0]
+    edges = graph._edge_arrays
+    _, tails, heads, _, _, scatter = edges._vertex_pattern
+    shift, weights, _, _ = _vertex_terms(edges, t, mode, False)
+    return VertexForm(shift, tails, heads, weights, scatter)
 
 
 def vertex_form_dt(graph: MetricGraph, t: float,
@@ -200,7 +210,10 @@ def vertex_form_dt(graph: MetricGraph, t: float,
     """t-derivative M'(t) of the vertex matrix, laid out as ``vertex_form``:
     lambda_min(M(t)) has slope v @ vertex_form_dt(graph, h).apply(v) at h,
     v the unit null vector of M(h)."""
-    return _vertex_forms(graph._edge_arrays, t, mode)[1]
+    edges = graph._edge_arrays
+    _, tails, heads, _, _, scatter = edges._vertex_pattern
+    _, _, shift, weights = _vertex_terms(edges, t, mode, True)
+    return VertexForm(shift, tails, heads, weights, scatter)
 
 
 def vertex_matrix(graph: MetricGraph, t: float,
@@ -213,7 +226,7 @@ def vertex_matrix(graph: MetricGraph, t: float,
     and D_vv = sum_{e at v} z^2/(1-z^2), z = e^{-t l_e} (weighted
     Ihara-Bass; Watanabe & Fukumizu, NeurIPS 2009).  A loop at v enters
     as its net diagonal term -2z/(1+z), which avoids the cancellation of
-    2z^2/(1-z^2) - 2z/(1-z^2) for short loops (``_vertex_forms``).
+    2z^2/(1-z^2) - 2z/(1-z^2) for short loops (``_vertex_terms``).
     Backtracking: I - W(t) with W_uv = sum_{e=uv} z, so a loop
     contributes 2z.  In both modes the matrix is positive definite
     exactly when t exceeds the entropy of the mode, and

@@ -11,7 +11,7 @@ from collections import defaultdict, deque
 
 import numpy as np
 from hypothesis import strategies as st
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dpotrf, dpotrs, dsyevr
 
 from entrograph import (ComponentKind, MetricGraph, ReduceResult,
                         TransferMode, components, first_betti, reduce)
@@ -845,9 +845,14 @@ def rebuild_curve(graph, strategy, floor=True):
 def reference_vertex_forms(graph, t, mode=TransferMode.NON_BACKTRACKING):
     """M(t) and M'(t) as (shift, tails, heads, weights), each form built
     on its own from the edge arrays, the way the package built them
-    before one pass served both.  ``spectral._vertex_forms`` must match
-    them bit for bit."""
-    n, u, w, lengths = graph._edge_arrays
+    before one pass served both.  ``spectral.vertex_form`` and
+    ``vertex_form_dt`` must match them bit for bit."""
+    return reference_edge_forms(graph._edge_arrays, t, mode)
+
+
+def reference_edge_forms(edges, t, mode=TransferMode.NON_BACKTRACKING):
+    """``reference_vertex_forms`` of an edge set (``graph.EdgeSet``)."""
+    n, u, w, lengths = edges
     z = np.exp(-t * lengths)
     loop = u == w
     shift = np.ones(n)
@@ -885,6 +890,63 @@ def reference_matrix(shift, tails, heads, weights):
     np.add.at(mat, (tails, heads), -weights)
     np.add.at(mat, (heads, tails), -weights)
     return mat
+
+
+def _reference_lowest(mat):
+    _, vecs, _, _, info = dsyevr(mat, range="I", il=1, iu=1, lower=1,
+                                 overwrite_a=1)
+    assert info == 0
+    return vecs[:, 0]
+
+
+def _reference_quotients(form, slope, v):
+    """(v^T M v, v^T M' v, the rounding scale of v^T M v) of two
+    ``reference_edge_forms`` with ``@`` products, as the package took
+    them before its evaluations took ``ndarray.dot``."""
+    shift, tails, heads, weights = form
+    sq, diff2 = v * v, (v[tails] - v[heads]) ** 2
+    flow = float(weights @ diff2)
+    return (float(shift @ sq) + flow,
+            float(slope[0] @ sq + slope[3] @ diff2),
+            4.0 * np.finfo(float).eps * (float(np.abs(shift) @ sq) + flow))
+
+
+def reference_lambda_min(edges, t, mode=TransferMode.NON_BACKTRACKING):
+    """``entropy._lambda_min`` the way the package evaluated it before one
+    kernel gave the terms of M(t) and M'(t): the two forms built apart
+    (``reference_edge_forms``), M(t) assembled by ``np.add.at``
+    (``reference_matrix``), one ``dsyevr`` and the ``@`` quotients.
+    (lambda, v, slope, rounding scale), bit for bit as the package's."""
+    form, slope = reference_edge_forms(edges, t, mode)
+    v = _reference_lowest(reference_matrix(*form))
+    lam, dlam, noise = _reference_quotients(form, slope, v)
+    return lam, v, dlam, noise
+
+
+def reference_schur_evaluate(edges, ends, h_base, t,
+                             mode=TransferMode.NON_BACKTRACKING):
+    """One evaluation of ``entropy._schur_root`` the way the package made
+    it before its blocks came from one permuted assembly: the blocks
+    R x R, R x S and S x S of the assembled M_G(t) by three ``take``s,
+    R = the vertices off ``ends``, and w_R = -x @ u."""
+    n = edges.n
+    on_s = np.zeros(n, dtype=bool)
+    on_s[ends] = True
+    s, r = on_s.nonzero()[0], (~on_s).nonzero()[0]
+    rr, rs, ss = (a[:, None] * n + b for a, b in ((r, r), (r, s), (s, s)))
+    form, slope = reference_edge_forms(edges, t, mode)
+    mat = reference_matrix(*form)
+    factor, info = dpotrf(mat.take(rr))
+    if info != 0:
+        return (reference_lambda_min(edges, t, mode) if t > h_base
+                else (-math.inf, None, math.nan, 0.0))
+    m_rs = mat.take(rs)
+    x = dpotrs(factor, m_rs)[0] if r.size else m_rs
+    u = _reference_lowest(mat.take(ss) - m_rs.T @ x)
+    w = np.empty(n)
+    w[s], w[r] = u, -x @ u
+    lam, dlam, noise = _reference_quotients(form, slope, w)
+    return lam, w, dlam, noise
 
 
 def counting_resolvent(monkeypatch):

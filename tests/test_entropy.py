@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dpotrf
 
 from entrograph import (EnumerationSpec, InsufficientData, MetricGraph,
                         NonConvergence, PathKind, TransferMode,
@@ -20,11 +21,13 @@ from entrograph import cli, entropy, incremental
 from entrograph.graph import Dart, component_of
 from entrograph.spectral import vertex_form
 from helpers import (c4, complete4, dumbbell, eig_entropy, eig_rho,
-                     lim_metric, mixed_graphs, mp_root, multigraphs, path3,
-                     reference_newton_down, reference_vertex_root, rose,
-                     rounding_scale, scalar_entropy_from_counts, segment,
-                     short_loop_core, split_multigraphs, spread_graph,
-                     sweep_graphs, theta)
+                     extreme_multigraphs, lim_metric, mixed_graphs, mp_root,
+                     multigraphs, path3, reference_edge_forms,
+                     reference_lambda_min, reference_matrix,
+                     reference_newton_down, reference_schur_evaluate,
+                     reference_vertex_root, rose, rounding_scale,
+                     scalar_entropy_from_counts, segment, short_loop_core,
+                     split_multigraphs, spread_graph, sweep_graphs, theta)
 
 
 def test_rose_closed_forms():
@@ -568,6 +571,90 @@ def test_lambda_min_eigenpair_matches_eigh(mode, g, s):
     if w.size > 1 and w[1] - w[0] > 1e-3 * scale:  # v is unique up to sign
         ref = vecs[:, 0] * np.sign(vecs[:, 0] @ v)
         assert np.abs(v - ref).max() <= 1e-9
+
+
+def _schur_evaluate(edges, ends, h_base, mode):
+    # the evaluation that ``entropy._schur_root`` hands its Newton loop
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(entropy, "_newton_down", lambda evaluate, *_: evaluate)
+        return entropy._schur_root(edges, ends, h_base, mode)
+
+
+def _same_evaluation(got, want):
+    # (lambda, vector, slope, rounding scale) equal bit for bit; a point
+    # certified below the root is (-inf, None, nan, 0.0)
+    if want[1] is None:
+        assert got[1] is None and math.isnan(got[2])
+        assert (got[0], got[3]) == (want[0], want[3]) == (-math.inf, 0.0)
+    else:
+        assert (got[0], got[2], got[3]) == (want[0], want[2], want[3])
+        assert np.array_equal(got[1], want[1])
+
+
+def _evaluations_match_reference(g, k, mode):
+    # lambda_min(M(t)) and the Schur evaluation on the ends of the last k
+    # edges, each against the way the package evaluated it before one
+    # kernel, ``ndarray.dot`` quotients and one permuted assembly: at
+    # t = 0.5h, h (1 -+ 1e-6) and 2h, and t = 0 backtracking; with h_base
+    # = h and h / 4, so that a failed Cholesky of M_RR lands on either
+    # side of h_base.  Returns the branches the Schur evaluations took
+    edges = g._edge_arrays
+    h = entropy._vertex_root(g, mode).h or 1.0 / g.min_length()
+    ends = np.concatenate((edges.tails[-k:], edges.heads[-k:]))
+    rest = np.setdiff1d(np.arange(edges.n), ends)
+    ts = [0.5 * h, h * (1.0 - 1e-6), h * (1.0 + 1e-6), 2.0 * h]
+    ts += [0.0] if mode is TransferMode.BACKTRACKING else []
+    branches = set()
+    for t in ts:
+        _same_evaluation(entropy._lambda_min(edges, t, mode),
+                         reference_lambda_min(edges, t, mode))
+        m_g = reference_matrix(*reference_edge_forms(edges, t, mode)[0])
+        factored = dpotrf(m_g[np.ix_(rest, rest)])[1] == 0
+        for h_base in (h, 0.25 * h):
+            _same_evaluation(
+                _schur_evaluate(edges, ends, h_base, mode)(t),
+                reference_schur_evaluate(edges, ends, h_base, t, mode))
+            branches.add("factored" if factored else
+                         "above h_base" if t > h_base else "below h_base")
+    return branches
+
+
+@pytest.mark.parametrize("mode", MODES, ids=["nb", "bt"])
+@settings(max_examples=100, deadline=None)
+@given(g=st.one_of(multigraphs(), extreme_multigraphs()), k=st.integers(1, 2),
+       loop=st.none() | st.tuples(st.integers(0, 7), st.floats(-3.0, 3.0)))
+@example(g=rose(2), k=1, loop=None)
+def test_evaluations_match_reference_bit_for_bit(mode, g, k, loop):
+    # ``loop`` appends a loop as the one new edge: a single end S, whose
+    # K(t) is 1 x 1
+    if loop is not None:
+        v = g.vertices[loop[0] % len(g.vertices)]
+        g = MetricGraph.from_edges(
+            g.vertices, g.edge_list() + ((v, v, 10.0 ** loop[1]),))
+        k = 1
+    _evaluations_match_reference(g, k, mode)
+
+
+@pytest.mark.parametrize("mode", MODES, ids=["nb", "bt"])
+def test_evaluations_match_reference_in_every_branch(mode):
+    # a short theta on a and b, the base R of a loop at c added last: its
+    # M_RR fails up to the entropy of the theta, above h / 2, and the
+    # Schur evaluations take all three branches
+    g = MetricGraph.from_edges(
+        ["a", "b", "c"], [("a", "b", 0.5), ("a", "b", 0.6), ("a", "b", 0.7),
+                          ("b", "c", 3.0), ("c", "a", 2.0), ("c", "c", 2.5)])
+    assert _evaluations_match_reference(g, 1, mode) == {
+        "factored", "above h_base", "below h_base"}
+
+
+@pytest.mark.parametrize("mode", MODES, ids=["nb", "bt"])
+def test_evaluations_match_reference_on_a_40_vertex_graph(mode):
+    # the draws above have at most 9 vertices; here M_RR has 36 to 39
+    # rows, where a BLAS product with a strided block M_RS sums in
+    # another order than with a contiguous one
+    g = generate_graph(1, 40, 80)
+    for k in (1, 2, 3):
+        _evaluations_match_reference(g, k, mode)
 
 
 @pytest.mark.parametrize("scale", [1e4, 1e5])

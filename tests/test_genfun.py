@@ -12,10 +12,13 @@ from entrograph import (DivergentSeries, EnumerationSpec, InvalidDartIndex,
                         attachment_darts, check_symmetry, enumerate_paths,
                         f_from, f_path, g_primitive, generate_graph,
                         primitive_matrix, volume_entropy)
+from entrograph.entropy import _vertex_root
 from entrograph.genfun import _block
+from entrograph.graph import component_of
 from helpers import (c4, complete4, counting_resolvent, dart_lu_path,
-                     disjoint_union, dumbbell, eig_entropy, multigraphs,
-                     rose, scalar_primitive_matrix, segment, theta)
+                     disjoint_union, dumbbell, eig_entropy, mixed_graphs,
+                     multigraphs, rose, scalar_primitive_matrix, segment,
+                     theta)
 
 
 def test_segment_single_path():
@@ -127,6 +130,32 @@ def test_symmetry_residuals():
     h = volume_entropy(g).h
     a, b = sorted(g.vertex_set)[:2]
     assert check_symmetry(g, a, b, h + 0.5) <= 1e-10
+
+
+def _two_call_symmetry(graph, x, y, t):
+    # check_symmetry as two f_path calls, one factorization each
+    fxy, fyx = f_path(graph, x, y, t), f_path(graph, y, x, t)
+    if not (fxy.converged and fyx.converged):
+        raise DivergentSeries(f"f_xy diverges at t={t}")
+    return abs(fxy.value - fyx.value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_graphs(), st.data())
+def test_symmetry_matches_two_path_calls_on_random_multigraphs(g, data):
+    # the one two-column solve gives the two f_path values bit for bit;
+    # x and y may coincide or lie in different components (0.0), and
+    # below the entropy of their component both raise DivergentSeries
+    x, y = (data.draw(st.sampled_from(g.vertices)) for _ in range(2))
+    h = _vertex_root(component_of(g, x)).h or 1.0 / g.min_length()
+    for t in (0.0, 0.5 * h, 1.01 * h, 2.0 * h):
+        try:
+            want = _two_call_symmetry(g, x, y, t)
+        except DivergentSeries:
+            with pytest.raises(DivergentSeries):
+                check_symmetry(g, x, y, t)
+            continue
+        assert check_symmetry(g, x, y, t) == want
 
 
 def test_g_primitive_star_into_triangle():
