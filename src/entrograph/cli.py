@@ -116,6 +116,8 @@ def _parse_attachments(specs) -> list[tuple[str, float]]:
 
 
 def cmd_persistence(args) -> int:
+    if args.bench and args.format != "csv":  # its rows are CSV
+        raise PreconditionError("--bench needs --format csv")
     graph = _load(args.file)
     curve = persistence.persistent_entropy(graph, strategy=args.strategy)
     payload = persistence.export_curve(curve, args.format).decode()

@@ -35,7 +35,7 @@ is exact for the step function N, its segments summed with ``math.fsum``.
 The count model behind ``horizon_for_budget`` and the enumeration cap
 (``_count_model``, the simple pole of f at h) and both routes of
 ``backtracking_entropy`` run on the symmetric V x V vertex matrix of
-``spectral.vertex_form``: the Newton root of its smallest eigenvalue
+``spectral.vertex_matrix``: the Newton root of its smallest eigenvalue
 (``entropy._vertex_root``) and, for the second route, the same Newton
 solve on a Schur complement of it (``entropy._schur_root``).
 ``_vertex_root`` also gives ``growth_bounds`` its default h and the
@@ -321,7 +321,8 @@ def enumerate_paths(graph: MetricGraph, spec: EnumerationSpec
     equal lengths N is a step function whose tops, just past each jump,
     are x/(1 - e^{-x}) times the model; after the walk's cap it is
     0.8 r_max.  Raises PreconditionError for a horizon that is not
-    positive, nan included.
+    positive, nan included, a negative cap, or a missing endpoint (x, y
+    or v) that the kind reads.
     """
     return _enumerate(graph, spec)[0]
 
@@ -363,14 +364,20 @@ def _enumerate(graph: MetricGraph, spec: EnumerationSpec,
     _require_valid(graph)
     if not spec.r_max > 0:  # nan is not a horizon either
         raise PreconditionError("horizon must be positive")
+    if not spec.cap >= 0:
+        raise PreconditionError(f"cap must be nonnegative, got {spec.cap}")
 
     if spec.kind is PathKind.PATHS_XY:
-        base, target, endpoints = spec.x, spec.y, (spec.x, spec.y)
-        graph._position(spec.y)
+        base, target, fields = spec.x, spec.y, "xy"
     elif spec.kind is PathKind.PATHS_FROM:
-        base, target, endpoints = spec.x, None, (spec.x,)
+        base, target, fields = spec.x, None, "x"
     else:
-        base, target, endpoints = spec.v, spec.v, (spec.v,)
+        base, target, fields = spec.v, spec.v, "v"
+    endpoints = tuple(getattr(spec, name) for name in fields)
+    if None in endpoints:
+        raise PreconditionError(f"{spec.kind.value} needs the endpoint "
+                                f"{fields[endpoints.index(None)]}")
+    graph._position(endpoints[-1])
     comp = component_of(graph, base)
 
     starts = graph.out_darts(base)

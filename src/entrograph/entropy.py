@@ -29,7 +29,7 @@ callable and serves two evaluations:
   ``spectral``).  Components that reduce to a tree or to a single cycle
   have entropy 0 exactly and are never solved for.
 - ``_lambda_min``: lambda = lambda_min(M(t)) on the symmetric vertex
-  matrix M(t) of ``spectral.vertex_form``, positive definite exactly
+  matrix M(t) of ``spectral.vertex_matrix``, positive definite exactly
   above the entropy (``_vertex_root``).  Each evaluation takes the terms
   of M(t) and M'(t) (``spectral._vertex_terms``), one LAPACK ``dsyevr``
   of the smallest eigenpair of M(t), and the eigenvalue and its slope

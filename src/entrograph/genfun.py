@@ -18,7 +18,7 @@ t <= 0 gives inf as well, which leaves the finite sums of a forest at
 t <= 0 unevaluated.
 
 Each solve takes one step of iterative refinement with the residual
-computed from the edge form of M(t) (``spectral.VertexForm.apply``).
+computed from the edge form of M(t) (``spectral._apply``).
 The assembled matrix carries entries of size 1/(2 t l) for short edges;
 their rounding, amplified by the near-singular M(t) just above the
 entropy, cost up to 2e-9 relative at t * l_min = 1e-3 and 1.3e-7 below
@@ -54,7 +54,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 from .errors import DivergentSeries, InvalidDartIndex
 from .graph import (Dart, MetricGraph, _require_valid, component_of,
                     delete_vertex)
-from .spectral import TransferMode, vertex_form
+from .spectral import TransferMode, _apply, _assemble, _vertex_terms
 
 
 @dataclass(frozen=True)
@@ -80,12 +80,14 @@ def _solve(comp: MetricGraph, t: float, mode: TransferMode,
     M(t), so that shows a numerically singular M(t)."""
     info = 1  # z = 1 at t = 0 puts 1/(1 - z^2) = inf in M
     if t > 0.0:
-        form = vertex_form(comp, float(t), mode)
-        factor, info = dpotrf(form.matrix())  # info > 0: not PD
+        edges = comp._edge_arrays
+        shift, weights, _, _ = _vertex_terms(edges, float(t), mode, False)
+        factor, info = dpotrf(  # info > 0: not PD
+            _assemble(edges._vertex_pattern[5], shift, weights))
     if info:
         raise DivergentSeries("series diverges at this parameter")
     u = dpotrs(factor, rhs)[0]
-    u += dpotrs(factor, rhs - form.apply(u))[0]
+    u += dpotrs(factor, rhs - _apply(edges, shift, weights, u))[0]
     if np.any(u.min(axis=0)
               < -1e-9 * np.maximum(1.0, np.abs(u).max(axis=0))):
         raise DivergentSeries("the resolvent solve lost its sign: "

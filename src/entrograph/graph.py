@@ -255,7 +255,7 @@ class EdgeSet:
     def _vertex_pattern(self):
         """Read-only arrays: the non-loop edges, their tails, heads and
         lengths; the loop edges; the flat n x n index that
-        ``VertexForm.matrix`` fills: diagonal, uu, ww, uw and wu."""
+        ``spectral._assemble`` fills: diagonal, uu, ww, uw and wu."""
         n, u, w, lengths = self
         keep = (u != w).nonzero()[0]
         tails, heads = u[keep], w[keep]

@@ -276,7 +276,7 @@ def estimate_constant_C(graph: MetricGraph, x: str, y: str,
 
     method "resolvent": the closed form C_ab = v_a v_b / (h lambda'(h)),
     with v the unit null vector of M(h) and lambda'(h) = v^T M'(h) v
-    (``spectral.vertex_form_dt``), all from the vertex-matrix solve that
+    (``spectral._vertex_terms``), all from the vertex-matrix solve that
     gives h (module docstring); ``details`` records the eigenvalue of
     M(h) that stands in for 0 (``null_eigenvalue``) and ``dlambda``.
     method "counting": average N(r) e^{-hr} over the enumerated tail, up

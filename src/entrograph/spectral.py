@@ -38,7 +38,7 @@ from enum import Enum
 import numpy as np
 from scipy.sparse import csr_matrix, identity, issparse
 
-from .errors import NonConvergence
+from .errors import NonConvergence, PreconditionError
 from .graph import EdgeSet, MetricGraph, _strong_blocks
 
 
@@ -120,53 +120,41 @@ def _sparse_transfer(graph: MetricGraph, t: float,
     return csr_matrix((weights, cols, offsets), shape=(n, n))
 
 
-@dataclass(frozen=True)
-class VertexForm:
-    """The vertex matrix as diag(shift) + sum_e weight_e L_e, the sum
-    over the non-loop edges e = uw with L_e = (e_u - e_w)(e_u - e_w)^T.
-
-    Applying the matrix in this form (``apply``) keeps the large weights
-    1/(2 t l) of short edges on differences x_u - x_w, so its residuals
-    stay accurate where the assembled matrix (``matrix``, scattered into
-    the graph's flat index ``scatter``) has lost digits.
-    """
-
-    shift: np.ndarray
-    tails: np.ndarray
-    heads: np.ndarray
-    weights: np.ndarray
-    scatter: np.ndarray
-
-    def matrix(self) -> np.ndarray:
-        return _assemble(self.scatter, self.shift, self.weights)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """The matrix times x, a vector or a matrix of columns."""
-        col = (slice(None),) + (None,) * (x.ndim - 1)
-        flow = self.weights[col] * (x[self.tails] - x[self.heads])
-        out = self.shift[col] * x
-        np.add.at(out, self.tails, flow)
-        np.subtract.at(out, self.heads, flow)
-        return out
-
-
 def _assemble(scatter: np.ndarray, shift: np.ndarray, weights: np.ndarray):
-    """diag(shift) + sum_e weights_e L_e by one ``np.bincount`` over the
-    flat index ``scatter``: each entry its shift, then uu, ww, uw, wu."""
+    """diag(shift) + sum_e weights_e L_e, the sum over the non-loop edges
+    e = uw with L_e = (e_u - e_w)(e_u - e_w)^T, by one ``np.bincount``
+    over the flat index ``scatter`` (``EdgeSet._vertex_pattern``): each
+    entry its shift, then uu, ww, uw, wu."""
     n, neg = shift.size, -weights
     values = np.concatenate((shift, weights, weights, neg, neg))
     return np.bincount(scatter, values, n * n).reshape(n, n)
 
 
+def _apply(edges: EdgeSet, shift: np.ndarray, weights: np.ndarray,
+           x: np.ndarray) -> np.ndarray:
+    """The matrix of ``_assemble`` times x, a vector or a matrix of
+    columns, in the edge form: diag(shift) x plus weights_e L_e x over
+    the non-loop edges of ``edges``.  It keeps the large weights 1/(2 t l)
+    of short edges on differences x_u - x_w, so its residuals stay
+    accurate where the assembled matrix has lost digits."""
+    _, tails, heads, _, _, _ = edges._vertex_pattern
+    col = (slice(None),) + (None,) * (x.ndim - 1)
+    flow = weights[col] * (x[tails] - x[heads])
+    out = shift[col] * x
+    np.add.at(out, tails, flow)
+    np.subtract.at(out, heads, flow)
+    return out
+
+
 def _vertex_terms(edges: EdgeSet, t: float, mode: TransferMode, slope: bool):
     """(shift, weights) of M(t) and, with ``slope``, of M'(t) (else None,
-    None) as in ``VertexForm``, at t > 0 (t >= 0 backtracking), from one
-    x = -t l and z = e^x.  Non-backtracking: weights z/(1-z^2) and
-    -l z(1+z^2)/(1-z^2)^2, z^2 - 1 = expm1(2x), endpoint terms -z/(1+z)
-    and l z/(1+z)^2; a loop's net diagonal term in M(t) is -2z/(1+z) =
-    tanh(t l/2) - 1, whose 1 cancels the identity first, so a short loop
-    keeps its digits.  Backtracking (I - W(t)): weights z and -l z,
-    endpoint terms -z and l z.  Other terms count a loop twice."""
+    None) for ``_assemble`` and ``_apply``, at t > 0 (t >= 0 backtracking),
+    from one x = -t l and z = e^x.  Non-backtracking: weights z/(1-z^2)
+    and -l z(1+z^2)/(1-z^2)^2, z^2 - 1 = expm1(2x), endpoint terms
+    -z/(1+z) and l z/(1+z)^2; a loop's net diagonal term in M(t) is
+    -2z/(1+z) = tanh(t l/2) - 1, whose 1 cancels the identity first, so a
+    short loop keeps its digits.  Backtracking (I - W(t)): weights z and
+    -l z, endpoint terms -z and l z.  Other terms count a loop twice."""
     n, u, w, lengths = edges.n, edges.tails, edges.heads, edges.lengths
     keep, _, _, l_keep, loop, _ = edges._vertex_pattern
     z = np.exp(x := lengths * -t)  # array * float: float * array is slower
@@ -193,29 +181,6 @@ def _vertex_terms(edges: EdgeSet, t: float, mode: TransferMode, slope: bool):
     return shift, weights, d_shift, d_weights
 
 
-def vertex_form(graph: MetricGraph, t: float,
-                mode: TransferMode = TransferMode.NON_BACKTRACKING
-                ) -> VertexForm:
-    """Vertex matrix at parameter t > 0, indexed in ``graph.vertices``
-    order (see ``vertex_matrix``)."""
-    edges = graph._edge_arrays
-    _, tails, heads, _, _, scatter = edges._vertex_pattern
-    shift, weights, _, _ = _vertex_terms(edges, t, mode, False)
-    return VertexForm(shift, tails, heads, weights, scatter)
-
-
-def vertex_form_dt(graph: MetricGraph, t: float,
-                   mode: TransferMode = TransferMode.NON_BACKTRACKING
-                   ) -> VertexForm:
-    """t-derivative M'(t) of the vertex matrix, laid out as ``vertex_form``:
-    lambda_min(M(t)) has slope v @ vertex_form_dt(graph, h).apply(v) at h,
-    v the unit null vector of M(h)."""
-    edges = graph._edge_arrays
-    _, tails, heads, _, _, scatter = edges._vertex_pattern
-    _, _, shift, weights = _vertex_terms(edges, t, mode, True)
-    return VertexForm(shift, tails, heads, weights, scatter)
-
-
 def vertex_matrix(graph: MetricGraph, t: float,
                   mode: TransferMode = TransferMode.NON_BACKTRACKING
                   ) -> np.ndarray:
@@ -230,9 +195,15 @@ def vertex_matrix(graph: MetricGraph, t: float,
     Backtracking: I - W(t) with W_uv = sum_{e=uv} z, so a loop
     contributes 2z.  In both modes the matrix is positive definite
     exactly when t exceeds the entropy of the mode, and
-    f_xy(t) = (M^{-1})_xy - delta_xy.
+    f_xy(t) = (M^{-1})_xy - delta_xy.  Raises PreconditionError unless
+    t > 0, or t >= 0 in backtracking mode.
     """
-    return vertex_form(graph, t, mode).matrix()
+    if not (t > 0 or t == 0 and mode is TransferMode.BACKTRACKING):
+        raise PreconditionError(f"the vertex matrix needs t > 0 (t >= 0 "
+                                f"backtracking), got t = {t!r}")
+    edges = graph._edge_arrays
+    shift, weights, _, _ = _vertex_terms(edges, t, mode, False)
+    return _assemble(edges._vertex_pattern[5], shift, weights)
 
 
 # Power steps per residual test.  A test took 9.3 / 12.7 / 13.4 us and a

@@ -842,16 +842,11 @@ def rebuild_curve(graph, strategy, floor=True):
     return out
 
 
-def reference_vertex_forms(graph, t, mode=TransferMode.NON_BACKTRACKING):
-    """M(t) and M'(t) as (shift, tails, heads, weights), each form built
-    on its own from the edge arrays, the way the package built them
-    before one pass served both.  ``spectral.vertex_form`` and
-    ``vertex_form_dt`` must match them bit for bit."""
-    return reference_edge_forms(graph._edge_arrays, t, mode)
-
-
 def reference_edge_forms(edges, t, mode=TransferMode.NON_BACKTRACKING):
-    """``reference_vertex_forms`` of an edge set (``graph.EdgeSet``)."""
+    """M(t) and M'(t) of an edge set (``graph.EdgeSet``) as (shift, tails,
+    heads, weights), each form built on its own from the edge arrays.
+    The terms of ``spectral._vertex_terms``, which one pass gives for
+    both, must match them bit for bit."""
     n, u, w, lengths = edges
     z = np.exp(-t * lengths)
     loop = u == w

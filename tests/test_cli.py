@@ -192,6 +192,20 @@ def test_persistence_bench_report(c4_file, tmp_path, capsys):
     assert "crossover," in text
 
 
+def test_persistence_json_bench_is_refused(c4_file, tmp_path, monkeypatch,
+                                           capsys):
+    # the CSV bench rows used to follow the JSON document, which then did
+    # not parse; the refusal comes before any curve is computed
+    def computed(*args, **kwargs):
+        raise AssertionError("a curve was computed")
+    monkeypatch.setattr(cli.persistence, "persistent_entropy", computed)
+    out_path = tmp_path / "curve.json"
+    assert main(["persistence", c4_file, "--format", "json", "--bench",
+                 "--out", str(out_path)]) == 4
+    assert "--format csv" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_persistence_json_format(c4_file, capsys):
     assert main(["persistence", c4_file, "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -375,6 +389,12 @@ def test_count_nan_horizon_exit_code(c4_file, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "horizon must be positive" in err
+
+
+def test_count_missing_endpoint_exit_code(c4_file, capsys):
+    assert main(["count", c4_file, "--kind", "paths-xy", "--x", "a",
+                 "--r", "3"]) == 4
+    assert "paths-xy needs the endpoint y" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -710,6 +710,36 @@ def test_nan_horizon_is_refused_by_the_checks(call):
         call()
 
 
+@pytest.mark.parametrize("kind, given_ends, missing", [
+    (PathKind.PATHS_XY, {"x": "a", "v": "c"}, "y"),
+    (PathKind.PATHS_XY, {"y": "c"}, "x"),
+    (PathKind.PATHS_FROM, {"y": "c", "v": "a"}, "x"),
+    (PathKind.CYCLES_AT, {"x": "a", "y": "c"}, "v"),
+    (PathKind.PRIMITIVE_CYCLES_AT, {"x": "a"}, "v"),
+], ids=["xy-no-y", "xy-no-x", "from-no-x", "cycles-no-v", "primitive-no-v"])
+def test_missing_endpoint_is_refused_by_name(kind, given_ends, missing):
+    # each used to raise UnknownVertex: unknown vertex None
+    with pytest.raises(PreconditionError, match=f"endpoint {missing}$"):
+        enumerate_paths(complete4(), EnumerationSpec(kind, 2.0, **given_ends))
+
+
+@pytest.mark.parametrize("call", [
+    lambda cap: enumerate_paths(complete4(), EnumerationSpec(
+        PathKind.CYCLES_AT, 2.0, v="a", cap=cap)),
+    lambda cap: verify_recursions(complete4(), "a", r_max=2.0, cap=cap),
+    lambda cap: growth_bounds(complete4(), "a", 2.0, cap=cap),
+    lambda cap: backtracking_bound(complete4(), "a", 2.0, cap=cap),
+], ids=["enumerate_paths", "verify_recursions", "growth_bounds",
+        "backtracking_bound"])
+def test_negative_cap_is_refused(call):
+    # cap -5 used to raise a bare math domain error from the suggested
+    # horizon; cap 0 is a cap, which the count model enforces
+    with pytest.raises(PreconditionError, match="cap must be nonnegative"):
+        call(-5)
+    with pytest.raises(HorizonTooLarge):
+        call(0)
+
+
 @pytest.mark.parametrize("r_max", [math.nan, 0.0, -1.0],
                          ids=["nan", "zero", "negative"])
 def test_growth_bounds_refuses_a_bad_horizon_before_building_a(r_max):

@@ -19,7 +19,7 @@ from entrograph import (EnumerationSpec, InsufficientData, MetricGraph,
                         vertex_matrix, volume_entropy)
 from entrograph import cli, entropy, incremental
 from entrograph.graph import Dart, component_of
-from entrograph.spectral import vertex_form
+from entrograph.spectral import _apply, _vertex_terms
 from helpers import (c4, complete4, dumbbell, eig_entropy, eig_rho,
                      extreme_multigraphs, lim_metric, mixed_graphs, mp_root,
                      multigraphs, path3, reference_edge_forms,
@@ -310,9 +310,10 @@ def _lambda_min(g, t, mode):
     """Smallest eigenvalue of M(t) by a dense ``eigh``, refined as the
     Rayleigh quotient in the edge form, whose rounding does not scale with
     the weights 1/(2 t l) of short edges."""
-    form = vertex_form(g, t, mode)
-    v = np.linalg.eigh(form.matrix())[1][:, 0]
-    return float(v @ form.apply(v))
+    v = np.linalg.eigh(vertex_matrix(g, t, mode))[1][:, 0]
+    edges = g._edge_arrays
+    shift, weights, _, _ = _vertex_terms(edges, t, mode, False)
+    return float(v @ _apply(edges, shift, weights, v))
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -554,7 +555,7 @@ def test_lambda_min_eigenpair_matches_eigh(mode, g, s):
     # driver): its eigenvalue, taken as the edge-form Rayleigh quotient,
     # its residual, and its eigenvector where the spectral gap fixes it
     t = s * entropy._vertex_root(g, mode).h
-    m = vertex_form(g, t, mode).matrix()
+    m = vertex_matrix(g, t, mode)
     w, vecs = np.linalg.eigh(m)
     lam, v, _, noise = entropy._lambda_min(g._edge_arrays, t, mode)
     scale = np.abs(m).sum(axis=1).max()

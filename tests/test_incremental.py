@@ -19,7 +19,7 @@ from entrograph import (DisconnectedPair, EntrographError, MetricGraph,
                         vertex_matrix, volume_entropy)
 from entrograph import entropy
 from entrograph.entropy import _vertex_root
-from entrograph.spectral import vertex_form_dt
+from entrograph.spectral import _assemble, _vertex_terms
 from helpers import (c4, complete4, cycle, dfs_components, disjoint_union,
                      dumbbell, eig_entropy, multigraphs, path3,
                      reference_edge, reference_vertex, rose,
@@ -521,6 +521,9 @@ def test_wide_length_theta_edits_and_constant():
     # C = 2 v_a v_b / lambda'(h), v from a dense eigh of M at the dart h
     h = eig_entropy(g, rel_tol=1e-15)
     v = np.linalg.eigh(vertex_matrix(g, h))[1][:, 0]
-    dlambda = v @ vertex_form_dt(g, h).matrix() @ v
+    edges = g._edge_arrays
+    _, _, d_shift, d_weights = _vertex_terms(
+        edges, h, TransferMode.NON_BACKTRACKING, True)
+    dlambda = v @ _assemble(edges._vertex_pattern[5], d_shift, d_weights) @ v
     assert estimate_constant_C(g, "a", "b").combined == \
         pytest.approx(2.0 * v[0] * v[1] / dlambda, rel=1e-8, abs=0.0)

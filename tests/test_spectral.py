@@ -1,6 +1,7 @@
 """Transfer matrices, Perron data and the vertex matrix."""
 
 import math
+import warnings
 from unittest.mock import patch
 
 import numpy as np
@@ -9,18 +10,17 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from entrograph import (MetricGraph, NonConvergence, TransferMode,
-                        build_transfer, generate_graph, reduce,
+from entrograph import (MetricGraph, NonConvergence, PreconditionError,
+                        TransferMode, build_transfer, generate_graph, reduce,
                         spectral_radius, vertex_matrix)
 from entrograph import entropy, spectral
 from entrograph.entropy import (_dart_core, _log_rho, _row_sum_bound,
                                 _upper_start, _vertex_root)
 from entrograph.graph import _strong_blocks
-from entrograph.spectral import vertex_form_dt
 from helpers import (c4, complete4, dumbbell, eig_entropy, eig_rho,
                      extreme_multigraphs, mp_root, multigraphs,
-                     reference_matrix, reference_power_block,
-                     reference_vertex_forms, rose, segment, spread_graph,
+                     reference_edge_forms, reference_matrix,
+                     reference_power_block, rose, segment, spread_graph,
                      sweep_graphs, theta)
 
 NB = TransferMode.NON_BACKTRACKING
@@ -426,6 +426,27 @@ def test_mp_root_is_the_sign_change_of_det_i_minus_b():
         assert abs(_det_root(core, root) - root) <= 1e-30 * root
 
 
+@pytest.mark.parametrize("t, mode", [
+    (0.0, NB), (-1.0, NB), (-1.0, BT), (math.nan, NB), (math.nan, BT)])
+def test_vertex_matrix_refuses_t_outside_its_domain(t, mode):
+    # t = 0 used to divide by zero into inf entries, t = -1 to give a
+    # finite matrix that means nothing, and nan a matrix of nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError, match="needs t > 0"):
+            vertex_matrix(generate_graph(1, 6, 10), t, mode)
+
+
+def test_backtracking_vertex_matrix_at_t0_is_i_minus_adjacency():
+    g = _loops_and_parallels()
+    adj = np.zeros((3, 3))
+    for u, w, _ in g.edge_list():
+        i, j = g._index[u], g._index[w]
+        adj[i, j] += 1.0
+        adj[j, i] += 1.0  # a loop counts twice
+    assert np.array_equal(vertex_matrix(g, 0.0, BT), np.eye(3) - adj)
+
+
 def test_vertex_matrix_backtracking_radius():
     # I - W(t): the largest eigenvalue of W(t) is rho(B_bt(t)).
     for g in (_loops_and_parallels(), theta(), dumbbell()):
@@ -438,28 +459,56 @@ def test_vertex_matrix_backtracking_radius():
 
 @settings(max_examples=200, deadline=None)
 @given(multigraphs(), st.floats(0.05, 3.0))
-def test_vertex_form_dt_matches_central_differences(g, s):
+def test_vertex_slope_matches_central_differences(g, s):
     # t is set on the scale of the shortest edge: where every t * l is
     # large, M'(t) falls below the rounding of M(t) over the difference
     # step, and central differences cannot resolve it.
     t = s / g.min_length()
     step = 1e-5 * t
     fd = (vertex_matrix(g, t + step) - vertex_matrix(g, t - step)) / (2 * step)
-    exact = vertex_form_dt(g, t).matrix()
+    edges = g._edge_arrays
+    _, _, d_shift, d_weights = spectral._vertex_terms(edges, t, NB, True)
+    exact = spectral._assemble(edges._vertex_pattern[5], d_shift, d_weights)
     assert np.max(np.abs(fd - exact)) <= 1e-7 * np.max(np.abs(exact))
 
 
 @settings(max_examples=100, deadline=None)
 @given(multigraphs(), st.sampled_from([NB, BT]))
-def test_vertex_forms_match_reference_on_multigraphs(g, mode):
+def test_vertex_terms_match_reference_on_multigraphs(g, mode):
     # M(t) and M'(t), both halves of one pass, and their one-bincount
     # assembly equal the separately built forms and their np.add.at
     # assembly bit for bit, loops and parallel edges included
     h = _vertex_root(g, mode).h or 1.0 / g.min_length()
+    edges = g._edge_arrays
+    _, tails, heads, _, _, scatter = edges._vertex_pattern
     for t in (0.5 * h, h, 2.0 * h):
-        forms = (spectral.vertex_form(g, t, mode), vertex_form_dt(g, t, mode))
-        for form, ref in zip(forms, reference_vertex_forms(g, t, mode)):
-            for got, want in zip((form.shift, form.tails, form.heads,
-                                  form.weights), ref):
+        terms = spectral._vertex_terms(edges, t, mode, True)
+        for (shift, weights), ref in zip((terms[:2], terms[2:]),
+                                         reference_edge_forms(edges, t, mode)):
+            for got, want in zip((shift, tails, heads, weights), ref):
                 assert np.array_equal(got, want)
-            assert np.array_equal(form.matrix(), reference_matrix(*ref))
+            assert np.array_equal(spectral._assemble(scatter, shift, weights),
+                                  reference_matrix(*ref))
+
+
+@settings(max_examples=100, deadline=None)
+@given(multigraphs(), st.sampled_from([NB, BT]), st.integers(0, 2**32 - 1))
+def test_apply_matches_reference_matrix_on_multigraphs(g, mode, seed):
+    # the edge form of M(t) serves every resolvent refinement, on one
+    # vector (f_from) or on a block of columns (genfun._block): it agrees
+    # with the np.add.at assembly, and each column of a block is the
+    # product with that column alone, bit for bit
+    h = _vertex_root(g, mode).h or 1.0 / g.min_length()
+    edges = g._edge_arrays
+    block = np.random.default_rng(seed).standard_normal((edges.n, 3))
+    for t in (0.5 * h, h, 2.0 * h):
+        shift, weights, _, _ = spectral._vertex_terms(edges, t, mode, False)
+        ref = reference_matrix(*reference_edge_forms(edges, t, mode)[0])
+        x = block[:, 0]
+        got = spectral._apply(edges, shift, weights, x)
+        bound = 1e-12 * np.abs(ref).sum(axis=1).max() * np.abs(x).max()
+        assert np.abs(got - ref @ x).max() <= bound
+        out = spectral._apply(edges, shift, weights, block)
+        for j in range(3):
+            assert np.array_equal(
+                out[:, j], spectral._apply(edges, shift, weights, block[:, j]))
