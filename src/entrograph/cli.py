@@ -122,13 +122,15 @@ def cmd_persistence(args) -> int:
     curve = persistence.persistent_entropy(graph, strategy=args.strategy)
     payload = persistence.export_curve(curve, args.format).decode()
     if args.bench:
-        payload += _bench_report(graph)
+        payload += _bench_report(graph, args.strategy, curve)
     _emit(payload, args.out)
     return EXIT_OK
 
 
-def _bench_report(graph: MetricGraph) -> str:
-    curves = {name: persistence.persistent_entropy(graph, strategy=name)
+def _bench_report(graph: MetricGraph, strategy: str, curve) -> str:
+    """The bench rows of the three strategies; ``curve`` is ``strategy``'s."""
+    curves = {name: curve if name == strategy else
+              persistence.persistent_entropy(graph, strategy=name)
               for name in ("direct", "incremental", "auto")}
     lines = ["bench,strategy,epsilon,ms,step_strategy"]
     for name, curve in curves.items():

@@ -346,6 +346,14 @@ def _check_projection(comp: MetricGraph, spec: EnumerationSpec, base: str,
             safe_horizon=safe)
 
 
+def _check_limits(r_max: float, cap: int) -> None:
+    """PreconditionError unless r_max > 0 and cap >= 0; nan is neither."""
+    if not r_max > 0:
+        raise PreconditionError("horizon must be positive")
+    if not cap >= 0:
+        raise PreconditionError(f"cap must be nonnegative, got {cap}")
+
+
 def _enumerate(graph: MetricGraph, spec: EnumerationSpec,
                recursions: bool = False) -> tuple[CountProfile, ...]:
     """The profile of ``enumerate_paths(graph, spec)``.
@@ -362,10 +370,7 @@ def _enumerate(graph: MetricGraph, spec: EnumerationSpec,
     refusal is the one the four separate enumerations make.
     """
     _require_valid(graph)
-    if not spec.r_max > 0:  # nan is not a horizon either
-        raise PreconditionError("horizon must be positive")
-    if not spec.cap >= 0:
-        raise PreconditionError(f"cap must be nonnegative, got {spec.cap}")
+    _check_limits(spec.r_max, spec.cap)
 
     if spec.kind is PathKind.PATHS_XY:
         base, target, fields = spec.x, spec.y, "xy"
@@ -415,9 +420,11 @@ def _enumerate(graph: MetricGraph, spec: EnumerationSpec,
     # reverse of start j, in the narrowest dtype that holds them
     width = len(starts) + 1
     pair = np.min_scalar_type(width * width)
-    rev_pos = {graph.darts[s].reverse: j for j, s in enumerate(starts, 1)}
-    ends = np.repeat([rev_pos[d] for _, d, _ in arrivals],
-                     [c.size for _, _, c in arrivals]).astype(pair)
+    if recursions or not cycles:  # a primitive-cycle profile is wanted
+        rev_pos = {graph.darts[s].reverse: j
+                   for j, s in enumerate(starts, 1)}
+        ends = np.repeat([rev_pos[d] for _, d, _ in arrivals],
+                         [c.size for _, _, c in arrivals]).astype(pair)
 
     profiles = []
     for kind, mode, barred in wanted:
@@ -737,15 +744,15 @@ def growth_bounds(graph: MetricGraph, v: str, r_max: float,
     cached root.
     Raises UnknownVertex for an unknown v before any other check, then
     PreconditionError, before A(h) is built, for a graph that is not
-    reduced, connected and hyperbolic or a horizon that is not positive;
-    PreconditionError when the entropy of the graph without v reaches h
-    in floating point, so that A(h) diverges or its Perron root misses
-    1; NonConvergence when the root misses 1 for another reason.
+    reduced, connected and hyperbolic, a horizon that is not positive or
+    a cap below 0 (``_check_limits``); PreconditionError when the
+    entropy of the graph without v reaches h in floating point, so that
+    A(h) diverges or its Perron root misses 1; NonConvergence when the
+    root misses 1 for another reason.
     """
     graph._position(v)
     _require_reduced_hyperbolic(graph)
-    if not r_max > 0:  # nan is not a horizon either
-        raise PreconditionError("horizon must be positive")
+    _check_limits(r_max, cap)
     n = graph.degree(v)
     if h is None:
         h = _vertex_root(graph).h

@@ -272,12 +272,12 @@ def _inverse_hermite(prev, t: float, lam: float, dlam: float) -> float:
 
 
 def _newton_down(evaluate, t: float, lo: float, hi: float,
-                 component: str, interpolate: bool = True) -> _VertexRoot:
+                 name, interpolate: bool = True) -> _VertexRoot:
     """Safeguarded Newton on the largest root of lambda(t) = 0, where
     lambda < 0 below that root and lambda >= 0 from it up to ``hi``,
     started at t in [lo, hi].  ``evaluate(t)`` gives (lambda, its
     vector, its slope, its stop scale), or lambda = -inf where t is
-    certified below the root; ``component`` names the graph in errors.
+    certified below the root; ``name()`` names the graph in errors.
     A start at hi with lambda <= 0 there is a root on the bound, lambda
     < 0 only by rounding.  Once a Newton step is at most 0.1 t, it is
     replaced by the zero of the inverse cubic Hermite interpolant through
@@ -309,7 +309,7 @@ def _newton_down(evaluate, t: float, lo: float, hi: float,
             exc = NonConvergence(
                 f"lambda = 0 unresolved after {evals} evaluations "
                 f"on [{lo!r}, {hi!r}]")
-            exc.t, exc.component = t, component
+            exc.t, exc.component = t, name()
             raise exc
         t_next = t - lam / dlam if dlam > 0.0 else math.nan
         if abs(t_next - t) <= 1e-15 * t:
@@ -409,8 +409,9 @@ def _schur_root(edges: EdgeSet, ends: np.ndarray, h_base: float,
     """
     n, on_s = edges.n, np.zeros(edges.n, dtype=bool)
     on_s[ends] = True
-    place = np.argsort(np.argsort(on_s, kind="stable"))  # R first, then S
-    k = n - np.count_nonzero(on_s)  # |R|
+    r = (~on_s).nonzero()[0]
+    k, place = r.size, np.empty(n, dtype=np.intp)  # k = |R|
+    place[np.concatenate((r, on_s.nonzero()[0]))] = np.arange(n)  # R first
     scatter = (place[:, None] * n + place).ravel()[edges._vertex_pattern[5]]
 
     def evaluate(t: float):
@@ -479,7 +480,7 @@ def volume_entropy(graph: MetricGraph) -> EntropyResult:
             continue
         try:
             root = _newton_down(lambda t: _log_rho(core, t), hi, 0.0, hi,
-                                cid, interpolate=False)
+                                lambda: cid, interpolate=False)
         except NonConvergence as exc:
             exc.component = cid
             raise

@@ -139,11 +139,11 @@ class MetricGraph:
         order."""
         index = self._index
         edges = self.edge_darts()
-        return EdgeSet(len(index),
-                       np.array([index[d.tail] for d in edges], dtype=np.intp),
-                       np.array([index[d.head] for d in edges], dtype=np.intp),
-                       np.array([d.length for d in edges], dtype=float),
-                       min(self.vertices, default=""))
+        return EdgeSet(len(index), np.array(
+            [[index[d.tail] for d in edges], [index[d.head] for d in edges]],
+            dtype=np.intp),
+            np.array([d.length for d in edges], dtype=float),
+            self.vertices, np.arange(len(index)))
 
     @cached_property
     def _dart_arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -232,61 +232,63 @@ class MetricGraph:
         return self._edge_arrays.max_degree
 
 
-@dataclass(frozen=True, eq=False)
 class EdgeSet:
-    """Vertices 0..n-1 and edges tails[i]-heads[i] of length lengths[i],
-    read-only; ``name``, the least vertex name, names them in errors.
-    Unpacks as (n, tails, heads, lengths)."""
+    """Vertices 0..n-1 and edges ends[0, i]-ends[1, i] (``tails``,
+    ``heads``) of length lengths[i], with what a vertex-matrix solve
+    reads, all set here, together, from those arrays: ``max_degree`` (a
+    loop counts 2), ``min_length`` (0 without edges) and
+    ``_vertex_pattern``, which holds the non-loop edges, their tails,
+    heads and lengths, the loop edges, and the flat n x n index that
+    ``spectral._assemble`` fills: diagonal, uu, ww, uw and wu.  These
+    arrays are read-only.  names[verts[i]] names vertex i, and an index
+    past ``names`` is a new vertex, which has none; only errors read a
+    name (``name``).  Unpacks as (n, tails, heads, lengths)."""
 
-    n: int
-    tails: np.ndarray
-    heads: np.ndarray
-    lengths: np.ndarray
-    name: str
+    __slots__ = ("n", "ends", "tails", "heads", "lengths", "max_degree",
+                 "min_length", "_vertex_pattern", "_names", "_verts")
+    # row a times n plus row b of the non-loop (tails, heads), for (a, b)
+    # in zip(*_ROWS), flat-indexes their entries uu, ww, uw and wu
+    _ROWS = np.array([0, 1, 0, 1]), np.array([0, 1, 1, 0])
 
-    def __post_init__(self):
-        for arr in (self.tails, self.heads, self.lengths):
+    def __init__(self, n: int, ends: np.ndarray, lengths: np.ndarray,
+                 names: Sequence[str], verts: np.ndarray):
+        ends.setflags(write=False)  # before the views of its rows
+        lengths.setflags(write=False)
+        self.n, self.ends, self.lengths = n, ends, lengths
+        self.tails, self.heads = tails, heads = ends[0], ends[1]
+        self._names, self._verts = names, verts
+        self.max_degree = max(np.bincount(ends.ravel()).tolist(), default=0)
+        self.min_length = min(lengths.tolist(), default=0.0)
+        loop = (tails == heads).nonzero()[0]
+        keep, pair, l_keep = np.arange(lengths.size), ends, lengths
+        if loop.size:
+            keep = (tails != heads).nonzero()[0]
+            pair, l_keep = ends[:, keep], lengths[keep]
+        cross = pair.take(self._ROWS[0], 0) * n + pair.take(self._ROWS[1], 0)
+        scatter = np.concatenate((np.arange(0, n * (n + 1), n + 1),
+                                  cross.ravel()))
+        for arr in (keep, pair, l_keep, loop, scatter):
             arr.setflags(write=False)
+        self._vertex_pattern = keep, *pair, l_keep, loop, scatter
 
     def __iter__(self):
         return iter((self.n, self.tails, self.heads, self.lengths))
 
-    @cached_property
-    def _vertex_pattern(self):
-        """Read-only arrays: the non-loop edges, their tails, heads and
-        lengths; the loop edges; the flat n x n index that
-        ``spectral._assemble`` fills: diagonal, uu, ww, uw and wu."""
-        n, u, w, lengths = self
-        keep = (u != w).nonzero()[0]
-        tails, heads = u[keep], w[keep]
-        diag = np.concatenate((np.arange(n), tails, heads)) * (n + 1)
-        arrays = (keep, tails, heads, lengths[keep], (u == w).nonzero()[0],
-                  np.concatenate((diag, tails * n + heads, heads * n + tails)))
-        for arr in arrays:
-            arr.setflags(write=False)
-        return arrays
+    def name(self) -> str:
+        """The least vertex name, which names the edge set in errors."""
+        known = self._verts[self._verts < len(self._names)]
+        return min(map(self._names.__getitem__, known.tolist()), default="")
 
-    def take(self, verts: np.ndarray, edges: np.ndarray,
-             names: Sequence[str]) -> "EdgeSet":
+    def take(self, verts: np.ndarray, edges: np.ndarray) -> "EdgeSet":
         """The edge set of the vertices ``verts``, renumbered 0.. in that
-        order, and of the edges ``edges`` among them.  ``names`` names
-        the vertices; an index past it is a new vertex, which has none."""
+        order, and of the edges ``edges`` among them, each vertex keeping
+        its name: one gather of the ends and the lengths, from which the
+        constructor sets the vertex pattern, the largest degree and the
+        least length of the component."""
         local = np.empty(self.n, dtype=np.intp)
         local[verts] = np.arange(verts.size)
-        return EdgeSet(verts.size, local[self.tails[edges]],
-                       local[self.heads[edges]], self.lengths[edges],
-                       min(map(names.__getitem__,
-                               verts[verts < len(names)].tolist())))
-
-    @cached_property
-    def max_degree(self) -> int:
-        """The largest vertex degree; a loop counts 2."""
-        return int(np.bincount(np.concatenate((self.tails, self.heads)),
-                               minlength=self.n).max(initial=0))
-
-    @cached_property
-    def min_length(self) -> float:
-        return float(self.lengths.min()) if self.lengths.size else 0.0
+        return EdgeSet(verts.size, local[self.ends.take(edges, axis=1)],
+                       self.lengths[edges], self._names, self._verts[verts])
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

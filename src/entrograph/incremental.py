@@ -139,27 +139,27 @@ def _attachment_lengths(attachments) -> list[float]:
             for v, l in attachments]
 
 
-def _join(full: EdgeSet, names: Sequence[str], parts, new,
-          direct: bool = False) -> tuple[np.ndarray, np.ndarray, EditResult]:
+def _join(full: EdgeSet, parts, new, direct: bool = False
+          ) -> tuple[list, list, EditResult]:
     """The component of ``full`` made of ``parts``, each (vertex indices,
     edge indices, entropy), and the edges ``new`` (module docstring):
-    (vertex indices, edge indices, its ``EditResult``).  ``direct``
-    solves it whole instead (``entropy._cold_root``), up from h_base, a
-    certified lower bound.  Either root is kept at least h_base, where
-    it rounds below.  ``names`` as in ``EdgeSet.take``.
+    (vertex indices, edge indices, its ``EditResult``), indices in lists.
+    A solve gathers its edge set (``EdgeSet.take``), and ``_schur_root``
+    takes the ends of ``new`` in it; ``direct`` solves it whole instead
+    (``entropy._cold_root``), up from h_base, a certified lower bound.
+    Either root is kept at least h_base, where it rounds below.
     """
-    verts = np.concatenate([p[0] for p in parts])
-    edges = np.concatenate([p[1] for p in parts] + [new])
-    betti = edges.size - verts.size + 1
+    verts = [v for p in parts for v in p[0]]
+    edges = [e for p in parts for e in p[1]] + new
+    betti = len(edges) - len(verts) + 1
     if betti <= 1:
         return verts, edges, EditResult(0.0, 0.0, 0.0, 0)
     h_base = max(h for _, _, h in parts)
-    if not direct and betti == max(e.size - v.size + 1 for v, e, _ in parts):
+    if not direct and betti == max(len(e) - len(v) + 1 for v, e, _ in parts):
         return verts, edges, EditResult(h_base, h_base, 0.0, 0)
-    comp = full.take(verts, edges, names)
+    comp = full.take(np.array(verts), np.array(edges))
     root = _cold_root(comp, lo=h_base) if direct else _schur_root(
-        comp, np.concatenate((comp.tails[-len(new):],
-                              comp.heads[-len(new):])), h_base)
+        comp, comp.ends[:, -len(new):], h_base)
     return verts, edges, EditResult(max(h_base, root.h), h_base,
                                     abs(root.null_eigenvalue), root.evals)
 
@@ -168,18 +168,18 @@ def _edit(graph: MetricGraph, tails: list[int], heads: list[int],
           lengths: list[float]) -> EditResult:
     """The ``EditResult`` of adding the edges tails[i]-heads[i] of
     lengths[i] to ``graph``, tail n a new vertex (module docstring)."""
-    n, u, w, l = old = graph._edge_arrays
+    n, _, _, l = old = graph._edge_arrays
     labels, split = graph._split
     ends = np.array(tails + heads)
     keys = sorted(set(labels[ends[ends < n]].tolist()))
-    parts = [split[k] + (_vertex_root(_component(graph, k)).h,)
-             for k in keys]
+    parts = [(*(a.tolist() for a in split[k]),
+              _vertex_root(_component(graph, k)).h) for k in keys]
     if n in tails:
-        parts.append((np.array([n]), np.empty(0, np.intp), 0.0))
-    full = EdgeSet(n + (n in tails), np.append(u, tails), np.append(w, heads),
-                   np.append(l, lengths), old.name)
-    return _join(full, graph.vertices, parts,
-                 np.arange(u.size, full.tails.size))[2]
+        parts.append(([n], [], 0.0))
+    size = n + (n in tails)
+    full = EdgeSet(size, np.append(old.ends, [tails, heads], 1),
+                   np.append(l, lengths), graph.vertices, np.arange(size))
+    return _join(full, parts, list(range(l.size, l.size + len(tails))))[2]
 
 
 def entropy_after_edge(graph: MetricGraph, x: str, y: str,

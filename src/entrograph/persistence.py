@@ -6,13 +6,15 @@ over components, components with at most one independent cycle counting
 as 0).  Entropy is monotone along the filtration, which makes the
 previous value a lower bound for every later solve.
 
-The walk runs on index arrays of the full graph: its edges sorted by
-length once, and each component of G_eps kept as its vertex and edge
-indices with its entropy.  Each step adds the edges of one length.  A
+The walk runs on the edge set of the full graph: its edges sorted by
+length once into lists, and each component of G_eps kept as lists of
+its vertex and edge indices with its entropy, made for a lone vertex
+when an edge reaches it.  Each step adds the edges of one length.  A
 component that no added edge touches keeps its entropy.  Every other one
 is its parts, the previous components inside it, joined by the added
 edges that land in it: the step of the edge and vertex formulas
-(``incremental._join``), from h_base, the largest entropy of its parts.
+(``incremental._join``), from h_base, the largest entropy of its parts;
+only a solved step gathers its edge set (``EdgeSet.take``).
 "incremental" solves it on the Schur complement of the vertex matrix on
 the ends of the added edges, for one edge, a loop, a merge, a new vertex
 or a batch of equal-length edges alike.  "direct" solves the whole
@@ -61,7 +63,7 @@ class EntropyCurve:
 
 def thresholds(graph: MetricGraph) -> tuple[float, ...]:
     """Strictly increasing distinct edge lengths (exact-value dedup)."""
-    return tuple(np.unique(graph._edge_arrays.lengths).tolist())
+    return tuple(sorted(set(graph._edge_arrays.lengths.tolist())))
 
 
 def filter_at(graph: MetricGraph, epsilon: float) -> MetricGraph:
@@ -70,20 +72,22 @@ def filter_at(graph: MetricGraph, epsilon: float) -> MetricGraph:
     return MetricGraph.from_edges(graph.vertices, edges)
 
 
-def _step_groups(added, tail_keys, head_keys):
+def _step_groups(added, ends, owner):
     """The components of G_eps that the edges ``added`` at eps touch, as
-    (keys of their parts, their added edges), given the key of the
-    previous component of the tail and of the head of each edge."""
-    group: dict = {}  # part key -> ({part key: None}, edges) of its group
-    for e, *ends in zip(added, tail_keys, head_keys):
-        a, b = (group.setdefault(k, ({k: None}, [])) for k in ends)
+    (keys of their parts, their added edges), given the tail and head of
+    each edge (``ends``) and the key of the previous component of each
+    vertex (``owner``)."""
+    group: dict = {}  # part key -> (part keys, edges) of its group
+    for e, (u, w) in zip(added, ends):
+        ku, kw = owner[u], owner[w]
+        a = group.get(ku) or group.setdefault(ku, ([ku], []))
+        b = group.get(kw) or group.setdefault(kw, ([kw], []))
         if a is not b:
-            a[0].update(b[0])
+            a[0].extend(b[0])
             a[1].extend(b[1])
             group.update(dict.fromkeys(b[0], a))
         a[1].append(e)
-    return [(list(keys), edges) for keys, edges
-            in {id(g): g for g in group.values()}.values()]
+    return list({id(g): g for g in group.values()}.values())
 
 
 def persistent_entropy(graph: MetricGraph,
@@ -103,11 +107,13 @@ def persistent_entropy(graph: MetricGraph,
     eps_list = thresholds(graph)
     by_length = np.argsort(lengths, kind="stable")
     cuts = np.searchsorted(lengths[by_length], eps_list, side="right").tolist()
-    by_tail, by_head = tails[by_length], heads[by_length]  # steps: slices
-    # the components of G_eps by key: vertex and edge indices, entropy
-    comps = {v: (np.array([v]), np.empty(0, np.intp), 0.0) for v in range(n)}
-    owner = np.arange(n)  # the key of the component of each vertex
-    direct, names, h_eps, steps = strategy == "direct", graph.vertices, 0.0, []
+    order = by_length.tolist()  # steps: slices of these lists
+    ends = list(zip(tails[by_length].tolist(), heads[by_length].tolist()))
+    # the components of G_eps by key: vertex and edge indices, entropy; a
+    # vertex without an entry is its own component, keyed by its index
+    comps: dict = {}
+    owner = {v: v for v in range(n)}  # the key of each vertex's component
+    direct, h_eps, steps = strategy == "direct", 0.0, []
 
     for eps, a, b in zip(eps_list, [0] + cuts, cuts):
         t0 = time.perf_counter()
@@ -115,17 +121,14 @@ def persistent_entropy(graph: MetricGraph,
             else StepStrategy.INCREMENTAL_EDGE
         iterations = 0
         try:
-            for keys, new in _step_groups(by_length[a:b].tolist(),
-                                          owner[by_tail[a:b]].tolist(),
-                                          owner[by_head[a:b]].tolist()):
-                parts = [comps.pop(k) for k in keys]
-                verts, edges, res = _join(edge_set, names, parts, new,
-                                          direct=direct)
+            for keys, new in _step_groups(order[a:b], ends[a:b], owner):
+                parts = [comps.pop(k, None) or ([k], [], 0.0) for k in keys]
+                verts, edges, res = _join(edge_set, parts, new, direct)
                 iterations += res.iterations
-                if not direct and any(p[1].size == 0 for p in parts):
+                if not direct and not all(p[1] for p in parts):
                     used = StepStrategy.INCREMENTAL_VERTEX
                 comps[keys[0]] = (verts, edges, res.h_prime)
-                owner[verts] = keys[0]
+                owner.update(dict.fromkeys(verts, keys[0]))
                 h_eps = max(h_eps, res.h_prime)
         except EntrographError as exc:
             exc.threshold = eps

@@ -842,6 +842,34 @@ def rebuild_curve(graph, strategy, floor=True):
     return out
 
 
+def reference_take(full, verts, edges, names):
+    """The edge set that ``EdgeSet.take`` gave when its vertex pattern,
+    largest degree and least length were cached properties read on
+    demand, and ``take`` itself resolved its least vertex name, from the
+    tails, heads and lengths of ``full``; ``names`` names the vertices
+    of ``full``, an index past it being a new vertex.  (n, the arrays
+    tails, heads, lengths and those of the vertex pattern, the largest
+    degree, the least length, the name)."""
+    n_full, u_full, w_full, l_full = full
+    local = np.empty(n_full, dtype=np.intp)
+    local[verts] = np.arange(verts.size)
+    n = verts.size
+    u, w, lengths = local[u_full[edges]], local[w_full[edges]], l_full[edges]
+    keep = (u != w).nonzero()[0]
+    tails, heads = u[keep], w[keep]
+    diag = np.concatenate((np.arange(n), tails, heads)) * (n + 1)
+    arrays = (u, w, lengths, keep, tails, heads, lengths[keep],
+              (u == w).nonzero()[0],
+              np.concatenate((diag, tails * n + heads, heads * n + tails)))
+    for arr in arrays:
+        arr.setflags(write=False)
+    return (n, arrays,
+            int(np.bincount(np.concatenate((u, w)),
+                            minlength=n).max(initial=0)),
+            float(lengths.min()) if lengths.size else 0.0,
+            min(map(names.__getitem__, verts[verts < len(names)].tolist())))
+
+
 def reference_edge_forms(edges, t, mode=TransferMode.NON_BACKTRACKING):
     """M(t) and M'(t) of an edge set (``graph.EdgeSet``) as (shift, tails,
     heads, weights), each form built on its own from the edge arrays.

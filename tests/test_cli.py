@@ -192,6 +192,33 @@ def test_persistence_bench_report(c4_file, tmp_path, capsys):
     assert "crossover," in text
 
 
+@pytest.mark.parametrize("strategy", ["auto", "direct", "incremental"])
+def test_persistence_bench_computes_each_curve_once(tmp_path, monkeypatch,
+                                                    capsys, strategy):
+    # the curve of --strategy is computed once and reused by the bench
+    # rows, which keep their strategies, epsilons and step labels
+    g = generate_graph(1, 6, 10)
+    path = tmp_path / "g.json"
+    path.write_text(serialize_json(g))
+    curve = cli.persistence.persistent_entropy
+    want = [f"bench,{name},{step.epsilon!r},{step.strategy.value}"
+            for name in ("direct", "incremental", "auto")
+            for step in curve(g, name).steps]
+    calls = []
+    monkeypatch.setattr(cli.persistence, "persistent_entropy",
+                        lambda graph, strategy: calls.append(strategy)
+                        or curve(graph, strategy))
+    assert main(["persistence", str(path), "--bench",
+                 "--strategy", strategy]) == 0
+    assert calls[0] == strategy
+    assert sorted(calls) == ["auto", "direct", "incremental"]
+    lines = capsys.readouterr().out.split("\n")
+    head = lines.index("bench,strategy,epsilon,ms,step_strategy")
+    rows = [line.split(",") for line in lines[head + 1:]
+            if line.startswith("bench,")]
+    assert [",".join(r[:3] + r[4:]) for r in rows] == want
+
+
 def test_persistence_json_bench_is_refused(c4_file, tmp_path, monkeypatch,
                                            capsys):
     # the CSV bench rows used to follow the JSON document, which then did

@@ -754,6 +754,19 @@ def test_growth_bounds_refuses_a_bad_horizon_before_building_a(r_max):
             growth_bounds(core, v, r_max)
 
 
+@pytest.mark.parametrize("cap", [-5, math.nan], ids=["negative", "nan"])
+def test_growth_bounds_refuses_a_bad_cap_before_building_a(cap):
+    # the cap is checked with the horizon, before A(h) and its
+    # eigen-decomposition, not by the enumeration after them
+    core = reduce(generate_graph(2, 10, 18)).graph
+    v = max(core.vertex_set, key=lambda w: (core.degree(w), w))
+    with patch.object(counting, "primitive_matrix",
+                      side_effect=AssertionError("A(h) was built")):
+        with pytest.raises(PreconditionError,
+                           match="cap must be nonnegative"):
+            growth_bounds(core, v, 5.0, cap=cap)
+
+
 def _report_bits(rep):
     return tuple(
         (value.dtype.str, value.tobytes()) if isinstance(value, np.ndarray)

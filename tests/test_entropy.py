@@ -402,7 +402,7 @@ def test_cached_roots_equal_cold_solves(mode, g):
     for verts, edges in g._split[1]:
         comp = component_of(g, g.vertices[verts[0]])
         assert all(component_of(g, v) is comp for v in comp.vertices)
-        cases.append((comp, whole.take(verts, edges, g.vertices)))
+        cases.append((comp, whole.take(verts, edges)))
     if gate:
         cases.append((g, whole))
     for graph, edges in cases:

@@ -2,17 +2,18 @@
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from entrograph import (ComponentKind, Dart, MetricGraph, NonPositiveLength,
                         UnknownVertex, add_edge, add_vertex, components,
                         delete_edge, delete_vertex, first_betti, reduce,
                         same_graph, validate)
-from entrograph.graph import component_of
+from entrograph.graph import EdgeSet, component_of
 from helpers import (c4, check_reduce, complete4, cycle, dfs_components,
-                     mixed_graphs, path3, rose, segment, split_multigraphs,
-                     theta)
+                     mixed_graphs, multigraphs, path3, reference_take, rose,
+                     segment, split_multigraphs, theta)
 
 
 def test_validate_well_formed_c4():
@@ -147,6 +148,43 @@ def test_max_degree_and_min_length_of_an_edgeless_graph():
     g = MetricGraph.from_edges(["x", "y"], [])
     assert g.max_degree() == 0 and g.min_length() == 0.0
     assert MetricGraph.from_edges([], []).max_degree() == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=st.one_of(multigraphs(), split_multigraphs()), data=st.data())
+def test_take_matches_reference_edge_sets(g, data):
+    # the edge set of ``take``, whose constructor sets its vertex pattern,
+    # largest degree and least length, equals the one whose cached
+    # properties gave them, array by array: values, dtypes and read-only
+    # flags.  As in an edit (``incremental._edit``), the full edge set
+    # holds new edges on one component, loops and parallel edges among
+    # them, and on a new vertex n past the names
+    old, (verts, edges) = g._edge_arrays, data.draw(
+        st.sampled_from(g._split[1]))
+    n, m = old.n, old.lengths.size
+    end = st.sampled_from(verts.tolist() + [n])
+    new = data.draw(st.lists(st.tuples(end, end), max_size=4))
+    lengths = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=len(new),
+                                 max_size=len(new)))
+    hub = any(n in e for e in new)
+    full = EdgeSet(n + hub, np.append(
+        old.ends, np.array(new, dtype=np.intp).reshape(-1, 2).T, 1),
+        np.append(old.lengths, lengths), g.vertices, np.arange(n + hub))
+    verts = np.array(data.draw(st.permutations(verts.tolist() + [n] * hub)))
+    edges = np.array(data.draw(st.permutations(
+        edges.tolist() + list(range(m, m + len(new))))), dtype=np.intp)
+    got = full.take(verts, edges)
+    n_ref, arrays, max_degree, min_length, name = reference_take(
+        full, verts, edges, g.vertices)
+    assert (got.n, got.max_degree, got.min_length, got.name()) \
+        == (n_ref, max_degree, min_length, name)
+    assert (type(got.max_degree), type(got.min_length)) == (int, float)
+    mine = (got.tails, got.heads, got.lengths, *got._vertex_pattern)
+    assert len(mine) == len(arrays)
+    for a, b in zip(mine, arrays):
+        assert (a.dtype, a.shape, a.flags.writeable) \
+            == (b.dtype, b.shape, False)
+        assert np.array_equal(a, b)
 
 
 def test_components_empty_graph():

@@ -333,6 +333,21 @@ def test_package_error_carries_its_threshold(monkeypatch):
     assert info.value.args == ("no root",)
 
 
+@pytest.mark.parametrize("strategy", ["direct", "incremental"])
+def test_step_nonconvergence_names_its_component(monkeypatch, strategy):
+    # a step that exhausts its Newton budget names the component it
+    # solved by its least vertex, resolved only for the error, and
+    # carries its threshold; here "a", the least name of the graph, lies
+    # outside that component, and "b" is not its first vertex
+    g = MetricGraph.from_edges(list("ecbda"), [
+        (u, w, 1.0) for i, u in enumerate("ecbd") for w in "ecbd"[i + 1:]])
+    monkeypatch.setattr(entropy, "_NEWTON_CAP", 1)
+    with pytest.raises(NonConvergence) as info:
+        persistent_entropy(g, strategy)
+    assert info.value.component == "b"
+    assert info.value.threshold == 1.0 and math.isfinite(info.value.t)
+
+
 def test_other_errors_propagate_untouched(monkeypatch):
     def fail(*args, **kwargs):
         raise ZeroDivisionError("division by zero")
