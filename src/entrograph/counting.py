@@ -420,7 +420,7 @@ def _enumerate(graph: MetricGraph, spec: EnumerationSpec,
     # reverse of start j, in the narrowest dtype that holds them
     width = len(starts) + 1
     pair = np.min_scalar_type(width * width)
-    if recursions or not cycles:  # a primitive-cycle profile is wanted
+    if any(kind is PathKind.PRIMITIVE_CYCLES_AT for kind, _, _ in wanted):
         rev_pos = {graph.darts[s].reverse: j
                    for j, s in enumerate(starts, 1)}
         ends = np.repeat([rev_pos[d] for _, d, _ in arrivals],

@@ -259,11 +259,9 @@ class EdgeSet:
         self._names, self._verts = names, verts
         self.max_degree = max(np.bincount(ends.ravel()).tolist(), default=0)
         self.min_length = min(lengths.tolist(), default=0.0)
-        loop = (tails == heads).nonzero()[0]
-        keep, pair, l_keep = np.arange(lengths.size), ends, lengths
-        if loop.size:
-            keep = (tails != heads).nonzero()[0]
-            pair, l_keep = ends[:, keep], lengths[keep]
+        edge = tails != heads
+        keep, loop = edge.nonzero()[0], (~edge).nonzero()[0]
+        pair, l_keep = ends.take(keep, 1), lengths.take(keep)
         cross = pair.take(self._ROWS[0], 0) * n + pair.take(self._ROWS[1], 0)
         scatter = np.concatenate((np.arange(0, n * (n + 1), n + 1),
                                   cross.ravel()))
@@ -279,16 +277,23 @@ class EdgeSet:
         known = self._verts[self._verts < len(self._names)]
         return min(map(self._names.__getitem__, known.tolist()), default="")
 
-    def take(self, verts: np.ndarray, edges: np.ndarray) -> "EdgeSet":
+    def take(self, verts: np.ndarray, edges: np.ndarray,
+             added=None) -> "EdgeSet":
         """The edge set of the vertices ``verts``, renumbered 0.. in that
         order, and of the edges ``edges`` among them, each vertex keeping
         its name: one gather of the ends and the lengths, from which the
-        constructor sets the vertex pattern, the largest degree and the
-        least length of the component."""
-        local = np.empty(self.n, dtype=np.intp)
+        constructor sets the vertex pattern, largest degree and least
+        length.  ``added``, the (ends, lengths) of k more edges, makes them
+        edges m..m+k-1, an end n being a new vertex, which has no name."""
+        ends, lengths, ids = self.ends, self.lengths, self._verts
+        if added is not None:
+            ends, lengths = np.append(ends, added[0], 1), np.append(
+                lengths, added[1])
+            ids = np.append(ids, len(self._names))
+        local = np.empty(self.n + 1, dtype=np.intp)
         local[verts] = np.arange(verts.size)
-        return EdgeSet(verts.size, local[self.ends.take(edges, axis=1)],
-                       self.lengths[edges], self._names, self._verts[verts])
+        return EdgeSet(verts.size, local[ends.take(edges, axis=1)],
+                       lengths[edges], self._names, ids[verts])
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

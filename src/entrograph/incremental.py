@@ -35,15 +35,16 @@ darts.  The paper's formulas are its small cases:
   A = ones - identity.
 
 One join (``_join``) serves both edits and the persistence walk: the
-parts' vertex and edge indices in the full graph's edge set, to which an
-edit appends its edges (a new vertex is index n), then the new edges,
-gathered once as an ``EdgeSet``.  Let b be its first Betti number.  If b
-<= 1 its entropy is 0.  Else h_base is the largest entropy of the parts,
-which an edit reads from the root that the graph caches for each
-component (``entropy._vertex_root``), 0 for a new vertex.  If b equals
-the largest Betti number among the parts, the new edges join that part
-to trees along a tree (a pendant edge, say) and the entropy stays
-h_base exactly.  The join gives the one ``EditResult`` both edits return.
+parts' vertex and edge indices in the full graph's edge set, after which
+an edit numbers its edges (a new vertex is index n), then the new edges,
+gathered once as an ``EdgeSet`` (an edit's are ``added`` there).  Let b
+be its first Betti number.  If b <= 1 its entropy is 0.  Else h_base is
+the largest entropy of the parts, which an edit reads from the root that
+the graph caches for each component (``entropy._vertex_root``), 0 for a
+new vertex.  If b equals the largest Betti number among the parts, the
+new edges join that part to trees along a tree (a pendant edge, say) and
+the entropy stays h_base exactly.  The join gives the one ``EditResult``
+both edits return.
 
 The asymptotic constants of the pole f_ab(t) ~ C_ab t / (t - h) have the
 closed form C_ab = v_a v_b / (h lambda'(h)), with v the unit null vector
@@ -139,13 +140,14 @@ def _attachment_lengths(attachments) -> list[float]:
             for v, l in attachments]
 
 
-def _join(full: EdgeSet, parts, new, direct: bool = False
+def _join(full: EdgeSet, parts, new, direct: bool = False, added=None
           ) -> tuple[list, list, EditResult]:
     """The component of ``full`` made of ``parts``, each (vertex indices,
     edge indices, entropy), and the edges ``new`` (module docstring):
     (vertex indices, edge indices, its ``EditResult``), indices in lists.
-    A solve gathers its edge set (``EdgeSet.take``), and ``_schur_root``
-    takes the ends of ``new`` in it; ``direct`` solves it whole instead
+    A solve gathers its edge set (``EdgeSet.take``; an edit's edges are
+    ``added`` to ``full`` there), and ``_schur_root`` takes the ends of
+    ``new`` in it; ``direct`` solves it whole instead
     (``entropy._cold_root``), up from h_base, a certified lower bound.
     Either root is kept at least h_base, where it rounds below.
     """
@@ -157,7 +159,7 @@ def _join(full: EdgeSet, parts, new, direct: bool = False
     h_base = max(h for _, _, h in parts)
     if not direct and betti == max(len(e) - len(v) + 1 for v, e, _ in parts):
         return verts, edges, EditResult(h_base, h_base, 0.0, 0)
-    comp = full.take(np.array(verts), np.array(edges))
+    comp = full.take(np.array(verts), np.array(edges), added)
     root = _cold_root(comp, lo=h_base) if direct else _schur_root(
         comp, comp.ends[:, -len(new):], h_base)
     return verts, edges, EditResult(max(h_base, root.h), h_base,
@@ -176,10 +178,8 @@ def _edit(graph: MetricGraph, tails: list[int], heads: list[int],
               _vertex_root(_component(graph, k)).h) for k in keys]
     if n in tails:
         parts.append(([n], [], 0.0))
-    size = n + (n in tails)
-    full = EdgeSet(size, np.append(old.ends, [tails, heads], 1),
-                   np.append(l, lengths), graph.vertices, np.arange(size))
-    return _join(full, parts, list(range(l.size, l.size + len(tails))))[2]
+    return _join(old, parts, list(range(l.size, l.size + len(tails))),
+                 added=([tails, heads], lengths))[2]
 
 
 def entropy_after_edge(graph: MetricGraph, x: str, y: str,

@@ -80,8 +80,8 @@ def _step_groups(added, ends, owner):
     group: dict = {}  # part key -> (part keys, edges) of its group
     for e, (u, w) in zip(added, ends):
         ku, kw = owner[u], owner[w]
-        a = group.get(ku) or group.setdefault(ku, ([ku], []))
-        b = group.get(kw) or group.setdefault(kw, ([kw], []))
+        a = group.setdefault(ku, ([ku], []))
+        b = group.setdefault(kw, ([kw], []))
         if a is not b:
             a[0].extend(b[0])
             a[1].extend(b[1])

@@ -654,10 +654,10 @@ def reference_vertex_root(graph, mode=TransferMode.NON_BACKTRACKING):
     return replace(best, v=v, evals=evals)
 
 
-def reference_newton_down(evaluate, t, lo, hi, component):
+def reference_newton_down(evaluate, t, lo, hi, name):
     """``entropy._newton_down`` with plain Newton steps, as it was before
     the interpolated step: the reference for its root and its number of
-    evaluations."""
+    evaluations; ``name()`` names the graph in errors."""
     from entrograph import NonConvergence
     from entrograph.entropy import _NEWTON_CAP, _VertexRoot
     lam, v, dlam, noise = evaluate(t)
@@ -675,7 +675,7 @@ def reference_newton_down(evaluate, t, lo, hi, component):
             exc = NonConvergence(
                 f"lambda = 0 unresolved after {evals} evaluations "
                 f"on [{lo!r}, {hi!r}]")
-            exc.t, exc.component = t, component
+            exc.t, exc.component = t, name()
             raise exc
         t_next = t - lam / dlam if dlam > 0.0 else math.nan
         if abs(t_next - t) <= 1e-15 * t:

@@ -10,7 +10,7 @@ from entrograph import (ComponentKind, Dart, MetricGraph, NonPositiveLength,
                         UnknownVertex, add_edge, add_vertex, components,
                         delete_edge, delete_vertex, first_betti, reduce,
                         same_graph, validate)
-from entrograph.graph import EdgeSet, component_of
+from entrograph.graph import component_of
 from helpers import (c4, check_reduce, complete4, cycle, dfs_components,
                      mixed_graphs, multigraphs, path3, reference_take, rose,
                      segment, split_multigraphs, theta)
@@ -156,9 +156,10 @@ def test_take_matches_reference_edge_sets(g, data):
     # the edge set of ``take``, whose constructor sets its vertex pattern,
     # largest degree and least length, equals the one whose cached
     # properties gave them, array by array: values, dtypes and read-only
-    # flags.  As in an edit (``incremental._edit``), the full edge set
-    # holds new edges on one component, loops and parallel edges among
-    # them, and on a new vertex n past the names
+    # flags.  As in an edit (``incremental._edit``), new edges are
+    # ``added`` to one component, loops and parallel edges among them,
+    # some on a new vertex n past the names; without new edges the take
+    # is the one of a persistence step
     old, (verts, edges) = g._edge_arrays, data.draw(
         st.sampled_from(g._split[1]))
     n, m = old.n, old.lengths.size
@@ -167,13 +168,13 @@ def test_take_matches_reference_edge_sets(g, data):
     lengths = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=len(new),
                                  max_size=len(new)))
     hub = any(n in e for e in new)
-    full = EdgeSet(n + hub, np.append(
-        old.ends, np.array(new, dtype=np.intp).reshape(-1, 2).T, 1),
-        np.append(old.lengths, lengths), g.vertices, np.arange(n + hub))
+    added = np.array(new, dtype=np.intp).reshape(-1, 2).T, lengths
+    full = (n + hub, *np.append(old.ends, added[0], 1),
+            np.append(old.lengths, lengths))
     verts = np.array(data.draw(st.permutations(verts.tolist() + [n] * hub)))
     edges = np.array(data.draw(st.permutations(
         edges.tolist() + list(range(m, m + len(new))))), dtype=np.intp)
-    got = full.take(verts, edges)
+    got = old.take(verts, edges, added if new else None)
     n_ref, arrays, max_degree, min_length, name = reference_take(
         full, verts, edges, g.vertices)
     assert (got.n, got.max_degree, got.min_length, got.name()) \
