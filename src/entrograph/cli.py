@@ -15,12 +15,14 @@ import functools
 import json
 import sys
 
+import numpy as np
+
 from . import counting, persistence
 from .entropy import _vertex_root, volume_entropy
-from .errors import (DisconnectedPair, DivergentSeries, EntrographError,
-                     HorizonTooLarge, MarginTooSmall, NonConvergence,
-                     NonPositiveLength, PreconditionError, TooFewAttachments,
-                     UnknownFormat, UnknownVertex, ValidationFailed)
+from .errors import (DisconnectedPair, EntrographError, HorizonTooLarge,
+                     MarginTooSmall, NonPositiveLength, PreconditionError,
+                     TooFewAttachments, UnknownFormat, UnknownVertex,
+                     ValidationFailed)
 from .genfun import check_symmetry
 from .graph import (MetricGraph, _require_valid, add_edge, add_vertex,
                     component_of, first_betti, reduce)
@@ -38,7 +40,6 @@ _PRECONDITION_ERRORS = (DisconnectedPair, TooFewAttachments,
                         PreconditionError, UnknownVertex, NonPositiveLength,
                         HorizonTooLarge, UnknownFormat, MarginTooSmall,
                         ValueError)
-_SOLVER_ERRORS = (NonConvergence, DivergentSeries)
 
 
 def _emit(text: str, out_path: str | None):
@@ -371,13 +372,13 @@ def main(argv=None) -> int:
     except (ParseError, ValidationFailed, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except np.linalg.LinAlgError as exc:  # a ValueError, but a solver's
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     except _PRECONDITION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except _SOLVER_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except EntrographError as exc:  # pragma: no cover - safety net
+    except EntrographError as exc:  # NonConvergence, DivergentSeries
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

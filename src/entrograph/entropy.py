@@ -64,7 +64,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dsyevr
 
-from .errors import InsufficientData, NonConvergence
+from .errors import InsufficientData, NonConvergence, PreconditionError
 from .graph import (ComponentKind, EdgeSet, MetricGraph, _component,
                     _require_valid, components, reduce)
 from .spectral import (TransferMode, _assemble, _sparse_transfer,
@@ -139,10 +139,10 @@ _EPS = float(np.finfo(float).eps)
 def _edge_quotients(edges: EdgeSet, shift, weights, d_shift, d_weights, v):
     """(v^T M(t) v, v^T M'(t) v, the rounding scale of v^T M(t) v) in the
     edge form sum_u shift_u v_u^2 + sum_e w_e (v_u - v_w)^2 of the terms
-    of ``spectral._vertex_terms``.  The scale is 4 eps times the sum of
-    the absolute values of the terms: below it the sign says nothing."""
-    _, tails, heads, _, _, _ = edges._vertex_pattern
-    sq, diff2 = v * v, np.square(v[tails] - v[heads])
+    of ``spectral._vertex_terms``, a loop adding 0.  The scale is 4 eps
+    times the sum of the absolute values of the terms: below it the sign
+    says nothing."""
+    sq, diff2 = v * v, np.square(v[edges.tails] - v[edges.heads])
     flow = float(weights.dot(diff2))
     return (float(shift.dot(sq)) + flow,
             float(d_shift.dot(sq) + d_weights.dot(diff2)),
@@ -164,7 +164,7 @@ def _lambda_min(edges: EdgeSet, t: float, mode: TransferMode):
     the rounding scale of lambda_min), the eigenvalue and slope as the
     edge-form quotients of the eigenvector (``_edge_quotients``)."""
     terms = _vertex_terms(edges, t, mode, True)
-    v = _lowest_vector(_assemble(edges._vertex_pattern[5], *terms[:2]))
+    v = _lowest_vector(_assemble(edges.scatter, *terms[:2]))
     lam, dlam, noise = _edge_quotients(edges, *terms, v)
     return lam, v, dlam, noise
 
@@ -210,9 +210,14 @@ def _log_rho(graph: MetricGraph, t: float):
 def _upper_start(edges: EdgeSet, mode: TransferMode) -> float:
     """log(max(k, 2)) / l_min, k the largest number of continuations of
     a dart: rho(B(t)) <= 1 there, so no root of the edge set lies above.
-    The top of the bracket of vertex solves and of ``_row_sum_bound``."""
+    The top of the bracket of every solve, ``_row_sum_bound``'s included;
+    PreconditionError where it overflows, as for a subnormal l_min."""
     k = edges.max_degree - (mode is TransferMode.NON_BACKTRACKING)
-    return math.log(max(k, 2)) / edges.min_length
+    if math.isinf(top := math.log(max(k, 2)) / edges.min_length):
+        raise PreconditionError(f"component {edges.name()!r}: an edge of "
+                                f"length {edges.min_length!r} is too short "
+                                "to bound its entropy")
+    return top
 
 
 def _row_sum_bound(edges: EdgeSet, mode: TransferMode) -> float:
@@ -412,7 +417,7 @@ def _schur_root(edges: EdgeSet, ends: np.ndarray, h_base: float,
     r = (~on_s).nonzero()[0]
     k, place = r.size, np.empty(n, dtype=np.intp)  # k = |R|
     place[np.concatenate((r, on_s.nonzero()[0]))] = np.arange(n)  # R first
-    scatter = (place[:, None] * n + place).ravel()[edges._vertex_pattern[5]]
+    scatter = (place[:, None] * n + place).ravel()[edges.scatter]
 
     def evaluate(t: float):
         terms = _vertex_terms(edges, t, mode, True)

@@ -83,7 +83,7 @@ def _solve(comp: MetricGraph, t: float, mode: TransferMode,
         edges = comp._edge_arrays
         shift, weights, _, _ = _vertex_terms(edges, float(t), mode, False)
         factor, info = dpotrf(  # info > 0: not PD
-            _assemble(edges._vertex_pattern[5], shift, weights))
+            _assemble(edges.scatter, shift, weights))
     if info:
         raise DivergentSeries("series diverges at this parameter")
     u = dpotrs(factor, rhs)[0]

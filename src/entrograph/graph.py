@@ -236,19 +236,16 @@ class EdgeSet:
     """Vertices 0..n-1 and edges ends[0, i]-ends[1, i] (``tails``,
     ``heads``) of length lengths[i], with what a vertex-matrix solve
     reads, all set here, together, from those arrays: ``max_degree`` (a
-    loop counts 2), ``min_length`` (0 without edges) and
-    ``_vertex_pattern``, which holds the non-loop edges, their tails,
-    heads and lengths, the loop edges, and the flat n x n index that
-    ``spectral._assemble`` fills: diagonal, uu, ww, uw and wu.  These
-    arrays are read-only.  names[verts[i]] names vertex i, and an index
-    past ``names`` is a new vertex, which has none; only errors read a
-    name (``name``).  Unpacks as (n, tails, heads, lengths)."""
+    loop counts 2), ``min_length`` (0 without edges), ``loops``, the loop
+    edges, and ``scatter``, the flat n x n index of ``spectral._assemble``:
+    diagonal, then uu, ww, uw and wu of every edge, a loop's four on its
+    diagonal.  All read-only; a solve's term arrays are indexed by edge
+    as these are.  names[verts[i]] names vertex i, and an index past
+    ``names`` is a new vertex, which has none; only errors read a name
+    (``name``).  Unpacks as (n, tails, heads, lengths)."""
 
     __slots__ = ("n", "ends", "tails", "heads", "lengths", "max_degree",
-                 "min_length", "_vertex_pattern", "_names", "_verts")
-    # row a times n plus row b of the non-loop (tails, heads), for (a, b)
-    # in zip(*_ROWS), flat-indexes their entries uu, ww, uw and wu
-    _ROWS = np.array([0, 1, 0, 1]), np.array([0, 1, 1, 0])
+                 "min_length", "loops", "scatter", "_names", "_verts")
 
     def __init__(self, n: int, ends: np.ndarray, lengths: np.ndarray,
                  names: Sequence[str], verts: np.ndarray):
@@ -259,15 +256,10 @@ class EdgeSet:
         self._names, self._verts = names, verts
         self.max_degree = max(np.bincount(ends.ravel()).tolist(), default=0)
         self.min_length = min(lengths.tolist(), default=0.0)
-        edge = tails != heads
-        keep, loop = edge.nonzero()[0], (~edge).nonzero()[0]
-        pair, l_keep = ends.take(keep, 1), lengths.take(keep)
-        cross = pair.take(self._ROWS[0], 0) * n + pair.take(self._ROWS[1], 0)
-        scatter = np.concatenate((np.arange(0, n * (n + 1), n + 1),
-                                  cross.ravel()))
-        for arr in (keep, pair, l_keep, loop, scatter):
-            arr.setflags(write=False)
-        self._vertex_pattern = keep, *pair, l_keep, loop, scatter
+        self.loops = _read_only((tails == heads).nonzero()[0])
+        cross = np.concatenate((ends * (n + 1), ends * n + ends[::-1]))
+        self.scatter = _read_only(np.concatenate(  # rows uu, ww, uw, wu
+            (np.arange(0, n * (n + 1), n + 1), cross.ravel())))
 
     def __iter__(self):
         return iter((self.n, self.tails, self.heads, self.lengths))
@@ -282,7 +274,7 @@ class EdgeSet:
         """The edge set of the vertices ``verts``, renumbered 0.. in that
         order, and of the edges ``edges`` among them, each vertex keeping
         its name: one gather of the ends and the lengths, from which the
-        constructor sets the vertex pattern, largest degree and least
+        constructor sets the loops, scatter index, largest degree and least
         length.  ``added``, the (ends, lengths) of k more edges, makes them
         edges m..m+k-1, an end n being a new vertex, which has no name."""
         ends, lengths, ids = self.ends, self.lengths, self._verts

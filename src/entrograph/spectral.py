@@ -25,8 +25,9 @@ det(I - B(t)) = det M(t) * prod_e (1 - z_e^2) with z_e = e^{-t l_e},
 carries the same information for the path generating functions: M(t)
 is positive definite exactly when t lies above the entropy.  One kernel
 gives the terms of M(t) over an edge set (``graph.EdgeSet``), and of
-M'(t) where a slope is needed, as plain arrays (``_vertex_terms``); one
-``np.bincount`` over the set's cached flat index assembles M(t)
+M'(t) where a slope is needed, as a shift per vertex and a Laplacian
+weight per edge, 0 on a loop (``_vertex_terms``); one ``np.bincount``
+over the set's flat index ``EdgeSet.scatter`` assembles M(t)
 (``_assemble``), and one LAPACK ``dsyevr`` gives lambda_min(M(t)).
 """
 
@@ -121,10 +122,10 @@ def _sparse_transfer(graph: MetricGraph, t: float,
 
 
 def _assemble(scatter: np.ndarray, shift: np.ndarray, weights: np.ndarray):
-    """diag(shift) + sum_e weights_e L_e, the sum over the non-loop edges
-    e = uw with L_e = (e_u - e_w)(e_u - e_w)^T, by one ``np.bincount``
-    over the flat index ``scatter`` (``EdgeSet._vertex_pattern``): each
-    entry its shift, then uu, ww, uw, wu."""
+    """diag(shift) + sum_e weights_e L_e, the sum over the edges e = uw
+    with L_e = (e_u - e_w)(e_u - e_w)^T, which is 0 for a loop, by one
+    ``np.bincount`` over the flat index ``scatter``
+    (``EdgeSet.scatter``): each entry its shift, then uu, ww, uw, wu."""
     n, neg = shift.size, -weights
     values = np.concatenate((shift, weights, weights, neg, neg))
     return np.bincount(scatter, values, n * n).reshape(n, n)
@@ -134,49 +135,50 @@ def _apply(edges: EdgeSet, shift: np.ndarray, weights: np.ndarray,
            x: np.ndarray) -> np.ndarray:
     """The matrix of ``_assemble`` times x, a vector or a matrix of
     columns, in the edge form: diag(shift) x plus weights_e L_e x over
-    the non-loop edges of ``edges``.  It keeps the large weights 1/(2 t l)
-    of short edges on differences x_u - x_w, so its residuals stay
-    accurate where the assembled matrix has lost digits."""
-    _, tails, heads, _, _, _ = edges._vertex_pattern
+    the edges of ``edges``, weights indexed by edge.  It keeps the large
+    weights 1/(2 t l) of short edges on differences x_u - x_w, so its
+    residuals stay accurate where the assembled matrix has lost digits."""
     col = (slice(None),) + (None,) * (x.ndim - 1)
-    flow = weights[col] * (x[tails] - x[heads])
+    flow = weights[col] * (x[edges.tails] - x[edges.heads])
     out = shift[col] * x
-    np.add.at(out, tails, flow)
-    np.subtract.at(out, heads, flow)
+    np.add.at(out, edges.tails, flow)
+    np.subtract.at(out, edges.heads, flow)
     return out
 
 
 def _vertex_terms(edges: EdgeSet, t: float, mode: TransferMode, slope: bool):
     """(shift, weights) of M(t) and, with ``slope``, of M'(t) (else None,
     None) for ``_assemble`` and ``_apply``, at t > 0 (t >= 0 backtracking),
-    from one x = -t l and z = e^x.  Non-backtracking: weights z/(1-z^2)
-    and -l z(1+z^2)/(1-z^2)^2, z^2 - 1 = expm1(2x), endpoint terms
-    -z/(1+z) and l z/(1+z)^2; a loop's net diagonal term in M(t) is
+    from one x = -t l and z = e^x; the weights are indexed by edge and
+    exactly 0.0 on loops, whose L_e is 0.  Non-backtracking: weights
+    z/(1-z^2) and -l z(1+z^2)/(1-z^2)^2, z^2 - 1 = expm1(2x), endpoint
+    terms -z/(1+z) and l z/(1+z)^2; a loop's net diagonal term in M(t) is
     -2z/(1+z) = tanh(t l/2) - 1, whose 1 cancels the identity first, so a
     short loop keeps its digits.  Backtracking (I - W(t)): weights z and
-    -l z, endpoint terms -z and l z.  Other terms count a loop twice."""
+    -l z, endpoint terms -z and l z.  Endpoint terms count a loop twice."""
     n, u, w, lengths = edges.n, edges.tails, edges.heads, edges.lengths
-    keep, _, _, l_keep, loop, _ = edges._vertex_pattern
+    loop = edges.loops
     z = np.exp(x := lengths * -t)  # array * float: float * array is slower
-    xk, zk = (x[keep], z[keep]) if loop.size else (x, z)
     shift, d_shift, d_weights = 1.0, None, None  # shift: an array below
     if mode is TransferMode.BACKTRACKING:
-        weights, drop, rise = zk, z, lengths * z
-        d_weights = -(l_keep * zk) if slope else None
+        weights, drop, rise = z.copy(), z, lengths * z  # a loop drops 2z
+        d_weights = -rise if slope else None
     else:
-        q = np.expm1(xk + xk)  # z^2 - 1
-        weights, zp = -(zk / q), z + 1.0
+        q = np.expm1(x + x)  # z^2 - 1
+        weights, zp = -(z / q), z + 1.0
         drop = z / zp
         if slope:
-            d_weights = -(l_keep * zk * (zk * zk + 1.0) / (q * q))
+            d_weights = -(lengths * z * (z * z + 1.0) / (q * q))
             rise = lengths * z / (zp * zp)
         if loop.size:
             shift -= np.bincount(u[loop], minlength=n)
             shift += np.bincount(u[loop], np.tanh(0.5 * t * lengths[loop]), n)
             drop[loop] = 0.0
+    weights[loop] = 0.0
     shift = np.subtract(shift, np.bincount(u, drop, n))
     shift -= np.bincount(w, drop, n)
     if slope:
+        d_weights[loop] = 0.0
         d_shift = np.bincount(u, rise, n) + np.bincount(w, rise, n)
     return shift, weights, d_shift, d_weights
 
@@ -203,7 +205,7 @@ def vertex_matrix(graph: MetricGraph, t: float,
                                 f"backtracking), got t = {t!r}")
     edges = graph._edge_arrays
     shift, weights, _, _ = _vertex_terms(edges, t, mode, False)
-    return _assemble(edges._vertex_pattern[5], shift, weights)
+    return _assemble(edges.scatter, shift, weights)
 
 
 # Power steps per residual test.  A test took 9.3 / 12.7 / 13.4 us and a

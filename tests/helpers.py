@@ -843,24 +843,21 @@ def rebuild_curve(graph, strategy, floor=True):
 
 
 def reference_take(full, verts, edges, names):
-    """The edge set that ``EdgeSet.take`` gave when its vertex pattern,
-    largest degree and least length were cached properties read on
-    demand, and ``take`` itself resolved its least vertex name, from the
-    tails, heads and lengths of ``full``; ``names`` names the vertices
-    of ``full``, an index past it being a new vertex.  (n, the arrays
-    tails, heads, lengths and those of the vertex pattern, the largest
-    degree, the least length, the name)."""
+    """The edge set that ``EdgeSet.take`` gave when its loops, scatter
+    index, largest degree and least length were cached properties read
+    on demand, and ``take`` itself resolved its least vertex name, from
+    the tails, heads and lengths of ``full``; ``names`` names the
+    vertices of ``full``, an index past it being a new vertex.  (n, the
+    arrays tails, heads, lengths, loops and scatter, the largest degree,
+    the least length, the name)."""
     n_full, u_full, w_full, l_full = full
     local = np.empty(n_full, dtype=np.intp)
     local[verts] = np.arange(verts.size)
     n = verts.size
     u, w, lengths = local[u_full[edges]], local[w_full[edges]], l_full[edges]
-    keep = (u != w).nonzero()[0]
-    tails, heads = u[keep], w[keep]
-    diag = np.concatenate((np.arange(n), tails, heads)) * (n + 1)
-    arrays = (u, w, lengths, keep, tails, heads, lengths[keep],
-              (u == w).nonzero()[0],
-              np.concatenate((diag, tails * n + heads, heads * n + tails)))
+    diag = np.concatenate((np.arange(n), u, w)) * (n + 1)
+    arrays = (u, w, lengths, (u == w).nonzero()[0],
+              np.concatenate((diag, u * n + w, w * n + u)))
     for arr in arrays:
         arr.setflags(write=False)
     return (n, arrays,
@@ -872,17 +869,18 @@ def reference_take(full, verts, edges, names):
 
 def reference_edge_forms(edges, t, mode=TransferMode.NON_BACKTRACKING):
     """M(t) and M'(t) of an edge set (``graph.EdgeSet``) as (shift, tails,
-    heads, weights), each form built on its own from the edge arrays.
-    The terms of ``spectral._vertex_terms``, which one pass gives for
-    both, must match them bit for bit."""
+    heads, weights), each form built on its own from the edge arrays,
+    weights indexed by edge and 0.0 on a loop.  The terms of
+    ``spectral._vertex_terms``, which one pass gives for both, must
+    match them bit for bit."""
     n, u, w, lengths = edges
     z = np.exp(-t * lengths)
     loop = u == w
-    shift = np.ones(n)
+    shift, weights = np.ones(n), np.zeros(u.size)
     if mode is TransferMode.BACKTRACKING:
-        weights, drop = z[~loop], z
+        weights[~loop], drop = z[~loop], z
     else:
-        weights = z[~loop] / -np.expm1(-2.0 * t * lengths[~loop])
+        weights[~loop] = z[~loop] / -np.expm1(-2.0 * t * lengths[~loop])
         drop = z / (1.0 + z)
         if loop.any():
             shift -= np.bincount(u[loop], minlength=n)
@@ -891,17 +889,18 @@ def reference_edge_forms(edges, t, mode=TransferMode.NON_BACKTRACKING):
             drop[loop] = 0.0
     shift -= np.bincount(u, drop, n)
     shift -= np.bincount(w, drop, n)
-    form = (shift, u[~loop], w[~loop], weights)
+    form = (shift, u, w, weights)
 
+    weights = np.zeros(u.size)
     if mode is TransferMode.BACKTRACKING:
-        weights, rise = -lengths[~loop] * z[~loop], lengths * z
+        weights[~loop], rise = -lengths[~loop] * z[~loop], lengths * z
     else:
         q = -np.expm1(-2.0 * t * lengths[~loop])
         zl = z[~loop]
-        weights = -lengths[~loop] * zl * (1.0 + zl * zl) / (q * q)
+        weights[~loop] = -lengths[~loop] * zl * (1.0 + zl * zl) / (q * q)
         rise = lengths * z / (1.0 + z) ** 2
     shift = np.bincount(u, rise, n) + np.bincount(w, rise, n)
-    return form, (shift, u[~loop], w[~loop], weights)
+    return form, (shift, u, w, weights)
 
 
 def reference_matrix(shift, tails, heads, weights):

@@ -327,6 +327,25 @@ def test_verify_solver_error_exits_3(k4_file, monkeypatch, capsys):
         in capsys.readouterr().err
 
 
+def test_failed_lapack_call_exits_3(k4_file, monkeypatch, capsys):
+    # LinAlgError subclasses ValueError, yet a failed dsyevr is a solver
+    # failure, not a precondition violation
+    monkeypatch.setattr(entropy, "dsyevr", lambda *a, **k: (None,) * 4 + (1,))
+    assert main(["verify", k4_file]) == 3
+    assert "dsyevr failed with info = 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["entropy"], ["persistence", "--strategy", "direct"],
+    ["persistence", "--strategy", "incremental"], ["add-edge", "a", "a", "1"]])
+def test_subnormal_shortest_edge_exits_4(argv, tmp_path, capsys):
+    # the valid theta of lengths 1e-320, 1, 1 has no finite entropy bound
+    path = tmp_path / "theta.txt"
+    path.write_text("a b 1e-320\na b 1.0\na b 1.0\n")
+    assert main([argv[0], str(path), *argv[1:]]) == 4
+    assert "of length 1e-320 is too short" in capsys.readouterr().err
+
+
 def test_verify_failed_property_exits_5(k4_file, monkeypatch, capsys):
     monkeypatch.setattr(counting, "growth_bounds", lambda *a, **k: (
         SimpleNamespace(passed=False, m_formula=1.0, m_empirical=2.0,

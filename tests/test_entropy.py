@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from scipy.linalg.lapack import dpotrf
 
 from entrograph import (EnumerationSpec, InsufficientData, MetricGraph,
-                        NonConvergence, PathKind, TransferMode,
-                        ValidationFailed, build_transfer, components,
-                        entropy_after_edge, entropy_after_vertex,
+                        NonConvergence, PathKind, PreconditionError,
+                        TransferMode, ValidationFailed, build_transfer,
+                        components, entropy_after_edge, entropy_after_vertex,
                         entropy_from_counts, enumerate_paths,
                         estimate_constant_C, generate_graph,
                         persistent_entropy, predict_vertex_asymptotic,
@@ -191,6 +191,25 @@ def test_short_edge_theta_solves_from_the_row_sum_bound():
     g = theta((1.0, 1.0, 0.01))
     h = volume_entropy(g).h
     assert abs(h - entropy._vertex_root(g).h) <= 1e-12 * h
+
+
+def test_subnormal_shortest_edge_is_refused():
+    # log(2) / l_min overflows: every solve refuses the valid graph, where
+    # it reported h = inf, or NonConvergence on [inf, inf] for an edit
+    g = theta((1e-320, 1.0, 1.0))
+    solves = [lambda: volume_entropy(g),
+              lambda: entropy._vertex_root(g),
+              lambda: entropy._vertex_root(g, TransferMode.BACKTRACKING),
+              lambda: entropy_after_edge(g, "x", "x", 1.0),
+              lambda: entropy_after_vertex(g, [("x", 1.0), ("y", 1.0),
+                                               ("x", 2.0)])]
+    for solve in solves:
+        with pytest.raises(PreconditionError, match="length 1e-320 is too"):
+            solve()
+    for strategy in ("direct", "incremental"):
+        with pytest.raises(PreconditionError) as info:
+            persistent_entropy(g, strategy)
+        assert info.value.threshold == 1.0
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])

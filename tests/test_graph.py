@@ -131,14 +131,15 @@ def test_edge_arrays_cached_and_read_only():
     for arr in (u, w, lengths):
         with pytest.raises(ValueError):
             arr[0] = 1
-    keep, tails, heads, l_keep, loop, scatter = g._edge_arrays._vertex_pattern
-    assert g._edge_arrays._vertex_pattern is g._edge_arrays._vertex_pattern
-    assert keep.tolist() == [0] and loop.tolist() == [1]
-    assert tails.tolist() == [1] and heads.tolist() == [0]
-    assert l_keep.tolist() == [2.0]
-    # diagonal, then uu, ww, uw and wu of the non-loop edge y-x
-    assert scatter.tolist() == [0, 3, 3, 0, 2, 1]
-    for arr in (keep, tails, heads, l_keep, loop, scatter):
+    edges = g._edge_arrays
+    loops, scatter = edges.loops, edges.scatter
+    assert edges.loops is loops and edges.scatter is scatter
+    assert loops.tolist() == [1]
+    assert edges.tails.tolist() == [1, 0] and edges.heads.tolist() == [0, 0]
+    # diagonal, then uu, ww, uw and wu of each edge, y-x then the loop
+    # x-x, whose four land on its diagonal entry 0
+    assert scatter.tolist() == [0, 3, 3, 0, 0, 0, 2, 0, 1, 0]
+    for arr in (edges.tails, edges.heads, loops, scatter):
         with pytest.raises(ValueError):
             arr[0] = 1
     assert g.max_degree() == 3 and g.min_length() == 0.5
@@ -153,8 +154,8 @@ def test_max_degree_and_min_length_of_an_edgeless_graph():
 @settings(max_examples=100, deadline=None)
 @given(g=st.one_of(multigraphs(), split_multigraphs()), data=st.data())
 def test_take_matches_reference_edge_sets(g, data):
-    # the edge set of ``take``, whose constructor sets its vertex pattern,
-    # largest degree and least length, equals the one whose cached
+    # the edge set of ``take``, whose constructor sets its loops, scatter
+    # index, largest degree and least length, equals the one whose cached
     # properties gave them, array by array: values, dtypes and read-only
     # flags.  As in an edit (``incremental._edit``), new edges are
     # ``added`` to one component, loops and parallel edges among them,
@@ -180,7 +181,7 @@ def test_take_matches_reference_edge_sets(g, data):
     assert (got.n, got.max_degree, got.min_length, got.name()) \
         == (n_ref, max_degree, min_length, name)
     assert (type(got.max_degree), type(got.min_length)) == (int, float)
-    mine = (got.tails, got.heads, got.lengths, *got._vertex_pattern)
+    mine = (got.tails, got.heads, got.lengths, got.loops, got.scatter)
     assert len(mine) == len(arrays)
     for a, b in zip(mine, arrays):
         assert (a.dtype, a.shape, a.flags.writeable) \

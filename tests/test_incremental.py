@@ -524,6 +524,6 @@ def test_wide_length_theta_edits_and_constant():
     edges = g._edge_arrays
     _, _, d_shift, d_weights = _vertex_terms(
         edges, h, TransferMode.NON_BACKTRACKING, True)
-    dlambda = v @ _assemble(edges._vertex_pattern[5], d_shift, d_weights) @ v
+    dlambda = v @ _assemble(edges.scatter, d_shift, d_weights) @ v
     assert estimate_constant_C(g, "a", "b").combined == \
         pytest.approx(2.0 * v[0] * v[1] / dlambda, rel=1e-8, abs=0.0)

@@ -468,7 +468,7 @@ def test_vertex_slope_matches_central_differences(g, s):
     fd = (vertex_matrix(g, t + step) - vertex_matrix(g, t - step)) / (2 * step)
     edges = g._edge_arrays
     _, _, d_shift, d_weights = spectral._vertex_terms(edges, t, NB, True)
-    exact = spectral._assemble(edges._vertex_pattern[5], d_shift, d_weights)
+    exact = spectral._assemble(edges.scatter, d_shift, d_weights)
     assert np.max(np.abs(fd - exact)) <= 1e-7 * np.max(np.abs(exact))
 
 
@@ -477,14 +477,17 @@ def test_vertex_slope_matches_central_differences(g, s):
 def test_vertex_terms_match_reference_on_multigraphs(g, mode):
     # M(t) and M'(t), both halves of one pass, and their one-bincount
     # assembly equal the separately built forms and their np.add.at
-    # assembly bit for bit, loops and parallel edges included
+    # assembly bit for bit, loops and parallel edges included; the
+    # weights are indexed by edge, exactly 0.0 on loops
     h = _vertex_root(g, mode).h or 1.0 / g.min_length()
     edges = g._edge_arrays
-    _, tails, heads, _, _, scatter = edges._vertex_pattern
+    tails, heads, scatter = edges.tails, edges.heads, edges.scatter
     for t in (0.5 * h, h, 2.0 * h):
         terms = spectral._vertex_terms(edges, t, mode, True)
         for (shift, weights), ref in zip((terms[:2], terms[2:]),
                                          reference_edge_forms(edges, t, mode)):
+            assert weights.shape == (edges.lengths.size,)
+            assert (weights[edges.loops] == 0.0).all()
             for got, want in zip((shift, tails, heads, weights), ref):
                 assert np.array_equal(got, want)
             assert np.array_equal(spectral._assemble(scatter, shift, weights),
