@@ -372,7 +372,7 @@ def main(argv=None) -> int:
     except (ParseError, ValidationFailed, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except np.linalg.LinAlgError as exc:  # a ValueError, but a solver's
+    except np.linalg.LinAlgError as exc:  # a ValueError, yet a solver failure
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except _PRECONDITION_ERRORS as exc:

@@ -161,7 +161,7 @@ def _vertex_terms(edges: EdgeSet, t: float, mode: TransferMode, slope: bool):
     z = np.exp(x := lengths * -t)  # array * float: float * array is slower
     shift, d_shift, d_weights = 1.0, None, None  # shift: an array below
     if mode is TransferMode.BACKTRACKING:
-        weights, drop, rise = z.copy(), z, lengths * z  # a loop drops 2z
+        weights, drop, rise = z.copy(), z, lengths * z  # loops zero weights
         d_weights = -rise if slope else None
     else:
         q = np.expm1(x + x)  # z^2 - 1

@@ -133,7 +133,8 @@ def test_edge_arrays_cached_and_read_only():
             arr[0] = 1
     edges = g._edge_arrays
     loops, scatter = edges.loops, edges.scatter
-    assert edges.loops is loops and edges.scatter is scatter
+    assert g._edge_arrays.loops is loops
+    assert g._edge_arrays.scatter is scatter
     assert loops.tolist() == [1]
     assert edges.tails.tolist() == [1, 0] and edges.heads.tolist() == [0, 0]
     # diagonal, then uu, ww, uw and wu of each edge, y-x then the loop
