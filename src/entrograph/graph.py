@@ -258,7 +258,7 @@ class EdgeSet:
         self.min_length = min(lengths.tolist(), default=0.0)
         self.loops = _read_only((tails == heads).nonzero()[0])
         cross = np.concatenate((ends * (n + 1), ends * n + ends[::-1]))
-        self.scatter = _read_only(np.concatenate(  # rows uu, ww, uw, wu
+        self.scatter = _read_only(np.concatenate(  # cross rows: uu ww uw wu
             (np.arange(0, n * (n + 1), n + 1), cross.ravel())))
 
     def __iter__(self):
