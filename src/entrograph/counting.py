@@ -19,12 +19,14 @@ Each enumeration is one walk and one linear-time grouping: the rows of
 a cycle profile come from one stable (radix) sort of the walk's narrow
 start keys and one in-place sort per row (``_grouped``).
 ``verify_recursions`` takes its four profiles, the cycles and the
-primitive cycles of both modes, from one backtracking walk.  A sequence
-carries two flag bits in its start key: a returned bit once it has
-arrived at v, and a turned bit once it has stepped back along the dart
-it arrived by.  The arrivals without the returned bit are the primitive
-cycles, and those without the turned bit the non-backtracking
-sequences.  ``growth_bounds``, which reads no rows, enumerates the paths
+primitive cycles of both modes, from one backtracking walk, and
+``backtracking_bound`` its two backtracking ones.  A sequence carries
+two flag bits in its start key: a returned bit once it has arrived at
+v, and a turned bit once it has stepped back along the dart it arrived
+by.  The arrivals without the returned bit are the primitive cycles,
+and those without the turned bit the non-backtracking sequences.  A
+walk that serves several profiles refuses as its backtracking cycles
+walk does.  ``growth_bounds``, which reads no rows, enumerates the paths
 v..v: the cycle lengths without start keys.
 
 The identity checks query a finished profile with arrays: one
@@ -48,7 +50,7 @@ from the dart solver (``volume_entropy``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -365,9 +367,8 @@ def _enumerate(graph: MetricGraph, spec: EnumerationSpec,
     separate walk: the non-backtracking relation is the backtracking one
     without the pairs (d, reverse(d)), and its return bounds are no
     looser, so the walk keeps every sequence of both, with the same
-    left-fold length.  Its node count is that of the backtracking cycles,
-    and the non-backtracking count model is checked after it, so every
-    refusal is the one the four separate enumerations make.
+    left-fold length.  It refuses as the backtracking cycles enumeration
+    does: by that count model before the walk and its node cap during it.
     """
     _require_valid(graph)
     _check_limits(spec.r_max, spec.cap)
@@ -383,10 +384,8 @@ def _enumerate(graph: MetricGraph, spec: EnumerationSpec,
         raise PreconditionError(f"{spec.kind.value} needs the endpoint "
                                 f"{fields[endpoints.index(None)]}")
     graph._position(endpoints[-1])
-    comp = component_of(graph, base)
-
     starts = graph.out_darts(base)
-    _check_projection(comp, spec, base, target)
+    _check_projection(component_of(graph, base), spec, base, target)
 
     limit = int(1.25 * spec.cap) + 1024
     if spec.kind in (PathKind.PATHS_XY, PathKind.PATHS_FROM):
@@ -410,9 +409,6 @@ def _enumerate(graph: MetricGraph, spec: EnumerationSpec,
     walk = _walk(graph, spec.mode, starts, spec.r_max, target, not cycles,
                  limit, True, returned, turned)
     arrivals = list(walk)
-    if recursions:
-        _check_projection(comp, replace(
-            spec, mode=TransferMode.NON_BACKTRACKING), base, target)
     keys = np.concatenate([k for k, _, _ in arrivals]
                           or [np.empty(0, np.uint8)])
     cum = np.concatenate([c for _, _, c in arrivals] or [np.empty(0)])
@@ -614,7 +610,8 @@ def verify_recursions(graph: MetricGraph, v: str,
     arrived by.  The primitive cycles are the arrivals without the
     returned bit, the non-backtracking ones those without the turned
     bit: the same profiles, rows included, as ``enumerate_paths`` gives
-    for each kind and mode, and the same HorizonTooLarge refusals.
+    for each kind and mode.  The walk refuses as the backtracking cycles
+    enumeration does, with the same HorizonTooLarge.
     Raises PreconditionError for an empty ``r_grid``, a nan radius in it,
     or a horizon that is not positive.
     """
@@ -631,10 +628,8 @@ def verify_recursions(graph: MetricGraph, v: str,
         PathKind.CYCLES_AT, r_max, TransferMode.BACKTRACKING, v=v, cap=cap),
         recursions=True)
 
-    if r_grid is None:
-        r_grid = _default_radii(
-            np.unique(np.concatenate([nb_cyc.lengths, bt_cyc.lengths]))
-            if bt_cyc.lengths.size else np.array([]), r_max, tie_guard)
+    if r_grid is None:  # every non-backtracking length is a backtracking one
+        r_grid = _default_radii(bt_cyc.steps()[0], r_max, tie_guard)
 
     n = graph.degree(v)
     empty = np.array([])
@@ -823,18 +818,18 @@ def backtracking_bound(graph: MetricGraph, v: str, r_max: float,
                        cap: int = DEFAULT_CAP) -> BacktrackingBoundReport:
     """Check N_v(r) <= M e^{h r} for backtracking cycles, with the
     closed-form constant M = max(2, 3 e^{-h l1}) and l1 the shortest
-    primitive cycle length at v."""
-    prim = enumerate_paths(graph, EnumerationSpec(
-        PathKind.PRIMITIVE_CYCLES_AT, r_max, TransferMode.BACKTRACKING,
-        v=v, cap=cap))
+    primitive cycle length at v.  Both come from one flagged walk
+    (``_enumerate`` with ``recursions``), which refuses as the cycles do
+    before the number of primitive cycles is checked."""
+    profile, prim = _enumerate(graph, EnumerationSpec(
+        PathKind.CYCLES_AT, r_max, TransferMode.BACKTRACKING, v=v, cap=cap),
+        recursions=True)[:2]
     if prim.lengths.size < 2:
         raise PreconditionError(
             "the backtracking bound needs at least two primitive cycles")
     l1 = float(prim.lengths[0])
     h = _vertex_root(component_of(graph, v), TransferMode.BACKTRACKING).h
     m_formula = max(2.0, 3.0 * math.exp(-h * l1))
-    profile = enumerate_paths(graph, EnumerationSpec(
-        PathKind.CYCLES_AT, r_max, TransferMode.BACKTRACKING, v=v, cap=cap))
     return BacktrackingBoundReport(
         h, l1, m_formula, _over_bound(*profile.steps(), m_formula, h), r_max)
 

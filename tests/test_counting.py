@@ -194,50 +194,88 @@ def test_one_walk_matches_both_profiles_on_multigraphs(mode, g, data):
     # modes from one backtracking walk that flags each sequence after its
     # first return and after its first step back; the two profiles of
     # ``mode`` must be the separate ones to the bit, their rows those of
-    # the mask-and-sort grouping, every refusal that of the four separate
-    # enumerations, and its cap that of the backtracking cycles walk
+    # the mask-and-sort grouping, and every refusal that of the
+    # backtracking cycles enumeration
     pick = slice(0, 2) if mode is BT else slice(2, 4)
     v = data.draw(st.sampled_from(g.vertices))
     bt = _fitted_profile(g, PathKind.CYCLES_AT, BT, 300, v, 2000)
-    spec = EnumerationSpec(PathKind.CYCLES_AT, bt.r_max, BT, v=v, cap=2000)
-    try:
-        separate = _four_separate(g, spec)
-    except HorizonTooLarge as exc:  # the non-backtracking count model
-        with pytest.raises(HorizonTooLarge) as err:
-            counting._enumerate(g, spec, recursions=True)
-        assert (str(err.value), err.value.safe_horizon) \
-            == (str(exc), exc.safe_horizon)
-    else:
-        one = counting._enumerate(g, spec, recursions=True)[pick]
-        assert [_bits(p) for p in one] == [_bits(p) for p in separate[pick]]
-        for p in separate[pick]:
-            rows = p.by_start if p.kind is PathKind.CYCLES_AT else p.by_pair
-            ref = mask_sort_rows(g, dataclasses.replace(
-                spec, kind=p.kind, mode=p.mode))
-            assert {k: r.tolist() for k, r in rows.items()} \
-                == {k: r.tolist() for k, r in ref.items()}
-    # without the count model's pre-check, double the horizon until the
-    # walk's own cap (1024 nodes at cap 0) stops the backtracking cycles
-    spec = dataclasses.replace(spec, cap=0)
-    with patch.object(counting, "_count_model", return_value=(0.0, 1.0)):
-        for _ in range(200):
-            try:
-                separate = _four_separate(g, spec)
-            except HorizonTooLarge as exc:
-                with pytest.raises(HorizonTooLarge) as err:
-                    counting._enumerate(g, spec, recursions=True)
-                assert str(err.value) == str(exc)
-                assert err.value.safe_horizon == exc.safe_horizon
-                with pytest.raises(HorizonTooLarge) as err:
+    fitted = EnumerationSpec(PathKind.CYCLES_AT, bt.r_max, BT, v=v, cap=2000)
+    # the separate profiles are taken without the count model's
+    # pre-check, which changes no profile it lets through
+    unchecked = {"return_value": (0.0, 1.0)}
+    with patch.object(counting, "_count_model", **unchecked):
+        separate = _four_separate(g, fitted)[pick]
+    for p in separate:
+        rows = p.by_start if p.kind is PathKind.CYCLES_AT else p.by_pair
+        ref = mask_sort_rows(g, dataclasses.replace(
+            fitted, kind=p.kind, mode=p.mode))
+        assert {k: r.tolist() for k, r in rows.items()} \
+            == {k: r.tolist() for k, r in ref.items()}
+    # double the horizon from the fitted one until the backtracking
+    # cycles are refused: by the real count model at cap 2000, and
+    # without its pre-check by the walk's own cap (1024 nodes at cap 0)
+    for cap, model in ((2000, {"wraps": counting._count_model}),
+                       (0, unchecked)):
+        spec = dataclasses.replace(fitted, cap=cap)
+        with patch.object(counting, "_count_model", **model):
+            for _ in range(200):
+                try:
                     enumerate_paths(g, spec)  # the backtracking cycles
-                assert str(err.value) == str(exc)
-                break
-            assert [_bits(p) for p in counting._enumerate(
-                g, spec, recursions=True)[pick]] \
-                == [_bits(p) for p in separate[pick]]
-            spec = dataclasses.replace(spec, r_max=2.0 * spec.r_max)
-        else:
-            pytest.fail("the walk never reached its cap")
+                except HorizonTooLarge as exc:
+                    with pytest.raises(HorizonTooLarge) as err:
+                        counting._enumerate(g, spec, recursions=True)
+                    assert (str(err.value), err.value.safe_horizon) \
+                        == (str(exc), exc.safe_horizon)
+                    break
+                one = counting._enumerate(g, spec, recursions=True)[pick]
+                with patch.object(counting, "_count_model", **unchecked):
+                    separate = _four_separate(g, spec)[pick]
+                assert [_bits(p) for p in one] \
+                    == [_bits(p) for p in separate]
+                spec = dataclasses.replace(spec, r_max=2.0 * spec.r_max)
+            else:
+                pytest.fail("the backtracking cycles were never refused")
+
+
+def _two_walk_bound(g, v, r_max, cap):
+    """``backtracking_bound`` from two enumerations: the primitive cycles
+    at v, then the cycles at v."""
+    prim = enumerate_paths(g, EnumerationSpec(
+        PathKind.PRIMITIVE_CYCLES_AT, r_max, BT, v=v, cap=cap))
+    if prim.lengths.size < 2:
+        raise PreconditionError(
+            "the backtracking bound needs at least two primitive cycles")
+    l1 = float(prim.lengths[0])
+    h = counting._vertex_root(component_of(g, v), BT).h
+    m_formula = max(2.0, 3.0 * math.exp(-h * l1))
+    profile = enumerate_paths(g, EnumerationSpec(
+        PathKind.CYCLES_AT, r_max, BT, v=v, cap=cap))
+    return counting.BacktrackingBoundReport(
+        h, l1, m_formula, _over_bound(*profile.steps(), m_formula, h), r_max)
+
+
+@settings(max_examples=25, deadline=None)
+@given(g=multigraphs(), data=st.data())
+def test_backtracking_bound_is_one_walk_on_multigraphs(g, data):
+    # the cycles and the primitive cycles at v come from one flagged
+    # walk: the report, violations included, or the refusal is that of
+    # the two separate enumerations
+    v = data.draw(st.sampled_from(g.vertices))
+    r_max = _fitted_profile(g, PathKind.CYCLES_AT, BT, 300, v, 2000).r_max
+    try:
+        want = _two_walk_bound(g, v, r_max, 2000)
+    except PreconditionError as exc:
+        want = exc
+    with patch.object(counting, "_walk", wraps=counting._walk) as spy:
+        try:
+            got = backtracking_bound(g, v, r_max, cap=2000)
+        except PreconditionError as exc:
+            got = exc
+    assert spy.call_count == 1
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+    else:
+        assert repr(got) == repr(want)
 
 
 @pytest.mark.parametrize("mode", [NB, BT], ids=["nb", "bt"])
@@ -833,6 +871,14 @@ def test_backtracking_rates_are_route_one_to_the_bit():
 def test_backtracking_bound_needs_two_primitives():
     with pytest.raises(PreconditionError):
         backtracking_bound(segment(), "x", 10.0)
+    # v-u with a loop of 10^6 at u: one primitive cycle below 9000, but
+    # 4500 cycles, whose walk overruns the cap first
+    g = MetricGraph.from_edges(["v", "u"], [("v", "u", 1.0),
+                                            ("u", "u", 1e6)])
+    with pytest.raises(PreconditionError, match="two primitive cycles"):
+        backtracking_bound(g, "v", 3000.0, cap=2000)
+    with pytest.raises(HorizonTooLarge, match="exceeded its cap"):
+        backtracking_bound(g, "v", 9000.0, cap=2000)
 
 
 def test_backtracking_entropy_two_routes_agree():
@@ -1057,6 +1103,37 @@ def test_recursions_match_pair_loop_on_multigraphs(g):
                                       tie_guard=0.0)) \
             == repr(reference_verify_recursions(g, v, r_grid=ties, cap=2000,
                                                 tie_guard=0.0))
+
+
+def _verify_case():
+    """The core ``entrograph verify`` checks on generate_graph(1, 6, 10),
+    its vertex and the horizon of its recursions check."""
+    core = reduce(generate_graph(1, 6, 10)).graph
+    v = max(core.vertex_set, key=lambda w: (core.degree(w), w))
+    return core, v, min(0.6 * horizon_for_budget(core, v, 200_000),
+                        horizon_for_budget(core, v, 200_000, BT))
+
+
+def _oracle_case():
+    """The oracle workload's core, vertex and recursions horizon."""
+    core = reduce(generate_graph(2, 10, 18)).graph
+    v = max(core.vertex_set, key=lambda w: (core.degree(w), w))
+    return core, v, 14.0
+
+
+@pytest.mark.parametrize("case", [_oracle_case, _verify_case],
+                         ids=["oracle-core", "verify-core"])
+def test_default_radii_come_from_the_backtracking_cycles(case):
+    # every non-backtracking cycle length is a backtracking one, so the
+    # distinct backtracking lengths place the radii that the union of
+    # both profiles placed, to the bit
+    core, v, r_max = case()
+    bt_cyc, _, nb_cyc, _ = counting._enumerate(core, EnumerationSpec(
+        PathKind.CYCLES_AT, r_max, BT, v=v), recursions=True)
+    union = np.unique(np.concatenate([nb_cyc.lengths, bt_cyc.lengths]))
+    want = counting._default_radii(union, r_max, 1e-9)
+    got = verify_recursions(core, v, r_max=r_max).r_grid
+    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 @pytest.mark.parametrize("unit", [1.0, 0.1])
