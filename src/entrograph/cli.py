@@ -27,7 +27,8 @@ from .genfun import check_symmetry
 from .graph import (MetricGraph, _require_valid, add_edge, add_vertex,
                     component_of, first_betti, reduce)
 from .graphio import ParseError, generate_graph, load_graph, serialize_json
-from .incremental import EditResult, entropy_after_edge, entropy_after_vertex
+from .incremental import (_AUTO_DIRECT_BELOW, EditResult, entropy_after_edge,
+                          entropy_after_vertex)
 from .spectral import TransferMode
 
 EXIT_OK = 0
@@ -329,7 +330,12 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="persistent entropy curve over edge lengths")
     p.add_argument("file")
     p.add_argument("--strategy", choices=("direct", "incremental", "auto"),
-                   default="auto")
+                   default="auto",
+                   help="direct solves each changed component whole, "
+                   "incremental takes the Schur step on the ends of the "
+                   "new edges, auto (the default) solves components of "
+                   f"fewer than {_AUTO_DIRECT_BELOW} vertices whole and "
+                   "larger ones by the Schur step")
     p.add_argument("--bench", action="store_true")
     p.set_defaults(fn=cmd_persistence)
 

@@ -357,15 +357,17 @@ def _check_limits(r_max: float, cap: int) -> None:
 
 
 def _enumerate(graph: MetricGraph, spec: EnumerationSpec,
-               recursions: bool = False) -> tuple[CountProfile, ...]:
+               recursions: bool = False, non_backtracking: bool = True
+               ) -> tuple[CountProfile, ...]:
     """The profile of ``enumerate_paths(graph, spec)``.
 
     With ``recursions``, ``spec`` being the backtracking cycles at v, the
     walk does not stop at v and flags its start keys (``_walk``), and
-    returns the cycles and the primitive cycles of backtracking, then of
-    non-backtracking mode (module docstring).  Each is the profile of its
-    separate walk: the non-backtracking relation is the backtracking one
-    without the pairs (d, reverse(d)), and its return bounds are no
+    returns the cycles and the primitive cycles of backtracking, then,
+    unless ``non_backtracking`` is false (the walk then flags no turn),
+    of non-backtracking mode (module docstring).  Each is the profile of
+    its separate walk: the non-backtracking relation is the backtracking
+    one without the pairs (d, reverse(d)), and its return bounds are no
     looser, so the walk keeps every sequence of both, with the same
     left-fold length.  It refuses as the backtracking cycles enumeration
     does: by that count model before the walk and its node cap during it.
@@ -397,12 +399,14 @@ def _enumerate(graph: MetricGraph, spec: EnumerationSpec,
                              endpoints),)
     cycles = spec.kind is PathKind.CYCLES_AT
     low = (1 << len(starts).bit_length()) - 1  # the start index bits
-    returned, turned = (low + 1, 2 * low + 2) if recursions else (0, 0)
+    returned = low + 1 if recursions else 0
+    turned = 2 * low + 2 if recursions and non_backtracking else 0
     # (kind, mode, the flags an arrival must not carry)
     wanted = [(spec.kind, spec.mode, 0)]
     if recursions:
-        wanted += [(PathKind.PRIMITIVE_CYCLES_AT, spec.mode, returned),
-                   (PathKind.CYCLES_AT, TransferMode.NON_BACKTRACKING,
+        wanted.append((PathKind.PRIMITIVE_CYCLES_AT, spec.mode, returned))
+    if recursions and non_backtracking:
+        wanted += [(PathKind.CYCLES_AT, TransferMode.NON_BACKTRACKING,
                     turned),
                    (PathKind.PRIMITIVE_CYCLES_AT,
                     TransferMode.NON_BACKTRACKING, returned | turned)]
@@ -819,11 +823,12 @@ def backtracking_bound(graph: MetricGraph, v: str, r_max: float,
     """Check N_v(r) <= M e^{h r} for backtracking cycles, with the
     closed-form constant M = max(2, 3 e^{-h l1}) and l1 the shortest
     primitive cycle length at v.  Both come from one flagged walk
-    (``_enumerate`` with ``recursions``), which refuses as the cycles do
-    before the number of primitive cycles is checked."""
+    (``_enumerate`` with ``recursions``, its non-backtracking profiles
+    not built), which refuses as the cycles do before the number of
+    primitive cycles is checked."""
     profile, prim = _enumerate(graph, EnumerationSpec(
         PathKind.CYCLES_AT, r_max, TransferMode.BACKTRACKING, v=v, cap=cap),
-        recursions=True)[:2]
+        recursions=True, non_backtracking=False)
     if prim.lengths.size < 2:
         raise PreconditionError(
             "the backtracking bound needs at least two primitive cycles")

@@ -44,7 +44,8 @@ the graph caches for each component (``entropy._vertex_root``), 0 for a
 new vertex.  If b equals the largest Betti number among the parts, the
 new edges join that part to trees along a tree (a pendant edge, say) and
 the entropy stays h_base exactly.  The join gives the one ``EditResult``
-both edits return.
+both edits return; they always take the Schur step, which "auto"
+persistence trades for a whole solve on small components (``_join``).
 
 The asymptotic constants of the pole f_ab(t) ~ C_ab t / (t - h) have the
 closed form C_ab = v_a v_b / (h lambda'(h)), with v the unit null vector
@@ -57,6 +58,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -70,6 +72,23 @@ from .graph import (EdgeSet, MetricGraph, _component, _require_valid,
                     component_of)
 
 _NODE_BUDGET = 300_000  # paths of each counting estimate by default
+
+# "auto" solves a join of fewer vertices whole.  Per solved step of the
+# incremental curves of gen(1,8,16) to gen(1,100,200), both ways from the
+# same h_base (min of 7, process time, one BLAS thread on a shared 2-core
+# x86-64 host), the Schur step cost this many times the whole solve, by
+# vertex count: 1.34 (< 8), 1.37 (8-11), 1.12 (12-15), 1.20 (16-19),
+# 1.07 (20-23), 0.95 (24-27), 0.99 (28-31), 0.78 (32-47), 0.67 (48-63),
+# 0.53 (64-100).
+_AUTO_DIRECT_BELOW = 24
+
+
+class StepStrategy(Enum):
+    """How a persistence step was taken (``_join``)."""
+
+    DIRECT = "direct"
+    INCREMENTAL_EDGE = "incremental-edge"
+    INCREMENTAL_VERTEX = "incremental-vertex"
 
 
 @dataclass(frozen=True)
@@ -140,30 +159,42 @@ def _attachment_lengths(attachments) -> list[float]:
             for v, l in attachments]
 
 
-def _join(full: EdgeSet, parts, new, direct: bool = False, added=None
-          ) -> tuple[list, list, EditResult]:
+def _join(full: EdgeSet, parts, new, strategy: str = "incremental",
+          added=None) -> tuple[list, list, EditResult, StepStrategy]:
     """The component of ``full`` made of ``parts``, each (vertex indices,
     edge indices, entropy), and the edges ``new`` (module docstring):
-    (vertex indices, edge indices, its ``EditResult``), indices in lists.
-    A solve gathers its edge set (``EdgeSet.take``; an edit's edges are
-    ``added`` to ``full`` there), and ``_schur_root`` takes the ends of
-    ``new`` in it; ``direct`` solves it whole instead
-    (``entropy._cold_root``), up from h_base, a certified lower bound.
-    Either root is kept at least h_base, where it rounds below.
+    (vertex indices, edge indices, its ``EditResult``, its label), indices
+    in lists.  A solve gathers its edge set (``EdgeSet.take``; an edit's
+    edges are ``added`` to ``full`` there).  "incremental" takes the
+    Schur step (``_schur_root`` on the ends of ``new``), labelled
+    "incremental-vertex" when a part has no edge, else
+    "incremental-edge".  "direct" solves every join of Betti number 2 or
+    more whole (``entropy._cold_root``), up from h_base, a certified
+    lower bound, labelled "direct".  "auto" is "incremental", except that
+    it solves a join of fewer than ``_AUTO_DIRECT_BELOW`` vertices whole,
+    labelled "direct".  Either root is kept at least h_base, where it
+    rounds below.
     """
     verts = [v for p in parts for v in p[0]]
     edges = [e for p in parts for e in p[1]] + new
     betti = len(edges) - len(verts) + 1
+    label = StepStrategy.DIRECT if strategy == "direct" else \
+        StepStrategy.INCREMENTAL_EDGE if all(p[1] for p in parts) else \
+        StepStrategy.INCREMENTAL_VERTEX
     if betti <= 1:
-        return verts, edges, EditResult(0.0, 0.0, 0.0, 0)
+        return verts, edges, EditResult(0.0, 0.0, 0.0, 0), label
     h_base = max(h for _, _, h in parts)
-    if not direct and betti == max(len(e) - len(v) + 1 for v, e, _ in parts):
-        return verts, edges, EditResult(h_base, h_base, 0.0, 0)
+    if strategy != "direct" and \
+            betti == max(len(e) - len(v) + 1 for v, e, _ in parts):
+        return verts, edges, EditResult(h_base, h_base, 0.0, 0), label
+    if strategy == "auto" and len(verts) < _AUTO_DIRECT_BELOW:
+        label = StepStrategy.DIRECT
     comp = full.take(np.array(verts), np.array(edges), added)
-    root = _cold_root(comp, lo=h_base) if direct else _schur_root(
-        comp, comp.ends[:, -len(new):], h_base)
+    root = _cold_root(comp, lo=h_base) if label is StepStrategy.DIRECT \
+        else _schur_root(comp, comp.ends[:, -len(new):], h_base)
     return verts, edges, EditResult(max(h_base, root.h), h_base,
-                                    abs(root.null_eigenvalue), root.evals)
+                                    abs(root.null_eigenvalue),
+                                    root.evals), label
 
 
 def _edit(graph: MetricGraph, tails: list[int], heads: list[int],

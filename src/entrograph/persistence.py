@@ -17,12 +17,16 @@ edges that land in it: the step of the edge and vertex formulas
 only a solved step gathers its edge set (``EdgeSet.take``).
 "incremental" solves it on the Schur complement of the vertex matrix on
 the ends of the added edges, for one edge, a loop, a merge, a new vertex
-or a batch of equal-length edges alike.  "direct" solves the whole
+or a batch of equal-length edges alike, and keeps h_base without a solve
+where the first Betti number does not grow.  "direct" solves the whole
 component on its vertex matrix (``entropy._cold_root``), climbing from
 h_base, a certified lower bound, and keeps h_base where the root rounds
-below it.  "auto" means "incremental".  All strategies give the same
-curve up to solver tolerance; a formula step is labelled
-"incremental-vertex" when one of its parts has no edge, else
+below it.  "auto" is "incremental", except that it solves a component of
+fewer than 24 vertices whole, as "direct" does, which costs less there
+(``incremental._AUTO_DIRECT_BELOW``).  All strategies give the same
+curve up to solver tolerance.  ``_join`` labels each component it makes;
+a step is labelled "direct" when one of them was solved whole, else
+"incremental-vertex" when one of their parts has no edge, else
 "incremental-edge".
 """
 
@@ -31,19 +35,12 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import EntrographError, UnknownFormat
 from .graph import MetricGraph, _require_valid
-from .incremental import _join
-
-
-class StepStrategy(Enum):
-    DIRECT = "direct"
-    INCREMENTAL_EDGE = "incremental-edge"
-    INCREMENTAL_VERTEX = "incremental-vertex"
+from .incremental import StepStrategy, _join
 
 
 @dataclass(frozen=True)
@@ -94,10 +91,12 @@ def persistent_entropy(graph: MetricGraph,
                        strategy: str = "direct") -> EntropyCurve:
     """Entropy curve of the edge-length filtration.
 
-    ``strategy`` is one of "direct", "incremental", "auto" (an alias of
-    "incremental").  A package error (``EntrographError``) propagates
-    with its ``threshold`` attribute set to the offending threshold;
-    other exceptions propagate untouched.
+    ``strategy`` is one of "direct", "incremental", "auto" (the Schur
+    step of "incremental" on components of 24 vertices or more, the
+    whole solve of "direct" below; module docstring).  A package error
+    (``EntrographError``) propagates with its ``threshold`` attribute
+    set to the offending threshold; other exceptions propagate
+    untouched.
     """
     _require_valid(graph)
     if strategy not in ("direct", "incremental", "auto"):
@@ -113,20 +112,22 @@ def persistent_entropy(graph: MetricGraph,
     # vertex without an entry is its own component, keyed by its index
     comps: dict = {}
     owner = {v: v for v in range(n)}  # the key of each vertex's component
-    direct, h_eps, steps = strategy == "direct", 0.0, []
+    h_eps, steps = 0.0, []
 
     for eps, a, b in zip(eps_list, [0] + cuts, cuts):
         t0 = time.perf_counter()
-        used = StepStrategy.DIRECT if direct \
-            else StepStrategy.INCREMENTAL_EDGE
-        iterations = 0
+        used, iterations = StepStrategy.INCREMENTAL_EDGE, 0
         try:
             for keys, new in _step_groups(order[a:b], ends[a:b], owner):
                 parts = [comps.pop(k, None) or ([k], [], 0.0) for k in keys]
-                verts, edges, res = _join(edge_set, parts, new, direct)
+                verts, edges, res, label = _join(edge_set, parts, new,
+                                                 strategy)
                 iterations += res.iterations
-                if not direct and not all(p[1] for p in parts):
-                    used = StepStrategy.INCREMENTAL_VERTEX
+                # "direct" if a join was solved whole, else
+                # "incremental-vertex" if one took in an edgeless part
+                if label is not StepStrategy.INCREMENTAL_EDGE \
+                        and used is not StepStrategy.DIRECT:
+                    used = label
                 comps[keys[0]] = (verts, edges, res.h_prime)
                 owner.update(dict.fromkeys(verts, keys[0]))
                 h_eps = max(h_eps, res.h_prime)

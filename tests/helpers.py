@@ -802,10 +802,16 @@ def rebuild_curve(graph, strategy, floor=True):
     ``reference_extend`` or, "direct", where its first Betti number is 2
     or more, with ``entropy._cold_root`` up from h_base, the largest
     entropy of its parts (down from the upper start where ``floor`` is
-    false).  The package walks the full graph's edge arrays instead and
-    must give the same steps bit for bit."""
+    false).  "auto" is "incremental" but solves a component that
+    ``reference_extend`` would solve, if it has fewer than
+    ``incremental._AUTO_DIRECT_BELOW`` vertices, as "direct" does.  A step
+    is labelled "direct" when one of its components was solved whole,
+    else "incremental-vertex" when one of their parts has no edge.  The
+    package walks the full graph's edge arrays instead and must give the
+    same steps bit for bit."""
     from entrograph import StepStrategy
     from entrograph.entropy import _cold_root
+    from entrograph.incremental import _AUTO_DIRECT_BELOW
 
     by_length = {}
     for e in graph.edge_list():
@@ -823,17 +829,23 @@ def rebuild_curve(graph, strategy, floor=True):
             graphs = [g for g, _ in parts]
             h_base = max(h for _, h in parts)
             comp = disjoint_union(graphs, new_edges)
-            if strategy == "direct":
+            whole = _betti(comp) >= 2 and (
+                strategy == "direct" or strategy == "auto"
+                and len(comp.vertices) < _AUTO_DIRECT_BELOW
+                and _betti(comp) != max(map(_betti, graphs)))
+            if whole:
+                root = _cold_root(comp._edge_arrays,
+                                  lo=h_base if floor else 0.0)
+                h, evals = max(h_base, root.h), root.evals
+                used = StepStrategy.DIRECT
+            elif strategy == "direct":
                 h, evals = h_base, 0
-                if _betti(comp) >= 2:
-                    root = _cold_root(comp._edge_arrays,
-                                      lo=h_base if floor else 0.0)
-                    h, evals = max(h_base, root.h), root.evals
             else:
                 h, _, _, evals = reference_extend(
                     comp, graphs, {v for e in new_edges for v in e[:2]},
                     h_base)
-                if any(g.edge_count == 0 for g in graphs):
+                if any(g.edge_count == 0 for g in graphs) \
+                        and used is not StepStrategy.DIRECT:
                     used = StepStrategy.INCREMENTAL_VERTEX
             iterations += evals
             comps[comp.vertex_set] = (comp, h)

@@ -258,20 +258,23 @@ def _two_walk_bound(g, v, r_max, cap):
 @given(g=multigraphs(), data=st.data())
 def test_backtracking_bound_is_one_walk_on_multigraphs(g, data):
     # the cycles and the primitive cycles at v come from one flagged
-    # walk: the report, violations included, or the refusal is that of
-    # the two separate enumerations
+    # walk, which groups only those two profiles: the report, violations
+    # included, or the refusal is that of the two separate enumerations
     v = data.draw(st.sampled_from(g.vertices))
     r_max = _fitted_profile(g, PathKind.CYCLES_AT, BT, 300, v, 2000).r_max
     try:
         want = _two_walk_bound(g, v, r_max, 2000)
     except PreconditionError as exc:
         want = exc
-    with patch.object(counting, "_walk", wraps=counting._walk) as spy:
+    with patch.object(counting, "_walk", wraps=counting._walk) as spy, \
+            patch.object(counting, "_grouped",
+                         wraps=counting._grouped) as grouped:
         try:
             got = backtracking_bound(g, v, r_max, cap=2000)
         except PreconditionError as exc:
             got = exc
     assert spy.call_count == 1
+    assert grouped.call_count == 2
     if isinstance(want, Exception):
         assert (type(got), str(got)) == (type(want), str(want))
     else:

@@ -17,7 +17,7 @@ from entrograph import (DisconnectedPair, EntrographError, MetricGraph,
                         generate_graph, predict_edge_asymptotic,
                         predict_vertex_asymptotic, primitive_matrix,
                         vertex_matrix, volume_entropy)
-from entrograph import entropy
+from entrograph import entropy, incremental
 from entrograph.entropy import _vertex_root
 from entrograph.spectral import _assemble, _vertex_terms
 from helpers import (c4, complete4, cycle, dfs_components, disjoint_union,
@@ -321,6 +321,22 @@ def test_edits_equal_the_rebuild_on_multigraphs(edit):
         res = _outcome(lambda: entropy_after_vertex(g, attachments))
         ref = _outcome(lambda: reference_vertex(g, attachments))
     assert res == ref
+
+
+def test_edits_take_the_schur_step_on_small_components(monkeypatch):
+    # the edits share the persistence walk's join, but on a 10-vertex
+    # component, where "auto" would solve whole, they keep the Schur step
+    calls = []
+    for name in ("_cold_root", "_schur_root"):
+        solve = getattr(incremental, name)
+        monkeypatch.setattr(incremental, name,
+                            lambda *a, name=name, solve=solve:
+                            calls.append(name) or solve(*a))
+    g = generate_graph(1, 10, 20)
+    entropy_after_edge(g, "v0", "v5", 1.0)
+    entropy_after_edge(g, "v2", "v2", 0.5)
+    entropy_after_vertex(g, [("v1", 1.0), ("v3", 0.5), ("v7", 2.0)])
+    assert calls == ["_schur_root"] * 3
 
 
 @pytest.mark.parametrize("length, error", [

@@ -10,8 +10,9 @@ from entrograph import (EntropyCurve, MetricGraph, NonConvergence,
                         StepStrategy, TransferMode, UnknownFormat, add_edge,
                         curve_from_json, delete_edge, entropy, export_curve,
                         filter_at, first_betti, generate_graph, graph,
-                        incremental, persistent_entropy, same_graph,
-                        thresholds, volume_entropy)
+                        incremental, persistence, persistent_entropy,
+                        same_graph, thresholds, volume_entropy)
+from entrograph.incremental import _AUTO_DIRECT_BELOW
 from helpers import (c4, check_reduce, complete4, eig_entropy,
                      extreme_multigraphs, multigraphs, rebuild_curve, theta)
 
@@ -62,13 +63,18 @@ def test_tree_curve_identically_zero():
     assert [s.h for s in curve.steps] == [0.0, 0.0, 0.0]
 
 
-def test_c4_with_long_chord_auto_takes_incremental_edge():
+def test_c4_with_long_chord_auto_takes_a_direct_step():
+    # the chord's step is an edge step for "incremental"; "auto" solves
+    # this 4-vertex component whole
     g = add_edge(c4(), "a", "c", 3.0)
+    inc = persistent_entropy(g, strategy="incremental")
     auto = persistent_entropy(g, strategy="auto")
     direct = persistent_entropy(g, strategy="direct")
-    assert auto.steps[-1].strategy is StepStrategy.INCREMENTAL_EDGE
-    for sa, sd in zip(auto.steps, direct.steps):
-        assert abs(sa.h - sd.h) <= 1e-7
+    assert inc.steps[-1].strategy is StepStrategy.INCREMENTAL_EDGE
+    assert auto.steps[-1].strategy is StepStrategy.DIRECT
+    for curve in (inc, auto):
+        for sa, sd in zip(curve.steps, direct.steps):
+            assert abs(sa.h - sd.h) <= 1e-7
 
 
 def test_vertex_step_taken_when_new_hub_appears():
@@ -177,7 +183,7 @@ def _steps(curve):
     return [(s.h, s.iterations, s.strategy) for s in curve.steps]
 
 
-@pytest.mark.parametrize("strategy", ["direct", "incremental"])
+@pytest.mark.parametrize("strategy", ["direct", "incremental", "auto"])
 @pytest.mark.parametrize("args", [(1, 8, 16), (3, 6, 12), (3, 12, 24),
                                   (1, 20, 40), (1, 40, 80), (2, 60, 120)])
 def test_curve_equals_the_rebuild_reference(args, strategy):
@@ -200,7 +206,7 @@ def test_direct_steps_from_the_floor_match_cold_solves(args):
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(multigraphs(), batched_multigraphs()))
 def test_curve_equals_the_rebuild_reference_on_multigraphs(g):
-    for strategy in ("direct", "incremental"):
+    for strategy in ("direct", "incremental", "auto"):
         assert _steps(persistent_entropy(g, strategy)) \
             == rebuild_curve(g, strategy)
 
@@ -224,6 +230,33 @@ def test_steps_build_no_graph(monkeypatch, strategy):
     calls.clear()
     assert len(persistent_entropy(g, strategy).steps) == 80
     assert calls == []
+
+
+def test_auto_solves_small_components_whole(monkeypatch):
+    # each threshold of these graphs adds one edge, so each step is one
+    # join: a solved one is whole below the threshold and the Schur step
+    # from it on, and the step carries the join's label; gen(1,40,80)
+    # solves components of 35 to 40 vertices, gen(1,20,40) of 7 to 20
+    joins, join = [], persistence._join
+
+    def spy(*args):
+        out = join(*args)
+        joins.append((len(out[0]), out[2].iterations, out[3]))
+        return out
+
+    monkeypatch.setattr(persistence, "_join", spy)
+    sizes = set()
+    for args in ((1, 40, 80), (1, 20, 40)):
+        joins.clear()
+        steps = persistent_entropy(generate_graph(*args), "auto").steps
+        assert len(joins) == len(steps) == args[2]
+        for step, (n, iterations, label) in zip(steps, joins):
+            assert step.strategy is label
+            if iterations:
+                sizes.add(n < _AUTO_DIRECT_BELOW)
+                assert (label is StepStrategy.DIRECT) \
+                    == (n < _AUTO_DIRECT_BELOW)
+    assert sizes == {False, True}
 
 
 def _matches_eig_oracle(g):
