@@ -3,7 +3,9 @@
 Commands: entropy | add-edge | add-vertex | persistence | verify |
 generate | count.  Data goes to standard output, diagnostics to the
 error stream.  Exit codes: 0 success, 2 parse/validation failure,
-3 solver failure, 4 precondition violation, 5 failed verify properties.
+3 solver failure (``NonConvergence``, ``DivergentSeries``, numpy's
+``LinAlgError``), 4 precondition violation (a ``PreconditionError``: every
+other error of ``errors``), 5 failed verify properties.
 The argparse parser is built once per process, at the first ``main``
 call, and reused by every later call.
 """
@@ -19,9 +21,7 @@ import numpy as np
 
 from . import counting, persistence
 from .entropy import _vertex_root, volume_entropy
-from .errors import (DisconnectedPair, EntrographError, HorizonTooLarge,
-                     MarginTooSmall, NonPositiveLength, PreconditionError,
-                     TooFewAttachments, UnknownFormat, UnknownVertex,
+from .errors import (EntrographError, HorizonTooLarge, PreconditionError,
                      ValidationFailed)
 from .genfun import check_symmetry
 from .graph import (MetricGraph, _require_valid, add_edge, add_vertex,
@@ -36,11 +36,6 @@ EXIT_INVALID = 2
 EXIT_SOLVER = 3
 EXIT_PRECONDITION = 4
 EXIT_VERIFY = 5
-
-_PRECONDITION_ERRORS = (DisconnectedPair, TooFewAttachments,
-                        PreconditionError, UnknownVertex, NonPositiveLength,
-                        HorizonTooLarge, UnknownFormat, MarginTooSmall,
-                        ValueError)
 
 
 def _emit(text: str, out_path: str | None):
@@ -112,7 +107,7 @@ def _parse_attachments(specs) -> list[tuple[str, float]]:
             vertex, length = spec.rsplit(":", 1)
             out.append((vertex, float(length)))
         except ValueError as exc:
-            raise ValueError(
+            raise PreconditionError(
                 f"bad attachment {spec!r}; expected VERTEX:LENGTH") from exc
     return out
 
@@ -150,8 +145,9 @@ def _bench_report(graph: MetricGraph, strategy: str, curve) -> str:
 
 
 def cmd_verify(args) -> int:
-    cap = int(args.cap)
     graph = _load(args.file)
+    cap = args.cap
+    counting._check_limits(None, cap)  # even where no check enumerates
     results: list[tuple[str, str, str]] = []  # (name, status, detail)
 
     def record(name, status, detail=""):
@@ -265,7 +261,7 @@ def cmd_count(args) -> int:
     mode = TransferMode.BACKTRACKING if args.mode == "bt" \
         else TransferMode.NON_BACKTRACKING
     spec = counting.EnumerationSpec(kind, args.r, mode, x=args.x, y=args.y,
-                                    v=args.v, cap=int(args.cap))
+                                    v=args.v, cap=args.cap)
     profile = counting.enumerate_paths(graph, spec)
     if args.format == "json":
         jumps, n_le = profile.steps()
@@ -378,13 +374,10 @@ def main(argv=None) -> int:
     except (ParseError, ValidationFailed, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except np.linalg.LinAlgError as exc:  # a ValueError, yet a solver failure
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except _PRECONDITION_ERRORS as exc:
+    except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except EntrographError as exc:  # NonConvergence, DivergentSeries
+    except (EntrographError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

@@ -323,8 +323,8 @@ def enumerate_paths(graph: MetricGraph, spec: EnumerationSpec
     equal lengths N is a step function whose tops, just past each jump,
     are x/(1 - e^{-x}) times the model; after the walk's cap it is
     0.8 r_max.  Raises PreconditionError for a horizon that is not
-    positive, nan included, a negative cap, or a missing endpoint (x, y
-    or v) that the kind reads.
+    positive, nan included, a cap that is negative or not finite, or a
+    missing endpoint (x, y or v) that the kind reads.
     """
     return _enumerate(graph, spec)[0]
 
@@ -348,12 +348,15 @@ def _check_projection(comp: MetricGraph, spec: EnumerationSpec, base: str,
             safe_horizon=safe)
 
 
-def _check_limits(r_max: float, cap: int) -> None:
-    """PreconditionError unless r_max > 0 and cap >= 0; nan is neither."""
-    if not r_max > 0:
+def _check_limits(r_max: float | None, cap: float) -> None:
+    """PreconditionError unless r_max > 0 (None checks the cap alone) and
+    0 <= cap < inf; nan is neither.  A cap must be finite, as the walk's
+    node limit is int(1.25 cap) + 1024."""
+    if r_max is not None and not r_max > 0:
         raise PreconditionError("horizon must be positive")
-    if not cap >= 0:
-        raise PreconditionError(f"cap must be nonnegative, got {cap}")
+    if not 0 <= cap < math.inf:
+        raise PreconditionError(
+            f"cap must be nonnegative and finite, got {cap}")
 
 
 def _enumerate(graph: MetricGraph, spec: EnumerationSpec,
@@ -744,10 +747,10 @@ def growth_bounds(graph: MetricGraph, v: str, r_max: float,
     Raises UnknownVertex for an unknown v before any other check, then
     PreconditionError, before A(h) is built, for a graph that is not
     reduced, connected and hyperbolic, a horizon that is not positive or
-    a cap below 0 (``_check_limits``); PreconditionError when the
-    entropy of the graph without v reaches h in floating point, so that
-    A(h) diverges or its Perron root misses 1; NonConvergence when the
-    root misses 1 for another reason.
+    a cap that is negative or not finite (``_check_limits``);
+    PreconditionError when the entropy of the graph without v reaches h
+    in floating point, so that A(h) diverges or its Perron root misses 1;
+    NonConvergence when the root misses 1 for another reason.
     """
     graph._position(v)
     _require_reduced_hyperbolic(graph)

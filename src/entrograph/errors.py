@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types of the package.  Refusals are ``PreconditionError``s
+and ``ValueError``s (CLI exit 4, 2 for ``ValidationFailed``); solver
+failures are ``NonConvergence`` and ``DivergentSeries`` (exit 3)."""
 
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ class EntrographError(Exception):
     component: str | None = None
 
 
-class PreconditionError(EntrographError):
+class PreconditionError(EntrographError, ValueError):
     """An operation was called outside its documented preconditions."""
 
 
@@ -30,11 +32,11 @@ class ValidationFailed(PreconditionError):
         super().__init__("invalid metric graph: " + "; ".join(self.report))
 
 
-class UnknownVertex(EntrographError):
+class UnknownVertex(PreconditionError):
     pass
 
 
-class NonPositiveLength(EntrographError):
+class NonPositiveLength(PreconditionError):
     pass
 
 
@@ -46,23 +48,23 @@ class DivergentSeries(EntrographError):
     """A generating-function evaluation at or below the entropy."""
 
 
-class DisconnectedPair(EntrographError):
+class DisconnectedPair(PreconditionError):
     pass
 
 
-class TooFewAttachments(EntrographError):
+class TooFewAttachments(PreconditionError):
     pass
 
 
-class InvalidDartIndex(EntrographError):
+class InvalidDartIndex(PreconditionError):
     pass
 
 
-class InsufficientData(EntrographError):
+class InsufficientData(PreconditionError):
     pass
 
 
-class HorizonTooLarge(EntrographError):
+class HorizonTooLarge(PreconditionError):
     """Projected enumeration size exceeds the configured cap."""
 
     def __init__(self, message, safe_horizon=None):
@@ -70,9 +72,9 @@ class HorizonTooLarge(EntrographError):
         super().__init__(message)
 
 
-class MarginTooSmall(EntrographError):
+class MarginTooSmall(PreconditionError):
     pass
 
 
-class UnknownFormat(EntrographError):
+class UnknownFormat(PreconditionError):
     pass

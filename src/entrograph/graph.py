@@ -36,7 +36,8 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .errors import NonPositiveLength, UnknownVertex, ValidationFailed
+from .errors import (NonPositiveLength, PreconditionError, UnknownVertex,
+                     ValidationFailed)
 
 
 @dataclass(frozen=True)
@@ -494,7 +495,7 @@ def add_vertex(graph: MetricGraph,
     are checked as in ``add_edge``.
     """
     if not attachments:
-        raise ValueError("attachment list must not be empty")
+        raise PreconditionError("attachment list must not be empty")
     if new_id is None:
         k = len(graph.vertices)
         new_id = f"v{k}"
@@ -502,7 +503,7 @@ def add_vertex(graph: MetricGraph,
             k += 1
             new_id = f"v{k}"
     elif new_id in graph.vertex_set:
-        raise ValueError(f"vertex {new_id!r} already exists")
+        raise PreconditionError(f"vertex {new_id!r} already exists")
     edges = graph.edge_list() + tuple((new_id, v, l) for v, l in attachments)
     return MetricGraph.from_edges(graph.vertices + (new_id,), edges)
 
@@ -510,7 +511,7 @@ def add_vertex(graph: MetricGraph,
 def delete_edge(graph: MetricGraph, dart_id: int) -> MetricGraph:
     """Return a new graph without the edge carrying the given dart."""
     if not (0 <= dart_id < len(graph.darts)):
-        raise ValueError(f"dart id {dart_id} out of range")
+        raise PreconditionError(f"dart id {dart_id} out of range")
     rid = graph.darts[dart_id].reverse
     edges = tuple((d.tail, d.head, d.length) for d in graph.edge_darts()
                   if d.id not in (dart_id, rid))

@@ -318,7 +318,7 @@ def estimate_constant_C(graph: MetricGraph, x: str, y: str,
     """
     _require_valid(graph)
     if method not in ("resolvent", "counting", "both"):
-        raise ValueError(f"unknown method {method!r}")
+        raise PreconditionError(f"unknown method {method!r}")
     graph._position(y)  # an unknown y is an error, not a disconnected one
     comp = component_of(graph, x)
     root = _vertex_root(comp)

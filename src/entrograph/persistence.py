@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EntrographError, UnknownFormat
+from .errors import EntrographError, PreconditionError, UnknownFormat
 from .graph import MetricGraph, _require_valid
 from .incremental import StepStrategy, _join
 
@@ -100,7 +100,7 @@ def persistent_entropy(graph: MetricGraph,
     """
     _require_valid(graph)
     if strategy not in ("direct", "incremental", "auto"):
-        raise ValueError(f"unknown strategy {strategy!r}")
+        raise PreconditionError(f"unknown strategy {strategy!r}")
 
     n, tails, heads, lengths = edge_set = graph._edge_arrays
     eps_list = thresholds(graph)

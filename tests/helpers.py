@@ -111,19 +111,25 @@ def bfs_enumerate(graph, kind, r_max, mode="nb", x=None, y=None, v=None):
     return sorted(out)
 
 
-def exact_counts(graph, kind, mode, r_max, base):
+def exact_counts(graph, kind, mode, r_max, base, target=None):
     """Exact counts by total length of the dart sequences from ``base``
     shorter than ``r_max``, on a graph with positive integer lengths:
-    all of them (``PathKind.PATHS_FROM``) or those ending at base
-    (``PathKind.CYCLES_AT``).
+    all of them (``PathKind.PATHS_FROM``), those ending at ``target``
+    (``PathKind.PATHS_XY``: every arrival, also one that passed target
+    before), those ending at base (``PathKind.CYCLES_AT``), or those
+    ending at base that first return there
+    (``PathKind.PRIMITIVE_CYCLES_AT``: an arrival is not extended).
 
     The Python-integer recursion over (last dart, length),
     a[d'][m + l(d')] += a[d][m], in increasing m, run from each start
     dart on its own.  It scans graph.darts directly and shares no code
     and no floating point with the walk.  Returns ({length: count},
-    {start: {length: count}}), the starts numbered from 1 in the order of
-    ``graph.out_darts(base)``, as the rows of ``by_start`` are; a start
-    without a sequence has no row.
+    rows), rows {start: {length: count}} with the starts numbered from 1
+    in the order of ``graph.out_darts(base)``, as the rows of
+    ``by_start`` are; for the primitive cycles {(start, end): {length:
+    count}}, end the number of the start dart that the last dart
+    reverses, as the rows of ``by_pair`` are.  A key without a sequence
+    has no row.
     """
     from entrograph import PathKind
     darts = graph.darts
@@ -132,26 +138,29 @@ def exact_counts(graph, kind, mode, r_max, base):
     succ = [[d2.id for d2 in darts if d2.tail == d.head
              and (mode is TransferMode.BACKTRACKING or d2.id != d.reverse)]
             for d in darts]
-    totals, rows = defaultdict(int), {}
-    for k, s in enumerate(graph.out_darts(base), 1):
+    goal = {PathKind.PATHS_FROM: None, PathKind.PATHS_XY: target}.get(
+        kind, base)
+    primitive = kind is PathKind.PRIMITIVE_CYCLES_AT
+    starts = graph.out_darts(base)
+    end = {darts[s].reverse: j for j, s in enumerate(starts, 1)}
+    totals, rows = defaultdict(int), defaultdict(lambda: defaultdict(int))
+    for k, s in enumerate(starts, 1):
         a = [defaultdict(int) for _ in darts]
         a[s][steps[s]] = 1
-        row = defaultdict(int)
         for m in range(1, math.ceil(r_max)):
             for d in darts:
                 count = a[d.id].pop(m, 0)
                 if not count:
                     continue
-                if kind is PathKind.PATHS_FROM or d.head == base:
-                    row[m] += count
+                if goal is None or d.head == goal:
+                    rows[(k, end[d.id]) if primitive else k][m] += count
+                    totals[m] += count
+                    if primitive:
+                        continue
                 for d2 in succ[d.id]:
                     if m + steps[d2] < r_max:
                         a[d2][m + steps[d2]] += count
-        if row:
-            rows[k] = dict(row)
-        for m, count in row.items():
-            totals[m] += count
-    return dict(totals), rows
+    return dict(totals), {key: dict(row) for key, row in rows.items()}
 
 
 def mask_sort_rows(graph, spec):

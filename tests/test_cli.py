@@ -9,10 +9,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from entrograph import (MetricGraph, ParseError, parse_graph,
-                        parse_graph_edgelist, parse_graph_json, same_graph,
-                        serialize_edgelist, serialize_json)
-from entrograph import cli, counting, entropy
+from entrograph import (MetricGraph, ParseError, add_vertex, delete_edge,
+                        estimate_constant_C, parse_graph,
+                        parse_graph_edgelist, parse_graph_json,
+                        persistent_entropy, same_graph, serialize_edgelist,
+                        serialize_json)
+from entrograph import cli, counting, entropy, errors
 from entrograph.cli import main
 from entrograph.graphio import generate_graph
 from helpers import c4, complete4, rose, theta
@@ -346,6 +348,65 @@ def test_subnormal_shortest_edge_exits_4(argv, tmp_path, capsys):
     assert "of length 1e-320 is too short" in capsys.readouterr().err
 
 
+# every class of entrograph.errors and the CLI exit code it maps to: 4
+# for a refusal (a PreconditionError), 2 for a graph that fails
+# validation, 3 for a solver failure
+EXIT_CODES = {
+    "EntrographError": 3, "NonConvergence": 3, "DivergentSeries": 3,
+    "ValidationFailed": 2, "PreconditionError": 4, "UnknownVertex": 4,
+    "NonPositiveLength": 4, "DisconnectedPair": 4, "TooFewAttachments": 4,
+    "InvalidDartIndex": 4, "InsufficientData": 4, "HorizonTooLarge": 4,
+    "MarginTooSmall": 4, "UnknownFormat": 4,
+}
+ERROR_CLASSES = [cls for cls in vars(errors).values()
+                 if isinstance(cls, type) and issubclass(cls, Exception)]
+
+
+def test_every_error_class_has_an_exit_code():
+    assert sorted(cls.__name__ for cls in ERROR_CLASSES) == sorted(EXIT_CODES)
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_error_class_decides_the_exit_code(cls, k4_file, monkeypatch,
+                                           capsys):
+    # a refusal is a PreconditionError, and so a ValueError; the base
+    # class and the two solver failures are neither
+    code = EXIT_CODES[cls.__name__]
+    assert issubclass(cls, errors.EntrographError)
+    assert issubclass(cls, errors.PreconditionError) is (code != 3)
+    assert issubclass(cls, ValueError) is (code != 3)
+    exc = cls(["a report line"]) if cls is errors.ValidationFailed \
+        else cls("raised by the entropy solve")
+
+    def fail(graph):
+        raise exc
+
+    monkeypatch.setattr(cli, "volume_entropy", fail)
+    assert main(["entropy", k4_file]) == code
+    assert capsys.readouterr() == ("", f"error: {exc}\n")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: add_vertex(c4(), []), "attachment list must not be empty"),
+    (lambda: add_vertex(c4(), [("a", 1.0)], new_id="b"),
+     "vertex 'b' already exists"),
+    (lambda: delete_edge(c4(), 8), "dart id 8 out of range"),
+    (lambda: estimate_constant_C(complete4(), "a", "b", method="bogus"),
+     "unknown method 'bogus'"),
+    (lambda: persistent_entropy(c4(), strategy="bogus"),
+     "unknown strategy 'bogus'"),
+    (lambda: cli._parse_attachments(["a"]),
+     "bad attachment 'a'; expected VERTEX:LENGTH"),
+], ids=["add_vertex-empty", "add_vertex-existing", "delete_edge",
+        "estimate_constant_C", "persistent_entropy", "parse_attachments"])
+def test_former_value_errors_are_refusals(call, message):
+    # each of these raised a plain ValueError
+    with pytest.raises(errors.PreconditionError) as info:
+        call()
+    assert type(info.value) is errors.PreconditionError
+    assert str(info.value) == message
+
+
 def test_verify_failed_property_exits_5(k4_file, monkeypatch, capsys):
     monkeypatch.setattr(counting, "growth_bounds", lambda *a, **k: (
         SimpleNamespace(passed=False, m_formula=1.0, m_empirical=2.0,
@@ -425,7 +486,27 @@ def test_count_cap_exit_code(tmp_path, capsys):
     for cap in ("1000", "1e3"):  # --cap also takes float text
         assert main(["count", str(path), "--kind", "paths-from", "--x", "v",
                      "--r", "40", "--cap", cap]) == 4
-        assert "horizon" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "horizon" in err
+        assert "exceeds cap 1000;" in err  # the float cap prints as before
+
+
+@pytest.mark.parametrize("cap", ["inf", "nan", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "K4"], ["verify", "TREE"],
+    ["count", "K4", "--kind", "cycles", "--v", "a", "--r", "9"],
+], ids=["verify", "verify-no-enumeration", "count"])
+def test_cap_must_be_finite_and_nonnegative(argv, cap, k4_file, tree_file,
+                                            capsys):
+    # --cap inf used to end in an OverflowError traceback (exit 1) from
+    # int(inf); main returns 4 with one error line.  verify refuses
+    # the cap also on a tree, where none of its checks enumerates
+    files = {"K4": k4_file, "TREE": tree_file}
+    assert main([files.get(arg, arg) for arg in argv] + ["--cap", cap]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: cap must be nonnegative and finite, " \
+                  f"got {float(cap)}\n"
 
 
 def test_count_nan_horizon_exit_code(c4_file, capsys):

@@ -265,6 +265,7 @@ def test_backtracking_bound_is_one_walk_on_multigraphs(g, data):
     try:
         want = _two_walk_bound(g, v, r_max, 2000)
     except PreconditionError as exc:
+        assert type(exc) is PreconditionError, exc  # not a subclass
         want = exc
     with patch.object(counting, "_walk", wraps=counting._walk) as spy, \
             patch.object(counting, "_grouped",
@@ -482,15 +483,15 @@ def test_walk_cap_boundary():
     assert outcomes == {False, True}
 
 
-def _fitting_horizon(g, kind, mode, x, cap):
+def _fitting_horizon(g, kind, mode, x, cap, y=None):
     """The horizon of ``horizon_for_budget(g, x, cap, mode)``, lowered to
     the suggested safe horizon until the enumeration of ``kind`` from x
-    (at x) fits ``cap``: (r_max, profile)."""
+    (at x, or to y) fits ``cap``: (r_max, profile)."""
     r_max = horizon_for_budget(g, x, cap, mode)
     for _ in range(100):
         try:
             return r_max, enumerate_paths(g, EnumerationSpec(
-                kind, r_max, mode, x=x, v=x, cap=cap))
+                kind, r_max, mode, x=x, y=y, v=x, cap=cap))
         except HorizonTooLarge as exc:
             r_max = exc.safe_horizon
     pytest.fail("no horizon fits the cap")
@@ -518,8 +519,10 @@ def test_walk_node_count_is_the_cap_rule_on_multigraphs(mode, g):
 
 
 @pytest.mark.parametrize("mode", [NB, BT], ids=["nb", "bt"])
-@pytest.mark.parametrize("kind", [PathKind.PATHS_FROM, PathKind.CYCLES_AT],
-                         ids=["paths-from", "cycles-at"])
+@pytest.mark.parametrize("kind", [
+    PathKind.PATHS_FROM, PathKind.CYCLES_AT, PathKind.PATHS_XY,
+    PathKind.PRIMITIVE_CYCLES_AT,
+], ids=["paths-from", "cycles-at", "paths-xy", "primitive"])
 @settings(max_examples=25, deadline=None)
 @given(g=multigraphs(), data=st.data())
 def test_walk_matches_exact_counts_on_integer_multigraphs(kind, mode, g,
@@ -527,19 +530,25 @@ def test_walk_matches_exact_counts_on_integer_multigraphs(kind, mode, g,
     # lengths in {1, 2, 3}: every count by length is an exact integer, at
     # horizons of up to about 10^5 sequences, where the BFS oracle is too
     # slow.  The horizon is an integer, so that sequences tie with it and
-    # must be left out; the rows of the cycles are checked start by start
+    # must be left out; the rows of the cycles are checked start by start,
+    # those of the primitive cycles (start, end) pair by pair
     g = MetricGraph.from_edges(g.vertices, [
         (u, v, float(data.draw(st.integers(1, 3))))
         for u, v, _ in g.edge_list()])
     x = g.vertices[0]
-    r_max = max(math.floor(_fitting_horizon(g, kind, mode, x, 100_000)[0]),
-                1)
-    prof = enumerate_paths(g, EnumerationSpec(kind, r_max, mode, x=x, v=x))
-    totals, rows = exact_counts(g, kind, mode, r_max, x)
+    y = data.draw(st.sampled_from(g.vertices[1:] or g.vertices)) \
+        if kind is PathKind.PATHS_XY else None
+    r_max = max(math.floor(
+        _fitting_horizon(g, kind, mode, x, 100_000, y)[0]), 1)
+    prof = enumerate_paths(g, EnumerationSpec(kind, r_max, mode, x=x, y=y,
+                                              v=x))
+    totals, rows = exact_counts(g, kind, mode, r_max, x, y)
     assert dict(collections.Counter(prof.lengths.tolist())) == totals
-    if kind is PathKind.CYCLES_AT:
+    by = {PathKind.CYCLES_AT: prof.by_start,
+          PathKind.PRIMITIVE_CYCLES_AT: prof.by_pair}.get(kind)
+    if by is not None:
         assert {k: dict(collections.Counter(row.tolist()))
-                for k, row in prof.by_start.items()} == rows
+                for k, row in by.items()} == rows
 
 
 def test_profile_csv_export():
@@ -764,7 +773,7 @@ def test_missing_endpoint_is_refused_by_name(kind, given_ends, missing):
         enumerate_paths(complete4(), EnumerationSpec(kind, 2.0, **given_ends))
 
 
-@pytest.mark.parametrize("call", [
+CAP_CALLS = pytest.mark.parametrize("call", [
     lambda cap: enumerate_paths(complete4(), EnumerationSpec(
         PathKind.CYCLES_AT, 2.0, v="a", cap=cap)),
     lambda cap: verify_recursions(complete4(), "a", r_max=2.0, cap=cap),
@@ -772,6 +781,9 @@ def test_missing_endpoint_is_refused_by_name(kind, given_ends, missing):
     lambda cap: backtracking_bound(complete4(), "a", 2.0, cap=cap),
 ], ids=["enumerate_paths", "verify_recursions", "growth_bounds",
         "backtracking_bound"])
+
+
+@CAP_CALLS
 def test_negative_cap_is_refused(call):
     # cap -5 used to raise a bare math domain error from the suggested
     # horizon; cap 0 is a cap, which the count model enforces
@@ -779,6 +791,17 @@ def test_negative_cap_is_refused(call):
         call(-5)
     with pytest.raises(HorizonTooLarge):
         call(0)
+
+
+@CAP_CALLS
+@pytest.mark.parametrize("cap", [math.inf, math.nan], ids=["inf", "nan"])
+def test_cap_that_is_not_finite_is_refused(call, cap):
+    # an infinite cap used to end in an OverflowError from the walk's
+    # node limit, int(1.25 cap) + 1024
+    with pytest.raises(PreconditionError, match=(
+            f"^cap must be nonnegative and finite, got {cap}$")) as info:
+        call(cap)
+    assert type(info.value) is PreconditionError
 
 
 @pytest.mark.parametrize("r_max", [math.nan, 0.0, -1.0],
@@ -1043,7 +1066,8 @@ def test_array_checks_match_scalar_reference(g):
     # report to compare; those parts are skipped.
     try:
         bt = backtracking_bound(g, v, r_max, cap=2000)
-    except PreconditionError:
+    except PreconditionError as exc:
+        assert type(exc) is PreconditionError, exc  # not a subclass
         bt = None
     if bt is not None:
         assert _pairs(bt.violations) \
@@ -1060,7 +1084,8 @@ def test_array_checks_match_scalar_reference(g):
     cyc = _fitted_profile(core, PathKind.CYCLES_AT, NB, 1000, cv, 5000)
     try:
         rep = growth_bounds(core, cv, cyc.r_max, cap=5000, h=h)
-    except (PreconditionError, NonConvergence):
+    except (PreconditionError, NonConvergence) as exc:
+        assert type(exc) in (PreconditionError, NonConvergence), exc
         return
     assert _pairs(rep.violations) \
         == _pairs(scalar_violations(cyc, rep.m_formula, h))
