@@ -11,13 +11,13 @@ edge-length filtration.
 """
 
 from .counting import (BacktrackingBoundReport, BacktrackingEntropy,
-                       BoundsReport, CountProfile, EnumerationSpec,
-                       LaplaceReport, PathKind, RecursionReport,
-                       backtracking_bound, backtracking_entropy,
+                       BoundsReport, CountProfile, CountSlopeEstimate,
+                       EnumerationSpec, LaplaceReport, PathKind,
+                       RecursionReport, backtracking_bound,
+                       backtracking_entropy, entropy_from_counts,
                        enumerate_paths, growth_bounds, horizon_for_budget,
                        laplace_check, verify_recursions)
-from .entropy import (CountSlopeEstimate, EntropyResult, entropy_from_counts,
-                      rho_curve, volume_entropy)
+from .entropy import EntropyResult, rho_curve, volume_entropy
 from .errors import (DisconnectedPair, DivergentSeries, EntrographError,
                      HorizonTooLarge, InsufficientData, InvalidDartIndex,
                      MarginTooSmall, NonConvergence, NonPositiveLength,

@@ -148,6 +148,7 @@ def cmd_verify(args) -> int:
     graph = _load(args.file)
     cap = args.cap
     counting._check_limits(None, cap)  # even where no check enumerates
+    budget = min(cap, 200_000)  # walks at a check's horizon; 0: no walk
     results: list[tuple[str, str, str]] = []  # (name, status, detail)
 
     def record(name, status, detail=""):
@@ -176,7 +177,7 @@ def cmd_verify(args) -> int:
         v = max(core0.vertex_set, key=lambda w: (core0.degree(w), w))
         # the cached vertex root of the component of v in the graph
         h_core = _vertex_root(component_of(graph, v)).h
-        r_cap = counting.horizon_for_budget(core0, v, min(cap, 200_000))
+        r_cap = budget and counting.horizon_for_budget(core0, v, budget)
         longest = max(d.length for d in core0.darts)
         if r_cap < 3.0 * longest:
             skip_reason = (f"cap {cap:g} allows horizon "
@@ -190,7 +191,7 @@ def cmd_verify(args) -> int:
     def recursions():
         # the walk counts backtracking cycles, which outgrow the others
         r_max = min(0.6 * r_cap, counting.horizon_for_budget(
-            core0, v, min(cap, 200_000), TransferMode.BACKTRACKING))
+            core0, v, budget, TransferMode.BACKTRACKING))
         rec = counting.verify_recursions(core0, v, r_max=r_max, cap=cap)
         return rec.passed, f"{len(rec.r_grid)} radii"
 
@@ -278,7 +279,7 @@ def cmd_count(args) -> int:
 
 
 _OPTIONS = {
-    "cap": dict(type=float, default=10_000_000,
+    "cap": dict(type=float, default=counting.DEFAULT_CAP,
                 help="enumeration node cap"),
     "format": dict(choices=("csv", "json"), default="csv"),
     "out": dict(default=None, metavar="PATH"),

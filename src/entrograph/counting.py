@@ -58,14 +58,15 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .entropy import _EPS, _schur_root, _vertex_root, volume_entropy
-from .errors import (DivergentSeries, HorizonTooLarge, MarginTooSmall,
-                     NonConvergence, PreconditionError)
+from .errors import (DivergentSeries, HorizonTooLarge, InsufficientData,
+                     MarginTooSmall, NonConvergence, PreconditionError)
 from .genfun import attachment_darts, f_from, f_path, primitive_matrix
 from .graph import (MetricGraph, _require_valid, component_of, delete_vertex,
                     first_betti)
 from .spectral import TransferMode, _pattern, transitions
 
 DEFAULT_CAP = 10_000_000
+MAX_CAP = 10**8  # a node limit of 1.25e8 at ~17 B each (README): 2-3 GB
 
 
 class PathKind(Enum):
@@ -85,7 +86,7 @@ class EnumerationSpec:
     x: str | None = None
     y: str | None = None
     v: str | None = None
-    cap: int = DEFAULT_CAP
+    cap: float = DEFAULT_CAP
 
 
 @dataclass(frozen=True)
@@ -128,6 +129,50 @@ class CountProfile:
         for ell, total in zip(*self.steps()):
             lines.append(f"{float(ell)!r},{int(total)}")
         return "\n".join(lines) + "\n"
+
+
+@dataclass(frozen=True)
+class CountSlopeEstimate:
+    """Entropy estimate from an enumeration profile.
+
+    ``band`` is the spread (max - min) of the pointwise log N(r) / r
+    estimates across the window: the residual drift of the naive
+    estimator, used as the confidence band around the fitted slope.
+    """
+
+    h_hat: float
+    band: float
+    window: tuple[float, float]
+    n_samples: int
+
+
+def entropy_from_counts(profile: CountProfile,
+                        window: tuple[float, float]) -> CountSlopeEstimate:
+    """Estimate entropy as the least-squares slope of log N(r) over r.
+
+    Samples sit at the distinct recorded lengths inside the window, with
+    N evaluated just above each jump.  Requires at least 4 samples and a
+    window inside the profile horizon.
+    """
+    r1, r2 = float(window[0]), float(window[1])
+    jumps, n_le = profile.steps()
+    if not jumps.size:
+        raise InsufficientData("profile records no lengths")
+    if not (r2 > r1 >= float(jumps[0])):
+        raise InsufficientData(
+            f"window ({r1}, {r2}) must satisfy r2 > r1 >= min length")
+    if r2 > profile.r_max:
+        raise InsufficientData(
+            f"window end {r2} exceeds profile horizon {profile.r_max}")
+    inside = (jumps >= r1) & (jumps <= r2)
+    xs, ys = jumps[inside], np.log(n_le[inside])
+    if xs.size < 4:
+        raise InsufficientData(
+            f"only {xs.size} sample points in window ({r1}, {r2})")
+    slope = float(np.polyfit(xs, ys, 1)[0])
+    pointwise = ys / xs
+    band = float(np.max(pointwise) - np.min(pointwise))
+    return CountSlopeEstimate(slope, band, (r1, r2), int(xs.size))
 
 
 _LINEAR_A = 2.0 ** 60
@@ -322,9 +367,9 @@ def enumerate_paths(graph: MetricGraph, spec: EnumerationSpec
     suggestion aims the model at 0.8 cap (1 - e^{-x})/x, x = h l_min: on
     equal lengths N is a step function whose tops, just past each jump,
     are x/(1 - e^{-x}) times the model; after the walk's cap it is
-    0.8 r_max.  Raises PreconditionError for a horizon that is not
-    positive, nan included, a cap that is negative or not finite, or a
-    missing endpoint (x, y or v) that the kind reads.
+    0.8 r_max.  Raises PreconditionError, before the walk, for a horizon
+    or a cap that ``_check_limits`` refuses, or a missing endpoint (x, y
+    or v) that the kind reads.
     """
     return _enumerate(graph, spec)[0]
 
@@ -349,14 +394,15 @@ def _check_projection(comp: MetricGraph, spec: EnumerationSpec, base: str,
 
 
 def _check_limits(r_max: float | None, cap: float) -> None:
-    """PreconditionError unless r_max > 0 (None checks the cap alone) and
-    0 <= cap < inf; nan is neither.  A cap must be finite, as the walk's
-    node limit is int(1.25 cap) + 1024."""
+    """The one rule of every horizon and cap: PreconditionError unless
+    r_max > 0 (None checks the cap alone) and 0 <= cap <= ``MAX_CAP``."""
     if r_max is not None and not r_max > 0:
         raise PreconditionError("horizon must be positive")
     if not 0 <= cap < math.inf:
         raise PreconditionError(
             f"cap must be nonnegative and finite, got {cap}")
+    if cap > MAX_CAP:
+        raise PreconditionError(f"cap {cap} exceeds MAX_CAP = {MAX_CAP}")
 
 
 def _enumerate(graph: MetricGraph, spec: EnumerationSpec,
@@ -591,7 +637,7 @@ class RecursionReport:
 
 def verify_recursions(graph: MetricGraph, v: str,
                       r_grid=None, r_max: float | None = None,
-                      cap: int = DEFAULT_CAP,
+                      cap: float = DEFAULT_CAP,
                       tie_guard: float = 1e-9) -> RecursionReport:
     """Check the cycle-count recursions as exact integer identities.
 
@@ -723,7 +769,7 @@ def _over_bound(jumps: np.ndarray, n_le: np.ndarray, m_const: float,
 
 
 def growth_bounds(graph: MetricGraph, v: str, r_max: float,
-                  cap: int = DEFAULT_CAP, h: float | None = None
+                  cap: float = DEFAULT_CAP, h: float | None = None
                   ) -> BoundsReport:
     """Verify m e^{hr} <= N_v(r) <= M e^{hr} with the explicit constant
     M = (n-1)/(n-2) * (sum w_i) / (min w_i).
@@ -746,8 +792,8 @@ def growth_bounds(graph: MetricGraph, v: str, r_max: float,
     cached root.
     Raises UnknownVertex for an unknown v before any other check, then
     PreconditionError, before A(h) is built, for a graph that is not
-    reduced, connected and hyperbolic, a horizon that is not positive or
-    a cap that is negative or not finite (``_check_limits``);
+    reduced, connected and hyperbolic, or a horizon or a cap that
+    ``_check_limits`` refuses;
     PreconditionError when the entropy of the graph without v reaches h
     in floating point, so that A(h) diverges or its Perron root misses 1;
     NonConvergence when the root misses 1 for another reason.
@@ -822,7 +868,7 @@ class BacktrackingBoundReport:
 
 
 def backtracking_bound(graph: MetricGraph, v: str, r_max: float,
-                       cap: int = DEFAULT_CAP) -> BacktrackingBoundReport:
+                       cap: float = DEFAULT_CAP) -> BacktrackingBoundReport:
     """Check N_v(r) <= M e^{h r} for backtracking cycles, with the
     closed-form constant M = max(2, 3 e^{-h l1}) and l1 the shortest
     primitive cycle length at v.  Both come from one flagged walk

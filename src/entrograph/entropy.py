@@ -59,19 +59,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dsyevr
 
-from .errors import InsufficientData, NonConvergence, PreconditionError
+from .errors import NonConvergence, PreconditionError
 from .graph import (ComponentKind, EdgeSet, MetricGraph, _component,
                     _require_valid, components, reduce)
 from .spectral import (TransferMode, _assemble, _sparse_transfer,
                        _vertex_terms, build_transfer, spectral_radius)
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .counting import CountProfile
 
 
 @dataclass(frozen=True)
@@ -93,21 +90,6 @@ class EntropyResult:
     iterations: int
     bracket: tuple[float, float]
     per_component: tuple[tuple[str, float], ...]
-
-
-@dataclass(frozen=True)
-class CountSlopeEstimate:
-    """Entropy estimate from an enumeration profile.
-
-    ``band`` is the spread (max - min) of the pointwise log N(r) / r
-    estimates across the window: the residual drift of the naive
-    estimator, used as the confidence band around the fitted slope.
-    """
-
-    h_hat: float
-    band: float
-    window: tuple[float, float]
-    n_samples: int
 
 
 @dataclass(frozen=True)
@@ -511,33 +493,3 @@ def rho_curve(graph: MetricGraph, t_values: Sequence[float],
     return [(float(t), float(np.abs(np.linalg.eigvals(
         build_transfer(graph, float(t), mode).matrix)).max(initial=0.0)))
         for t in t_values]
-
-
-def entropy_from_counts(profile: "CountProfile",
-                        window: tuple[float, float]) -> CountSlopeEstimate:
-    """Estimate entropy as the least-squares slope of log N(r) over r.
-
-    Samples sit at the distinct recorded lengths inside the window, with
-    N evaluated just above each jump.  Requires at least 4 samples and a
-    window inside the profile horizon.
-    """
-    r1, r2 = float(window[0]), float(window[1])
-    lengths = np.asarray(profile.lengths)
-    if lengths.size == 0:
-        raise InsufficientData("profile records no lengths")
-    if not (r2 > r1 >= float(lengths[0])):
-        raise InsufficientData(
-            f"window ({r1}, {r2}) must satisfy r2 > r1 >= min length")
-    if r2 > profile.r_max:
-        raise InsufficientData(
-            f"window end {r2} exceeds profile horizon {profile.r_max}")
-    jumps, n_le = profile.steps()
-    inside = (jumps >= r1) & (jumps <= r2)
-    xs, ys = jumps[inside], np.log(n_le[inside])
-    if xs.size < 4:
-        raise InsufficientData(
-            f"only {xs.size} sample points in window ({r1}, {r2})")
-    slope = float(np.polyfit(xs, ys, 1)[0])
-    pointwise = ys / xs
-    band = float(np.max(pointwise) - np.min(pointwise))
-    return CountSlopeEstimate(slope, band, (r1, r2), int(xs.size))

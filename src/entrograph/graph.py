@@ -16,7 +16,8 @@ chains of degree-2 vertices are joined by the union-find that also
 gives the split (``_least_roots``, each class rooted at its least member).
 
 Every entry point of the package names its vertices through
-``MetricGraph._position``, the one lookup that raises UnknownVertex.
+``MetricGraph._position``, the one lookup that raises UnknownVertex, and
+checks every new length by ``_check_length``, the one length rule.
 Every query that computes from a graph refuses an invalid one through
 ``_require_valid``, the one gate: it raises ValidationFailed, a
 PreconditionError, with the report of ``validate``, cached on the
@@ -76,7 +77,8 @@ class MetricGraph:
         """Build a graph from an undirected edge list (u, v, length).
 
         Each edge becomes a consecutive dart pair; loops (u == v) and
-        parallel edges are allowed.
+        parallel edges are allowed.  Raises UnknownVertex for an unknown
+        end, then NonPositiveLength for a bad length (``_check_length``).
         """
         verts = tuple(dict.fromkeys(str(v) for v in vertices))
         vset = set(verts)
@@ -86,10 +88,7 @@ class MetricGraph:
             for w in (u, v):
                 if w not in vset:
                     raise UnknownVertex(f"unknown vertex {w!r}")
-            length = float(length)
-            if not (length > 0.0) or not math.isfinite(length):
-                raise NonPositiveLength(
-                    f"edge [{u}, {v}] has length {length!r}, not in (0, inf)")
+            length = _check_length(length, f"edge [{u}, {v}]")
             k = len(darts)
             darts.append(Dart(k, u, v, length, k + 1))
             darts.append(Dart(k + 1, v, u, length, k))
@@ -287,6 +286,15 @@ class EdgeSet:
         local[verts] = np.arange(verts.size)
         return EdgeSet(verts.size, local[ends.take(edges, axis=1)],
                        lengths[edges], self._names, ids[verts])
+
+
+def _check_length(value, edge: str) -> float:
+    """``value`` as a float, if it is positive and finite."""
+    length = float(value)
+    if not (length > 0.0 and math.isfinite(length)):
+        raise NonPositiveLength(f"{edge} has length {length!r}, "
+                                f"not in (0, inf)")
+    return length
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

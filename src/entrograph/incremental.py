@@ -66,10 +66,10 @@ import numpy as np
 from .counting import (EnumerationSpec, PathKind, _step_integral,
                        enumerate_paths, horizon_for_budget)
 from .entropy import _cold_root, _schur_root, _vertex_root
-from .errors import (DisconnectedPair, NonConvergence, NonPositiveLength,
-                     PreconditionError, TooFewAttachments)
-from .graph import (EdgeSet, MetricGraph, _component, _require_valid,
-                    component_of)
+from .errors import (DisconnectedPair, NonConvergence, PreconditionError,
+                     TooFewAttachments)
+from .graph import (EdgeSet, MetricGraph, _check_length, _component,
+                    _require_valid, component_of)
 
 _NODE_BUDGET = 300_000  # paths of each counting estimate by default
 
@@ -140,15 +140,6 @@ def _one_component(graph: MetricGraph, verts: Sequence[str]) -> None:
     if missing:
         raise DisconnectedPair(
             f"vertices {missing} lie outside the component of {verts[0]!r}")
-
-
-def _check_length(length: float, edge: str) -> float:
-    """``length`` as a float, else PreconditionError or NonPositiveLength."""
-    length = float(length)
-    if not (length > 0.0 and math.isfinite(length)):
-        raise (PreconditionError if length <= 0.0 else NonPositiveLength)(
-            f"{edge} has length {length!r}; it must be positive and finite")
-    return length
 
 
 def _attachment_lengths(attachments) -> list[float]:
@@ -256,7 +247,7 @@ def fit_edge_asymptotic(graph: MetricGraph, x: str, y: str,
     h is the cached root of the component, every edit's h_base."""
     _require_valid(graph)
     _one_component(graph, (x, y))
-    ls = sorted(float(l) for l in l_values)
+    ls = sorted(_check_length(l, f"edge [{x}, {y}]") for l in l_values)
     if not ls:
         raise PreconditionError("the sweep needs at least one edge length")
     h = _vertex_root(component_of(graph, x)).h

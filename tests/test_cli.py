@@ -252,12 +252,19 @@ def test_verify_rose2_all_pass(tmp_path, capsys):
 
 
 def test_verify_tiny_cap_skips_enumeration_checks(k4_file, capsys):
-    assert main(["verify", k4_file, "--cap", "10"]) == 0
-    out = capsys.readouterr().out
-    for name in ("growth-bounds", "recursions", "laplace"):
-        assert any(line.startswith("SKIPPED") and name in line
-                   for line in out.splitlines())
-    assert "FAIL" not in out
+    # cap 0 was refused for a "target" the user never gave: the walk
+    # budget of the checks' horizons, min(cap, 200 000)
+    checks = ("growth-bounds", "recursions", "laplace")
+    for cap in ("10", "0"):
+        assert main(["verify", k4_file, "--cap", cap]) == 0
+        out, err = capsys.readouterr()
+        skipped = [line for line in out.splitlines()
+                   if line.split()[1] in checks]
+        assert [line.split()[:2] for line in skipped] == [
+            ["SKIPPED", name] for name in checks]
+        assert all(f"cap {cap} allows horizon" in line for line in skipped)
+        assert "FAIL" not in out
+        assert "target" not in out + err
 
 
 def test_verify_deterministic_output(tmp_path, capsys):
@@ -507,6 +514,21 @@ def test_cap_must_be_finite_and_nonnegative(argv, cap, k4_file, tree_file,
     assert out == ""
     assert err == f"error: cap must be nonnegative and finite, " \
                   f"got {float(cap)}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "K4"], ["verify", "TREE"],
+    ["count", "K4", "--kind", "cycles", "--v", "a", "--r", "3"],
+], ids=["verify", "verify-no-enumeration", "count"])
+def test_cap_above_max_cap_is_refused(argv, k4_file, tree_file, capsys):
+    # a finite huge cap used to start the walk, whose node limit then
+    # bounded nothing; at r = 3 the walk is tiny, so only the ceiling
+    # refuses it
+    files = {"K4": k4_file, "TREE": tree_file}
+    assert main([files.get(arg, arg) for arg in argv]
+                + ["--cap", "1e30"]) == 4
+    assert capsys.readouterr() == (
+        "", "error: cap 1e+30 exceeds MAX_CAP = 100000000\n")
 
 
 def test_count_nan_horizon_exit_code(c4_file, capsys):

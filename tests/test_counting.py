@@ -804,6 +804,22 @@ def test_cap_that_is_not_finite_is_refused(call, cap):
     assert type(info.value) is PreconditionError
 
 
+@CAP_CALLS
+def test_cap_above_max_cap_is_refused(call):
+    # a finite huge cap left the walk's node limit, int(1.25 cap) + 1024,
+    # bounding nothing, so a walk could exhaust memory; at r = 2 the
+    # walk is tiny, so only the ceiling refuses it
+    for cap in (1e30, float(counting.MAX_CAP + 1)):
+        with pytest.raises(PreconditionError) as info:
+            call(cap)
+        assert type(info.value) is PreconditionError
+        assert str(info.value) == f"cap {cap} exceeds MAX_CAP = 100000000"
+    try:
+        call(counting.MAX_CAP)  # the ceiling itself is a cap
+    except PreconditionError as exc:  # K4 has no backtracking primitive
+        assert "two primitive cycles" in str(exc)  # cycle below r = 2
+
+
 @pytest.mark.parametrize("r_max", [math.nan, 0.0, -1.0],
                          ids=["nan", "zero", "negative"])
 def test_growth_bounds_refuses_a_bad_horizon_before_building_a(r_max):

@@ -340,11 +340,12 @@ def test_edits_take_the_schur_step_on_small_components(monkeypatch):
 
 
 @pytest.mark.parametrize("length, error", [
-    (0.0, PreconditionError), (-1.0, PreconditionError),
+    (0.0, NonPositiveLength), (-1.0, NonPositiveLength),
     (math.nan, NonPositiveLength), (math.inf, NonPositiveLength)])
 def test_edit_lengths_are_checked(length, error):
     # each length is checked before the edit is built, and the message
-    # names the real vertices of the new edge
+    # names the real vertices of the new edge; 0 and -1 raised a plain
+    # PreconditionError before the edits took graph._check_length
     g = generate_graph(1, 10, 20)
     att = [("v0", 1.0), ("v1", length), ("v2", 1.0)]
     for call, names in (
@@ -355,6 +356,46 @@ def test_edit_lengths_are_checked(length, error):
             call()
         assert type(info.value) is error
         assert names in str(info.value) and "+" not in str(info.value)
+
+
+BAD_LENGTH_CALLS = {
+    "from_edges": (lambda g, att, l: MetricGraph.from_edges(
+        ["a", "b"], [("a", "b", 1.0), ("a", "b", l)]), "edge [a, b]"),
+    "add_edge": (lambda g, att, l: add_edge(g, "v0", "v3", l),
+                 "edge [v0, v3]"),
+    "add_vertex": (lambda g, att, l: add_vertex(g, att), "edge [v10, v7]"),
+    "entropy_after_edge": (lambda g, att, l: entropy_after_edge(
+        g, "v0", "v3", l), "edge [v0, v3]"),
+    "entropy_after_vertex": (lambda g, att, l: entropy_after_vertex(g, att),
+                             "attachment edge to 'v7'"),
+    "predict_vertex_asymptotic": (lambda g, att, l: predict_vertex_asymptotic(
+        g, att), "attachment edge to 'v7'"),
+    "fit_edge_asymptotic": (lambda g, att, l: fit_edge_asymptotic(
+        g, "v0", "v3", [1.0, 2.0, l]), "edge [v0, v3]"),
+}
+
+
+@pytest.mark.parametrize("call", BAD_LENGTH_CALLS, ids=str)
+@pytest.mark.parametrize("length", [0.0, -1.0, math.nan, math.inf, -math.inf],
+                         ids=repr)
+def test_every_entry_point_refuses_a_bad_length_by_one_rule(call, length,
+                                                            monkeypatch):
+    # graph._check_length is the one length rule: every entry point that
+    # builds or edits an edge raises exactly NonPositiveLength with its
+    # message, which names the real vertices of the edge, before any
+    # solve (the sweep of fit_edge_asymptotic solved its base and its
+    # good lengths first)
+    g = generate_graph(1, 10, 20)
+    for name in ("_edit", "_vertex_root"):
+        monkeypatch.setattr(incremental, name, lambda *a: pytest.fail(
+            "solved before the lengths were checked"))
+    att = [("v0", 1.0), ("v7", length), ("v2", 1.0)]
+    run, edge = BAD_LENGTH_CALLS[call]
+    with pytest.raises(NonPositiveLength) as info:
+        run(g, att, length)
+    assert type(info.value) is NonPositiveLength
+    assert str(info.value) == f"{edge} has length {length!r}, " \
+                              f"not in (0, inf)"
 
 
 def test_edge_addition_tree_base_gives_zero():
