@@ -47,12 +47,10 @@ callable and serves two evaluations:
 
 ``volume_entropy`` keeps the dart evaluation for now: moving it to the
 vertex matrix changes which benchmark inputs fail, and so goes with a
-change of the benchmark's pinned failures.  Its solve also keeps plain
-Newton steps (``_newton_down(..., interpolate=False)``): its coarse stop
-scale ``_RHO_TOL`` would let the interpolated steps move h by ~1e-12.
-It returns the Newton update of its last evaluation, which that stop
-leaves unused: on ``generate_graph``'s seed ladder up to V = 100, h then
-lies within 2e-13 relative of the vertex root.
+change of the benchmark's pinned failures.  It returns the Newton update
+of its last evaluation, which the coarse stop scale ``_RHO_TOL`` of
+``_log_rho`` leaves unused: on ``generate_graph``'s seed ladder up to
+V = 100, h then lies within 1.99e-13 relative of the vertex root.
 """
 
 from __future__ import annotations
@@ -259,7 +257,7 @@ def _inverse_hermite(prev, t: float, lam: float, dlam: float) -> float:
 
 
 def _newton_down(evaluate, t: float, lo: float, hi: float,
-                 name, interpolate: bool = True) -> _VertexRoot:
+                 name) -> _VertexRoot:
     """Safeguarded Newton on the largest root of lambda(t) = 0, where
     lambda < 0 below that root and lambda >= 0 from it up to ``hi``,
     started at t in [lo, hi].  ``evaluate(t)`` gives (lambda, its
@@ -272,8 +270,6 @@ def _newton_down(evaluate, t: float, lo: float, hi: float,
     against Newton's 2) wherever that zero lies inside the bracket.  A
     step that would leave the bracket bisects, and a solve that ends on a
     point certified below returns its evaluated upper end instead.
-    ``interpolate=False`` takes plain Newton steps, for the dart solve of
-    ``volume_entropy`` (module docstring).
 
     M(t) and B(t) depend on t l alone, so the stop is relative: a Newton
     step or bracket of at most 1e-15 t, or |lambda| within the scale that
@@ -307,7 +303,7 @@ def _newton_down(evaluate, t: float, lo: float, hi: float,
                 t_next = t_cubic
         if not lo < t_next < hi:
             t_next = 0.5 * (lo + hi)
-        prev = (t, lam, dlam) if interpolate and dlam > 0.0 else None
+        prev = (t, lam, dlam) if dlam > 0.0 else None
         t = t_next
         lam, v, dlam, noise = evaluate(t)
         evals += 1
@@ -467,7 +463,7 @@ def volume_entropy(graph: MetricGraph) -> EntropyResult:
             continue
         try:
             root = _newton_down(lambda t: _log_rho(core, t), hi, 0.0, hi,
-                                lambda: cid, interpolate=False)
+                                lambda: cid)
         except NonConvergence as exc:
             exc.component = cid
             raise

@@ -289,8 +289,12 @@ class EdgeSet:
 
 
 def _check_length(value, edge: str) -> float:
-    """``value`` as a float, if it is positive and finite."""
-    length = float(value)
+    """``value`` as a float, if it converts to a positive finite one."""
+    try:
+        length = float(value)
+    except (TypeError, ValueError):
+        raise NonPositiveLength(f"{edge} has length {value!r}, "
+                                f"not in (0, inf)") from None
     if not (length > 0.0 and math.isfinite(length)):
         raise NonPositiveLength(f"{edge} has length {length!r}, "
                                 f"not in (0, inf)")

@@ -665,8 +665,10 @@ def reference_vertex_root(graph, mode=TransferMode.NON_BACKTRACKING):
 
 def reference_newton_down(evaluate, t, lo, hi, name):
     """``entropy._newton_down`` with plain Newton steps, as it was before
-    the interpolated step: the reference for its root and its number of
-    evaluations; ``name()`` names the graph in errors."""
+    the interpolated step: the reference for the root and the number of
+    evaluations of both of its solvers, the vertex-matrix ones and the
+    dart solve of ``volume_entropy``; ``name()`` names the graph in
+    errors."""
     from entrograph import NonConvergence
     from entrograph.entropy import _NEWTON_CAP, _VertexRoot
     lam, v, dlam, noise = evaluate(t)

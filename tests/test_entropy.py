@@ -549,6 +549,52 @@ def test_newton_takes_fewer_evaluations_than_the_reference_on_the_sweep():
         assert new < ref
 
 
+def _plain_dart_solve(g):
+    # volume_entropy's dart solve of a connected graph, in plain Newton steps
+    core, hi = entropy._dart_core(g)
+    return reference_newton_down(lambda t: entropy._log_rho(core, t), hi,
+                                 0.0, hi, lambda: min(g.vertices))
+
+
+def test_dart_solve_takes_no_more_evaluations_than_plain_newton():
+    # the benchmark's ladder and spread(1..4): the interpolated steps took
+    # 60 and 24 evaluations where plain Newton steps take 72 and 27.  On
+    # the ladder h lies within 1.99e-13 relative of the vertex root, and
+    # at V = 10, 40 of a bisection on dense eigenvalues (V = 100 would
+    # take that bisection 15 s)
+    ladder = [generate_graph(s, v, 2 * v)
+              for v in (10, 40, 100) for s in range(1, 6)]
+    new = ref = 0
+    for g in ladder + [spread_graph(k) for k in range(1, 5)]:
+        evals = volume_entropy(g).iterations
+        plain = _plain_dart_solve(g).evals
+        assert evals <= plain
+        new, ref = new + evals, ref + plain
+    assert new < ref
+    for g in ladder:
+        h = volume_entropy(g).h
+        refs = [entropy._vertex_root(g).h]
+        if len(g.vertices) <= 40:
+            refs.append(eig_entropy(g, rel_tol=1e-15))
+        for r in refs:
+            assert abs(h - r) <= 2e-13 * r
+
+
+def test_dart_solve_fails_only_where_plain_newton_fails_on_the_sweep():
+    # both loops raise NonConvergence on the same 35 of the 150 graphs
+    failed = []
+    for i, g in enumerate(sweep_graphs()):
+        try:
+            _plain_dart_solve(g)
+        except NonConvergence:
+            continue
+        try:
+            volume_entropy(g)
+        except NonConvergence:
+            failed.append(i)
+    assert failed == []
+
+
 # the largest relative error of the plain Newton loop (``helpers.
 # reference_newton_down``) against the 50-digit root on these draws; the
 # non-backtracking one is a graph with loops of 665.6 and 4.5e-6 at one

@@ -376,15 +376,15 @@ BAD_LENGTH_CALLS = {
 
 
 @pytest.mark.parametrize("call", BAD_LENGTH_CALLS, ids=str)
-@pytest.mark.parametrize("length", [0.0, -1.0, math.nan, math.inf, -math.inf],
-                         ids=repr)
+@pytest.mark.parametrize("length", [0.0, -1.0, math.nan, math.inf, -math.inf,
+                                    None, "x", [1.0]], ids=repr)
 def test_every_entry_point_refuses_a_bad_length_by_one_rule(call, length,
                                                             monkeypatch):
     # graph._check_length is the one length rule: every entry point that
     # builds or edits an edge raises exactly NonPositiveLength with its
     # message, which names the real vertices of the edge, before any
     # solve (the sweep of fit_edge_asymptotic solved its base and its
-    # good lengths first)
+    # good lengths first), and so is a length that float() cannot convert
     g = generate_graph(1, 10, 20)
     for name in ("_edit", "_vertex_root"):
         monkeypatch.setattr(incremental, name, lambda *a: pytest.fail(
