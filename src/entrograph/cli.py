@@ -24,8 +24,8 @@ from .entropy import _vertex_root, volume_entropy
 from .errors import (EntrographError, HorizonTooLarge, PreconditionError,
                      ValidationFailed)
 from .genfun import check_symmetry
-from .graph import (MetricGraph, _require_valid, add_edge, add_vertex,
-                    component_of, first_betti, reduce)
+from .graph import (MetricGraph, add_edge, add_vertex, component_of,
+                    first_betti, reduce)
 from .graphio import ParseError, generate_graph, load_graph, serialize_json
 from .incremental import (_AUTO_DIRECT_BELOW, EditResult, entropy_after_edge,
                           entropy_after_vertex)
@@ -46,14 +46,8 @@ def _emit(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
-def _load(path: str) -> MetricGraph:
-    graph = load_graph(path)
-    _require_valid(graph)
-    return graph
-
-
 def cmd_entropy(args) -> int:
-    graph = _load(args.file)
+    graph = load_graph(args.file)
     res = volume_entropy(graph)
     print(f"h = {res.h:.12g}")
     print(f"residual = {res.residual:.3e}")
@@ -84,7 +78,7 @@ def _print_cross_check(inc: EditResult, edited: MetricGraph, x: str):
 
 
 def cmd_add_edge(args) -> int:
-    graph = _load(args.file)
+    graph = load_graph(args.file)
     inc = entropy_after_edge(graph, args.x, args.y, args.length)
     _print_cross_check(inc, add_edge(graph, args.x, args.y, args.length),
                        args.x)
@@ -92,7 +86,7 @@ def cmd_add_edge(args) -> int:
 
 
 def cmd_add_vertex(args) -> int:
-    graph = _load(args.file)
+    graph = load_graph(args.file)
     attachments = _parse_attachments(args.attach)
     inc = entropy_after_vertex(graph, attachments)
     _print_cross_check(inc, add_vertex(graph, attachments),
@@ -115,7 +109,7 @@ def _parse_attachments(specs) -> list[tuple[str, float]]:
 def cmd_persistence(args) -> int:
     if args.bench and args.format != "csv":  # its rows are CSV
         raise PreconditionError("--bench needs --format csv")
-    graph = _load(args.file)
+    graph = load_graph(args.file)
     curve = persistence.persistent_entropy(graph, strategy=args.strategy)
     payload = persistence.export_curve(curve, args.format).decode()
     if args.bench:
@@ -145,7 +139,7 @@ def _bench_report(graph: MetricGraph, strategy: str, curve) -> str:
 
 
 def cmd_verify(args) -> int:
-    graph = _load(args.file)
+    graph = load_graph(args.file)
     cap = args.cap
     counting._check_limits(None, cap)  # even where no check enumerates
     budget = min(cap, 200_000)  # walks at a check's horizon; 0: no walk
@@ -254,7 +248,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_count(args) -> int:
-    graph = _load(args.file)
+    graph = load_graph(args.file)
     kind = {"paths-from": counting.PathKind.PATHS_FROM,
             "paths-xy": counting.PathKind.PATHS_XY,
             "cycles": counting.PathKind.CYCLES_AT,

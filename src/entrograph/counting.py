@@ -61,8 +61,7 @@ from .entropy import _EPS, _schur_root, _vertex_root, volume_entropy
 from .errors import (DivergentSeries, HorizonTooLarge, InsufficientData,
                      MarginTooSmall, NonConvergence, PreconditionError)
 from .genfun import attachment_darts, f_from, f_path, primitive_matrix
-from .graph import (MetricGraph, _require_valid, component_of, delete_vertex,
-                    first_betti)
+from .graph import MetricGraph, component_of, delete_vertex, first_betti
 from .spectral import TransferMode, _pattern, transitions
 
 DEFAULT_CAP = 10_000_000
@@ -214,7 +213,6 @@ def horizon_for_budget(graph: MetricGraph, x: str, target: int,
     """Horizon at which about ``target`` walks from x exist: the r with
     A (e^{hr} - 1) = target in the count model of ``_count_model``.
     Raises PreconditionError unless 0 < target < inf and a walk leaves x."""
-    _require_valid(graph)
     if not 0 < target < math.inf:  # nan is not a target either
         raise PreconditionError("target must be positive and finite")
     comp = component_of(graph, x)
@@ -421,7 +419,6 @@ def _enumerate(graph: MetricGraph, spec: EnumerationSpec,
     left-fold length.  It refuses as the backtracking cycles enumeration
     does: by that count model before the walk and its node cap during it.
     """
-    _require_valid(graph)
     _check_limits(spec.r_max, spec.cap)
 
     if spec.kind is PathKind.PATHS_XY:
@@ -568,7 +565,6 @@ def laplace_check(profile: CountProfile, graph: MetricGraph, t: float,
     the entropy of the component of the profile's base, in the profile's
     mode; t below h + ``_LAPLACE_MARGIN`` raises MarginTooSmall.
     """
-    _require_valid(graph)
     if h is None:
         h = _growth_rate(profile, graph)
     if t < h + _LAPLACE_MARGIN:
@@ -748,7 +744,6 @@ class BoundsReport:
 
 
 def _require_reduced_hyperbolic(graph: MetricGraph):
-    _require_valid(graph)
     if len(first_betti(graph)) != 1:
         raise PreconditionError("a connected graph is required")
     if first_betti(graph)[0] < 2:
@@ -918,7 +913,6 @@ def backtracking_entropy(graph: MetricGraph, v: str) -> BacktrackingEntropy:
     ``residual_g`` is |lambda_min(K)| at h_g_root.  The two roots agree
     within solver tolerance.
     """
-    _require_valid(graph)
     comp = component_of(graph, v)
     if not comp.darts:
         return BacktrackingEntropy(0.0, 0.0, 0.0, 0.0)

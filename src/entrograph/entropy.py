@@ -64,7 +64,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs, dsyevr
 
 from .errors import NonConvergence, PreconditionError
 from .graph import (ComponentKind, EdgeSet, MetricGraph, _component,
-                    _require_valid, components, reduce)
+                    components, reduce)
 from .spectral import (TransferMode, _assemble, _sparse_transfer,
                        _vertex_terms, build_transfer, spectral_radius)
 
@@ -448,11 +448,9 @@ def volume_entropy(graph: MetricGraph) -> EntropyResult:
     NonConvergence of the power iteration carries the t and the component
     (its least vertex) it was met at.
 
-    Raises ValidationFailed on invalid input: no entropy is ever reported
-    for a non-validated graph.
+    No entropy is ever reported for an invalid graph: the MetricGraph
+    constructor refuses one with ValidationFailed.
     """
-    _require_valid(graph)
-
     per: list[tuple[str, float]] = []
     best, evals = EntropyResult(0.0, 0.0, 0, (0.0, 0.0), ()), 0
     for comp in components(graph):
@@ -485,7 +483,6 @@ def rho_curve(graph: MetricGraph, t_values: Sequence[float],
               ) -> list[tuple[float, float]]:
     """Sample (t, rho(B(t))) along a parameter grid, each radius from the
     dense eigenvalues of B(t); diagnostic helper."""
-    _require_valid(graph)
     return [(float(t), float(np.abs(np.linalg.eigvals(
         build_transfer(graph, float(t), mode).matrix)).max(initial=0.0)))
         for t in t_values]

@@ -25,7 +25,8 @@ class PreconditionError(EntrographError, ValueError):
 
 
 class ValidationFailed(PreconditionError):
-    """A graph failed invariant validation; carries the report lines."""
+    """Raised when a ``MetricGraph`` is built from invalid darts; carries
+    the report lines of ``graph.validate``."""
 
     def __init__(self, report):
         self.report = tuple(report)

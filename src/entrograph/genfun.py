@@ -52,8 +52,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import DivergentSeries, InvalidDartIndex
-from .graph import (Dart, MetricGraph, _require_valid, component_of,
-                    delete_vertex)
+from .graph import Dart, MetricGraph, component_of, delete_vertex
 from .spectral import TransferMode, _apply, _assemble, _vertex_terms
 
 
@@ -114,7 +113,6 @@ def f_path(graph: MetricGraph, x: str, y: str, t: float,
     different components (the path set is empty); the value inf when t is
     at or below the component entropy.
     """
-    _require_valid(graph)
     graph._position(y)
     comp = component_of(graph, x)
     if y not in comp.vertex_set:
@@ -129,7 +127,6 @@ def f_path(graph: MetricGraph, x: str, y: str, t: float,
 def f_from(graph: MetricGraph, x: str, t: float,
            mode: TransferMode = TransferMode.NON_BACKTRACKING) -> GenFunValue:
     """Generating function f_x(t) = sum_y f_xy(t); one resolvent solve."""
-    _require_valid(graph)
     comp = component_of(graph, x)
     try:
         u = _solve(comp, t, mode, np.ones(len(comp.vertices)))
@@ -161,7 +158,6 @@ def g_primitive(graph: MetricGraph, v: str, i: int, j: int,
     contributes e^{-l_i t} to g_ij exactly when e_j is its reversal, and
     cannot occur inside any longer primitive cycle.
     """
-    _require_valid(graph)
     darts = attachment_darts(graph, v)
     n = len(darts)
     if not (1 <= i <= n) or not (1 <= j <= n):
@@ -200,7 +196,6 @@ def primitive_matrix(graph: MetricGraph, v: str, t: float,
     g(t) = 1 on a Schur complement of I - W(t).  It is kept as the
     independent reference that the sum of its entries is 1 at that root.
     """
-    _require_valid(graph)
     darts = attachment_darts(graph, v)
     z = np.exp(-t * np.array([d.length for d in darts]))
     out = np.zeros((len(darts), len(darts)))
@@ -223,7 +218,6 @@ def primitive_matrix(graph: MetricGraph, v: str, t: float,
 
 def check_symmetry(graph: MetricGraph, x: str, y: str, t: float) -> float:
     """|f_xy(t) - f_yx(t)| from one ``_block``, 0 up to float error."""
-    _require_valid(graph)
     graph._position(y)
     comp = component_of(graph, x)
     if y not in comp.vertex_set:

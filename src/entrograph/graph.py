@@ -18,11 +18,10 @@ gives the split (``_least_roots``, each class rooted at its least member).
 Every entry point of the package names its vertices through
 ``MetricGraph._position``, the one lookup that raises UnknownVertex, and
 checks every new length by ``_check_length``, the one length rule.
-Every query that computes from a graph refuses an invalid one through
-``_require_valid``, the one gate: it raises ValidationFailed, a
-PreconditionError, with the report of ``validate``, cached on the
-immutable graph (``MetricGraph._report``).  The edits and views of this
-module only rebuild or read the darts, and take no gate.
+Every ``MetricGraph`` is valid: its constructor runs ``validate`` and
+raises ValidationFailed, a PreconditionError, with the report.  So no
+query checks its graph, and the edits, which rebuild the darts through
+the constructor, cannot make an invalid one.
 """
 
 from __future__ import annotations
@@ -71,6 +70,11 @@ class MetricGraph:
     vertices: tuple[str, ...]
     darts: tuple[Dart, ...]
 
+    def __post_init__(self):
+        report = validate(self)
+        if report:
+            raise ValidationFailed(report)
+
     @classmethod
     def from_edges(cls, vertices: Iterable[str],
                    edges: Iterable[tuple[str, str, float]]) -> "MetricGraph":
@@ -111,11 +115,6 @@ class MetricGraph:
     def _index(self) -> dict[str, int]:
         """The position of each vertex in ``vertices``."""
         return {v: i for i, v in enumerate(self.vertices)}
-
-    @cached_property
-    def _report(self) -> tuple[str, ...]:
-        """The report of ``validate``, made once: the graph is immutable."""
-        return validate(self)
 
     @cached_property
     def _memo(self) -> dict:
@@ -292,7 +291,7 @@ def _check_length(value, edge: str) -> float:
     """``value`` as a float, if it converts to a positive finite one."""
     try:
         length = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise NonPositiveLength(f"{edge} has length {value!r}, "
                                 f"not in (0, inf)") from None
     if not (length > 0.0 and math.isfinite(length)):
@@ -342,8 +341,9 @@ def _strong_blocks(support) -> tuple[np.ndarray, ...]:
 def validate(graph: MetricGraph) -> tuple[str, ...]:
     """Check the MetricGraph invariants; return a report of violations.
 
-    An empty report means the graph is valid.  This function never raises:
-    it is the diagnostic used before raising :class:`ValidationFailed`.
+    An empty report means the graph is valid.  The constructor of
+    ``MetricGraph`` runs it and raises :class:`ValidationFailed` with a
+    report that is not empty; this function itself never raises.
     """
     report: list[str] = []
     vset = set(graph.vertices)
@@ -354,8 +354,11 @@ def validate(graph: MetricGraph) -> tuple[str, ...]:
         if d.id < 0 or d.id >= n or graph.darts[d.id] is not d:
             report.append(f"dart {d.id}: id does not match its position")
             continue
-        if not (isinstance(d.length, (int, float)) and math.isfinite(d.length)
-                and d.length > 0.0):
+        try:
+            if not isinstance(d.length, (int, float)):
+                raise NonPositiveLength
+            _check_length(d.length, "dart")
+        except NonPositiveLength:
             report.append(f"dart {d.id}: non-positive length {d.length!r}")
         if d.tail not in vset:
             report.append(f"dart {d.id}: unknown tail {d.tail!r}")
@@ -375,13 +378,6 @@ def validate(graph: MetricGraph) -> tuple[str, ...]:
         if r.length != d.length:
             report.append(f"dart {d.id}: paired darts have unequal lengths")
     return tuple(report)
-
-
-def _require_valid(graph: MetricGraph) -> None:
-    """Raise ValidationFailed with the report of ``validate`` unless the
-    graph is valid; one O(E) pass per graph object (``_report``)."""
-    if graph._report:
-        raise ValidationFailed(graph._report)
 
 
 def _component(graph: MetricGraph, k: int) -> MetricGraph:

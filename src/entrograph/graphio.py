@@ -52,7 +52,7 @@ def parse_graph_json(text: str) -> MetricGraph:
     for rec in doc["edges"]:
         try:
             edges.append((str(rec["u"]), str(rec["v"]), float(rec["length"])))
-        except (TypeError, KeyError, ValueError) as exc:
+        except (TypeError, KeyError, ValueError, OverflowError) as exc:
             raise ParseError(f"bad edge record {rec!r}") from exc
     return _build(vertices, edges)
 

@@ -69,7 +69,7 @@ from .entropy import _cold_root, _schur_root, _vertex_root
 from .errors import (DisconnectedPair, NonConvergence, PreconditionError,
                      TooFewAttachments)
 from .graph import (EdgeSet, MetricGraph, _check_length, _component,
-                    _require_valid, component_of)
+                    component_of)
 
 _NODE_BUDGET = 300_000  # paths of each counting estimate by default
 
@@ -215,7 +215,6 @@ def entropy_after_edge(graph: MetricGraph, x: str, y: str,
     with a tree (a pendant edge, say) keeps h' = h_base; both report 0
     iterations (module docstring).
     """
-    _require_valid(graph)
     l0 = _check_length(l0, f"edge [{x}, {y}]")
     return _edit(graph, [graph._position(x)], [graph._position(y)], [l0])
 
@@ -227,7 +226,6 @@ def entropy_after_vertex(graph: MetricGraph,
     component, the root of lambda_min(K(t)) = 0 on the new vertex and its
     targets, where rho((D A)(t)) = 1 (module docstring); h_base is the
     entropy of that component."""
-    _require_valid(graph)
     lengths = _attachment_lengths(attachments)
     targets = [v for v, _ in attachments]
     _one_component(graph, targets)
@@ -245,7 +243,6 @@ def fit_edge_asymptotic(graph: MetricGraph, x: str, y: str,
     """Sweep edge lengths and fit the scaled corrections
     a_l = (h'(l) - h) e^{h l}; their limit is the asymptotic constant.
     h is the cached root of the component, every edit's h_base."""
-    _require_valid(graph)
     _one_component(graph, (x, y))
     ls = sorted(_check_length(l, f"edge [{x}, {y}]") for l in l_values)
     if not ls:
@@ -275,7 +272,6 @@ def predict_vertex_asymptotic(graph: MetricGraph,
     h' - h = w^T (J - I) w / lambda'(h), with w_i = e^{-h l_i} v_{t_i}, v
     the unit null vector of M(h) and J the all-ones matrix.
     """
-    _require_valid(graph)
     lengths = np.array(_attachment_lengths(attachments))
     targets = [v for v, _ in attachments]
     _one_component(graph, targets)
@@ -307,7 +303,6 @@ def estimate_constant_C(graph: MetricGraph, x: str, y: str,
     20% (a hint that the length spectrum may not be Diophantine, e.g. all
     lengths equal).
     """
-    _require_valid(graph)
     if method not in ("resolvent", "counting", "both"):
         raise PreconditionError(f"unknown method {method!r}")
     graph._position(y)  # an unknown y is an error, not a disconnected one

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EntrographError, PreconditionError, UnknownFormat
-from .graph import MetricGraph, _require_valid
+from .graph import MetricGraph
 from .incremental import StepStrategy, _join
 
 
@@ -98,7 +98,6 @@ def persistent_entropy(graph: MetricGraph,
     set to the offending threshold; other exceptions propagate
     untouched.
     """
-    _require_valid(graph)
     if strategy not in ("direct", "incremental", "auto"):
         raise PreconditionError(f"unknown strategy {strategy!r}")
 

@@ -100,6 +100,17 @@ def test_entropy_invalid_graph(tmp_path, capsys):
     assert main(["entropy", str(bad)]) == 2
 
 
+def test_entropy_length_too_large_for_a_float(tmp_path, capsys):
+    # a 401-digit integer overflows float(): a parse error, not a traceback
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({
+        "vertices": ["a", "b"],
+        "edges": [{"u": "a", "v": "b", "length": 1.0},
+                  {"u": "a", "v": "b", "length": 10**400}]}))
+    assert main(["entropy", str(big)]) == 2
+    assert capsys.readouterr().err.startswith("error: bad edge record")
+
+
 def test_add_edge_command(c4_file, capsys):
     assert main(["add-edge", c4_file, "a", "c", "1.0"]) == 0
     out = capsys.readouterr().out

@@ -68,10 +68,11 @@ def test_disconnected_max_over_components():
 
 
 def test_rejects_invalid_graph():
-    bad = MetricGraph(("x", "y"), (
-        Dart(0, "x", "y", 1.0, 0), Dart(1, "y", "x", 1.0, 1)))
-    with pytest.raises(ValidationFailed):
-        volume_entropy(bad)
+    # no invalid graph reaches volume_entropy: the constructor refuses it
+    with pytest.raises(ValidationFailed) as info:
+        MetricGraph(("x", "y"), (
+            Dart(0, "x", "y", 1.0, 0), Dart(1, "y", "x", 1.0, 1)))
+    assert any("fixed point" in line for line in info.value.report)
 
 
 def test_unique_sign_change_around_root():

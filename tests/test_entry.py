@@ -1,20 +1,22 @@
-"""Entry checks shared by every public function: unknown vertex names and
-invalid graphs."""
+"""Entry checks shared by every public function: unknown vertex names,
+and invalid darts, which no graph can hold."""
+
+import dataclasses
 
 import pytest
 
 from entrograph import (Dart, EnumerationSpec, MetricGraph, PathKind,
                         PreconditionError, UnknownVertex, ValidationFailed,
                         add_edge, add_vertex, backtracking_bound,
-                        backtracking_entropy, check_symmetry, delete_vertex,
+                        backtracking_entropy, delete_vertex,
                         entropy_after_edge, entropy_after_vertex,
                         enumerate_paths, estimate_constant_C, f_from, f_path,
                         fit_edge_asymptotic, g_primitive, generate_graph,
-                        growth_bounds, horizon_for_budget, laplace_check,
-                        persistent_entropy, predict_vertex_asymptotic,
-                        primitive_matrix, reduce, rho_curve, validate,
-                        verify_recursions, volume_entropy)
+                        growth_bounds, horizon_for_budget,
+                        predict_vertex_asymptotic, primitive_matrix, reduce,
+                        verify_recursions)
 from entrograph.graph import component_of
+from helpers import c4
 
 G = generate_graph(1, 10, 20)
 
@@ -71,53 +73,56 @@ def test_every_entry_rejects_an_unknown_vertex(call):
     assert str(info.value) == "unknown vertex 'nope'"
 
 
-# the reversal fixed point of test_validate_reports_reversal_fixed_point
-BAD = MetricGraph(("x", "y"), (Dart(0, "x", "y", 1.0, 0),
-                               Dart(1, "y", "x", 1.0, 1)))
+def _pair(u, v, length=1.0, back=None):
+    """Darts 0 and 1 of an edge [u, v]; ``back``, if given, is dart 1's
+    (tail, head, length) in place of (v, u, length)."""
+    bu, bv, bl = back or (v, u, length)
+    return Dart(0, u, v, length, 1), Dart(1, bu, bv, bl, 0)
 
 
-# every public query that takes a graph, on vertices BAD has
-INVALID = {
-    "volume_entropy": lambda: volume_entropy(BAD),
-    "rho_curve": lambda: rho_curve(BAD, [1.0]),
-    "persistent_entropy": lambda: persistent_entropy(BAD),
-    "f_path": lambda: f_path(BAD, "x", "y", 2.0),
-    "f_from": lambda: f_from(BAD, "x", 2.0),
-    "g_primitive": lambda: g_primitive(BAD, "x", 1, 1, 2.0),
-    "primitive_matrix": lambda: primitive_matrix(BAD, "x", 2.0),
-    "check_symmetry": lambda: check_symmetry(BAD, "x", "y", 2.0),
-    "enumerate_paths": lambda: enumerate_paths(
-        BAD, _spec(PathKind.CYCLES_AT, v="x")),
-    "horizon_for_budget": lambda: horizon_for_budget(BAD, "x", 100),
-    "laplace_check": lambda: laplace_check(enumerate_paths(
-        G, _spec(PathKind.PATHS_FROM, x="v0")), BAD, 2.0),
-    "verify_recursions": lambda: verify_recursions(BAD, "x", r_max=5.0),
-    "growth_bounds": lambda: growth_bounds(BAD, "x", 5.0),
-    "backtracking_bound": lambda: backtracking_bound(BAD, "x", 5.0),
-    "backtracking_entropy": lambda: backtracking_entropy(BAD, "x"),
-    "entropy_after_edge": lambda: entropy_after_edge(BAD, "x", "y", 1.0),
-    "entropy_after_vertex": lambda: entropy_after_vertex(
-        BAD, [("x", 1.0), ("y", 1.0), ("x", 1.0)]),
-    "fit_edge_asymptotic": lambda: fit_edge_asymptotic(
-        BAD, "x", "y", [4.0, 5.0, 6.0]),
-    "predict_vertex_asymptotic": lambda: predict_vertex_asymptotic(
-        BAD, [("x", 9.0), ("y", 9.0), ("x", 9.0)]),
-    "estimate_constant_C": lambda: estimate_constant_C(BAD, "x", "y"),
+# one graph per report line of validate: (vertices, darts, the line)
+INVALID_DARTS = {
+    "duplicate-vertex": (("x", "x"), (), "duplicate vertex identifiers"),
+    "id-not-position": (("x", "y"), (Dart(0, "x", "y", 1.0, 1),
+                                     Dart(3, "y", "x", 1.0, 0)),
+                        "dart 3: id does not match its position"),
+    "non-positive-length": (("x", "y"), _pair("x", "y", 0.0),
+                            "dart 0: non-positive length 0.0"),
+    "unknown-tail": (("x",), _pair("w", "x"), "dart 0: unknown tail 'w'"),
+    "unknown-head": (("x",), _pair("x", "w"), "dart 0: unknown head 'w'"),
+    "reversal-out-of-range": (("x", "y"), (Dart(0, "x", "y", 1.0, 2),
+                                           Dart(1, "y", "x", 1.0, 0)),
+                              "dart 0: reversal 2 out of range"),
+    "reversal-fixed-point": (("x", "y"), (Dart(0, "x", "y", 1.0, 0),
+                                          Dart(1, "y", "x", 1.0, 1)),
+                             "dart 0: reversal fixed point"),
+    "not-an-involution": (("x", "y", "z"), _pair("x", "y") + (
+        Dart(2, "y", "z", 1.0, 1), Dart(3, "z", "y", 1.0, 2)),
+        "dart 2: reversal is not an involution"),
+    "endpoints-not-swapped": (("x", "y"), _pair(
+        "x", "y", back=("x", "y", 1.0)),
+        "dart 0: reversal does not swap endpoints"),
+    "unequal-lengths": (("x", "y"), _pair("x", "y", back=("y", "x", 2.0)),
+                        "dart 0: paired darts have unequal lengths"),
+    # float() overflows on it: a huge int is judged, not raised
+    "huge-int-length": (("x", "y"), _pair("x", "y", 10**400),
+                        f"dart 0: non-positive length {10**400!r}"),
 }
 
 
-@pytest.mark.parametrize("call", INVALID.values(), ids=INVALID.keys())
-def test_solvers_reject_an_invalid_graph_with_its_report(call):
+@pytest.mark.parametrize("case", INVALID_DARTS, ids=str)
+def test_invalid_darts_are_refused_at_construction(case):
+    vertices, darts, line = INVALID_DARTS[case]
     with pytest.raises(ValidationFailed) as info:
-        call()
-    assert info.value.report == validate(BAD)
-    assert any("fixed point" in line for line in info.value.report)
+        MetricGraph(vertices, darts)
+    assert type(info.value) is ValidationFailed
+    assert isinstance(info.value, PreconditionError)
+    assert line in info.value.report
 
 
-@pytest.mark.parametrize("call", [
-    lambda: enumerate_paths(BAD, _spec(PathKind.CYCLES_AT, v="x")),
-    lambda: growth_bounds(BAD, "x", 5.0),
-], ids=["enumerate_paths", "growth_bounds"])
-def test_counting_rejects_an_invalid_graph_as_a_precondition(call):
-    with pytest.raises(PreconditionError):
-        call()
+def test_replace_cannot_make_an_invalid_graph():
+    g = c4()
+    fixed = (dataclasses.replace(g.darts[0], reverse=0),) + g.darts[1:]
+    with pytest.raises(ValidationFailed) as info:
+        dataclasses.replace(g, darts=fixed)
+    assert "dart 0: reversal fixed point" in info.value.report

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entrograph import (ComponentKind, Dart, MetricGraph, NonPositiveLength,
-                        UnknownVertex, add_edge, add_vertex, components,
-                        delete_edge, delete_vertex, first_betti, reduce,
-                        same_graph, validate)
+                        UnknownVertex, ValidationFailed, add_edge,
+                        add_vertex, components, delete_edge, delete_vertex,
+                        first_betti, reduce, same_graph, validate)
 from entrograph.graph import component_of
 from helpers import (c4, check_reduce, complete4, cycle, dfs_components,
                      mixed_graphs, multigraphs, path3, reference_take, rose,
@@ -20,28 +20,34 @@ def test_validate_well_formed_c4():
     assert validate(c4()) == ()
 
 
+# the constructor runs validate and raises its report: no invalid graph
+# object exists
+
+
 def test_validate_reports_nonpositive_length():
-    g = MetricGraph(("x", "y"), (
-        Dart(0, "x", "y", 0.0, 1), Dart(1, "y", "x", 0.0, 0)))
-    report = validate(g)
-    assert any("length" in line for line in report)
+    with pytest.raises(ValidationFailed) as info:
+        MetricGraph(("x", "y"), (
+            Dart(0, "x", "y", 0.0, 1), Dart(1, "y", "x", 0.0, 0)))
+    assert any("length" in line for line in info.value.report)
 
 
 def test_validate_reports_reversal_fixed_point():
-    g = MetricGraph(("x", "y"), (
-        Dart(0, "x", "y", 1.0, 0), Dart(1, "y", "x", 1.0, 1)))
-    report = validate(g)
-    assert any("fixed point" in line for line in report)
+    with pytest.raises(ValidationFailed) as info:
+        MetricGraph(("x", "y"), (
+            Dart(0, "x", "y", 1.0, 0), Dart(1, "y", "x", 1.0, 1)))
+    assert any("fixed point" in line for line in info.value.report)
 
 
 def test_validate_reports_unknown_endpoint_and_bad_involution():
-    g = MetricGraph(("x",), (
-        Dart(0, "x", "w", 1.0, 1), Dart(1, "w", "x", 1.0, 0)))
-    assert any("unknown head" in line for line in validate(g))
-    h = MetricGraph(("x", "y", "z"), (
-        Dart(0, "x", "y", 1.0, 1), Dart(1, "y", "x", 1.0, 0),
-        Dart(2, "y", "z", 1.0, 1), Dart(3, "z", "y", 1.0, 2)))
-    assert validate(h)
+    with pytest.raises(ValidationFailed) as info:
+        MetricGraph(("x",), (
+            Dart(0, "x", "w", 1.0, 1), Dart(1, "w", "x", 1.0, 0)))
+    assert any("unknown head" in line for line in info.value.report)
+    with pytest.raises(ValidationFailed) as info:
+        MetricGraph(("x", "y", "z"), (
+            Dart(0, "x", "y", 1.0, 1), Dart(1, "y", "x", 1.0, 0),
+            Dart(2, "y", "z", 1.0, 1), Dart(3, "z", "y", 1.0, 2)))
+    assert info.value.report
 
 
 def test_from_edges_rejects_bad_input():
