@@ -1,5 +1,5 @@
 """Entry checks shared by every public function: unknown vertex names,
-and invalid darts, which no graph can hold."""
+and invalid darts, which no graph can hold, so no query can receive."""
 
 import dataclasses
 
@@ -8,13 +8,14 @@ import pytest
 from entrograph import (Dart, EnumerationSpec, MetricGraph, PathKind,
                         PreconditionError, UnknownVertex, ValidationFailed,
                         add_edge, add_vertex, backtracking_bound,
-                        backtracking_entropy, delete_vertex,
+                        backtracking_entropy, check_symmetry, delete_vertex,
                         entropy_after_edge, entropy_after_vertex,
                         enumerate_paths, estimate_constant_C, f_from, f_path,
                         fit_edge_asymptotic, g_primitive, generate_graph,
-                        growth_bounds, horizon_for_budget,
-                        predict_vertex_asymptotic, primitive_matrix, reduce,
-                        verify_recursions)
+                        growth_bounds, horizon_for_budget, laplace_check,
+                        persistent_entropy, predict_vertex_asymptotic,
+                        primitive_matrix, reduce, rho_curve,
+                        verify_recursions, volume_entropy)
 from entrograph.graph import component_of
 from helpers import c4
 
@@ -118,6 +119,59 @@ def test_invalid_darts_are_refused_at_construction(case):
     assert type(info.value) is ValidationFailed
     assert isinstance(info.value, PreconditionError)
     assert line in info.value.report
+
+
+# the reversal fixed point of test_validate_reports_reversal_fixed_point;
+# building it raises, so each query below is refused before it runs
+def bad():
+    return MetricGraph(("x", "y"), (Dart(0, "x", "y", 1.0, 0),
+                                    Dart(1, "y", "x", 1.0, 1)))
+
+
+# every public query that takes a graph, handed the darts of bad()
+INVALID = {
+    "volume_entropy": lambda: volume_entropy(bad()),
+    "rho_curve": lambda: rho_curve(bad(), [1.0]),
+    "persistent_entropy": lambda: persistent_entropy(bad()),
+    "f_path": lambda: f_path(bad(), "x", "y", 2.0),
+    "f_from": lambda: f_from(bad(), "x", 2.0),
+    "g_primitive": lambda: g_primitive(bad(), "x", 1, 1, 2.0),
+    "primitive_matrix": lambda: primitive_matrix(bad(), "x", 2.0),
+    "check_symmetry": lambda: check_symmetry(bad(), "x", "y", 2.0),
+    "enumerate_paths": lambda: enumerate_paths(
+        bad(), _spec(PathKind.CYCLES_AT, v="x")),
+    "horizon_for_budget": lambda: horizon_for_budget(bad(), "x", 100),
+    "laplace_check": lambda: laplace_check(enumerate_paths(
+        G, _spec(PathKind.PATHS_FROM, x="v0")), bad(), 2.0),
+    "verify_recursions": lambda: verify_recursions(bad(), "x", r_max=5.0),
+    "growth_bounds": lambda: growth_bounds(bad(), "x", 5.0),
+    "backtracking_bound": lambda: backtracking_bound(bad(), "x", 5.0),
+    "backtracking_entropy": lambda: backtracking_entropy(bad(), "x"),
+    "entropy_after_edge": lambda: entropy_after_edge(bad(), "x", "y", 1.0),
+    "entropy_after_vertex": lambda: entropy_after_vertex(
+        bad(), [("x", 1.0), ("y", 1.0), ("x", 1.0)]),
+    "fit_edge_asymptotic": lambda: fit_edge_asymptotic(
+        bad(), "x", "y", [4.0, 5.0, 6.0]),
+    "predict_vertex_asymptotic": lambda: predict_vertex_asymptotic(
+        bad(), [("x", 9.0), ("y", 9.0), ("x", 9.0)]),
+    "estimate_constant_C": lambda: estimate_constant_C(bad(), "x", "y"),
+}
+
+
+@pytest.mark.parametrize("call", INVALID.values(), ids=INVALID.keys())
+def test_solvers_reject_an_invalid_graph_with_its_report(call):
+    with pytest.raises(ValidationFailed) as info:
+        call()
+    assert info.value.report == ("dart 0: reversal fixed point",
+                                 "dart 1: reversal fixed point")
+
+
+@pytest.mark.parametrize("call", [INVALID["enumerate_paths"],
+                                  INVALID["growth_bounds"]],
+                         ids=["enumerate_paths", "growth_bounds"])
+def test_counting_rejects_an_invalid_graph_as_a_precondition(call):
+    with pytest.raises(PreconditionError):
+        call()
 
 
 def test_replace_cannot_make_an_invalid_graph():
