@@ -62,7 +62,7 @@ from .errors import (DivergentSeries, HorizonTooLarge, InsufficientData,
                      MarginTooSmall, NonConvergence, PreconditionError)
 from .genfun import attachment_darts, f_from, f_path, primitive_matrix
 from .graph import MetricGraph, component_of, delete_vertex, first_betti
-from .spectral import TransferMode, _pattern, transitions
+from .spectral import TransferMode, _pattern
 
 DEFAULT_CAP = 10_000_000
 MAX_CAP = 10**8  # a node limit of 1.25e8 at ~17 B each (README): 2-3 GB
@@ -272,12 +272,12 @@ def _walk(graph: MetricGraph, mode: TransferMode, starts, r_max: float,
     at the target, so that its later arrivals tell themselves apart, and
     ``turned`` into a sequence of group d as it steps on along reverse(d),
     so that the sequences without it are the non-backtracking ones.  The
-    next level is pulled, dart by dart: group d2 joins the groups of the
-    predecessors of d2 (``spectral.transitions`` read by column, so not
-    reverse(d2) when non-backtracking) in one concatenation, adds l(d2)
-    in place and keeps the sums below the bound of d2 (``_return_bounds``,
-    at most r_max) with one compare, one count and a mask only where one
-    is dropped.  Every length is thus the left fold of its dart lengths.
+    next level is pulled, dart by dart: group d2 joins the groups of its
+    predecessors, the darts into tail(d2) (not reverse(d2) when
+    non-backtracking), in one concatenation, adds l(d2) in place and
+    keeps the sums below the bound of d2 (``_return_bounds``, at most
+    r_max) with one compare, one count and a mask only where one is
+    dropped.  Every length is thus the left fold of its dart lengths.
     The bound drops the sequences that cannot reach the target in time;
     it is r_max for darts into the target and without a target, so no
     recorded sequence is lost.  Yields (start keys, d, cum) for every
@@ -286,16 +286,14 @@ def _walk(graph: MetricGraph, mode: TransferMode, starts, r_max: float,
     Raises HorizonTooLarge once more than ``limit`` sequences are kept.
     """
     n = len(graph.darts)
-    lengths, reverse = graph._dart_arrays
-    rows, cols = transitions(graph, mode)
+    steps, rev = (arr.tolist() for arr in graph._dart_arrays)
     hits = [target is None or d.head == target for d in graph.darts]
-    bound = _return_bounds(graph, mode, r_max,
-                           None if target is None else np.flatnonzero(hits))
-    by_col = np.argsort(cols, kind="stable")
-    preds = [row.tolist() for row in np.split(
-        rows[by_col], np.searchsorted(cols[by_col], np.arange(1, n)))]
-    steps, bounds = lengths.tolist(), bound.tolist()
-    turns = reverse.tolist() if turned else [-1] * n
+    bounds = _return_bounds(graph, mode, r_max, None if target is None
+                            else np.flatnonzero(hits)).tolist()
+    bt = mode is TransferMode.BACKTRACKING
+    preds = [[rev[e] for e in graph._out[d.tail] if bt or e != d.id]
+             for d in graph.darts]
+    turns = rev if turned else [-1] * n
     narrow = np.min_scalar_type(len(starts) | returned | turned)
     keys, cums = [None] * n, [None] * n
     for i, s in enumerate(starts, 1):

@@ -155,21 +155,12 @@ class MetricGraph:
     def _bt_transitions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The backtracking dart-transition relation head(d) = tail(d') as
         read-only index arrays: rows d, columns d' and the CSR row
-        offsets.  Pairs come in row-major order, the successors of d in
-        dart-id order."""
-        index = self._index
-        tails = np.array([index[d.tail] for d in self.darts], dtype=np.intp)
-        heads = np.array([index[d.head] for d in self.darts], dtype=np.intp)
-        by_tail = np.argsort(tails, kind="stable")
-        sorted_tails = tails[by_tail]
-        first = np.searchsorted(sorted_tails, heads, side="left")
-        count = np.searchsorted(sorted_tails, heads, side="right") - first
-        rows = np.repeat(np.arange(len(self.darts)), count)
-        # pair k is successor k - start[d] of its row d, start[d] the row's
-        # first pair, and that successor sits at first[d] + k - start[d]
-        start = np.cumsum(count) - count
-        cols = by_tail[np.arange(rows.size) + np.repeat(first - start, count)]
-        return _csr_pattern(len(self.darts), rows, cols)
+        offsets.  The successors of d are the out-darts of head(d)
+        (``_out``), in dart-id order; pairs come in row-major order."""
+        succ = [self._out[d.head] for d in self.darts]
+        rows = np.repeat(np.arange(len(succ)), [len(s) for s in succ])
+        cols = np.array([e for s in succ for e in s], dtype=np.intp)
+        return _csr_pattern(len(succ), rows, cols)
 
     @cached_property
     def _nb_transitions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -288,16 +279,25 @@ class EdgeSet:
 
 
 def _check_length(value, edge: str) -> float:
-    """``value`` as a float, if it converts to a positive finite one."""
+    """``value`` as a float, if it converts to a positive finite one; the
+    refusal names an int too long to print by its size (``_shown``)."""
     try:
         length = float(value)
     except (TypeError, ValueError, OverflowError):
-        raise NonPositiveLength(f"{edge} has length {value!r}, "
+        raise NonPositiveLength(f"{edge} has length {_shown(value)}, "
                                 f"not in (0, inf)") from None
     if not (length > 0.0 and math.isfinite(length)):
         raise NonPositiveLength(f"{edge} has length {length!r}, "
                                 f"not in (0, inf)")
     return length
+
+
+def _shown(value) -> str:
+    """repr(value), or the size of an int too long to print."""
+    try:
+        return repr(value)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        return f"int of {value.bit_length()} bits"
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -341,9 +341,9 @@ def _strong_blocks(support) -> tuple[np.ndarray, ...]:
 def validate(graph: MetricGraph) -> tuple[str, ...]:
     """Check the MetricGraph invariants; return a report of violations.
 
-    An empty report means the graph is valid.  The constructor of
-    ``MetricGraph`` runs it and raises :class:`ValidationFailed` with a
-    report that is not empty; this function itself never raises.
+    An empty report means the graph is valid.  ``MetricGraph`` raises
+    :class:`ValidationFailed` with a report that is not empty; this never
+    raises, not even on an int length too long to print (``_shown``).
     """
     report: list[str] = []
     vset = set(graph.vertices)
@@ -354,12 +354,15 @@ def validate(graph: MetricGraph) -> tuple[str, ...]:
         if d.id < 0 or d.id >= n or graph.darts[d.id] is not d:
             report.append(f"dart {d.id}: id does not match its position")
             continue
-        try:
-            if not isinstance(d.length, (int, float)):
-                raise NonPositiveLength
-            _check_length(d.length, "dart")
-        except NonPositiveLength:
-            report.append(f"dart {d.id}: non-positive length {d.length!r}")
+        if not isinstance(d.length, (int, float)):
+            report.append(f"dart {d.id}: length {d.length!r} is not an int "
+                          "or a float")
+        else:
+            try:
+                _check_length(d.length, "dart")
+            except NonPositiveLength:
+                report.append(f"dart {d.id}: non-positive length "
+                              f"{_shown(d.length)}")
         if d.tail not in vset:
             report.append(f"dart {d.id}: unknown tail {d.tail!r}")
         if d.head not in vset:
@@ -540,7 +543,6 @@ def same_graph(a: MetricGraph, b: MetricGraph) -> bool:
     Identifier-preserving equality, sufficient for the edit/round-trip
     invariants (it is isomorphism via the identity on vertex ids).
     """
-    if a.vertex_set != b.vertex_set:
-        return False
     norm = lambda e: (min(e[0], e[1]), max(e[0], e[1]), e[2])
-    return sorted(map(norm, a.edge_list())) == sorted(map(norm, b.edge_list()))
+    return a.vertex_set == b.vertex_set and sorted(
+        map(norm, a.edge_list())) == sorted(map(norm, b.edge_list()))

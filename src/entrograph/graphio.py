@@ -41,7 +41,7 @@ def _build(vertices, edges) -> MetricGraph:
 def parse_graph_json(text: str) -> MetricGraph:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int too long
         raise ParseError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("edges"), list):
         raise ParseError('expected an object with "vertices" and "edges"')

@@ -88,8 +88,8 @@ def transitions(graph: MetricGraph,
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Read-only index arrays (d, d') of the dart-transition relation:
     head(d) = tail(d'), without d' = reverse(d) in non-backtracking mode.
-    Pairs come in row-major order, the successors of d in dart-id order.
-    The graph caches them.
+    Pairs come in row-major order, the successors of d, the out-darts of
+    head(d), in dart-id order.  The graph caches them.
     """
     return _pattern(graph, mode)[:2]
 

@@ -111,6 +111,17 @@ def test_entropy_length_too_large_for_a_float(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: bad edge record")
 
 
+def test_entropy_length_too_long_to_read(tmp_path, capsys):
+    # json.loads refuses an int literal of more than 4300 digits with a
+    # plain ValueError: a parse error as well, not a traceback
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"vertices": ["a", "b"], "edges": ['
+                    '{"u": "a", "v": "b", "length": 1.0}, '
+                    '{"u": "a", "v": "b", "length": 1' + "0" * 5000 + '}]}')
+    assert main(["entropy", str(huge)]) == 2
+    assert capsys.readouterr().err.startswith("error: malformed JSON")
+
+
 def test_add_edge_command(c4_file, capsys):
     assert main(["add-edge", c4_file, "a", "c", "1.0"]) == 0
     out = capsys.readouterr().out
@@ -435,6 +446,17 @@ def test_verify_failed_property_exits_5(k4_file, monkeypatch, capsys):
     assert "failed properties: growth-bounds" in captured.err
 
 
+def test_verify_skips_a_check_past_the_cap(k4_file, monkeypatch, capsys):
+    # a check that raises HorizonTooLarge is skipped with its message; no
+    # property fails, so verify exits 0
+    def refuse(*args, **kwargs):
+        raise errors.HorizonTooLarge("too many walks", safe_horizon=1.0)
+
+    monkeypatch.setattr(counting, "growth_bounds", refuse)
+    assert main(["verify", k4_file]) == 0
+    assert "SKIPPED growth-bounds  too many walks\n" in capsys.readouterr().out
+
+
 def test_attachment_without_length_exits_4(c4_file, capsys):
     assert main(["add-vertex", c4_file, "--attach", "a"]) == 4
     assert "VERTEX:LENGTH" in capsys.readouterr().err
@@ -447,6 +469,15 @@ def test_generate_deterministic_bytes(tmp_path):
     assert main(["generate", "--seed", "1", "--vertices", "5",
                  "--edges", "8", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_generate_refuses_no_vertex_and_an_unknown_model():
+    with pytest.raises(errors.PreconditionError,
+                       match="need at least one vertex"):
+        generate_graph(0, 0, 0)
+    with pytest.raises(errors.PreconditionError,
+                       match="unknown length model 'x'"):
+        generate_graph(1, 3, 3, length_model="x")
 
 
 def test_generate_lattice_lengths(capsys):

@@ -11,10 +11,10 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from entrograph import (CountProfile, Dart, EnumerationSpec, HorizonTooLarge,
-                        MarginTooSmall, MetricGraph, NonConvergence,
-                        PathKind, PreconditionError, TransferMode,
-                        attachment_darts, backtracking_bound,
-                        backtracking_entropy,
+                        InsufficientData, MarginTooSmall, MetricGraph,
+                        NonConvergence, PathKind, PreconditionError,
+                        TransferMode, attachment_darts, backtracking_bound,
+                        backtracking_entropy, entropy_from_counts,
                         enumerate_paths, generate_graph, growth_bounds,
                         horizon_for_budget, laplace_check, reduce,
                         verify_recursions, volume_entropy)
@@ -589,6 +589,14 @@ def test_laplace_margin_too_small():
     laplace_check(prof, rose(2), math.log(3) + 0.25)
 
 
+def test_laplace_refuses_a_primitive_cycles_profile():
+    prof = enumerate_paths(complete4(), EnumerationSpec(
+        PathKind.PRIMITIVE_CYCLES_AT, 3.0, v="a"))
+    with pytest.raises(PreconditionError,
+                       match="supports path and cycle profiles only"):
+        laplace_check(prof, complete4(), 2.0)
+
+
 def test_laplace_default_rate_is_that_of_the_base_component():
     # a theta beside a theta of higher entropy: the default h is the
     # entropy of the component of the profile's base, whose f and N(r)
@@ -758,6 +766,37 @@ def test_nan_horizon_is_refused_by_the_checks(call):
     # both used to report passed, with r_grid (nan,) or m_empirical inf
     with pytest.raises(PreconditionError, match="horizon must be positive"):
         call()
+
+
+def test_verify_recursions_needs_a_grid_or_a_horizon():
+    with pytest.raises(PreconditionError,
+                       match="either r_grid or r_max is required"):
+        verify_recursions(complete4(), "a")
+
+
+@pytest.mark.parametrize("graph, message", [
+    (MetricGraph.from_edges("abcd", [("a", "b", 1.0)] * 3
+                            + [("c", "d", 1.0)] * 3),
+     "a connected graph is required"),
+    (generate_graph(1, 10, 20),
+     r"a reduced graph \(all degrees >= 3\) is required; call reduce\(\)"),
+], ids=["two-thetas", "unreduced"])
+def test_growth_bounds_refuses_a_graph_it_cannot_bound(graph, message):
+    with pytest.raises(PreconditionError, match=message):
+        growth_bounds(graph, graph.vertices[0], 3.0)
+
+
+def test_entropy_from_counts_refuses_an_empty_profile_and_a_low_window():
+    empty = enumerate_paths(complete4(), EnumerationSpec(
+        PathKind.PATHS_FROM, 0.5, x="a"))
+    assert empty.lengths.size == 0
+    with pytest.raises(InsufficientData, match="profile records no lengths"):
+        entropy_from_counts(empty, (0.1, 0.4))
+    # every length is 1: a window from 0.5 starts below the least one
+    prof = enumerate_paths(complete4(), EnumerationSpec(
+        PathKind.PATHS_FROM, 4.5, x="a"))
+    with pytest.raises(InsufficientData, match="r2 > r1 >= min length"):
+        entropy_from_counts(prof, (0.5, 3.0))
 
 
 @pytest.mark.parametrize("kind, given_ends, missing", [
@@ -930,6 +969,13 @@ def test_backtracking_entropy_two_routes_agree():
         res = backtracking_entropy(g, v)
         assert res.h_transfer == pytest.approx(expected, abs=1e-9)
         assert abs(res.h_transfer - res.h_g_root) <= 1e-9
+
+
+def test_backtracking_entropy_at_an_isolated_vertex_is_zero():
+    # c has no edge: no cycle grows at it, beside a theta that has some
+    g = MetricGraph.from_edges(["a", "b", "c"], [
+        ("a", "b", 1.0), ("a", "b", 2.0), ("a", "b", 1.5)])
+    assert dataclasses.astuple(backtracking_entropy(g, "c")) == (0.0,) * 4
 
 
 def test_backtracking_entropy_on_suite_routes_agree():

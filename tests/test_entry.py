@@ -2,7 +2,9 @@
 and invalid darts, which no graph can hold, so no query can receive."""
 
 import dataclasses
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from entrograph import (Dart, EnumerationSpec, MetricGraph, PathKind,
@@ -108,6 +110,19 @@ INVALID_DARTS = {
     # float() overflows on it: a huge int is judged, not raised
     "huge-int-length": (("x", "y"), _pair("x", "y", 10**400),
                         f"dart 0: non-positive length {10**400!r}"),
+    # more digits than Python prints: named by its size, not raised
+    "unprintable-int-length": (("x", "y"), _pair("x", "y", 10**5000),
+                               "dart 0: non-positive length int of 16610 "
+                               "bits"),
+    # a length of another type is named as such, not as non-positive
+    "numpy-int-length": (("x", "y"), _pair("x", "y", np.int64(3)),
+                         f"dart 0: length {np.int64(3)!r} is not an int "
+                         "or a float"),
+    "fraction-length": (("x", "y"), _pair("x", "y", Fraction(3, 2)),
+                        "dart 0: length Fraction(3, 2) is not an int or a "
+                        "float"),
+    "string-length": (("x", "y"), _pair("x", "y", "3"),
+                      "dart 0: length '3' is not an int or a float"),
 }
 
 

@@ -334,6 +334,21 @@ def test_add_vertex_fresh_id_avoids_collision():
     assert len(set(g2.vertices)) == 3
 
 
+def test_add_vertex_skips_a_taken_generated_id():
+    # four vertices give v4 first, which is taken: the next free is v5
+    g = MetricGraph.from_edges(["v0", "v1", "v2", "v4"], [
+        ("v0", "v1", 1.0), ("v1", "v2", 1.0), ("v2", "v4", 1.0)])
+    assert add_vertex(g, [("v0", 1.0)]).vertices[-1] == "v5"
+
+
+def test_same_graph_needs_the_same_vertices():
+    # the same edges beside one more, isolated vertex: not the same graph
+    g = c4()
+    assert same_graph(g, g)
+    assert not same_graph(
+        g, MetricGraph.from_edges(g.vertices + ("e",), g.edge_list()))
+
+
 def test_delete_vertex():
     g = delete_vertex(complete4(), "a")
     assert set(g.vertices) == {"b", "c", "d"}

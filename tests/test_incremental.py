@@ -401,6 +401,27 @@ def test_every_entry_point_refuses_a_bad_length_by_one_rule(call, length,
                               f"not in (0, inf)"
 
 
+@pytest.mark.parametrize("call", BAD_LENGTH_CALLS, ids=str)
+def test_every_entry_point_refuses_an_unprintable_length(call, monkeypatch):
+    # an int of more digits than Python prints (4300 by default) has no
+    # repr to put in the message: the one rule names it by its size and
+    # refuses it like any bad length, not with the ValueError of repr
+    g = generate_graph(1, 10, 20)
+    for name in ("_edit", "_vertex_root"):
+        monkeypatch.setattr(incremental, name, lambda *a: pytest.fail(
+            "solved before the lengths were checked"))
+    length = 10**5000
+    att = [("v0", 1.0), ("v7", length), ("v2", 1.0)]
+    run, edge = BAD_LENGTH_CALLS[call]
+    with pytest.raises(NonPositiveLength) as info:
+        run(g, att, length)
+    assert type(info.value) is NonPositiveLength
+    message = str(info.value)
+    assert message.startswith(f"{edge} has length ")
+    assert message.endswith(", not in (0, inf)")
+    assert "int of 16610 bits" in message
+
+
 def test_edge_addition_tree_base_gives_zero():
     res = entropy_after_edge(path3(), "x", "z", 1.0)
     assert res.h_prime == 0.0 and res.iterations == 0

@@ -60,6 +60,12 @@ def test_transfer_matches_the_dart_loop(g, t):
                 if mode is BT or d2 != d.reverse:
                     ref[d.id, d2] = weights[d2]
         assert np.array_equal(build_transfer(g, t, mode).matrix, ref)
+        # and the pairs themselves, in the row-major, dart-id order that
+        # transitions documents and the NB filter and _return_bounds read
+        rows, cols = spectral.transitions(g, mode)
+        assert list(zip(rows.tolist(), cols.tolist())) == [
+            (d.id, e) for d in g.darts for e in g.out_darts(d.head)
+            if mode is BT or e != d.reverse]
 
 
 def test_transfer_entries_bounded_by_min_length_weight():
