@@ -1,13 +1,13 @@
 """Command-line front end.
 
 Commands: entropy | add-edge | add-vertex | persistence | verify |
-generate | count.  Data goes to standard output, diagnostics to the
-error stream.  Exit codes: 0 success, 2 parse/validation failure,
-3 solver failure (``NonConvergence``, ``DivergentSeries``, numpy's
-``LinAlgError``), 4 precondition violation (a ``PreconditionError``: every
-other error of ``errors``), 5 failed verify properties.
-The argparse parser is built once per process, at the first ``main``
-call, and reused by every later call.
+generate | count.  The entropy of a graph or component is its cached vertex
+root (``entropy._vertex_root``); no command runs the dart solve.  Data goes
+to standard output, diagnostics to the error stream.  Exit codes: 0
+success, 2 parse/validation failure, 3 solver failure (``NonConvergence``,
+``DivergentSeries``, numpy's ``LinAlgError``), 4 precondition violation (a
+``PreconditionError``: every other error of ``errors``), 5 failed verify
+properties.  The argparse parser is built once, at the first ``main`` call.
 """
 
 from __future__ import annotations
@@ -20,12 +20,12 @@ import sys
 import numpy as np
 
 from . import counting, persistence
-from .entropy import _vertex_root, volume_entropy
+from .entropy import _vertex_root
 from .errors import (EntrographError, HorizonTooLarge, PreconditionError,
                      ValidationFailed)
 from .genfun import check_symmetry
 from .graph import (MetricGraph, add_edge, add_vertex, component_of,
-                    first_betti, reduce)
+                    components, first_betti, reduce)
 from .graphio import ParseError, generate_graph, load_graph, serialize_json
 from .incremental import (_AUTO_DIRECT_BELOW, EditResult, entropy_after_edge,
                           entropy_after_vertex)
@@ -48,12 +48,12 @@ def _emit(text: str, out_path: str | None):
 
 def cmd_entropy(args) -> int:
     graph = load_graph(args.file)
-    res = volume_entropy(graph)
-    print(f"h = {res.h:.12g}")
-    print(f"residual = {res.residual:.3e}")
-    print(f"iterations = {res.iterations}")
-    for cid, h in res.per_component:
-        print(f"component {cid}: h = {h:.12g}")
+    root = _vertex_root(graph)
+    print(f"h = {root.h:.12g}")
+    print(f"residual = {abs(root.null_eigenvalue):.3e}")
+    print(f"iterations = {root.evals}")
+    for c in components(graph):
+        print(f"component {min(c.vertices)}: h = {_vertex_root(c).h:.12g}")
     return EXIT_OK
 
 

@@ -45,12 +45,12 @@ callable and serves two evaluations:
   entropy of the base, solves the incremental formulas and route 2 of
   ``counting.backtracking_entropy``; its blocks are slices of M(t).
 
-``volume_entropy`` keeps the dart evaluation for now: moving it to the
-vertex matrix changes which benchmark inputs fail, and so goes with a
-change of the benchmark's pinned failures.  It returns the Newton update
-of its last evaluation, which the coarse stop scale ``_RHO_TOL`` of
-``_log_rho`` leaves unused: on ``generate_graph``'s seed ladder up to
-V = 100, h then lies within 1.99e-13 relative of the vertex root.
+``volume_entropy`` and the default h of ``counting.laplace_check`` keep
+the dart evaluation; no CLI command runs it.  Moving it changes which
+benchmark inputs fail, so it goes with a change of the benchmark's pins.
+It returns the Newton update of its last evaluation, which the coarse
+stop ``_RHO_TOL`` of ``_log_rho`` leaves unused: on the seed ladder up to
+V = 100, h lies within 1.99e-13 relative of the vertex root.
 """
 
 from __future__ import annotations

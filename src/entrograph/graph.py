@@ -354,7 +354,8 @@ def validate(graph: MetricGraph) -> tuple[str, ...]:
         if d.id < 0 or d.id >= n or graph.darts[d.id] is not d:
             report.append(f"dart {d.id}: id does not match its position")
             continue
-        if not isinstance(d.length, (int, float)):
+        if (isinstance(d.length, bool)  # an int, but not a length
+                or not isinstance(d.length, (int, float))):
             report.append(f"dart {d.id}: length {d.length!r} is not an int "
                           "or a float")
         else:

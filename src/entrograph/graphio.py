@@ -51,6 +51,8 @@ def parse_graph_json(text: str) -> MetricGraph:
     edges = []
     for rec in doc["edges"]:
         try:
+            if isinstance(rec["length"], bool):  # float(True) is 1.0
+                raise TypeError("a JSON boolean is not a length")
             edges.append((str(rec["u"]), str(rec["v"]), float(rec["length"])))
         except (TypeError, KeyError, ValueError, OverflowError) as exc:
             raise ParseError(f"bad edge record {rec!r}") from exc

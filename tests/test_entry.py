@@ -123,6 +123,9 @@ INVALID_DARTS = {
                         "float"),
     "string-length": (("x", "y"), _pair("x", "y", "3"),
                       "dart 0: length '3' is not an int or a float"),
+    # bool is a subclass of int, yet True is no length
+    "bool-length": (("x", "y"), _pair("x", "y", True),
+                    "dart 0: length True is not an int or a float"),
 }
 
 
@@ -134,6 +137,12 @@ def test_invalid_darts_are_refused_at_construction(case):
     assert type(info.value) is ValidationFailed
     assert isinstance(info.value, PreconditionError)
     assert line in info.value.report
+
+
+def test_numpy_float_length_is_valid():
+    # np.float64 is a float subclass: accepted, unlike np.int64 and bool
+    g = MetricGraph(("x", "y"), _pair("x", "y", np.float64(1.5)))
+    assert g.darts[0].length == 1.5
 
 
 # the reversal fixed point of test_validate_reports_reversal_fixed_point;
